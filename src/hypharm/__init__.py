@@ -61,11 +61,9 @@ from .norms import (
     Interval,
     NormReport,
     a_norm_interval,
-    blambda_norm_interval,
     compute_norm_report,
     ma_norm_interval,
     norm_A,
-    norm_B_finite,
     norm_Blambda,
     norm_MA,
     norm_Mcb_approx,

@@ -43,6 +43,7 @@ from .norms import (
 )
 from .spectral import (
     CharacterTable,
+    _lam,
     characters,
     check_p2,
     chi0,
@@ -265,9 +266,7 @@ def _perron_vector(H0: HypergroupTable, radius: int) -> np.ndarray:
         w = -w
     w = np.clip(w, 0.0, None)
     w /= np.linalg.norm(w)
-    lam = np.array([float(v) for v in H0.haar[: radius + 1]])
-    xi = w / np.sqrt(lam)
-    return xi
+    return w / np.sqrt(_lam(H0)[: radius + 1])
 
 
 def weak_amenability_witness(

@@ -13,8 +13,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from fractions import Fraction
 
 import numpy as np
 
@@ -32,12 +30,6 @@ class MathCheckFailure(Exception):
 
 class UsageError(Exception):
     """Bad combination of command-line arguments."""
-
-
-def _parse_q(tok: str):
-    if "/" in tok or tok.isdigit():
-        return Fraction(tok)
-    return float(tok)
 
 
 def _add_table_args(p: argparse.ArgumentParser, suffix: str = "") -> None:
@@ -63,7 +55,7 @@ def _build_table(args, suffix: str = "") -> core.HypergroupTable:
     spec = builders.FamilySpec(
         get("family"),
         n=get("n"),
-        q=_parse_q(get("q")) if get("q") else None,
+        q=core.parse_number(get("q")) if get("q") else None,
         radius=get("radius"),
         group=get("group"),
     )
@@ -286,7 +278,7 @@ def cmd_quantum(args) -> int:
     else:
         if args.radius is None:
             raise UsageError("quantum needs --fusion-file, --group, or --q/--radius")
-        ring = quantum.su2_fusion_ring(args.radius, q=_parse_q(args.q) if args.q else 1)
+        ring = quantum.su2_fusion_ring(args.radius, q=core.parse_number(args.q) if args.q else 1)
     Hn = quantum.hypergroup_n(ring)
     Hd = quantum.hypergroup_d(ring)
     kac = quantum.is_kac(ring)
@@ -326,24 +318,7 @@ def cmd_quantum(args) -> int:
 
 def cmd_p2(args) -> int:
     H = _build_table(args)
-    if args.jobs > 1 and H.truncated:
-        max_r = H.radius - 1
-        radii = sorted({max(2, max_r // 4), max(2, max_r // 2), max_r})
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            bounds = list(
-                pool.map(
-                    lambda r: (r, float(np.linalg.eigvalsh(
-                        spectral.section_operator(H, r))[-1])),
-                    radii,
-                )
-            )
-        rep = spectral.check_p2(H, seed=args.seed)
-        rep = spectral.P2Report(
-            rep.table, rep.status, max(b for _, b in bounds), rep.upper_bound,
-            rep.cert_bound, rep.tol, tuple(bounds), rep.certificate,
-        )
-    else:
-        rep = spectral.check_p2(H, seed=args.seed)
+    rep = spectral.check_p2(H, seed=args.seed)
     doc = ReportDoc("p2", args.seed, args.tol)
     doc.add("table", H.name)
     doc.add("status", rep.status)
@@ -373,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=core.DEFAULT_SEED)
         p.add_argument("--format", choices=("text", "structured"), default="text")
         p.add_argument("--out", help="also write the report to this file")
-        p.add_argument("--jobs", type=int, default=1)
 
     for name, fn in (
         ("verify", cmd_verify),
@@ -407,7 +381,7 @@ def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (core.FileFormatError, FileNotFoundError, UsageError, KeyError,
+    except (core.FileFormatError, OSError, UsageError, KeyError,
             ValueError, TruncationOverflow) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

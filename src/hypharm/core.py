@@ -21,6 +21,7 @@ explicit tolerance (default ``1e-9``).
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -35,10 +36,6 @@ Value = object  # Fraction or float; complex for function values
 
 def _is_exact(v) -> bool:
     return isinstance(v, (Fraction, int))
-
-
-def _abs(v):
-    return abs(v)
 
 
 @dataclass(frozen=True)
@@ -116,7 +113,7 @@ class HFunction:
         keys = set(self.values) | set(other.values)
         if not keys:
             return 0.0
-        return max(float(_abs(self[k] - other[k])) for k in keys)
+        return max(float(abs(self[k] - other[k])) for k in keys)
 
 
 class HypergroupTable:
@@ -188,14 +185,10 @@ class HypergroupTable:
         self.exact = exact
 
         if not truncated:
-            missing = [
-                (x, y)
-                for x in range(size)
-                for y in range(size)
-                if self._key(x, y) not in store
-            ]
+            missing = next(((x, y) for x in range(size) for y in range(size)
+                            if self._key(x, y) not in store), None)
             if missing:
-                raise ValueError(f"finite table is missing rows, e.g. {missing[0]}")
+                raise ValueError(f"finite table is missing rows, e.g. {missing}")
 
         if haar is not None:
             self._haar = tuple(haar)
@@ -229,9 +222,6 @@ class HypergroupTable:
             if w == z:
                 return v
         return Fraction(0) if self.exact else 0.0
-
-    def inv(self, x: int) -> int:
-        return self.involution[x]
 
     @property
     def haar(self) -> tuple:
@@ -319,21 +309,11 @@ def involute(H: HypergroupTable, f: HFunction) -> HFunction:
 
 
 def l1_norm(H: HypergroupTable, f: HFunction) -> float:
-    return float(sum(H.haar[i] * _abs(v) for i, v in f.values.items()))
+    return float(sum(H.haar[i] * abs(v) for i, v in f.values.items()))
 
 
 def l2_norm(H: HypergroupTable, f: HFunction) -> float:
-    return math.sqrt(float(sum(H.haar[i] * _abs(v) ** 2 for i, v in f.values.items())))
-
-
-def inner(H: HypergroupTable, f: HFunction, g: HFunction):
-    """lam-weighted inner product <f, g> = sum lam(x) f(x) conj(g(x))."""
-    s = 0
-    for i, v in f.values.items():
-        gv = g[i]
-        if gv != 0:
-            s += H.haar[i] * v * (gv.conjugate() if isinstance(gv, complex) else gv)
-    return s
+    return math.sqrt(float(sum(H.haar[i] * abs(v) ** 2 for i, v in f.values.items())))
 
 
 # -- axiom verification -------------------------------------------------
@@ -407,7 +387,7 @@ def verify_axioms(H: HypergroupTable, tol: float = DEFAULT_TOL) -> AxiomReport:
     for x, y in _iter_pairs(H):
         row = H.row(x, y)
         s = sum(v for _, v in row)
-        viol = max(viol, _abs(s - 1), max((_abs(min(v, 0)) for _, v in row), default=0))
+        viol = max(viol, abs(s - 1), max((abs(min(v, 0)) for _, v in row), default=0))
     report.checks["probability"] = AxiomCheck(float(viol) <= tol, float(viol))
 
     viol = 0
@@ -417,19 +397,19 @@ def verify_axioms(H: HypergroupTable, tol: float = DEFAULT_TOL) -> AxiomReport:
                 a = dict(H.row(x, y))
                 b = dict(H.row(y, x))
                 for z in set(a) | set(b):
-                    viol = max(viol, _abs(a.get(z, 0) - b.get(z, 0)))
+                    viol = max(viol, abs(a.get(z, 0) - b.get(z, 0)))
     report.checks["commutativity"] = AxiomCheck(float(viol) <= tol, float(viol))
 
     viol = 0
     for x in range(H.size):
         if H.has_row(e, x):
             d = dict(H.row(e, x))
-            viol = max(viol, _abs(d.get(x, 0) - 1))
-            viol = max(viol, sum(_abs(v) for z, v in d.items() if z != x))
+            viol = max(viol, abs(d.get(x, 0) - 1))
+            viol = max(viol, sum(abs(v) for z, v in d.items() if z != x))
         if not H.commutative and H.has_row(x, e):
             d = dict(H.row(x, e))
-            viol = max(viol, _abs(d.get(x, 0) - 1))
-            viol = max(viol, sum(_abs(v) for z, v in d.items() if z != x))
+            viol = max(viol, abs(d.get(x, 0) - 1))
+            viol = max(viol, sum(abs(v) for z, v in d.items() if z != x))
     report.checks["identity"] = AxiomCheck(float(viol) <= tol, float(viol))
 
     # involution anti-homomorphism: c^z_{x,y} = c^{z~}_{y~,x~}
@@ -440,7 +420,7 @@ def verify_axioms(H: HypergroupTable, tol: float = DEFAULT_TOL) -> AxiomReport:
             continue
         mirror = dict(H.row(yi, xi))
         for z, v in H.row(x, y):
-            viol = max(viol, _abs(v - mirror.get(H.involution[z], 0)))
+            viol = max(viol, abs(v - mirror.get(H.involution[z], 0)))
     report.checks["involution"] = AxiomCheck(float(viol) <= tol, float(viol))
 
     # support law: e in supp(x.y) iff y = x~
@@ -451,7 +431,7 @@ def verify_axioms(H: HypergroupTable, tol: float = DEFAULT_TOL) -> AxiomReport:
             if ce <= 0:
                 viol = max(viol, 1.0)
         else:
-            viol = max(viol, _abs(ce))
+            viol = max(viol, abs(ce))
     report.checks["support"] = AxiomCheck(float(viol) <= tol, float(viol))
 
     # associativity of the measure algebra on all triples inside the section
@@ -477,7 +457,7 @@ def verify_axioms(H: HypergroupTable, tol: float = DEFAULT_TOL) -> AxiomReport:
                     continue
                 checked += 1
                 for v in set(left) | set(right):
-                    viol = max(viol, _abs(left.get(v, 0) - right.get(v, 0)))
+                    viol = max(viol, abs(left.get(v, 0) - right.get(v, 0)))
     report.checks["associativity"] = AxiomCheck(float(viol) <= tol, float(viol))
     report.triples_checked = checked
     report.triples_skipped = skipped
@@ -493,7 +473,7 @@ def haar_weights(H: HypergroupTable, tol: float = DEFAULT_TOL) -> tuple:
     *-representation on l2(lam)).
     """
     lam = H.haar
-    if _abs(lam[H.identity] - 1) > tol:
+    if abs(lam[H.identity] - 1) > tol:
         raise ZeroDiagonal(f"{H.name}: lam(e) = {lam[H.identity]} != 1")
     worst = 0
     for x, y in _iter_pairs(H):
@@ -502,7 +482,7 @@ def haar_weights(H: HypergroupTable, tol: float = DEFAULT_TOL) -> tuple:
             if not H.has_row(xi, z):
                 continue
             mirror = dict(H.row(xi, z)).get(y, 0)
-            worst = max(worst, _abs(lam[y] * c - lam[z] * mirror))
+            worst = max(worst, abs(lam[y] * c - lam[z] * mirror))
     if float(worst) > tol:
         raise ZeroDiagonal(
             f"{H.name}: Haar invariance identity violated by {float(worst):.3g}"
@@ -543,11 +523,12 @@ def _format_value(v) -> str:
     return repr(float(v))
 
 
-def _parse_value(tok: str):
+def parse_number(tok: str):
+    """An exact Fraction for ``p/q`` and integer tokens, else a float."""
     if "/" in tok:
         return Fraction(tok)
     try:
-        return int(tok)
+        return Fraction(int(tok))
     except ValueError:
         return float(tok)
 
@@ -580,61 +561,129 @@ def save_table(H: HypergroupTable, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_table(path: str) -> HypergroupTable:
-    with open(path) as fh:
-        raw = fh.read().splitlines()
-    if not raw or raw[0].strip() != "hypergroup v1":
-        raise FileFormatError("missing 'hypergroup v1' header", line=1)
-    header: dict[str, list[str]] = {}
-    rows: dict[tuple[int, int], list[tuple[int, Value]]] = {}
-    in_triples = False
-    for ln, line in enumerate(raw[1:], start=2):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line == "triples":
-            in_triples = True
-            continue
-        if line == "end":
-            break
-        toks = line.split()
-        if not in_triples:
-            header[toks[0]] = toks[1:]
-            continue
-        if len(toks) != 4:
-            raise FileFormatError("triple line needs 'x y z value'", line=ln)
+_REQUIRED = object()
+
+
+class LineFile:
+    """The tokenized lines of a hypharm input file.
+
+    The first significant line starts with the tokens of ``magic``; its
+    other tokens form the header entry named by the first magic token.
+    Blank lines and ``#`` comments are skipped.  With a ``body`` marker,
+    ``key value ...`` header lines precede it and body lines follow it up
+    to ``end``; without one, every later line is body.  Lines keep their
+    numbers in the file, and every lookup or conversion error raises
+    :class:`FileFormatError` naming its line.
+    """
+
+    def __init__(self, path: str, magic: str, body: str | None = None):
+        with open(path) as fh:
+            raw = fh.readlines()
+        self.header_end = self.end = len(raw) + 1
+        lines = [(ln, t) for ln, t in enumerate((r.split() for r in raw), start=1)
+                 if t and not t[0].startswith("#")]
+        ln, toks = lines[0] if lines else (self.end, [])
+        m = magic.split()
+        if toks[: len(m)] != m:
+            raise FileFormatError(f"missing '{magic}' header", line=ln)
+        self.header = {m[0]: (ln, toks[len(m):])}
+        self.body: list[tuple[int, list[str]]] = []
+        in_body = body is None
+        for ln, toks in lines[1:]:
+            if in_body and body and toks == ["end"]:
+                self.end = ln
+                break
+            if in_body:
+                self.body.append((ln, toks))
+            elif toks == [body]:
+                in_body, self.header_end = True, ln
+            elif toks[0] in self.header:
+                raise FileFormatError(f"duplicate header line '{toks[0]}'", line=ln)
+            else:
+                self.header[toks[0]] = (ln, toks[1:])
+        else:
+            if body:
+                missing = "end" if in_body else body
+                raise FileFormatError(f"missing '{missing}' line", line=self.end)
+
+    @contextmanager
+    def at(self, line: int):
+        """Report value, arithmetic and lookup errors raised inside as ``line``'s."""
         try:
-            x, y, z = int(toks[0]), int(toks[1]), int(toks[2])
-            v = _parse_value(toks[3])
-        except ValueError as exc:
-            raise FileFormatError(str(exc), line=ln) from None
-        rows.setdefault((x, y), []).append((z, v))
-    try:
-        size = int(header["size"][0])
-        involution = [int(t) for t in header["involution"]]
-    except KeyError as exc:
-        raise FileFormatError(f"missing header line {exc}") from None
-    tail = None
-    if "tail" in header:
-        a, d, b, start, exact = header["tail"]
-        tail = NNTail(
-            float(_parse_value(a)),
-            float(_parse_value(d)),
-            float(_parse_value(b)),
-            int(start),
-            bool(int(exact)),
+            yield
+        except (ValueError, ArithmeticError, LookupError) as exc:
+            raise FileFormatError(f"{type(exc).__name__}: {exc}", line=line) from None
+
+    def values(self, key: str, conv=str, count: int | None = None, default=_REQUIRED):
+        """Header line ``key``'s values, each converted by ``conv``.
+
+        ``conv`` may be a tuple with one converter per value.  Without a
+        ``default``, a missing line is an error at the end of the header.
+        """
+        if key not in self.header:
+            if default is _REQUIRED:
+                raise FileFormatError(f"missing header line '{key}'", line=self.header_end)
+            return default
+        ln, toks = self.header[key]
+        convs = conv if isinstance(conv, tuple) else (conv,) * (count or len(toks))
+        if len(toks) != len(convs):
+            raise FileFormatError(f"'{key}' needs {len(convs)} values, got {len(toks)}", line=ln)
+        with self.at(ln):
+            return [c(t) for c, t in zip(convs, toks)]
+
+    def value(self, key: str, conv=str, default=_REQUIRED):
+        """The one value of header line ``key``, converted by ``conv``."""
+        values = self.values(key, conv, 1, default)
+        return values if values is default else values[0]
+
+
+def int_in(lo: int, hi: float = math.inf):
+    """Converter for an integer token in ``range(lo, hi)``."""
+
+    def conv(tok: str) -> int:
+        i = int(tok)
+        if not lo <= i < hi:
+            raise ValueError(f"{i} is outside [{lo}, {hi})")
+        return i
+
+    return conv
+
+
+def _flag(tok: str) -> bool:
+    return bool(int(tok))
+
+
+def _real(tok: str) -> float:
+    return float(parse_number(tok))
+
+
+def load_table(path: str) -> HypergroupTable:
+    f = LineFile(path, "hypergroup v1", body="triples")
+    size = f.value("size", int_in(1))
+    index = int_in(0, size)
+    rows: dict[tuple[int, int], dict[int, Value]] = {}
+    for ln, toks in f.body:
+        with f.at(ln):
+            if len(toks) != 4:
+                raise ValueError("triple line needs 'x y z value'")
+            x, y, z = (index(t) for t in toks[:3])
+            row = rows.setdefault((x, y), {})
+            if z in row:
+                raise FileFormatError(f"duplicate triple {x} {y} {z}", line=ln)
+            row[z] = parse_number(toks[3])
+    tail = f.values("tail", (_real, _real, _real, int, _flag), default=None)
+    with f.at(f.end):
+        return HypergroupTable(
+            f.value("name", default="table"),
+            size,
+            f.values("involution", index, count=size),
+            {key: row.items() for key, row in rows.items()},
+            identity=f.value("identity", index, 0),
+            haar=f.values("haar", parse_number, count=size, default=None),
+            commutative=f.value("commutative", _flag, True),
+            truncated=f.value("truncated", _flag, False),
+            radius=f.value("radius", int, None),
+            tail=NNTail(*tail) if tail else None,
+            generator=f.value("generator", index, None),
+            elements=f.values("elements", count=size, default=None),
         )
-    return HypergroupTable(
-        header.get("name", ["table"])[0],
-        size,
-        involution,
-        rows,
-        identity=int(header.get("identity", ["0"])[0]),
-        haar=[_parse_value(t) for t in header["haar"]] if "haar" in header else None,
-        commutative=bool(int(header.get("commutative", ["1"])[0])),
-        truncated=bool(int(header.get("truncated", ["0"])[0])),
-        radius=int(header["radius"][0]) if "radius" in header else None,
-        tail=tail,
-        generator=int(header["generator"][0]) if "generator" in header else None,
-        elements=header.get("elements"),
-    )

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 
+from .core import LineFile, int_in
 from .errors import FileFormatError, NoIdentity, NotAssociative, NotLatinSquare
 
 
@@ -218,22 +219,17 @@ def save_group(G: FiniteGroup, path: str) -> None:
 
 
 def load_group(path: str, name: str | None = None) -> FiniteGroup:
-    with open(path) as fh:
-        raw = [ln.strip() for ln in fh.read().splitlines()]
-    raw = [ln for ln in raw if ln and not ln.startswith("#")]
-    if not raw or not raw[0].startswith("cayley"):
-        raise FileFormatError("missing 'cayley <n>' header", line=1)
-    try:
-        n = int(raw[0].split()[1])
-    except (IndexError, ValueError):
-        raise FileFormatError("bad 'cayley <n>' header", line=1) from None
-    if len(raw) < n + 1:
-        raise FileFormatError(f"expected {n} table lines")
+    f = LineFile(path, "cayley")
+    n = f.value("cayley", int_in(1))
+    if len(f.body) != n:
+        raise FileFormatError(
+            f"expected {n} table lines, found {len(f.body)}",
+            line=f.body[n][0] if len(f.body) > n else f.end,
+        )
     table = []
-    for ln, line in enumerate(raw[1 : n + 1], start=2):
-        try:
-            row = [int(t) for t in line.split()]
-        except ValueError:
-            raise FileFormatError("table entries must be integers", line=ln) from None
-        table.append(row)
+    for ln, toks in f.body:
+        with f.at(ln):
+            table.append([int(t) for t in toks])
+        if len(toks) != n:
+            raise FileFormatError(f"row has {len(toks)} entries, expected {n}", line=ln)
     return from_cayley_table(table, name or "group")

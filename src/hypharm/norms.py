@@ -40,32 +40,19 @@ from .core import (
 )
 from .errors import SingularCharacterBasis
 from .groups import FiniteGroup, dihedral4, symmetric, cyclic
-from .spectral import CharacterTable, characters, fourier, inverse_fourier
+from .spectral import (
+    CharacterTable,
+    _as_dense,
+    _lam,
+    characters,
+    fourier,
+    inverse_fourier,
+)
 
 
 def default_mcb_groups() -> tuple[FiniteGroup, ...]:
     """Z2, S3, D4: includes a group with a 2-dimensional irreducible block."""
     return (cyclic(2), symmetric(3), dihedral4())
-
-
-def _dense(H: HypergroupTable, u) -> np.ndarray:
-    if isinstance(u, HFunction):
-        out = np.zeros(H.size, dtype=complex)
-        for i, v in u.values.items():
-            out[i] = complex(v)
-        return out
-    arr = np.asarray(u, dtype=complex)
-    if arr.shape != (H.size,):
-        raise ValueError("function length does not match table size")
-    return arr
-
-
-def _to_hfunction(vals: np.ndarray) -> HFunction:
-    return HFunction({i: v for i, v in enumerate(vals) if v != 0})
-
-
-def _lam(H: HypergroupTable) -> np.ndarray:
-    return np.array([float(v) for v in H.haar])
 
 
 @dataclass
@@ -104,7 +91,7 @@ def norm_A(
     H: HypergroupTable, ct: CharacterTable, u, with_witness: bool = True
 ) -> tuple[float, FactorizationWitness | None]:
     """Fourier-algebra norm sum_chi w|u^| with verified optimal factorization."""
-    ud = _dense(H, u)
+    ud = _as_dense(H, u)
     uhat = fourier(H, ct, ud)
     value = float(np.sum(ct.plancherel * np.abs(uhat)))
     if not with_witness:
@@ -132,13 +119,13 @@ def norm_Blambda(H: HypergroupTable, ct: CharacterTable, u) -> float:
     Builds the extremal f explicitly, checks ``max|f^| <= 1`` and evaluates
     ``|sum_x lam(x) u(x) f(x)|`` in element space.
     """
-    ud = _dense(H, u)
+    ud = _as_dense(H, u)
     uhat = fourier(H, ct, ud)
     fhat = np.zeros(ct.size, dtype=complex)
     cj = conjugate_index(ct)
     for i in range(ct.size):
         fhat[cj[i]] = np.conj(_phase(uhat[i : i + 1])[0])
-    f = _dense(H, inverse_fourier(H, ct, fhat))
+    f = _as_dense(H, inverse_fourier(H, ct, fhat))
     sup = float(np.max(np.abs(fourier(H, ct, f))))
     if sup > 1.0 + 1e-8:
         raise ArithmeticError(f"{H.name}: dual witness leaves the C*_lam ball")
@@ -166,7 +153,7 @@ def multiplication_matrix(H: HypergroupTable, ct: CharacterTable, u) -> np.ndarr
         raise SingularCharacterBasis(
             f"{H.name}: {ct.size} characters for {H.size} elements"
         )
-    ud = _dense(H, u)
+    ud = _as_dense(H, u)
     cols = []
     for i in range(ct.size):
         prod = ud * ct.chars[i]
@@ -178,14 +165,6 @@ def norm_MA(H: HypergroupTable, ct: CharacterTable, u) -> float:
     """Multiplier norm: max column l1-sum of the multiplication matrix."""
     m = multiplication_matrix(H, ct, u)
     return float(np.max(np.sum(np.abs(m), axis=0)))
-
-
-def norm_B_finite(H: HypergroupTable, ct: CharacterTable, u) -> float:
-    """B(H) under the finite-table convention C*(H) = C*_lam(H).
-
-    Flagged as convention-dependent in reports; identical to norm_Blambda.
-    """
-    return norm_Blambda(H, ct, u)
 
 
 # -- products with finite groups -------------------------------------------
@@ -228,7 +207,7 @@ def product_ma_norm(
     coefficient is attained, the sampled random ones double-check that
     multiplication by u x 1 does not mix the G-side.
     """
-    ud = _dense(H, u)
+    ud = _as_dense(H, u)
     rng = np.random.default_rng(seed)
     n = G.order
     phis = [np.eye(n)[G.identity].astype(complex)]
@@ -278,7 +257,7 @@ def norm_Mcb_approx(
         if G.abelian:
             K = product(H, group_hypergroup(G))
             ctk = characters(K, seed=seed)
-            w = np.repeat(_dense(H, u), G.order)
+            w = np.repeat(_as_dense(H, u), G.order)
             direct = norm_MA(K, ctk, w)
             if abs(direct - val) > 1e-8 * max(1.0, val):
                 raise ArithmeticError(
@@ -310,7 +289,7 @@ def a_norm_interval(H: HypergroupTable, u) -> Interval:
     Lower bound: dual pairings |sum lam u f| / |f|_{l1(lam)}, the operator
     norm of lam(f) being bounded by the L1 contraction of the convolution.
     """
-    ud = _dense(H, u)
+    ud = _as_dense(H, u)
     lam = _lam(H)
     upper = float(np.sqrt(np.sum(lam * np.abs(ud) ** 2)))
     lower = 0.0
@@ -327,12 +306,6 @@ def a_norm_interval(H: HypergroupTable, u) -> Interval:
     )
 
 
-def blambda_norm_interval(H: HypergroupTable, u) -> Interval:
-    """Same enclosure, valid for |u|_{B_lambda} (A-upper dominates it)."""
-    iv = a_norm_interval(H, u)
-    return Interval(iv.lower, iv.upper, iv.certificate + " (B_lambda <= A)")
-
-
 def ma_norm_interval(H: HypergroupTable, u, tests: list[HFunction] | None = None) -> Interval:
     """Certified enclosure for the multiplier norm on a truncated table.
 
@@ -340,7 +313,7 @@ def ma_norm_interval(H: HypergroupTable, u, tests: list[HFunction] | None = None
     sum_x |u(x)| sqrt(lam(x))).  Lower bound: ratios
     |u v|_{A,lower} / |v|_{A,upper} over test functions v.
     """
-    ud = _dense(H, u)
+    ud = _as_dense(H, u)
     lam = _lam(H)
     upper = min(
         float(np.sqrt(np.sum(lam * np.abs(ud) ** 2))),
@@ -350,8 +323,8 @@ def ma_norm_interval(H: HypergroupTable, u, tests: list[HFunction] | None = None
         tests = [HFunction.delta(H.identity), HFunction.delta(H.generator)]
     lower = 0.0
     for v in tests:
-        vd = _dense(H, v)
-        prod = _to_hfunction(ud * vd)
+        vd = _as_dense(H, v)
+        prod = HFunction(enumerate(ud * vd))
         num = a_norm_interval(H, prod).lower
         den = a_norm_interval(H, v).upper
         if den > 0:
@@ -418,11 +391,15 @@ def compute_norm_report(
     seed: int = DEFAULT_SEED,
 ) -> NormReport:
     if H.truncated:
+        # The A enclosure also encloses |u|_{B_lambda}: the upper bound
+        # because B_lambda <= A, the lower one because its dual pairings
+        # bound B_lambda directly.
+        a = a_norm_interval(H, u)
         return NormReport(
             H.name,
             False,
-            a_norm_interval(H, u),
-            blambda_norm_interval(H, u),
+            a,
+            a,
             ma_norm_interval(H, u),
             flags=("truncated section: certified intervals, no point values",),
         )
@@ -446,7 +423,7 @@ def compute_norm_report(
         a,
         b,
         ma,
-        norm_B=norm_B_finite(H, ct, u),
+        norm_B=b,
         norm_Mcb=mcb,
         mcb_per_group=per,
         witness=wit,

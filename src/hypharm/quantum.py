@@ -33,7 +33,7 @@ from .builders import (
     q_integer,
     su2_fusion,
 )
-from .core import HFunction, HypergroupTable
+from .core import HFunction, HypergroupTable, LineFile, int_in, parse_number
 from .errors import FileFormatError, ReciprocityError
 from .groups import FiniteGroup
 from .norms import norm_A, norm_Blambda
@@ -407,62 +407,37 @@ def save_fusion_ring(FR: FusionRing, path: str) -> None:
 
 def load_fusion_ring(path: str) -> FusionRing:
     """Parse and validate a fusion-ring file (reciprocity checked on load)."""
-    with open(path) as fh:
-        raw = fh.read().splitlines()
-    if not raw or raw[0].strip() != "fusionring v1":
-        raise FileFormatError("missing 'fusionring v1' header", line=1)
-    header: dict[str, list[str]] = {}
+    f = LineFile(path, "fusionring v1", body="mult")
+    labels = tuple(f.values("labels"))
+    if not labels or len(set(labels)) != len(labels):
+        raise FileFormatError("labels must be distinct and nonempty", line=f.header["labels"][0])
+    k = len(labels)
+    label_index = {l: i for i, l in enumerate(labels)}
     mult: dict[tuple[int, int], dict[int, int]] = {}
-    in_mult = False
-    label_index: dict[str, int] = {}
-    for ln, line in enumerate(raw[1:], start=2):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line == "mult":
-            in_mult = True
-            label_index = {l: i for i, l in enumerate(header.get("labels", []))}
-            continue
-        if line == "end":
-            break
-        toks = line.split()
-        if not in_mult:
-            header[toks[0]] = toks[1:]
-            continue
-        if len(toks) != 4:
-            raise FileFormatError("mult line needs 'alpha beta gamma N'", line=ln)
-        try:
+    for ln, toks in f.body:
+        with f.at(ln):
+            if len(toks) != 4:
+                raise ValueError("mult line needs 'alpha beta gamma N'")
+            if not set(toks[:3]) <= label_index.keys():
+                raise ValueError(f"unknown label in {' '.join(toks[:3])}")
             a, b, g = (label_index[t] for t in toks[:3])
-        except KeyError as exc:
-            raise FileFormatError(f"unknown label {exc}", line=ln) from None
-        try:
-            n = int(toks[3])
-        except ValueError:
-            raise FileFormatError("N must be an integer", line=ln) from None
-        mult.setdefault((a, b), {})[g] = n
-    try:
-        labels = tuple(header["labels"])
-        ndims = tuple(int(t) for t in header["ndims"])
-        conj = tuple(int(t) for t in header["conj"])
-    except KeyError as exc:
-        raise FileFormatError(f"missing header line {exc}") from None
-    q = None
-    if "qparam" in header:
-        tok = header["qparam"][0]
-        q = Fraction(tok) if "/" in tok or tok.isdigit() else float(tok)
-        ddims = tuple(q_integer(n, q) for n in ndims)
-    elif "ddims" in header:
-        ddims = tuple(
-            Fraction(t) if "/" in t or t.lstrip("-").isdigit() else float(t)
-            for t in header["ddims"]
-        )
+            row = mult.setdefault((a, b), {})
+            if g in row:
+                raise FileFormatError(f"duplicate multiplicity {' '.join(toks[:3])}", line=ln)
+            row[g] = int(toks[3])
+    ndims = tuple(f.values("ndims", int, count=k))
+    q = f.value("qparam", parse_number, None)
+    if q is None:
+        ddims = tuple(f.values("ddims", parse_number, count=k, default=map(Fraction, ndims)))
     else:
-        ddims = tuple(Fraction(n) for n in ndims)
+        with f.at(f.header["qparam"][0]):
+            ddims = tuple(q_integer(n, q) for n in ndims)
+    index = int_in(0, k)
     ring = FusionRing(
-        header.get("name", ["ring"])[0],
+        f.value("name", default="ring"),
         labels,
-        int(header.get("trivial", ["0"])[0]),
-        conj,
+        f.value("trivial", index, 0),
+        tuple(f.values("conj", index, count=k)),
         mult,
         ndims,
         ddims,

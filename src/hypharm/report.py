@@ -21,8 +21,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
 
 def format_value(v) -> str:
+    if isinstance(v, np.generic):
+        # numpy scalars would otherwise print their repr, e.g. np.float64(x)
+        v = v.item()
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, Fraction):

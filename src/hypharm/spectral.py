@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .core import (
     DEFAULT_SEED,
@@ -68,10 +68,6 @@ class CharacterTable:
     trivial_index: int
     residual: float
     positive: tuple[bool, ...] = field(default_factory=tuple)
-
-    @property
-    def in_support(self) -> tuple[bool, ...]:
-        return tuple(True for _ in range(self.size))
 
     def lines(self) -> list[str]:
         out = [f"character table of {self.table} ({self.size} characters)"]
@@ -196,7 +192,7 @@ def characters(
 
 
 def _check_orthogonality(H: HypergroupTable, ct: CharacterTable, tol: float) -> None:
-    lam = np.array([float(v) for v in H.haar])
+    lam = _lam(H)
     G = (ct.chars * lam) @ ct.chars.conj().T
     off = G - np.diag(np.diag(G))
     scale = np.abs(np.diag(G)).max()
@@ -217,7 +213,7 @@ def plancherel(
     The normalization is pinned by Parseval, which is enforced here on a
     seeded random function before the weights are returned.
     """
-    lam = np.array([float(v) for v in H.haar])
+    lam = _lam(H)
     weights = 1.0 / np.einsum("x,ix->i", lam, np.abs(chars) ** 2).real
     rng = np.random.default_rng(seed + 1)
     u = rng.standard_normal(H.size) + 1j * rng.standard_normal(H.size)
@@ -229,6 +225,10 @@ def plancherel(
             f"{H.name}: Parseval check failed ({lhs} vs {rhs})"
         )
     return weights
+
+
+def _lam(H: HypergroupTable) -> np.ndarray:
+    return np.array([float(v) for v in H.haar])
 
 
 def _as_dense(H: HypergroupTable, f) -> np.ndarray:
@@ -245,15 +245,14 @@ def _as_dense(H: HypergroupTable, f) -> np.ndarray:
 
 def fourier(H: HypergroupTable, ct: CharacterTable, f) -> np.ndarray:
     """u^(chi) = sum_x lam(x) u(x) conj(chi(x))."""
-    lam = np.array([float(v) for v in H.haar])
-    return (lam * _as_dense(H, f)) @ ct.chars.conj().T
+    return (_lam(H) * _as_dense(H, f)) @ ct.chars.conj().T
 
 
 def inverse_fourier(H: HypergroupTable, ct: CharacterTable, coeffs) -> HFunction:
     """u(x) = sum_chi w(chi) u^(chi) chi(x); round-trips within 1e-10."""
     coeffs = np.asarray(coeffs, dtype=complex)
     vals = (ct.plancherel * coeffs) @ ct.chars
-    return HFunction({i: v for i, v in enumerate(vals) if v != 0})
+    return HFunction(enumerate(vals))
 
 
 # -- (P2) -----------------------------------------------------------------
@@ -329,40 +328,55 @@ def _schur_bound(H: HypergroupTable) -> tuple[float, float]:
 
     Returns (bound, argmin r).  Valid as an upper bound on the generator
     spectrum of the infinite table: stored rows are checked from the data,
-    rows beyond the section from the declared tail sups.
+    rows beyond the section from the declared tail sups.  The bound is the
+    exact (rational) Schur sum at the returned r, rounded up to a double.
+
+    Every stored row gives sum_k |c_k| r^k with integer k, and the tail
+    gives alpha/r + d + beta r; each is convex on r > 0, also as a function
+    of log r, so their max is convex and a golden-section search on log r
+    finds its global minimum without a backstop.
     """
     g = H.generator
     tail: NNTail = H.tail
-    row_exps: list[tuple[tuple[int, float], ...]] = []
+    rows: list[tuple[tuple[int, object], ...]] = []
     last_stored = -1
     for n in range(H.size):
         if not H.has_row(g, n):
             continue
         last_stored = n
-        row_exps.append(tuple((z - n, float(c)) for z, c in H.row(g, n)))
+        rows.append(tuple((z - n, abs(c)) for z, c in H.row(g, n)))
     if tail.start > last_stored + 1:
         raise ValueError(
             f"{H.name}: tail bounds start at {tail.start} but generator rows "
             f"are stored only through {last_stored}"
         )
+    rows.append(((-1, tail.alpha_sup), (0, tail.diag_sup), (1, tail.beta_sup)))
+    exps = sorted({k for row in rows for k, _ in row})
+    coeffs = np.array([[float(dict(row).get(k, 0)) for k in exps] for row in rows])
 
-    def worst(r: float) -> float:
-        val = max(
-            sum(c * r**k for k, c in row) for row in row_exps
-        )
-        tail_val = tail.alpha_sup / r + tail.diag_sup + tail.beta_sup * r
-        return max(val, tail_val)
+    def worst(t: float) -> float:
+        return float((coeffs @ np.exp(t * np.array(exps))).max())
 
-    res = minimize_scalar(worst, bounds=(1e-3, 1.5), method="bounded",
-                          options={"xatol": 1e-12})
-    # coarse grid backstop in case of local-minimum trouble
-    grid = np.linspace(1e-3, 1.5, 401)
-    gbest = min(grid, key=worst)
-    if worst(gbest) < res.fun:
-        res_x, res_f = gbest, worst(gbest)
-    else:
-        res_x, res_f = float(res.x), float(res.fun)
-    return res_f, res_x
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = math.log(1e-3), math.log(1.5)
+    t1, t2 = hi - inv_phi * (hi - lo), lo + inv_phi * (hi - lo)
+    f1, f2 = worst(t1), worst(t2)
+    while hi - lo > 1e-13:
+        if f1 <= f2:
+            hi, t2, f2 = t2, t1, f1
+            t1 = hi - inv_phi * (hi - lo)
+            f1 = worst(t1)
+        else:
+            lo, t1, f1 = t1, t2, f2
+            t2 = lo + inv_phi * (hi - lo)
+            f2 = worst(t2)
+    r = math.exp(t1 if f1 <= f2 else t2)
+    rq = Fraction(r)
+    exact = max(sum(Fraction(c) * rq**k for k, c in row) for row in rows)
+    bound = float(exact)
+    if Fraction(bound) < exact:
+        bound = math.nextafter(bound, math.inf)
+    return bound, r
 
 
 def check_p2(H: HypergroupTable, tol: float = 1e-6, seed: int = DEFAULT_SEED) -> P2Report:

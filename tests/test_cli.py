@@ -1,6 +1,13 @@
 import io
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
+import pytest
+
+import hypharm
 from hypharm import builders, groups, save_table
 from hypharm.cli import run
 
@@ -66,12 +73,11 @@ def test_p2_tree_reports_fails_with_exit_zero():
     assert "0.9428" in out
 
 
-def test_p2_jobs_flag_deterministic():
-    argv = ["p2", "--family", "tree_radial", "--q", "2", "--radius", "30",
-            "--format", "structured"]
-    _, seq = _run(argv)
-    _, par = _run(argv + ["--jobs", "3"])
-    assert seq == par
+def test_p2_jobs_flag_removed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["p2", "--family", "tree_radial", "--q", "2", "--radius", "40",
+             "--jobs", "2"])
+    assert exc.value.code == 2
 
 
 def test_amenability_q8_exit_zero():
@@ -169,3 +175,53 @@ def test_table_file_input(tmp_path):
     save_table(H, str(p))
     code, out = _run(["characters", "--file", str(p)])
     assert code == 0
+
+
+_Z2 = (
+    "hypergroup v1\nname z2\n{size}\nidentity 0\ninvolution 0 1\n"
+    "commutative 1\ntruncated 0\n{tail}triples\n"
+    "0 0 0 1\n0 1 1 1\n1 1 0 {value}\n{extra}end\n"
+)
+
+
+def _z2(size="size 2", tail="", value="1", extra=""):
+    return _Z2.format(size=size, tail=tail, value=value, extra=extra)
+
+
+@pytest.mark.parametrize(
+    "option, text, line",
+    [
+        ("--file", _z2(size="size"), 3),
+        ("--file", _z2(value="1/0"), 11),
+        ("--file", _z2(extra="0 1 1 1\n"), 12),
+        ("--file", _z2(tail="tail 1 2\n"), 8),
+        ("--file", "cayley 2\n0 1\n1\n", 3),
+        ("--fusion-file",
+         "fusionring v1\nlabels a\nndims\nconj 0\nmult\na a a 1\nend\n", 3),
+    ],
+    ids=["size-no-value", "zero-denominator", "duplicate-triple", "short-tail",
+         "short-cayley-row", "ndims-no-value"],
+)
+def test_malformed_file_exits_two_with_line(tmp_path, capsys, option, text, line):
+    p = tmp_path / "input.txt"
+    p.write_text(text)
+    command = "quantum" if option == "--fusion-file" else "verify"
+    code, _ = _run([command, option, str(p)])
+    assert code == 2
+    assert f"line {line}:" in capsys.readouterr().err
+
+
+def test_well_formed_z2_file_passes(tmp_path):
+    p = tmp_path / "z2.hyp"
+    p.write_text(_z2())
+    code, _ = _run(["verify", "--file", str(p)])
+    assert code == 0
+
+
+def test_import_does_not_load_scipy():
+    src = str(Path(hypharm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import hypharm, sys; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypharm import (
     HFunction,
@@ -17,7 +18,21 @@ from hypharm import (
     translate,
     verify_axioms,
 )
-from hypharm.errors import TruncationOverflow, ZeroDiagonal
+from hypharm.errors import (
+    FileFormatError,
+    NoIdentity,
+    NotAssociative,
+    NotLatinSquare,
+    ReciprocityError,
+    TruncationOverflow,
+    ZeroDiagonal,
+)
+from hypharm.quantum import (
+    group_fusion_ring,
+    load_fusion_ring,
+    save_fusion_ring,
+    su2_fusion_ring,
+)
 from hypharm.core import HypergroupTable
 
 from conftest import brute_force_class_products
@@ -252,7 +267,67 @@ def test_table_file_roundtrip_truncated_float(tmp_path):
 def test_load_rejects_garbage(tmp_path):
     p = tmp_path / "bad.hyp"
     p.write_text("not a header\n")
-    from hypharm.errors import FileFormatError
-
     with pytest.raises(FileFormatError):
         load_table(str(p))
+
+
+# -- loader fuzzing -------------------------------------------------------------
+
+
+def _saved(save, obj, path):
+    save(obj, str(path))
+    return path.read_text()
+
+
+@pytest.fixture(scope="module")
+def loader_cases(tmp_path_factory):
+    """Per loader: the loader, the errors it may raise and valid seed files."""
+    d = tmp_path_factory.mktemp("seeds")
+    return {
+        "table": (load_table, (FileFormatError,), [
+            _saved(save_table, builders.conjugacy_hypergroup(groups.symmetric(3)), d / "a"),
+            _saved(save_table, builders.tree_radial(2, 4), d / "b"),
+        ]),
+        "group": (groups.load_group,
+                  (FileFormatError, NotLatinSquare, NoIdentity, NotAssociative), [
+            _saved(groups.save_group, groups.symmetric(3), d / "c"),
+        ]),
+        "ring": (load_fusion_ring, (FileFormatError, ReciprocityError), [
+            _saved(save_fusion_ring, group_fusion_ring(groups.symmetric(3)), d / "d"),
+            _saved(save_fusion_ring, su2_fusion_ring(4, q=Fraction(1, 2)), d / "e"),
+        ]),
+    }
+
+
+_ODD_TOKENS = ["#", "-1", "0", "1", "2", "99", "1/0", "1/2", "x", "nan", "inf", "1e400"]
+
+
+def _mutants(seed: str):
+    """Files made of the seed's first line plus a mix of its lines and junk."""
+    lines = seed.splitlines()
+    vocab = sorted({t for line in lines for t in line.split()}) + _ODD_TOKENS
+    junk = st.lists(st.sampled_from(vocab), max_size=6).map(" ".join)
+    body = st.lists(st.one_of(st.sampled_from(lines), junk), max_size=len(lines) + 3)
+    edit = st.tuples(st.integers(0, len(lines)), junk, st.booleans()).map(
+        lambda e: lines[: e[0]] + [e[1]] + lines[e[0] + (1 if e[2] else 0):]
+    )
+    return st.one_of(body.map(lambda b: [lines[0], *b]), edit).map(
+        lambda ls: "\n".join(ls) + "\n"
+    )
+
+
+@pytest.mark.parametrize("kind", ["table", "group", "ring"])
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_loaders_fail_only_with_their_own_errors(loader_cases, tmp_path_factory, kind, data):
+    # any text either loads or raises FileFormatError; well-formed files may
+    # instead fail the object's own validation
+    load, allowed, seeds = loader_cases[kind]
+    seed = data.draw(st.sampled_from(seeds))
+    text = data.draw(st.one_of(st.text(), _mutants(seed)))
+    p = tmp_path_factory.getbasetemp() / f"fuzz_{kind}.txt"
+    p.write_text(text)
+    try:
+        load(str(p))
+    except allowed:
+        pass

@@ -8,7 +8,6 @@ from hypharm import (
     chi0,
     groups,
     norm_A,
-    norm_B_finite,
     norm_Blambda,
     norm_MA,
     norm_Mcb_approx,
@@ -17,7 +16,6 @@ from hypharm import (
 from hypharm.builders import FamilySpec, family, product, group_hypergroup
 from hypharm.norms import (
     a_norm_interval,
-    blambda_norm_interval,
     compute_norm_report,
     group_a_norm,
     ma_norm_interval,
@@ -125,7 +123,9 @@ def test_norm_submultiplicative(finite_tables):
 def test_norm_B_finite_flagged(conj_s3):
     H, ct = conj_s3
     u = np.array([0.3, -1.2, 0.9])
-    assert norm_B_finite(H, ct, u) == norm_Blambda(H, ct, u)
+    rep = compute_norm_report(H, u, ct=ct)
+    assert rep.norm_B == rep.norm_Blambda == norm_Blambda(H, ct, u)
+    assert any("C*(H)=C*_lam(H) convention" in fl for fl in rep.flags)
 
 
 # -- the Mcb supremum ---------------------------------------------------------
@@ -193,7 +193,7 @@ def test_interval_sanity_tree():
     for u in (HFunction.delta(1), HFunction({0: 1.0, 2: -0.5})):
         iv = a_norm_interval(T, u)
         assert 0 <= iv.lower <= iv.upper
-        ivb = blambda_norm_interval(T, u)
+        ivb = compute_norm_report(T, u).norm_Blambda
         assert ivb.lower <= iv.upper
         ivm = ma_norm_interval(T, u)
         assert ivm.lower <= ivm.upper

@@ -19,6 +19,7 @@ from hypharm import (
 )
 from hypharm.builders import FamilySpec, family
 from hypharm.core import HypergroupTable
+from hypharm.spectral import _schur_bound
 from hypharm.errors import DegenerateSpectrum, DominationFailure
 
 # S3 character table over classes (e, transpositions, 3-cycles)
@@ -208,6 +209,53 @@ def test_p2_tree_q3():
     rep = check_p2(builders.tree_radial(3, 40))
     assert rep.status == "fails"
     assert abs(rep.cert_bound - 2 * math.sqrt(3) / 4) < 1e-3
+
+
+def _schur_rows(H):
+    """Generator rows and the tail as (exponent, |coefficient|) pairs."""
+    g, t = H.generator, H.tail
+    rows = [
+        [(z - n, abs(c)) for z, c in H.row(g, n)]
+        for n in range(H.size)
+        if H.has_row(g, n)
+    ]
+    rows.append([(-1, t.alpha_sup), (0, t.diag_sup), (1, t.beta_sup)])
+    return rows
+
+
+@pytest.mark.parametrize(
+    "spec, closed_form",
+    [
+        (FamilySpec("tree_radial", q=2, radius=40), 2 * math.sqrt(2) / 3),
+        (FamilySpec("tree_radial", q=3, radius=40), math.sqrt(3) / 2),
+        (FamilySpec("suq2_fusion", q=Fraction(1, 2), radius=40), 0.8),
+    ],
+    ids=["tree_q2", "tree_q3", "suq2_half"],
+)
+def test_schur_bound_is_exact_upper_bound(spec, closed_form):
+    H = family(spec)
+    bound, r = _schur_bound(H)
+    rq = Fraction(r)
+    exact = max(sum(Fraction(c) * rq**k for k, c in row) for row in _schur_rows(H))
+    assert Fraction(bound) >= exact
+    assert abs(bound - closed_form) < 1e-9
+
+
+@pytest.mark.parametrize("R", [24, 40, 60])
+def test_schur_bound_not_above_grid_minimum(R):
+    # the 401-point grid the search replaced, kept as an oracle
+    grid = np.linspace(1e-3, 1.5, 401)
+    for H in (
+        builders.tree_radial(2, R),
+        builders.tree_radial(3, R),
+        builders.su2_fusion(R),
+        builders.su2_fusion(R, q=Fraction(1, 2)),
+    ):
+        rows = [[(k, float(c)) for k, c in row] for row in _schur_rows(H)]
+        grid_min = min(
+            max(sum(c * r**k for k, c in row) for row in rows) for r in grid
+        )
+        assert _schur_bound(H)[0] <= grid_min + 1e-12, H.name
 
 
 def test_p2_without_tail_is_inconclusive():
