@@ -43,7 +43,6 @@ from .norms import (
 )
 from .spectral import (
     CharacterTable,
-    _lam,
     characters,
     check_p2,
     chi0,
@@ -266,7 +265,7 @@ def _perron_vector(H0: HypergroupTable, radius: int) -> np.ndarray:
         w = -w
     w = np.clip(w, 0.0, None)
     w /= np.linalg.norm(w)
-    return w / np.sqrt(_lam(H0)[: radius + 1])
+    return w / np.sqrt(H0.view.lam[: radius + 1])
 
 
 def weak_amenability_witness(

@@ -118,22 +118,30 @@ def _random_functions(H, count, seed):
     ]
 
 
+def _load_function(path: str, size: int) -> np.ndarray:
+    """A function file: one ``index re [im]`` line per element, others zero."""
+    f = core.LineFile(path, None)
+    index = core.int_in(0, size)
+    u = np.zeros(size, dtype=complex)
+    seen = set()
+    for ln, toks in f.body:
+        with f.at(ln):
+            if len(toks) not in (2, 3):
+                raise ValueError("function line needs 'index re [im]'")
+            i = index(toks[0])
+            if i in seen:
+                raise core.FileFormatError(f"duplicate index {i}", line=ln)
+            seen.add(i)
+            im = core.parse_number(toks[2]) if len(toks) == 3 else 0
+            u[i] = complex(float(core.parse_number(toks[1])), float(im))
+    return u
+
+
 def cmd_norms(args) -> int:
     H = _build_table(args)
     us = []
     if args.u_file:
-        vals = {}
-        with open(args.u_file) as fh:
-            for line in fh:
-                toks = line.split()
-                if not toks or toks[0].startswith("#"):
-                    continue
-                vals[int(toks[0])] = complex(float(toks[1]),
-                                             float(toks[2]) if len(toks) > 2 else 0.0)
-        u = np.zeros(H.size, dtype=complex)
-        for i, v in vals.items():
-            u[i] = v
-        us.append(u)
+        us.append(_load_function(args.u_file, H.size))
     else:
         us.extend(_random_functions(H, args.random, args.seed))
     glist = tuple(groups.get_group(g) for g in args.groups.split(",")) if args.groups else None

@@ -26,7 +26,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .errors import FileFormatError, TruncationOverflow, ZeroDiagonal
+from .view import EXACT_FLOAT, TableView, axiom_defects, haar_defect
 
 DEFAULT_TOL = 1e-9
 DEFAULT_SEED = 7
@@ -196,6 +199,14 @@ class HypergroupTable:
                 raise ValueError("wrong number of Haar weights")
         else:
             self._haar = None
+        self._view = None
+
+    @property
+    def view(self) -> TableView:
+        """The cached numeric form of the table, built on first use."""
+        if self._view is None:
+            self._view = TableView(self)
+        return self._view
 
     # -- basic access ---------------------------------------------------
 
@@ -372,13 +383,11 @@ def _iter_pairs(H: HypergroupTable):
             yield y, x
 
 
-def verify_axioms(H: HypergroupTable, tol: float = DEFAULT_TOL) -> AxiomReport:
-    """Check the hypergroup axioms on every stored row and triple.
+def _verify_axioms_loop(H: HypergroupTable, tol: float = DEFAULT_TOL) -> AxiomReport:
+    """:func:`verify_axioms` by Python loops over the stored rows.
 
-    Failures are report entries, not exceptions.  In rational mode all
-    comparisons are exact and violations are reported as exact zeros.
-    Commutativity is reported alongside the axioms but does not enter the
-    overall pass flag (group tables of nonabelian groups are hypergroups).
+    The exact path for tables whose numerators are too large for float64,
+    and the reference the array path is tested against.
     """
     report = AxiomReport(H.name, "rational" if H.exact else "float", tol)
     e = H.identity
@@ -464,6 +473,73 @@ def verify_axioms(H: HypergroupTable, tol: float = DEFAULT_TOL) -> AxiomReport:
     return report
 
 
+def verify_axioms(H: HypergroupTable, tol: float = DEFAULT_TOL) -> AxiomReport:
+    """Check the hypergroup axioms on every stored row and triple.
+
+    Failures are report entries, not exceptions.  In rational mode all
+    comparisons are exact and violations are reported as exact zeros.
+    Commutativity is reported alongside the axioms but does not enter the
+    overall pass flag (group tables of nonabelian groups are hypergroups).
+
+    The checks run on the table's :class:`TableView`.  Rational tables run
+    on integer numerators held in float64, where every sum is exact; a
+    rational table whose numerators exceed that range (see
+    :meth:`TableView.exact`) runs the Fraction loop instead.
+    """
+    V = H.view
+    if H.exact:
+        ex = V.exact()
+        if ex is None:
+            return _verify_axioms_loop(H, tol)
+        c, den = ex
+    else:
+        c, den = V.c, 1
+    report = AxiomReport(H.name, "rational" if H.exact else "float", tol)
+    worst, checked = axiom_defects(V, c, float(den))
+    for name, w in worst.items():
+        scale = den * den if name == "associativity" else den
+        viol = float(Fraction(int(w), scale)) if H.exact else float(w)
+        report.checks[name] = AxiomCheck(viol <= tol, viol)
+    report.triples_checked = checked
+    report.triples_skipped = H.size**3 - checked
+    return report
+
+
+def _haar_defect_loop(H: HypergroupTable):
+    """Largest |lam(y) c^z_{x,y} - lam(z) c^y_{x~,z}|, by Python loops."""
+    lam = H.haar
+    worst = 0
+    for x, y in _iter_pairs(H):
+        xi = H.involution[x]
+        for z, c in H.row(x, y):
+            if not H.has_row(xi, z):
+                continue
+            mirror = dict(H.row(xi, z)).get(y, 0)
+            worst = max(worst, abs(lam[y] * c - lam[z] * mirror))
+    return worst
+
+
+def _haar_defect(H: HypergroupTable):
+    """:func:`_haar_defect_loop` on the table's :class:`TableView`.
+
+    Rational tables with rational weights run on integer numerators over
+    the common denominator; the Fraction loop takes the cases whose
+    products of numerators leave the exact float64 range.
+    """
+    V = H.view
+    if not H.exact:
+        return float(haar_defect(V, V.c, V.lam))
+    ex = V.exact()
+    if ex is not None and all(_is_exact(v) for v in H.haar):
+        c, den = ex
+        lam_den = math.lcm(*{v.denominator for v in H.haar})
+        lam = [v.numerator * (lam_den // v.denominator) for v in H.haar]
+        if 2 * max(map(abs, lam)) * int(np.abs(c).max(initial=0)) <= EXACT_FLOAT:
+            worst = haar_defect(V, c, np.array(lam, dtype=float))
+            return Fraction(int(worst), lam_den * den)
+    return _haar_defect_loop(H)
+
+
 def haar_weights(H: HypergroupTable, tol: float = DEFAULT_TOL) -> tuple:
     """Haar weights, with left invariance checked rather than assumed.
 
@@ -475,14 +551,7 @@ def haar_weights(H: HypergroupTable, tol: float = DEFAULT_TOL) -> tuple:
     lam = H.haar
     if abs(lam[H.identity] - 1) > tol:
         raise ZeroDiagonal(f"{H.name}: lam(e) = {lam[H.identity]} != 1")
-    worst = 0
-    for x, y in _iter_pairs(H):
-        xi = H.involution[x]
-        for z, c in H.row(x, y):
-            if not H.has_row(xi, z):
-                continue
-            mirror = dict(H.row(xi, z)).get(y, 0)
-            worst = max(worst, abs(lam[y] * c - lam[z] * mirror))
+    worst = _haar_defect(H)
     if float(worst) > tol:
         raise ZeroDiagonal(
             f"{H.name}: Haar invariance identity violated by {float(worst):.3g}"
@@ -567,8 +636,9 @@ _REQUIRED = object()
 class LineFile:
     """The tokenized lines of a hypharm input file.
 
-    The first significant line starts with the tokens of ``magic``; its
-    other tokens form the header entry named by the first magic token.
+    Unless ``magic`` is None, the first significant line starts with the
+    tokens of ``magic``; its other tokens form the header entry named by
+    the first magic token.
     Blank lines and ``#`` comments are skipped.  With a ``body`` marker,
     ``key value ...`` header lines precede it and body lines follow it up
     to ``end``; without one, every later line is body.  Lines keep their
@@ -576,20 +646,23 @@ class LineFile:
     :class:`FileFormatError` naming its line.
     """
 
-    def __init__(self, path: str, magic: str, body: str | None = None):
+    def __init__(self, path: str, magic: str | None, body: str | None = None):
         with open(path) as fh:
             raw = fh.readlines()
         self.header_end = self.end = len(raw) + 1
         lines = [(ln, t) for ln, t in enumerate((r.split() for r in raw), start=1)
                  if t and not t[0].startswith("#")]
-        ln, toks = lines[0] if lines else (self.end, [])
-        m = magic.split()
-        if toks[: len(m)] != m:
-            raise FileFormatError(f"missing '{magic}' header", line=ln)
-        self.header = {m[0]: (ln, toks[len(m):])}
+        self.header = {}
+        if magic is not None:
+            ln, toks = lines[0] if lines else (self.end, [])
+            m = magic.split()
+            if toks[: len(m)] != m:
+                raise FileFormatError(f"missing '{magic}' header", line=ln)
+            self.header[m[0]] = (ln, toks[len(m):])
+            lines = lines[1:]
         self.body: list[tuple[int, list[str]]] = []
         in_body = body is None
-        for ln, toks in lines[1:]:
+        for ln, toks in lines:
             if in_body and body and toks == ["end"]:
                 self.end = ln
                 break

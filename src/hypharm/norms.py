@@ -43,7 +43,6 @@ from .groups import FiniteGroup, dihedral4, symmetric, cyclic
 from .spectral import (
     CharacterTable,
     _as_dense,
-    _lam,
     characters,
     fourier,
     inverse_fourier,
@@ -129,7 +128,7 @@ def norm_Blambda(H: HypergroupTable, ct: CharacterTable, u) -> float:
     sup = float(np.max(np.abs(fourier(H, ct, f))))
     if sup > 1.0 + 1e-8:
         raise ArithmeticError(f"{H.name}: dual witness leaves the C*_lam ball")
-    lam = _lam(H)
+    lam = H.view.lam
     return abs(complex(np.sum(lam * ud * f)))
 
 
@@ -185,7 +184,7 @@ def product_a_norm(
     H: HypergroupTable, ct: CharacterTable, G: FiniteGroup, w: np.ndarray
 ) -> float:
     """|w|_{A(H x G)} = sum_chi w(chi) |w_chi|_{A(G)} (partial transform in x)."""
-    lam = _lam(H)
+    lam = H.view.lam
     wc = np.einsum("x,xg,ix->ig", lam, w, ct.chars.conj())
     return float(
         sum(ct.plancherel[i] * group_a_norm(G, wc[i]) for i in range(ct.size))
@@ -290,7 +289,7 @@ def a_norm_interval(H: HypergroupTable, u) -> Interval:
     norm of lam(f) being bounded by the L1 contraction of the convolution.
     """
     ud = _as_dense(H, u)
-    lam = _lam(H)
+    lam = H.view.lam
     upper = float(np.sqrt(np.sum(lam * np.abs(ud) ** 2)))
     lower = 0.0
     for f in _candidate_duals(H, ud):
@@ -314,7 +313,7 @@ def ma_norm_interval(H: HypergroupTable, u, tests: list[HFunction] | None = None
     |u v|_{A,lower} / |v|_{A,upper} over test functions v.
     """
     ud = _as_dense(H, u)
-    lam = _lam(H)
+    lam = H.view.lam
     upper = min(
         float(np.sqrt(np.sum(lam * np.abs(ud) ** 2))),
         float(np.sum(np.abs(ud) * np.sqrt(lam))),

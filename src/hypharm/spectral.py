@@ -37,19 +37,6 @@ _GAP_THRESHOLD = 1e-8
 _RETRY_BUDGET = 5
 
 
-def structure_matrix(H: HypergroupTable, x: int, size: int | None = None) -> np.ndarray:
-    """Dense (A_x)_{y,z} = c^z_{x,y}, optionally compressed to a ball."""
-    n = size if size is not None else H.size
-    A = np.zeros((n, n))
-    for y in range(n):
-        if not H.has_row(x, y):
-            continue
-        for z, c in H.row(x, y):
-            if z < n:
-                A[y, z] = float(c)
-    return A
-
-
 @dataclass
 class CharacterTable:
     """All multiplicative functionals of a finite commutative table.
@@ -84,11 +71,13 @@ def _fmt_complex(v: complex) -> str:
 
 
 def _multiplicativity_residual(H: HypergroupTable, chi: np.ndarray) -> float:
-    worst = 0.0
-    for (x, y), entries in H.rows.items():
-        s = sum(float(c) * chi[z] for z, c in entries)
-        worst = max(worst, abs(chi[x] * chi[y] - s))
-    return worst
+    """max over stored products of |chi(x) chi(y) - sum_z c^z_{x,y} chi(z)|."""
+    V = H.view
+    sums = np.zeros(len(V.px), dtype=np.result_type(chi, float))
+    filled = V.starts[:-1] < V.starts[1:]
+    if filled.any():
+        sums[filled] = np.add.reduceat(V.c * chi[V.z], V.starts[:-1][filled])
+    return float(np.abs(chi[V.px] * chi[V.py] - sums).max(initial=0.0))
 
 
 def _newton_polish(M: np.ndarray, v: np.ndarray, mu: complex, e: int) -> tuple[np.ndarray, complex]:
@@ -123,12 +112,14 @@ def characters(
         raise ValueError("characters() needs a commutative table")
     n = H.size
     e = H.identity
-    mats = [structure_matrix(H, x) for x in range(n)]
+    V = H.view
+    cells = V.y * n + V.z
     rng = np.random.default_rng(seed)
     last_error = "no attempt"
     for _ in range(_RETRY_BUDGET):
+        # M = sum_x r_x A_x with (A_x)_{y,z} = c^z_{x,y}
         coeffs = rng.standard_normal(n)
-        M = sum(c * A for c, A in zip(coeffs, mats))
+        M = np.bincount(cells, weights=coeffs[V.x] * V.c, minlength=n * n).reshape(n, n)
         vals, vecs = np.linalg.eig(M)
         order = np.argsort(vals.real + 1e-6 * vals.imag)
         gaps = np.abs(np.diff(vals[order]))
@@ -152,39 +143,24 @@ def characters(
             continue
         chars = np.array(rows)
         residual = max(_multiplicativity_residual(H, chi) for chi in chars)
-        herm = max(
-            abs(chars[i][H.involution[x]] - np.conj(chars[i][x]))
-            for i in range(n)
-            for x in range(n)
-        )
-        distinct = True
-        for i in range(n):
-            for j in range(i + 1, n):
-                if np.max(np.abs(chars[i] - chars[j])) < max(tol, 1e-8):
-                    distinct = False
+        herm = float(np.abs(chars[:, V.inv] - chars.conj()).max())
         if residual > max(tol, 1e-9) or herm > max(tol, 1e-9):
             last_error = f"residual {residual:.2e}, hermitian defect {herm:.2e}"
             continue
-        if not distinct:
+        if any((np.abs(chars[i + 1:] - chars[i]).max(axis=1) < max(tol, 1e-8)).any()
+               for i in range(n - 1)):
             last_error = "repeated character rows (non-semisimple table?)"
             continue
+        # descending by the value at the generator, then by every value
+        # (real parts before imaginary ones), rounded to 10 decimals
         g = H.generator
-        sort_key = sorted(
-            range(n),
-            key=lambda i: (
-                -round(chars[i][g].real, 10),
-                -round(chars[i][g].imag, 10),
-                tuple(-round(v.real, 10) for v in chars[i]),
-                tuple(-round(v.imag, 10) for v in chars[i]),
-            ),
-        )
-        chars = chars[sort_key]
+        key = -np.round(chars, 10)
+        chars = chars[np.lexsort(np.vstack(
+            [key.imag.T[::-1], key.real.T[::-1], key[:, g].imag, key[:, g].real]))]
         weights = plancherel(H, chars, seed=seed)
-        trivial = int(np.argmin([np.max(np.abs(chars[i] - 1.0)) for i in range(n)]))
-        positive = tuple(
-            bool(np.all(np.abs(chars[i].imag) < 1e-10) and np.all(chars[i].real > 0))
-            for i in range(n)
-        )
+        trivial = int(np.abs(chars - 1.0).max(axis=1).argmin())
+        positive = tuple(map(bool, (np.abs(chars.imag) < 1e-10).all(axis=1)
+                             & (chars.real > 0).all(axis=1)))
         ct = CharacterTable(H.name, n, chars, weights, g, trivial, residual, positive)
         _check_orthogonality(H, ct, tol=max(tol, 1e-9))
         return ct
@@ -192,7 +168,7 @@ def characters(
 
 
 def _check_orthogonality(H: HypergroupTable, ct: CharacterTable, tol: float) -> None:
-    lam = _lam(H)
+    lam = H.view.lam
     G = (ct.chars * lam) @ ct.chars.conj().T
     off = G - np.diag(np.diag(G))
     scale = np.abs(np.diag(G)).max()
@@ -213,7 +189,7 @@ def plancherel(
     The normalization is pinned by Parseval, which is enforced here on a
     seeded random function before the weights are returned.
     """
-    lam = _lam(H)
+    lam = H.view.lam
     weights = 1.0 / np.einsum("x,ix->i", lam, np.abs(chars) ** 2).real
     rng = np.random.default_rng(seed + 1)
     u = rng.standard_normal(H.size) + 1j * rng.standard_normal(H.size)
@@ -225,10 +201,6 @@ def plancherel(
             f"{H.name}: Parseval check failed ({lhs} vs {rhs})"
         )
     return weights
-
-
-def _lam(H: HypergroupTable) -> np.ndarray:
-    return np.array([float(v) for v in H.haar])
 
 
 def _as_dense(H: HypergroupTable, f) -> np.ndarray:
@@ -245,7 +217,7 @@ def _as_dense(H: HypergroupTable, f) -> np.ndarray:
 
 def fourier(H: HypergroupTable, ct: CharacterTable, f) -> np.ndarray:
     """u^(chi) = sum_x lam(x) u(x) conj(chi(x))."""
-    return (_lam(H) * _as_dense(H, f)) @ ct.chars.conj().T
+    return (H.view.lam * _as_dense(H, f)) @ ct.chars.conj().T
 
 
 def inverse_fourier(H: HypergroupTable, ct: CharacterTable, coeffs) -> HFunction:

@@ -218,6 +218,35 @@ def test_well_formed_z2_file_passes(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("0 1\n# comment\n2\n", 3),
+        ("0 1\n3 0.5\n", 2),
+        ("-1 1\n", 1),
+        ("1 1 0\n\n1 2\n", 3),
+    ],
+    ids=["one-token", "index-too-large", "negative-index", "repeated-index"],
+)
+def test_malformed_u_file_exits_two_with_line(tmp_path, capsys, text, line):
+    p = tmp_path / "u.txt"
+    p.write_text(text)
+    code, _ = _run(["norms", "--family", "conj", "--group", "s3", "--u-file", str(p)])
+    assert code == 2
+    assert f"line {line}:" in capsys.readouterr().err
+
+
+def test_u_file_sets_the_listed_values(tmp_path):
+    p = tmp_path / "u.txt"
+    p.write_text("# index re im\n2 -1 1/2\n0 3\n")
+    code, out = _run(["norms", "--family", "conj", "--group", "s3", "--u-file", str(p),
+                      "--format", "structured"])
+    assert code == 0
+    # |u|_A >= the sup norm of u = (3, 0, -1 + i/2), so the file was read
+    norm_a = float(next(ln for ln in out.splitlines() if ln.startswith("u0.norm_a ")).split()[1])
+    assert norm_a >= 3.0
+
+
 def test_import_does_not_load_scipy():
     src = str(Path(hypharm.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
