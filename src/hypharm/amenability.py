@@ -56,19 +56,9 @@ def pair_index(H: HypergroupTable, x: int, y: int) -> int:
     return x * H.size + y
 
 
-def diagonal_psi(
-    H: HypergroupTable, seed: int = DEFAULT_SEED
-) -> tuple[HypergroupTable, HFunction, float]:
-    """The coefficient function psi(x,y) = delta_{x,y}/lam(x) on H x H.
-
-    Returns the product table, psi and its B_lambda(H x H) norm.
-    """
-    K = product(H, H)
-    psi = HFunction(
-        {pair_index(H, x, x): 1 / H.haar[x] for x in range(H.size)}
-    )
-    ctk = characters(K, seed=seed)
-    return K, psi, norm_Blambda(K, ctk, psi)
+def diagonal_psi(H: HypergroupTable) -> HFunction:
+    """The coefficient function psi(x,y) = delta_{x,y}/lam(x) on H x H."""
+    return HFunction({pair_index(H, x, x): 1 / H.haar[x] for x in range(H.size)})
 
 
 def restrict_to_diagonal(H: HypergroupTable, rho: HFunction) -> HFunction:
@@ -131,7 +121,17 @@ def _round_value(v) -> complex:
 
 @dataclass
 class DiagonalIndicator:
+    """1_Delta with the tables and character tables it was built from.
+
+    ``table`` is H and ``product_table`` is H x H; ``characters`` and
+    ``product_characters`` are their character tables, each computed once.
+    """
+
+    table: HypergroupTable
     product_table: HypergroupTable
+    characters: CharacterTable
+    product_characters: CharacterTable
+    phi: HFunction
     one_delta: HFunction
     ma_norm: float
     psi_norm: float
@@ -145,13 +145,16 @@ def indicator_diagonal(H: HypergroupTable, seed: int = DEFAULT_SEED) -> Diagonal
 
     Requires a finite table (automatic (P2)) with a finite Haar value set;
     checks pointwise that the construction reproduces the diagonal
-    indicator exactly.
+    indicator exactly.  H x H and both character tables are built here once.
     """
     if H.truncated:
         raise TruncationOverflow("indicator_diagonal needs a finite table")
-    K, psi, psi_norm = diagonal_psi(H, seed=seed)
-    phi = restrict_to_diagonal(H, psi)
+    K = product(H, H)
     ct = characters(H, seed=seed)
+    ctk = characters(K, seed=seed)
+    psi = diagonal_psi(H)
+    psi_norm = norm_Blambda(K, ctk, psi)
+    phi = restrict_to_diagonal(H, psi)
     inv = invert_multiplier(H, ct, phi, seed=seed)
     one_delta = HFunction(
         {
@@ -164,10 +167,11 @@ def indicator_diagonal(H: HypergroupTable, seed: int = DEFAULT_SEED) -> Diagonal
     err = one_delta.max_abs_diff(target)
     if err > 1e-12:
         raise ArithmeticError(f"{H.name}: 1_Delta is off the diagonal by {err:.2e}")
-    ctk = characters(K, seed=seed)
     ma = norm_MA(K, ctk, one_delta)
     slack = inv.ma_norm * psi_norm - ma
-    return DiagonalIndicator(K, one_delta, ma, psi_norm, inv.ma_norm, float(err), float(slack))
+    return DiagonalIndicator(
+        H, K, ct, ctk, phi, one_delta, ma, psi_norm, inv.ma_norm, float(err), float(slack)
+    )
 
 
 @dataclass
@@ -178,59 +182,44 @@ class ApproximateDiagonal:
 
 
 def approximate_diagonal(
-    H: HypergroupTable,
-    e_net: list[HFunction] | None = None,
-    seed: int = DEFAULT_SEED,
+    diag: DiagonalIndicator, seed: int = DEFAULT_SEED
 ) -> ApproximateDiagonal:
-    """m_a = (e_a (x) e_a) 1_Delta and sup_a |m_a|_{A(H x H)}.
+    """m = (e (x) e) 1_Delta and |m|_{A(H x H)}, from a computed indicator.
 
-    On finite tables the constant 1 alone is a bounded approximate identity,
-    giving m = 1_Delta.  The module commutator u.m_a - m_a.u vanishes
+    On finite tables the constant e = 1 alone is a bounded approximate
+    identity, giving m = 1_Delta.  The module commutator u.m - m.u vanishes
     identically (the proof's algebraic cancellation) and is asserted to be
-    exactly zero; |u m(m_a) - u| is reported per test function.
+    exactly zero; |u m(m) - u| is reported per test function.
     """
-    diag = indicator_diagonal(H, seed=seed)
-    K = diag.product_table
-    ctk = characters(K, seed=seed)
-    ct = characters(H, seed=seed)
-    if e_net is None:
-        e_net = [HFunction({x: 1 for x in range(H.size)})]
+    H, K, m = diag.table, diag.product_table, diag.one_delta
     rng = np.random.default_rng(seed)
     tests = [HFunction.delta(x) for x in range(H.size)]
     tests.append(HFunction({x: complex(a, b) for x, (a, b) in enumerate(
         zip(rng.standard_normal(H.size), rng.standard_normal(H.size)))}))
 
-    bound = 0.0
+    bound = norm_A(K, diag.product_characters, m, with_witness=False)[0]
+    msq = restrict_to_diagonal(H, m)
     commutator = 0.0
     residuals = []
-    for e in e_net:
-        m = HFunction(
-            {
-                pair_index(H, x, x): e[x] * e[x] * diag.one_delta[pair_index(H, x, x)]
-                for x in range(H.size)
-            }
+    for u in tests:
+        left = HFunction(
+            {pair_index(H, x, y): u[x] * m[pair_index(H, x, y)]
+             for x in range(H.size) for y in range(H.size)}
         )
-        bound = max(bound, norm_A(K, ctk, m, with_witness=False)[0])
-        msq = restrict_to_diagonal(H, m)
-        for u in tests:
-            left = HFunction(
-                {pair_index(H, x, y): u[x] * m[pair_index(H, x, y)]
-                 for x in range(H.size) for y in range(H.size)}
+        right = HFunction(
+            {pair_index(H, x, y): m[pair_index(H, x, y)] * u[y]
+             for x in range(H.size) for y in range(H.size)}
+        )
+        diff = left.max_abs_diff(right)
+        if diff != 0.0:
+            raise ArithmeticError(
+                f"{H.name}: approximate-diagonal commutator is {diff:.2e}, not 0"
             )
-            right = HFunction(
-                {pair_index(H, x, y): m[pair_index(H, x, y)] * u[y]
-                 for x in range(H.size) for y in range(H.size)}
-            )
-            diff = left.max_abs_diff(right)
-            if diff != 0.0:
-                raise ArithmeticError(
-                    f"{H.name}: approximate-diagonal commutator is {diff:.2e}, not 0"
-                )
-            commutator = max(commutator, diff)
-            resid_fn = HFunction(
-                {x: u[x] * msq[x] - u[x] for x in range(H.size)}
-            )
-            residuals.append(norm_A(H, ct, resid_fn, with_witness=False)[0])
+        commutator = max(commutator, diff)
+        resid_fn = HFunction(
+            {x: u[x] * msq[x] - u[x] for x in range(H.size)}
+        )
+        residuals.append(norm_A(H, diag.characters, resid_fn, with_witness=False)[0])
     return ApproximateDiagonal(bound, commutator, tuple(residuals))
 
 
@@ -273,6 +262,7 @@ def weak_amenability_witness(
     radii: tuple[int, ...] | None = None,
     tol: float = 1e-6,
     seed: int = DEFAULT_SEED,
+    ct: CharacterTable | None = None,
 ) -> WeakAmenabilityWitness:
     """A net in A(H) with multiplier norm <= 1 acting as an approximate identity.
 
@@ -281,10 +271,12 @@ def weak_amenability_witness(
     pulled back to H, with xi_a the Perron vectors of growing ball sections.
     The multiplier bound comes from |e_a|_{MA(H)} = |e_a|_{MA(H0)} <=
     |e_a|_{A(H0)} <= |xi_a|_2^2 = 1, cross-checked against interval
-    computations on both sides.
+    computations on both sides.  ``ct``, the character table of a finite
+    H, is computed when not given.
     """
     if not H.truncated:
-        ct = characters(H, seed=seed)
+        if ct is None:
+            ct = characters(H, seed=seed)
         ones = HFunction({x: 1 for x in range(H.size)})
         # multiplication by the constant one is the identity operator on
         # A(H), so its multiplier norm is exactly 1; the numeric column-sum
@@ -298,9 +290,9 @@ def weak_amenability_witness(
         return WeakAmenabilityWitness(
             H.name, 1.0, (entry,), True, "finite table: e = 1 is the identity of A(H)"
         )
-    if radii is None:
-        radii = (5, 10, 20)
-    radii = tuple(sorted(radii))
+    radii = tuple(sorted((5, 10, 20) if radii is None else radii))
+    if not radii or radii[0] < 0:
+        raise ValueError(f"radii must be a non-empty list of radii >= 0, got {radii}")
     if H.radius is None or H.radius < 3 * max(radii):
         raise TruncationOverflow(
             f"{H.name}: need section radius >= {3 * max(radii)} to convolve "
@@ -412,11 +404,8 @@ def amenability_report(H: HypergroupTable, seed: int = DEFAULT_SEED) -> Amenabil
     """Run the full finite-table amenability pipeline and collect the numbers."""
     p2 = check_p2(H, seed=seed)
     diag = indicator_diagonal(H, seed=seed)
-    approx = approximate_diagonal(H, seed=seed)
-    wa = weak_amenability_witness(H, seed=seed)
-    phi = restrict_to_diagonal(H, HFunction(
-        {pair_index(H, x, x): 1 / H.haar[x] for x in range(H.size)}
-    ))
+    approx = approximate_diagonal(diag, seed=seed)
+    wa = weak_amenability_witness(H, seed=seed, ct=diag.characters)
     if diag.submultiplicative_slack < -DEFAULT_TOL:
         raise ArithmeticError(
             f"{H.name}: |1_Delta| exceeds |phi^-1| |psi| by "
@@ -426,7 +415,7 @@ def amenability_report(H: HypergroupTable, seed: int = DEFAULT_SEED) -> Amenabil
         H.name,
         p2.status,
         diag.psi_norm,
-        tuple(phi[x] for x in range(H.size)),
+        tuple(diag.phi[x] for x in range(H.size)),
         diag.phi_inverse_ma_norm,
         diag.ma_norm,
         approx.bound,

@@ -41,6 +41,15 @@ def q_integer(k: int, q):
     return (q**k - q**-k) / (q - 1.0 / q)
 
 
+def check_q(q):
+    """q as a float or a Fraction, after checking that it lies in (0, 1]."""
+    if not isinstance(q, float):
+        q = Fraction(q)
+    if not 0 < q <= 1:
+        raise ValueError("q must lie in (0, 1]")
+    return q
+
+
 # -- group-derived tables -------------------------------------------------
 
 
@@ -268,13 +277,7 @@ def su2_fusion(radius: int, q=1) -> HypergroupTable:
     """
     if radius < 2:
         raise ValueError("fusion section needs radius >= 2")
-    if isinstance(q, float):
-        if not 0 < q <= 1:
-            raise ValueError("q must lie in (0, 1]")
-    else:
-        q = Fraction(q)
-        if not 0 < q <= 1:
-            raise ValueError("q must lie in (0, 1]")
+    q = check_q(q)
     R = radius
     qi = [q_integer(k, q) for k in range(R + 2)]
     rows = {}

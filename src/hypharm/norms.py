@@ -135,12 +135,10 @@ def norm_Blambda(H: HypergroupTable, ct: CharacterTable, u) -> float:
 def conjugate_index(ct: CharacterTable) -> tuple[int, ...]:
     """Index of the conjugate character row for each row."""
     out = []
-    for i in range(ct.size):
-        target = np.conj(ct.chars[i])
-        j = int(
-            np.argmin([np.max(np.abs(ct.chars[k] - target)) for k in range(ct.size)])
-        )
-        if np.max(np.abs(ct.chars[j] - target)) > 1e-8:
+    for target in ct.chars.conj():
+        dist = np.max(np.abs(ct.chars - target), axis=1)
+        j = int(np.argmin(dist))
+        if dist[j] > 1e-8:
             raise SingularCharacterBasis(f"{ct.table}: no conjugate character row")
         out.append(j)
     return tuple(out)
@@ -152,12 +150,8 @@ def multiplication_matrix(H: HypergroupTable, ct: CharacterTable, u) -> np.ndarr
         raise SingularCharacterBasis(
             f"{H.name}: {ct.size} characters for {H.size} elements"
         )
-    ud = _as_dense(H, u)
-    cols = []
-    for i in range(ct.size):
-        prod = ud * ct.chars[i]
-        cols.append(ct.plancherel * fourier(H, ct, prod))
-    return np.array(cols).T
+    weighted = H.view.lam * _as_dense(H, u) * ct.chars
+    return ct.plancherel[:, None] * (ct.chars.conj() @ weighted.T)
 
 
 def norm_MA(H: HypergroupTable, ct: CharacterTable, u) -> float:

@@ -28,6 +28,7 @@ from functools import lru_cache
 from .builders import (
     DEFAULT_SEED,
     GroupCharacterData,
+    check_q,
     conjugacy_hypergroup,
     group_character_data,
     q_integer,
@@ -138,8 +139,7 @@ def su2_fusion_ring(radius: int, q=1) -> FusionRing:
     """Truncated fusion ring of SU_q(2): labels 1..radius, CG multiplicities."""
     if radius < 2:
         raise ValueError("fusion ring needs radius >= 2")
-    if not isinstance(q, float):
-        q = Fraction(q)
+    q = check_q(q)
     mult = {}
     for a in range(1, radius + 1):
         for b in range(a, radius + 1):
@@ -426,7 +426,7 @@ def load_fusion_ring(path: str) -> FusionRing:
                 raise FileFormatError(f"duplicate multiplicity {' '.join(toks[:3])}", line=ln)
             row[g] = int(toks[3])
     ndims = tuple(f.values("ndims", int, count=k))
-    q = f.value("qparam", parse_number, None)
+    q = f.value("qparam", lambda tok: check_q(parse_number(tok)), None)
     if q is None:
         ddims = tuple(f.values("ddims", parse_number, count=k, default=map(Fraction, ndims)))
     else:

@@ -60,7 +60,7 @@ class CharacterTable:
         out = [f"character table of {self.table} ({self.size} characters)"]
         for i in range(self.size):
             vals = " ".join(_fmt_complex(v) for v in self.chars[i])
-            out.append(f"  chi{i}  w={self.plancherel[i]!r}  [{vals}]")
+            out.append(f"  chi{i}  w={float(self.plancherel[i])!r}  [{vals}]")
         return out
 
 

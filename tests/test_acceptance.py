@@ -169,7 +169,7 @@ def test_criterion_6_amenability_construction():
                 diag = indicator_diagonal(H)
                 assert diag.pointwise_error == 0.0
                 assert np.isfinite(diag.ma_norm) and diag.ma_norm > 0
-                ad = approximate_diagonal(H)
+                ad = approximate_diagonal(diag)
                 assert ad.commutator_norm == 0.0
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from hypharm import (
     HFunction,
+    amenability,
     bai_from_p2,
     builders,
     characters,
@@ -22,6 +23,7 @@ from hypharm.amenability import (
     pair_index,
 )
 from hypharm.errors import P2Failure, TruncationOverflow, UnboundedValueSet, ZeroValue
+from hypharm.norms import norm_A
 
 
 @pytest.fixture(scope="module")
@@ -30,31 +32,30 @@ def conj_s3():
 
 
 def test_diagonal_psi_values(conj_s3):
-    K, psi, norm = diagonal_psi(conj_s3)
+    psi = diagonal_psi(conj_s3)
     assert psi[pair_index(conj_s3, 0, 0)] == 1
     assert psi[pair_index(conj_s3, 1, 1)] == Fraction(1, 3)
     assert psi[pair_index(conj_s3, 2, 2)] == Fraction(1, 2)
     assert psi[pair_index(conj_s3, 0, 1)] == 0
-    assert norm == pytest.approx(1.0, abs=1e-9)
+    assert indicator_diagonal(conj_s3).psi_norm == pytest.approx(1.0, abs=1e-9)
 
 
 def test_diagonal_psi_irr_s3():
     H = builders.irr_hypergroup(groups.symmetric(3))
-    _, psi, _ = diagonal_psi(H)
+    psi = diagonal_psi(H)
     vals = sorted(float(psi[pair_index(H, x, x)]) for x in range(3))
     assert vals == [0.25, 1.0, 1.0]
 
 
 def test_diagonal_psi_group_case():
     H = builders.group_hypergroup(groups.cyclic(4))
-    _, psi, norm = diagonal_psi(H)
+    psi = diagonal_psi(H)
     assert all(psi[pair_index(H, x, x)] == 1 for x in range(4))
-    assert norm == pytest.approx(1.0, abs=1e-9)
+    assert indicator_diagonal(H).psi_norm == pytest.approx(1.0, abs=1e-9)
 
 
 def test_restrict_to_diagonal(conj_s3):
-    K, psi, _ = diagonal_psi(conj_s3)
-    phi = restrict_to_diagonal(conj_s3, psi)
+    phi = restrict_to_diagonal(conj_s3, diagonal_psi(conj_s3))
     assert phi == HFunction({0: 1, 1: Fraction(1, 3), 2: Fraction(1, 2)})
     # rho = u (x) v restricts to the pointwise product uv
     u = [2, -1, 3]
@@ -101,6 +102,15 @@ def test_indicator_diagonal_is_exact(finite_tables):
         assert diag.one_delta == HFunction(target), name
 
 
+def test_indicator_diagonal_carries_its_tables(conj_s3):
+    diag = indicator_diagonal(conj_s3)
+    assert diag.table is conj_s3
+    assert diag.product_table.size == conj_s3.size ** 2
+    assert diag.characters.size == conj_s3.size
+    assert diag.product_characters.size == diag.product_table.size
+    assert diag.phi == restrict_to_diagonal(conj_s3, diagonal_psi(conj_s3))
+
+
 def test_indicator_diagonal_z2_norm_one():
     H = builders.family(builders.FamilySpec("cyclic", n=2))
     diag = indicator_diagonal(H)
@@ -108,28 +118,40 @@ def test_indicator_diagonal_z2_norm_one():
 
 
 def test_approximate_diagonal(conj_s3):
-    ad = approximate_diagonal(conj_s3)
+    diag = indicator_diagonal(conj_s3)
+    ad = approximate_diagonal(diag)
     assert ad.commutator_norm == 0.0
     assert all(r < 1e-9 for r in ad.identity_residuals)
-    diag = indicator_diagonal(conj_s3)
-    # with e = 1 the bound is |1_Delta|_A(HxH)
-    assert ad.bound == pytest.approx(
-        _a_norm_product_diag(conj_s3, diag), rel=1e-9
-    )
-
-
-def _a_norm_product_diag(H, diag):
-    from hypharm.norms import norm_A
-
+    # with e = 1 the bound is |1_Delta|_A(HxH), here on a fresh character table
     ctk = characters(diag.product_table)
-    return norm_A(diag.product_table, ctk, diag.one_delta, with_witness=False)[0]
+    want = norm_A(diag.product_table, ctk, diag.one_delta, with_witness=False)[0]
+    assert ad.bound == pytest.approx(want, rel=1e-9)
 
 
 def test_approximate_diagonal_cyclic_bound_one():
     for n in (2, 3, 4, 6):
         H = builders.family(builders.FamilySpec("cyclic", n=n))
-        ad = approximate_diagonal(H)
+        ad = approximate_diagonal(indicator_diagonal(H))
         assert ad.bound == pytest.approx(1.0, abs=1e-9), n
+
+
+def test_amenability_report_computes_each_table_once(conj_s3, monkeypatch):
+    calls = {"characters": [], "product": 0}
+
+    def counting_characters(H, *args, **kwargs):
+        calls["characters"].append(H.size)
+        return characters(H, *args, **kwargs)
+
+    def counting_product(*args, **kwargs):
+        calls["product"] += 1
+        return builders.product(*args, **kwargs)
+
+    monkeypatch.setattr(amenability, "characters", counting_characters)
+    monkeypatch.setattr(amenability, "product", counting_product)
+    rep = amenability_report(conj_s3)
+    assert sorted(calls["characters"]) == [3, 9]
+    assert calls["product"] == 1
+    assert rep.commutator_norm == 0.0
 
 
 def test_weak_amenability_finite(finite_tables):
@@ -166,6 +188,12 @@ def test_weak_amenability_su2():
 def test_weak_amenability_needs_room():
     with pytest.raises(TruncationOverflow):
         weak_amenability_witness(builders.tree_radial(2, 30), radii=(5, 10, 20))
+
+
+@pytest.mark.parametrize("radii", [(), (-1,), (2, -3)])
+def test_weak_amenability_rejects_bad_radii(radii):
+    with pytest.raises(ValueError, match="radii"):
+        weak_amenability_witness(builders.tree_radial(2, 24), radii=radii)
 
 
 def test_bai_from_p2_finite(conj_s3):

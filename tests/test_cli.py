@@ -93,6 +93,23 @@ def test_amenability_radius_too_small_exit_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("radii", ["-1", "2,-3"])
+def test_amenability_negative_radius_exit_two(radii, capsys):
+    code, _ = _run(
+        ["amenability", "--family", "tree_radial", "--q", "2", "--radius", "24",
+         "--radii", radii]
+    )
+    assert code == 2
+    assert "radii" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("q", ["0", "-1", "0.0", "3/2"])
+def test_quantum_bad_q_exit_two(q, capsys):
+    code, _ = _run(["quantum", "--q", q, "--radius", "5"])
+    assert code == 2
+    assert "q must lie in (0, 1]" in capsys.readouterr().err
+
+
 def test_norms_structured_includes_witness():
     code, out = _run(
         ["norms", "--family", "conj", "--group", "s3", "--random", "1",
@@ -198,9 +215,11 @@ def _z2(size="size 2", tail="", value="1", extra=""):
         ("--file", "cayley 2\n0 1\n1\n", 3),
         ("--fusion-file",
          "fusionring v1\nlabels a\nndims\nconj 0\nmult\na a a 1\nend\n", 3),
+        ("--fusion-file",
+         "fusionring v1\nlabels a\nndims 1\nconj 0\nqparam 2\nmult\na a a 1\nend\n", 5),
     ],
     ids=["size-no-value", "zero-denominator", "duplicate-triple", "short-tail",
-         "short-cayley-row", "ndims-no-value"],
+         "short-cayley-row", "ndims-no-value", "qparam-above-one"],
 )
 def test_malformed_file_exits_two_with_line(tmp_path, capsys, option, text, line):
     p = tmp_path / "input.txt"

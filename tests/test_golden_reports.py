@@ -17,6 +17,10 @@ from hypharm.cli import run
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 CASES = {
+    "amenability_conj_s4.report": [
+        "amenability", "--family", "conj", "--group", "s4",
+        "--format", "structured",
+    ],
     "p2_tree_q2_r40.report": [
         "p2", "--family", "tree_radial", "--q", "2", "--radius", "40",
         "--format", "structured",
