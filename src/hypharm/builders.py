@@ -9,9 +9,9 @@ The example classes realized here:
 * ``su2_fusion`` / ``suq2_fusion`` — truncated fusion hypergroups of SU(2)
   and SU_q(2) (labels are the classical dimensions, q-integers weight the
   quantum case);
-* ``tree_radial(q)`` — radial walk on the (q+1)-regular tree, generated from
-  the degree-one recurrence by associativity; the canonical family failing
-  (P2) at desk scale;
+* ``tree_radial(q)`` — radial walk on the (q+1)-regular tree, from the
+  closed-form radial product; the canonical family failing (P2) at desk
+  scale;
 * ``chebyshev`` — alias of ``su2_fusion`` (the tables coincide).
 """
 
@@ -315,10 +315,13 @@ def su2_fusion(radius: int, q=1) -> HypergroupTable:
 def tree_radial(q: int, radius: int) -> HypergroupTable:
     """Radial hypergroup of the (q+1)-regular tree, section of radius R.
 
-    delta_1 . delta_n = (1/(q+1)) delta_{n-1} + (q/(q+1)) delta_{n+1}; all
-    higher products are generated from this recurrence by associativity,
-    exactly in rational arithmetic.  Haar weights are lam(0) = 1,
-    lam(n) = (q+1) q^{n-1}.
+    The products have a closed form (Bloom and Heyer, *Harmonic Analysis of
+    Probability Measures on Hypergroups*, 1995): for 1 <= m <= n,
+    delta_m . delta_n puts mass q/(q+1) on n+m, (q-1)/((q+1) q^j) on n+m-2j
+    for 0 < j < m and 1/((q+1) q^(m-1)) on n-m.  For m = 1 this is the
+    walk delta_1 . delta_n = (1/(q+1)) delta_{n-1} + (q/(q+1)) delta_{n+1}.
+    Every pair m <= n with m + n <= R is stored, exactly in rational
+    arithmetic.  Haar weights are lam(0) = 1, lam(n) = (q+1) q^{n-1}.
     """
     if not (isinstance(q, int) and q >= 2):
         raise ValueError("tree_radial needs an integer branching q >= 2")
@@ -326,38 +329,20 @@ def tree_radial(q: int, radius: int) -> HypergroupTable:
         raise ValueError("tree_radial needs radius >= 2")
     R = radius
     lo, hi = Fraction(1, q + 1), Fraction(q, q + 1)
-    rows: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for n in range(R + 1):
-        rows[(0, n)] = {n: Fraction(1)}
-    for n in range(1, R):
-        rows[(1, n)] = {n - 1: lo, n + 1: hi}
-
-    def vec_convolve_gen(v: dict[int, Fraction]) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
-        for z, c in v.items():
-            gen_row = rows[(1, z)].items() if z >= 1 else [(1, Fraction(1))]
-            for w, c2 in gen_row:
-                out[w] = out.get(w, Fraction(0)) + c * c2
-        return out
-
-    for m in range(1, R):
-        for n in range(m + 1, R - m):
-            # delta_{m+1}.delta_n = (delta_1.(delta_m.delta_n)
-            #                        - lo * delta_{m-1}.delta_n) / hi
-            lifted = vec_convolve_gen(rows[(m, n)])
-            prev = rows[(m - 1, n)]
-            out = {
-                z: (lifted.get(z, Fraction(0)) - lo * prev.get(z, Fraction(0))) / hi
-                for z in set(lifted) | set(prev)
-            }
-            rows[(m + 1, n)] = {z: c for z, c in out.items() if c}
-
+    # masses[m]: the masses of delta_m . delta_n on n-m, n-m+2, ..., n+m
+    mid = [None] + [Fraction(q - 1, (q + 1) * q**j) for j in range(1, R // 2)]
+    masses = [(Fraction(1),)] + [
+        (Fraction(1, (q + 1) * q ** (m - 1)),) + tuple(mid[m - 1:0:-1]) + (hi,)
+        for m in range(1, R // 2 + 1)
+    ]
+    rows = {(m, n): list(zip(range(n - m, n + m + 1, 2), masses[m]))
+            for m in range(R // 2 + 1) for n in range(m, R - m + 1)}
     haar = [Fraction(1)] + [Fraction((q + 1) * q ** (n - 1)) for n in range(1, R + 1)]
     return HypergroupTable(
         f"tree_radial_q{q}_R{R}",
         R + 1,
         list(range(R + 1)),
-        {k: list(v.items()) for k, v in rows.items()},
+        rows,
         haar=haar,
         truncated=True,
         radius=R,
@@ -424,5 +409,8 @@ def family(spec: FamilySpec) -> HypergroupTable:
     if name == "tree_radial":
         if spec.radius is None or spec.q is None:
             raise ValueError("tree_radial needs q and a truncation radius")
-        return tree_radial(int(spec.q), spec.radius)
+        q = spec.q  # 4/2 and 2.0 mean 2; 5/2 is no branching number
+        if not (q.is_integer() if isinstance(q, float) else Fraction(q).denominator == 1):
+            raise ValueError("tree_radial needs an integer branching q >= 2")
+        return tree_radial(int(q), spec.radius)
     raise ValueError(f"unknown family {spec.name!r}")

@@ -29,7 +29,14 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import FileFormatError, TruncationOverflow, ZeroDiagonal
-from .view import EXACT_FLOAT, TableView, axiom_defects, haar_defect
+from .view import (
+    EXACT_FLOAT,
+    TableView,
+    axiom_defects,
+    axiom_defects_vanish,
+    haar_defect,
+    haar_defect_vanishes,
+)
 
 DEFAULT_TOL = 1e-9
 DEFAULT_SEED = 7
@@ -386,8 +393,9 @@ def _iter_pairs(H: HypergroupTable):
 def _verify_axioms_loop(H: HypergroupTable, tol: float = DEFAULT_TOL) -> AxiomReport:
     """:func:`verify_axioms` by Python loops over the stored rows.
 
-    The exact path for tables whose numerators are too large for float64,
-    and the reference the array path is tested against.
+    The exact path for tables beyond the float64 bound that violate an
+    axiom, where the violations are reported as exact magnitudes, and the
+    reference the array paths are tested against.
     """
     report = AxiomReport(H.name, "rational" if H.exact else "float", tol)
     e = H.identity
@@ -482,20 +490,24 @@ def verify_axioms(H: HypergroupTable, tol: float = DEFAULT_TOL) -> AxiomReport:
     overall pass flag (group tables of nonabelian groups are hypergroups).
 
     The checks run on the table's :class:`TableView`.  Rational tables run
-    on integer numerators held in float64, where every sum is exact; a
+    on integer numerators held in float64, where every sum is exact.  A
     rational table whose numerators exceed that range (see
-    :meth:`TableView.exact`) runs the Fraction loop instead.
+    :meth:`TableView.exact`) runs the same checks on the numerators' residues
+    modulo primes (:func:`hypharm.view.axiom_defects_vanish`); only if a
+    residue is not 0 does the Fraction loop run, to report the violations.
     """
     V = H.view
-    if H.exact:
-        ex = V.exact()
-        if ex is None:
-            return _verify_axioms_loop(H, tol)
+    if not H.exact:
+        found, den = axiom_defects(V, V.c, 1.0), 1
+    elif (ex := V.exact()) is not None:
         c, den = ex
+        found = axiom_defects(V, c, float(den))
     else:
-        c, den = V.c, 1
+        found, den = axiom_defects_vanish(V), 1
+        if found is None:
+            return _verify_axioms_loop(H, tol)
     report = AxiomReport(H.name, "rational" if H.exact else "float", tol)
-    worst, checked = axiom_defects(V, c, float(den))
+    worst, checked = found
     for name, w in worst.items():
         scale = den * den if name == "associativity" else den
         viol = float(Fraction(int(w), scale)) if H.exact else float(w)
@@ -523,20 +535,23 @@ def _haar_defect(H: HypergroupTable):
     """:func:`_haar_defect_loop` on the table's :class:`TableView`.
 
     Rational tables with rational weights run on integer numerators over
-    the common denominator; the Fraction loop takes the cases whose
-    products of numerators leave the exact float64 range.
+    the common denominator.  Where products of numerators leave the exact
+    float64 range, the defect is checked modulo primes, and the Fraction
+    loop runs only to report a defect that is not 0.
     """
     V = H.view
     if not H.exact:
         return float(haar_defect(V, V.c, V.lam))
-    ex = V.exact()
-    if ex is not None and all(_is_exact(v) for v in H.haar):
-        c, den = ex
+    if all(_is_exact(v) for v in H.haar):
         lam_den = math.lcm(*{v.denominator for v in H.haar})
         lam = [v.numerator * (lam_den // v.denominator) for v in H.haar]
-        if 2 * max(map(abs, lam)) * int(np.abs(c).max(initial=0)) <= EXACT_FLOAT:
-            worst = haar_defect(V, c, np.array(lam, dtype=float))
-            return Fraction(int(worst), lam_den * den)
+        if (ex := V.exact()) is not None:
+            c, den = ex
+            if 2 * max(map(abs, lam)) * int(np.abs(c).max(initial=0)) <= EXACT_FLOAT:
+                worst = haar_defect(V, c, np.array(lam, dtype=float))
+                return Fraction(int(worst), lam_den * den)
+        if haar_defect_vanishes(V, lam):
+            return Fraction(0)
     return _haar_defect_loop(H)
 
 

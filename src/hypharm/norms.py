@@ -121,7 +121,7 @@ def norm_Blambda(H: HypergroupTable, ct: CharacterTable, u) -> float:
     ud = _as_dense(H, u)
     uhat = fourier(H, ct, ud)
     fhat = np.zeros(ct.size, dtype=complex)
-    cj = conjugate_index(ct)
+    cj = ct.conjugate
     for i in range(ct.size):
         fhat[cj[i]] = np.conj(_phase(uhat[i : i + 1])[0])
     f = _as_dense(H, inverse_fourier(H, ct, fhat))
@@ -130,18 +130,6 @@ def norm_Blambda(H: HypergroupTable, ct: CharacterTable, u) -> float:
         raise ArithmeticError(f"{H.name}: dual witness leaves the C*_lam ball")
     lam = H.view.lam
     return abs(complex(np.sum(lam * ud * f)))
-
-
-def conjugate_index(ct: CharacterTable) -> tuple[int, ...]:
-    """Index of the conjugate character row for each row."""
-    out = []
-    for target in ct.chars.conj():
-        dist = np.max(np.abs(ct.chars - target), axis=1)
-        j = int(np.argmin(dist))
-        if dist[j] > 1e-8:
-            raise SingularCharacterBasis(f"{ct.table}: no conjugate character row")
-        out.append(j)
-    return tuple(out)
 
 
 def multiplication_matrix(H: HypergroupTable, ct: CharacterTable, u) -> np.ndarray:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .core import (
     NNTail,
     verify_axioms,
 )
-from .errors import DegenerateSpectrum, DominationFailure
+from .errors import DegenerateSpectrum, DominationFailure, SingularCharacterBasis
 
 _GAP_THRESHOLD = 1e-8
 _RETRY_BUDGET = 5
@@ -55,6 +56,18 @@ class CharacterTable:
     trivial_index: int
     residual: float
     positive: tuple[bool, ...] = field(default_factory=tuple)
+
+    @cached_property
+    def conjugate(self) -> tuple[int, ...]:
+        """Index of the conjugate character row for each row, found on first use."""
+        out = []
+        for target in self.chars.conj():
+            dist = np.max(np.abs(self.chars - target), axis=1)
+            j = int(np.argmin(dist))
+            if dist[j] > 1e-8:
+                raise SingularCharacterBasis(f"{self.table}: no conjugate character row")
+            out.append(j)
+        return tuple(out)
 
     def lines(self) -> list[str]:
         out = [f"character table of {self.table} ({self.size} characters)"]

@@ -6,11 +6,14 @@ and cached on the table.  The axiom and Haar checks of :mod:`hypharm.core`
 and the spectral code run on it.  The functions here take coefficient
 arrays aligned with the view's entries: float64 values, or integer
 numerators over a common denominator held in float64, in which case every
-sum they form is exact (see :meth:`TableView.exact`).
+sum they form is exact (see :meth:`TableView.exact`).  Given primes ``p``,
+they take one row of residues per prime instead and reduce every
+difference modulo its prime (see :func:`crt_primes`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from functools import cached_property
@@ -20,6 +23,66 @@ import numpy as np
 
 # Integers up to 2**53 are exact in float64.
 EXACT_FLOAT = 2**53
+# Values in the dense residue arrays of one pass (512 KB of float64), unless
+# one prime's array alone is larger.
+RESIDUE_BATCH = 2**16
+
+
+@functools.cache
+def _primes(bits: int, count: int) -> tuple[int, ...]:
+    """The ``count`` largest primes below ``2**bits``, by a sieve of the range below."""
+    top, span = 1 << bits, 2 * count * bits
+    while True:
+        lo = max(top - span, 2)
+        sieve = np.ones(top - lo, dtype=bool)
+        for d in range(2, math.isqrt(top) + 1):
+            sieve[max(d * d, -(-lo // d) * d) - lo::d] = False
+        found = lo + np.flatnonzero(sieve)[::-1]
+        if len(found) >= count or lo == 2:
+            return tuple(int(p) for p in found[:count])
+        span *= 2
+
+
+def crt_primes(n: int, height: int) -> np.ndarray:
+    """Primes with ``n p**2 <= 2**53`` whose product exceeds ``2 * height``.
+
+    A sum of ``n`` products of two residues modulo such a prime, and the
+    difference of two such sums, is exact in float64.  An integer of
+    absolute value at most ``height`` that is 0 modulo each prime is 0 (the
+    Chinese remainder theorem).
+    """
+    bits = (53 - (n - 1).bit_length()) // 2
+    count = 16
+    while True:
+        primes, prod = _primes(bits, count), 1
+        for k, p in enumerate(primes, start=1):
+            prod *= p
+            if prod > 2 * height:
+                return np.array(primes[:k], dtype=float)
+        if len(primes) < count:
+            raise ArithmeticError(f"fewer than {count} primes below 2**{bits}")
+        count *= 2
+
+
+def residues(values: list[int], primes: np.ndarray) -> np.ndarray:
+    """``values`` modulo each prime, one row per prime, in float64."""
+    return np.fromiter((v % p for p in map(int, primes) for v in values), float,
+                       len(primes) * len(values)).reshape(len(primes), len(values))
+
+
+def _defect(d: np.ndarray, p: np.ndarray | None) -> np.ndarray:
+    """|d|, in place; given primes ``p`` (one per leading row), |d - p rint(d / p)|.
+
+    For integers with ``|d| + p <= 2**53`` the second is an exact integer
+    congruent to ``d`` modulo ``p``, so it is 0 exactly when ``d`` is 0
+    modulo ``p``.
+    """
+    if p is not None:
+        p = p.reshape((-1,) + (1,) * (d.ndim - 1))
+        q = np.rint(d / p)
+        q *= p
+        d -= q
+    return np.abs(d, out=d)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -88,10 +151,28 @@ class TableView:
         return _frozen(np.array([float(v) for v in self._table().haar]))
 
     def dense(self, c: np.ndarray) -> np.ndarray:
-        """The ``n x n x n`` array ``C[x, y, z]`` of the values ``c``, 0 off the entries."""
-        C = np.zeros((self.n,) * 3)
-        C[self.x, self.y, self.z] = c
+        """The array ``C[..., x, y, z]`` of the values ``c``, 0 off the entries.
+
+        ``c`` holds one value per entry in its last axis; leading axes carry over.
+        """
+        C = np.zeros(c.shape[:-1] + (self.n,) * 3)
+        C[..., self.x, self.y, self.z] = c
         return C
+
+    def numerators(self) -> tuple[list[int], int]:
+        """Integer numerators of the stored coefficients (row by row) and ``D``.
+
+        Each coefficient is ``N / D`` over the common denominator ``D``.
+        Arrays aligned with these numerators map to the view's entries
+        through :meth:`entries`.
+        """
+        vals = _values(self._table())
+        den = math.lcm(*{v.denominator for v in vals})
+        return [v.numerator * (den // v.denominator) for v in vals], den
+
+    def entries(self, a: np.ndarray) -> np.ndarray:
+        """Values given per stored coefficient, rearranged to the view's entries."""
+        return a[..., self._source]
 
     def exact(self) -> tuple[np.ndarray, int] | None:
         """Numerators ``N`` and denominator ``D`` with ``c = N / D``, or None.
@@ -101,74 +182,90 @@ class TableView:
         every difference of two such sums, is an exact integer.
         """
         if self._exact is None:
-            vals = _values(self._table())
-            den = math.lcm(*{v.denominator for v in vals})
-            nums = [v.numerator * (den // v.denominator) for v in vals]
+            nums, den = self.numerators()
             top = max(map(abs, nums), default=0)
             self._exact = False
             if 2 * self.n * top * top <= EXACT_FLOAT:
-                self._exact = (_frozen(np.array(nums, dtype=float)[self._source]), den)
+                self._exact = (_frozen(self.entries(np.array(nums, dtype=float))), den)
         return self._exact or None
 
 
-def axiom_defects(V: TableView, c: np.ndarray, one: float) -> tuple[dict, int]:
+def axiom_defects(V: TableView, c: np.ndarray, one, p: np.ndarray | None = None,
+                  s: np.ndarray | None = None) -> tuple[dict, int]:
     """The worst violation of each axiom, and the associativity triples checked.
 
     ``c`` holds the entries' coefficients in units of ``1 / one``; the
     violations come in the same units, except associativity, whose are
     ``1 / one**2``.  The checks are those of
     :func:`hypharm.core.verify_axioms`, in its report order.
+
+    With primes ``p``, ``c`` holds one row of residues per prime and ``one``
+    a column of the unit's residues; every difference is reduced modulo its
+    prime, so a violation is 0 exactly when its difference is 0 modulo each
+    prime.  Residues carry no sign, so the tests of sign and of nonzero
+    values read ``s``: the signs of the coefficients (by default ``c``).
     """
+    if s is None:
+        s = c
     e, inv, has_row = V.identity, V.inv, V.has_row
     C = V.dense(c)
     out = {}
-    sums = np.bincount(V.pair, weights=c, minlength=len(V.px))
-    out["probability"] = max(np.abs(sums - one).max(initial=0), -c.min(initial=0))
+    sums = np.array([np.bincount(V.pair, weights=row, minlength=len(V.px))
+                     for row in np.atleast_2d(c)]).reshape(c.shape[:-1] + (-1,))
+    out["probability"] = max(_defect(sums - one, p).max(initial=0), -s.min(initial=0))
 
     out["commutativity"] = 0.0
     if not V.commutative:
         both = has_row[V.y, V.x]
-        out["commutativity"] = np.abs(c - C[V.y, V.x, V.z])[both].max(initial=0)
+        out["commutativity"] = _defect(c - C[..., V.y, V.x, V.z], p)[..., both].max(initial=0)
 
     # rows e.x and x.e: mass 1 at x and none elsewhere
     at = V.py[V.px == e]
-    worst = np.abs(C[e, at, at] - one).max(initial=0)
+    worst = _defect(C[..., e, at, at] - one, p).max(initial=0)
     at = V.px[V.py == e]
-    worst = max(worst, np.abs(C[at, e, at] - one).max(initial=0))
+    worst = max(worst, _defect(C[..., at, e, at] - one, p).max(initial=0))
     for side, other in ((V.x, V.y), (V.y, V.x)):
         off = (side == e) & (V.z != other)
-        worst = max(worst, np.bincount(other[off], np.abs(c[off]), minlength=V.n).max())
+        worst = max(worst, np.bincount(other[off], np.abs(s[off]), minlength=V.n).max())
     out["identity"] = worst
 
     # involution anti-homomorphism: c^z_{x,y} = c^{z~}_{y~,x~}
     mirrored = has_row[inv[V.y], inv[V.x]]
-    out["involution"] = np.abs(c - C[inv[V.y], inv[V.x], inv[V.z]])[mirrored].max(initial=0)
+    out["involution"] = _defect(c - C[..., inv[V.y], inv[V.x], inv[V.z]], p)[
+        ..., mirrored].max(initial=0)
 
-    # support law: e in supp(x.y) iff y = x~; a missing e counts as 1
-    ce = C[V.px, V.py, e]
+    # support law: e in supp(x.y) iff y = x~; a missing e counts as 1, and
+    # with primes as the largest residue of 1, which is not 0
+    ce = np.zeros(len(V.px))
+    to_e = V.z == e
+    ce[V.pair[to_e]] = s[to_e]
     to_inverse = V.py == inv[V.px]
     out["support"] = max(np.abs(ce[~to_inverse]).max(initial=0),
-                         one if (ce[to_inverse] <= 0).any() else 0.0)
+                         np.max(one) if (ce[to_inverse] <= 0).any() else 0.0)
 
-    out["associativity"], checked = _associativity(V, C)
+    out["associativity"], checked = _associativity(V, C, p)
     return out, checked
 
 
-def _associativity(V: TableView, C: np.ndarray) -> tuple[float, int]:
+def _associativity(V: TableView, C: np.ndarray, p: np.ndarray | None) -> tuple[float, int]:
     """Largest |((x.y).z - x.(y.z))_v| over the triples inside the section.
 
     A triple (x, y, z) is checked when every row both sides use is stored:
     x.y, y.z, w.z for w in supp(x.y) and x.w for w in supp(y.z).  For each
     x, the slabs ``L = C[x] @ C.reshape(n, n*n)`` and ``R = C.reshape(n*n, n)
     @ C[x]`` hold both sides for all (y, z, v); they are taken in blocks of
-    y so that they stay below a quarter of ``C`` each.  Returns the worst
-    violation and the number of triples checked.
+    y so that they stay below a quarter of ``C`` each, or of one of its
+    ``n x n x n`` layers when ``C`` has a leading axis (one per prime
+    ``p``).  Returns the worst violation and the number of triples checked.
     """
-    n = V.n
-    left_of, right_of = C.reshape(n, n * n), C.reshape(n * n, n)
+    n, lead = V.n, C.shape[:-3]
+    left_of, right_of = C.reshape(lead + (n, n * n)), C.reshape(lead + (n * n, n))
     missing = ~V.has_row
     gaps = missing.astype(float) if missing.any() else None
-    block = max(1, max(n**3 // 4, 4096) // (n * n))
+    if gaps is not None:
+        stored = np.zeros((n, n, n), dtype=bool)
+        stored[V.x, V.y, V.z] = True
+    block = max(1, max(n**3 // 4, 4096) // (n * n * math.prod(lead)))
     worst, checked = 0.0, 0
     for x in range(n):
         ys = np.flatnonzero(V.has_row[x])
@@ -178,7 +275,7 @@ def _associativity(V: TableView, C: np.ndarray) -> tuple[float, int]:
         ok[ys] = True
         if gaps is not None:
             ok &= V.has_row
-            ok &= (C[x] != 0).astype(float) @ gaps == 0
+            ok &= stored[x].astype(float) @ gaps == 0
             bad = np.bincount(V.pair, weights=gaps[x, V.z], minlength=len(V.px)) > 0
             ok[V.px[bad], V.py[bad]] = False
         checked += int(ok.sum())
@@ -186,15 +283,63 @@ def _associativity(V: TableView, C: np.ndarray) -> tuple[float, int]:
             hi = min(lo + block, ys[-1] + 1)
             if not ok[lo:hi].any():
                 continue
-            diff = C[x, lo:hi] @ left_of
-            diff -= (right_of[lo * n:hi * n] @ C[x]).reshape(hi - lo, n * n)
-            np.abs(diff, out=diff)
-            worst = max(worst, diff.reshape(hi - lo, n, n).max(axis=2)[ok[lo:hi]].max())
+            diff = C[..., x, lo:hi, :] @ left_of
+            diff -= (right_of[..., lo * n:hi * n, :] @ C[..., x, :, :]).reshape(diff.shape)
+            diff = _defect(diff, p).reshape(lead + (hi - lo, n, n))
+            worst = max(worst, diff.max(axis=-1)[..., ok[lo:hi]].max())
     return worst, checked
 
 
-def haar_defect(V: TableView, c: np.ndarray, lam: np.ndarray) -> float:
-    """Largest |lam(y) c^z_{x,y} - lam(z) c^y_{x~,z}| over the stored triples."""
+def haar_defect(V: TableView, c: np.ndarray, lam: np.ndarray,
+                p: np.ndarray | None = None) -> float:
+    """Largest |lam(y) c^z_{x,y} - lam(z) c^y_{x~,z}| over the stored triples.
+
+    With primes ``p``, ``c`` and ``lam`` hold one row of residues per prime
+    and the differences are reduced modulo their primes, as in
+    :func:`axiom_defects`.
+    """
     xi = V.inv[V.x]
-    mirror = V.dense(c)[xi, V.z, V.y]
-    return np.abs(lam[V.y] * c - lam[V.z] * mirror)[V.has_row[xi, V.z]].max(initial=0)
+    mirror = V.dense(c)[..., xi, V.z, V.y]
+    d = lam[..., V.y] * c - lam[..., V.z] * mirror
+    return _defect(d, p)[..., V.has_row[xi, V.z]].max(initial=0)
+
+
+def _batches(V: TableView, primes: np.ndarray):
+    """``primes`` in groups whose dense residue arrays stay within RESIDUE_BATCH."""
+    step = max(1, RESIDUE_BATCH // V.n**3)
+    return (primes[i:i + step] for i in range(0, len(primes), step))
+
+
+def axiom_defects_vanish(V: TableView) -> tuple[dict, int] | None:
+    """:func:`axiom_defects` of an exact table, by residues, if all of them are 0.
+
+    For tables beyond :meth:`TableView.exact`'s bound.  With numerators
+    ``N`` over ``D``, the differences the checks form are integers of
+    absolute value at most ``2 n max|N|^2`` (associativity) or
+    ``D + n max|N|`` (row sums, identity masses and entry against entry);
+    they are 0 exactly when they are 0 modulo each of :func:`crt_primes`
+    for that height.  Returns the defects (all 0) and the triples checked,
+    or None if some defect is not 0.
+    """
+    nums, den = V.numerators()
+    top = max(map(abs, nums), default=0)
+    primes = crt_primes(V.n, max(2 * V.n * top * top, den + V.n * top))
+    signs = V.entries(np.fromiter(((v > 0) - (v < 0) for v in nums), float, len(nums)))
+    for p in _batches(V, primes):
+        worst, checked = axiom_defects(V, V.entries(residues(nums, p)),
+                                       residues([den], p), p, signs)
+        if any(worst.values()):
+            return None
+    return worst, checked
+
+
+def haar_defect_vanishes(V: TableView, lam: list[int]) -> bool:
+    """True if :func:`haar_defect` of an exact table is 0, by residues.
+
+    ``lam`` are the Haar weights' numerators over a common denominator.  A
+    difference is at most ``2 max|lam| max|N|`` in absolute value.
+    """
+    nums, _ = V.numerators()
+    height = 2 * max(map(abs, lam)) * max(map(abs, nums), default=0)
+    return not any(haar_defect(V, V.entries(residues(nums, p)), residues(lam, p), p)
+                   for p in _batches(V, crt_primes(V.n, height)))

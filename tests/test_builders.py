@@ -268,6 +268,46 @@ def test_tree_radial_matches_su2_style_recurrence_generation():
     assert all(chk.violation == 0.0 for chk in rep.checks.values())
 
 
+def tree_radial_recurrence_rows(q, R):
+    """The rows of tree_radial(q, R) from the generator's row by associativity.
+
+    delta_{m+1} . delta_n = (delta_1 . (delta_m . delta_n)
+                             - (1/(q+1)) delta_{m-1} . delta_n) / (q/(q+1)),
+    in rational arithmetic: the O(R^3) construction the closed form replaced.
+    """
+    lo, hi = Fraction(1, q + 1), Fraction(q, q + 1)
+    rows = {}
+    for n in range(R + 1):
+        rows[(0, n)] = {n: Fraction(1)}
+    for n in range(1, R):
+        rows[(1, n)] = {n - 1: lo, n + 1: hi}
+
+    def convolve_gen(v):
+        out = {}
+        for z, c in v.items():
+            for w, c2 in rows[(1, z)].items() if z >= 1 else [(1, Fraction(1))]:
+                out[w] = out.get(w, Fraction(0)) + c * c2
+        return out
+
+    for m in range(1, R):
+        for n in range(m + 1, R - m):
+            lifted = convolve_gen(rows[(m, n)])
+            prev = rows[(m - 1, n)]
+            out = {z: (lifted.get(z, Fraction(0)) - lo * prev.get(z, Fraction(0))) / hi
+                   for z in set(lifted) | set(prev)}
+            rows[(m + 1, n)] = {z: c for z, c in out.items() if c}
+    return {k: tuple(sorted(v.items())) for k, v in rows.items()}
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_tree_radial_closed_form_matches_recurrence(q):
+    for R in range(2, 25):
+        T = builders.tree_radial(q, R)
+        oracle = tree_radial_recurrence_rows(q, R)
+        assert list(T.rows) == list(oracle), R
+        assert T.rows == oracle, R
+
+
 def test_chebyshev_alias():
     A = family(FamilySpec("chebyshev", radius=8))
     B = family(FamilySpec("su2_fusion", radius=8))

@@ -110,6 +110,21 @@ def test_quantum_bad_q_exit_two(q, capsys):
     assert "q must lie in (0, 1]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("q", ["2.5", "5/2", "7/3"])
+def test_tree_radial_non_integer_q_exit_two(q, capsys):
+    code, out = _run(["p2", "--family", "tree_radial", "--q", q, "--radius", "10"])
+    assert code == 2
+    assert out == ""
+    assert "integer branching" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("q", ["2", "4/2", "2.0"])
+def test_tree_radial_integer_q_builds_q2(q):
+    code, out = _run(["p2", "--family", "tree_radial", "--q", q, "--radius", "10"])
+    assert code == 0
+    assert "tree_radial_q2_R10" in out
+
+
 def test_norms_structured_includes_witness():
     code, out = _run(
         ["norms", "--family", "conj", "--group", "s3", "--random", "1",

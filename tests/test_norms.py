@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from hypharm.norms import (
     product_a_norm,
 )
 from hypharm import convolve_functions, involute
+from hypharm.spectral import CharacterTable
 
 
 @pytest.fixture(scope="module")
@@ -268,3 +271,35 @@ def test_multiplication_matrix_triv_column(conj_s3):
     m = multiplication_matrix(H, ct, u)
     col = np.sum(np.abs(m), axis=0)[ct.trivial_index]
     assert col == pytest.approx(norm_Blambda(H, ct, u), abs=1e-10)
+
+
+def _conjugate_index_oracle(ct):
+    """The conjugate row of each character row, searched afresh per row."""
+    out = []
+    for target in ct.chars.conj():
+        dist = np.max(np.abs(ct.chars - target), axis=1)
+        j = int(np.argmin(dist))
+        assert dist[j] <= 1e-8
+        out.append(j)
+    return tuple(out)
+
+
+BENCHMARK_GROUPS = ("s3", "s4", "a4", "d4", "q8", "klein", "z5", "z6")
+
+
+@pytest.mark.parametrize("spec", [FamilySpec(fam, group=g) for g in BENCHMARK_GROUPS
+                                  for fam in ("conj", "irr")]
+                         + [FamilySpec("cyclic", n=16)],
+                         ids=lambda spec: f"{spec.name}_{spec.group or spec.n}")
+def test_conjugate_is_computed_once_per_table(spec, monkeypatch):
+    calls = []
+    find = CharacterTable.conjugate.func
+    counted = functools.cached_property(lambda ct: calls.append(ct) or find(ct))
+    counted.__set_name__(CharacterTable, "conjugate")
+    monkeypatch.setattr(CharacterTable, "conjugate", counted)
+    H = family(spec)
+    ct = characters(H)
+    for u in ct.chars[:3]:
+        assert norm_Blambda(H, ct, u) == pytest.approx(1.0, abs=1e-9)
+    assert ct.conjugate == _conjugate_index_oracle(ct)
+    assert len(calls) == 1

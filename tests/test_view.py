@@ -1,10 +1,10 @@
 """The array paths on ``HypergroupTable.view`` against Python loops.
 
 ``core._verify_axioms_loop`` and ``core._haar_defect_loop`` check the
-axioms and the Haar identity by loops over the stored rows; they are the
-exact path for tables whose numerators leave float64's exact range, and the
-oracle here.  ``_residual_loop`` below is the multiplicativity residual as a
-loop over the stored rows.
+axioms and the Haar identity by loops over the stored rows; they report the
+violations of exact tables whose numerators leave float64's exact range,
+and they are the oracle here.  ``_residual_loop`` below is the
+multiplicativity residual as a loop over the stored rows.
 """
 
 import functools
@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypharm import builders, characters, chi0, voit_deform
+from hypharm import builders, characters, chi0, core, haar_weights, quantum, voit_deform
 from hypharm.builders import FamilySpec, family
 from hypharm.core import (
     HypergroupTable,
@@ -129,17 +129,71 @@ def test_section_residual_matches_loop(name):
             _residual_loop(H, chi), rel=1e-14)
 
 
-def test_exact_bound_falls_back_to_loop():
+def _no_loops(monkeypatch):
+    def loop(H, *args, **kwargs):
+        raise AssertionError(f"{H.name} reached a Fraction loop")
+
+    monkeypatch.setattr(core, "_verify_axioms_loop", loop)
+    monkeypatch.setattr(core, "_haar_defect_loop", loop)
+
+
+def test_exact_bound_runs_modulo_primes(monkeypatch):
     # suq2_fusion(q=1/2) has numerators far beyond sqrt(2**53 / (2 n))
     H = builders.su2_fusion(8, q=Fraction(1, 2))
     assert H.exact and H.view.exact() is None
     assert builders.su2_fusion(8).view.exact() is not None
     assert builders.tree_radial(2, 40).view.exact() is not None
+    slow = _verify_axioms_loop(H)
+    _no_loops(monkeypatch)
+    _assert_same_report(verify_axioms(H), slow, exact=True)
+    assert _haar_defect(H) == 0
+
+
+@pytest.mark.parametrize("build", [
+    lambda: builders.su2_fusion(16),
+    lambda: builders.su2_fusion(16, q=Fraction(1, 2)),
+    lambda: quantum.hypergroup_d(quantum.su2_fusion_ring(16, q=Fraction(2, 3))),
+    lambda: builders.tree_radial(2, 61),
+], ids=["su2_r16", "suq2_r16", "d_q2/3_r16", "tree2_r61"])
+def test_valid_tables_over_the_bound_skip_the_loops(build, monkeypatch):
+    H = build()
+    assert H.exact and H.view.exact() is None
+    _no_loops(monkeypatch)
+    rep = verify_axioms(H)
+    assert rep.passed and all(chk.violation == 0 for chk in rep.checks.values())
+    assert rep.triples_checked + rep.triples_skipped == H.size**3
+    assert haar_weights(H) == H.haar
+
+
+def test_residues_find_a_tiny_defect(monkeypatch):
+    # a mass of 10**-30 moved between two points of one row: exact row sums,
+    # broken associativity far below every float tolerance
+    base = _table("suq2_r16")
+    rows = {k: dict(v) for k, v in base.rows.items()}
+    row = rows[(3, 5)]
+    a, b = sorted(row)[:2]
+    row[a] += Fraction(1, 10**30)
+    row[b] -= Fraction(1, 10**30)
+    H = HypergroupTable("nudged", base.size, base.involution,
+                        {k: r.items() for k, r in rows.items()}, haar=base.haar,
+                        truncated=True, radius=base.radius, generator=base.generator)
+    assert H.view.exact() is None
+    calls = []
+    loop = core._verify_axioms_loop
+    monkeypatch.setattr(core, "_verify_axioms_loop",
+                        lambda *args: calls.append(args) or loop(*args))
+    fast = verify_axioms(H)
+    assert len(calls) == 1
+    _assert_same_report(fast, loop(H), exact=True)
+    assert 0 < fast.checks["associativity"].violation < 1e-25
+    assert _haar_defect(H) == _haar_defect_loop(H) > 0
 
 
 # -- mutated exact tables: the violation path ------------------------------
 
-MUTABLE = ("conj_s3", "irr_s4", "conj_d4", "z4", "conj_s3xirr_d4", "tree2_r8", "su2_r8")
+# su2_r16 and suq2_r8 are beyond the float64 bound: they run modulo primes
+MUTABLE = ("conj_s3", "irr_s4", "conj_d4", "z4", "conj_s3xirr_d4", "tree2_r8", "su2_r8",
+           "su2_r16", "suq2_r8")
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
