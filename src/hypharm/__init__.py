@@ -54,6 +54,7 @@ from .spectral import (
     fourier,
     inverse_fourier,
     plancherel,
+    product_characters,
     solve_character,
     voit_deform,
 )

@@ -46,6 +46,7 @@ from .spectral import (
     characters,
     check_p2,
     chi0,
+    product_characters,
     section_operator,
     voit_deform,
 )
@@ -145,13 +146,14 @@ def indicator_diagonal(H: HypergroupTable, seed: int = DEFAULT_SEED) -> Diagonal
 
     Requires a finite table (automatic (P2)) with a finite Haar value set;
     checks pointwise that the construction reproduces the diagonal
-    indicator exactly.  H x H and both character tables are built here once.
+    indicator exactly.  H x H and both character tables are built here once;
+    only H is diagonalized, the characters of H x H are products of its own.
     """
     if H.truncated:
         raise TruncationOverflow("indicator_diagonal needs a finite table")
     K = product(H, H)
     ct = characters(H, seed=seed)
-    ctk = characters(K, seed=seed)
+    ctk = product_characters(K, ct, ct, seed=seed)
     psi = diagonal_psi(H)
     psi_norm = norm_Blambda(K, ctk, psi)
     phi = restrict_to_diagonal(H, psi)

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import DEFAULT_SEED, HypergroupTable, NNTail
+from .view import TableView
 from .errors import NonIntegerDimension
 from .groups import FiniteGroup, cyclic, from_cayley_table
 
@@ -225,41 +226,26 @@ def product(
     """Product table: c^{(z,w)}_{(x,u),(y,v)} = c^z_{x,y} c^w_{u,v}.
 
     Pairs are indexed row-major, (x, u) -> x * |H2| + u.  Haar weights
-    multiply and the involution acts componentwise.
+    multiply and the involution acts componentwise.  The table is built
+    from the factors' views (:meth:`TableView.product`); its Fraction rows
+    exist only once something reads them.
     """
     if H1.truncated or H2.truncated:
         raise ValueError("product of truncated tables is not supported")
     n1, n2 = H1.size, H2.size
     if n1 * n2 > max_size:
         raise ValueError(f"product size {n1 * n2} exceeds cap {max_size}")
-    commutative = H1.commutative and H2.commutative
-
-    def pair(x, u):
-        return x * n2 + u
-
-    rows = {}
-    for x in range(n1):
-        for y in range(n1):
-            row1 = H1.row(x, y)
-            for u in range(n2):
-                for v in range(n2):
-                    rows[(pair(x, u), pair(y, v))] = [
-                        (pair(z, w), c1 * c2)
-                        for z, c1 in row1
-                        for w, c2 in H2.row(u, v)
-                    ]
-    involution = [
-        pair(H1.involution[x], H2.involution[u]) for x in range(n1) for u in range(n2)
-    ]
-    haar = [H1.haar[x] * H2.haar[u] for x in range(n1) for u in range(n2)]
+    V = TableView.product(H1.view, H2.view)
+    haar = [a * b for a in H1.haar for b in H2.haar]
     return HypergroupTable(
         f"{H1.name}x{H2.name}",
         n1 * n2,
-        involution,
-        rows,
-        identity=pair(H1.identity, H2.identity),
+        V.inv.tolist(),
+        None,
+        view=V,
+        identity=V.identity,
         haar=haar,
-        commutative=commutative,
+        commutative=V.commutative,
         elements=tuple(
             f"{a}|{b}" for a in H1.elements for b in H2.elements
         ),

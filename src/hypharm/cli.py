@@ -11,6 +11,8 @@ configurations (including the seed).
 from __future__ import annotations
 
 import argparse
+import gc
+import math
 import os
 import sys
 
@@ -349,10 +351,10 @@ def build_parser() -> argparse.ArgumentParser:
         "multiplier norms, amenability certificates",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    env_tol = float(os.environ.get(DEFAULT_TOL_ENV, core.DEFAULT_TOL))
 
     def common(p):
-        p.add_argument("--tol", type=float, default=env_tol)
+        p.add_argument("--tol", help=f"tolerance, a finite number >= 0 (default "
+                       f"${DEFAULT_TOL_ENV}, else {core.DEFAULT_TOL:g})")
         p.add_argument("--seed", type=int, default=core.DEFAULT_SEED)
         p.add_argument("--format", choices=("text", "structured"), default="text")
         p.add_argument("--out", help="also write the report to this file")
@@ -385,9 +387,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _tolerance(args) -> float:
+    """``--tol``, else ``$HYPHARM_TOL``, else the default: a finite number >= 0."""
+    name, tok = "--tol", args.tol
+    if tok is None:
+        name, tok = DEFAULT_TOL_ENV, os.environ.get(DEFAULT_TOL_ENV)
+        if tok is None:
+            return core.DEFAULT_TOL
+    try:
+        tol = float(tok)
+    except ValueError:
+        tol = math.nan
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"{name} must be a finite number >= 0, got {tok!r}")
+    return tol
+
+
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # Each argparse action points back at its parser, so the parser is a web
+    # of reference cycles.  Free it now, while it is young: left to the full
+    # collections, which come rarer the more objects a process holds, one
+    # parser per call piles up in a process that calls run() repeatedly.
+    gc.collect(1)
     try:
+        args.tol = _tolerance(args)
         return args.fn(args)
     except (core.FileFormatError, OSError, UsageError, KeyError,
             ValueError, TruncationOverflow) as exc:

@@ -21,6 +21,7 @@ explicit tolerance (default ``1e-9``).
 from __future__ import annotations
 
 import math
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -134,6 +135,10 @@ class HypergroupTable:
     commutativity.  Element ordering is fixed at construction with the
     identity first.  Truncated tables record a ball radius; any access to a
     missing row raises :class:`TruncationOverflow` rather than clipping.
+
+    A table may instead be given its :class:`TableView` (``rows`` None), as
+    :func:`hypharm.builders.product` does; its rows are then built from the
+    view on first use.
     """
 
     def __init__(
@@ -141,8 +146,9 @@ class HypergroupTable:
         name: str,
         size: int,
         involution: Sequence[int],
-        rows: Mapping[tuple[int, int], Iterable[tuple[int, Value]]],
+        rows: Mapping[tuple[int, int], Iterable[tuple[int, Value]]] | None,
         *,
+        view: TableView | None = None,
         identity: int = 0,
         haar: Sequence[Value] | None = None,
         commutative: bool = True,
@@ -176,6 +182,21 @@ class HypergroupTable:
         if len(self.elements) != size:
             raise ValueError("wrong number of element labels")
 
+        self._haar = None
+        if haar is not None:
+            self._haar = tuple(haar)
+            if len(self._haar) != size:
+                raise ValueError("wrong number of Haar weights")
+        self._view = self._rows = None
+        if view is not None:
+            if rows is not None or view.n != size:
+                raise ValueError("give a table its rows or a view of its size")
+            view._table = weakref.ref(self)
+            self._view, self.exact = view, view.rational
+            if not (truncated or view.has_row.all()):
+                raise ValueError("finite table is missing rows")
+            return
+
         store: dict[tuple[int, int], tuple[tuple[int, Value], ...]] = {}
         exact = True
         for (x, y), entries in rows.items():
@@ -191,7 +212,7 @@ class HypergroupTable:
             if key in store and store[key] != cleaned:
                 raise ValueError(f"conflicting data for row {key}")
             store[key] = cleaned
-        self.rows = store
+        self._rows = store
         self.exact = exact
 
         if not truncated:
@@ -200,13 +221,12 @@ class HypergroupTable:
             if missing:
                 raise ValueError(f"finite table is missing rows, e.g. {missing}")
 
-        if haar is not None:
-            self._haar = tuple(haar)
-            if len(self._haar) != size:
-                raise ValueError("wrong number of Haar weights")
-        else:
-            self._haar = None
-        self._view = None
+    @property
+    def rows(self) -> dict[tuple[int, int], tuple[tuple[int, Value], ...]]:
+        """The stored rows; a table given its view builds them on first use."""
+        if self._rows is None:
+            self._rows = self._view.rows()
+        return self._rows
 
     @property
     def view(self) -> TableView:

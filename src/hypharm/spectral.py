@@ -36,6 +36,9 @@ from .errors import DegenerateSpectrum, DominationFailure, SingularCharacterBasi
 
 _GAP_THRESHOLD = 1e-8
 _RETRY_BUDGET = 5
+# Values gathered at once by the batched multiplicativity residual: 64 KB
+# of complex128 per temporary, so that batching does not raise peak memory.
+RESIDUAL_BATCH = 2**12
 
 
 @dataclass
@@ -84,13 +87,24 @@ def _fmt_complex(v: complex) -> str:
 
 
 def _multiplicativity_residual(H: HypergroupTable, chi: np.ndarray) -> float:
-    """max over stored products of |chi(x) chi(y) - sum_z c^z_{x,y} chi(z)|."""
+    """max over stored products of |chi(x) chi(y) - sum_z c^z_{x,y} chi(z)|.
+
+    ``chi`` is one function or a 2-D array of them, one per row, taken in
+    blocks of rows that gather at most RESIDUAL_BATCH values at once.
+    """
     V = H.view
-    sums = np.zeros(len(V.px), dtype=np.result_type(chi, float))
+    chis = np.atleast_2d(chi)
     filled = V.starts[:-1] < V.starts[1:]
-    if filled.any():
-        sums[filled] = np.add.reduceat(V.c * chi[V.z], V.starts[:-1][filled])
-    return float(np.abs(chi[V.px] * chi[V.py] - sums).max(initial=0.0))
+    cols = slice(None) if filled.all() else filled
+    step = max(1, RESIDUAL_BATCH // max(1, len(V.z)))
+    worst = 0.0
+    for lo in range(0, len(chis), step):
+        block = chis[lo:lo + step]
+        d = block[:, V.px] * block[:, V.py]
+        if filled.any():
+            d[:, cols] -= np.add.reduceat(V.c * block[:, V.z], V.starts[:-1][filled], axis=1)
+        worst = max(worst, float(np.abs(d).max(initial=0.0)))
+    return worst
 
 
 def _newton_polish(M: np.ndarray, v: np.ndarray, mu: complex, e: int) -> tuple[np.ndarray, complex]:
@@ -154,30 +168,71 @@ def characters(
             rows.append(v)
         if bad:
             continue
-        chars = np.array(rows)
-        residual = max(_multiplicativity_residual(H, chi) for chi in chars)
-        herm = float(np.abs(chars[:, V.inv] - chars.conj()).max())
-        if residual > max(tol, 1e-9) or herm > max(tol, 1e-9):
-            last_error = f"residual {residual:.2e}, hermitian defect {herm:.2e}"
-            continue
-        if any((np.abs(chars[i + 1:] - chars[i]).max(axis=1) < max(tol, 1e-8)).any()
-               for i in range(n - 1)):
-            last_error = "repeated character rows (non-semisimple table?)"
-            continue
-        # descending by the value at the generator, then by every value
-        # (real parts before imaginary ones), rounded to 10 decimals
-        g = H.generator
-        key = -np.round(chars, 10)
-        chars = chars[np.lexsort(np.vstack(
-            [key.imag.T[::-1], key.real.T[::-1], key[:, g].imag, key[:, g].real]))]
-        weights = plancherel(H, chars, seed=seed)
-        trivial = int(np.abs(chars - 1.0).max(axis=1).argmin())
-        positive = tuple(map(bool, (np.abs(chars.imag) < 1e-10).all(axis=1)
-                             & (chars.real > 0).all(axis=1)))
-        ct = CharacterTable(H.name, n, chars, weights, g, trivial, residual, positive)
-        _check_orthogonality(H, ct, tol=max(tol, 1e-9))
-        return ct
+        ct = _character_table(H, np.array(rows), tol, seed)
+        if isinstance(ct, CharacterTable):
+            return ct
+        last_error = ct
     raise DegenerateSpectrum(f"{H.name}: joint diagonalization failed ({last_error})")
+
+
+def product_characters(
+    K: HypergroupTable,
+    ct1: CharacterTable,
+    ct2: CharacterTable,
+    tol: float = DEFAULT_TOL,
+    seed: int = DEFAULT_SEED,
+) -> CharacterTable:
+    """The characters of ``K = product(H1, H2)`` from those of H1 and H2.
+
+    The characters of a product are the tensor products chi1 (x) chi2
+    (Bloom and Heyer 1995, 1.5), on point ``(x, u) = x |H2| + u``: the rows
+    of ``kron(ct1.chars, ct2.chars)``, with no diagonalization of K.  They
+    are ordered, weighted and checked on K as :func:`characters` does its
+    own (multiplicativity, hermitian symmetry, distinct rows, Parseval and
+    orthogonality), so factor tables that do not belong to K raise
+    :class:`DegenerateSpectrum`.
+    """
+    if K.truncated or not K.commutative:
+        raise ValueError("product_characters() needs a finite commutative table")
+    if ct1.chars.shape[1] * ct2.chars.shape[1] != K.size:
+        raise ValueError(f"{K.name}: factor characters of {ct1.table} and {ct2.table} "
+                         f"do not cover {K.size} points")
+    ct = _character_table(K, np.kron(ct1.chars, ct2.chars), tol, seed)
+    if not isinstance(ct, CharacterTable):
+        raise DegenerateSpectrum(f"{K.name}: product characters fail their checks ({ct})")
+    return ct
+
+
+def _character_table(
+    H: HypergroupTable, chars: np.ndarray, tol: float, seed: int
+) -> CharacterTable | str:
+    """The checked :class:`CharacterTable` of the rows ``chars``, or what is wrong.
+
+    A residual or hermitian defect above the tolerance, or two equal rows,
+    is returned as a message; a Parseval or orthogonality failure raises
+    :class:`DegenerateSpectrum`.
+    """
+    n = H.size
+    residual = _multiplicativity_residual(H, chars)
+    herm = float(np.abs(chars[:, H.view.inv] - chars.conj()).max())
+    if residual > max(tol, 1e-9) or herm > max(tol, 1e-9):
+        return f"residual {residual:.2e}, hermitian defect {herm:.2e}"
+    if any((np.abs(chars[i + 1:] - chars[i]).max(axis=1) < max(tol, 1e-8)).any()
+           for i in range(n - 1)):
+        return "repeated character rows (non-semisimple table?)"
+    # descending by the value at the generator, then by every value
+    # (real parts before imaginary ones), rounded to 10 decimals
+    g = H.generator
+    key = -np.round(chars, 10)
+    chars = chars[np.lexsort(np.vstack(
+        [key.imag.T[::-1], key.real.T[::-1], key[:, g].imag, key[:, g].real]))]
+    weights = plancherel(H, chars, seed=seed)
+    trivial = int(np.abs(chars - 1.0).max(axis=1).argmin())
+    positive = tuple(map(bool, (np.abs(chars.imag) < 1e-10).all(axis=1)
+                         & (chars.real > 0).all(axis=1)))
+    ct = CharacterTable(H.name, n, chars, weights, g, trivial, residual, positive)
+    _check_orthogonality(H, ct, tol=max(tol, 1e-9))
+    return ct
 
 
 def _check_orthogonality(H: HypergroupTable, ct: CharacterTable, tol: float) -> None:

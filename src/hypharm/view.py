@@ -17,6 +17,8 @@ import functools
 import math
 import weakref
 from functools import cached_property
+from fractions import Fraction
+from itertools import compress, repeat
 from operator import attrgetter, truediv
 
 import numpy as np
@@ -106,15 +108,13 @@ class TableView:
       the entries and ``pair`` the product of each entry;
     * ``has_row`` -- the ``n x n`` mask of stored products;
     * ``inv`` -- the involution; ``lam`` -- float Haar weights (on first use);
+    * ``rational`` -- whether the coefficients are exact rationals;
     * :meth:`dense` -- the coefficients as an ``n x n x n`` array;
     * :meth:`exact` -- integer numerators over one common denominator (on
       first use, exact tables only).
     """
 
     def __init__(self, H):
-        n = self.n = H.size
-        self.identity = H.identity
-        self.commutative = H.commutative
         self._table = weakref.ref(H)
         # the stored rows are read once; mirrored products reuse their entries
         values = _values(H)
@@ -126,25 +126,83 @@ class TableView:
             size += len(row)
         products.sort()
         px, py, first, counts = np.array(products, dtype=np.int64).reshape(-1, 4).T
-        self.px, self.py = _frozen(px.astype(np.int32)), _frozen(py.astype(np.int32))
-        self.starts = _frozen(np.concatenate(([0], np.cumsum(counts))))
-        self.pair = _frozen(np.repeat(np.arange(len(counts), dtype=np.int32), counts))
-        self.x, self.y = _frozen(self.px[self.pair]), _frozen(self.py[self.pair])
+        starts = np.concatenate(([0], np.cumsum(counts)))
         # entry i of product p is stored entry first[p] + i - starts[p]
-        self._source = np.arange(self.starts[-1]) + np.repeat(first - self.starts[:-1], counts)
+        self._source = np.arange(starts[-1]) + np.repeat(first - starts[:-1], counts)
         z = np.fromiter((z for row in H.rows.values() for z, _ in row), np.int32, size)
-        self.z = _frozen(z[self._source])
         if H.exact:  # what float() does for a rational, without its call overhead
             c = map(truediv, map(attrgetter("numerator"), values),
                     map(attrgetter("denominator"), values))
         else:
             c = map(float, values)
-        self.c = _frozen(np.fromiter(c, float, size)[self._source])
+        c = np.fromiter(c, float, size)[self._source]
+        self._index(H.size, H.identity, H.involution, H.commutative, H.exact,
+                    px, py, starts, z[self._source], c)
+        self._numerators = None
+
+    def _index(self, n, identity, involution, commutative, rational, px, py, starts, z, c):
+        """Set the entry arrays from the sorted products and their entries."""
+        self.n, self.identity, self.commutative, self.rational = n, identity, commutative, rational
+        self.px, self.py = _frozen(px.astype(np.int32)), _frozen(py.astype(np.int32))
+        self.starts = _frozen(starts)
+        self.pair = _frozen(np.repeat(np.arange(len(px), dtype=np.int32), np.diff(starts)))
+        self.x, self.y = _frozen(self.px[self.pair]), _frozen(self.py[self.pair])
+        self.z, self.c = _frozen(z.astype(np.int32)), _frozen(c)
         has_row = np.zeros((n, n), dtype=bool)
         has_row[self.px, self.py] = True
         self.has_row = _frozen(has_row)
-        self.inv = _frozen(np.array(H.involution, dtype=np.int32))
+        self.inv = _frozen(np.array(involution, dtype=np.int32))
         self._exact = None
+
+    @classmethod
+    def product(cls, V1: "TableView", V2: "TableView") -> "TableView":
+        """The view of the product of two finite tables, from the factors' views.
+
+        Point ``(x, u)`` is index ``x n2 + u`` and
+        ``c^{(z,w)}_{(x,u),(y,v)} = c^z_{x,y} c^w_{u,v}``: the entries of a
+        product are the pairs of entries of the two factor rows, in their
+        order, which keeps them sorted by ``(x, y, z)``.  Exact numerators
+        multiply over ``D1 D2``, and ``c`` is their quotient, rounded once,
+        as ``float`` rounds the Fraction; ``c1 c2`` in float64 could be
+        1 ulp off it.  A float factor makes the product a float table with
+        ``c = c1 c2``.
+        """
+        if not (V1.has_row.all() and V2.has_row.all()):
+            raise ValueError("a product needs finite tables")
+        n1, n2 = V1.n, V2.n
+        # the products (x, u).(y, v) in sorted order, as the factor products
+        # p1 = (x, y) and p2 = (u, v); complete views list them in that order
+        grid = np.arange(n1 * n2)
+        p1 = ((grid // n2)[:, None] * n1 + grid // n2).ravel()
+        p2 = ((grid % n2)[:, None] * n2 + grid % n2).ravel()
+        k1, k2 = np.diff(V1.starts)[p1], np.diff(V2.starts)[p2]
+        starts = np.concatenate(([0], np.cumsum(k1 * k2)))
+        # the entry t of product p pairs entry i of p1's row with entry j of p2's
+        pair = np.repeat(np.arange(len(p1)), k1 * k2)
+        local, k2 = np.arange(starts[-1]) - starts[pair], k2[pair]
+        i = V1.starts[p1][pair] + local // k2
+        j = V2.starts[p2][pair] + local % k2
+        V = cls.__new__(cls)
+        V._source = V._numerators = None
+        rational = V1.rational and V2.rational
+        if rational:
+            (N1, D1), (N2, D2) = V1.numerators(), V2.numerators()
+            den = D1 * D2
+            small = max(max(map(abs, N1)) * max(map(abs, N2)), den) <= EXACT_FLOAT
+            kind = np.int64 if small else object  # else Python ints
+            N = V1.entries(np.array(N1, dtype=kind))[i] * V2.entries(np.array(N2, dtype=kind))[j]
+            V._numerators = (N, den)
+            # one rounding of the exact quotient, in float64 or by Python ints
+            c = N / den if small else np.fromiter(map(truediv, N.tolist(), repeat(den)),
+                                                  float, len(N))
+        else:
+            c = V1.c[i] * V2.c[j]
+        inv = V1.inv[:, None] * n2 + V2.inv
+        V._index(n1 * n2, V1.identity * n2 + V2.identity, inv.ravel(),
+                 V1.commutative and V2.commutative, rational,
+                 grid.repeat(n1 * n2), np.tile(grid, n1 * n2), starts,
+                 V1.z[i] * n2 + V2.z[j], c)
+        return V
 
     @cached_property
     def lam(self) -> np.ndarray:
@@ -164,15 +222,40 @@ class TableView:
 
         Each coefficient is ``N / D`` over the common denominator ``D``.
         Arrays aligned with these numerators map to the view's entries
-        through :meth:`entries`.
+        through :meth:`entries`.  A view built by :meth:`product` stores
+        no rows: its numerators are those of its entries, over ``D1 D2``.
         """
+        if self._numerators is not None:
+            nums, den = self._numerators
+            return nums.tolist(), den
         vals = _values(self._table())
         den = math.lcm(*{v.denominator for v in vals})
         return [v.numerator * (den // v.denominator) for v in vals], den
 
     def entries(self, a: np.ndarray) -> np.ndarray:
         """Values given per stored coefficient, rearranged to the view's entries."""
-        return a[..., self._source]
+        return a if self._source is None else a[..., self._source]
+
+    def rows(self) -> dict:
+        """The rows ``(x, y) -> ((z, c), ...)`` of a view built by :meth:`product`.
+
+        Commutative tables keep ``x <= y``; ``c`` is the Fraction ``N / D``
+        of a rational table, else the float.
+        """
+        keep = self.px <= self.py if self.commutative else np.ones(len(self.px), dtype=bool)
+        mask = keep[self.pair]
+        if self.rational:
+            nums, den = self.numerators()
+            vals = [Fraction(v, den) for v in compress(nums, mask.tolist())]
+        else:
+            vals = self.c[mask].tolist()
+        z = self.z[mask].tolist()
+        out, lo = {}, 0
+        for x, y, k in zip(self.px[keep].tolist(), self.py[keep].tolist(),
+                           np.diff(self.starts)[keep].tolist()):
+            out[(x, y)] = tuple(zip(z[lo:lo + k], vals[lo:lo + k]))
+            lo += k
+        return out
 
     def exact(self) -> tuple[np.ndarray, int] | None:
         """Numerators ``N`` and denominator ``D`` with ``c = N / D``, or None.

@@ -14,6 +14,7 @@ from hypharm import (
     groups,
     indicator_diagonal,
     invert_multiplier,
+    product_characters,
     restrict_to_diagonal,
     weak_amenability_witness,
 )
@@ -136,20 +137,27 @@ def test_approximate_diagonal_cyclic_bound_one():
 
 
 def test_amenability_report_computes_each_table_once(conj_s3, monkeypatch):
-    calls = {"characters": [], "product": 0}
+    calls = {"characters": [], "product_characters": [], "product": 0}
 
     def counting_characters(H, *args, **kwargs):
         calls["characters"].append(H.size)
         return characters(H, *args, **kwargs)
+
+    def counting_product_characters(K, *args, **kwargs):
+        calls["product_characters"].append(K.size)
+        return product_characters(K, *args, **kwargs)
 
     def counting_product(*args, **kwargs):
         calls["product"] += 1
         return builders.product(*args, **kwargs)
 
     monkeypatch.setattr(amenability, "characters", counting_characters)
+    monkeypatch.setattr(amenability, "product_characters", counting_product_characters)
     monkeypatch.setattr(amenability, "product", counting_product)
     rep = amenability_report(conj_s3)
-    assert sorted(calls["characters"]) == [3, 9]
+    # only H is diagonalized; the characters of H x H come from its own
+    assert calls["characters"] == [3]
+    assert calls["product_characters"] == [9]
     assert calls["product"] == 1
     assert rep.commutator_norm == 0.0
 

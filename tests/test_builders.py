@@ -1,9 +1,12 @@
+import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hypharm import builders, groups, verify_axioms
 from hypharm.builders import FamilySpec, family, product, q_integer
+from hypharm.core import HypergroupTable
 from hypharm.errors import NoIdentity, NotAssociative, NotLatinSquare
 
 from conftest import brute_force_class_products
@@ -169,6 +172,97 @@ def test_product_axioms_preserved_noncommutative():
     K = product(H, G)
     rep = verify_axioms(K)
     assert rep.passed and not rep.commutative
+
+
+def product_rows_loop(H1, H2):
+    """The table H1 x H2 from one Fraction product per pair of factor entries.
+
+    c^{(z,w)}_{(x,u),(y,v)} = c^z_{x,y} c^w_{u,v} over every pair of rows:
+    the construction the index arithmetic of TableView.product replaced.
+    """
+    n2 = H2.size
+
+    def pair(x, u):
+        return x * n2 + u
+
+    rows = {}
+    for x in range(H1.size):
+        for y in range(H1.size):
+            row1 = H1.row(x, y)
+            for u in range(n2):
+                for v in range(n2):
+                    rows[(pair(x, u), pair(y, v))] = [
+                        (pair(z, w), c1 * c2) for z, c1 in row1 for w, c2 in H2.row(u, v)
+                    ]
+    involution = [pair(H1.involution[x], H2.involution[u])
+                  for x in range(H1.size) for u in range(n2)]
+    return HypergroupTable(f"{H1.name}x{H2.name}", H1.size * n2, involution, rows,
+                           identity=pair(H1.identity, H2.identity),
+                           commutative=H1.commutative and H2.commutative)
+
+
+# the product factors of the benchmark's amenability_products workload
+PRODUCT_FACTORS = (("conj", "s3"), ("irr", "s3"), ("conj", "klein"), ("irr", "a4"),
+                   ("irr", "d4"), ("conj", "q8"))
+
+
+def _product_pairs():
+    tables = {f: family(FamilySpec(f[0], group=f[1])) for f in PRODUCT_FACTORS}
+    pairs = [(tables[a], tables[b])
+             for a, b in itertools.combinations_with_replacement(PRODUCT_FACTORS, 2)]
+    pairs += [(family(FamilySpec("cyclic", n=n)),) * 2 for n in range(3, 7)]
+    pairs.append((builders.group_hypergroup(groups.symmetric(3)),
+                   builders.conjugacy_hypergroup(groups.quaternion8())))
+    return pairs
+
+
+def test_product_matches_row_pair_loop():
+    pairs = _product_pairs()
+    assert len(pairs) == 26
+    for H1, H2 in pairs:
+        K, oracle = product(H1, H2), product_rows_loop(H1, H2)
+        assert (K.exact, K.commutative) == (oracle.exact, oracle.commutative)
+        V, W = K.view, oracle.view
+        for name in ("px", "py", "starts", "x", "y", "z", "inv"):
+            assert np.array_equal(getattr(V, name), getattr(W, name)), (K.name, name)
+        assert V.c.tobytes() == W.c.tobytes(), K.name
+        nums, den = V.numerators()
+        want, want_den = W.numerators()
+        assert [Fraction(v, den) for v in V.entries(np.array(nums, dtype=object))] == [
+            Fraction(v, want_den) for v in W.entries(np.array(want, dtype=object))], K.name
+        assert K.rows == oracle.rows, K.name
+
+
+def test_product_of_float_tables_multiplies_floats():
+    H = builders.irr_hypergroup(groups.symmetric(4))
+    F = HypergroupTable("float", H.size, H.involution,
+                        {k: [(z, float(c)) for z, c in row] for k, row in H.rows.items()},
+                        haar=[float(v) for v in H.haar])
+    for H1, H2 in ((F, H), (H, F), (F, F)):
+        K, oracle = product(H1, H2), product_rows_loop(H1, H2)
+        assert not K.exact
+        assert K.view.c.tobytes() == oracle.view.c.tobytes()
+        assert K.rows == oracle.rows
+
+
+def test_product_with_numerators_beyond_float64():
+    # {e, a} with a.a = (1/q) e + (1 - 1/q) a; q^2 > 2**63 leaves int64 too
+    q = 3**41
+    H = HypergroupTable("big", 2, [0, 1], {(0, 0): [(0, Fraction(1))], (0, 1): [(1, Fraction(1))],
+                                          (1, 1): [(0, Fraction(1, q)), (1, Fraction(q - 1, q))]})
+    for H1, H2 in ((H, H), (H, builders.conjugacy_hypergroup(groups.symmetric(3)))):
+        K, oracle = product(H1, H2), product_rows_loop(H1, H2)
+        assert K.view.c.tobytes() == oracle.view.c.tobytes()
+        assert K.rows == oracle.rows
+        assert verify_axioms(K).passed
+
+
+def test_product_rows_are_built_on_first_use():
+    H = builders.conjugacy_hypergroup(groups.symmetric(3))
+    K = product(H, H)
+    assert verify_axioms(K).passed
+    assert K._rows is None
+    assert K.has_row(4, 7) and K._rows is not None
 
 
 def test_product_size_cap():

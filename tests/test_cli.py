@@ -1,3 +1,5 @@
+import argparse
+import gc
 import io
 import os
 import subprocess
@@ -123,6 +125,38 @@ def test_tree_radial_integer_q_builds_q2(q):
     code, out = _run(["p2", "--family", "tree_radial", "--q", q, "--radius", "10"])
     assert code == 0
     assert "tree_radial_q2_R10" in out
+
+
+@pytest.mark.parametrize("tol", ["abc", "nan", "-1", "inf"])
+def test_bad_tolerance_exits_two(tol, capsys, monkeypatch):
+    argv = ["verify", "--family", "conj", "--group", "s3"]
+    code, out = _run(argv + [f"--tol={tol}"])
+    assert (code, out) == (2, "")
+    assert "input error: --tol must be a finite number >= 0" in capsys.readouterr().err
+    monkeypatch.setenv("HYPHARM_TOL", tol)
+    code, out = _run(argv)
+    assert (code, out) == (2, "")
+    assert "input error: HYPHARM_TOL must be a finite number >= 0" in capsys.readouterr().err
+
+
+def test_tolerance_from_the_environment_unless_given(monkeypatch):
+    argv = ["verify", "--family", "conj", "--group", "s3", "--format", "structured"]
+    monkeypatch.setenv("HYPHARM_TOL", "1e-6")
+    assert "tolerance 1e-06\n" in _run(argv)[1]
+    assert "tolerance 0.001\n" in _run(argv + ["--tol", "1e-3"])[1]
+    monkeypatch.delenv("HYPHARM_TOL")
+    assert "tolerance 1e-09\n" in _run(argv)[1]
+
+
+def test_run_frees_its_parser():
+    # argparse parsers are reference cycles; run() collects its own while young
+    def parsers():
+        return sum(isinstance(o, argparse.ArgumentParser) for o in gc.get_objects())
+
+    gc.collect()
+    before = parsers()
+    assert _run(["verify", "--family", "conj", "--group", "s3"])[0] == 0
+    assert parsers() == before
 
 
 def test_norms_structured_includes_witness():

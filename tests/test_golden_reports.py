@@ -25,6 +25,14 @@ CASES = {
         "p2", "--family", "tree_radial", "--q", "2", "--radius", "40",
         "--format", "structured",
     ],
+    "amenability_irr_a4.report": [
+        "amenability", "--family", "irr", "--group", "a4",
+        "--format", "structured",
+    ],
+    "product_irr_d4_conj_q8.report": [
+        "product", "--family", "irr", "--group", "d4",
+        "--family2", "conj", "--group2", "q8", "--format", "structured",
+    ],
     "characters_irr_s3.report": [
         "characters", "--family", "irr", "--group", "s3",
         "--format", "structured",

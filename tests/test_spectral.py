@@ -1,3 +1,4 @@
+import copy
 import math
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from hypharm import (
     fourier,
     groups,
     inverse_fourier,
+    product_characters,
     solve_character,
     verify_axioms,
     voit_deform,
@@ -168,6 +170,61 @@ def test_degenerate_spectrum_on_broken_table():
     H = HypergroupTable("broken", 3, [0, 1, 2], rows, haar=[1.0, 2.0, 2.0])
     with pytest.raises(DegenerateSpectrum):
         characters(H)
+
+
+# -- product characters ---------------------------------------------------------
+
+
+# the tables of the benchmark's amenability jobs, whose H x H get product characters
+AMENABILITY_SPECS = [FamilySpec(f, group=g) for g in ("s3", "s4", "a4", "d4", "q8", "klein", "z5")
+                     for f in ("conj", "irr")] + [FamilySpec("cyclic", n=n) for n in (3, 4, 5, 6)]
+
+
+@pytest.mark.parametrize("spec", AMENABILITY_SPECS, ids=lambda s: f"{s.name}-{s.group or s.n}")
+def test_product_characters_match_diagonalization(spec):
+    H = family(spec)
+    K = builders.product(H, H)
+    for seed in (7, 12345):
+        ct = characters(H, seed=seed)
+        got, want = product_characters(K, ct, ct, seed=seed), characters(K, seed=seed)
+        assert got.size == want.size == K.size
+        assert (got.trivial_index, got.positive) == (want.trivial_index, want.positive)
+        assert np.abs(got.chars - want.chars).max() < 1e-9
+        assert np.abs(got.plancherel - want.plancherel).max() < 1e-9
+        assert got.residual < 1e-9
+
+
+def test_product_characters_of_distinct_factors():
+    H1 = builders.irr_hypergroup(groups.dihedral4())
+    H2 = builders.conjugacy_hypergroup(groups.quaternion8())
+    K = builders.product(H1, H2)
+    got = product_characters(K, characters(H1), characters(H2))
+    assert np.abs(got.chars - characters(K).chars).max() < 1e-9
+    with pytest.raises(DegenerateSpectrum):  # the factors in the wrong order
+        product_characters(K, characters(H2), characters(H1))
+
+
+def test_perturbed_factor_character_is_rejected():
+    H = builders.conjugacy_hypergroup(groups.symmetric(4))
+    K = builders.product(H, H)
+    ct = characters(H)
+    bad = copy.copy(ct)
+    bad.chars = ct.chars.copy()
+    bad.chars[2, 3] += 1e-6
+    # the multiplicativity residual on K, not the hermitian check, rejects it
+    verdict = r"residual 1\.\d\de-06, hermitian defect 0\.00e\+00"
+    with pytest.raises(DegenerateSpectrum, match=verdict):
+        product_characters(K, ct, bad)
+    with pytest.raises(DegenerateSpectrum, match=verdict):
+        product_characters(K, bad, ct)
+
+
+def test_product_characters_need_a_matching_size():
+    H = builders.conjugacy_hypergroup(groups.symmetric(3))
+    K = builders.product(H, H)
+    Z2 = characters(family(FamilySpec("cyclic", n=2)))
+    with pytest.raises(ValueError):
+        product_characters(K, characters(H), Z2)
 
 
 # -- (P2) --------------------------------------------------------------------
