@@ -116,15 +116,12 @@ def norm_Blambda(H: HypergroupTable, ct: CharacterTable, u) -> float:
     """Fourier-Stieltjes norm as the dual pairing sup over the C*_lam ball.
 
     Builds the extremal f explicitly, checks ``max|f^| <= 1`` and evaluates
-    ``|sum_x lam(x) u(x) f(x)|`` in element space.
+    ``|sum_x lam(x) u(x) f(x)|`` in element space.  ``f^`` is the conjugate
+    phase of ``u^`` at the conjugate character; since w(conj chi) = w(chi),
+    that ``f`` is the conjugate of the inverse transform of the phase.
     """
     ud = _as_dense(H, u)
-    uhat = fourier(H, ct, ud)
-    fhat = np.zeros(ct.size, dtype=complex)
-    cj = ct.conjugate
-    for i in range(ct.size):
-        fhat[cj[i]] = np.conj(_phase(uhat[i : i + 1])[0])
-    f = _as_dense(H, inverse_fourier(H, ct, fhat))
+    f = _as_dense(H, inverse_fourier(H, ct, _phase(fourier(H, ct, ud)))).conj()
     sup = float(np.max(np.abs(fourier(H, ct, f))))
     if sup > 1.0 + 1e-8:
         raise ArithmeticError(f"{H.name}: dual witness leaves the C*_lam ball")

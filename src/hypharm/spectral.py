@@ -2,9 +2,11 @@
 
 Characters of a finite commutative table are the joint eigenvectors of the
 commuting structure matrices ``(A_x)_{y,z} = c^z_{x,y}``: a multiplicative
-function chi satisfies ``A_x chi = chi(x) chi``.  They are found from one
-eigendecomposition of a random real combination ``sum_x r_x A_x`` (fixed
-seed), polished by a Newton step per eigenpair, normalized to chi(e) = 1 and
+function chi satisfies ``A_x chi = chi(x) chi``.  On l2(lam) the adjoint of
+``A_x`` is ``A_x~``, so for real random a and b (fixed seed) the combination
+``M = sum_x r_x A_x`` with ``r = (a + a~) + i (b - b~)`` is self-adjoint, and
+``Lam^{1/2} M Lam^{-1/2}`` is a Hermitian matrix.  Its one eigendecomposition
+gives the characters as ``chi = Lam^{-1/2} u``, normalized to chi(e) = 1 and
 ordered descending by the value at the designated generator.
 
 For truncated N-indexed families the same matrices are compressed to growing
@@ -20,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .core import (
     NNTail,
     verify_axioms,
 )
-from .errors import DegenerateSpectrum, DominationFailure, SingularCharacterBasis
+from .errors import DegenerateSpectrum, DominationFailure
 
 _GAP_THRESHOLD = 1e-8
 _RETRY_BUDGET = 5
@@ -59,18 +60,6 @@ class CharacterTable:
     trivial_index: int
     residual: float
     positive: tuple[bool, ...] = field(default_factory=tuple)
-
-    @cached_property
-    def conjugate(self) -> tuple[int, ...]:
-        """Index of the conjugate character row for each row, found on first use."""
-        out = []
-        for target in self.chars.conj():
-            dist = np.max(np.abs(self.chars - target), axis=1)
-            j = int(np.argmin(dist))
-            if dist[j] > 1e-8:
-                raise SingularCharacterBasis(f"{self.table}: no conjugate character row")
-            out.append(j)
-        return tuple(out)
 
     def lines(self) -> list[str]:
         out = [f"character table of {self.table} ({self.size} characters)"]
@@ -107,22 +96,6 @@ def _multiplicativity_residual(H: HypergroupTable, chi: np.ndarray) -> float:
     return worst
 
 
-def _newton_polish(M: np.ndarray, v: np.ndarray, mu: complex, e: int) -> tuple[np.ndarray, complex]:
-    n = M.shape[0]
-    J = np.zeros((n + 1, n + 1), dtype=complex)
-    J[:n, :n] = M - mu * np.eye(n)
-    J[:n, n] = -v
-    J[n, e] = 1.0
-    r = np.zeros(n + 1, dtype=complex)
-    r[:n] = M @ v - mu * v
-    r[n] = v[e] - 1.0
-    try:
-        delta = np.linalg.solve(J, -r)
-    except np.linalg.LinAlgError:
-        return v, mu
-    return v + delta[:n], mu + delta[n]
-
-
 def characters(
     H: HypergroupTable, tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED
 ) -> CharacterTable:
@@ -140,35 +113,34 @@ def characters(
     n = H.size
     e = H.identity
     V = H.view
+    if not np.isfinite(V.c).all():
+        raise ValueError(f"{H.name}: structure constants must be finite")
+    lam = V.lam
+    if not ((lam > 0) & (lam < np.inf)).all():
+        raise DegenerateSpectrum(f"{H.name}: Haar weights must be positive and finite")
     cells = V.y * n + V.z
+    root = np.sqrt(lam)
     rng = np.random.default_rng(seed)
     last_error = "no attempt"
     for _ in range(_RETRY_BUDGET):
-        # M = sum_x r_x A_x with (A_x)_{y,z} = c^z_{x,y}
-        coeffs = rng.standard_normal(n)
-        M = np.bincount(cells, weights=coeffs[V.x] * V.c, minlength=n * n).reshape(n, n)
-        vals, vecs = np.linalg.eig(M)
-        order = np.argsort(vals.real + 1e-6 * vals.imag)
-        gaps = np.abs(np.diff(vals[order]))
+        # M = sum_x r_x A_x with (A_x)_{y,z} = c^z_{x,y}, self-adjoint on l2(lam)
+        a, b = rng.standard_normal(n), rng.standard_normal(n)
+        a, b = a + a[V.inv], b - b[V.inv]
+        M = np.bincount(cells, weights=a[V.x] * V.c, minlength=n * n).reshape(n, n)
+        if b.any():
+            M = M + 1j * np.bincount(cells, weights=b[V.x] * V.c,
+                                     minlength=n * n).reshape(n, n)
+        vals, vecs = np.linalg.eigh(root[:, None] * M / root)
+        gaps = np.diff(vals)
         scale = max(1.0, np.abs(vals).max())
         if n > 1 and gaps.min() < _GAP_THRESHOLD * scale:
             last_error = f"eigenvalue gap {gaps.min():.2e}"
             continue
-        rows = []
-        bad = False
-        for i in range(n):
-            v = vecs[:, i]
-            if abs(v[e]) < 1e-12:
-                bad = True
-                last_error = "eigenvector vanishes at identity"
-                break
-            v = v / v[e]
-            v, _mu = _newton_polish(M, v, vals[i], e)
-            v = v / v[e]
-            rows.append(v)
-        if bad:
+        if np.abs(vecs[e]).min() < 1e-12:
+            last_error = "eigenvector vanishes at identity"
             continue
-        ct = _character_table(H, np.array(rows), tol, seed)
+        chars = (vecs / vecs[e]).T * (root[e] / root)
+        ct = _character_table(H, chars.astype(complex, copy=False), tol, seed)
         if isinstance(ct, CharacterTable):
             return ct
         last_error = ct
@@ -188,9 +160,8 @@ def product_characters(
     (Bloom and Heyer 1995, 1.5), on point ``(x, u) = x |H2| + u``: the rows
     of ``kron(ct1.chars, ct2.chars)``, with no diagonalization of K.  They
     are ordered, weighted and checked on K as :func:`characters` does its
-    own (multiplicativity, hermitian symmetry, distinct rows, Parseval and
-    orthogonality), so factor tables that do not belong to K raise
-    :class:`DegenerateSpectrum`.
+    own (multiplicativity, hermitian symmetry, Parseval and orthogonality),
+    so factor tables that do not belong to K raise :class:`DegenerateSpectrum`.
     """
     if K.truncated or not K.commutative:
         raise ValueError("product_characters() needs a finite commutative table")
@@ -208,24 +179,22 @@ def _character_table(
 ) -> CharacterTable | str:
     """The checked :class:`CharacterTable` of the rows ``chars``, or what is wrong.
 
-    A residual or hermitian defect above the tolerance, or two equal rows,
-    is returned as a message; a Parseval or orthogonality failure raises
-    :class:`DegenerateSpectrum`.
+    A residual or hermitian defect above the tolerance is returned as a
+    message; a Parseval or orthogonality failure raises
+    :class:`DegenerateSpectrum`.  Equal or nearly equal rows fail Parseval or
+    orthogonality.
     """
     n = H.size
     residual = _multiplicativity_residual(H, chars)
     herm = float(np.abs(chars[:, H.view.inv] - chars.conj()).max())
     if residual > max(tol, 1e-9) or herm > max(tol, 1e-9):
         return f"residual {residual:.2e}, hermitian defect {herm:.2e}"
-    if any((np.abs(chars[i + 1:] - chars[i]).max(axis=1) < max(tol, 1e-8)).any()
-           for i in range(n - 1)):
-        return "repeated character rows (non-semisimple table?)"
     # descending by the value at the generator, then by every value
-    # (real parts before imaginary ones), rounded to 10 decimals
+    # (real parts before imaginary ones); values within 1e-9 tie
     g = H.generator
-    key = -np.round(chars, 10)
+    real, imag = _ranks(-chars.real), _ranks(-chars.imag)
     chars = chars[np.lexsort(np.vstack(
-        [key.imag.T[::-1], key.real.T[::-1], key[:, g].imag, key[:, g].real]))]
+        [imag.T[::-1], real.T[::-1], imag[:, g], real[:, g]]))]
     weights = plancherel(H, chars, seed=seed)
     trivial = int(np.abs(chars - 1.0).max(axis=1).argmin())
     positive = tuple(map(bool, (np.abs(chars.imag) < 1e-10).all(axis=1)
@@ -233,6 +202,19 @@ def _character_table(
     ct = CharacterTable(H.name, n, chars, weights, g, trivial, residual, positive)
     _check_orthogonality(H, ct, tol=max(tol, 1e-9))
     return ct
+
+
+def _ranks(key: np.ndarray) -> np.ndarray:
+    """Rank of each value in its column, counting neighbours within 1e-9 as equal.
+
+    Unlike rounding to a grid, two equal values that differ by noise never
+    fall on two sides of a rounding boundary.
+    """
+    order = np.argsort(key, axis=0)
+    step = np.diff(np.take_along_axis(key, order, axis=0), axis=0) > 1e-9
+    ranks = np.zeros(key.shape, dtype=int)
+    np.put_along_axis(ranks, order[1:], np.cumsum(step, axis=0), axis=0)
+    return ranks
 
 
 def _check_orthogonality(H: HypergroupTable, ct: CharacterTable, tol: float) -> None:
@@ -619,13 +601,9 @@ def voit_deform(
                 _multiplicativity_residual(deformed, sample.astype(complex)),
             )
     else:
-        ct = characters(H, tol=tol, seed=seed)
-        for i in range(ct.size):
-            if np.all(np.abs(ct.chars[i]) <= chi + 1e-9):
-                sample = ct.chars[i] / chi
-                dual_resid = max(
-                    dual_resid, _multiplicativity_residual(deformed, sample)
-                )
+        chars = characters(H, tol=tol, seed=seed).chars
+        dominated = (np.abs(chars) <= chi + 1e-9).all(axis=1)
+        dual_resid = _multiplicativity_residual(deformed, chars[dominated] / chi)
     return DeformedPair(H, chi, deformed, haar_def, float(worst), float(dual_resid))
 
 

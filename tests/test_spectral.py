@@ -157,6 +157,23 @@ def test_fourier_roundtrip_and_parseval(finite_tables):
             assert parseval < 1e-10 * max(1.0, np.sum(lam * np.abs(u) ** 2)), name
 
 
+@pytest.mark.parametrize("n", [128, 192, 256])
+@pytest.mark.parametrize("seed", [1, 7, 12345, 2**31 - 1])
+def test_cyclic_characters_match_closed_form(n, seed):
+    # the characters of Z_n are x -> w^{kx}, w = exp(2 pi i / n), with k
+    # read off chi(1); no eigenvector polish, so this pins the accuracy margin
+    ct = characters(family(FamilySpec("cyclic", n=n)), seed=seed)
+    k = np.rint(np.angle(ct.chars[:, 1]) * n / (2 * np.pi)).astype(int) % n
+    # descending Re chi(1), and of a conjugate pair Im chi(1) > 0 first; at
+    # Z192, seed 7, the computed real parts of one pair straddle a 10-decimal
+    # rounding boundary, so the order must not round
+    pairs = [j for i in range(1, n // 2) for j in (i, n - i)]
+    assert list(k) == [0, *pairs, n // 2]
+    closed = np.exp(2j * np.pi * np.outer(k, np.arange(n)) / n)
+    assert np.abs(ct.chars - closed).max() < 1e-9
+    assert ct.residual <= 1e-10
+
+
 def test_degenerate_spectrum_on_broken_table():
     # two copies of the same point glued: not a hypergroup, characters repeat
     rows = {
@@ -170,6 +187,18 @@ def test_degenerate_spectrum_on_broken_table():
     H = HypergroupTable("broken", 3, [0, 1, 2], rows, haar=[1.0, 2.0, 2.0])
     with pytest.raises(DegenerateSpectrum):
         characters(H)
+
+
+@pytest.mark.parametrize("square, haar, error", [
+    # c^e_{1,1} = -1 gives lam(1) = -1: there is no l2(lam) to diagonalize on
+    ([(0, -1.0)], None, DegenerateSpectrum),
+    ([(0, 1.0)], [1.0, math.inf], DegenerateSpectrum),
+    ([(0, 0.5), (1, math.nan)], None, ValueError),
+], ids=["negative-haar", "infinite-haar", "nan-coefficient"])
+def test_characters_need_finite_input_and_positive_haar(square, haar, error):
+    rows = {(0, 0): [(0, 1.0)], (0, 1): [(1, 1.0)], (1, 1): square}
+    with pytest.raises(error, match="must be"):
+        characters(HypergroupTable("bad", 2, [0, 1], rows, haar=haar))
 
 
 # -- product characters ---------------------------------------------------------
@@ -217,6 +246,12 @@ def test_perturbed_factor_character_is_rejected():
         product_characters(K, ct, bad)
     with pytest.raises(DegenerateSpectrum, match=verdict):
         product_characters(K, bad, ct)
+    # each row a character, but one of them twice: Parseval rejects it
+    twice = copy.copy(ct)
+    twice.chars = ct.chars.copy()
+    twice.chars[2] = ct.chars[1]
+    with pytest.raises(DegenerateSpectrum, match="Parseval check failed"):
+        product_characters(K, ct, twice)
 
 
 def test_product_characters_need_a_matching_size():
@@ -355,6 +390,19 @@ def test_voit_deform_finite_identity(finite_tables):
     pair = voit_deform(H, np.ones(3))
     assert pair.deformed.rows == H.rows
     assert pair.axiom_violation == 0.0
+
+
+@pytest.mark.parametrize("group", [groups.symmetric(3), groups.symmetric(4)],
+                         ids=["s3", "s4"])
+def test_voit_deform_finite_float_table(group):
+    # a float table takes the finite branch that checks every dominated character
+    H = builders.conjugacy_hypergroup(group)
+    F = HypergroupTable(f"{H.name}_float", H.size, H.involution,
+                        {k: [(z, float(c)) for z, c in row] for k, row in H.rows.items()})
+    assert not F.exact
+    pair = voit_deform(F, np.ones(F.size))
+    assert pair.dual_map_residual < 1e-12
+    assert pair.axiom_violation < 1e-12
 
 
 def test_voit_deform_tree():
