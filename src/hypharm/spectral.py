@@ -5,9 +5,10 @@ commuting structure matrices ``(A_x)_{y,z} = c^z_{x,y}``: a multiplicative
 function chi satisfies ``A_x chi = chi(x) chi``.  On l2(lam) the adjoint of
 ``A_x`` is ``A_x~``, so for real random a and b (fixed seed) the combination
 ``M = sum_x r_x A_x`` with ``r = (a + a~) + i (b - b~)`` is self-adjoint, and
-``Lam^{1/2} M Lam^{-1/2}`` is a Hermitian matrix.  Its one eigendecomposition
-gives the characters as ``chi = Lam^{-1/2} u``, normalized to chi(e) = 1 and
-ordered descending by the value at the designated generator.
+``Lam^{1/2} M Lam^{-1/2}`` is a Hermitian matrix.  Its one eigendecomposition,
+corrected to first order by a second such combination, gives the characters
+as ``chi = Lam^{-1/2} u``, normalized to chi(e) = 1 and ordered descending by
+the value at the designated generator.
 
 For truncated N-indexed families the same matrices are compressed to growing
 balls.  Top eigenvalues of the compressions give monotone lower bounds on
@@ -36,6 +37,10 @@ from .core import (
 from .errors import DegenerateSpectrum, DominationFailure
 
 _GAP_THRESHOLD = 1e-8
+# Draws whose smallest eigenvalue gap is below this share of the scale get a
+# first-order correction of their eigenvectors; above it the residual stays
+# below about 1e-12.
+_SPLIT_BELOW = 1e-3
 _RETRY_BUDGET = 5
 # Values gathered at once by the batched multiplicativity residual: 64 KB
 # of complex128 per temporary, so that batching does not raise peak memory.
@@ -122,20 +127,36 @@ def characters(
     root = np.sqrt(lam)
     rng = np.random.default_rng(seed)
     last_error = "no attempt"
-    for _ in range(_RETRY_BUDGET):
-        # M = sum_x r_x A_x with (A_x)_{y,z} = c^z_{x,y}, self-adjoint on l2(lam)
+
+    def combination() -> np.ndarray:
+        # M = sum_x r_x A_x with (A_x)_{y,z} = c^z_{x,y}, self-adjoint on
+        # l2(lam); returned as the Hermitian Lam^{1/2} M Lam^{-1/2}
         a, b = rng.standard_normal(n), rng.standard_normal(n)
         a, b = a + a[V.inv], b - b[V.inv]
         M = np.bincount(cells, weights=a[V.x] * V.c, minlength=n * n).reshape(n, n)
         if b.any():
             M = M + 1j * np.bincount(cells, weights=b[V.x] * V.c,
                                      minlength=n * n).reshape(n, n)
-        vals, vecs = np.linalg.eigh(root[:, None] * M / root)
+        return root[:, None] * M / root
+
+    for _ in range(_RETRY_BUDGET):
+        vals, vecs = np.linalg.eigh(combination())
         gaps = np.diff(vals)
         scale = max(1.0, np.abs(vals).max())
         if n > 1 and gaps.min() < _GAP_THRESHOLD * scale:
             last_error = f"eigenvalue gap {gaps.min():.2e}"
             continue
+        if n > 1 and gaps.min() < _SPLIT_BELOW * scale:
+            # eigh mixes two eigenvectors by about eps |M| / gap, so a close
+            # pair of eigenvalues costs accuracy.  A second combination M2
+            # generically splits that pair widely: in the basis found, M2 is
+            # diagonal up to B_ij = E_ij (d_i - d_j) for the mixing E, and one
+            # first-order step takes E out of each pair whose gap is wider in
+            # M2 than in M
+            B = vecs.conj().T @ (combination() @ vecs)
+            d = B.diagonal().real
+            wider = np.abs(d - d[:, None]) > np.abs(vals - vals[:, None])
+            vecs = vecs + vecs @ (np.where(wider, B, 0) / np.where(wider, d - d[:, None], 1))
         if np.abs(vecs[e]).min() < 1e-12:
             last_error = "eigenvector vanishes at identity"
             continue

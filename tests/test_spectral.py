@@ -161,7 +161,8 @@ def test_fourier_roundtrip_and_parseval(finite_tables):
 @pytest.mark.parametrize("seed", [1, 7, 12345, 2**31 - 1])
 def test_cyclic_characters_match_closed_form(n, seed):
     # the characters of Z_n are x -> w^{kx}, w = exp(2 pi i / n), with k
-    # read off chi(1); no eigenvector polish, so this pins the accuracy margin
+    # read off chi(1); one eigh and a first-order correction, no Newton
+    # polish, so this pins the accuracy margin
     ct = characters(family(FamilySpec("cyclic", n=n)), seed=seed)
     k = np.rint(np.angle(ct.chars[:, 1]) * n / (2 * np.pi)).astype(int) % n
     # descending Re chi(1), and of a conjugate pair Im chi(1) > 0 first; at
