@@ -21,8 +21,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .core import DEFAULT_SEED, HypergroupTable, NNTail
-from .view import TableView
+from .view import TableView, int_array
 from .errors import NonIntegerDimension
 from .groups import FiniteGroup, cyclic, from_cayley_table
 
@@ -255,44 +257,69 @@ def product(
 # -- truncated families ----------------------------------------------------
 
 
+def su2_tail(radius: int, q) -> NNTail:
+    """Tail bounds of the generator rows of ``su2_fusion(radius, q)`` beyond the section.
+
+    The row of the generator (label 2) at label b has mass [b-1]/([2][b])
+    below and [b+1]/([2][b]) above; the lower mass increases to
+    q^2/(1+q^2) and the upper decreases, so the sups over labels b >= R are
+    the limit and the boundary value.
+    """
+    qf = float(q)
+    alpha_sup = qf * qf / (1.0 + qf * qf) if qf < 1 else 0.5
+    beta_sup = float(q_integer(radius + 1, q)) / float(q_integer(2, q) * q_integer(radius, q))
+    return NNTail(alpha_sup, 0.0, beta_sup, start=radius - 1, exact=False)
+
+
 def su2_fusion(radius: int, q=1) -> HypergroupTable:
     """Fusion hypergroup of SU(2) (q = 1) or SU_q(2) quantum dimensions.
 
     Labels are the dimensions 1..radius; delta_a . delta_b is supported on
-    |a-b|+1, |a-b|+3, ..., a+b-1 with mass [c]_q / ([a]_q [b]_q).
+    |a-b|+1, |a-b|+3, ..., a+b-1 with mass [c]_q / ([a]_q [b]_q).  The
+    entries are built as arrays (:class:`TableView`): for a rational q the
+    masses are exact integer quotients, for a float q the same expression
+    in floats.
     """
     if radius < 2:
         raise ValueError("fusion section needs radius >= 2")
     q = check_q(q)
     R = radius
-    qi = [q_integer(k, q) for k in range(R + 2)]
-    rows = {}
-    for a in range(1, R + 1):
-        for b in range(a, R + 1):
-            if a + b - 1 > R:
-                continue
-            rows[(a - 1, b - 1)] = [
-                (c - 1, qi[c] / (qi[a] * qi[b]))
-                for c in range(b - a + 1, a + b, 2)
-            ]
+    # the stored products a <= b with a + b - 1 <= R, and their entries
+    # c = b - a + 1 + 2k, k = 0, ..., a - 1
+    A, B = np.meshgrid(np.arange(1, R + 1), np.arange(1, R + 1), indexing="ij")
+    stored = (A <= B) & (A + B <= R + 1)
+    a, b = A[stored], B[stored]
+    pair = np.repeat(np.arange(len(a)), a)
+    k = np.arange(len(pair)) - np.repeat(np.cumsum(a) - a, a)
+    c = (b - a + 1)[pair] + 2 * k
+    qi = [q_integer(m, q) for m in range(R + 2)]
+    if q == 1:
+        value = (c, (a * b)[pair])
+    elif isinstance(q, float):
+        d = np.array(qi)
+        value = d[c] / (d[a] * d[b])[pair]
+    else:
+        # with q = s/t, [m]_q = u_m / (st)^(m-1) for the integers
+        # u_m = (t^2m - s^2m) / (t^2 - s^2), so [c]/([a][b]) is
+        # u_c (st)^(a+b-1-c) / (u_a u_b), and a + b - 1 - c = 2(a - 1 - k);
+        # the numerators are gathered from a table of all u_c (st)^2j
+        s, t = q.numerator, q.denominator
+        u = np.array([(t ** (2 * m) - s ** (2 * m)) // (t * t - s * s) for m in range(R + 2)],
+                     dtype=object)
+        w = np.array([(s * t) ** (2 * j) for j in range(R)], dtype=object)
+        value = (np.multiply.outer(u, w)[c, (a - 1)[pair] - k], (u[a] * u[b])[pair])
     haar = [qi[a] * qi[a] for a in range(1, R + 1)]
-    # tail: row of the generator (label 2) at label b has mass
-    # [b-1]/([2][b]) below and [b+1]/([2][b]) above; the lower mass
-    # increases to q^2/(1+q^2) and the upper decreases, so sups over
-    # labels b >= R are the limit resp. the boundary value.
-    qf = float(q)
-    alpha_sup = qf * qf / (1.0 + qf * qf) if qf < 1 else 0.5
-    beta_sup = float(q_integer(R + 1, q)) / float(q_integer(2, q) * q_integer(R, q))
     name = f"suq2_fusion_q{q}_R{R}" if q != 1 else f"su2_fusion_R{R}"
     return HypergroupTable(
         name,
         R,
         list(range(R)),
-        rows,
+        None,
+        view=TableView(R, 0, range(R), True, a[pair] - 1, b[pair] - 1, c - 1, value),
         haar=haar,
         truncated=True,
         radius=R,
-        tail=NNTail(alpha_sup, 0.0, beta_sup, start=R - 1, exact=False),
+        tail=su2_tail(R, q),
         generator=1,
         elements=tuple(str(a) for a in range(1, R + 1)),
     )
@@ -307,7 +334,8 @@ def tree_radial(q: int, radius: int) -> HypergroupTable:
     for 0 < j < m and 1/((q+1) q^(m-1)) on n-m.  For m = 1 this is the
     walk delta_1 . delta_n = (1/(q+1)) delta_{n-1} + (q/(q+1)) delta_{n+1}.
     Every pair m <= n with m + n <= R is stored, exactly in rational
-    arithmetic.  Haar weights are lam(0) = 1, lam(n) = (q+1) q^{n-1}.
+    arithmetic, as arrays gathered from the masses of each m.  Haar weights
+    are lam(0) = 1, lam(n) = (q+1) q^{n-1}.
     """
     if not (isinstance(q, int) and q >= 2):
         raise ValueError("tree_radial needs an integer branching q >= 2")
@@ -317,18 +345,27 @@ def tree_radial(q: int, radius: int) -> HypergroupTable:
     lo, hi = Fraction(1, q + 1), Fraction(q, q + 1)
     # masses[m]: the masses of delta_m . delta_n on n-m, n-m+2, ..., n+m
     mid = [None] + [Fraction(q - 1, (q + 1) * q**j) for j in range(1, R // 2)]
-    masses = [(Fraction(1),)] + [
-        (Fraction(1, (q + 1) * q ** (m - 1)),) + tuple(mid[m - 1:0:-1]) + (hi,)
-        for m in range(1, R // 2 + 1)
+    masses = [Fraction(1)] + [
+        v for m in range(1, R // 2 + 1)
+        for v in ((Fraction(1, (q + 1) * q ** (m - 1)),) + tuple(mid[m - 1:0:-1]) + (hi,))
     ]
-    rows = {(m, n): list(zip(range(n - m, n + m + 1, 2), masses[m]))
-            for m in range(R // 2 + 1) for n in range(m, R - m + 1)}
+    # the stored products m <= n with m + n <= R; masses[m] starts at m (m + 1) / 2
+    M, N = np.meshgrid(np.arange(R // 2 + 1), np.arange(R + 1), indexing="ij")
+    stored = (M <= N) & (M + N <= R)
+    m, n = M[stored], N[stored]
+    pair = np.repeat(np.arange(len(m)), m + 1)
+    i = np.arange(len(pair)) - np.repeat(np.cumsum(m + 1) - m - 1, m + 1)
+    mass = (m * (m + 1) // 2)[pair] + i
+    value = (int_array(v.numerator for v in masses)[mass],
+             int_array(v.denominator for v in masses)[mass])
     haar = [Fraction(1)] + [Fraction((q + 1) * q ** (n - 1)) for n in range(1, R + 1)]
     return HypergroupTable(
         f"tree_radial_q{q}_R{R}",
         R + 1,
         list(range(R + 1)),
-        rows,
+        None,
+        view=TableView(R + 1, 0, range(R + 1), True, m[pair], n[pair],
+                       (n - m)[pair] + 2 * i, value),
         haar=haar,
         truncated=True,
         radius=R,

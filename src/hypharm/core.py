@@ -137,8 +137,9 @@ class HypergroupTable:
     missing row raises :class:`TruncationOverflow` rather than clipping.
 
     A table may instead be given its :class:`TableView` (``rows`` None), as
-    :func:`hypharm.builders.product` does; its rows are then built from the
-    view on first use.
+    the builders of products, sections and fusion rings do.  Such a table
+    reads single rows from the view as they are asked for, and builds the
+    whole ``rows`` dict only when ``rows`` itself is read.
     """
 
     def __init__(
@@ -192,6 +193,7 @@ class HypergroupTable:
             if rows is not None or view.n != size:
                 raise ValueError("give a table its rows or a view of its size")
             view._table = weakref.ref(self)
+            self._read = {}  # the rows read so far
             self._view, self.exact = view, view.rational
             if not (truncated or view.has_row.all()):
                 raise ValueError("finite table is missing rows")
@@ -232,7 +234,7 @@ class HypergroupTable:
     def view(self) -> TableView:
         """The cached numeric form of the table, built on first use."""
         if self._view is None:
-            self._view = TableView(self)
+            self._view = TableView.of_rows(self)
         return self._view
 
     # -- basic access ---------------------------------------------------
@@ -241,19 +243,21 @@ class HypergroupTable:
         return (min(x, y), max(x, y)) if self.commutative else (x, y)
 
     def has_row(self, x: int, y: int) -> bool:
-        return self._key(x, y) in self.rows
+        if self._rows is None:
+            return 0 <= x < self.size and 0 <= y < self.size and bool(self._view.has_row[x, y])
+        return self._key(x, y) in self._rows
 
     def row(self, x: int, y: int) -> tuple[tuple[int, Value], ...]:
         """Sparse probability vector of the product ``x . y``."""
         if not (0 <= x < self.size and 0 <= y < self.size):
             raise IndexError(f"element index out of range: ({x},{y})")
         key = self._key(x, y)
-        try:
-            return self.rows[key]
-        except KeyError:
-            raise TruncationOverflow(
-                f"{self.name}: product {x}.{y} leaves the stored section"
-            ) from None
+        rows = self._read if self._rows is None else self._rows
+        if key not in rows:
+            if not self.has_row(x, y):
+                raise TruncationOverflow(f"{self.name}: product {x}.{y} leaves the stored section")
+            rows[key] = self._view.row(*key)
+        return rows[key]
 
     def coeff(self, x: int, y: int, z: int):
         for w, v in self.row(x, y):
@@ -557,21 +561,21 @@ def _haar_defect(H: HypergroupTable):
     Rational tables with rational weights run on integer numerators over
     the common denominator.  Where products of numerators leave the exact
     float64 range, the defect is checked modulo primes, and the Fraction
-    loop runs only to report a defect that is not 0.
+    loop runs only to report a defect that is not 0.  Float tables or
+    weights run in floats.
     """
     V = H.view
-    if not H.exact:
+    if not (H.exact and all(_is_exact(v) for v in H.haar)):
         return float(haar_defect(V, V.c, V.lam))
-    if all(_is_exact(v) for v in H.haar):
-        lam_den = math.lcm(*{v.denominator for v in H.haar})
-        lam = [v.numerator * (lam_den // v.denominator) for v in H.haar]
-        if (ex := V.exact()) is not None:
-            c, den = ex
-            if 2 * max(map(abs, lam)) * int(np.abs(c).max(initial=0)) <= EXACT_FLOAT:
-                worst = haar_defect(V, c, np.array(lam, dtype=float))
-                return Fraction(int(worst), lam_den * den)
-        if haar_defect_vanishes(V, lam):
-            return Fraction(0)
+    lam_den = math.lcm(*{v.denominator for v in H.haar})
+    lam = [v.numerator * (lam_den // v.denominator) for v in H.haar]
+    if (ex := V.exact()) is not None:
+        c, den = ex
+        if 2 * max(map(abs, lam)) * int(np.abs(c).max(initial=0)) <= EXACT_FLOAT:
+            worst = haar_defect(V, c, np.array(lam, dtype=float))
+            return Fraction(int(worst), lam_den * den)
+    if haar_defect_vanishes(V, lam):
+        return Fraction(0)
     return _haar_defect_loop(H)
 
 
@@ -584,10 +588,11 @@ def haar_weights(H: HypergroupTable, tol: float = DEFAULT_TOL) -> tuple:
     *-representation on l2(lam)).
     """
     lam = H.haar
-    if abs(lam[H.identity] - 1) > tol:
+    # a verdict of NaN compares false: pass only on evidence, worst <= tol
+    if not abs(lam[H.identity] - 1) <= tol:
         raise ZeroDiagonal(f"{H.name}: lam(e) = {lam[H.identity]} != 1")
     worst = _haar_defect(H)
-    if float(worst) > tol:
+    if not float(worst) <= tol:
         raise ZeroDiagonal(
             f"{H.name}: Haar invariance identity violated by {float(worst):.3g}"
         )
@@ -761,8 +766,16 @@ def _flag(tok: str) -> bool:
     return bool(int(tok))
 
 
+def _finite(tok: str):
+    """:func:`parse_number` of a token that must be a finite number."""
+    v = parse_number(tok)
+    if isinstance(v, float) and not math.isfinite(v):
+        raise ValueError(f"{tok!r} is not a finite number")
+    return v
+
+
 def _real(tok: str) -> float:
-    return float(parse_number(tok))
+    return float(_finite(tok))
 
 
 def load_table(path: str) -> HypergroupTable:
@@ -778,7 +791,7 @@ def load_table(path: str) -> HypergroupTable:
             row = rows.setdefault((x, y), {})
             if z in row:
                 raise FileFormatError(f"duplicate triple {x} {y} {z}", line=ln)
-            row[z] = parse_number(toks[3])
+            row[z] = _finite(toks[3])
     tail = f.values("tail", (_real, _real, _real, int, _flag), default=None)
     with f.at(f.end):
         return HypergroupTable(
@@ -787,7 +800,7 @@ def load_table(path: str) -> HypergroupTable:
             f.values("involution", index, count=size),
             {key: row.items() for key, row in rows.items()},
             identity=f.value("identity", index, 0),
-            haar=f.values("haar", parse_number, count=size, default=None),
+            haar=f.values("haar", _finite, count=size, default=None),
             commutative=f.value("commutative", _flag, True),
             truncated=f.value("truncated", _flag, False),
             radius=f.value("radius", int, None),

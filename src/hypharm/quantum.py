@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .builders import (
     DEFAULT_SEED,
     GroupCharacterData,
@@ -32,9 +34,10 @@ from .builders import (
     conjugacy_hypergroup,
     group_character_data,
     q_integer,
-    su2_fusion,
+    su2_tail,
 )
 from .core import HFunction, HypergroupTable, LineFile, int_in, parse_number
+from .view import TableView, int_array
 from .errors import FileFormatError, ReciprocityError
 from .groups import FiniteGroup
 from .norms import norm_A, norm_Blambda
@@ -96,7 +99,7 @@ class FusionRing:
                             f"N^{g}_{{{a},{b}}}={n} but partner ({x},{y},{z})={other}"
                         )
             for dims in (self.ndims, self.ddims):
-                lhs = sum(row.get(g, 0) * dims[g] for g in range(self.size))
+                lhs = sum(n * dims[g] for g, n in row.items())
                 if abs(float(lhs - dims[a] * dims[b])) > tol * float(
                     dims[a] * dims[b]
                 ):
@@ -162,25 +165,33 @@ def su2_fusion_ring(radius: int, q=1) -> FusionRing:
 
 
 def _ring_table(FR: FusionRing, dims, kind: str) -> HypergroupTable:
-    rows = {}
-    for (a, b), row in FR.mult.items():
-        rows[(a, b)] = [
-            (g, Fraction(dims[g] * n, dims[a] * dims[b])
-             if isinstance(dims[g], int) or isinstance(dims[g], Fraction)
-             else dims[g] * n / (dims[a] * dims[b]))
-            for g, n in row.items()
-        ]
+    """The table of ``FR`` with c^g_{a,b} = N^g_{ab} d_g / (d_a d_b) for the dimensions ``dims``.
+
+    Exact if every dimension is an integer or a Fraction, else in floats.
+    """
+    keys = list(FR.mult)
+    counts = [len(FR.mult[k]) for k in keys]
+    a, b = np.repeat(np.array(keys, dtype=np.int64).reshape(-1, 2), counts, axis=0).T
+    g = np.array([g for row in FR.mult.values() for g in row], dtype=np.int64)
+    N = np.array([n for row in FR.mult.values() for n in row.values()], dtype=object)
+    if all(isinstance(d, (int, Fraction)) for d in dims):
+        num = np.array([Fraction(d).numerator for d in dims], dtype=object)
+        den = np.array([Fraction(d).denominator for d in dims], dtype=object)
+        value = (int_array(N * num[g] * den[a] * den[b]), int_array(den[g] * num[a] * num[b]))
+    else:
+        d = np.array([float(v) for v in dims])
+        value = d[g] * N.astype(float) / (d[a] * d[b])
     truncated = not FR.complete
     tail = None
     if truncated and FR.q is not None:
-        # su2-type ring: reuse the closed-form tail bounds of the family
-        ref = su2_fusion(FR.size, q=FR.q if kind == "d" else 1)
-        tail = ref.tail
+        # su2-type ring: the closed-form tail bounds of the family
+        tail = su2_tail(FR.size, FR.q if kind == "d" else 1)
     return HypergroupTable(
         f"({FR.name},{kind})",
         FR.size,
         FR.conjugate,
-        rows,
+        None,
+        view=TableView(FR.size, FR.trivial, FR.conjugate, True, a, b, g, value),
         identity=FR.trivial,
         haar=[d * d for d in dims],
         truncated=truncated,
@@ -192,14 +203,12 @@ def _ring_table(FR: FusionRing, dims, kind: str) -> HypergroupTable:
 
 
 def hypergroup_n(FR: FusionRing) -> HypergroupTable:
-    """The hypergroup (Irr, n) built from the classical dimensions."""
-    FR.validate()
+    """The hypergroup (Irr, n) built from the classical dimensions of a validated ring."""
     return _ring_table(FR, FR.ndims, "n")
 
 
 def hypergroup_d(FR: FusionRing) -> HypergroupTable:
-    """The hypergroup (Irr, d) built from the quantum dimensions."""
-    FR.validate()
+    """The hypergroup (Irr, d) built from the quantum dimensions of a validated ring."""
     return _ring_table(FR, FR.ddims, "d")
 
 

@@ -35,6 +35,7 @@ from .core import (
     verify_axioms,
 )
 from .errors import DegenerateSpectrum, DominationFailure
+from .view import TableView
 
 _GAP_THRESHOLD = 1e-8
 # Draws whose smallest eigenvalue gap is below this share of the scale get a
@@ -587,18 +588,21 @@ def voit_deform(
         pair = DeformedPair(H, chi, deformed, deformed.haar, 0.0, 0.0)
         return pair
 
-    rows = {}
-    for (x, y), entries in H.rows.items():
-        rows[(x, y)] = [
-            (z, chi[z] * float(c) / (chi[x] * chi[y])) for z, c in entries
-        ]
+    # c'^z_{x,y} = chi(z) c^z_{x,y} / (chi(x) chi(y)) on the entries of the
+    # view; a commutative table gives its products once, x <= y
+    V = H.view
+    c = chi[V.z] * V.c / (chi[V.x] * chi[V.y])
+    given = V.x <= V.y if H.commutative else slice(None)
+    view = TableView(H.size, H.identity, H.involution, H.commutative,
+                     V.x[given], V.y[given], V.z[given], c[given])
     haar_def = tuple(chi[x] ** 2 * float(H.haar[x]) for x in range(H.size))
     tail = _deformed_tail(H, chi) if (H.truncated and H.tail is not None) else None
     deformed = HypergroupTable(
         f"{H.name}_voit",
         H.size,
         H.involution,
-        rows,
+        None,
+        view=view,
         identity=H.identity,
         haar=haar_def,
         commutative=H.commutative,

@@ -1,9 +1,10 @@
 """The numeric view of a hypergroup table and the array checks run on it.
 
 :class:`TableView` is the read-only array form of a
-:class:`~hypharm.core.HypergroupTable`, built on first use of ``H.view``
-and cached on the table.  The axiom and Haar checks of :mod:`hypharm.core`
-and the spectral code run on it.  The functions here take coefficient
+:class:`~hypharm.core.HypergroupTable`: given to the table by its builder,
+or built from the table's rows on first use of ``H.view`` and cached on
+it.  The axiom and Haar checks of :mod:`hypharm.core` and the spectral code
+run on it.  The functions here take coefficient
 arrays aligned with the view's entries: float64 values, or integer
 numerators over a common denominator held in float64, in which case every
 sum they form is exact (see :meth:`TableView.exact`).  Given primes ``p``,
@@ -18,8 +19,8 @@ import math
 import weakref
 from functools import cached_property
 from fractions import Fraction
-from itertools import compress, repeat
-from operator import attrgetter, truediv
+from itertools import repeat
+from operator import truediv
 
 import numpy as np
 
@@ -92,9 +93,16 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _values(H) -> list:
-    """The stored coefficients of ``H``, row by row."""
-    return [v for row in H.rows.values() for _, v in row]
+def int_array(values) -> np.ndarray:
+    """The Python integers ``values`` in int64 if each is at most 2**53 in size.
+
+    Below 2**53 an integer is exact in float64, so the float64 quotient of
+    two such integers is the correctly rounded one; larger ones stay Python
+    ints, in an object array.
+    """
+    values = list(values)
+    big = max(map(abs, values), default=0) > EXACT_FLOAT
+    return np.array(values, dtype=object if big else np.int64)
 
 
 class TableView:
@@ -103,51 +111,151 @@ class TableView:
     Every stored coefficient is one entry ``c^z_{x,y}``; commutative tables
     list each product in both orders.  Entries are sorted by ``(x, y, z)``:
 
-    * ``x, y, z, c`` -- the entries, indices in int32, ``c`` in float64;
+    * ``x, y, z, c`` -- the entries, indices in int32, ``c`` in float64
+      (for a rational table each ``c`` is the correctly rounded quotient of
+      its exact value, computed on first use);
     * ``px, py`` -- the stored products, ``starts`` their CSR offsets into
       the entries and ``pair`` the product of each entry;
     * ``has_row`` -- the ``n x n`` mask of stored products;
     * ``inv`` -- the involution; ``lam`` -- float Haar weights (on first use);
     * ``rational`` -- whether the coefficients are exact rationals;
     * :meth:`dense` -- the coefficients as an ``n x n x n`` array;
+    * :meth:`row` and :meth:`rows` -- the coefficients as table rows, exact
+      ones as Fractions;
     * :meth:`exact` -- integer numerators over one common denominator (on
       first use, exact tables only).
+
+    The view is built from its entries: a builder gives them as arrays, and
+    :meth:`of_rows` gathers them from the rows of a table.
     """
 
-    def __init__(self, H):
-        self._table = weakref.ref(H)
-        # the stored rows are read once; mirrored products reuse their entries
-        values = _values(H)
-        products, size = [], 0  # (x, y, offset of the stored row, its length)
-        for (x, y), row in H.rows.items():
-            products.append((x, y, size, len(row)))
-            if H.commutative and x != y:
-                products.append((y, x, size, len(row)))
-            size += len(row)
-        products.sort()
-        px, py, first, counts = np.array(products, dtype=np.int64).reshape(-1, 4).T
+    def __init__(self, n: int, identity: int, involution, commutative: bool,
+                 x, y, z, value):
+        """The view of the entries ``c^z_{x,y}`` listed in ``x, y, z``.
+
+        ``value`` holds one coefficient per entry: a pair ``(num, den)`` of
+        integer arrays for an exact table (int64, or Python ints beyond
+        2**53), else a float array.  A commutative table names each product
+        once, in either order, or in both orders with the same row.  Entries
+        already sorted by ``(x, y, z)`` are taken as they are.  Zero
+        coefficients are dropped; their product stays stored, so that a
+        product given only zeros is a stored row without entries.  Raises
+        ValueError for an index out of range, a support index named twice
+        in one row, two orders of one product with different rows, a
+        non-finite float or a zero denominator.
+        """
+        x, y, z = (np.asarray(a, dtype=np.int64).ravel() for a in (x, y, z))
+        if rational := isinstance(value, tuple):
+            vals = [np.asarray(a).ravel() for a in value]
+            # int64 only below 2**53 (see int_array), else Python ints for both
+            if any(a.dtype == object or np.abs(a).max(initial=0) > EXACT_FLOAT for a in vals):
+                vals = [a.astype(object, copy=False) for a in vals]
+        else:
+            vals = [np.asarray(value, dtype=float).ravel()]
+
+        def key(i):
+            return (int(x[i]), int(y[i]))
+
+        def fail(mask, message):
+            if (bad := np.flatnonzero(mask)).size:
+                raise ValueError(message(bad[0]))
+
+        fail((x < 0) | (x >= n) | (y < 0) | (y >= n), lambda i: f"row index {key(i)} out of range")
+        flip = np.zeros(len(x), dtype=bool)
+        if commutative:
+            flip = x > y
+            x, y = np.where(flip, y, x), np.where(flip, x, y)
+        fail((z < 0) | (z >= n), lambda i: f"support index {z[i]} out of range in row {key(i)}")
+        if not rational:
+            fail(~np.isfinite(vals[0]), lambda i: f"structure constants must be finite, "
+                                                  f"got {vals[0][i]} in row {key(i)}")
+        elif (vals[1] <= 0).any():
+            fail(vals[1] == 0, lambda i: f"structure constants must have nonzero "
+                                         f"denominators, got 0 in row {key(i)}")
+            vals = [np.where(vals[1] < 0, -a, a) for a in vals]
+
+        # sorted by row (x, y) and, within a commutative row, by the order given
+        order = ((x * n + y) * 2 + flip) * n + z
+        if not (np.diff(order) > 0).all():
+            s = np.argsort(order, kind="stable")
+            x, y, z, flip, order = x[s], y[s], z[s], flip[s], order[s]
+            vals = [a[s] for a in vals]
+            fail(np.diff(order) == 0, lambda i: f"row {key(i)} names support index {z[i]} twice")
+        nonzero = vals[0] != 0
+        product = x * n + y
+        if flip.any():
+            # a product named in both orders: the two rows must agree
+            both = np.isin(product, product[flip]) & np.isin(product, product[~flip])
+            given: dict = {}
+            for i in np.flatnonzero(both & nonzero).tolist():
+                v = Fraction(int(vals[0][i]), int(vals[1][i])) if rational else vals[0][i]
+                given.setdefault((int(product[i]), bool(flip[i])), []).append((z[i], v))
+            for p in np.unique(product[both]).tolist():
+                if given.get((p, False)) != given.get((p, True)):
+                    raise ValueError(f"conflicting data for row {(p // n, p % n)}")
+            keep = ~(flip & both)
+            x, y, z, nonzero, product = x[keep], y[keep], z[keep], nonzero[keep], product[keep]
+            vals = [a[keep] for a in vals]
+
+        # the stored products, and their entries without the zeros
+        first = np.flatnonzero(np.concatenate(([True], product[1:] != product[:-1])))
+        counts = np.diff(np.append(first, len(product)))
+        if not nonzero.all():
+            counts = np.add.reduceat(nonzero.astype(np.int64), first) if len(first) else first
+            z, vals = z[nonzero], [a[nonzero] for a in vals]
+        self._store(n, identity, involution, commutative, rational, x[first], y[first], counts,
+                    z, vals)
+
+    @classmethod
+    def of_rows(cls, H) -> "TableView":
+        """The view of the table ``H`` from its stored rows, which its constructor cleaned."""
+        rows = H.rows
+        counts = np.array([len(row) for row in rows.values()], dtype=np.int64)
+        px, py = np.array(list(rows), dtype=np.int64).reshape(-1, 2).T
+        z = np.fromiter((z for row in rows.values() for z, _ in row), np.int64, counts.sum())
+        vals = [v for row in rows.values() for _, v in row]
+        if H.exact:
+            vals = [int_array(v.numerator for v in vals), int_array(v.denominator for v in vals)]
+        else:
+            vals = [np.fromiter(map(float, vals), float, len(vals))]
+        V = cls.__new__(cls)
+        V._store(H.size, H.identity, H.involution, H.commutative, H.exact, px, py, counts, z, vals)
+        V._table = weakref.ref(H)
+        return V
+
+    def _store(self, n, identity, involution, commutative, rational, px, py, counts, z, vals):
+        """Set the view from the stored products, in any order, and their entries, row by row.
+
+        A commutative table's products are stored once; their mirrored
+        products reuse the stored entries.  ``vals`` are the stored values:
+        ``[num, den]`` if ``rational``, else ``[c]``.
+        """
+        first = np.cumsum(counts) - counts
+        if commutative:
+            off = px != py
+            first = np.concatenate((first, first[off]))
+            counts = np.concatenate((counts, counts[off]))
+            px, py = np.concatenate((px, py[off])), np.concatenate((py, px[off]))
+        s = np.argsort(px * n + py, kind="stable")
+        px, py, first, counts = px[s], py[s], first[s], counts[s]
         starts = np.concatenate(([0], np.cumsum(counts)))
         # entry i of product p is stored entry first[p] + i - starts[p]
         self._source = np.arange(starts[-1]) + np.repeat(first - starts[:-1], counts)
-        z = np.fromiter((z for row in H.rows.values() for z, _ in row), np.int32, size)
-        if H.exact:  # what float() does for a rational, without its call overhead
-            c = map(truediv, map(attrgetter("numerator"), values),
-                    map(attrgetter("denominator"), values))
+        self._index(n, identity, involution, commutative, rational, px, py, starts,
+                    self.entries(z))
+        if rational:
+            self._num, self._den = vals
         else:
-            c = map(float, values)
-        c = np.fromiter(c, float, size)[self._source]
-        self._index(H.size, H.identity, H.involution, H.commutative, H.exact,
-                    px, py, starts, z[self._source], c)
-        self._numerators = None
+            self.c = _frozen(self.entries(vals[0]))
 
-    def _index(self, n, identity, involution, commutative, rational, px, py, starts, z, c):
+    def _index(self, n, identity, involution, commutative, rational, px, py, starts, z):
         """Set the entry arrays from the sorted products and their entries."""
         self.n, self.identity, self.commutative, self.rational = n, identity, commutative, rational
         self.px, self.py = _frozen(px.astype(np.int32)), _frozen(py.astype(np.int32))
         self.starts = _frozen(starts)
         self.pair = _frozen(np.repeat(np.arange(len(px), dtype=np.int32), np.diff(starts)))
         self.x, self.y = _frozen(self.px[self.pair]), _frozen(self.py[self.pair])
-        self.z, self.c = _frozen(z.astype(np.int32)), _frozen(c)
+        self.z = _frozen(z.astype(np.int32))
         has_row = np.zeros((n, n), dtype=bool)
         has_row[self.px, self.py] = True
         self.has_row = _frozen(has_row)
@@ -183,7 +291,7 @@ class TableView:
         i = V1.starts[p1][pair] + local // k2
         j = V2.starts[p2][pair] + local % k2
         V = cls.__new__(cls)
-        V._source = V._numerators = None
+        V._source = None
         rational = V1.rational and V2.rational
         if rational:
             (N1, D1), (N2, D2) = V1.numerators(), V2.numerators()
@@ -191,18 +299,27 @@ class TableView:
             small = max(max(map(abs, N1)) * max(map(abs, N2)), den) <= EXACT_FLOAT
             kind = np.int64 if small else object  # else Python ints
             N = V1.entries(np.array(N1, dtype=kind))[i] * V2.entries(np.array(N2, dtype=kind))[j]
-            V._numerators = (N, den)
-            # one rounding of the exact quotient, in float64 or by Python ints
-            c = N / den if small else np.fromiter(map(truediv, N.tolist(), repeat(den)),
-                                                  float, len(N))
+            V._num, V._den = N, den
         else:
-            c = V1.c[i] * V2.c[j]
+            V.c = _frozen(V1.c[i] * V2.c[j])
         inv = V1.inv[:, None] * n2 + V2.inv
         V._index(n1 * n2, V1.identity * n2 + V2.identity, inv.ravel(),
                  V1.commutative and V2.commutative, rational,
                  grid.repeat(n1 * n2), np.tile(grid, n1 * n2), starts,
-                 V1.z[i] * n2 + V2.z[j], c)
+                 V1.z[i] * n2 + V2.z[j])
         return V
+
+    @cached_property
+    def c(self) -> np.ndarray:
+        """A rational view's coefficients in float64, each rounded once from ``num / den``."""
+        num, den = self._num, self._den
+        if num.dtype == object:  # int64 numerators come with denominators below 2**53
+            # Python's int / int rounds correctly at any size
+            den = den.tolist() if np.ndim(den) else repeat(den)
+            c = np.fromiter(map(truediv, num.tolist(), den), float, len(num))
+        else:
+            c = num / den
+        return _frozen(self.entries(c))
 
     @cached_property
     def lam(self) -> np.ndarray:
@@ -218,38 +335,49 @@ class TableView:
         return C
 
     def numerators(self) -> tuple[list[int], int]:
-        """Integer numerators of the stored coefficients (row by row) and ``D``.
+        """Integer numerators of the stored coefficients and ``D``.
 
-        Each coefficient is ``N / D`` over the common denominator ``D``.
-        Arrays aligned with these numerators map to the view's entries
-        through :meth:`entries`.  A view built by :meth:`product` stores
-        no rows: its numerators are those of its entries, over ``D1 D2``.
+        Each coefficient is ``N / D`` over the common denominator ``D``, the
+        least common multiple of the coefficients' reduced denominators
+        (for a view built by :meth:`product`, ``D1 D2``).  Arrays aligned
+        with these numerators map to the view's entries through :meth:`entries`.
         """
-        if self._numerators is not None:
-            nums, den = self._numerators
-            return nums.tolist(), den
-        vals = _values(self._table())
-        den = math.lcm(*{v.denominator for v in vals})
-        return [v.numerator * (den // v.denominator) for v in vals], den
+        num, den = self._num, self._den
+        if np.ndim(den) == 0:
+            return num.tolist(), den
+        g = np.gcd(num, den)
+        num, den = (num // g).tolist(), (den // g).tolist()
+        common = math.lcm(*set(den))
+        return [a * (common // b) for a, b in zip(num, den)], common
 
     def entries(self, a: np.ndarray) -> np.ndarray:
         """Values given per stored coefficient, rearranged to the view's entries."""
         return a if self._source is None else a[..., self._source]
 
-    def rows(self) -> dict:
-        """The rows ``(x, y) -> ((z, c), ...)`` of a view built by :meth:`product`.
+    def _coefficients(self, i: np.ndarray) -> list:
+        """The coefficients of the entries ``i``: Fractions if rational, else floats."""
+        if not self.rational:
+            return self.c[i].tolist()
+        if self._source is not None:
+            i = self._source[i]
+        den = self._den[i].tolist() if np.ndim(self._den) else repeat(self._den)
+        return list(map(Fraction, self._num[i].tolist(), den))
 
-        Commutative tables keep ``x <= y``; ``c`` is the Fraction ``N / D``
-        of a rational table, else the float.
-        """
+    @cached_property
+    def _products(self) -> np.ndarray:
+        return self.px.astype(np.int64) * self.n + self.py
+
+    def row(self, x: int, y: int) -> tuple:
+        """The row ``((z, c), ...)`` of the stored product ``x . y``."""
+        p = int(np.searchsorted(self._products, x * self.n + y))
+        i = np.arange(self.starts[p], self.starts[p + 1])
+        return tuple(zip(self.z[i].tolist(), self._coefficients(i)))
+
+    def rows(self) -> dict:
+        """All rows ``(x, y) -> ((z, c), ...)``; commutative tables keep ``x <= y``."""
         keep = self.px <= self.py if self.commutative else np.ones(len(self.px), dtype=bool)
-        mask = keep[self.pair]
-        if self.rational:
-            nums, den = self.numerators()
-            vals = [Fraction(v, den) for v in compress(nums, mask.tolist())]
-        else:
-            vals = self.c[mask].tolist()
-        z = self.z[mask].tolist()
+        i = np.flatnonzero(keep[self.pair])
+        z, vals = self.z[i].tolist(), self._coefficients(i)
         out, lo = {}, 0
         for x, y, k in zip(self.px[keep].tolist(), self.py[keep].tolist(),
                            np.diff(self.starts)[keep].tolist()):
@@ -271,6 +399,11 @@ class TableView:
             if 2 * self.n * top * top <= EXACT_FLOAT:
                 self._exact = (_frozen(self.entries(np.array(nums, dtype=float))), den)
         return self._exact or None
+
+
+def _worst(a, b):
+    """The larger of ``a`` and ``b``, or NaN if one is NaN (``max`` keeps the first)."""
+    return a if a >= b or a != a else b
 
 
 def axiom_defects(V: TableView, c: np.ndarray, one, p: np.ndarray | None = None,
@@ -295,7 +428,7 @@ def axiom_defects(V: TableView, c: np.ndarray, one, p: np.ndarray | None = None,
     out = {}
     sums = np.array([np.bincount(V.pair, weights=row, minlength=len(V.px))
                      for row in np.atleast_2d(c)]).reshape(c.shape[:-1] + (-1,))
-    out["probability"] = max(_defect(sums - one, p).max(initial=0), -s.min(initial=0))
+    out["probability"] = _worst(_defect(sums - one, p).max(initial=0), -s.min(initial=0))
 
     out["commutativity"] = 0.0
     if not V.commutative:
@@ -306,10 +439,10 @@ def axiom_defects(V: TableView, c: np.ndarray, one, p: np.ndarray | None = None,
     at = V.py[V.px == e]
     worst = _defect(C[..., e, at, at] - one, p).max(initial=0)
     at = V.px[V.py == e]
-    worst = max(worst, _defect(C[..., at, e, at] - one, p).max(initial=0))
+    worst = _worst(worst, _defect(C[..., at, e, at] - one, p).max(initial=0))
     for side, other in ((V.x, V.y), (V.y, V.x)):
         off = (side == e) & (V.z != other)
-        worst = max(worst, np.bincount(other[off], np.abs(s[off]), minlength=V.n).max())
+        worst = _worst(worst, np.bincount(other[off], np.abs(s[off]), minlength=V.n).max())
     out["identity"] = worst
 
     # involution anti-homomorphism: c^z_{x,y} = c^{z~}_{y~,x~}
@@ -323,8 +456,8 @@ def axiom_defects(V: TableView, c: np.ndarray, one, p: np.ndarray | None = None,
     to_e = V.z == e
     ce[V.pair[to_e]] = s[to_e]
     to_inverse = V.py == inv[V.px]
-    out["support"] = max(np.abs(ce[~to_inverse]).max(initial=0),
-                         np.max(one) if (ce[to_inverse] <= 0).any() else 0.0)
+    out["support"] = _worst(np.abs(ce[~to_inverse]).max(initial=0),
+                            0.0 if (ce[to_inverse] > 0).all() else np.max(one))
 
     out["associativity"], checked = _associativity(V, C, p)
     return out, checked
@@ -369,7 +502,7 @@ def _associativity(V: TableView, C: np.ndarray, p: np.ndarray | None) -> tuple[f
             diff = C[..., x, lo:hi, :] @ left_of
             diff -= (right_of[..., lo * n:hi * n, :] @ C[..., x, :, :]).reshape(diff.shape)
             diff = _defect(diff, p).reshape(lead + (hi - lo, n, n))
-            worst = max(worst, diff.max(axis=-1)[..., ok[lo:hi]].max())
+            worst = _worst(worst, diff.max(axis=-1)[..., ok[lo:hi]].max())
     return worst, checked
 
 

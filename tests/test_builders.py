@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hypharm import builders, groups, verify_axioms
+from hypharm import builders, check_p2, chi0, groups, verify_axioms, voit_deform
 from hypharm.builders import FamilySpec, family, product, q_integer
 from hypharm.core import HypergroupTable
 from hypharm.errors import NoIdentity, NotAssociative, NotLatinSquare
@@ -262,7 +262,8 @@ def test_product_rows_are_built_on_first_use():
     K = product(H, H)
     assert verify_axioms(K).passed
     assert K._rows is None
-    assert K.has_row(4, 7) and K._rows is not None
+    assert K.has_row(4, 7) and K._rows is None
+    assert K.rows and K._rows is not None
 
 
 def test_product_size_cap():
@@ -333,6 +334,70 @@ def test_suq2_qhalf_values():
     # q-integer identity: haar = [b]^2 = 1/c^e_{b,b}
     for b in range(1, 7):
         assert H.haar[b - 1] == 1 / dict(H.row(b - 1, b - 1))[0]
+
+
+def su2_fusion_rows_loop(R, q):
+    """The rows of su2_fusion(R, q) by one division [c]_q / ([a]_q [b]_q) per entry.
+
+    The Fraction (or float) loop that the entry arrays of su2_fusion replaced.
+    """
+    qi = [q_integer(k, builders.check_q(q)) for k in range(R + 2)]
+    return {(a - 1, b - 1): tuple((c - 1, qi[c] / (qi[a] * qi[b]))
+                                  for c in range(b - a + 1, a + b, 2))
+            for a in range(1, R + 1) for b in range(a, R + 1) if a + b - 1 <= R}
+
+
+SU2_QS = [1, Fraction(1, 2), Fraction(2, 3), 0.7]
+
+
+@pytest.mark.parametrize("q", SU2_QS, ids=str)
+def test_su2_fusion_matches_fraction_loop(q):
+    for R in range(2, 41):
+        H, oracle = builders.su2_fusion(R, q=q), su2_fusion_rows_loop(R, q)
+        assert H.exact == (not isinstance(q, float))
+        assert list(H.rows) == list(oracle), R
+        assert [[(z, type(v), v) for z, v in row] for row in H.rows.values()] == [
+            [(z, type(v), v) for z, v in row] for row in oracle.values()], R
+        V = H.view
+        want = np.array([float(dict(oracle[(min(x, y), max(x, y))])[z])
+                         for x, y, z in zip(V.x.tolist(), V.y.tolist(), V.z.tolist())])
+        assert V.c.tobytes() == want.tobytes(), R
+        loop = HypergroupTable("loop", R, range(R), oracle, truncated=True)
+        assert V.c.tobytes() == loop.view.c.tobytes(), R
+        if H.exact:
+            assert V.numerators() == loop.view.numerators(), R
+
+
+@pytest.mark.parametrize("build, status", [
+    (lambda: builders.su2_fusion(60, q=Fraction(1, 2)), "fails"),
+    (lambda: builders.su2_fusion(60), "holds"),
+    (lambda: builders.tree_radial(2, 60), "fails"),
+], ids=["suq2", "su2", "tree2"])
+def test_check_p2_reads_single_rows(build, status):
+    H = build()
+    assert check_p2(H).status == status
+    # no Fraction rows dict, and no float coefficients: no big-int divisions
+    assert H._rows is None and "c" not in vars(H.view)
+    assert H.row(1, 5) == H.rows[(1, 5)] and H._rows is not None
+
+
+@pytest.mark.parametrize("build", [
+    lambda: builders.su2_fusion(24),
+    lambda: builders.su2_fusion(24, q=Fraction(1, 2)),
+    lambda: builders.su2_fusion(24, q=0.7),
+    lambda: builders.tree_radial(2, 24),
+    lambda: builders.tree_radial(3, 25),
+], ids=["su2", "suq2", "suq2-float", "tree2", "tree3"])
+def test_voit_deform_values_match_loop(build):
+    H = build()
+    chi = chi0(H)
+    D = voit_deform(H, chi).deformed.view
+    V = H.view
+    want = [chi[z] * float(dict(H.row(x, y))[z]) / (chi[x] * chi[y])
+            for x, y, z in zip(V.x.tolist(), V.y.tolist(), V.z.tolist())]
+    assert D.c.tobytes() == np.array(want).tobytes()
+    for name in ("px", "py", "starts", "x", "y", "z", "inv", "has_row"):
+        assert np.array_equal(getattr(D, name), getattr(V, name)), name
 
 
 def test_q_integer_limits():

@@ -266,9 +266,15 @@ def _z2(size="size 2", tail="", value="1", extra=""):
          "fusionring v1\nlabels a\nndims\nconj 0\nmult\na a a 1\nend\n", 3),
         ("--fusion-file",
          "fusionring v1\nlabels a\nndims 1\nconj 0\nqparam 2\nmult\na a a 1\nend\n", 5),
+        # a NaN compares false to every tolerance, so it must not get in
+        ("--file", _z2(tail="haar 1 nan\n"), 8),
+        ("--file", _z2(value="nan"), 11),
+        ("--file", _z2(value="-inf"), 11),
+        ("--file", _z2(tail="tail 0.5 nan 0.5 1 0\n"), 8),
     ],
     ids=["size-no-value", "zero-denominator", "duplicate-triple", "short-tail",
-         "short-cayley-row", "ndims-no-value", "qparam-above-one"],
+         "short-cayley-row", "ndims-no-value", "qparam-above-one", "haar-nan",
+         "nan-coefficient", "infinite-coefficient", "tail-nan"],
 )
 def test_malformed_file_exits_two_with_line(tmp_path, capsys, option, text, line):
     p = tmp_path / "input.txt"

@@ -40,6 +40,20 @@ CASES = {
     "quantum_suq2_r12.report": [
         "quantum", "--q", "1/2", "--radius", "12", "--format", "structured",
     ],
+    "p2_suq2_q12_r60.report": [
+        "p2", "--family", "suq2_fusion", "--q", "1/2", "--radius", "60",
+        "--format", "structured",
+    ],
+    "deform_su2_r28.report": [
+        "deform", "--family", "su2_fusion", "--radius", "28", "--format", "structured",
+    ],
+    "amenability_tree_q3_r30.report": [
+        "amenability", "--family", "tree_radial", "--q", "3", "--radius", "30",
+        "--radii", "3,6,9", "--format", "structured",
+    ],
+    "quantum_q23_r16.report": [
+        "quantum", "--q", "2/3", "--radius", "16", "--format", "structured",
+    ],
 }
 
 

@@ -80,6 +80,32 @@ def test_su2_ring_kac_and_tables():
     assert rep.passed
 
 
+@pytest.mark.parametrize("q", [1, Fraction(1, 2), Fraction(2, 3), 0.7], ids=str)
+def test_su2_ring_tables_are_the_family_tables(q):
+    for R in (2, 5, 12, 16):
+        ring = su2_fusion_ring(R, q=q)
+        for H, K in ((hypergroup_d(ring), builders.su2_fusion(R, q=q)),
+                     (hypergroup_n(ring), builders.su2_fusion(R))):
+            V, W = H.view, K.view
+            for name in ("px", "py", "starts", "x", "y", "z"):
+                assert np.array_equal(getattr(V, name), getattr(W, name)), (R, name)
+            assert V.c.tobytes() == W.c.tobytes(), R
+            assert H.rows == K.rows and H.tail == K.tail and H.haar == K.haar, R
+
+
+def test_rings_are_validated_once(monkeypatch):
+    from hypharm.quantum import FusionRing
+
+    calls = []
+    validate = FusionRing.validate
+    monkeypatch.setattr(FusionRing, "validate", lambda self: calls.append(validate(self)))
+    for make in (lambda: su2_fusion_ring(8, q=Fraction(1, 2)),
+                 lambda: group_fusion_ring(groups.symmetric(3))):
+        ring = make()
+        hypergroup_n(ring), hypergroup_d(ring), quantum_character_decomposition(ring, 1, 1)
+    assert len(calls) == 2
+
+
 def test_haar_of_d_table_is_inverse_diagonal():
     ring = su2_fusion_ring(12, q=Fraction(1, 2))
     Hd = hypergroup_d(ring)

@@ -27,6 +27,7 @@ from hypharm.core import (
     verify_axioms,
 )
 from hypharm.spectral import _multiplicativity_residual
+from hypharm.view import TableView, axiom_defects
 
 GROUPS = ("s3", "s4", "a4", "d4", "q8", "klein", "z5", "z6")
 PRODUCT_FACTORS = (("conj", "s3"), ("irr", "s3"), ("conj", "klein"), ("irr", "a4"),
@@ -252,3 +253,102 @@ def test_characters_memory_is_below_dense_matrices():
     n = H.size
     # below what n dense n x n structure matrices alone would take
     assert _peak_bytes(characters, H) < 8 * n**3
+
+
+# -- tables given their entries ---------------------------------------------
+
+
+def _z3_entries():
+    # Z3 as a commutative table, each product once: x . y = x + y mod 3
+    x, y = np.triu_indices(3)
+    return x, y, (x + y) % 3
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda x, y, z, v: (x + 3, y, z, v), r"row index \(3, 0\) out of range"),
+    (lambda x, y, z, v: (x, y, z - 1, v), r"support index -1 out of range in row \(0, 0\)"),
+    (lambda x, y, z, v: (x, y, z, (v[0], v[1] - 1)), "nonzero denominators"),
+    (lambda x, y, z, v: (np.r_[x, 0], np.r_[y, 0], np.r_[z, 0], (np.r_[v[0], 1], np.r_[v[1], 1])),
+     r"row \(0, 0\) names support index 0 twice"),
+    # (2, 1) names the product (1, 2) again, with another row
+    (lambda x, y, z, v: (np.r_[x, 2], np.r_[y, 1], np.r_[z, 1], (np.r_[v[0], 1], np.r_[v[1], 1])),
+     r"conflicting data for row \(1, 2\)"),
+], ids=["row-index", "support-index", "zero-denominator", "repeated-entry", "conflicting-orders"])
+def test_entries_are_checked(change, message):
+    x, y, z = _z3_entries()
+    ones = np.ones(len(x), dtype=np.int64)
+    x, y, z, value = change(x, y, z, (ones, ones))
+    with pytest.raises(ValueError, match=message):
+        TableView(3, 0, [0, 2, 1], True, x, y, z, value)
+
+
+def test_entries_of_float_tables_must_be_finite():
+    x, y, z = _z3_entries()
+    c = np.ones(len(x))
+    c[2] = np.nan
+    with pytest.raises(ValueError, match=r"must be finite, got nan in row \(0, 2\)"):
+        TableView(3, 0, [0, 2, 1], True, x, y, z, c)
+
+
+def test_entries_are_sorted_folded_and_stripped_of_zeros():
+    x, y, z = _z3_entries()
+    num, den = np.ones(len(x), dtype=np.int64), np.ones(len(x), dtype=np.int64)
+    # the same table given backwards, every product also in the other order
+    # and a zero entry in row (1, 1): the view of the plain table
+    swap = (x != y)
+    X, Y = np.r_[x, y[swap], 1][::-1], np.r_[y, x[swap], 1][::-1]
+    Z = np.r_[z, z[swap], 0][::-1]
+    N, D = np.r_[num, num[swap], 0][::-1], np.r_[den, den[swap], 5][::-1]
+    V = TableView(3, 0, [0, 2, 1], True, X, Y, Z, (-N, -D))  # 1 = -1 / -1
+    W = TableView(3, 0, [0, 2, 1], True, x, y, z, (num, den))
+    for name in ("px", "py", "starts", "x", "y", "z", "c", "has_row"):
+        assert np.array_equal(getattr(V, name), getattr(W, name)), name
+    assert V.numerators() == ([1] * len(x), 1)
+    H = HypergroupTable("z3", 3, [0, 2, 1], None, view=W)
+    assert H.rows == family(FamilySpec("cyclic", n=3)).rows
+
+
+def test_a_product_of_zeros_stays_a_stored_row():
+    V = TableView(2, 0, [0, 1], True, [0, 0, 1], [0, 1, 1], [0, 1, 0],
+                  np.array([1.0, 1.0, 0.0]))
+    assert V.has_row.all() and len(V.z) == 3  # (0, 1) mirrored; (1, 1) has no entries
+    H = HypergroupTable("empty row", 2, [0, 1], None, view=V)
+    assert H.row(1, 1) == ()
+    assert verify_axioms(H).checks["probability"].violation == 1.0
+
+
+def test_finite_table_given_a_view_needs_every_row():
+    V = TableView(2, 0, [0, 1], True, [0, 0], [0, 1], [0, 1], np.ones(2))
+    with pytest.raises(ValueError, match="missing rows"):
+        HypergroupTable("z2 without 1.1", 2, [0, 1], None, view=V)
+    H = HypergroupTable("section", 2, [0, 1], None, view=V, truncated=True)
+    assert H.has_row(0, 1) and not H.has_row(1, 1) and not H.has_row(2, 0)
+    with pytest.raises(core.TruncationOverflow):
+        H.row(1, 1)
+
+
+# -- NaN never passes a check ------------------------------------------------
+
+
+def test_axiom_defects_keep_nan():
+    V = _table("conj_s3").view
+    c = V.c.copy()
+    c[np.flatnonzero(V.z == V.identity)[1]] = np.nan  # c^e_{x,x~} for some x != e
+    worst, _ = axiom_defects(V, c, 1.0)
+    # each check that reads the entry fails: NaN, or the missing mass 1 of e
+    for name in ("probability", "associativity", "involution"):
+        assert np.isnan(worst[name]), name
+    assert worst["support"] == 1.0
+
+
+@pytest.mark.parametrize("rows", [
+    {(0, 0): [(0, Fraction(1))], (0, 1): [(1, Fraction(1))], (1, 1): [(0, Fraction(1))]},
+    {(0, 0): [(0, 1.0)], (0, 1): [(1, 1.0)], (1, 1): [(0, 1.0)]},
+], ids=["exact", "float"])
+def test_haar_weights_reject_nan(rows):
+    H = HypergroupTable("z2", 2, [0, 1], rows, haar=[1, float("nan")])
+    with pytest.raises(core.ZeroDiagonal, match="violated by nan"):
+        haar_weights(H)
+    H = HypergroupTable("z2", 2, [0, 1], rows, haar=[float("nan"), 1])
+    with pytest.raises(core.ZeroDiagonal, match="lam"):
+        haar_weights(H)
