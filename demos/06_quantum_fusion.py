@@ -52,9 +52,9 @@ print("Irr(S3) ring Kac:", is_kac(group_fusion_ring(G)))
 
 # hat map: the normalized 2-dimensional character has ZL1-norm 2/3 and its
 # image is (1/2) delta_sigma with the same A(Irr(S3))-norm
-from hypharm.quantum import _char_data
+from hypharm.builders import group_character_data
 
-data = _char_data(G)
+data = group_character_data(G)
 sigma = next(a for a, d in enumerate(data.dims) if d == 2)
 f = CentralFunction("S3", tuple(data.chars[sigma]))
 fh = hat_map(G, f)  # isometry is verified inside

@@ -17,7 +17,7 @@ The example classes realized here:
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -75,29 +75,37 @@ def group_hypergroup(G: FiniteGroup) -> HypergroupTable:
     )
 
 
+def _commutative_entries(T: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The indices ``(x, y, z)`` of the nonzero ``T[x, y, z]`` with ``x <= y``, sorted."""
+    x, y, z = np.nonzero(T)
+    upper = x <= y
+    return x[upper], y[upper], z[upper]
+
+
 def conjugacy_hypergroup(G: FiniteGroup) -> HypergroupTable:
-    """Conj(G) with c^{Ck}_{Ci,Cj} from brute force over the Cayley table."""
+    """Conj(G) with c^{Ck}_{Ci,Cj} = #{(a, b) in Ci x Cj : ab in Ck} / (|Ci| |Cj|).
+
+    The counts come from one pass over the Cayley table; the table is built
+    from them as entry arrays (:class:`TableView`), so its Fraction rows
+    exist only once something reads them.
+    """
     classes = G.conjugacy_classes()
-    cls_of = G.class_of()
     k = len(classes)
-    rows = {}
-    for i in range(k):
-        for j in range(i, k):
-            counts = [0] * k
-            for a in classes[i]:
-                for b in classes[j]:
-                    counts[cls_of[G.mul(a, b)]] += 1
-            denom = len(classes[i]) * len(classes[j])
-            rows[(i, j)] = [
-                (t, Fraction(c, denom)) for t, c in enumerate(counts) if c
-            ]
-    inv_class = tuple(cls_of[G.inverse[cl[0]]] for cl in classes)
+    cls = np.empty(G.order, dtype=np.int64)
+    for i, cl in enumerate(classes):
+        cls[list(cl)] = i
+    key = (cls[:, None] * k + cls) * k + cls[np.array(G.cayley, dtype=np.int64)]
+    counts = np.bincount(key.ravel(), minlength=k**3).reshape(k, k, k)
+    i, j, t = _commutative_entries(counts)
+    sizes = np.array([len(cl) for cl in classes], dtype=np.int64)
+    inv_class = [int(cls[G.inverse[cl[0]]]) for cl in classes]
     return HypergroupTable(
         f"Conj({G.name})",
         k,
         inv_class,
-        rows,
-        haar=[Fraction(len(cl)) for cl in classes],
+        None,
+        view=TableView(k, 0, inv_class, True, i, j, t, (counts[i, j, t], sizes[i] * sizes[j])),
+        haar=[Fraction(int(s)) for s in sizes],
         elements=tuple(f"C{i}" for i in range(k)),
     )
 
@@ -119,8 +127,20 @@ class GroupCharacterData:
     conjugate: tuple[int, ...]
 
 
-def group_character_data(
-    G: FiniteGroup, tol: float = 1e-6, seed: int = DEFAULT_SEED
+@functools.cache
+def group_character_data(G: FiniteGroup) -> GroupCharacterData:
+    """Character table of G, computed once per group and process.
+
+    The integers (dimensions, multiplicities, conjugates, class sizes) do
+    not depend on the seed of the diagonalization: the rounding guard of
+    :func:`_character_data` fixes them.  The character values are those of
+    the default seed.
+    """
+    return _character_data(G)
+
+
+def _character_data(
+    G: FiniteGroup, seed: int = DEFAULT_SEED, tol: float = 1e-6
 ) -> GroupCharacterData:
     """Character table of G via class-sum joint diagonalization of Conj(G).
 
@@ -131,89 +151,61 @@ def group_character_data(
     """
     from . import spectral  # deferred: spectral depends on core only
 
-    table = conjugacy_hypergroup(G)
-    ct = spectral.characters(table, seed=seed)
-    sizes = tuple(len(cl) for cl in G.conjugacy_classes())
-    order = G.order
-    nclasses = len(sizes)
+    ct = spectral.characters(conjugacy_hypergroup(G), seed=seed)
+    sizes = np.array([len(cl) for cl in G.conjugacy_classes()])
+    psi = np.array(ct.chars, dtype=complex)
 
-    dims = []
-    for row in ct.chars:
-        s = sum(sz * abs(v) ** 2 for sz, v in zip(sizes, row))
-        d = math.sqrt(order / s)
-        if abs(d - round(d)) > tol:
-            raise NonIntegerDimension(
-                f"{G.name}: recovered dimension {d} is not an integer"
-            )
-        dims.append(int(round(d)))
-    chars = tuple(
-        tuple(dims[a] * complex(v) for v in ct.chars[a]) for a in range(nclasses)
+    d = np.sqrt(G.order / (np.abs(psi) ** 2 @ sizes))
+    if (bad := np.flatnonzero(np.abs(d - np.round(d)) > tol)).size:
+        raise NonIntegerDimension(
+            f"{G.name}: recovered dimension {d[bad[0]]} is not an integer"
+        )
+    dims = np.round(d).astype(np.int64)
+    chars = dims[:, None] * psi
+
+    # chi_b = conj(chi_a) for the b nearest to it
+    dist = np.abs(chars[:, None, :] - chars.conj()[None, :, :]).max(axis=-1)
+    conjugate = dist.argmin(axis=0)
+    if (bad := np.flatnonzero(dist[conjugate, np.arange(len(dims))] > 1e-6)).size:
+        raise NonIntegerDimension(f"{G.name}: no conjugate partner for chi_{bad[0]}")
+
+    # N^g_{ab} = <chi_a chi_b, chi_g> = (1/|G|) sum_C |C| chi_a chi_b conj(chi_g)
+    val = (chars[:, None, :] * chars[None, :, :] * sizes) @ chars.conj().T / G.order
+    mult = np.round(val.real).astype(np.int64)
+    if (bad := np.argwhere(np.abs(val - mult) > tol)).size:
+        a, b, g = bad[0]
+        raise NonIntegerDimension(
+            f"{G.name}: multiplicity <chi_{a} chi_{b}, chi_{g}> = {val[a, b, g]}"
+        )
+    return GroupCharacterData(
+        G, tuple(sizes.tolist()), tuple(dims.tolist()),
+        tuple(map(tuple, chars.tolist())),
+        tuple(tuple(map(tuple, rows)) for rows in mult.tolist()),
+        tuple(conjugate.tolist()),
     )
 
-    conjugate = []
-    for a in range(nclasses):
-        target = tuple(v.conjugate() for v in chars[a])
-        match = min(
-            range(nclasses),
-            key=lambda b: max(abs(chars[b][j] - target[j]) for j in range(nclasses)),
-        )
-        if max(abs(chars[match][j] - target[j]) for j in range(nclasses)) > 1e-6:
-            raise NonIntegerDimension(f"{G.name}: no conjugate partner for chi_{a}")
-        conjugate.append(match)
 
-    mult = []
-    for a in range(nclasses):
-        rows_a = []
-        for b in range(nclasses):
-            entries = []
-            for g in range(nclasses):
-                val = (
-                    sum(
-                        sizes[j] * chars[a][j] * chars[b][j] * chars[g][j].conjugate()
-                        for j in range(nclasses)
-                    )
-                    / order
-                )
-                n = round(val.real)
-                if abs(val - n) > tol:
-                    raise NonIntegerDimension(
-                        f"{G.name}: multiplicity <chi_{a} chi_{b}, chi_{g}> = {val}"
-                    )
-                entries.append(int(n))
-            rows_a.append(tuple(entries))
-        mult.append(tuple(rows_a))
-
-    return GroupCharacterData(G, sizes, tuple(dims), chars, tuple(mult), tuple(conjugate))
-
-
-def irr_hypergroup(G: FiniteGroup, seed: int = DEFAULT_SEED) -> HypergroupTable:
+def irr_hypergroup(G: FiniteGroup) -> HypergroupTable:
     """Irr(G) with alpha.beta = sum_gamma (d_gamma / d_alpha d_beta) N^gamma gamma.
 
-    Emitted in exact rational mode from the integer dimensions and
-    multiplicities; Haar weight lam(pi) = d_pi^2.
+    Exact, from the integer dimensions and multiplicities of
+    :func:`group_character_data`, as entry arrays (:class:`TableView`);
+    Haar weight lam(pi) = d_pi^2.
     """
-    data = group_character_data(G, seed=seed)
+    data = group_character_data(G)
     n = len(data.dims)
-    rows = {}
-    for a in range(n):
-        for b in range(a, n):
-            entries = []
-            for g in range(n):
-                N = data.mult[a][b][g]
-                if N:
-                    entries.append(
-                        (g, Fraction(data.dims[g] * N, data.dims[a] * data.dims[b]))
-                    )
-            if sum(v for _, v in entries) != 1:
-                raise NonIntegerDimension(
-                    f"{G.name}: fusion row ({a},{b}) does not sum to 1"
-                )
-            rows[(a, b)] = entries
+    dims, N = np.array(data.dims, dtype=np.int64), np.array(data.mult, dtype=np.int64)
+    if (bad := np.argwhere(N @ dims != np.multiply.outer(dims, dims))).size:
+        a, b = sorted(bad[0])
+        raise NonIntegerDimension(f"{G.name}: fusion row ({a},{b}) does not sum to 1")
+    a, b, g = _commutative_entries(N)
     return HypergroupTable(
         f"Irr({G.name})",
         n,
         data.conjugate,
-        rows,
+        None,
+        view=TableView(n, 0, data.conjugate, True, a, b, g,
+                       (dims[g] * N[a, b, g], dims[a] * dims[b])),
         haar=[Fraction(d * d) for d in data.dims],
         elements=tuple(f"pi{a}d{d}" for a, d in enumerate(data.dims)),
     )

@@ -134,8 +134,8 @@ def _load_function(path: str, size: int) -> np.ndarray:
             if i in seen:
                 raise core.FileFormatError(f"duplicate index {i}", line=ln)
             seen.add(i)
-            im = core.parse_number(toks[2]) if len(toks) == 3 else 0
-            u[i] = complex(float(core.parse_number(toks[1])), float(im))
+            im = core._finite(toks[2]) if len(toks) == 3 else 0
+            u[i] = complex(float(core._finite(toks[1])), float(im))
     return u
 
 
@@ -284,7 +284,7 @@ def cmd_quantum(args) -> int:
     if args.fusion_file:
         ring = quantum.load_fusion_ring(args.fusion_file)
     elif args.group:
-        ring = quantum.group_fusion_ring(groups.get_group(args.group), seed=args.seed)
+        ring = quantum.group_fusion_ring(groups.get_group(args.group))
     else:
         if args.radius is None:
             raise UsageError("quantum needs --fusion-file, --group, or --q/--radius")

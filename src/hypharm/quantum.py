@@ -23,20 +23,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
 from .builders import (
     DEFAULT_SEED,
-    GroupCharacterData,
     check_q,
     conjugacy_hypergroup,
     group_character_data,
+    irr_hypergroup,
     q_integer,
     su2_tail,
 )
-from .core import HFunction, HypergroupTable, LineFile, int_in, parse_number
+from .core import HFunction, HypergroupTable, LineFile, _finite, int_in
 from .view import TableView, int_array
 from .errors import FileFormatError, ReciprocityError
 from .groups import FiniteGroup
@@ -111,9 +110,9 @@ class FusionRing:
                 raise ReciprocityError(f"trivial multiplicity wrong on ({a},{b})")
 
 
-def group_fusion_ring(G: FiniteGroup, seed: int = DEFAULT_SEED) -> FusionRing:
+def group_fusion_ring(G: FiniteGroup) -> FusionRing:
     """Fusion ring of Irr(G) for a finite group (Kac: d = n)."""
-    data = _char_data(G, seed)
+    data = group_character_data(G)
     k = len(data.dims)
     mult = {
         (a, b): {g: data.mult[a][b][g] for g in range(k) if data.mult[a][b][g]}
@@ -131,11 +130,6 @@ def group_fusion_ring(G: FiniteGroup, seed: int = DEFAULT_SEED) -> FusionRing:
     )
     ring.validate()
     return ring
-
-
-@lru_cache(maxsize=None)
-def _char_data(G: FiniteGroup, seed: int = DEFAULT_SEED) -> GroupCharacterData:
-    return group_character_data(G, seed=seed)
 
 
 def su2_fusion_ring(radius: int, q=1) -> FusionRing:
@@ -277,7 +271,7 @@ def hat_map(
 
     With ``verify`` the ZL1 -> A(Irr(G), n) isometry is checked on f itself.
     """
-    data = _char_data(G, seed)
+    data = group_character_data(G)
     sizes = data.class_sizes
     k = len(sizes)
     vals = {}
@@ -289,9 +283,7 @@ def hat_map(
         vals[a] = s / data.dims[a]
     out = HFunction(vals)
     if verify:
-        from .builders import irr_hypergroup
-
-        table = irr_hypergroup(G, seed=seed)
+        table = irr_hypergroup(G)
         ct = characters(table, seed=seed)
         lhs = zl1_norm(G, f)
         rhs, _ = norm_A(table, ct, out, with_witness=False)
@@ -302,9 +294,9 @@ def hat_map(
     return out
 
 
-def inverse_hat_map(G: FiniteGroup, coeffs: HFunction, seed: int = DEFAULT_SEED) -> CentralFunction:
+def inverse_hat_map(G: FiniteGroup, coeffs: HFunction) -> CentralFunction:
     """f(C) = sum_alpha n_alpha f^(alpha) chi_alpha(C)."""
-    data = _char_data(G, seed)
+    data = group_character_data(G)
     k = len(data.dims)
     vals = []
     for j in range(k):
@@ -353,7 +345,7 @@ def zm_to_b(
     With ``verify``, multiplicativity under measure convolution and the
     equality |T*(mu)|_{B_lambda(Irr G)} = total variation are checked.
     """
-    data = _char_data(G, seed)
+    data = group_character_data(G)
     k = len(data.dims)
     vals = {
         a: sum(mu.masses[j] * data.chars[a][j] for j in range(k)) / data.dims[a]
@@ -361,8 +353,6 @@ def zm_to_b(
     }
     out = HFunction(vals)
     if verify:
-        from .builders import irr_hypergroup
-
         sq = convolve_central_measures(G, mu, mu)
         lhs = zm_to_b(G, sq, seed=seed, verify=False)
         worst = max(
@@ -370,7 +360,7 @@ def zm_to_b(
         )
         if worst > tol * max(1.0, max(abs(complex(out[a])) for a in range(k)) ** 2):
             raise ArithmeticError(f"{G.name}: T* is not multiplicative ({worst:.2e})")
-        table = irr_hypergroup(G, seed=seed)
+        table = irr_hypergroup(G)
         ct = characters(table, seed=seed)
         bnorm = norm_Blambda(table, ct, out)
         tv = float(sum(abs(m) for m in mu.masses))
@@ -435,9 +425,9 @@ def load_fusion_ring(path: str) -> FusionRing:
                 raise FileFormatError(f"duplicate multiplicity {' '.join(toks[:3])}", line=ln)
             row[g] = int(toks[3])
     ndims = tuple(f.values("ndims", int, count=k))
-    q = f.value("qparam", lambda tok: check_q(parse_number(tok)), None)
+    q = f.value("qparam", lambda tok: check_q(_finite(tok)), None)
     if q is None:
-        ddims = tuple(f.values("ddims", parse_number, count=k, default=map(Fraction, ndims)))
+        ddims = tuple(f.values("ddims", _finite, count=k, default=map(Fraction, ndims)))
     else:
         with f.at(f.header["qparam"][0]):
             ddims = tuple(q_integer(n, q) for n in ndims)

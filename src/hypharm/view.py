@@ -29,6 +29,9 @@ EXACT_FLOAT = 2**53
 # Values in the dense residue arrays of one pass (512 KB of float64), unless
 # one prime's array alone is larger.
 RESIDUE_BATCH = 2**16
+# Values in one associativity slab (128 KB of float64) at least: a table
+# with n**3 <= 2**14 (n <= 25) takes all y in one slab per x.
+SLAB_FLOOR = 2**14
 
 
 @functools.cache
@@ -472,7 +475,8 @@ def _associativity(V: TableView, C: np.ndarray, p: np.ndarray | None) -> tuple[f
     @ C[x]`` hold both sides for all (y, z, v); they are taken in blocks of
     y so that they stay below a quarter of ``C`` each, or of one of its
     ``n x n x n`` layers when ``C`` has a leading axis (one per prime
-    ``p``).  Returns the worst violation and the number of triples checked.
+    ``p``), or below :data:`SLAB_FLOOR` values if that is more.  Returns
+    the worst violation and the number of triples checked.
     """
     n, lead = V.n, C.shape[:-3]
     left_of, right_of = C.reshape(lead + (n, n * n)), C.reshape(lead + (n * n, n))
@@ -481,7 +485,7 @@ def _associativity(V: TableView, C: np.ndarray, p: np.ndarray | None) -> tuple[f
     if gaps is not None:
         stored = np.zeros((n, n, n), dtype=bool)
         stored[V.x, V.y, V.z] = True
-    block = max(1, max(n**3 // 4, 4096) // (n * n * math.prod(lead)))
+    block = max(1, max(n**3 // 4, SLAB_FLOOR) // (n * n * math.prod(lead)))
     worst, checked = 0.0, 0
     for x in range(n):
         ys = np.flatnonzero(V.has_row[x])

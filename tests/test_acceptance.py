@@ -38,7 +38,6 @@ from hypharm.quantum import (
     is_kac,
     su2_fusion_ring,
     zl1_norm,
-    _char_data,
 )
 
 GROUP_NAMES = ("z2", "z4", "s3", "d4", "q8", "a4")
@@ -207,7 +206,7 @@ def test_criterion_7_kac_isomorphism():
                 assert err < 1e-9
         # spot value: G = S3, f = chi_sigma
         G = groups.symmetric(3)
-        data = _char_data(G)
+        data = builders.group_character_data(G)
         sigma = next(a for a, d in enumerate(data.dims) if d == 2)
         f = CentralFunction("s3", tuple(data.chars[sigma]))
         table = builders.irr_hypergroup(G)

@@ -1,13 +1,15 @@
+import dataclasses
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from hypharm import builders, check_p2, chi0, groups, verify_axioms, voit_deform
+from hypharm import builders, characters, check_p2, chi0, groups, verify_axioms, voit_deform
 from hypharm.builders import FamilySpec, family, product, q_integer
-from hypharm.core import HypergroupTable
-from hypharm.errors import NoIdentity, NotAssociative, NotLatinSquare
+from hypharm.core import DEFAULT_SEED, HypergroupTable
+from hypharm.errors import NoIdentity, NonIntegerDimension, NotAssociative, NotLatinSquare
 
 from conftest import brute_force_class_products
 
@@ -133,6 +135,149 @@ def test_conj_and_irr_pass_axioms_exactly(finite_tables):
         rep = verify_axioms(H)
         assert rep.passed and rep.commutative, name
         assert all(chk.violation == 0.0 for chk in rep.checks.values()), name
+
+
+# The eight groups of the benchmark's finite workloads.
+GROUP_NAMES = ("s3", "s4", "a4", "d4", "q8", "klein", "z5", "z6")
+
+
+def conjugacy_rows_loop(G):
+    """Conj(G) from the Fraction rows of brute_force_class_products.
+
+    The rows that conjugacy_hypergroup built before its bincount and entry
+    arrays replaced the loop.
+    """
+    classes = G.conjugacy_classes()
+    cls_of = G.class_of()
+    k = len(classes)
+    rows = {(i, j): [(t, p) for t, p in enumerate(probs) if p]
+            for (i, j), probs in brute_force_class_products(G).items() if i <= j}
+    return HypergroupTable(
+        f"Conj({G.name})", k, tuple(cls_of[G.inverse[cl[0]]] for cl in classes), rows,
+        haar=[Fraction(len(cl)) for cl in classes], elements=tuple(f"C{i}" for i in range(k)))
+
+
+def character_data_loop(G, tol=1e-6):
+    """Dimensions, characters, conjugates and multiplicities by Python loops.
+
+    The loops that the array form of the character data replaced, at the
+    default seed; returns ``(class_sizes, dims, chars, mult, conjugate)``.
+    """
+    ct = characters(builders.conjugacy_hypergroup(G), seed=DEFAULT_SEED)
+    sizes = tuple(len(cl) for cl in G.conjugacy_classes())
+    k = len(sizes)
+    dims = []
+    for row in ct.chars:
+        d = math.sqrt(G.order / sum(sz * abs(v) ** 2 for sz, v in zip(sizes, row)))
+        assert abs(d - round(d)) <= tol
+        dims.append(int(round(d)))
+    chars = tuple(tuple(dims[a] * complex(v) for v in ct.chars[a]) for a in range(k))
+    conjugate = []
+    for a in range(k):
+        target = tuple(v.conjugate() for v in chars[a])
+        conjugate.append(min(range(k), key=lambda b: max(
+            abs(chars[b][j] - target[j]) for j in range(k))))
+    mult = []
+    for a in range(k):
+        rows_a = []
+        for b in range(k):
+            entries = []
+            for g in range(k):
+                val = sum(sizes[j] * chars[a][j] * chars[b][j] * chars[g][j].conjugate()
+                          for j in range(k)) / G.order
+                assert abs(val - round(val.real)) <= tol
+                entries.append(int(round(val.real)))
+            rows_a.append(tuple(entries))
+        mult.append(tuple(rows_a))
+    return sizes, tuple(dims), chars, tuple(mult), tuple(conjugate)
+
+
+def irr_rows_loop(G):
+    """Irr(G) from Fraction rows d_g N / (d_a d_b), built from character_data_loop."""
+    _, dims, _, mult, conjugate = character_data_loop(G)
+    n = len(dims)
+    rows = {(a, b): [(g, Fraction(dims[g] * mult[a][b][g], dims[a] * dims[b]))
+                     for g in range(n) if mult[a][b][g]]
+            for a in range(n) for b in range(a, n)}
+    return HypergroupTable(f"Irr({G.name})", n, conjugate, rows,
+                           haar=[Fraction(d * d) for d in dims],
+                           elements=tuple(f"pi{a}d{d}" for a, d in enumerate(dims)))
+
+
+def _groups_and_a_loaded_one(tmp_path):
+    out = {name: groups.get_group(name) for name in GROUP_NAMES}
+    path = tmp_path / "s3.cayley"
+    groups.save_group(groups.symmetric(3), str(path))
+    out["s3_file"] = groups.load_group(str(path), "S3file")
+    return out
+
+
+def _assert_same_table(H, oracle):
+    assert (H.name, H.size, H.identity, H.involution, H.elements) == (
+        oracle.name, oracle.size, oracle.identity, oracle.involution, oracle.elements)
+    assert (H.exact, H.commutative, H.truncated) == (oracle.exact, oracle.commutative,
+                                                     oracle.truncated)
+    assert [(type(v), v) for v in H.haar] == [(type(v), v) for v in oracle.haar]
+    V, W = H.view, oracle.view
+    for name in ("px", "py", "starts", "x", "y", "z", "inv"):
+        assert np.array_equal(getattr(V, name), getattr(W, name)), (H.name, name)
+    assert V.c.tobytes() == W.c.tobytes(), H.name
+    assert V.numerators() == W.numerators(), H.name
+    assert list(H.rows) == list(oracle.rows), H.name
+    assert [[(type(z), z, type(v), v) for z, v in row] for row in H.rows.values()] == [
+        [(type(z), z, type(v), v) for z, v in row] for row in oracle.rows.values()], H.name
+
+
+def test_conjugacy_hypergroup_matches_fraction_loop(tmp_path):
+    for G in _groups_and_a_loaded_one(tmp_path).values():
+        _assert_same_table(builders.conjugacy_hypergroup(G), conjugacy_rows_loop(G))
+
+
+def test_irr_hypergroup_matches_fraction_loop(tmp_path):
+    for G in _groups_and_a_loaded_one(tmp_path).values():
+        _assert_same_table(builders.irr_hypergroup(G), irr_rows_loop(G))
+
+
+def test_character_data_matches_loops(tmp_path):
+    for G in _groups_and_a_loaded_one(tmp_path).values():
+        data = builders.group_character_data(G)
+        sizes, dims, chars, mult, conjugate = character_data_loop(G)
+        assert (data.class_sizes, data.dims, data.mult, data.conjugate) == (
+            sizes, dims, mult, conjugate), G.name
+        assert data.chars == chars, G.name
+
+
+def test_character_integers_do_not_depend_on_the_seed():
+    for name in GROUP_NAMES:
+        G = groups.get_group(name)
+        data = builders.group_character_data(G)
+        for seed in (1, 7, 12345, 2**31 - 1):
+            other = builders._character_data(G, seed=seed)
+            assert (other.class_sizes, other.dims, other.mult, other.conjugate) == (
+                data.class_sizes, data.dims, data.mult, data.conjugate), (name, seed)
+
+
+def test_irr_hypergroup_builds_from_the_cached_integers():
+    G = groups.symmetric(4)
+    builders.irr_hypergroup(G)
+    before = builders.group_character_data.cache_info()
+    H = builders.irr_hypergroup(G)
+    after = builders.group_character_data.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    # Fraction rows only once something reads them
+    assert verify_axioms(H).passed and H._rows is None
+
+
+def test_irr_row_sums_are_checked(monkeypatch):
+    G = groups.symmetric(3)
+    data = builders.group_character_data(G)
+    mult = [[list(row) for row in rows] for rows in data.mult]
+    sigma = data.dims.index(2)
+    mult[sigma][sigma][0] += 1  # sigma x sigma now weighs 5, not d_sigma^2 = 4
+    broken = dataclasses.replace(data, mult=tuple(tuple(map(tuple, r)) for r in mult))
+    monkeypatch.setattr(builders, "group_character_data", lambda _: broken)
+    with pytest.raises(NonIntegerDimension, match="does not sum to 1"):
+        builders.irr_hypergroup(G)
 
 
 # -- products ----------------------------------------------------------------
@@ -552,8 +697,8 @@ def test_tree_radial_q3_matches_graph_oracle():
 
 def test_dimension_recovery_fails_loudly():
     # the integer-rounding guard raises rather than silently rounding
-    from hypharm.builders import group_character_data
+    from hypharm.builders import _character_data
     from hypharm.errors import NonIntegerDimension
 
     with pytest.raises(NonIntegerDimension):
-        group_character_data(groups.symmetric(3), tol=0.0)
+        _character_data(groups.symmetric(3), tol=0.0)

@@ -271,10 +271,15 @@ def _z2(size="size 2", tail="", value="1", extra=""):
         ("--file", _z2(value="nan"), 11),
         ("--file", _z2(value="-inf"), 11),
         ("--file", _z2(tail="tail 0.5 nan 0.5 1 0\n"), 8),
+        ("--fusion-file",
+         "fusionring v1\nlabels a b\nndims 1 1\nddims 1 nan\nconj 0 1\nmult\n"
+         "a a a 1\na b b 1\nb b a 1\nend\n", 4),
+        ("--fusion-file",
+         "fusionring v1\nlabels a\nndims 1\nconj 0\nqparam nan\nmult\na a a 1\nend\n", 5),
     ],
     ids=["size-no-value", "zero-denominator", "duplicate-triple", "short-tail",
          "short-cayley-row", "ndims-no-value", "qparam-above-one", "haar-nan",
-         "nan-coefficient", "infinite-coefficient", "tail-nan"],
+         "nan-coefficient", "infinite-coefficient", "tail-nan", "ddims-nan", "qparam-nan"],
 )
 def test_malformed_file_exits_two_with_line(tmp_path, capsys, option, text, line):
     p = tmp_path / "input.txt"
@@ -299,8 +304,13 @@ def test_well_formed_z2_file_passes(tmp_path):
         ("0 1\n3 0.5\n", 2),
         ("-1 1\n", 1),
         ("1 1 0\n\n1 2\n", 3),
+        # a non-finite value would reach the norm checks as NaN and fail them
+        ("0 1\n1 nan\n", 2),
+        ("0 1e400\n", 1),
+        ("2 1 -inf\n", 1),
     ],
-    ids=["one-token", "index-too-large", "negative-index", "repeated-index"],
+    ids=["one-token", "index-too-large", "negative-index", "repeated-index",
+         "nan-value", "overflowing-value", "infinite-imaginary-part"],
 )
 def test_malformed_u_file_exits_two_with_line(tmp_path, capsys, text, line):
     p = tmp_path / "u.txt"

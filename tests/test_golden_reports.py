@@ -54,6 +54,19 @@ CASES = {
     "quantum_q23_r16.report": [
         "quantum", "--q", "2/3", "--radius", "16", "--format", "structured",
     ],
+    "characters_conj_q8.report": [
+        "characters", "--family", "conj", "--group", "q8", "--format", "structured",
+    ],
+    "verify_irr_s4.report": [
+        "verify", "--family", "irr", "--group", "s4", "--format", "structured",
+    ],
+    "norms_irr_d4_random2_mcb.report": [
+        "norms", "--family", "irr", "--group", "d4", "--random", "2", "--mcb",
+        "--format", "structured",
+    ],
+    "quantum_group_s4.report": [
+        "quantum", "--group", "s4", "--format", "structured",
+    ],
 }
 
 

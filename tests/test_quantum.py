@@ -1,9 +1,12 @@
+import io
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from hypharm import builders, characters, groups, verify_axioms
+from hypharm.cli import run
 from hypharm.errors import FileFormatError, ReciprocityError
 from hypharm.quantum import (
     CentralFunction,
@@ -128,9 +131,7 @@ def test_quantum_character_decomposition():
 
 def test_hat_map_spot_value_s3():
     G = groups.symmetric(3)
-    from hypharm.quantum import _char_data
-
-    data = _char_data(G)
+    data = builders.group_character_data(G)
     sigma = next(a for a, d in enumerate(data.dims) if d == 2)
     f = CentralFunction("S3", tuple(data.chars[sigma]))
     fh = hat_map(G, f)
@@ -268,3 +269,14 @@ def test_fusion_file_parse_error_has_line(tmp_path):
     with pytest.raises(FileFormatError) as exc:
         load_fusion_ring(str(p))
     assert "line 6" in str(exc.value)
+
+
+def test_group_runs_compute_the_character_data_once():
+    # one cache entry per group, whatever the seeds of the runs
+    builders.group_character_data.cache_clear()
+    for seed in range(1, 101):
+        with redirect_stdout(io.StringIO()):
+            assert run(["quantum", "--group", "s4", "--seed", str(seed),
+                        "--format", "structured"]) == 0
+    info = builders.group_character_data.cache_info()
+    assert (info.currsize, info.misses) == (1, 1)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypharm import builders, characters, chi0, core, haar_weights, quantum, voit_deform
+from hypharm import builders, characters, chi0, core, haar_weights, quantum, view, voit_deform
 from hypharm.builders import FamilySpec, family
 from hypharm.core import (
     HypergroupTable,
@@ -103,6 +103,25 @@ def test_verify_axioms_matches_loop(name):
         assert fast == slow
     else:
         assert fast == pytest.approx(float(slow), abs=1e-14)
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_associativity_does_not_depend_on_the_slab(name, monkeypatch):
+    # the slabs of the SLAB_FLOOR against those of the former floor of 4096
+    # values and against blocks of a quarter of C
+    H = _table(name)
+    V = H.view
+    c = V.exact()[0] if H.exact and V.exact() is not None else V.c
+    C = V.dense(c)
+    want = view._associativity(V, C, None)
+    for floor in (4096, 1):
+        monkeypatch.setattr(view, "SLAB_FLOOR", floor)
+        got = view._associativity(V, C, None)
+        assert got[1] == want[1]
+        if H.exact:
+            assert got[0] == want[0]
+        else:
+            assert got[0] == pytest.approx(want[0], abs=1e-15)
 
 
 def _residual_loop(H, chi):
