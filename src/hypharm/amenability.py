@@ -256,7 +256,7 @@ def _perron_vector(H0: HypergroupTable, radius: int) -> np.ndarray:
         w = -w
     w = np.clip(w, 0.0, None)
     w /= np.linalg.norm(w)
-    return w / np.sqrt(H0.view.lam[: radius + 1])
+    return w / np.sqrt(H0.lam[: radius + 1])
 
 
 def weak_amenability_witness(

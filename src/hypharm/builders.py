@@ -57,21 +57,25 @@ def check_q(q):
 
 
 def group_hypergroup(G: FiniteGroup) -> HypergroupTable:
-    """A group is a hypergroup with point products c^z_{x,y} = delta_{z,xy}."""
-    rows = {
-        (x, y): [(G.mul(x, y), Fraction(1))]
-        for x in range(G.order)
-        for y in range(G.order)
-    }
+    """A group is a hypergroup with point products c^z_{x,y} = delta_{z,xy}.
+
+    Built as entry arrays ``(x, y, xy)`` with value 1 (:class:`TableView`),
+    ``x <= y`` when the group is abelian.
+    """
+    n = G.order
+    x, y = np.triu_indices(n) if G.abelian else np.indices((n, n)).reshape(2, -1)
+    ones = np.ones(len(x), dtype=np.int64)
     return HypergroupTable(
         f"{G.name}_group",
-        G.order,
+        n,
         G.inverse,
-        rows,
+        None,
+        view=TableView(n, G.identity, G.inverse, G.abelian, x, y,
+                       np.array(G.cayley, dtype=np.int64)[x, y], (ones, ones)),
         identity=G.identity,
-        haar=[Fraction(1)] * G.order,
+        haar=[Fraction(1)] * n,
         commutative=G.abelian,
-        elements=tuple(f"g{i}" for i in range(G.order)),
+        elements=tuple(f"g{i}" for i in range(n)),
     )
 
 

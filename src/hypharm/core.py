@@ -21,9 +21,9 @@ explicit tolerance (default ``1e-9``).
 from __future__ import annotations
 
 import math
-import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -37,6 +37,7 @@ from .view import (
     axiom_defects_vanish,
     haar_defect,
     haar_defect_vanishes,
+    int_array,
 )
 
 DEFAULT_TOL = 1e-9
@@ -47,6 +48,25 @@ Value = object  # Fraction or float; complex for function values
 
 def _is_exact(v) -> bool:
     return isinstance(v, (Fraction, int))
+
+
+def _entries(rows: Mapping[tuple[int, int], Iterable[tuple[int, Value]]]) -> tuple:
+    """The rows as the entry arrays ``x, y, z, value`` of a :class:`TableView`.
+
+    The values are exact if every nonzero one is a Fraction or an int, else
+    floats.  An empty row becomes one zero entry, so that it stays stored.
+    """
+    x, y, z, vals = [], [], [], []
+    for (a, b), row in rows.items():
+        for w, v in tuple(row) or ((0, 0),):
+            x.append(a)
+            y.append(b)
+            z.append(w)
+            vals.append(v)
+    if all(_is_exact(v) for v in vals if v != 0):
+        return x, y, z, (int_array(v.numerator if v else 0 for v in vals),
+                         int_array(v.denominator if v else 1 for v in vals))
+    return x, y, z, np.array(vals, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -136,10 +156,12 @@ class HypergroupTable:
     identity first.  Truncated tables record a ball radius; any access to a
     missing row raises :class:`TruncationOverflow` rather than clipping.
 
-    A table may instead be given its :class:`TableView` (``rows`` None), as
-    the builders of products, sections and fusion rings do.  Such a table
+    A table holds its :class:`TableView` from construction: the builders
+    give it one (``rows`` None), and rows given instead are turned into
+    entries for the view's constructor, which checks them.  The table
     reads single rows from the view as they are asked for, and builds the
-    whole ``rows`` dict only when ``rows`` itself is read.
+    whole ``rows`` dict only when ``rows`` itself is read.  A view given
+    must have the table's size, identity, involution and commutativity.
     """
 
     def __init__(
@@ -188,54 +210,29 @@ class HypergroupTable:
             self._haar = tuple(haar)
             if len(self._haar) != size:
                 raise ValueError("wrong number of Haar weights")
-        self._view = self._rows = None
-        if view is not None:
-            if rows is not None or view.n != size:
-                raise ValueError("give a table its rows or a view of its size")
-            view._table = weakref.ref(self)
-            self._read = {}  # the rows read so far
-            self._view, self.exact = view, view.rational
-            if not (truncated or view.has_row.all()):
-                raise ValueError("finite table is missing rows")
-            return
-
-        store: dict[tuple[int, int], tuple[tuple[int, Value], ...]] = {}
-        exact = True
-        for (x, y), entries in rows.items():
-            if not (0 <= x < size and 0 <= y < size):
-                raise ValueError(f"row index ({x},{y}) out of range")
-            key = (min(x, y), max(x, y)) if commutative else (x, y)
-            cleaned = tuple(sorted((int(z), v) for z, v in entries if v != 0))
-            for z, v in cleaned:
-                if not 0 <= z < size:
-                    raise ValueError(f"support index {z} out of range in row {key}")
-                if not _is_exact(v):
-                    exact = False
-            if key in store and store[key] != cleaned:
-                raise ValueError(f"conflicting data for row {key}")
-            store[key] = cleaned
-        self._rows = store
-        self.exact = exact
-
-        if not truncated:
-            missing = next(((x, y) for x in range(size) for y in range(size)
-                            if self._key(x, y) not in store), None)
-            if missing:
-                raise ValueError(f"finite table is missing rows, e.g. {missing}")
+        if (rows is None) == (view is None):
+            raise ValueError("give a table its rows or its view")
+        if view is None:
+            view = TableView(size, identity, inv, commutative, *_entries(rows))
+        else:
+            for what, got, want in (("size", view.n, size), ("identity", view.identity, identity),
+                                    ("involution", tuple(view.inv.tolist()), inv),
+                                    ("commutativity", view.commutative, commutative)):
+                if got != want:
+                    raise ValueError(f"the view's {what} {got} is not the table's {want}")
+        if not (truncated or view.has_row.all()):
+            missing = tuple(np.argwhere(~view.has_row)[0].tolist())
+            raise ValueError(f"finite table is missing rows, e.g. {missing}")
+        self.view, self.exact = view, view.rational
+        self._rows = None
+        self._read = {}  # the rows read so far
 
     @property
     def rows(self) -> dict[tuple[int, int], tuple[tuple[int, Value], ...]]:
-        """The stored rows; a table given its view builds them on first use."""
+        """The stored rows, built from the view on first use."""
         if self._rows is None:
-            self._rows = self._view.rows()
+            self._rows = self.view.rows()
         return self._rows
-
-    @property
-    def view(self) -> TableView:
-        """The cached numeric form of the table, built on first use."""
-        if self._view is None:
-            self._view = TableView.of_rows(self)
-        return self._view
 
     # -- basic access ---------------------------------------------------
 
@@ -243,9 +240,7 @@ class HypergroupTable:
         return (min(x, y), max(x, y)) if self.commutative else (x, y)
 
     def has_row(self, x: int, y: int) -> bool:
-        if self._rows is None:
-            return 0 <= x < self.size and 0 <= y < self.size and bool(self._view.has_row[x, y])
-        return self._key(x, y) in self._rows
+        return 0 <= x < self.size and 0 <= y < self.size and bool(self.view.has_row[x, y])
 
     def row(self, x: int, y: int) -> tuple[tuple[int, Value], ...]:
         """Sparse probability vector of the product ``x . y``."""
@@ -256,7 +251,7 @@ class HypergroupTable:
         if key not in rows:
             if not self.has_row(x, y):
                 raise TruncationOverflow(f"{self.name}: product {x}.{y} leaves the stored section")
-            rows[key] = self._view.row(*key)
+            rows[key] = self.view.row(*key)
         return rows[key]
 
     def coeff(self, x: int, y: int, z: int):
@@ -271,6 +266,13 @@ class HypergroupTable:
         if self._haar is None:
             self._haar = tuple(self._haar_from_rows())
         return self._haar
+
+    @cached_property
+    def lam(self) -> np.ndarray:
+        """The Haar weights in float64, read-only."""
+        lam = np.array([float(v) for v in self.haar])
+        lam.flags.writeable = False
+        return lam
 
     def _haar_from_rows(self):
         out = []
@@ -292,7 +294,8 @@ class HypergroupTable:
             name,
             self.size,
             self.involution,
-            dict(self.rows),
+            None,
+            view=self.view,
             identity=self.identity,
             haar=self._haar,
             commutative=self.commutative,
@@ -566,7 +569,7 @@ def _haar_defect(H: HypergroupTable):
     """
     V = H.view
     if not (H.exact and all(_is_exact(v) for v in H.haar)):
-        return float(haar_defect(V, V.c, V.lam))
+        return float(haar_defect(V, V.c, H.lam))
     lam_den = math.lcm(*{v.denominator for v in H.haar})
     lam = [v.numerator * (lam_den // v.denominator) for v in H.haar]
     if (ex := V.exact()) is not None:

@@ -125,7 +125,7 @@ def norm_Blambda(H: HypergroupTable, ct: CharacterTable, u) -> float:
     sup = float(np.max(np.abs(fourier(H, ct, f))))
     if sup > 1.0 + 1e-8:
         raise ArithmeticError(f"{H.name}: dual witness leaves the C*_lam ball")
-    lam = H.view.lam
+    lam = H.lam
     return abs(complex(np.sum(lam * ud * f)))
 
 
@@ -135,7 +135,7 @@ def multiplication_matrix(H: HypergroupTable, ct: CharacterTable, u) -> np.ndarr
         raise SingularCharacterBasis(
             f"{H.name}: {ct.size} characters for {H.size} elements"
         )
-    weighted = H.view.lam * _as_dense(H, u) * ct.chars
+    weighted = H.lam * _as_dense(H, u) * ct.chars
     return ct.plancherel[:, None] * (ct.chars.conj() @ weighted.T)
 
 
@@ -163,7 +163,7 @@ def product_a_norm(
     H: HypergroupTable, ct: CharacterTable, G: FiniteGroup, w: np.ndarray
 ) -> float:
     """|w|_{A(H x G)} = sum_chi w(chi) |w_chi|_{A(G)} (partial transform in x)."""
-    lam = H.view.lam
+    lam = H.lam
     wc = np.einsum("x,xg,ix->ig", lam, w, ct.chars.conj())
     return float(
         sum(ct.plancherel[i] * group_a_norm(G, wc[i]) for i in range(ct.size))
@@ -268,7 +268,7 @@ def a_norm_interval(H: HypergroupTable, u) -> Interval:
     norm of lam(f) being bounded by the L1 contraction of the convolution.
     """
     ud = _as_dense(H, u)
-    lam = H.view.lam
+    lam = H.lam
     upper = float(np.sqrt(np.sum(lam * np.abs(ud) ** 2)))
     lower = 0.0
     for f in _candidate_duals(H, ud):
@@ -292,7 +292,7 @@ def ma_norm_interval(H: HypergroupTable, u, tests: list[HFunction] | None = None
     |u v|_{A,lower} / |v|_{A,upper} over test functions v.
     """
     ud = _as_dense(H, u)
-    lam = H.view.lam
+    lam = H.lam
     upper = min(
         float(np.sqrt(np.sum(lam * np.abs(ud) ** 2))),
         float(np.sum(np.abs(ud) * np.sqrt(lam))),

@@ -121,7 +121,7 @@ def characters(
     V = H.view
     if not np.isfinite(V.c).all():
         raise ValueError(f"{H.name}: structure constants must be finite")
-    lam = V.lam
+    lam = H.lam
     if not ((lam > 0) & (lam < np.inf)).all():
         raise DegenerateSpectrum(f"{H.name}: Haar weights must be positive and finite")
     cells = V.y * n + V.z
@@ -240,7 +240,7 @@ def _ranks(key: np.ndarray) -> np.ndarray:
 
 
 def _check_orthogonality(H: HypergroupTable, ct: CharacterTable, tol: float) -> None:
-    lam = H.view.lam
+    lam = H.lam
     G = (ct.chars * lam) @ ct.chars.conj().T
     off = G - np.diag(np.diag(G))
     scale = np.abs(np.diag(G)).max()
@@ -261,7 +261,7 @@ def plancherel(
     The normalization is pinned by Parseval, which is enforced here on a
     seeded random function before the weights are returned.
     """
-    lam = H.view.lam
+    lam = H.lam
     weights = 1.0 / np.einsum("x,ix->i", lam, np.abs(chars) ** 2).real
     rng = np.random.default_rng(seed + 1)
     u = rng.standard_normal(H.size) + 1j * rng.standard_normal(H.size)
@@ -289,7 +289,7 @@ def _as_dense(H: HypergroupTable, f) -> np.ndarray:
 
 def fourier(H: HypergroupTable, ct: CharacterTable, f) -> np.ndarray:
     """u^(chi) = sum_x lam(x) u(x) conj(chi(x))."""
-    return (H.view.lam * _as_dense(H, f)) @ ct.chars.conj().T
+    return (H.lam * _as_dense(H, f)) @ ct.chars.conj().T
 
 
 def inverse_fourier(H: HypergroupTable, ct: CharacterTable, coeffs) -> HFunction:

@@ -1,13 +1,12 @@
 """The numeric view of a hypergroup table and the array checks run on it.
 
 :class:`TableView` is the read-only array form of a
-:class:`~hypharm.core.HypergroupTable`: given to the table by its builder,
-or built from the table's rows on first use of ``H.view`` and cached on
-it.  The axiom and Haar checks of :mod:`hypharm.core` and the spectral code
-run on it.  The functions here take coefficient
-arrays aligned with the view's entries: float64 values, or integer
-numerators over a common denominator held in float64, in which case every
-sum they form is exact (see :meth:`TableView.exact`).  Given primes ``p``,
+:class:`~hypharm.core.HypergroupTable`, which holds it from construction
+as ``H.view``.  The axiom and Haar checks of :mod:`hypharm.core` and the
+spectral code run on it.  The functions here take coefficient arrays
+aligned with the view's entries: float64 values, or integer numerators
+over a common denominator held in float64, in which case every sum they
+form is exact (see :meth:`TableView.exact`).  Given primes ``p``,
 they take one row of residues per prime instead and reduce every
 difference modulo its prime (see :func:`crt_primes`).
 """
@@ -16,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import math
-import weakref
 from functools import cached_property
 from fractions import Fraction
 from itertools import repeat
@@ -120,7 +118,7 @@ class TableView:
     * ``px, py`` -- the stored products, ``starts`` their CSR offsets into
       the entries and ``pair`` the product of each entry;
     * ``has_row`` -- the ``n x n`` mask of stored products;
-    * ``inv`` -- the involution; ``lam`` -- float Haar weights (on first use);
+    * ``inv`` -- the involution;
     * ``rational`` -- whether the coefficients are exact rationals;
     * :meth:`dense` -- the coefficients as an ``n x n x n`` array;
     * :meth:`row` and :meth:`rows` -- the coefficients as table rows, exact
@@ -128,8 +126,9 @@ class TableView:
     * :meth:`exact` -- integer numerators over one common denominator (on
       first use, exact tables only).
 
-    The view is built from its entries: a builder gives them as arrays, and
-    :meth:`of_rows` gathers them from the rows of a table.
+    The view is built from its entries, given as arrays by a builder or
+    gathered from the rows a table is given, or by :meth:`product` from the
+    views of two factors.  It depends on nothing else.
     """
 
     def __init__(self, n: int, identity: int, involution, commutative: bool,
@@ -206,33 +205,10 @@ class TableView:
         if not nonzero.all():
             counts = np.add.reduceat(nonzero.astype(np.int64), first) if len(first) else first
             z, vals = z[nonzero], [a[nonzero] for a in vals]
-        self._store(n, identity, involution, commutative, rational, x[first], y[first], counts,
-                    z, vals)
+        px, py = x[first], y[first]
 
-    @classmethod
-    def of_rows(cls, H) -> "TableView":
-        """The view of the table ``H`` from its stored rows, which its constructor cleaned."""
-        rows = H.rows
-        counts = np.array([len(row) for row in rows.values()], dtype=np.int64)
-        px, py = np.array(list(rows), dtype=np.int64).reshape(-1, 2).T
-        z = np.fromiter((z for row in rows.values() for z, _ in row), np.int64, counts.sum())
-        vals = [v for row in rows.values() for _, v in row]
-        if H.exact:
-            vals = [int_array(v.numerator for v in vals), int_array(v.denominator for v in vals)]
-        else:
-            vals = [np.fromiter(map(float, vals), float, len(vals))]
-        V = cls.__new__(cls)
-        V._store(H.size, H.identity, H.involution, H.commutative, H.exact, px, py, counts, z, vals)
-        V._table = weakref.ref(H)
-        return V
-
-    def _store(self, n, identity, involution, commutative, rational, px, py, counts, z, vals):
-        """Set the view from the stored products, in any order, and their entries, row by row.
-
-        A commutative table's products are stored once; their mirrored
-        products reuse the stored entries.  ``vals`` are the stored values:
-        ``[num, den]`` if ``rational``, else ``[c]``.
-        """
+        # a commutative table's products are stored once; their mirrored
+        # products reuse the stored entries
         first = np.cumsum(counts) - counts
         if commutative:
             off = px != py
@@ -323,10 +299,6 @@ class TableView:
         else:
             c = num / den
         return _frozen(self.entries(c))
-
-    @cached_property
-    def lam(self) -> np.ndarray:
-        return _frozen(np.array([float(v) for v in self._table().haar]))
 
     def dense(self, c: np.ndarray) -> np.ndarray:
         """The array ``C[..., x, y, z]`` of the values ``c``, 0 off the entries.

@@ -141,6 +141,19 @@ def test_conj_and_irr_pass_axioms_exactly(finite_tables):
 GROUP_NAMES = ("s3", "s4", "a4", "d4", "q8", "klein", "z5", "z6")
 
 
+def group_rows_loop(G):
+    """The group table from Fraction rows, as group_hypergroup built it before its entry arrays."""
+    rows = {
+        (x, y): [(G.mul(x, y), Fraction(1))]
+        for x in range(G.order)
+        for y in range(G.order)
+    }
+    return HypergroupTable(
+        f"{G.name}_group", G.order, G.inverse, rows, identity=G.identity,
+        haar=[Fraction(1)] * G.order, commutative=G.abelian,
+        elements=tuple(f"g{i}" for i in range(G.order)))
+
+
 def conjugacy_rows_loop(G):
     """Conj(G) from the Fraction rows of brute_force_class_products.
 
@@ -226,6 +239,15 @@ def _assert_same_table(H, oracle):
     assert list(H.rows) == list(oracle.rows), H.name
     assert [[(type(z), z, type(v), v) for z, v in row] for row in H.rows.values()] == [
         [(type(z), z, type(v), v) for z, v in row] for row in oracle.rows.values()], H.name
+
+
+def test_group_hypergroup_matches_fraction_loop(tmp_path):
+    cases = list(_groups_and_a_loaded_one(tmp_path).values())
+    cases += [groups.cyclic(n) for n in (*range(1, 17), 96)]
+    for G in cases:
+        H = builders.group_hypergroup(G)
+        assert H._rows is None, G.name
+        _assert_same_table(H, group_rows_loop(G))
 
 
 def test_conjugacy_hypergroup_matches_fraction_loop(tmp_path):

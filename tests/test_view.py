@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypharm import builders, characters, chi0, core, haar_weights, quantum, view, voit_deform
+from hypharm import (builders, characters, chi0, core, groups, haar_weights, quantum, view,
+                     voit_deform)
 from hypharm.builders import FamilySpec, family
 from hypharm.core import (
     HypergroupTable,
@@ -259,12 +260,16 @@ def _peak_bytes(fn, *args):
 def test_verify_axioms_memory_is_cubic():
     H = builders.tree_radial(2, 40)
     D = voit_deform(H, chi0(H)).deformed
-    # a copy without the view voit_deform built, so that building it counts
-    D = HypergroupTable(D.name, D.size, D.involution, D.rows, haar=D.haar,
-                        truncated=True, radius=D.radius, generator=D.generator)
+    rows = D.rows
+
+    def build_and_verify():
+        # a copy built from the rows, so that building its view counts
+        verify_axioms(HypergroupTable(D.name, D.size, D.involution, rows, haar=D.haar,
+                                      truncated=True, radius=D.radius, generator=D.generator))
+
     n = D.size
     # no n**4 array and no second float n**3 tensor, view included
-    assert _peak_bytes(verify_axioms, D) < 3 * 8 * n**3
+    assert _peak_bytes(build_and_verify) < 3 * 8 * n**3
 
 
 def test_characters_memory_is_below_dense_matrices():
@@ -292,8 +297,18 @@ def _z3_entries():
     # (2, 1) names the product (1, 2) again, with another row
     (lambda x, y, z, v: (np.r_[x, 2], np.r_[y, 1], np.r_[z, 1], (np.r_[v[0], 1], np.r_[v[1], 1])),
      r"conflicting data for row \(1, 2\)"),
-], ids=["row-index", "support-index", "zero-denominator", "repeated-entry", "conflicting-orders"])
+    # rows of a 2-point table, which go through the same checks
+    ({(0, 0): [(0, 1)], (0, 1): [(1, Fraction(1, 2)), (1, Fraction(1, 2))], (1, 1): [(0, 1)]},
+     r"row \(0, 1\) names support index 1 twice"),
+    ({(0, 0): [(0, 1), (5, 0)], (0, 1): [(1, 1)], (1, 1): [(0, 1)]},
+     r"support index 5 out of range in row \(0, 0\)"),
+], ids=["row-index", "support-index", "zero-denominator", "repeated-entry", "conflicting-orders",
+        "rows-repeated-entry", "rows-zero-out-of-range"])
 def test_entries_are_checked(change, message):
+    if isinstance(change, dict):
+        with pytest.raises(ValueError, match=message):
+            HypergroupTable("z2", 2, [0, 1], change)
+        return
     x, y, z = _z3_entries()
     ones = np.ones(len(x), dtype=np.int64)
     x, y, z, value = change(x, y, z, (ones, ones))
@@ -344,6 +359,56 @@ def test_finite_table_given_a_view_needs_every_row():
     assert H.has_row(0, 1) and not H.has_row(1, 1) and not H.has_row(2, 0)
     with pytest.raises(core.TruncationOverflow):
         H.row(1, 1)
+
+
+@pytest.mark.parametrize("size, involution, kwargs, message", [
+    (3, [0, 2, 1], {}, "involution"),
+    (3, [0, 1, 2], {"identity": 1}, "identity"),
+    (3, [0, 1, 2], {"commutative": False}, "commutativity"),
+    (2, [0, 1], {}, "size"),
+], ids=["involution", "identity", "commutative", "size"])
+def test_a_table_must_agree_with_its_view(size, involution, kwargs, message):
+    V = builders.conjugacy_hypergroup(groups.symmetric(3)).view
+    with pytest.raises(ValueError, match=f"the view's {message}"):
+        HypergroupTable("m", size, involution, None, view=V, **kwargs)
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_rows_give_the_view_of_the_entries(name):
+    H = _table(name)
+    K = HypergroupTable(H.name, H.size, H.involution, H.rows, identity=H.identity,
+                        haar=H.haar, commutative=H.commutative, truncated=H.truncated,
+                        radius=H.radius)
+    V, W = H.view, K.view
+    for attr in ("px", "py", "starts", "x", "y", "z", "has_row", "inv"):
+        assert np.array_equal(getattr(V, attr), getattr(W, attr)), attr
+    assert V.c.tobytes() == W.c.tobytes()
+    if H.exact:
+        assert _entry_values(V) == _entry_values(W)
+        if "x" not in name:  # a product's numerators are over D1 D2, not the least one
+            assert V.numerators() == W.numerators()
+    assert K.exact == H.exact and K.rows == H.rows
+
+
+def _entry_values(V):
+    """The exact value of each entry of ``V``, from its numerators."""
+    N, D = V.numerators()
+    return [Fraction(a, D) for a in V.entries(np.array(N, dtype=object)).tolist()]
+
+
+def test_an_empty_row_stays_stored():
+    rows = {(0, 0): [(0, 1)], (0, 1): [(1, 1)], (1, 1): []}
+    H = HypergroupTable("z2 with an empty row", 2, [0, 1], rows)
+    assert verify_axioms(H).checks["probability"].violation == 1.0
+    H = HypergroupTable("section", 2, [0, 1], rows, truncated=True)
+    assert H.has_row(1, 1) and H.row(1, 1) == ()
+
+
+def test_relabeled_shares_the_view():
+    H = _table("conj_s4")
+    K = H.relabeled("again")
+    assert K.view is H.view and K._rows is None
+    assert K.name == "again" and K.haar == H.haar
 
 
 # -- NaN never passes a check ------------------------------------------------
