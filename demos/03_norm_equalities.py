@@ -45,11 +45,12 @@ for i in range(3):
     print(f"|chi_{i}|_A =", norm_A(H, ct, ct.chars[i], with_witness=False)[0])
 
 # on truncated tables only certified intervals are reported
-from hypharm import HFunction, a_norm_interval, ma_norm_interval
+from hypharm import a_norm_interval, ma_norm_interval
 
 T = builders.tree_radial(2, 24)
-iv = a_norm_interval(T, HFunction.delta(1))
+delta_1 = np.eye(T.size)[1]  # functions are arrays of length |T|
+iv = a_norm_interval(T, delta_1)
 print()
 print(f"tree section, |delta_1|_A in [{iv.lower}, {iv.upper}]")
-ivm = ma_norm_interval(T, HFunction.delta(1))
+ivm = ma_norm_interval(T, delta_1)
 print(f"tree section, |delta_1|_MA in [{ivm.lower}, {ivm.upper}]")

@@ -58,7 +58,7 @@ data = group_character_data(G)
 sigma = next(a for a, d in enumerate(data.dims) if d == 2)
 f = CentralFunction("S3", tuple(data.chars[sigma]))
 fh = hat_map(G, f)  # isometry is verified inside
-print("hat(chi_sigma) =", {k: complex(v) for k, v in fh.values.items()})
+print("hat(chi_sigma) =", fh)  # an array on Irr(S3)
 print("|chi_sigma|_ZL1 =", zl1_norm(G, f), "(= 2/3)")
 
 # convolution becomes the pointwise product
@@ -66,11 +66,9 @@ rng = np.random.default_rng(2)
 g1 = CentralFunction("S3", tuple(rng.standard_normal(3)))
 g2 = CentralFunction("S3", tuple(rng.standard_normal(3)))
 lhs = hat_map(G, central_convolve(G, g1, g2), verify=False)
-rhs = {a: complex(hat_map(G, g1, verify=False)[a]) * complex(hat_map(G, g2, verify=False)[a])
-       for a in range(3)}
-print("multiplicativity defect:",
-      max(abs(complex(lhs[a]) - rhs[a]) for a in range(3)))
+rhs = hat_map(G, g1, verify=False) * hat_map(G, g2, verify=False)
+print("multiplicativity defect:", float(np.abs(lhs - rhs).max()))
 
 # central measures land in B(Irr(G)): the point mass at e maps to 1
 mu = CentralMeasure("S3", (1, 0, 0))
-print("T*(delta_e) =", {k: complex(v) for k, v in zm_to_b(G, mu).values.items()})
+print("T*(delta_e) =", zm_to_b(G, mu))

@@ -9,12 +9,12 @@ from .core import (
     HFunction,
     HypergroupTable,
     NNTail,
+    convolve,
     convolve_functions,
     convolve_point,
     haar_weights,
     involute,
     l1_norm,
-    l2_norm,
     load_table,
     save_table,
     translate,
@@ -77,6 +77,7 @@ from .amenability import (
     diagonal_psi,
     indicator_diagonal,
     invert_multiplier,
+    on_diagonal,
     restrict_to_diagonal,
     weak_amenability_witness,
 )

@@ -19,23 +19,17 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .builders import product
-from .core import (
-    DEFAULT_SEED,
-    DEFAULT_TOL,
-    HFunction,
-    HypergroupTable,
-    convolve_functions,
-    involute,
-    l2_norm,
-)
+from .core import DEFAULT_SEED, DEFAULT_TOL, HypergroupTable, convolve
 from .errors import P2Failure, TruncationOverflow, UnboundedValueSet, ZeroValue
 from .norms import (
     Interval,
     a_norm_interval,
+    l2_norm,
     ma_norm_interval,
     norm_A,
     norm_Blambda,
@@ -57,20 +51,40 @@ def pair_index(H: HypergroupTable, x: int, y: int) -> int:
     return x * H.size + y
 
 
-def diagonal_psi(H: HypergroupTable) -> HFunction:
-    """The coefficient function psi(x,y) = delta_{x,y}/lam(x) on H x H."""
-    return HFunction({pair_index(H, x, x): 1 / H.haar[x] for x in range(H.size)})
+def _reciprocal(v):
+    """1/v, exact for an int or a Fraction."""
+    return Fraction(1) / v if isinstance(v, (int, Fraction)) else 1 / v
 
 
-def restrict_to_diagonal(H: HypergroupTable, rho: HFunction) -> HFunction:
-    """m(rho) = sum_x rho(x,x) x: the extension of multiplication to MA."""
-    n = H.size
-    return HFunction({x: rho[pair_index(H, x, x)] for x in range(n)})
+def diagonal_psi(H: HypergroupTable) -> tuple:
+    """The coefficient function psi(x,y) = delta_{x,y}/lam(x) on H x H.
+
+    Returned as its n diagonal values psi(x,x), exact on exact tables.
+    """
+    return tuple(_reciprocal(v) for v in H.haar)
+
+
+def on_diagonal(H: HypergroupTable, values) -> np.ndarray:
+    """The function on H x H with ``values`` on the diagonal and 0 elsewhere."""
+    out = np.zeros(H.size * H.size, dtype=complex)
+    out[:: H.size + 1] = np.asarray(values, dtype=complex)
+    return out
+
+
+def restrict_to_diagonal(H: HypergroupTable, rho) -> tuple:
+    """m(rho) = sum_x rho(x,x) x: the extension of multiplication to MA.
+
+    ``rho`` holds the n^2 values of a function on H x H, indexed by
+    :func:`pair_index`; its n diagonal values are returned as given.
+    """
+    if len(rho) != H.size * H.size:
+        raise ValueError("function length does not match the table H x H")
+    return tuple(rho[:: H.size + 1])
 
 
 @dataclass
 class MultiplierInverse:
-    values: HFunction
+    values: tuple
     ma_norm: float
     value_set_size: int
 
@@ -78,24 +92,22 @@ class MultiplierInverse:
 def invert_multiplier(
     H: HypergroupTable,
     ct: CharacterTable | None,
-    phi: HFunction,
+    phi,
     seed: int = DEFAULT_SEED,
 ) -> MultiplierInverse:
     """Pointwise reciprocal of a multiplier with finite value set.
 
-    Raises :class:`ZeroValue` on a zero value.  On truncated tables, warns
-    with :class:`UnboundedValueSet` when the value set keeps growing with the
-    radius (the bounded-Haar hypothesis fails); the reciprocal is still
-    returned but no multiplier norm is claimed.
+    ``phi`` holds the multiplier's n values; their reciprocals are exact
+    where the values are.  Raises :class:`ZeroValue` on a zero value.  On
+    truncated tables, warns with :class:`UnboundedValueSet` when the value
+    set keeps growing with the radius (the bounded-Haar hypothesis fails);
+    the reciprocal is still returned but no multiplier norm is claimed.
     """
-    vals = {}
-    for x in range(H.size):
-        v = phi[x]
+    for x, v in enumerate(phi):
         if v == 0:
             raise ZeroValue(f"{H.name}: phi({x}) = 0 cannot be inverted")
-        vals[x] = 1 / v if not isinstance(v, float) else 1.0 / v
-    inv = HFunction(vals)
-    worst = max(abs(complex(phi[x] * inv[x]) - 1.0) for x in range(H.size))
+    inv = tuple(_reciprocal(v) for v in phi)
+    worst = max(abs(complex(v * w) - 1.0) for v, w in zip(phi, inv))
     if worst > 1e-12:
         raise ArithmeticError(f"{H.name}: phi * phi^-1 != 1 by {worst:.2e}")
 
@@ -126,14 +138,16 @@ class DiagonalIndicator:
 
     ``table`` is H and ``product_table`` is H x H; ``characters`` and
     ``product_characters`` are their character tables, each computed once.
+    ``phi`` and ``one_delta`` are functions supported on the diagonal of
+    H x H, held as their n diagonal values (exact on exact tables).
     """
 
     table: HypergroupTable
     product_table: HypergroupTable
     characters: CharacterTable
     product_characters: CharacterTable
-    phi: HFunction
-    one_delta: HFunction
+    phi: tuple
+    one_delta: tuple
     ma_norm: float
     psi_norm: float
     phi_inverse_ma_norm: float
@@ -148,6 +162,10 @@ def indicator_diagonal(H: HypergroupTable, seed: int = DEFAULT_SEED) -> Diagonal
     checks pointwise that the construction reproduces the diagonal
     indicator exactly.  H x H and both character tables are built here once;
     only H is diagonalized, the characters of H x H are products of its own.
+
+    psi, phi, phi^{-1} and 1_Delta are supported on the diagonal and are
+    computed as their n diagonal values; only the norms on H x H see them
+    as functions on H x H.
     """
     if H.truncated:
         raise TruncationOverflow("indicator_diagonal needs a finite table")
@@ -155,21 +173,15 @@ def indicator_diagonal(H: HypergroupTable, seed: int = DEFAULT_SEED) -> Diagonal
     ct = characters(H, seed=seed)
     ctk = product_characters(K, ct, ct, seed=seed)
     psi = diagonal_psi(H)
-    psi_norm = norm_Blambda(K, ctk, psi)
-    phi = restrict_to_diagonal(H, psi)
+    psi_norm = norm_Blambda(K, ctk, on_diagonal(H, psi))
+    phi = psi  # m(psi): psi's values on the diagonal
     inv = invert_multiplier(H, ct, phi, seed=seed)
-    one_delta = HFunction(
-        {
-            pair_index(H, x, y): inv.values[x] * psi[pair_index(H, x, y)]
-            for x in range(H.size)
-            for y in range(H.size)
-        }
-    )
-    target = HFunction({pair_index(H, x, x): 1 for x in range(H.size)})
-    err = one_delta.max_abs_diff(target)
+    # (phi^{-1} (x) 1) psi vanishes off the diagonal with psi
+    one_delta = tuple(a * b for a, b in zip(inv.values, psi))
+    err = max(abs(complex(v) - 1) for v in one_delta)
     if err > 1e-12:
-        raise ArithmeticError(f"{H.name}: 1_Delta is off the diagonal by {err:.2e}")
-    ma = norm_MA(K, ctk, one_delta)
+        raise ArithmeticError(f"{H.name}: 1_Delta is not 1 on the diagonal, by {err:.2e}")
+    ma = norm_MA(K, ctk, on_diagonal(H, one_delta))
     slack = inv.ma_norm * psi_norm - ma
     return DiagonalIndicator(
         H, K, ct, ctk, phi, one_delta, ma, psi_norm, inv.ma_norm, float(err), float(slack)
@@ -193,36 +205,24 @@ def approximate_diagonal(
     identically (the proof's algebraic cancellation) and is asserted to be
     exactly zero; |u m(m) - u| is reported per test function.
     """
-    H, K, m = diag.table, diag.product_table, diag.one_delta
+    H, K = diag.table, diag.product_table
     rng = np.random.default_rng(seed)
-    tests = [HFunction.delta(x) for x in range(H.size)]
-    tests.append(HFunction({x: complex(a, b) for x, (a, b) in enumerate(
-        zip(rng.standard_normal(H.size), rng.standard_normal(H.size)))}))
-
+    # the point masses and one random function, one per row
+    tests = np.vstack([np.eye(H.size),
+                       rng.standard_normal(H.size) + 1j * rng.standard_normal(H.size)])
+    m = on_diagonal(H, diag.one_delta)
     bound = norm_A(K, diag.product_characters, m, with_witness=False)[0]
-    msq = restrict_to_diagonal(H, m)
-    commutator = 0.0
-    residuals = []
-    for u in tests:
-        left = HFunction(
-            {pair_index(H, x, y): u[x] * m[pair_index(H, x, y)]
-             for x in range(H.size) for y in range(H.size)}
+    # u.m - m.u on H x H, (u.m)(x, y) = u(x) m(x, y) and (m.u)(x, y) = m(x, y) u(y)
+    M = m.reshape(H.size, H.size)
+    commutator = float(np.abs(tests[:, :, None] * M - M * tests[:, None, :]).max())
+    if commutator != 0.0:
+        raise ArithmeticError(
+            f"{H.name}: approximate-diagonal commutator is {commutator:.2e}, not 0"
         )
-        right = HFunction(
-            {pair_index(H, x, y): m[pair_index(H, x, y)] * u[y]
-             for x in range(H.size) for y in range(H.size)}
-        )
-        diff = left.max_abs_diff(right)
-        if diff != 0.0:
-            raise ArithmeticError(
-                f"{H.name}: approximate-diagonal commutator is {diff:.2e}, not 0"
-            )
-        commutator = max(commutator, diff)
-        resid_fn = HFunction(
-            {x: u[x] * msq[x] - u[x] for x in range(H.size)}
-        )
-        residuals.append(norm_A(H, diag.characters, resid_fn, with_witness=False)[0])
-    return ApproximateDiagonal(bound, commutator, tuple(residuals))
+    # u m(m) - u, with m(m) the diagonal values of m
+    resid = tests * np.diagonal(M) - tests
+    residuals = tuple(norm_A(H, diag.characters, r, with_witness=False)[0] for r in resid)
+    return ApproximateDiagonal(bound, commutator, residuals)
 
 
 # -- weak amenability --------------------------------------------------------
@@ -231,7 +231,7 @@ def approximate_diagonal(
 @dataclass
 class WitnessEntry:
     radius: int
-    e_alpha: HFunction
+    e_alpha: np.ndarray
     ma_bound: float
     ma_interval_H: Interval | None
     ma_interval_H0: Interval | None
@@ -248,7 +248,10 @@ class WeakAmenabilityWitness:
 
 
 def _perron_vector(H0: HypergroupTable, radius: int) -> np.ndarray:
-    """Top eigenvector of the ball compression, l2(lam')-normalized, >= 0."""
+    """Top eigenvector of the ball compression, l2(lam')-normalized, >= 0.
+
+    Returned as a function on all of H0, 0 outside the ball.
+    """
     W = section_operator(H0, radius)
     vals, vecs = np.linalg.eigh(W)
     w = vecs[:, -1]
@@ -256,7 +259,9 @@ def _perron_vector(H0: HypergroupTable, radius: int) -> np.ndarray:
         w = -w
     w = np.clip(w, 0.0, None)
     w /= np.linalg.norm(w)
-    return w / np.sqrt(H0.lam[: radius + 1])
+    xi = np.zeros(H0.size)
+    xi[: radius + 1] = w / np.sqrt(H0.lam[: radius + 1])
+    return xi
 
 
 def weak_amenability_witness(
@@ -279,7 +284,7 @@ def weak_amenability_witness(
     if not H.truncated:
         if ct is None:
             ct = characters(H, seed=seed)
-        ones = HFunction({x: 1 for x in range(H.size)})
+        ones = np.ones(H.size)
         # multiplication by the constant one is the identity operator on
         # A(H), so its multiplier norm is exactly 1; the numeric column-sum
         # computation only cross-checks that within tolerance
@@ -303,14 +308,12 @@ def weak_amenability_witness(
     chi = chi0(H, seed=seed)
     pair = voit_deform(H, chi, seed=seed)
     H0 = pair.deformed
-    tests = {"delta0": HFunction.delta(0), "delta1": HFunction.delta(1),
-             "delta2": HFunction.delta(2)}
+    tests = {f"delta{x}": np.eye(H.size)[x] for x in range(3)}
     entries = []
     for r in radii:
         xi = _perron_vector(H0, r)
-        xi_fn = HFunction({i: float(v) for i, v in enumerate(xi) if v > 0})
-        e_alpha = convolve_functions(H0, xi_fn, involute(H0, xi_fn))
-        norm_sq = l2_norm(H0, xi_fn) ** 2
+        e_alpha = convolve(H0, xi, xi[H0.view.inv])
+        norm_sq = l2_norm(H0, xi) ** 2
         iv_H = ma_norm_interval(H, e_alpha)
         iv_H0 = ma_norm_interval(H0, e_alpha)
         bound = norm_sq
@@ -318,10 +321,8 @@ def weak_amenability_witness(
             raise ArithmeticError(
                 f"{H.name}: interval lower bound exceeds the witness bound"
             )
-        residuals = {}
-        for name, u in tests.items():
-            resid = HFunction({x: u[x] * e_alpha[x] - u[x] for x in u.support})
-            residuals[name] = a_norm_interval(H, resid).upper
+        residuals = {name: a_norm_interval(H, u * e_alpha - u).upper
+                     for name, u in tests.items()}
         entries.append(WitnessEntry(r, e_alpha, bound, iv_H, iv_H0, residuals))
     decreasing = all(
         entries[i + 1].residuals[name] < entries[i].residuals[name] + 1e-15
@@ -343,13 +344,13 @@ def bai_from_p2(
     F: tuple[int, ...],
     eps: float,
     seed: int = DEFAULT_SEED,
-) -> HFunction:
+) -> np.ndarray:
     """Positive definite u = xi ._lam xi~ with |u|_A <= 1 and u ~ 1 on F.
 
     Raises :class:`P2Failure` when the table is certified to fail (P2).
     """
     if not H.truncated:
-        return HFunction({x: 1 for x in range(H.size)})
+        return np.ones(H.size)
     p2 = check_p2(H, seed=seed)
     if p2.status == "fails":
         raise P2Failure(f"{H.name}: (P2) fails, no bounded approximate identity")
@@ -359,10 +360,9 @@ def bai_from_p2(
     r = max(4, max(F) + 1)
     while r <= max_r:
         xi = _perron_vector(H, r)
-        xi_fn = HFunction({i: float(v) for i, v in enumerate(xi) if v > 0})
-        u = convolve_functions(H, xi_fn, involute(H, xi_fn))
-        if max(abs(complex(u[x]) - 1.0) for x in F) < eps:
-            if l2_norm(H, xi_fn) > 1.0 + 1e-12:
+        u = convolve(H, xi, xi[H.view.inv])
+        if max(abs(u[x] - 1.0) for x in F) < eps:
+            if l2_norm(H, xi) > 1.0 + 1e-12:
                 raise ArithmeticError("Perron vector not normalized")
             return u
         r = min(2 * r, max_r) if r < max_r else max_r + 1
@@ -417,7 +417,7 @@ def amenability_report(H: HypergroupTable, seed: int = DEFAULT_SEED) -> Amenabil
         H.name,
         p2.status,
         diag.psi_norm,
-        tuple(diag.phi[x] for x in range(H.size)),
+        diag.phi,
         diag.phi_inverse_ma_norm,
         diag.ma_norm,
         approx.bound,

@@ -26,10 +26,6 @@ from .report import ReportDoc
 DEFAULT_TOL_ENV = "HYPHARM_TOL"
 
 
-class MathCheckFailure(Exception):
-    """A verification that should hold numerically did not."""
-
-
 class UsageError(Exception):
     """Bad combination of command-line arguments."""
 
@@ -144,6 +140,9 @@ def cmd_norms(args) -> int:
     us = []
     if args.u_file:
         us.append(_load_function(args.u_file, H.size))
+    elif args.random < 1:
+        # a verdict needs at least one function checked
+        raise UsageError(f"--random must be at least 1, got {args.random}")
     else:
         us.extend(_random_functions(H, args.random, args.seed))
     glist = tuple(groups.get_group(g) for g in args.groups.split(",")) if args.groups else None
@@ -164,10 +163,8 @@ def cmd_norms(args) -> int:
             doc.add(f"u{k}.norm_blambda", b)
             doc.add(f"u{k}.norm_ma", ma)
             if rep.witness is not None:
-                doc.add(f"u{k}.witness.xi",
-                        [complex(rep.witness.xi[i]) for i in range(H.size)])
-                doc.add(f"u{k}.witness.eta",
-                        [complex(rep.witness.eta[i]) for i in range(H.size)])
+                doc.add(f"u{k}.witness.xi", rep.witness.xi.tolist())
+                doc.add(f"u{k}.witness.eta", rep.witness.eta.tolist())
                 doc.add(f"u{k}.witness.product_error", rep.witness.product_error)
             scale = max(1.0, a)
             if abs(a - b) > args.tol * scale or abs(b - ma) > args.tol * scale:

@@ -12,6 +12,14 @@ implements the weighted convolution
 
 left translation, involution and axiom verification.
 
+A function on a table is a length-``n`` numpy array wherever it is
+computed with numerically: :func:`convolve` is the convolution of two such
+arrays, on the table's :class:`~hypharm.view.TableView`.  :class:`HFunction`
+(finitely supported, values exact when they are Fractions) with
+:func:`convolve_point`, :func:`convolve_functions`, :func:`translate`,
+:func:`involute` and :func:`l1_norm` is the exact calculus, and the
+reference that :func:`convolve` is tested against.
+
 Two arithmetic modes are supported.  Tables derived from group Cayley
 tables carry exact :class:`fractions.Fraction` entries and all checks are
 exact; spectral constructions carry floats and every verifier takes an
@@ -91,7 +99,11 @@ class NNTail:
 
 
 class HFunction:
-    """Finitely supported function on hypergroup element indices."""
+    """Finitely supported function on hypergroup element indices.
+
+    The values are kept as given, so Fraction values stay exact under
+    :func:`convolve_functions` and :func:`translate`.
+    """
 
     __slots__ = ("values",)
 
@@ -102,10 +114,6 @@ class HFunction:
     @classmethod
     def delta(cls, x: int) -> "HFunction":
         return cls({x: 1})
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self.values))
 
     def __getitem__(self, i: int):
         return self.values.get(i, 0)
@@ -124,27 +132,6 @@ class HFunction:
     def __repr__(self):
         items = ", ".join(f"{i}: {v}" for i, v in self)
         return f"HFunction({{{items}}})"
-
-    def scaled(self, a) -> "HFunction":
-        return HFunction({i: a * v for i, v in self.values.items()})
-
-    def plus(self, other: "HFunction") -> "HFunction":
-        out = dict(self.values)
-        for i, v in other.values.items():
-            out[i] = out.get(i, 0) + v
-        return HFunction(out)
-
-    def to_dense(self, n: int) -> list:
-        out = [0] * n
-        for i, v in self.values.items():
-            out[i] = v
-        return out
-
-    def max_abs_diff(self, other: "HFunction") -> float:
-        keys = set(self.values) | set(other.values)
-        if not keys:
-            return 0.0
-        return max(float(abs(self[k] - other[k])) for k in keys)
 
 
 class HypergroupTable:
@@ -357,8 +344,29 @@ def l1_norm(H: HypergroupTable, f: HFunction) -> float:
     return float(sum(H.haar[i] * abs(v) for i, v in f.values.items()))
 
 
-def l2_norm(H: HypergroupTable, f: HFunction) -> float:
-    return math.sqrt(float(sum(H.haar[i] * abs(v) ** 2 for i, v in f.values.items())))
+def convolve(H: HypergroupTable, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """:func:`convolve_functions` on length-``n`` arrays, in float64.
+
+        (f ._lam g)(x) = (1/lam(x)) sum_{y,z} lam(y) lam(z) f(y) g(z) c^x_{y,z}
+
+    is one ``bincount`` over the entries of ``H.view`` (the real and the
+    imaginary part apart).  Raises :class:`TruncationOverflow` when a product
+    ``y.z`` with ``f(y) g(z) != 0`` is not stored.
+    """
+    V, lam = H.view, H.lam
+    f, g = np.asarray(f), np.asarray(g)
+    if f.shape != (H.size,) or g.shape != (H.size,):
+        raise ValueError("function length does not match the table")
+    missing = np.outer(f != 0, g != 0) & ~V.has_row
+    if missing.any():
+        y, z = np.argwhere(missing)[0].tolist()
+        raise TruncationOverflow(f"{H.name}: product {y}.{z} leaves the stored section")
+    w = (lam * f)[V.x] * (lam * g)[V.y] * V.c
+    if np.iscomplexobj(w):
+        out = np.bincount(V.z, w.real, H.size) + 1j * np.bincount(V.z, w.imag, H.size)
+    else:
+        out = np.bincount(V.z, w, H.size)
+    return out / lam
 
 
 # -- axiom verification -------------------------------------------------

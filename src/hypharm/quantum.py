@@ -35,7 +35,7 @@ from .builders import (
     q_integer,
     su2_tail,
 )
-from .core import HFunction, HypergroupTable, LineFile, _finite, int_in
+from .core import HypergroupTable, LineFile, _finite, convolve, int_in
 from .view import TableView, int_array
 from .errors import FileFormatError, ReciprocityError
 from .groups import FiniteGroup
@@ -243,21 +243,15 @@ def zl1_norm(G: FiniteGroup, f: CentralFunction) -> float:
 
 
 def central_convolve(G: FiniteGroup, f: CentralFunction, g: CentralFunction) -> CentralFunction:
-    """(f * g)(x) = (1/|G|) sum_y f(y) g(y^{-1} x) on class representatives."""
+    """(f * g)(x) = (1/|G|) sum_y f(y) g(y^{-1} x) on class representatives.
+
+    On Conj(G), whose Haar weights are the class sizes, this is
+    ``f ._lam g / |G|``.
+    """
     table = conjugacy_hypergroup(G)
-    sizes = [len(c) for c in G.conjugacy_classes()]
-    k = len(sizes)
-    out = [0j] * k
-    for i in range(k):
-        if f.values[i] == 0:
-            continue
-        for j in range(k):
-            if g.values[j] == 0:
-                continue
-            w = f.values[i] * g.values[j] * sizes[i] * sizes[j]
-            for t, c in table.row(i, j):
-                out[t] += w * complex(c) / sizes[t]
-    return CentralFunction(G.name, tuple(v / G.order for v in out))
+    out = convolve(table, np.asarray(f.values, dtype=complex),
+                   np.asarray(g.values, dtype=complex)) / G.order
+    return CentralFunction(G.name, tuple(out.tolist()))
 
 
 def hat_map(
@@ -266,22 +260,15 @@ def hat_map(
     seed: int = DEFAULT_SEED,
     verify: bool = True,
     tol: float = 1e-9,
-) -> HFunction:
+) -> np.ndarray:
     """f^(alpha) = (1/n_alpha)(1/|G|) sum_g f(g) chi_{alpha-bar}(g) on Irr(G).
 
     With ``verify`` the ZL1 -> A(Irr(G), n) isometry is checked on f itself.
     """
     data = group_character_data(G)
-    sizes = data.class_sizes
-    k = len(sizes)
-    vals = {}
-    for a in range(k):
-        abar = data.conjugate[a]
-        s = sum(
-            sizes[j] * f.values[j] * data.chars[abar][j] for j in range(k)
-        ) / G.order
-        vals[a] = s / data.dims[a]
-    out = HFunction(vals)
+    chars = np.array(data.chars)[list(data.conjugate)]
+    weighted = np.array(data.class_sizes) * np.asarray(f.values, dtype=complex)
+    out = chars @ weighted / G.order / np.array(data.dims)
     if verify:
         table = irr_hypergroup(G)
         ct = characters(table, seed=seed)
@@ -294,18 +281,11 @@ def hat_map(
     return out
 
 
-def inverse_hat_map(G: FiniteGroup, coeffs: HFunction) -> CentralFunction:
+def inverse_hat_map(G: FiniteGroup, coeffs) -> CentralFunction:
     """f(C) = sum_alpha n_alpha f^(alpha) chi_alpha(C)."""
     data = group_character_data(G)
-    k = len(data.dims)
-    vals = []
-    for j in range(k):
-        vals.append(
-            complex(
-                sum(data.dims[a] * complex(coeffs[a]) * data.chars[a][j] for a in range(k))
-            )
-        )
-    return CentralFunction(G.name, tuple(vals))
+    vals = (np.array(data.dims) * np.asarray(coeffs, dtype=complex)) @ np.array(data.chars)
+    return CentralFunction(G.name, tuple(vals.tolist()))
 
 
 @dataclass(frozen=True)
@@ -319,18 +299,15 @@ class CentralMeasure:
 def convolve_central_measures(
     G: FiniteGroup, mu: CentralMeasure, nu: CentralMeasure
 ) -> CentralMeasure:
-    """Mass on class k of mu * nu is sum_{ij} mu_i nu_j c^k_{ij}."""
+    """Mass on class k of mu * nu is sum_{ij} mu_i nu_j c^k_{ij}.
+
+    On Conj(G), with Haar weights lam, this is ``lam (mu/lam ._lam nu/lam)``.
+    """
     table = conjugacy_hypergroup(G)
-    k = table.size
-    out = [0j] * k
-    for i in range(k):
-        for j in range(k):
-            w = mu.masses[i] * nu.masses[j]
-            if w == 0:
-                continue
-            for t, c in table.row(i, j):
-                out[t] += w * complex(c)
-    return CentralMeasure(G.name, tuple(out))
+    lam = table.lam
+    out = lam * convolve(table, np.asarray(mu.masses, dtype=complex) / lam,
+                         np.asarray(nu.masses, dtype=complex) / lam)
+    return CentralMeasure(G.name, tuple(out.tolist()))
 
 
 def zm_to_b(
@@ -339,26 +316,19 @@ def zm_to_b(
     seed: int = DEFAULT_SEED,
     verify: bool = True,
     tol: float = 1e-9,
-) -> HFunction:
+) -> np.ndarray:
     """T*(mu)(pi) = (1/d_pi) <mu, chi_pi>: central measures into B(Irr(G)).
 
     With ``verify``, multiplicativity under measure convolution and the
     equality |T*(mu)|_{B_lambda(Irr G)} = total variation are checked.
     """
     data = group_character_data(G)
-    k = len(data.dims)
-    vals = {
-        a: sum(mu.masses[j] * data.chars[a][j] for j in range(k)) / data.dims[a]
-        for a in range(k)
-    }
-    out = HFunction(vals)
+    out = np.array(data.chars) @ np.asarray(mu.masses, dtype=complex) / np.array(data.dims)
     if verify:
         sq = convolve_central_measures(G, mu, mu)
         lhs = zm_to_b(G, sq, seed=seed, verify=False)
-        worst = max(
-            abs(complex(lhs[a]) - complex(out[a]) ** 2) for a in range(k)
-        )
-        if worst > tol * max(1.0, max(abs(complex(out[a])) for a in range(k)) ** 2):
+        worst = float(np.abs(lhs - out**2).max())
+        if worst > tol * max(1.0, float(np.abs(out).max()) ** 2):
             raise ArithmeticError(f"{G.name}: T* is not multiplicative ({worst:.2e})")
         table = irr_hypergroup(G)
         ct = characters(table, seed=seed)

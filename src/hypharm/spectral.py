@@ -29,7 +29,6 @@ import numpy as np
 from .core import (
     DEFAULT_SEED,
     DEFAULT_TOL,
-    HFunction,
     HypergroupTable,
     NNTail,
     verify_axioms,
@@ -276,11 +275,7 @@ def plancherel(
 
 
 def _as_dense(H: HypergroupTable, f) -> np.ndarray:
-    if isinstance(f, HFunction):
-        out = np.zeros(H.size, dtype=complex)
-        for i, v in f.values.items():
-            out[i] = complex(v)
-        return out
+    """``f``, a function on the table, as a complex array of length ``n``."""
     arr = np.asarray(f, dtype=complex)
     if arr.shape != (H.size,):
         raise ValueError("function length does not match the table")
@@ -292,11 +287,9 @@ def fourier(H: HypergroupTable, ct: CharacterTable, f) -> np.ndarray:
     return (H.lam * _as_dense(H, f)) @ ct.chars.conj().T
 
 
-def inverse_fourier(H: HypergroupTable, ct: CharacterTable, coeffs) -> HFunction:
+def inverse_fourier(H: HypergroupTable, ct: CharacterTable, coeffs) -> np.ndarray:
     """u(x) = sum_chi w(chi) u^(chi) chi(x); round-trips within 1e-10."""
-    coeffs = np.asarray(coeffs, dtype=complex)
-    vals = (ct.plancherel * coeffs) @ ct.chars
-    return HFunction(enumerate(vals))
+    return (ct.plancherel * np.asarray(coeffs, dtype=complex)) @ ct.chars
 
 
 # -- (P2) -----------------------------------------------------------------

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from hypharm import (
-    HFunction,
     amenability,
     bai_from_p2,
     builders,
@@ -21,6 +20,7 @@ from hypharm import (
 from hypharm.amenability import (
     amenability_report,
     approximate_diagonal,
+    on_diagonal,
     pair_index,
 )
 from hypharm.errors import P2Failure, TruncationOverflow, UnboundedValueSet, ZeroValue
@@ -34,59 +34,62 @@ def conj_s3():
 
 def test_diagonal_psi_values(conj_s3):
     psi = diagonal_psi(conj_s3)
-    assert psi[pair_index(conj_s3, 0, 0)] == 1
-    assert psi[pair_index(conj_s3, 1, 1)] == Fraction(1, 3)
-    assert psi[pair_index(conj_s3, 2, 2)] == Fraction(1, 2)
-    assert psi[pair_index(conj_s3, 0, 1)] == 0
+    assert psi == (1, Fraction(1, 3), Fraction(1, 2))
+    assert all(isinstance(v, Fraction) for v in psi)
+    dense = on_diagonal(conj_s3, psi)
+    assert dense[pair_index(conj_s3, 1, 1)] == 1 / 3
+    assert dense[pair_index(conj_s3, 0, 1)] == 0
+    assert np.count_nonzero(dense) == 3
     assert indicator_diagonal(conj_s3).psi_norm == pytest.approx(1.0, abs=1e-9)
 
 
 def test_diagonal_psi_irr_s3():
     H = builders.irr_hypergroup(groups.symmetric(3))
     psi = diagonal_psi(H)
-    vals = sorted(float(psi[pair_index(H, x, x)]) for x in range(3))
-    assert vals == [0.25, 1.0, 1.0]
+    assert sorted(float(v) for v in psi) == [0.25, 1.0, 1.0]
 
 
 def test_diagonal_psi_group_case():
     H = builders.group_hypergroup(groups.cyclic(4))
     psi = diagonal_psi(H)
-    assert all(psi[pair_index(H, x, x)] == 1 for x in range(4))
+    assert psi == (1, 1, 1, 1)
     assert indicator_diagonal(H).psi_norm == pytest.approx(1.0, abs=1e-9)
 
 
 def test_restrict_to_diagonal(conj_s3):
-    phi = restrict_to_diagonal(conj_s3, diagonal_psi(conj_s3))
-    assert phi == HFunction({0: 1, 1: Fraction(1, 3), 2: Fraction(1, 2)})
+    # m(psi) gives psi's diagonal values back, exactly
+    psi = [0] * 9
+    for x, v in enumerate(diagonal_psi(conj_s3)):
+        psi[pair_index(conj_s3, x, x)] = v
+    assert restrict_to_diagonal(conj_s3, psi) == (1, Fraction(1, 3), Fraction(1, 2))
     # rho = u (x) v restricts to the pointwise product uv
     u = [2, -1, 3]
     v = [1, 5, -2]
-    rho = HFunction(
-        {pair_index(conj_s3, x, y): u[x] * v[y] for x in range(3) for y in range(3)}
-    )
-    assert restrict_to_diagonal(conj_s3, rho) == HFunction(
-        {x: u[x] * v[x] for x in range(3)}
-    )
-    assert restrict_to_diagonal(conj_s3, HFunction()) == HFunction()
+    rho = np.outer(u, v).ravel()
+    assert restrict_to_diagonal(conj_s3, rho) == tuple(u[x] * v[x] for x in range(3))
+    assert restrict_to_diagonal(conj_s3, np.zeros(9)) == (0, 0, 0)
+    with pytest.raises(ValueError):
+        restrict_to_diagonal(conj_s3, np.zeros(3))
 
 
 def test_invert_multiplier(conj_s3):
     ct = characters(conj_s3)
-    phi = HFunction({0: 1, 1: Fraction(1, 3), 2: Fraction(1, 2)})
+    phi = (1, Fraction(1, 3), Fraction(1, 2))
     inv = invert_multiplier(conj_s3, ct, phi)
-    assert inv.values == HFunction({0: 1, 1: 3, 2: 2})
+    assert inv.values == (1, 3, 2)
+    assert all(isinstance(v, Fraction) for v in inv.values)
     assert inv.value_set_size == 3
     assert np.isfinite(inv.ma_norm)
 
 
 def test_invert_multiplier_zero(conj_s3):
     with pytest.raises(ZeroValue):
-        invert_multiplier(conj_s3, None, HFunction({0: 1, 1: 0, 2: 1}))
+        invert_multiplier(conj_s3, None, (1, 0, 1))
 
 
 def test_invert_multiplier_unbounded_value_set_warns():
     S = builders.su2_fusion(30)
-    phi = HFunction({i: 1.0 / float(S.haar[i]) for i in range(S.size)})
+    phi = tuple(1.0 / float(S.haar[i]) for i in range(S.size))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         invert_multiplier(S, None, phi)
@@ -99,8 +102,7 @@ def test_indicator_diagonal_is_exact(finite_tables):
         assert diag.pointwise_error == 0.0, name
         assert np.isfinite(diag.ma_norm), name
         assert diag.submultiplicative_slack >= -1e-9, name
-        target = {pair_index(H, x, x): 1 for x in range(H.size)}
-        assert diag.one_delta == HFunction(target), name
+        assert diag.one_delta == (1,) * H.size, name
 
 
 def test_indicator_diagonal_carries_its_tables(conj_s3):
@@ -109,7 +111,7 @@ def test_indicator_diagonal_carries_its_tables(conj_s3):
     assert diag.product_table.size == conj_s3.size ** 2
     assert diag.characters.size == conj_s3.size
     assert diag.product_characters.size == diag.product_table.size
-    assert diag.phi == restrict_to_diagonal(conj_s3, diagonal_psi(conj_s3))
+    assert diag.phi == diagonal_psi(conj_s3) == (1, Fraction(1, 3), Fraction(1, 2))
 
 
 def test_indicator_diagonal_z2_norm_one():
@@ -125,7 +127,8 @@ def test_approximate_diagonal(conj_s3):
     assert all(r < 1e-9 for r in ad.identity_residuals)
     # with e = 1 the bound is |1_Delta|_A(HxH), here on a fresh character table
     ctk = characters(diag.product_table)
-    want = norm_A(diag.product_table, ctk, diag.one_delta, with_witness=False)[0]
+    one_delta = on_diagonal(conj_s3, diag.one_delta)
+    want = norm_A(diag.product_table, ctk, one_delta, with_witness=False)[0]
     assert ad.bound == pytest.approx(want, rel=1e-9)
 
 
@@ -206,7 +209,7 @@ def test_weak_amenability_rejects_bad_radii(radii):
 
 def test_bai_from_p2_finite(conj_s3):
     u = bai_from_p2(conj_s3, (0, 1, 2), 0.5)
-    assert u == HFunction({0: 1, 1: 1, 2: 1})
+    assert np.array_equal(u, np.ones(3))
 
 
 def test_bai_from_p2_su2():

@@ -105,6 +105,15 @@ def test_amenability_negative_radius_exit_two(radii, capsys):
     assert "radii" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_norms_without_functions_exit_two(count, capsys):
+    # with no function checked there is no evidence for a verdict
+    code, out = _run(["norms", "--family", "cyclic", "--n", "4", "--random", count])
+    assert code == 2
+    assert out == ""
+    assert "--random" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("q", ["0", "-1", "0.0", "3/2"])
 def test_quantum_bad_q_exit_two(q, capsys):
     code, _ = _run(["quantum", "--q", q, "--radius", "5"])

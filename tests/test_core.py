@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hypharm import (
     HFunction,
     builders,
+    convolve,
     convolve_functions,
     convolve_point,
     groups,
@@ -105,6 +106,39 @@ def test_convolve_functions_matches_group_algebra(conj_s3):
                                  HFunction(dict(enumerate(g))))
         for k, cl in enumerate(classes):
             assert abs(complex(got[k]) - conv[cl[0]]) < 1e-12
+
+
+CONVOLVE_TABLES = {
+    **{f"{fam}_{g}": (lambda fam=fam, g=g: builders.family(
+        builders.FamilySpec(fam, group=g)))
+       for g in ("s3", "s4", "a4", "d4", "q8", "klein", "z5", "z6")
+       for fam in ("conj", "irr")},
+    "cyclic_16": lambda: builders.family(builders.FamilySpec("cyclic", n=16)),
+    "cyclic_96": lambda: builders.family(builders.FamilySpec("cyclic", n=96)),
+    "irr_d4_x_conj_q8": lambda: builders.product(
+        builders.irr_hypergroup(groups.dihedral4()),
+        builders.conjugacy_hypergroup(groups.quaternion8())),
+    "tree_radial_2_30": lambda: builders.tree_radial(2, 30),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONVOLVE_TABLES))
+def test_convolve_matches_exact_calculus(name):
+    """The array convolution reproduces convolve_functions within 1e-13 of the scale."""
+    H = CONVOLVE_TABLES[name]()
+    rng = np.random.default_rng(5)
+    # on a section, supports in the ball of half its radius keep products stored
+    m = H.radius // 2 + 1 if H.truncated else H.size
+    for _ in range(3):
+        f, g = np.zeros((2, H.size), dtype=complex)
+        f[:m], g[:m] = rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m))
+        f[rng.integers(m)] = 0
+        want = convolve_functions(H, HFunction(enumerate(f)), HFunction(enumerate(g)))
+        want = np.array([complex(want[x]) for x in range(H.size)])
+        got = convolve(H, f, g)
+        assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max()), name
+    # real inputs give a real result
+    assert convolve(H, f.real, g.real).dtype == float
 
 
 def test_l1_contraction_random():
@@ -233,6 +267,13 @@ def test_truncation_overflow():
         convolve_point(T, 5, 6)
     with pytest.raises(TruncationOverflow):
         convolve_functions(T, HFunction.delta(5), HFunction.delta(6))
+    delta = np.eye(T.size)
+    with pytest.raises(TruncationOverflow, match="5.6"):
+        convolve(T, delta[5], delta[6] + delta[1])
+    # inside the section the two calculi agree
+    assert np.allclose(convolve(T, delta[5], delta[3]),
+                       [float(convolve_functions(T, HFunction.delta(5), HFunction.delta(3))[x])
+                        for x in range(T.size)], rtol=0, atol=1e-15)
     with pytest.raises(IndexError):
         convolve_point(T, 0, 99)
 

@@ -52,8 +52,9 @@ def test_norm_A_witness_reproduces_u(conj_s3):
         val, wit = norm_A(H, ct, u)
         assert wit.product_error < 1e-10
         assert wit.value_error < 1e-9 * max(1.0, val)
-        # independent recomputation through the convolution machinery
-        prod = convolve_functions(H, wit.xi, involute(H, wit.eta))
+        # independent recomputation through the exact convolution calculus
+        xi, eta = HFunction(enumerate(wit.xi)), HFunction(enumerate(wit.eta))
+        prod = convolve_functions(H, xi, involute(H, eta))
         assert max(abs(prod[i] - u[i]) for i in range(3)) < 1e-10
 
 
@@ -190,7 +191,7 @@ def test_mcb_delta_e_tensor_invariance(conj_s3):
 
 def test_interval_sanity_tree():
     T = builders.tree_radial(2, 24)
-    for u in (HFunction.delta(1), HFunction({0: 1.0, 2: -0.5})):
+    for u in (np.eye(T.size)[1], np.array([1.0, 0, -0.5] + [0] * (T.size - 3))):
         iv = a_norm_interval(T, u)
         assert 0 <= iv.lower <= iv.upper
         ivb = compute_norm_report(T, u).norm_Blambda
@@ -218,10 +219,8 @@ def test_voit_isometry_intervals():
     H0 = voit_deform(T, c).deformed
     rng = np.random.default_rng(12)
     for _ in range(10):
-        u = HFunction(dict(enumerate(rng.standard_normal(6))))
         ud = np.zeros(41)
-        for i, v in u.values.items():
-            ud[i] = float(v)
+        ud[:6] = rng.standard_normal(6)
         iv_H = a_norm_interval(T, ud)
         iv_H0 = a_norm_interval(H0, ud / c)
         assert iv_H.upper == pytest.approx(iv_H0.upper, rel=1e-12)
@@ -255,7 +254,7 @@ def test_norm_report_assembly(conj_s3):
     assert rep.finite
     assert rep.norm_Mcb == pytest.approx(rep.norm_MA, abs=1e-8)
     T = builders.tree_radial(2, 16)
-    rep_t = compute_norm_report(T, HFunction.delta(1))
+    rep_t = compute_norm_report(T, np.eye(T.size)[1])
     assert not rep_t.finite
     assert rep_t.norm_A.lower <= rep_t.norm_A.upper
 

@@ -220,6 +220,32 @@ def test_zm_to_b_class_multiplicativity():
         assert abs(complex(lhs[i]) - complex(a[i]) * complex(b[i])) < 1e-9
 
 
+@pytest.mark.parametrize("gname", ("s3", "s4", "q8", "d4", "a4"))
+def test_central_convolutions_match_the_group(gname):
+    """Both central convolutions agree with their definitions on the elements of G."""
+    G = groups.get_group(gname)
+    classes = G.conjugacy_classes()
+    cls_of = G.class_of()
+    k = len(classes)
+    rng = np.random.default_rng(3)
+    f, g = rng.standard_normal((2, k)) + 1j * rng.standard_normal((2, k))
+    # (f * g)(x) = (1/|G|) sum_y f(y) g(y^-1 x)
+    want = [sum(f[cls_of[y]] * g[cls_of[G.mul(G.inverse[y], cl[0])]] for y in range(G.order))
+            / G.order for cl in classes]
+    got = central_convolve(G, CentralFunction(gname, tuple(f)), CentralFunction(gname, tuple(g)))
+    assert np.abs(np.array(got.values) - want).max() < 1e-13
+    # mu * nu on class C: the mass of the products ab in C, mu and nu uniform on classes
+    mu, nu = f.real, g
+    want = np.zeros(k, dtype=complex)
+    for a in range(G.order):
+        for b in range(G.order):
+            want[cls_of[G.mul(a, b)]] += (mu[cls_of[a]] / len(classes[cls_of[a]])
+                                         * nu[cls_of[b]] / len(classes[cls_of[b]]))
+    got = convolve_central_measures(G, CentralMeasure(gname, tuple(mu)),
+                                    CentralMeasure(gname, tuple(nu)))
+    assert np.abs(np.array(got.masses) - want).max() < 1e-13
+
+
 # -- files -------------------------------------------------------------------------
 
 
