@@ -130,6 +130,17 @@ class GroupCharacterData:
     mult: tuple[tuple[tuple[int, ...], ...], ...]
     conjugate: tuple[int, ...]
 
+    @functools.cached_property
+    def irr(self) -> tuple:
+        """Irr(G) and its :class:`~hypharm.spectral.CharacterTable`, built on first use.
+
+        The characters are those of the default seed, as are ``chars``.
+        """
+        from . import spectral  # deferred: spectral depends on core only
+
+        H = irr_hypergroup(self.group)
+        return H, spectral.characters(H)
+
 
 @functools.cache
 def group_character_data(G: FiniteGroup) -> GroupCharacterData:
@@ -272,9 +283,9 @@ def su2_fusion(radius: int, q=1) -> HypergroupTable:
 
     Labels are the dimensions 1..radius; delta_a . delta_b is supported on
     |a-b|+1, |a-b|+3, ..., a+b-1 with mass [c]_q / ([a]_q [b]_q).  The
-    entries are built as arrays (:class:`TableView`): for a rational q the
-    masses are exact integer quotients, for a float q the same expression
-    in floats.
+    entries are built as arrays (:class:`TableView`): for a rational q in
+    the N-form, N = 1 on the support and s = [a]_q, for a float q as the
+    same expression in floats.
     """
     if radius < 2:
         raise ValueError("fusion section needs radius >= 2")
@@ -288,22 +299,14 @@ def su2_fusion(radius: int, q=1) -> HypergroupTable:
     pair = np.repeat(np.arange(len(a)), a)
     k = np.arange(len(pair)) - np.repeat(np.cumsum(a) - a, a)
     c = (b - a + 1)[pair] + 2 * k
-    qi = [q_integer(m, q) for m in range(R + 2)]
-    if q == 1:
-        value = (c, (a * b)[pair])
-    elif isinstance(q, float):
+    qi = [q_integer(m, q) for m in range(R + 1)]
+    entries = (a[pair] - 1, b[pair] - 1, c - 1)
+    if isinstance(q, float):
         d = np.array(qi)
-        value = d[c] / (d[a] * d[b])[pair]
+        view = TableView(R, 0, range(R), True, *entries, d[c] / (d[a] * d[b])[pair])
     else:
-        # with q = s/t, [m]_q = u_m / (st)^(m-1) for the integers
-        # u_m = (t^2m - s^2m) / (t^2 - s^2), so [c]/([a][b]) is
-        # u_c (st)^(a+b-1-c) / (u_a u_b), and a + b - 1 - c = 2(a - 1 - k);
-        # the numerators are gathered from a table of all u_c (st)^2j
-        s, t = q.numerator, q.denominator
-        u = np.array([(t ** (2 * m) - s ** (2 * m)) // (t * t - s * s) for m in range(R + 2)],
-                     dtype=object)
-        w = np.array([(s * t) ** (2 * j) for j in range(R)], dtype=object)
-        value = (np.multiply.outer(u, w)[c, (a - 1)[pair] - k], (u[a] * u[b])[pair])
+        view = TableView(R, 0, range(R), True, *entries, np.ones(len(c), dtype=np.int64),
+                         scale=qi[1:R + 1])
     haar = [qi[a] * qi[a] for a in range(1, R + 1)]
     name = f"suq2_fusion_q{q}_R{R}" if q != 1 else f"su2_fusion_R{R}"
     return HypergroupTable(
@@ -311,7 +314,7 @@ def su2_fusion(radius: int, q=1) -> HypergroupTable:
         R,
         list(range(R)),
         None,
-        view=TableView(R, 0, range(R), True, a[pair] - 1, b[pair] - 1, c - 1, value),
+        view=view,
         haar=haar,
         truncated=True,
         radius=R,

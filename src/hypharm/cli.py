@@ -151,10 +151,11 @@ def cmd_norms(args) -> int:
     text = []
     ok = True
     ct = None if H.truncated else spectral.characters(H, seed=args.seed)
+    products = {}
     for k, u in enumerate(us):
         rep = norms.compute_norm_report(
             H, u, ct=ct, groups=glist, with_mcb=args.mcb and not H.truncated,
-            seed=args.seed,
+            seed=args.seed, products=products,
         )
         text.extend(rep.lines())
         if rep.finite:
@@ -305,7 +306,7 @@ def cmd_quantum(args) -> int:
         f"  (Irr,d) axioms pass: {rep_d.passed}",
     ]
     if kac:
-        same = Hn.rows == Hd.rows
+        same = Hn.view.same_entries(Hd.view)
         doc.add("n_equals_d", same)
         text.append(f"  Kac: tables coincide = {same}")
         ok = rep_d.passed and same

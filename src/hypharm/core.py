@@ -43,6 +43,7 @@ from .view import (
     TableView,
     axiom_defects,
     axiom_defects_vanish,
+    form_defects_vanish,
     haar_defect,
     haar_defect_vanishes,
     int_array,
@@ -524,16 +525,29 @@ def verify_axioms(H: HypergroupTable, tol: float = DEFAULT_TOL) -> AxiomReport:
     Commutativity is reported alongside the axioms but does not enter the
     overall pass flag (group tables of nonabelian groups are hypergroups).
 
-    The checks run on the table's :class:`TableView`.  Rational tables run
-    on integer numerators held in float64, where every sum is exact.  A
-    rational table whose numerators exceed that range (see
-    :meth:`TableView.exact`) runs the same checks on the numerators' residues
-    modulo primes (:func:`hypharm.view.axiom_defects_vanish`); only if a
-    residue is not 0 does the Fraction loop run, to report the violations.
+    The checks run on the table's :class:`TableView`.  Float tables run in
+    float64.  Rational tables take the first of three exact paths that
+    applies (see :mod:`hypharm.view`):
+
+    * the N-form ``c^z_{x,y} = N^z_{x,y} s_z / (s_x s_y)`` with integer N,
+      which the fusion builders give: associativity on N in float64, one
+      pass, and the other checks once on the exact numerators of c
+      (:func:`hypharm.view.form_defects_vanish`);
+    * integer numerators over a common denominator held in float64, where
+      every sum is exact, while they are small enough
+      (:meth:`TableView.exact`);
+    * else the numerators' residues modulo primes
+      (:func:`hypharm.view.axiom_defects_vanish`).
+
+    The N-form and the residues prove that every defect is 0; if one is
+    not, the next path runs, and after the residues the Fraction loop,
+    which reports the violations.
     """
     V = H.view
     if not H.exact:
         found, den = axiom_defects(V, V.c, 1.0), 1
+    elif (found := form_defects_vanish(V)) is not None:
+        den = 1
     elif (ex := V.exact()) is not None:
         c, den = ex
         found = axiom_defects(V, c, float(den))
@@ -570,16 +584,20 @@ def _haar_defect(H: HypergroupTable):
     """:func:`_haar_defect_loop` on the table's :class:`TableView`.
 
     Rational tables with rational weights run on integer numerators over
-    the common denominator.  Where products of numerators leave the exact
-    float64 range, the defect is checked modulo primes, and the Fraction
-    loop runs only to report a defect that is not 0.  Float tables or
-    weights run in floats.
+    the common denominator: a table in its N-form on the exact integers,
+    once; others in float64, or, where products of numerators leave the
+    exact float64 range, modulo primes, with the Fraction loop run only to
+    report a defect that is not 0.  Float tables or weights run in floats.
     """
     V = H.view
     if not (H.exact and all(_is_exact(v) for v in H.haar)):
         return float(haar_defect(V, V.c, H.lam))
     lam_den = math.lcm(*{v.denominator for v in H.haar})
     lam = [v.numerator * (lam_den // v.denominator) for v in H.haar]
+    if V.N is not None:
+        nums, den = V.numerators()
+        worst = haar_defect(V, V.entries(np.array(nums, dtype=object)), np.array(lam, dtype=object))
+        return Fraction(int(worst), lam_den * den)
     if (ex := V.exact()) is not None:
         c, den = ex
         if 2 * max(map(abs, lam)) * int(np.abs(c).max(initial=0)) <= EXACT_FLOAT:

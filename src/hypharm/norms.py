@@ -213,22 +213,29 @@ def norm_Mcb_approx(
     u,
     groups: tuple[FiniteGroup, ...] | None = None,
     seed: int = DEFAULT_SEED,
+    products: dict | None = None,
 ) -> tuple[float, dict[str, float]]:
     """sup_G |u x 1_G|_{MA(H x G)} over the supplied finite groups.
 
     For commutative H this must reproduce norm_MA(u); the operation exists
     to verify that equality, not to improve on it.  Abelian groups are also
     routed through the plain commutative path on the product table as a
-    cross-check.
+    cross-check.  ``products`` holds, by group, the product table H x G and
+    its characters; it is filled as they are built, so that a caller who
+    passes one dict for several functions on H builds each once.
     """
     if groups is None:
         groups = default_mcb_groups()
+    if products is None:
+        products = {}
     per_group = {}
     for G in groups:
         val = product_ma_norm(H, ct, G, u, seed=seed)
         if G.abelian:
-            K = product(H, group_hypergroup(G))
-            ctk = characters(K, seed=seed)
+            if G not in products:
+                K = product(H, group_hypergroup(G))
+                products[G] = (K, characters(K, seed=seed))
+            K, ctk = products[G]
             w = np.repeat(_as_dense(H, u), G.order)
             direct = norm_MA(K, ctk, w)
             if abs(direct - val) > 1e-8 * max(1.0, val):
@@ -357,7 +364,11 @@ def compute_norm_report(
     with_mcb: bool = False,
     tol: float = DEFAULT_TOL,
     seed: int = DEFAULT_SEED,
+    products: dict | None = None,
 ) -> NormReport:
+    """The norms of ``u`` on H; ``ct`` and ``products`` (see
+    :func:`norm_Mcb_approx`) carry what a caller computes once for many
+    functions."""
     if H.truncated:
         # The A enclosure also encloses |u|_{B_lambda}: the upper bound
         # because B_lambda <= A, the lower one because its dual pairings
@@ -384,7 +395,7 @@ def compute_norm_report(
     mcb = None
     per = {}
     if with_mcb:
-        mcb, per = norm_Mcb_approx(H, ct, u, groups=groups, seed=seed)
+        mcb, per = norm_Mcb_approx(H, ct, u, groups=groups, seed=seed, products=products)
     return NormReport(
         H.name,
         True,

@@ -27,20 +27,17 @@ from fractions import Fraction
 import numpy as np
 
 from .builders import (
-    DEFAULT_SEED,
     check_q,
     conjugacy_hypergroup,
     group_character_data,
-    irr_hypergroup,
     q_integer,
     su2_tail,
 )
 from .core import HypergroupTable, LineFile, _finite, convolve, int_in
-from .view import TableView, int_array
+from .view import TableView
 from .errors import FileFormatError, ReciprocityError
 from .groups import FiniteGroup
 from .norms import norm_A, norm_Blambda
-from .spectral import characters
 
 
 @dataclass(frozen=True)
@@ -79,35 +76,81 @@ class FusionRing:
             raise KeyError(f"multiplicity row ({a},{b}) not stored")
         return row.get(g, 0)
 
+    def entries(self) -> tuple[np.ndarray, ...]:
+        """The stored multiplicities as arrays ``(a, b, g, N)``, rows in ``mult`` order."""
+        counts = [len(row) for row in self.mult.values()]
+        keys = np.array(list(self.mult), dtype=np.int64).reshape(-1, 2)
+        a, b = np.repeat(keys, counts, axis=0).T
+        g = np.array([g for row in self.mult.values() for g in row], dtype=np.int64)
+        N = np.array([n for row in self.mult.values() for n in row.values()], dtype=np.int64)
+        return a, b, g, N
+
     def validate(self, tol: float = 1e-9) -> None:
-        """Frobenius reciprocity, dimension homomorphisms, trivial row."""
-        for (a, b), row in self.mult.items():
-            for g, n in row.items():
-                if n < 0:
-                    raise ReciprocityError(f"negative multiplicity at ({a},{b},{g})")
-                for (x, y, z) in (
-                    (self.conjugate[a], g, b),
-                    (g, self.conjugate[b], a),
-                ):
-                    try:
-                        other = self.N(x, y, z)
-                    except KeyError:
-                        continue
-                    if other != n:
-                        raise ReciprocityError(
-                            f"N^{g}_{{{a},{b}}}={n} but partner ({x},{y},{z})={other}"
-                        )
-            for dims in (self.ndims, self.ddims):
-                lhs = sum(n * dims[g] for g, n in row.items())
-                if abs(float(lhs - dims[a] * dims[b])) > tol * float(
-                    dims[a] * dims[b]
-                ):
+        """Frobenius reciprocity, dimension homomorphisms, trivial row.
+
+        Every row is checked at once on the arrays of :meth:`entries`; a row
+        they flag is checked again by :meth:`_check_row`, which raises the
+        error.  Flagged are the rows with a negative multiplicity, a
+        partner multiplicity that differs, a wrong trivial multiplicity, or
+        a dimension sum whose float64 defect exceeds the tolerance less
+        1e-12 times the size of its terms, more than float64 rounding can
+        move it, so that every row the exact check fails is among them.
+        """
+        a, b, g, N = self.entries()
+        k, conj = self.size, np.array(self.conjugate, dtype=np.int64)
+        keys = np.array(list(self.mult), dtype=np.int64).reshape(-1, 2)
+        row = np.repeat(np.arange(len(keys)), [len(r) for r in self.mult.values()])
+        # M[x, y, z] = N(x, y, z): row (x, y), else row (y, x)
+        M = np.zeros((k, k, k), dtype=np.int64)
+        M[b, a, g] = N
+        M[keys[:, 0], keys[:, 1]] = 0
+        M[a, b, g] = N
+        has = np.zeros((k, k), dtype=bool)
+        has[keys[:, 0], keys[:, 1]] = has[keys[:, 1], keys[:, 0]] = True
+        bad = N < 0
+        for x, y, z in ((conj[a], g, b), (g, conj[b], a)):
+            bad |= has[x, y] & (M[x, y, z] != N)
+        flagged = np.bincount(row[bad], minlength=len(keys)) > 0
+        ra, rb = keys.T
+        flagged |= M[ra, rb, self.trivial] != (rb == conj[ra])
+        for dims in (self.ndims, self.ddims):
+            d = np.array([float(v) for v in dims])
+            lhs = np.bincount(row, weights=N * d[g], minlength=len(keys))
+            scale = np.bincount(row, weights=np.abs(N * d[g]), minlength=len(keys))
+            rhs = d[ra] * d[rb]
+            flagged |= np.abs(lhs - rhs) > tol * rhs - 1e-12 * (scale + np.abs(rhs))
+        for i in np.flatnonzero(flagged).tolist():
+            self._check_row(*keys[i].tolist(), tol)
+
+    def _check_row(self, a: int, b: int, tol: float) -> None:
+        """The checks of :meth:`validate` on the row ``(a, b)``, with exact dimensions."""
+        row = self.mult[(a, b)]
+        for g, n in row.items():
+            if n < 0:
+                raise ReciprocityError(f"negative multiplicity at ({a},{b},{g})")
+            for (x, y, z) in (
+                (self.conjugate[a], g, b),
+                (g, self.conjugate[b], a),
+            ):
+                try:
+                    other = self.N(x, y, z)
+                except KeyError:
+                    continue
+                if other != n:
                     raise ReciprocityError(
-                        f"dimension homomorphism fails on row ({a},{b})"
+                        f"N^{g}_{{{a},{b}}}={n} but partner ({x},{y},{z})={other}"
                     )
-            expected = 1 if b == self.conjugate[a] else 0
-            if row.get(self.trivial, 0) != expected:
-                raise ReciprocityError(f"trivial multiplicity wrong on ({a},{b})")
+        for dims in (self.ndims, self.ddims):
+            lhs = sum(n * dims[g] for g, n in row.items())
+            if abs(float(lhs - dims[a] * dims[b])) > tol * float(
+                dims[a] * dims[b]
+            ):
+                raise ReciprocityError(
+                    f"dimension homomorphism fails on row ({a},{b})"
+                )
+        expected = 1 if b == self.conjugate[a] else 0
+        if row.get(self.trivial, 0) != expected:
+            raise ReciprocityError(f"trivial multiplicity wrong on ({a},{b})")
 
 
 def group_fusion_ring(G: FiniteGroup) -> FusionRing:
@@ -161,20 +204,16 @@ def su2_fusion_ring(radius: int, q=1) -> FusionRing:
 def _ring_table(FR: FusionRing, dims, kind: str) -> HypergroupTable:
     """The table of ``FR`` with c^g_{a,b} = N^g_{ab} d_g / (d_a d_b) for the dimensions ``dims``.
 
-    Exact if every dimension is an integer or a Fraction, else in floats.
+    Exact, in the N-form with s = dims (:class:`TableView`), if every
+    dimension is an integer or a Fraction, else in floats.
     """
-    keys = list(FR.mult)
-    counts = [len(FR.mult[k]) for k in keys]
-    a, b = np.repeat(np.array(keys, dtype=np.int64).reshape(-1, 2), counts, axis=0).T
-    g = np.array([g for row in FR.mult.values() for g in row], dtype=np.int64)
-    N = np.array([n for row in FR.mult.values() for n in row.values()], dtype=object)
+    a, b, g, N = FR.entries()
     if all(isinstance(d, (int, Fraction)) for d in dims):
-        num = np.array([Fraction(d).numerator for d in dims], dtype=object)
-        den = np.array([Fraction(d).denominator for d in dims], dtype=object)
-        value = (int_array(N * num[g] * den[a] * den[b]), int_array(den[g] * num[a] * num[b]))
+        view = TableView(FR.size, FR.trivial, FR.conjugate, True, a, b, g, N, scale=dims)
     else:
         d = np.array([float(v) for v in dims])
-        value = d[g] * N.astype(float) / (d[a] * d[b])
+        view = TableView(FR.size, FR.trivial, FR.conjugate, True, a, b, g,
+                         d[g] * N / (d[a] * d[b]))
     truncated = not FR.complete
     tail = None
     if truncated and FR.q is not None:
@@ -185,7 +224,7 @@ def _ring_table(FR: FusionRing, dims, kind: str) -> HypergroupTable:
         FR.size,
         FR.conjugate,
         None,
-        view=TableView(FR.size, FR.trivial, FR.conjugate, True, a, b, g, value),
+        view=view,
         identity=FR.trivial,
         haar=[d * d for d in dims],
         truncated=truncated,
@@ -238,7 +277,7 @@ class CentralFunction:
 
 def zl1_norm(G: FiniteGroup, f: CentralFunction) -> float:
     """|f|_{ZL1(G)} = (1/|G|) sum_g |f(g)| under Haar probability measure."""
-    sizes = [len(c) for c in G.conjugacy_classes()]
+    sizes = group_character_data(G).class_sizes
     return float(sum(s * abs(v) for s, v in zip(sizes, f.values))) / G.order
 
 
@@ -257,21 +296,21 @@ def central_convolve(G: FiniteGroup, f: CentralFunction, g: CentralFunction) -> 
 def hat_map(
     G: FiniteGroup,
     f: CentralFunction,
-    seed: int = DEFAULT_SEED,
     verify: bool = True,
     tol: float = 1e-9,
 ) -> np.ndarray:
     """f^(alpha) = (1/n_alpha)(1/|G|) sum_g f(g) chi_{alpha-bar}(g) on Irr(G).
 
-    With ``verify`` the ZL1 -> A(Irr(G), n) isometry is checked on f itself.
+    With ``verify`` the ZL1 -> A(Irr(G), n) isometry is checked on f
+    itself, on the Irr(G) table and characters of the group's cached data
+    (:attr:`GroupCharacterData.irr`).
     """
     data = group_character_data(G)
     chars = np.array(data.chars)[list(data.conjugate)]
     weighted = np.array(data.class_sizes) * np.asarray(f.values, dtype=complex)
     out = chars @ weighted / G.order / np.array(data.dims)
     if verify:
-        table = irr_hypergroup(G)
-        ct = characters(table, seed=seed)
+        table, ct = data.irr
         lhs = zl1_norm(G, f)
         rhs, _ = norm_A(table, ct, out, with_witness=False)
         if abs(lhs - rhs) > tol * max(1.0, lhs):
@@ -313,25 +352,24 @@ def convolve_central_measures(
 def zm_to_b(
     G: FiniteGroup,
     mu: CentralMeasure,
-    seed: int = DEFAULT_SEED,
     verify: bool = True,
     tol: float = 1e-9,
 ) -> np.ndarray:
     """T*(mu)(pi) = (1/d_pi) <mu, chi_pi>: central measures into B(Irr(G)).
 
     With ``verify``, multiplicativity under measure convolution and the
-    equality |T*(mu)|_{B_lambda(Irr G)} = total variation are checked.
+    equality |T*(mu)|_{B_lambda(Irr G)} = total variation are checked, the
+    second on the group's cached Irr(G) data (:attr:`GroupCharacterData.irr`).
     """
     data = group_character_data(G)
     out = np.array(data.chars) @ np.asarray(mu.masses, dtype=complex) / np.array(data.dims)
     if verify:
         sq = convolve_central_measures(G, mu, mu)
-        lhs = zm_to_b(G, sq, seed=seed, verify=False)
+        lhs = zm_to_b(G, sq, verify=False)
         worst = float(np.abs(lhs - out**2).max())
         if worst > tol * max(1.0, float(np.abs(out).max()) ** 2):
             raise ArithmeticError(f"{G.name}: T* is not multiplicative ({worst:.2e})")
-        table = irr_hypergroup(G)
-        ct = characters(table, seed=seed)
+        table, ct = data.irr
         bnorm = norm_Blambda(table, ct, out)
         tv = float(sum(abs(m) for m in mu.masses))
         if abs(bnorm - tv) > tol * max(1.0, tv):

@@ -332,18 +332,27 @@ class P2Report:
         return out
 
 
+def _generator_rows(H: HypergroupTable) -> tuple[np.ndarray, ...]:
+    """The stored rows g.y of the generator g, read from the view.
+
+    Returns the y of every stored row, ascending, and the rows' entries as
+    arrays ``(y, z, c)``, sorted by (y, z), with ``c`` in float64.
+    """
+    V = H.view
+    g = H.generator
+    lo, hi = np.searchsorted(V.x, [g, g + 1])
+    first, last = np.searchsorted(V.px, [g, g + 1])
+    return V.py[first:last], V.y[lo:hi], V.z[lo:hi], V.floats(slice(lo, hi))
+
+
 def section_operator(H: HypergroupTable, radius: int) -> np.ndarray:
     """Symmetrized compression W = D^{1/2} A_g D^{-1/2} to ball(radius)."""
-    g = H.generator
     n = radius + 1
-    lam = [float(v) for v in H.haar[:n]]
+    _, y, z, c = _generator_rows(H)
+    inside = (y < n) & (z < n)
+    y, z, lam = y[inside], z[inside], H.lam
     W = np.zeros((n, n))
-    for y in range(n):
-        if not H.has_row(g, y):
-            continue
-        for z, c in H.row(g, y):
-            if z < n:
-                W[y, z] = math.sqrt(lam[y] / lam[z]) * float(c)
+    W[y, z] = np.sqrt(lam[y] / lam[z]) * c[inside]
     return 0.5 * (W + W.T)
 
 
@@ -373,26 +382,24 @@ def _schur_bound(H: HypergroupTable) -> tuple[float, float]:
     of log r, so their max is convex and a golden-section search on log r
     finds its global minimum without a backstop.
     """
-    g = H.generator
     tail: NNTail = H.tail
-    rows: list[tuple[tuple[int, object], ...]] = []
-    last_stored = -1
-    for n in range(H.size):
-        if not H.has_row(g, n):
-            continue
-        last_stored = n
-        rows.append(tuple((z - n, abs(c)) for z, c in H.row(g, n)))
+    stored, y, z, c = _generator_rows(H)
+    last_stored = int(stored[-1]) if len(stored) else -1
     if tail.start > last_stored + 1:
         raise ValueError(
             f"{H.name}: tail bounds start at {tail.start} but generator rows "
             f"are stored only through {last_stored}"
         )
-    rows.append(((-1, tail.alpha_sup), (0, tail.diag_sup), (1, tail.beta_sup)))
-    exps = sorted({k for row in rows for k, _ in row})
-    coeffs = np.array([[float(dict(row).get(k, 0)) for k in exps] for row in rows])
+    # one row of coefficients |c| per stored row, by the exponent z - y,
+    # and a last row for the tail
+    exps = np.array(sorted(set((z - y).tolist()) | {-1, 0, 1}))
+    coeffs = np.zeros((len(stored) + 1, len(exps)))
+    coeffs[np.searchsorted(stored, y), np.searchsorted(exps, z - y)] = np.abs(c)
+    coeffs[-1, np.searchsorted(exps, [-1, 0, 1])] = (
+        tail.alpha_sup, tail.diag_sup, tail.beta_sup)
 
     def worst(t: float) -> float:
-        return float((coeffs @ np.exp(t * np.array(exps))).max())
+        return float((coeffs @ np.exp(t * exps)).max())
 
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     lo, hi = math.log(1e-3), math.log(1.5)
@@ -408,8 +415,17 @@ def _schur_bound(H: HypergroupTable) -> tuple[float, float]:
             t2 = lo + inv_phi * (hi - lo)
             f2 = worst(t2)
     r = math.exp(t1 if f1 <= f2 else t2)
-    rq = Fraction(r)
-    exact = max(sum(Fraction(c) * rq**k for k, c in row) for row in rows)
+    # the exact maximum lies among the rows whose float sum is close to the
+    # largest: the float sum of a row of at most m = len(exps) nonnegative
+    # terms is within (m + 4) 2**-53 of its exact value, relatively, and
+    # the slack max(1e-12, m 2**-50) covers two such errors
+    approx = coeffs @ np.array([r**k for k in exps.tolist()])
+    close = approx >= approx.max() * (1.0 - max(1e-12, len(exps) * 2.0**-50))
+    g, rq = H.generator, Fraction(r)
+    rows = [(y, H.view.row(g, y)) for y in stored[close[:-1]].tolist()]
+    if close[-1]:
+        rows.append((0, ((-1, tail.alpha_sup), (0, tail.diag_sup), (1, tail.beta_sup))))
+    exact = max(sum(Fraction(abs(v)) * rq ** (w - y) for w, v in row) for y, row in rows)
     bound = float(exact)
     if Fraction(bound) < exact:
         bound = math.nextafter(bound, math.inf)
@@ -469,29 +485,36 @@ def check_p2(H: HypergroupTable, tol: float = 1e-6, seed: int = DEFAULT_SEED) ->
 # -- dominant positive character and the Voit deformation ------------------
 
 
-def solve_character(H: HypergroupTable, value_at_generator: float) -> np.ndarray:
+def solve_character(H: HypergroupTable, value_at_generator) -> np.ndarray:
     """Solve the generator recurrence for the character with chi(g) = value.
 
     For graded families this evaluates the orthogonal-polynomial system at
     the given spectral point; the result is multiplicative on every stored
-    row by construction.
+    row by construction.  ``value_at_generator`` is one value, or a 1-D
+    array of values, which gives one row per value.
     """
-    g = H.generator
+    s = np.asarray(value_at_generator, dtype=float)
     n = H.size
-    chi = np.zeros(n)
-    chi[0] = 1.0
-    s = float(value_at_generator)
+    stored, y, z, c = _generator_rows(H)
+    has = np.zeros(n, dtype=bool)
+    has[stored] = True
+    # the entries of row m are ends[m]:ends[m + 1], their largest z last
+    ends = np.searchsorted(y, np.arange(n + 1)).tolist()
+    z, c = z.tolist(), c.tolist()
+    chi = np.zeros(s.shape + (n,))
+    chi[..., 0] = 1.0
     for m in range(n - 1):
-        if not H.has_row(g, m):
+        if not has[m]:
             raise DominationFailure(
                 f"{H.name}: generator row at {m} missing; cannot continue recurrence"
             )
-        row = dict(H.row(g, m))
-        top = max(row)
-        if top <= m:
+        first, top = ends[m], ends[m + 1] - 1
+        if top < first or z[top] <= m:
             raise DominationFailure(f"{H.name}: generator row at {m} has no up-step")
-        acc = s * chi[m] - sum(float(c) * chi[z] for z, c in row.items() if z != top)
-        chi[top] = acc / float(row[top])
+        below = 0
+        for i in range(first, top):
+            below = below + c[i] * chi[..., z[i]]
+        chi[..., z[top]] = (s * chi[..., m] - below) / c[top]
     return chi
 
 
@@ -535,12 +558,13 @@ def chi0(
         raise DominationFailure(
             f"{H.name}: candidate chi0 multiplicativity residual {resid:.2e}"
         )
-    for c in np.linspace(-top, top, samples):
-        sample = solve_character(H, c)
-        if np.any(np.abs(sample) > cand * (1.0 + 1e-7) + 1e-12):
-            raise DominationFailure(
-                f"{H.name}: sampled character at {c!r} escapes the candidate chi0"
-            )
+    grid = np.linspace(-top, top, samples)
+    escapes = (np.abs(solve_character(H, grid)) > cand * (1.0 + 1e-7) + 1e-12).any(axis=1)
+    if escapes.any():
+        raise DominationFailure(
+            f"{H.name}: sampled character at {grid[escapes.argmax()]!r} escapes the "
+            "candidate chi0"
+        )
     return cand
 
 
@@ -609,15 +633,10 @@ def voit_deform(
     worst = max(chk.violation for chk in report.checks.values())
 
     # dual map: chi_c / chi0 must be multiplicative for H0
-    dual_resid = 0.0
     if H.truncated:
         top = chi[H.generator]
-        for c in np.linspace(-top, top, 7):
-            sample = solve_character(H, c) / chi
-            dual_resid = max(
-                dual_resid,
-                _multiplicativity_residual(deformed, sample.astype(complex)),
-            )
+        samples = solve_character(H, np.linspace(-top, top, 7)) / chi
+        dual_resid = _multiplicativity_residual(deformed, samples.astype(complex))
     else:
         chars = characters(H, tol=tol, seed=seed).chars
         dominated = (np.abs(chars) <= chi + 1e-9).all(axis=1)
@@ -633,26 +652,22 @@ def _deformed_tail(H: HypergroupTable, chi: np.ndarray) -> NNTail | None:
     the tail are the limit resp. the last computable value; monotonicity is
     checked on the section and the bounds are dropped when it fails.
     """
-    g = H.generator
-    s = chi[g]
+    s = chi[H.generator]
     t = H.tail
     limit = math.sqrt(t.alpha_sup * t.beta_sup) / s
-    alphas, betas, diags = [], [], []
-    for n in range(max(1, t.start), H.size - 1):
-        if not H.has_row(g, n):
-            break
-        row = dict(H.row(g, n))
-        up, down = n + 1, n - 1
-        if up not in row:
-            break
-        a = chi[down] * float(row.get(down, 0.0)) / (s * chi[n])
-        b = chi[up] * float(row[up]) / (s * chi[n])
-        d = float(row.get(n, 0.0)) / s
-        alphas.append(a)
-        betas.append(b)
-        diags.append(d)
-    if len(betas) < 3:
+    stored, y, z, c = _generator_rows(H)
+    G = np.zeros((H.size, H.size))
+    G[y, z] = c
+    # the rows from max(1, t.start) up to the first that is missing or has
+    # no up-step
+    rows = np.arange(max(1, t.start), H.size - 1)
+    ok = np.isin(rows, stored) & (G[rows, rows + 1] != 0)
+    rows = rows[:len(rows) if ok.all() else int(ok.argmin())]
+    if len(rows) < 3:
         return None
+    alphas = (chi[rows - 1] * G[rows, rows - 1] / (s * chi[rows])).tolist()
+    betas = (chi[rows + 1] * G[rows, rows + 1] / (s * chi[rows])).tolist()
+    diags = (G[rows, rows] / s).tolist()
     k = len(betas)
     tail_window = range(max(0, k - 8), k - 1)
     if any(betas[i + 1] > betas[i] + 1e-12 for i in tail_window):

@@ -4,11 +4,27 @@
 :class:`~hypharm.core.HypergroupTable`, which holds it from construction
 as ``H.view``.  The axiom and Haar checks of :mod:`hypharm.core` and the
 spectral code run on it.  The functions here take coefficient arrays
-aligned with the view's entries: float64 values, or integer numerators
-over a common denominator held in float64, in which case every sum they
-form is exact (see :meth:`TableView.exact`).  Given primes ``p``,
-they take one row of residues per prime instead and reduce every
-difference modulo its prime (see :func:`crt_primes`).
+aligned with the view's entries.  A float table's checks run on its
+float64 coefficients.  An exact table's checks are exact, by the first of
+three paths that applies (:func:`hypharm.core.verify_axioms`):
+
+* the N-form.  A view built with scales ``s`` (the fusion sections and
+  fusion-ring tables) holds integers N with
+  ``c^z_{x,y} = N^z_{x,y} s_z / (s_x s_y)``.  Associativity runs on N in
+  float64, in one pass, and the checks on single entries run once on the
+  exact integer numerators of c (:func:`form_defects_vanish`).  It runs
+  while ``2 n max|N|^2 <= 2**53``, which holds for every such table here;
+* the numerators in float64.  Integer numerators over a common
+  denominator, held in float64 while every sum the checks form is exact
+  (:meth:`TableView.exact`);
+* CRT.  Beyond that bound, one row of residues per prime, with every
+  difference reduced modulo its prime (:func:`axiom_defects_vanish`,
+  :func:`crt_primes`).
+
+The N-form and the residues can only show that every defect is 0; when
+one is not, the next path runs, and after the residues the Fraction loop
+of :mod:`hypharm.core`, which is also the oracle the array paths are
+tested against.
 """
 
 from __future__ import annotations
@@ -124,7 +140,9 @@ class TableView:
     * :meth:`row` and :meth:`rows` -- the coefficients as table rows, exact
       ones as Fractions;
     * :meth:`exact` -- integer numerators over one common denominator (on
-      first use, exact tables only).
+      first use, exact tables only);
+    * ``N`` -- for a table given in its N-form, the integers N of
+      ``c^z_{x,y} = N^z_{x,y} s_z / (s_x s_y)`` per entry, else None.
 
     The view is built from its entries, given as arrays by a builder or
     gathered from the rows a table is given, or by :meth:`product` from the
@@ -132,28 +150,26 @@ class TableView:
     """
 
     def __init__(self, n: int, identity: int, involution, commutative: bool,
-                 x, y, z, value):
+                 x, y, z, value, scale=None):
         """The view of the entries ``c^z_{x,y}`` listed in ``x, y, z``.
 
         ``value`` holds one coefficient per entry: a pair ``(num, den)`` of
         integer arrays for an exact table (int64, or Python ints beyond
-        2**53), else a float array.  A commutative table names each product
-        once, in either order, or in both orders with the same row.  Entries
-        already sorted by ``(x, y, z)`` are taken as they are.  Zero
-        coefficients are dropped; their product stays stored, so that a
-        product given only zeros is a stored row without entries.  Raises
-        ValueError for an index out of range, a support index named twice
-        in one row, two orders of one product with different rows, a
-        non-finite float or a zero denominator.
+        2**53), else a float array.  With ``scale``, one nonzero rational
+        ``s`` per point (an int or a Fraction), the table is given in its
+        N-form: ``value`` holds integers ``N`` and
+        ``c^z_{x,y} = N^z_{x,y} s_z / (s_x s_y)``, kept as :attr:`N`
+        (Bloom and Heyer 1995, ch. 1).  A commutative table
+        names each product once, in either order, or in both orders with
+        the same row.  Entries already sorted by ``(x, y, z)`` are taken as
+        they are.  Zero coefficients are dropped; their product stays
+        stored, so that a product given only zeros is a stored row without
+        entries.  Raises ValueError for an index out of range, a support
+        index named twice in one row, two orders of one product with
+        different rows, a non-finite float, a zero denominator or a zero
+        scale.
         """
         x, y, z = (np.asarray(a, dtype=np.int64).ravel() for a in (x, y, z))
-        if rational := isinstance(value, tuple):
-            vals = [np.asarray(a).ravel() for a in value]
-            # int64 only below 2**53 (see int_array), else Python ints for both
-            if any(a.dtype == object or np.abs(a).max(initial=0) > EXACT_FLOAT for a in vals):
-                vals = [a.astype(object, copy=False) for a in vals]
-        else:
-            vals = [np.asarray(value, dtype=float).ravel()]
 
         def key(i):
             return (int(x[i]), int(y[i]))
@@ -168,13 +184,26 @@ class TableView:
             flip = x > y
             x, y = np.where(flip, y, x), np.where(flip, x, y)
         fail((z < 0) | (z >= n), lambda i: f"support index {z[i]} out of range in row {key(i)}")
-        if not rational:
+        rational = scale is not None or isinstance(value, tuple)
+        if scale is not None:
+            # the coefficients are formed from N and the scales when read
+            num, den = [v.numerator for v in scale], [v.denominator for v in scale]
+            if len(num) != n or not all(num):
+                raise ValueError(f"an N-form needs {n} nonzero scales")
+            vals = [np.asarray(value, dtype=np.int64).ravel()]
+        elif rational:
+            vals = [np.asarray(a).ravel() for a in value]
+            # int64 only below 2**53 (see int_array), else Python ints for both
+            if any(a.dtype == object or np.abs(a).max(initial=0) > EXACT_FLOAT for a in vals):
+                vals = [a.astype(object, copy=False) for a in vals]
+            if (vals[1] <= 0).any():
+                fail(vals[1] == 0, lambda i: f"structure constants must have nonzero "
+                                             f"denominators, got 0 in row {key(i)}")
+                vals = [np.where(vals[1] < 0, -a, a) for a in vals]
+        else:
+            vals = [np.asarray(value, dtype=float).ravel()]
             fail(~np.isfinite(vals[0]), lambda i: f"structure constants must be finite, "
                                                   f"got {vals[0][i]} in row {key(i)}")
-        elif (vals[1] <= 0).any():
-            fail(vals[1] == 0, lambda i: f"structure constants must have nonzero "
-                                         f"denominators, got 0 in row {key(i)}")
-            vals = [np.where(vals[1] < 0, -a, a) for a in vals]
 
         # sorted by row (x, y) and, within a commutative row, by the order given
         order = ((x * n + y) * 2 + flip) * n + z
@@ -190,7 +219,7 @@ class TableView:
             both = np.isin(product, product[flip]) & np.isin(product, product[~flip])
             given: dict = {}
             for i in np.flatnonzero(both & nonzero).tolist():
-                v = Fraction(int(vals[0][i]), int(vals[1][i])) if rational else vals[0][i]
+                v = Fraction(int(vals[0][i]), int(vals[1][i])) if len(vals) == 2 else vals[0][i]
                 given.setdefault((int(product[i]), bool(flip[i])), []).append((z[i], v))
             for p in np.unique(product[both]).tolist():
                 if given.get((p, False)) != given.get((p, True)):
@@ -206,6 +235,8 @@ class TableView:
             counts = np.add.reduceat(nonzero.astype(np.int64), first) if len(first) else first
             z, vals = z[nonzero], [a[nonzero] for a in vals]
         px, py = x[first], y[first]
+        if scale is not None:
+            x, y = np.repeat(px, counts), np.repeat(py, counts)  # of each stored coefficient
 
         # a commutative table's products are stored once; their mirrored
         # products reuse the stored entries
@@ -222,8 +253,14 @@ class TableView:
         self._source = np.arange(starts[-1]) + np.repeat(first - starts[:-1], counts)
         self._index(n, identity, involution, commutative, rational, px, py, starts,
                     self.entries(z))
-        if rational:
-            self._num, self._den = vals
+        if scale is not None:
+            # products of three scale terms and N in int64 while they stay below 2**53
+            big = max(map(abs, num + den)) ** 3 * int(np.abs(vals[0]).max(initial=1)) > EXACT_FLOAT
+            num, den = (np.array(a, dtype=object if big else np.int64) for a in (num, den))
+            self._form = (vals[0], x, y, z, num, den)
+            self.N = _frozen(self.entries(vals[0]))
+        elif rational:
+            self._nd = tuple(vals)
         else:
             self.c = _frozen(self.entries(vals[0]))
 
@@ -239,6 +276,7 @@ class TableView:
         has_row[self.px, self.py] = True
         self.has_row = _frozen(has_row)
         self.inv = _frozen(np.array(involution, dtype=np.int32))
+        self.N, self._form = None, None
         self._exact = None
 
     @classmethod
@@ -278,7 +316,7 @@ class TableView:
             small = max(max(map(abs, N1)) * max(map(abs, N2)), den) <= EXACT_FLOAT
             kind = np.int64 if small else object  # else Python ints
             N = V1.entries(np.array(N1, dtype=kind))[i] * V2.entries(np.array(N2, dtype=kind))[j]
-            V._num, V._den = N, den
+            V._nd = (N, den)
         else:
             V.c = _frozen(V1.c[i] * V2.c[j])
         inv = V1.inv[:, None] * n2 + V2.inv
@@ -288,17 +326,47 @@ class TableView:
                  V1.z[i] * n2 + V2.z[j])
         return V
 
+    def _fractions(self, j) -> tuple:
+        """``(num, den)`` of the stored coefficients ``j``; ``den`` may be one for all.
+
+        A view in its N-form forms them from N and the scales, until
+        :attr:`_nd` holds them all.
+        """
+        if self._form is None or "_nd" in vars(self):
+            num, den = self._nd
+            return num[j], (den[j] if np.ndim(den) else den)
+        N, x, y, z, num, den = self._form
+        N, x, y, z = N[j], x[j], y[j], z[j]
+        return N * num[z] * den[x] * den[y], den[z] * num[x] * num[y]
+
     @cached_property
-    def c(self) -> np.ndarray:
-        """A rational view's coefficients in float64, each rounded once from ``num / den``."""
-        num, den = self._num, self._den
+    def _nd(self) -> tuple:
+        """``(num, den)`` of every stored coefficient, as :meth:`_fractions` gives them."""
+        return self._fractions(slice(None))
+
+    def _quotients(self, j=slice(None)) -> np.ndarray:
+        """``num / den`` of the stored coefficients ``j`` in float64, each rounded once."""
+        num, den = self._fractions(j)
         if num.dtype == object:  # int64 numerators come with denominators below 2**53
             # Python's int / int rounds correctly at any size
             den = den.tolist() if np.ndim(den) else repeat(den)
-            c = np.fromiter(map(truediv, num.tolist(), den), float, len(num))
-        else:
-            c = num / den
-        return _frozen(self.entries(c))
+            return np.fromiter(map(truediv, num.tolist(), den), float, len(num))
+        return num / den
+
+    @cached_property
+    def c(self) -> np.ndarray:
+        """A rational view's coefficients in float64, each rounded once from ``num / den``."""
+        return _frozen(self.entries(self._quotients()))
+
+    def floats(self, i) -> np.ndarray:
+        """``c`` at the entries ``i``; of a rational view, computed for those entries alone.
+
+        Until something reads :attr:`c`, the big-integer quotients of the
+        other entries are not formed.
+        """
+        if not self.rational or "c" in vars(self):
+            return self.c[i]
+        return self._quotients(i if self._source is None else self._source[i])
 
     def dense(self, c: np.ndarray) -> np.ndarray:
         """The array ``C[..., x, y, z]`` of the values ``c``, 0 off the entries.
@@ -317,7 +385,7 @@ class TableView:
         (for a view built by :meth:`product`, ``D1 D2``).  Arrays aligned
         with these numerators map to the view's entries through :meth:`entries`.
         """
-        num, den = self._num, self._den
+        num, den = self._nd
         if np.ndim(den) == 0:
             return num.tolist(), den
         g = np.gcd(num, den)
@@ -335,8 +403,8 @@ class TableView:
             return self.c[i].tolist()
         if self._source is not None:
             i = self._source[i]
-        den = self._den[i].tolist() if np.ndim(self._den) else repeat(self._den)
-        return list(map(Fraction, self._num[i].tolist(), den))
+        num, den = self._fractions(i)
+        return list(map(Fraction, num.tolist(), den.tolist() if np.ndim(den) else repeat(den)))
 
     @cached_property
     def _products(self) -> np.ndarray:
@@ -360,6 +428,22 @@ class TableView:
             lo += k
         return out
 
+    def same_entries(self, other: "TableView") -> bool:
+        """True if both views store the same products and entries with equal coefficients.
+
+        Two exact views compare their numerators over the common
+        denominator; otherwise the rows are compared.
+        """
+        if (self.n, self.commutative) != (other.n, other.commutative) or not all(
+                np.array_equal(getattr(self, k), getattr(other, k))
+                for k in ("px", "py", "starts", "z")):
+            return False
+        if not (self.rational and other.rational):
+            return self.rows() == other.rows()
+        (n1, d1), (n2, d2) = self.numerators(), other.numerators()
+        return d1 == d2 and np.array_equal(self.entries(np.array(n1, dtype=object)),
+                                           other.entries(np.array(n2, dtype=object)))
+
     def exact(self) -> tuple[np.ndarray, int] | None:
         """Numerators ``N`` and denominator ``D`` with ``c = N / D``, or None.
 
@@ -381,6 +465,18 @@ def _worst(a, b):
     return a if a >= b or a != a else b
 
 
+def _gather(V: TableView, c: np.ndarray):
+    """The function ``(x, y, z) -> c^z_{x,y}`` of the values ``c``, 0 off the entries.
+
+    It reads a dense ``n x n x n`` map of entry indices, so that it works
+    for any dtype of ``c`` and for one row of ``c`` per prime alike.
+    """
+    index = np.full((V.n,) * 3, len(V.z), dtype=np.int32)
+    index[V.x, V.y, V.z] = np.arange(len(V.z), dtype=np.int32)
+    padded = np.concatenate((c, np.zeros(c.shape[:-1] + (1,), dtype=c.dtype)), axis=-1)
+    return lambda x, y, z: padded[..., index[x, y, z]]
+
+
 def axiom_defects(V: TableView, c: np.ndarray, one, p: np.ndarray | None = None,
                   s: np.ndarray | None = None) -> tuple[dict, int]:
     """The worst violation of each axiom, and the associativity triples checked.
@@ -388,54 +484,67 @@ def axiom_defects(V: TableView, c: np.ndarray, one, p: np.ndarray | None = None,
     ``c`` holds the entries' coefficients in units of ``1 / one``; the
     violations come in the same units, except associativity, whose are
     ``1 / one**2``.  The checks are those of
-    :func:`hypharm.core.verify_axioms`, in its report order.
+    :func:`hypharm.core.verify_axioms`, in its report order: those of
+    :func:`entry_defects`, then associativity on the dense array of ``c``.
+    """
+    out = entry_defects(V, c, one, p, s)
+    out["associativity"], checked = _associativity(V, V.dense(c), p)
+    return out, checked
 
-    With primes ``p``, ``c`` holds one row of residues per prime and ``one``
-    a column of the unit's residues; every difference is reduced modulo its
-    prime, so a violation is 0 exactly when its difference is 0 modulo each
-    prime.  Residues carry no sign, so the tests of sign and of nonzero
-    values read ``s``: the signs of the coefficients (by default ``c``).
+
+def entry_defects(V: TableView, c: np.ndarray, one, p: np.ndarray | None = None,
+                  s: np.ndarray | None = None) -> dict:
+    """The worst violation of each axiom but associativity, from the entries alone.
+
+    ``c`` and ``one`` are as in :func:`axiom_defects`; ``c`` may also hold
+    Python integers (an object array), which keeps every sum exact at any
+    size.  With primes ``p``, ``c`` holds one row of residues per prime and
+    ``one`` a column of the unit's residues; every difference is reduced
+    modulo its prime, so a violation is 0 exactly when its difference is 0
+    modulo each prime.  Residues carry no sign, so the tests of sign and of
+    nonzero values read ``s``: the signs of the coefficients (by default
+    ``c``).
     """
     if s is None:
         s = c
     e, inv, has_row = V.identity, V.inv, V.has_row
-    C = V.dense(c)
+    at = _gather(V, c)
     out = {}
-    sums = np.array([np.bincount(V.pair, weights=row, minlength=len(V.px))
-                     for row in np.atleast_2d(c)]).reshape(c.shape[:-1] + (-1,))
+    sums = np.zeros(c.shape[:-1] + (len(V.px),), dtype=c.dtype)
+    np.add.at(sums, (..., V.pair), c)
     out["probability"] = _worst(_defect(sums - one, p).max(initial=0), -s.min(initial=0))
 
     out["commutativity"] = 0.0
     if not V.commutative:
         both = has_row[V.y, V.x]
-        out["commutativity"] = _defect(c - C[..., V.y, V.x, V.z], p)[..., both].max(initial=0)
+        out["commutativity"] = _defect(c - at(V.y, V.x, V.z), p)[..., both].max(initial=0)
 
     # rows e.x and x.e: mass 1 at x and none elsewhere
-    at = V.py[V.px == e]
-    worst = _defect(C[..., e, at, at] - one, p).max(initial=0)
-    at = V.px[V.py == e]
-    worst = _worst(worst, _defect(C[..., at, e, at] - one, p).max(initial=0))
+    ys = V.py[V.px == e]
+    worst = _defect(at(e, ys, ys) - one, p).max(initial=0)
+    xs = V.px[V.py == e]
+    worst = _worst(worst, _defect(at(xs, e, xs) - one, p).max(initial=0))
     for side, other in ((V.x, V.y), (V.y, V.x)):
         off = (side == e) & (V.z != other)
-        worst = _worst(worst, np.bincount(other[off], np.abs(s[off]), minlength=V.n).max())
+        mass = np.zeros(V.n, dtype=s.dtype)
+        np.add.at(mass, other[off], np.abs(s[off]))
+        worst = _worst(worst, mass.max())
     out["identity"] = worst
 
     # involution anti-homomorphism: c^z_{x,y} = c^{z~}_{y~,x~}
     mirrored = has_row[inv[V.y], inv[V.x]]
-    out["involution"] = _defect(c - C[..., inv[V.y], inv[V.x], inv[V.z]], p)[
+    out["involution"] = _defect(c - at(inv[V.y], inv[V.x], inv[V.z]), p)[
         ..., mirrored].max(initial=0)
 
     # support law: e in supp(x.y) iff y = x~; a missing e counts as 1, and
     # with primes as the largest residue of 1, which is not 0
-    ce = np.zeros(len(V.px))
+    ce = np.zeros(len(V.px), dtype=s.dtype)
     to_e = V.z == e
     ce[V.pair[to_e]] = s[to_e]
     to_inverse = V.py == inv[V.px]
     out["support"] = _worst(np.abs(ce[~to_inverse]).max(initial=0),
                             0.0 if (ce[to_inverse] > 0).all() else np.max(one))
-
-    out["associativity"], checked = _associativity(V, C, p)
-    return out, checked
+    return out
 
 
 def _associativity(V: TableView, C: np.ndarray, p: np.ndarray | None) -> tuple[float, int]:
@@ -447,11 +556,12 @@ def _associativity(V: TableView, C: np.ndarray, p: np.ndarray | None) -> tuple[f
     @ C[x]`` hold both sides for all (y, z, v); they are taken in blocks of
     y so that they stay below a quarter of ``C`` each, or of one of its
     ``n x n x n`` layers when ``C`` has a leading axis (one per prime
-    ``p``), or below :data:`SLAB_FLOOR` values if that is more.  Returns
-    the worst violation and the number of triples checked.
+    ``p``), or below :data:`SLAB_FLOOR` values if that is more.  A block
+    takes only the span of z that holds its checked triples.  Returns the
+    worst violation and the number of triples checked.
     """
     n, lead = V.n, C.shape[:-3]
-    left_of, right_of = C.reshape(lead + (n, n * n)), C.reshape(lead + (n * n, n))
+    left_of = C.reshape(lead + (n, n * n))
     missing = ~V.has_row
     gaps = missing.astype(float) if missing.any() else None
     if gaps is not None:
@@ -473,12 +583,18 @@ def _associativity(V: TableView, C: np.ndarray, p: np.ndarray | None) -> tuple[f
         checked += int(ok.sum())
         for lo in range(ys[0], ys[-1] + 1, block):
             hi = min(lo + block, ys[-1] + 1)
-            if not ok[lo:hi].any():
-                continue
-            diff = C[..., x, lo:hi, :] @ left_of
-            diff -= (right_of[..., lo * n:hi * n, :] @ C[..., x, :, :]).reshape(diff.shape)
-            diff = _defect(diff, p).reshape(lead + (hi - lo, n, n))
-            worst = _worst(worst, diff.max(axis=-1)[..., ok[lo:hi]].max())
+            z0, z1 = 0, n
+            if gaps is not None:  # a section: only some (y, z) are checked
+                zs = np.flatnonzero(ok[lo:hi].any(axis=0))
+                if not zs.size:
+                    continue
+                # the columns (z, v) of z0 <= z < z1 are one strided block of C
+                z0, z1 = zs[0], zs[-1] + 1
+            diff = C[..., x, lo:hi, :] @ left_of[..., z0 * n:z1 * n]
+            diff -= (C[..., lo:hi, z0:z1, :].reshape(lead + (-1, n))
+                     @ C[..., x, :, :]).reshape(diff.shape)
+            diff = _defect(diff, p).reshape(lead + (hi - lo, z1 - z0, n))
+            worst = _worst(worst, diff.max(axis=-1)[..., ok[lo:hi, z0:z1]].max())
     return worst, checked
 
 
@@ -488,11 +604,10 @@ def haar_defect(V: TableView, c: np.ndarray, lam: np.ndarray,
 
     With primes ``p``, ``c`` and ``lam`` hold one row of residues per prime
     and the differences are reduced modulo their primes, as in
-    :func:`axiom_defects`.
+    :func:`entry_defects`.
     """
     xi = V.inv[V.x]
-    mirror = V.dense(c)[..., xi, V.z, V.y]
-    d = lam[..., V.y] * c - lam[..., V.z] * mirror
+    d = lam[..., V.y] * c - lam[..., V.z] * _gather(V, c)(xi, V.z, V.y)
     return _defect(d, p)[..., V.has_row[xi, V.z]].max(initial=0)
 
 
@@ -500,6 +615,33 @@ def _batches(V: TableView, primes: np.ndarray):
     """``primes`` in groups whose dense residue arrays stay within RESIDUE_BATCH."""
     step = max(1, RESIDUE_BATCH // V.n**3)
     return (primes[i:i + step] for i in range(0, len(primes), step))
+
+
+def form_defects_vanish(V: TableView) -> tuple[dict, int] | None:
+    """:func:`axiom_defects` of a table in its N-form, if all of them are 0.
+
+    ``c^z_{x,y} = N^z_{x,y} s_z / (s_x s_y)`` is a diagonal similarity of
+    N: both sides of associativity at ``(x, y, z)`` and ``v`` are the same
+    multiple ``s_v / (s_x s_y s_z)`` of those of N, so c is associative
+    exactly when N is.  Associativity runs on N in float64, in one pass,
+    exact while ``2 n max|N|^2 <= 2**53``; the other checks run once on the
+    exact numerators of c (:func:`entry_defects`).  Returns the defects
+    (all 0) and the triples checked, or None if the view has no N-form, N
+    is too large, or some defect is not 0.
+    """
+    if V.N is None:
+        return None
+    top = int(np.abs(V.N).max(initial=0))
+    if 2 * V.n * top * top > EXACT_FLOAT:
+        return None
+    nums, den = V.numerators()
+    # sums of n numerators stay exact in int64 below 2**63 / (n + 1)
+    kind = np.int64 if (V.n + 1) * max(max(map(abs, nums), default=0), den) < 2**63 else object
+    worst = entry_defects(V, V.entries(np.array(nums, dtype=kind)), den)
+    if any(worst.values()):
+        return None
+    worst["associativity"], checked = _associativity(V, V.dense(V.N.astype(float)), None)
+    return None if worst["associativity"] else (worst, checked)
 
 
 def axiom_defects_vanish(V: TableView) -> tuple[dict, int] | None:

@@ -283,3 +283,22 @@ def test_conjugate_is_computed_once_per_table(spec):
     ct = characters(H)
     for u in ct.chars[:3]:
         assert norm_Blambda(H, ct, u) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_mcb_products_are_built_once_per_group(monkeypatch):
+    import hypharm.norms as norms_module
+
+    H = builders.irr_hypergroup(groups.symmetric(3))
+    ct = characters(H)
+    built = []
+    real = norms_module.characters
+    monkeypatch.setattr(norms_module, "characters",
+                        lambda K, **kw: built.append(K.name) or real(K, **kw))
+    products = {}
+    rng = np.random.default_rng(2)
+    for _ in range(3):
+        u = rng.standard_normal(H.size)
+        rep = compute_norm_report(H, u, ct=ct, with_mcb=True, products=products)
+        assert rep.norm_Mcb == pytest.approx(rep.norm_MA, abs=1e-8)
+    # Z2 is the one abelian default group: one product table and one diagonalization
+    assert len(built) == 1 and len(products) == 1

@@ -306,3 +306,78 @@ def test_group_runs_compute_the_character_data_once():
                         "--format", "structured"]) == 0
     info = builders.group_character_data.cache_info()
     assert (info.currsize, info.misses) == (1, 1)
+
+
+# -- validation on arrays ------------------------------------------------------
+
+
+def _validate_loop(ring, tol=1e-9):
+    """Every row checked in turn: the order in which validate() must raise."""
+    for a, b in ring.mult:
+        ring._check_row(a, b, tol)
+
+
+def _mutations():
+    from hypharm.quantum import FusionRing
+
+    def ring_with(base, change, **fields):
+        mult = {k: dict(v) for k, v in base.mult.items()}
+        change(mult)
+        kw = dict(name="m", labels=base.labels, trivial=base.trivial,
+                  conjugate=base.conjugate, mult=mult, ndims=base.ndims,
+                  ddims=base.ddims, q=base.q)
+        kw.update(fields)
+        return FusionRing(**kw)
+
+    q8, su = group_fusion_ring(groups.quaternion8()), su2_fusion_ring(8, q=Fraction(2, 3))
+    return {
+        "bump": ring_with(q8, lambda m: m[(4, 4)].update({4: m[(4, 4)].get(4, 0) + 1})),
+        "negative": ring_with(su, lambda m: m[(0, 0)].update({0: -1})),
+        "negative_late": ring_with(su, lambda m: m[(1, 2)].update({1: -1})),
+        "partner": ring_with(su, lambda m: m[(2, 3)].update({2: 2})),
+        "trivial": ring_with(q8, lambda m: m[(1, 1)].pop(0)),
+        "ddims": ring_with(su, lambda m: None,
+                           ddims=su.ddims[:3] + (su.ddims[3] * (1 + Fraction(1, 10**6)),)
+                           + su.ddims[4:]),
+        "tiny_ddims": ring_with(su, lambda m: None,
+                                ddims=su.ddims[:3] + (su.ddims[3] * (1 + Fraction(1, 10**12)),)
+                                + su.ddims[4:]),
+        "float_ddims": su2_fusion_ring(8, q=0.7),
+        "missing_row": ring_with(su, lambda m: m.pop((0, 1))),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_mutations()))
+def test_validate_raises_what_the_row_loop_raises(name):
+    ring = _mutations()[name]
+    try:
+        _validate_loop(ring)
+    except ReciprocityError as exc:
+        with pytest.raises(ReciprocityError) as got:
+            ring.validate()
+        assert str(got.value) == str(exc)
+    else:
+        ring.validate()
+
+
+def test_kac_tables_compare_their_entries():
+    ring = su2_fusion_ring(12, q=1)
+    assert hypergroup_n(ring).view.same_entries(hypergroup_d(ring).view)
+    ring = su2_fusion_ring(12, q=Fraction(1, 2))
+    assert not hypergroup_n(ring).view.same_entries(hypergroup_d(ring).view)
+
+
+def test_hat_and_dual_maps_read_the_cached_irr_data(monkeypatch):
+    G = groups.symmetric(4)
+    builders.group_character_data(G).irr  # built once per group
+    fail = lambda *a, **k: pytest.fail("recomputed per call")
+    monkeypatch.setattr(builders, "irr_hypergroup", fail)
+    monkeypatch.setattr("hypharm.spectral.characters", fail)
+    rng = np.random.default_rng(5)
+    k = len(builders.group_character_data(G).dims)
+    zm_to_b(G, CentralMeasure(G.name, tuple(rng.random(k))))
+    # the class sizes of ZL1 come from the cache too
+    monkeypatch.setattr(type(G), "conjugacy_classes", fail)
+    f = CentralFunction(G.name, tuple(rng.standard_normal(k)))
+    hat_map(G, f)
+    assert zl1_norm(G, f) > 0

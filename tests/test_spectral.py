@@ -20,7 +20,7 @@ from hypharm import (
 )
 from hypharm.builders import FamilySpec, family
 from hypharm.core import HypergroupTable
-from hypharm.spectral import _schur_bound
+from hypharm.spectral import _schur_bound, section_operator
 from hypharm.errors import DegenerateSpectrum, DominationFailure
 
 # S3 character table over classes (e, transpositions, 3-cycles)
@@ -442,3 +442,73 @@ def test_chi0_and_deform_on_quantum_d_table():
     pair = voit_deform(Hd, c)
     assert pair.axiom_violation < 1e-10
     assert check_p2(pair.deformed).status in ("holds", "inconclusive")
+
+
+# -- generator rows from the view -----------------------------------------------
+
+
+def _section_operator_loop(H, radius):
+    """The former row loop of section_operator, kept as its reference."""
+    g, n = H.generator, radius + 1
+    lam = [float(v) for v in H.haar[:n]]
+    W = np.zeros((n, n))
+    for y in range(n):
+        if not H.has_row(g, y):
+            continue
+        for z, c in H.row(g, y):
+            if z < n:
+                W[y, z] = math.sqrt(lam[y] / lam[z]) * float(c)
+    return 0.5 * (W + W.T)
+
+
+def _solve_character_loop(H, s):
+    """The former row loop of solve_character, kept as its reference."""
+    g = H.generator
+    chi = np.zeros(H.size)
+    chi[0] = 1.0
+    for m in range(H.size - 1):
+        row = dict(H.row(g, m))
+        top = max(row)
+        acc = s * chi[m] - sum(float(c) * chi[z] for z, c in row.items() if z != top)
+        chi[top] = acc / float(row[top])
+    return chi
+
+
+def _voit(H):
+    return voit_deform(H, chi0(H)).deformed
+
+
+SECTION_BUILDS = {
+    "tree2": lambda: builders.tree_radial(2, 24),
+    "tree3": lambda: builders.tree_radial(3, 24),
+    "su2": lambda: builders.su2_fusion(24),
+    "suq2": lambda: builders.su2_fusion(24, q=Fraction(1, 2)),
+    "tree2_voit": lambda: _voit(builders.tree_radial(2, 20)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SECTION_BUILDS))
+def test_section_operator_matches_the_row_loop(name):
+    H = SECTION_BUILDS[name]()
+    for r in (2, 11, H.radius - 1):
+        assert section_operator(H, r).tobytes() == _section_operator_loop(H, r).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(SECTION_BUILDS))
+def test_solve_character_on_an_array_equals_single_values(name):
+    H = SECTION_BUILDS[name]()
+    values = np.linspace(-1.2, 1.2, 17)
+    rows = solve_character(H, values)
+    assert rows.shape == (17, H.size)
+    for v, row in zip(values, rows):
+        assert row.tobytes() == solve_character(H, v).tobytes()
+        assert row.tobytes() == _solve_character_loop(H, v).tobytes()
+
+
+def test_solve_character_reports_a_missing_row():
+    T = builders.tree_radial(2, 10)
+    rows = {k: v for k, v in T.rows.items() if k != (1, 4)}
+    H = HypergroupTable("holed", T.size, T.involution, rows, haar=T.haar,
+                        truncated=True, radius=T.radius, generator=1)
+    with pytest.raises(DominationFailure, match="generator row at 4 missing"):
+        solve_character(H, np.array([0.5, 0.9]))

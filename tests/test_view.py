@@ -436,3 +436,105 @@ def test_haar_weights_reject_nan(rows):
     H = HypergroupTable("z2", 2, [0, 1], rows, haar=[float("nan"), 1])
     with pytest.raises(core.ZeroDiagonal, match="lam"):
         haar_weights(H)
+
+
+# -- the N-form: c = N s_z / (s_x s_y) --------------------------------------
+
+BENCH_GROUPS = ("s3", "s4", "a4", "d4", "q8", "klein", "z5", "z6")
+
+
+def _n_form_tables():
+    out = {}
+    for r in (8, 16, 40):
+        out[f"su2_r{r}"] = functools.partial(builders.su2_fusion, r)
+        out[f"suq2_r{r}"] = functools.partial(builders.su2_fusion, r, Fraction(1, 2))
+    rings = {f"sq{q}_r{r}": functools.partial(quantum.su2_fusion_ring, r, Fraction(q))
+             for q in ("1", "1/2", "2/3") for r in (8, 16)}
+    rings.update({g: functools.partial(quantum.group_fusion_ring, groups.get_group(g))
+                  for g in BENCH_GROUPS})
+    for name, ring in rings.items():
+        out[f"{name}_n"] = lambda ring=ring: quantum.hypergroup_n(ring())
+        out[f"{name}_d"] = lambda ring=ring: quantum.hypergroup_d(ring())
+    return out
+
+
+N_FORM = _n_form_tables()
+
+
+def _without_n_form(monkeypatch):
+    # the residues for every exact table, as for one without the N-form
+    monkeypatch.setattr(core, "form_defects_vanish", lambda V: None)
+    monkeypatch.setattr(TableView, "exact", lambda self: None)
+
+
+@pytest.mark.parametrize("name", sorted(N_FORM))
+def test_n_form_reports_like_the_residues(name, monkeypatch):
+    H = N_FORM[name]()
+    assert H.exact and H.view.N is not None
+    assert view.form_defects_vanish(H.view) is not None
+    fast = verify_axioms(H)
+    assert fast.passed
+    _without_n_form(monkeypatch)
+    assert fast == verify_axioms(H)
+    if H.size <= 16:
+        _assert_same_report(fast, _verify_axioms_loop(H), exact=True)
+
+
+def _with_n(H, N, scale):
+    V = H.view
+    once = V.x <= V.y
+    return HypergroupTable(
+        "mutated", H.size, H.involution, None, haar=H.haar, truncated=H.truncated,
+        radius=H.radius, generator=H.generator,
+        view=TableView(H.size, H.identity, H.involution, True,
+                       V.x[once], V.y[once], V.z[once], N, scale=scale))
+
+
+@pytest.mark.parametrize("name, scale", [
+    ("su2_r8", range(1, 9)),
+    ("suq2_r8", [builders.q_integer(a, Fraction(1, 2)) for a in range(1, 9)]),
+    ("s4_d", quantum.group_fusion_ring(groups.symmetric(4)).ddims),
+])
+@pytest.mark.parametrize("pick, value", [(3, 2), (10, 0), (17, 3)])
+def test_mutated_n_form_falls_back_like_the_loop(name, scale, pick, value):
+    H = N_FORM[name]()
+    N = H.view.N[H.view.x <= H.view.y].copy()
+    assert _with_n(H, N, scale).view.same_entries(H.view)
+    N[pick % len(N)] = value
+    M = _with_n(H, N, scale)
+    assert view.form_defects_vanish(M.view) is None
+    report = verify_axioms(M)
+    assert not report.passed
+    _assert_same_report(report, _verify_axioms_loop(M), exact=True)
+    assert _haar_defect(M) == _haar_defect_loop(M)
+
+
+def test_n_form_scales_must_be_nonzero():
+    with pytest.raises(ValueError, match="nonzero scales"):
+        TableView(2, 0, [0, 1], True, [0, 0, 1], [0, 1, 1], [0, 1, 0], [1, 1, 1],
+                  scale=[1, 0])
+
+
+def test_same_entries_compares_exactly():
+    H = builders.su2_fusion(8)
+    assert H.view.same_entries(builders.su2_fusion(8).view)
+    assert not H.view.same_entries(builders.su2_fusion(8, Fraction(1, 2)).view)
+    assert not H.view.same_entries(builders.su2_fusion(9).view)
+    # float coefficients compare as floats; 1/3 in float64 is not 1/3
+    V = H.view
+    floats = TableView(8, 0, range(8), True, V.x, V.y, V.z, V.c)
+    assert floats.same_entries(TableView(8, 0, range(8), True, V.x, V.y, V.z, V.c))
+    assert not floats.same_entries(V)
+
+
+def test_associativity_slab_takes_only_checked_columns(monkeypatch):
+    # a section checks few triples near its boundary: the slabs hold under
+    # half of the n**4 values (x, y, z, v) of full slabs
+    H = builders.tree_radial(2, 20)
+    V = H.view
+    sizes = []
+    defect = view._defect
+    monkeypatch.setattr(view, "_defect", lambda d, p: sizes.append(d.size) or defect(d, p))
+    _, checked = view._associativity(V, V.dense(V.exact()[0]), None)
+    assert checked == _verify_axioms_loop(H).triples_checked
+    assert sum(sizes) < H.size**4 // 2
