@@ -18,6 +18,7 @@ The example classes realized here:
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,10 +39,29 @@ def q_integer(k: int, q):
     if q == 1:
         return Fraction(k)
     if isinstance(q, Fraction) or isinstance(q, int):
-        q = Fraction(q)
-        return (q**k - q**-k) / (q - q**-1)
+        # for q = a / b, the integer (a^2k - b^2k) / (a^2 - b^2) over (ab)^(k-1)
+        a, b = Fraction(q).as_integer_ratio()
+        return Fraction((a ** (2 * k) - b ** (2 * k)) // (a * a - b * b),
+                        (a * b) ** (k - 1)) if k else Fraction(0)
     q = float(q)
     return (q**k - q**-k) / (q - 1.0 / q)
+
+
+def q_integers(q, radius: int) -> list:
+    """[k]_q for k = 0, ..., radius + 1: the labels of a section of this radius and its tail.
+
+    Raises ValueError, naming q and the radius, when a float q's
+    q-integers overflow float64.
+    """
+    try:
+        out = [q_integer(k, q) for k in range(radius + 2)]
+        ok = not isinstance(q, float) or all(map(math.isfinite, out))
+    except OverflowError:  # a float q's q**-k
+        ok = False
+    if not ok:
+        raise ValueError(f"q = {q} is too small for radius {radius}: "
+                         f"its q-integers overflow float64")
+    return out
 
 
 def check_q(q):
@@ -59,8 +79,8 @@ def check_q(q):
 def group_hypergroup(G: FiniteGroup) -> HypergroupTable:
     """A group is a hypergroup with point products c^z_{x,y} = delta_{z,xy}.
 
-    Built as entry arrays ``(x, y, xy)`` with value 1 (:class:`TableView`),
-    ``x <= y`` when the group is abelian.
+    Built as entry arrays ``(x, y, xy)`` with N = 1 and s = 1
+    (:class:`TableView`), ``x <= y`` when the group is abelian.
     """
     n = G.order
     x, y = np.triu_indices(n) if G.abelian else np.indices((n, n)).reshape(2, -1)
@@ -71,7 +91,7 @@ def group_hypergroup(G: FiniteGroup) -> HypergroupTable:
         G.inverse,
         None,
         view=TableView(n, G.identity, G.inverse, G.abelian, x, y,
-                       np.array(G.cayley, dtype=np.int64)[x, y], (ones, ones)),
+                       np.array(G.cayley, dtype=np.int64)[x, y], ones, scale=[1] * n),
         identity=G.identity,
         haar=[Fraction(1)] * n,
         commutative=G.abelian,
@@ -89,9 +109,10 @@ def _commutative_entries(T: np.ndarray) -> tuple[np.ndarray, ...]:
 def conjugacy_hypergroup(G: FiniteGroup) -> HypergroupTable:
     """Conj(G) with c^{Ck}_{Ci,Cj} = #{(a, b) in Ci x Cj : ab in Ck} / (|Ci| |Cj|).
 
-    The counts come from one pass over the Cayley table; the table is built
-    from them as entry arrays (:class:`TableView`), so its Fraction rows
-    exist only once something reads them.
+    The counts come from one pass over the Cayley table.  The table is
+    built from them as entry arrays in the N-form (:class:`TableView`): the
+    count is |Ck| N with N the class-sum constant, and s is the class size.
+    Its Fraction rows exist only once something reads them.
     """
     classes = G.conjugacy_classes()
     k = len(classes)
@@ -108,7 +129,7 @@ def conjugacy_hypergroup(G: FiniteGroup) -> HypergroupTable:
         k,
         inv_class,
         None,
-        view=TableView(k, 0, inv_class, True, i, j, t, (counts[i, j, t], sizes[i] * sizes[j])),
+        view=TableView(k, 0, inv_class, True, i, j, t, counts[i, j, t] // sizes[t], scale=sizes),
         haar=[Fraction(int(s)) for s in sizes],
         elements=tuple(f"C{i}" for i in range(k)),
     )
@@ -204,8 +225,9 @@ def irr_hypergroup(G: FiniteGroup) -> HypergroupTable:
     """Irr(G) with alpha.beta = sum_gamma (d_gamma / d_alpha d_beta) N^gamma gamma.
 
     Exact, from the integer dimensions and multiplicities of
-    :func:`group_character_data`, as entry arrays (:class:`TableView`);
-    Haar weight lam(pi) = d_pi^2.
+    :func:`group_character_data`, as entry arrays in the N-form
+    (:class:`TableView`; N the multiplicities, s the dimensions); Haar
+    weight lam(pi) = d_pi^2.
     """
     data = group_character_data(G)
     n = len(data.dims)
@@ -219,8 +241,7 @@ def irr_hypergroup(G: FiniteGroup) -> HypergroupTable:
         n,
         data.conjugate,
         None,
-        view=TableView(n, 0, data.conjugate, True, a, b, g,
-                       (dims[g] * N[a, b, g], dims[a] * dims[b])),
+        view=TableView(n, 0, data.conjugate, True, a, b, g, N[a, b, g], scale=dims),
         haar=[Fraction(d * d) for d in data.dims],
         elements=tuple(f"pi{a}d{d}" for a, d in enumerate(data.dims)),
     )
@@ -264,17 +285,19 @@ def product(
 # -- truncated families ----------------------------------------------------
 
 
-def su2_tail(radius: int, q) -> NNTail:
+def su2_tail(radius: int, q, qi=None) -> NNTail:
     """Tail bounds of the generator rows of ``su2_fusion(radius, q)`` beyond the section.
 
     The row of the generator (label 2) at label b has mass [b-1]/([2][b])
     below and [b+1]/([2][b]) above; the lower mass increases to
     q^2/(1+q^2) and the upper decreases, so the sups over labels b >= R are
-    the limit and the boundary value.
+    the limit and the boundary value.  ``qi`` are :func:`q_integers` of q
+    and the radius, if the caller has them.
     """
+    qi = q_integers(q, radius) if qi is None else qi
     qf = float(q)
     alpha_sup = qf * qf / (1.0 + qf * qf) if qf < 1 else 0.5
-    beta_sup = float(q_integer(radius + 1, q)) / float(q_integer(2, q) * q_integer(radius, q))
+    beta_sup = float(qi[radius + 1]) / float(qi[2] * qi[radius])
     return NNTail(alpha_sup, 0.0, beta_sup, start=radius - 1, exact=False)
 
 
@@ -299,7 +322,7 @@ def su2_fusion(radius: int, q=1) -> HypergroupTable:
     pair = np.repeat(np.arange(len(a)), a)
     k = np.arange(len(pair)) - np.repeat(np.cumsum(a) - a, a)
     c = (b - a + 1)[pair] + 2 * k
-    qi = [q_integer(m, q) for m in range(R + 1)]
+    qi = q_integers(q, R)
     entries = (a[pair] - 1, b[pair] - 1, c - 1)
     if isinstance(q, float):
         d = np.array(qi)
@@ -318,7 +341,7 @@ def su2_fusion(radius: int, q=1) -> HypergroupTable:
         haar=haar,
         truncated=True,
         radius=R,
-        tail=su2_tail(R, q),
+        tail=su2_tail(R, q, qi),
         generator=1,
         elements=tuple(str(a) for a in range(1, R + 1)),
     )
@@ -332,43 +355,44 @@ def tree_radial(q: int, radius: int) -> HypergroupTable:
     delta_m . delta_n puts mass q/(q+1) on n+m, (q-1)/((q+1) q^j) on n+m-2j
     for 0 < j < m and 1/((q+1) q^(m-1)) on n-m.  For m = 1 this is the
     walk delta_1 . delta_n = (1/(q+1)) delta_{n-1} + (q/(q+1)) delta_{n+1}.
-    Every pair m <= n with m + n <= R is stored, exactly in rational
-    arithmetic, as arrays gathered from the masses of each m.  Haar weights
-    are lam(0) = 1, lam(n) = (q+1) q^{n-1}.
+    Every pair m <= n with m + n <= R is stored, exactly, as entry arrays
+    in the N-form with s the Haar weights lam(0) = 1, lam(n) = (q+1) q^{n-1}
+    (:class:`TableView`).
     """
     if not (isinstance(q, int) and q >= 2):
         raise ValueError("tree_radial needs an integer branching q >= 2")
     if radius < 2:
         raise ValueError("tree_radial needs radius >= 2")
     R = radius
-    lo, hi = Fraction(1, q + 1), Fraction(q, q + 1)
-    # masses[m]: the masses of delta_m . delta_n on n-m, n-m+2, ..., n+m
-    mid = [None] + [Fraction(q - 1, (q + 1) * q**j) for j in range(1, R // 2)]
-    masses = [Fraction(1)] + [
-        v for m in range(1, R // 2 + 1)
-        for v in ((Fraction(1, (q + 1) * q ** (m - 1)),) + tuple(mid[m - 1:0:-1]) + (hi,))
-    ]
-    # the stored products m <= n with m + n <= R; masses[m] starts at m (m + 1) / 2
+    lam = [1] + [(q + 1) * q ** (n - 1) for n in range(1, R + 1)]
+    # In the N-form with s = lam, delta_m . delta_n has N = 1 on n+m,
+    # (q-1) q^(j-1) on n+m-2j for 0 < j < m, and q^m on n-m, or lam(m) on 0
+    # when n = m.  table[m (m + 1) / 2 + i] is N on n-m+2i for n > m, and
+    # table[diag + m] N on 0.
+    table = [1] + [v for m in range(1, R // 2 + 1) for v in (
+        (q**m,) + tuple((q - 1) * q ** (j - 1) for j in range(m - 1, 0, -1)) + (1,))]
+    diag = len(table)
+    table += lam[:R // 2 + 1]
+    # the stored products m <= n with m + n <= R
     M, N = np.meshgrid(np.arange(R // 2 + 1), np.arange(R + 1), indexing="ij")
     stored = (M <= N) & (M + N <= R)
     m, n = M[stored], N[stored]
     pair = np.repeat(np.arange(len(m)), m + 1)
     i = np.arange(len(pair)) - np.repeat(np.cumsum(m + 1) - m - 1, m + 1)
-    mass = (m * (m + 1) // 2)[pair] + i
-    value = (int_array(v.numerator for v in masses)[mass],
-             int_array(v.denominator for v in masses)[mass])
-    haar = [Fraction(1)] + [Fraction((q + 1) * q ** (n - 1)) for n in range(1, R + 1)]
+    z = (n - m)[pair] + 2 * i
+    at = np.where(z == 0, diag + m[pair], (m * (m + 1) // 2)[pair] + i)
+    haar = [Fraction(v) for v in lam]
     return HypergroupTable(
         f"tree_radial_q{q}_R{R}",
         R + 1,
         list(range(R + 1)),
         None,
-        view=TableView(R + 1, 0, range(R + 1), True, m[pair], n[pair],
-                       (n - m)[pair] + 2 * i, value),
+        view=TableView(R + 1, 0, range(R + 1), True, m[pair], n[pair], z,
+                       int_array(table)[at], scale=haar),
         haar=haar,
         truncated=True,
         radius=R,
-        tail=NNTail(float(lo), 0.0, float(hi), start=1, exact=True),
+        tail=NNTail(1 / (q + 1), 0.0, q / (q + 1), start=1, exact=True),
         generator=1,
         elements=tuple(str(n) for n in range(R + 1)),
     )

@@ -38,16 +38,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import FileFormatError, TruncationOverflow, ZeroDiagonal
-from .view import (
-    EXACT_FLOAT,
-    TableView,
-    axiom_defects,
-    axiom_defects_vanish,
-    form_defects_vanish,
-    haar_defect,
-    haar_defect_vanishes,
-    int_array,
-)
+from .view import TableView, axiom_defects, exact_defects, haar_defect, int_array, max_abs
 
 DEFAULT_TOL = 1e-9
 DEFAULT_SEED = 7
@@ -59,11 +50,13 @@ def _is_exact(v) -> bool:
     return isinstance(v, (Fraction, int))
 
 
-def _entries(rows: Mapping[tuple[int, int], Iterable[tuple[int, Value]]]) -> tuple:
-    """The rows as the entry arrays ``x, y, z, value`` of a :class:`TableView`.
+def _entries(rows: Mapping[tuple[int, int], Iterable[tuple[int, Value]]], n: int) -> tuple:
+    """The rows as the entries ``x, y, z, value, scale`` of a :class:`TableView`.
 
-    The values are exact if every nonzero one is a Fraction or an int, else
-    floats.  An empty row becomes one zero entry, so that it stays stored.
+    Exact values (every nonzero one a Fraction or an int) become integers N
+    over their common denominator D, with every one of the ``n`` scales D;
+    other values are floats.  An empty row becomes one zero entry, so that
+    it stays stored.
     """
     x, y, z, vals = [], [], [], []
     for (a, b), row in rows.items():
@@ -73,9 +66,10 @@ def _entries(rows: Mapping[tuple[int, int], Iterable[tuple[int, Value]]]) -> tup
             z.append(w)
             vals.append(v)
     if all(_is_exact(v) for v in vals if v != 0):
-        return x, y, z, (int_array(v.numerator if v else 0 for v in vals),
-                         int_array(v.denominator if v else 1 for v in vals))
-    return x, y, z, np.array(vals, dtype=float)
+        D = math.lcm(*{v.denominator for v in vals if v})
+        return x, y, z, int_array([v.numerator * (D // v.denominator) if v else 0
+                                   for v in vals]), [D] * n
+    return x, y, z, np.array(vals, dtype=float), None
 
 
 @dataclass(frozen=True)
@@ -201,7 +195,7 @@ class HypergroupTable:
         if (rows is None) == (view is None):
             raise ValueError("give a table its rows or its view")
         if view is None:
-            view = TableView(size, identity, inv, commutative, *_entries(rows))
+            view = TableView(size, identity, inv, commutative, *_entries(rows, size))
         else:
             for what, got, want in (("size", view.n, size), ("identity", view.identity, identity),
                                     ("involution", tuple(view.inv.tolist()), inv),
@@ -429,9 +423,9 @@ def _iter_pairs(H: HypergroupTable):
 def _verify_axioms_loop(H: HypergroupTable, tol: float = DEFAULT_TOL) -> AxiomReport:
     """:func:`verify_axioms` by Python loops over the stored rows.
 
-    The exact path for tables beyond the float64 bound that violate an
-    axiom, where the violations are reported as exact magnitudes, and the
-    reference the array paths are tested against.
+    The exact path that reports a nonzero associativity defect whose size
+    the array checks do not know, and the reference the array paths are
+    tested against.
     """
     report = AxiomReport(H.name, "rational" if H.exact else "float", tol)
     e = H.identity
@@ -526,40 +520,25 @@ def verify_axioms(H: HypergroupTable, tol: float = DEFAULT_TOL) -> AxiomReport:
     overall pass flag (group tables of nonabelian groups are hypergroups).
 
     The checks run on the table's :class:`TableView`.  Float tables run in
-    float64.  Rational tables take the first of three exact paths that
-    applies (see :mod:`hypharm.view`):
-
-    * the N-form ``c^z_{x,y} = N^z_{x,y} s_z / (s_x s_y)`` with integer N,
-      which the fusion builders give: associativity on N in float64, one
-      pass, and the other checks once on the exact numerators of c
-      (:func:`hypharm.view.form_defects_vanish`);
-    * integer numerators over a common denominator held in float64, where
-      every sum is exact, while they are small enough
-      (:meth:`TableView.exact`);
-    * else the numerators' residues modulo primes
-      (:func:`hypharm.view.axiom_defects_vanish`).
-
-    The N-form and the residues prove that every defect is 0; if one is
-    not, the next path runs, and after the residues the Fraction loop,
-    which reports the violations.
+    float64.  An exact table's view holds integers N with
+    ``c^z_{x,y} = N^z_{x,y} s_z / (s_x s_y)`` (see :mod:`hypharm.view`),
+    and its checks take one exact path
+    (:func:`hypharm.view.exact_defects`): the checks on single entries run
+    once on the exact integer numerators of c, and associativity on N, in
+    float64 while every sum is exact and modulo primes beyond that.  A
+    nonzero associativity defect of N gives c's when the scales are uniform
+    (rows given as Fractions); any other, and any the residues show, is
+    reported by the Fraction loop.
     """
     V = H.view
     if not H.exact:
-        found, den = axiom_defects(V, V.c, 1.0), 1
-    elif (found := form_defects_vanish(V)) is not None:
-        den = 1
-    elif (ex := V.exact()) is not None:
-        c, den = ex
-        found = axiom_defects(V, c, float(den))
-    else:
-        found, den = axiom_defects_vanish(V), 1
-        if found is None:
-            return _verify_axioms_loop(H, tol)
+        found = axiom_defects(V, V.c)
+    elif (found := exact_defects(V)) is None:
+        return _verify_axioms_loop(H, tol)
     report = AxiomReport(H.name, "rational" if H.exact else "float", tol)
     worst, checked = found
     for name, w in worst.items():
-        scale = den * den if name == "associativity" else den
-        viol = float(Fraction(int(w), scale)) if H.exact else float(w)
+        viol = float(w)
         report.checks[name] = AxiomCheck(viol <= tol, viol)
     report.triples_checked = checked
     report.triples_skipped = H.size**3 - checked
@@ -583,29 +562,19 @@ def _haar_defect_loop(H: HypergroupTable):
 def _haar_defect(H: HypergroupTable):
     """:func:`_haar_defect_loop` on the table's :class:`TableView`.
 
-    Rational tables with rational weights run on integer numerators over
-    the common denominator: a table in its N-form on the exact integers,
-    once; others in float64, or, where products of numerators leave the
-    exact float64 range, modulo primes, with the Fraction loop run only to
-    report a defect that is not 0.  Float tables or weights run in floats.
+    An exact table with exact weights runs once on integers: the exact
+    numerators of c over their common denominator and those of the weights
+    over theirs.  Float tables or weights run in floats.
     """
     V = H.view
     if not (H.exact and all(_is_exact(v) for v in H.haar)):
         return float(haar_defect(V, V.c, H.lam))
     lam_den = math.lcm(*{v.denominator for v in H.haar})
-    lam = [v.numerator * (lam_den // v.denominator) for v in H.haar]
-    if V.N is not None:
-        nums, den = V.numerators()
-        worst = haar_defect(V, V.entries(np.array(nums, dtype=object)), np.array(lam, dtype=object))
-        return Fraction(int(worst), lam_den * den)
-    if (ex := V.exact()) is not None:
-        c, den = ex
-        if 2 * max(map(abs, lam)) * int(np.abs(c).max(initial=0)) <= EXACT_FLOAT:
-            worst = haar_defect(V, c, np.array(lam, dtype=float))
-            return Fraction(int(worst), lam_den * den)
-    if haar_defect_vanishes(V, lam):
-        return Fraction(0)
-    return _haar_defect_loop(H)
+    lam = int_array([v.numerator * (lam_den // v.denominator) for v in H.haar])
+    num, den = V.numerators
+    if 2 * max_abs(lam) * max_abs(num) >= 2**63:  # the differences leave int64
+        num, lam = num.astype(object), lam.astype(object)
+    return Fraction(int(haar_defect(V, num, lam)), lam_den * den)
 
 
 def haar_weights(H: HypergroupTable, tol: float = DEFAULT_TOL) -> tuple:

@@ -31,6 +31,7 @@ from .builders import (
     conjugacy_hypergroup,
     group_character_data,
     q_integer,
+    q_integers,
     su2_tail,
 )
 from .core import HypergroupTable, LineFile, _finite, convolve, int_in
@@ -194,7 +195,7 @@ def su2_fusion_ring(radius: int, q=1) -> FusionRing:
         tuple(range(radius)),
         mult,
         tuple(range(1, radius + 1)),
-        tuple(q_integer(a, q) for a in range(1, radius + 1)),
+        tuple(q_integers(q, radius)[1:radius + 1]),
         q=q,
     )
     ring.validate()

@@ -4,27 +4,36 @@
 :class:`~hypharm.core.HypergroupTable`, which holds it from construction
 as ``H.view``.  The axiom and Haar checks of :mod:`hypharm.core` and the
 spectral code run on it.  The functions here take coefficient arrays
-aligned with the view's entries.  A float table's checks run on its
-float64 coefficients.  An exact table's checks are exact, by the first of
-three paths that applies (:func:`hypharm.core.verify_axioms`):
+aligned with the view's entries.
 
-* the N-form.  A view built with scales ``s`` (the fusion sections and
-  fusion-ring tables) holds integers N with
-  ``c^z_{x,y} = N^z_{x,y} s_z / (s_x s_y)``.  Associativity runs on N in
-  float64, in one pass, and the checks on single entries run once on the
-  exact integer numerators of c (:func:`form_defects_vanish`).  It runs
-  while ``2 n max|N|^2 <= 2**53``, which holds for every such table here;
-* the numerators in float64.  Integer numerators over a common
-  denominator, held in float64 while every sum the checks form is exact
-  (:meth:`TableView.exact`);
-* CRT.  Beyond that bound, one row of residues per prime, with every
-  difference reduced modulo its prime (:func:`axiom_defects_vanish`,
-  :func:`crt_primes`).
+A view holds float64 coefficients, or, for an exact table, integers N per
+entry and one nonzero rational scale ``s`` per point with
 
-The N-form and the residues can only show that every defect is 0; when
-one is not, the next path runs, and after the residues the Fraction loop
-of :mod:`hypharm.core`, which is also the oracle the array paths are
-tested against.
+    c^z_{x,y} = N^z_{x,y} s_z / (s_x s_y)
+
+(Bloom and Heyer 1995, ch. 1; Bannai and Ito 1984).  Every exact table
+has this form: a group has N = 1 and s = 1, Conj(G) the class sizes as s,
+Irr(G) and the fusion rings the multiplicities as N and the dimensions as
+s, the fusion sections N = 1 and s = [a]_q, the tree s = lam, and a
+product N1 N2 and s1 s2.  Rows given as Fractions are their numerators N
+over the common denominator D, with every s = D, so that c = N / D.
+
+A float table's checks run on its coefficients.  An exact table's are
+exact (:func:`exact_defects`):
+
+* the checks on single entries, and the Haar identity, run once on the
+  exact integer numerators of c over one common denominator
+  (:meth:`TableView.numerators`);
+* associativity runs on N.  Both sides at ``(x, y, z)`` and ``v`` are the
+  same multiple ``s_v / (s_x s_y s_z)`` of those of N, so c is associative
+  exactly when N is.  It takes one float64 pass while
+  ``2 n max|N|^2 <= 2**53``, and beyond that bound one pass on N's residues
+  per batch of :func:`crt_primes`.
+
+A nonzero associativity defect of N is c's, divided by ``s**2``, only
+when s is uniform; otherwise, and when the residues show one, the Fraction
+loop of :mod:`hypharm.core` reports it.  That loop is also the oracle the
+array paths are tested against.
 """
 
 from __future__ import annotations
@@ -84,10 +93,9 @@ def crt_primes(n: int, height: int) -> np.ndarray:
         count *= 2
 
 
-def residues(values: list[int], primes: np.ndarray) -> np.ndarray:
-    """``values`` modulo each prime, one row per prime, in float64."""
-    return np.fromiter((v % p for p in map(int, primes) for v in values), float,
-                       len(primes) * len(values)).reshape(len(primes), len(values))
+def residues(values: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """The integers ``values`` modulo each prime, one row per prime, in float64."""
+    return np.stack([values % int(p) for p in primes]).astype(float)
 
 
 def _defect(d: np.ndarray, p: np.ndarray | None) -> np.ndarray:
@@ -110,16 +118,17 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def int_array(values) -> np.ndarray:
-    """The Python integers ``values`` in int64 if each is at most 2**53 in size.
+def max_abs(a: np.ndarray) -> int:
+    """The largest absolute value of the integers ``a`` (0 if none), as a Python int."""
+    return int(np.abs(a).max(initial=0))
 
-    Below 2**53 an integer is exact in float64, so the float64 quotient of
-    two such integers is the correctly rounded one; larger ones stay Python
-    ints, in an object array.
-    """
-    values = list(values)
-    big = max(map(abs, values), default=0) > EXACT_FLOAT
-    return np.array(values, dtype=object if big else np.int64)
+
+def int_array(values) -> np.ndarray:
+    """The integers ``values`` in int64, or as Python ints (an object array) beyond int64."""
+    if isinstance(values, np.ndarray) and values.dtype == np.int64:
+        return values
+    a = np.array(values if isinstance(values, np.ndarray) else list(values), dtype=object)
+    return a if max_abs(a) >= 2**63 else a.astype(np.int64)
 
 
 class TableView:
@@ -129,20 +138,22 @@ class TableView:
     list each product in both orders.  Entries are sorted by ``(x, y, z)``:
 
     * ``x, y, z, c`` -- the entries, indices in int32, ``c`` in float64
-      (for a rational table each ``c`` is the correctly rounded quotient of
+      (for an exact table each ``c`` is the correctly rounded quotient of
       its exact value, computed on first use);
     * ``px, py`` -- the stored products, ``starts`` their CSR offsets into
       the entries and ``pair`` the product of each entry;
     * ``has_row`` -- the ``n x n`` mask of stored products;
     * ``inv`` -- the involution;
-    * ``rational`` -- whether the coefficients are exact rationals;
+    * ``rational`` -- whether the coefficients are exact;
+    * ``N`` -- of an exact table, the integers N of
+      ``c^z_{x,y} = N^z_{x,y} s_z / (s_x s_y)`` per entry (int64, or Python
+      ints beyond int64), else None; ``uniform`` -- whether every point has
+      the same scale ``s``, so that ``c = N / s``;
     * :meth:`dense` -- the coefficients as an ``n x n x n`` array;
     * :meth:`row` and :meth:`rows` -- the coefficients as table rows, exact
       ones as Fractions;
-    * :meth:`exact` -- integer numerators over one common denominator (on
-      first use, exact tables only);
-    * ``N`` -- for a table given in its N-form, the integers N of
-      ``c^z_{x,y} = N^z_{x,y} s_z / (s_x s_y)`` per entry, else None.
+    * :attr:`numerators` -- an exact table's coefficients as integers over
+      one common denominator (on first use).
 
     The view is built from its entries, given as arrays by a builder or
     gathered from the rows a table is given, or by :meth:`product` from the
@@ -153,21 +164,18 @@ class TableView:
                  x, y, z, value, scale=None):
         """The view of the entries ``c^z_{x,y}`` listed in ``x, y, z``.
 
-        ``value`` holds one coefficient per entry: a pair ``(num, den)`` of
-        integer arrays for an exact table (int64, or Python ints beyond
-        2**53), else a float array.  With ``scale``, one nonzero rational
-        ``s`` per point (an int or a Fraction), the table is given in its
-        N-form: ``value`` holds integers ``N`` and
-        ``c^z_{x,y} = N^z_{x,y} s_z / (s_x s_y)``, kept as :attr:`N`
-        (Bloom and Heyer 1995, ch. 1).  A commutative table
-        names each product once, in either order, or in both orders with
-        the same row.  Entries already sorted by ``(x, y, z)`` are taken as
-        they are.  Zero coefficients are dropped; their product stays
-        stored, so that a product given only zeros is a stored row without
-        entries.  Raises ValueError for an index out of range, a support
+        ``value`` holds one value per entry.  Without ``scale`` they are the
+        float coefficients.  With ``scale``, one nonzero rational ``s`` per
+        point (an int or a Fraction), they are integers N (int64, or Python
+        ints beyond int64) with ``c^z_{x,y} = N^z_{x,y} s_z / (s_x s_y)``.
+        A commutative table names each product once, in either order, or in
+        both orders with the same row.  Entries already sorted by
+        ``(x, y, z)`` are taken as they are.  Zero coefficients are dropped;
+        their product stays stored, so that a product given only zeros is a
+        stored row without entries.  Raises ValueError for an index out of
+        range, a count of values that is not the count of entries, a support
         index named twice in one row, two orders of one product with
-        different rows, a non-finite float, a zero denominator or a zero
-        scale.
+        different rows, a non-finite float or a zero scale.
         """
         x, y, z = (np.asarray(a, dtype=np.int64).ravel() for a in (x, y, z))
 
@@ -184,59 +192,48 @@ class TableView:
             flip = x > y
             x, y = np.where(flip, y, x), np.where(flip, x, y)
         fail((z < 0) | (z >= n), lambda i: f"support index {z[i]} out of range in row {key(i)}")
-        rational = scale is not None or isinstance(value, tuple)
-        if scale is not None:
-            # the coefficients are formed from N and the scales when read
-            num, den = [v.numerator for v in scale], [v.denominator for v in scale]
+        if scale is None:
+            vals = np.asarray(value, dtype=float).ravel()
+        else:
+            num, den = [int(v.numerator) for v in scale], [int(v.denominator) for v in scale]
             if len(num) != n or not all(num):
                 raise ValueError(f"an N-form needs {n} nonzero scales")
-            vals = [np.asarray(value, dtype=np.int64).ravel()]
-        elif rational:
-            vals = [np.asarray(a).ravel() for a in value]
-            # int64 only below 2**53 (see int_array), else Python ints for both
-            if any(a.dtype == object or np.abs(a).max(initial=0) > EXACT_FLOAT for a in vals):
-                vals = [a.astype(object, copy=False) for a in vals]
-            if (vals[1] <= 0).any():
-                fail(vals[1] == 0, lambda i: f"structure constants must have nonzero "
-                                             f"denominators, got 0 in row {key(i)}")
-                vals = [np.where(vals[1] < 0, -a, a) for a in vals]
-        else:
-            vals = [np.asarray(value, dtype=float).ravel()]
-            fail(~np.isfinite(vals[0]), lambda i: f"structure constants must be finite, "
-                                                  f"got {vals[0][i]} in row {key(i)}")
+            vals = int_array(value).ravel()
+        if len(vals) != len(x):
+            raise ValueError(f"{len(vals)} values for {len(x)} entries")
+        if scale is None:
+            fail(~np.isfinite(vals), lambda i: f"structure constants must be finite, "
+                                               f"got {vals[i]} in row {key(i)}")
 
         # sorted by row (x, y) and, within a commutative row, by the order given
         order = ((x * n + y) * 2 + flip) * n + z
         if not (np.diff(order) > 0).all():
             s = np.argsort(order, kind="stable")
-            x, y, z, flip, order = x[s], y[s], z[s], flip[s], order[s]
-            vals = [a[s] for a in vals]
+            x, y, z, flip, order, vals = x[s], y[s], z[s], flip[s], order[s], vals[s]
             fail(np.diff(order) == 0, lambda i: f"row {key(i)} names support index {z[i]} twice")
-        nonzero = vals[0] != 0
+        nonzero = vals != 0
         product = x * n + y
         if flip.any():
-            # a product named in both orders: the two rows must agree
+            # a product named in both orders: the two rows must agree; c is
+            # symmetric in s_x s_y, so those of an N-form agree in N
             both = np.isin(product, product[flip]) & np.isin(product, product[~flip])
             given: dict = {}
             for i in np.flatnonzero(both & nonzero).tolist():
-                v = Fraction(int(vals[0][i]), int(vals[1][i])) if len(vals) == 2 else vals[0][i]
-                given.setdefault((int(product[i]), bool(flip[i])), []).append((z[i], v))
+                given.setdefault((int(product[i]), bool(flip[i])), []).append((z[i], vals[i]))
             for p in np.unique(product[both]).tolist():
                 if given.get((p, False)) != given.get((p, True)):
                     raise ValueError(f"conflicting data for row {(p // n, p % n)}")
             keep = ~(flip & both)
-            x, y, z, nonzero, product = x[keep], y[keep], z[keep], nonzero[keep], product[keep]
-            vals = [a[keep] for a in vals]
+            x, y, z, nonzero, product, vals = (a[keep] for a in (x, y, z, nonzero, product, vals))
 
         # the stored products, and their entries without the zeros
         first = np.flatnonzero(np.concatenate(([True], product[1:] != product[:-1])))
         counts = np.diff(np.append(first, len(product)))
         if not nonzero.all():
             counts = np.add.reduceat(nonzero.astype(np.int64), first) if len(first) else first
-            z, vals = z[nonzero], [a[nonzero] for a in vals]
+            z, vals = z[nonzero], vals[nonzero]
         px, py = x[first], y[first]
-        if scale is not None:
-            x, y = np.repeat(px, counts), np.repeat(py, counts)  # of each stored coefficient
+        x, y = np.repeat(px, counts), np.repeat(py, counts)  # of each stored coefficient
 
         # a commutative table's products are stored once; their mirrored
         # products reuse the stored entries
@@ -251,18 +248,12 @@ class TableView:
         starts = np.concatenate(([0], np.cumsum(counts)))
         # entry i of product p is stored entry first[p] + i - starts[p]
         self._source = np.arange(starts[-1]) + np.repeat(first - starts[:-1], counts)
-        self._index(n, identity, involution, commutative, rational, px, py, starts,
+        self._index(n, identity, involution, commutative, scale is not None, px, py, starts,
                     self.entries(z))
-        if scale is not None:
-            # products of three scale terms and N in int64 while they stay below 2**53
-            big = max(map(abs, num + den)) ** 3 * int(np.abs(vals[0]).max(initial=1)) > EXACT_FLOAT
-            num, den = (np.array(a, dtype=object if big else np.int64) for a in (num, den))
-            self._form = (vals[0], x, y, z, num, den)
-            self.N = _frozen(self.entries(vals[0]))
-        elif rational:
-            self._nd = tuple(vals)
+        if scale is None:
+            self.c = _frozen(self.entries(vals))
         else:
-            self.c = _frozen(self.entries(vals[0]))
+            self._keep_form(vals, x, y, z, num, den)
 
     def _index(self, n, identity, involution, commutative, rational, px, py, starts, z):
         """Set the entry arrays from the sorted products and their entries."""
@@ -276,8 +267,24 @@ class TableView:
         has_row[self.px, self.py] = True
         self.has_row = _frozen(has_row)
         self.inv = _frozen(np.array(involution, dtype=np.int32))
-        self.N, self._form = None, None
-        self._exact = None
+        self.N = None
+
+    def _keep_form(self, N, x, y, z, num, den):
+        """Keep the integers N of the stored coefficients at ``x, y, z`` and the scales ``num / den``.
+
+        The products that :meth:`_fractions` forms of them are taken in
+        int64 while they stay below 2**53, else in Python ints.
+        """
+        top = max_abs(N)
+        self.uniform = all(a * den[0] == b * num[0] for a, b in zip(num, den))
+        if self.uniform:  # c = N / s
+            big = max(top * abs(den[0]), abs(num[0])) > EXACT_FLOAT
+        else:
+            big = max(map(abs, num + den)) ** 3 * top > EXACT_FLOAT
+        kind = object if big else np.int64
+        self._scale = (np.array(num, dtype=kind), np.array(den, dtype=kind))
+        self._form = (N.astype(kind), x, y, z)
+        self.N = _frozen(self.entries(N))
 
     @classmethod
     def product(cls, V1: "TableView", V2: "TableView") -> "TableView":
@@ -286,11 +293,11 @@ class TableView:
         Point ``(x, u)`` is index ``x n2 + u`` and
         ``c^{(z,w)}_{(x,u),(y,v)} = c^z_{x,y} c^w_{u,v}``: the entries of a
         product are the pairs of entries of the two factor rows, in their
-        order, which keeps them sorted by ``(x, y, z)``.  Exact numerators
-        multiply over ``D1 D2``, and ``c`` is their quotient, rounded once,
-        as ``float`` rounds the Fraction; ``c1 c2`` in float64 could be
-        1 ulp off it.  A float factor makes the product a float table with
-        ``c = c1 c2``.
+        order, which keeps them sorted by ``(x, y, z)``.  Two exact factors
+        give ``N = N1 N2`` and ``s = s1 s2``, and ``c`` is the quotient of
+        its exact value, rounded once, as ``float`` rounds the Fraction;
+        ``c1 c2`` in float64 could be 1 ulp off it.  A float factor makes
+        the product a float table with ``c = c1 c2``.
         """
         if not (V1.has_row.all() and V2.has_row.all()):
             raise ValueError("a product needs finite tables")
@@ -310,39 +317,29 @@ class TableView:
         V = cls.__new__(cls)
         V._source = None
         rational = V1.rational and V2.rational
-        if rational:
-            (N1, D1), (N2, D2) = V1.numerators(), V2.numerators()
-            den = D1 * D2
-            small = max(max(map(abs, N1)) * max(map(abs, N2)), den) <= EXACT_FLOAT
-            kind = np.int64 if small else object  # else Python ints
-            N = V1.entries(np.array(N1, dtype=kind))[i] * V2.entries(np.array(N2, dtype=kind))[j]
-            V._nd = (N, den)
-        else:
+        if not rational:
             V.c = _frozen(V1.c[i] * V2.c[j])
         inv = V1.inv[:, None] * n2 + V2.inv
         V._index(n1 * n2, V1.identity * n2 + V2.identity, inv.ravel(),
                  V1.commutative and V2.commutative, rational,
                  grid.repeat(n1 * n2), np.tile(grid, n1 * n2), starts,
                  V1.z[i] * n2 + V2.z[j])
+        if rational:
+            N1, N2 = V1.N[i], V2.N[j]
+            if max_abs(V1.N) * max_abs(V2.N) >= 2**63:
+                N1 = N1.astype(object)
+            (a1, b1), (a2, b2) = ([s.tolist() for s in W._scale] for W in (V1, V2))
+            V._keep_form(N1 * N2, V.x, V.y, V.z, [a * b for a in a1 for b in a2],
+                         [a * b for a in b1 for b in b2])
         return V
 
     def _fractions(self, j) -> tuple:
-        """``(num, den)`` of the stored coefficients ``j``; ``den`` may be one for all.
-
-        A view in its N-form forms them from N and the scales, until
-        :attr:`_nd` holds them all.
-        """
-        if self._form is None or "_nd" in vars(self):
-            num, den = self._nd
-            return num[j], (den[j] if np.ndim(den) else den)
-        N, x, y, z, num, den = self._form
-        N, x, y, z = N[j], x[j], y[j], z[j]
+        """``(num, den)`` of the stored coefficients ``j``; of a uniform view one ``den`` for all."""
+        N, x, y, z = (a[j] for a in self._form)
+        num, den = self._scale
+        if self.uniform:
+            return N * int(den[0]), int(num[0])
         return N * num[z] * den[x] * den[y], den[z] * num[x] * num[y]
-
-    @cached_property
-    def _nd(self) -> tuple:
-        """``(num, den)`` of every stored coefficient, as :meth:`_fractions` gives them."""
-        return self._fractions(slice(None))
 
     def _quotients(self, j=slice(None)) -> np.ndarray:
         """``num / den`` of the stored coefficients ``j`` in float64, each rounded once."""
@@ -377,21 +374,28 @@ class TableView:
         C[..., self.x, self.y, self.z] = c
         return C
 
-    def numerators(self) -> tuple[list[int], int]:
-        """Integer numerators of the stored coefficients and ``D``.
+    @cached_property
+    def numerators(self) -> tuple[np.ndarray, int]:
+        """An exact view's coefficients as integers per entry over one denominator ``D > 0``.
 
-        Each coefficient is ``N / D`` over the common denominator ``D``, the
-        least common multiple of the coefficients' reduced denominators
-        (for a view built by :meth:`product`, ``D1 D2``).  Arrays aligned
-        with these numerators map to the view's entries through :meth:`entries`.
+        ``D`` is the numerator of a uniform view's scale (for rows given as
+        Fractions their common denominator), else the least common
+        denominator.  The integers are int64 while a sum of ``n + 1`` of
+        them, or of them and ``D``, stays in int64, else Python ints.
         """
-        num, den = self._nd
+        num, den = self._fractions(slice(None))
         if np.ndim(den) == 0:
-            return num.tolist(), den
-        g = np.gcd(num, den)
-        num, den = (num // g).tolist(), (den // g).tolist()
-        common = math.lcm(*set(den))
-        return [a * (common // b) for a, b in zip(num, den)], common
+            num, den = (num, den) if den > 0 else (-num, -den)
+        else:
+            num, den = np.where(den < 0, -num, num), np.abs(den)
+            g = np.gcd(num, den)
+            num, den = num // g, den // g
+            D = math.lcm(*set(den.tolist()))
+            if max(max_abs(num), 1) * D >= 2**63:
+                num, den = num.astype(object), den.astype(object)
+            num, den = num * (D // den), D
+        kind = np.int64 if (self.n + 1) * max(max_abs(num), den) < 2**63 else object
+        return _frozen(self.entries(num.astype(kind))), den
 
     def entries(self, a: np.ndarray) -> np.ndarray:
         """Values given per stored coefficient, rearranged to the view's entries."""
@@ -431,7 +435,7 @@ class TableView:
     def same_entries(self, other: "TableView") -> bool:
         """True if both views store the same products and entries with equal coefficients.
 
-        Two exact views compare their numerators over the common
+        Two exact views compare their numerators, each over the other's
         denominator; otherwise the rows are compared.
         """
         if (self.n, self.commutative) != (other.n, other.commutative) or not all(
@@ -440,24 +444,8 @@ class TableView:
             return False
         if not (self.rational and other.rational):
             return self.rows() == other.rows()
-        (n1, d1), (n2, d2) = self.numerators(), other.numerators()
-        return d1 == d2 and np.array_equal(self.entries(np.array(n1, dtype=object)),
-                                           other.entries(np.array(n2, dtype=object)))
-
-    def exact(self) -> tuple[np.ndarray, int] | None:
-        """Numerators ``N`` and denominator ``D`` with ``c = N / D``, or None.
-
-        ``N`` is held in float64, so it is None when ``2 n max|N|^2 > 2**53``:
-        below that bound every sum of ``n`` products of two numerators, and
-        every difference of two such sums, is an exact integer.
-        """
-        if self._exact is None:
-            nums, den = self.numerators()
-            top = max(map(abs, nums), default=0)
-            self._exact = False
-            if 2 * self.n * top * top <= EXACT_FLOAT:
-                self._exact = (_frozen(self.entries(np.array(nums, dtype=float))), den)
-        return self._exact or None
+        (n1, d1), (n2, d2) = self.numerators, other.numerators
+        return np.array_equal(n1.astype(object) * d2, n2.astype(object) * d1)
 
 
 def _worst(a, b):
@@ -469,81 +457,69 @@ def _gather(V: TableView, c: np.ndarray):
     """The function ``(x, y, z) -> c^z_{x,y}`` of the values ``c``, 0 off the entries.
 
     It reads a dense ``n x n x n`` map of entry indices, so that it works
-    for any dtype of ``c`` and for one row of ``c`` per prime alike.
+    for any dtype of ``c``, Python ints included.
     """
     index = np.full((V.n,) * 3, len(V.z), dtype=np.int32)
     index[V.x, V.y, V.z] = np.arange(len(V.z), dtype=np.int32)
-    padded = np.concatenate((c, np.zeros(c.shape[:-1] + (1,), dtype=c.dtype)), axis=-1)
-    return lambda x, y, z: padded[..., index[x, y, z]]
+    padded = np.concatenate((c, np.zeros(1, dtype=c.dtype)))
+    return lambda x, y, z: padded[index[x, y, z]]
 
 
-def axiom_defects(V: TableView, c: np.ndarray, one, p: np.ndarray | None = None,
-                  s: np.ndarray | None = None) -> tuple[dict, int]:
-    """The worst violation of each axiom, and the associativity triples checked.
+def axiom_defects(V: TableView, c: np.ndarray) -> tuple[dict, int]:
+    """The worst violation of each axiom of a float table, and the associativity triples checked.
 
-    ``c`` holds the entries' coefficients in units of ``1 / one``; the
-    violations come in the same units, except associativity, whose are
-    ``1 / one**2``.  The checks are those of
-    :func:`hypharm.core.verify_axioms`, in its report order: those of
-    :func:`entry_defects`, then associativity on the dense array of ``c``.
+    The checks are those of :func:`hypharm.core.verify_axioms`, in its
+    report order: those of :func:`entry_defects`, then associativity on the
+    dense array of the coefficients ``c``.
     """
-    out = entry_defects(V, c, one, p, s)
-    out["associativity"], checked = _associativity(V, V.dense(c), p)
+    out = entry_defects(V, c, 1.0)
+    out["associativity"], checked = _associativity(V, V.dense(c), None)
     return out, checked
 
 
-def entry_defects(V: TableView, c: np.ndarray, one, p: np.ndarray | None = None,
-                  s: np.ndarray | None = None) -> dict:
+def entry_defects(V: TableView, c: np.ndarray, one) -> dict:
     """The worst violation of each axiom but associativity, from the entries alone.
 
-    ``c`` and ``one`` are as in :func:`axiom_defects`; ``c`` may also hold
-    Python integers (an object array), which keeps every sum exact at any
-    size.  With primes ``p``, ``c`` holds one row of residues per prime and
-    ``one`` a column of the unit's residues; every difference is reduced
-    modulo its prime, so a violation is 0 exactly when its difference is 0
-    modulo each prime.  Residues carry no sign, so the tests of sign and of
-    nonzero values read ``s``: the signs of the coefficients (by default
-    ``c``).
+    ``c`` holds the entries' coefficients in units of ``1 / one``: floats
+    with ``one = 1``, or an exact table's numerators over their denominator
+    ``one`` (int64, or Python ints, whose sums are exact at any size).  The
+    violations come in the same units.
     """
-    if s is None:
-        s = c
     e, inv, has_row = V.identity, V.inv, V.has_row
     at = _gather(V, c)
     out = {}
-    sums = np.zeros(c.shape[:-1] + (len(V.px),), dtype=c.dtype)
-    np.add.at(sums, (..., V.pair), c)
-    out["probability"] = _worst(_defect(sums - one, p).max(initial=0), -s.min(initial=0))
+    sums = np.zeros(len(V.px), dtype=c.dtype)
+    np.add.at(sums, V.pair, c)
+    out["probability"] = _worst(np.abs(sums - one).max(initial=0), -c.min(initial=0))
 
     out["commutativity"] = 0.0
     if not V.commutative:
         both = has_row[V.y, V.x]
-        out["commutativity"] = _defect(c - at(V.y, V.x, V.z), p)[..., both].max(initial=0)
+        out["commutativity"] = np.abs(c - at(V.y, V.x, V.z))[both].max(initial=0)
 
     # rows e.x and x.e: mass 1 at x and none elsewhere
     ys = V.py[V.px == e]
-    worst = _defect(at(e, ys, ys) - one, p).max(initial=0)
+    worst = np.abs(at(e, ys, ys) - one).max(initial=0)
     xs = V.px[V.py == e]
-    worst = _worst(worst, _defect(at(xs, e, xs) - one, p).max(initial=0))
+    worst = _worst(worst, np.abs(at(xs, e, xs) - one).max(initial=0))
     for side, other in ((V.x, V.y), (V.y, V.x)):
         off = (side == e) & (V.z != other)
-        mass = np.zeros(V.n, dtype=s.dtype)
-        np.add.at(mass, other[off], np.abs(s[off]))
+        mass = np.zeros(V.n, dtype=c.dtype)
+        np.add.at(mass, other[off], np.abs(c[off]))
         worst = _worst(worst, mass.max())
     out["identity"] = worst
 
     # involution anti-homomorphism: c^z_{x,y} = c^{z~}_{y~,x~}
     mirrored = has_row[inv[V.y], inv[V.x]]
-    out["involution"] = _defect(c - at(inv[V.y], inv[V.x], inv[V.z]), p)[
-        ..., mirrored].max(initial=0)
+    out["involution"] = np.abs(c - at(inv[V.y], inv[V.x], inv[V.z]))[mirrored].max(initial=0)
 
-    # support law: e in supp(x.y) iff y = x~; a missing e counts as 1, and
-    # with primes as the largest residue of 1, which is not 0
-    ce = np.zeros(len(V.px), dtype=s.dtype)
+    # support law: e in supp(x.y) iff y = x~; a missing e counts as 1
+    ce = np.zeros(len(V.px), dtype=c.dtype)
     to_e = V.z == e
-    ce[V.pair[to_e]] = s[to_e]
+    ce[V.pair[to_e]] = c[to_e]
     to_inverse = V.py == inv[V.px]
     out["support"] = _worst(np.abs(ce[~to_inverse]).max(initial=0),
-                            0.0 if (ce[to_inverse] > 0).all() else np.max(one))
+                            0.0 if (ce[to_inverse] > 0).all() else one)
     return out
 
 
@@ -598,17 +574,14 @@ def _associativity(V: TableView, C: np.ndarray, p: np.ndarray | None) -> tuple[f
     return worst, checked
 
 
-def haar_defect(V: TableView, c: np.ndarray, lam: np.ndarray,
-                p: np.ndarray | None = None) -> float:
+def haar_defect(V: TableView, c: np.ndarray, lam: np.ndarray):
     """Largest |lam(y) c^z_{x,y} - lam(z) c^y_{x~,z}| over the stored triples.
 
-    With primes ``p``, ``c`` and ``lam`` hold one row of residues per prime
-    and the differences are reduced modulo their primes, as in
-    :func:`entry_defects`.
+    ``c`` and ``lam`` are floats, or integers (int64, or Python ints).
     """
     xi = V.inv[V.x]
-    d = lam[..., V.y] * c - lam[..., V.z] * _gather(V, c)(xi, V.z, V.y)
-    return _defect(d, p)[..., V.has_row[xi, V.z]].max(initial=0)
+    d = lam[V.y] * c - lam[V.z] * _gather(V, c)(xi, V.z, V.y)
+    return np.abs(d)[V.has_row[xi, V.z]].max(initial=0)
 
 
 def _batches(V: TableView, primes: np.ndarray):
@@ -617,63 +590,32 @@ def _batches(V: TableView, primes: np.ndarray):
     return (primes[i:i + step] for i in range(0, len(primes), step))
 
 
-def form_defects_vanish(V: TableView) -> tuple[dict, int] | None:
-    """:func:`axiom_defects` of a table in its N-form, if all of them are 0.
+def exact_defects(V: TableView) -> tuple[dict, int] | None:
+    """The worst violation of each axiom of an exact table, as Fractions, and the triples checked.
 
-    ``c^z_{x,y} = N^z_{x,y} s_z / (s_x s_y)`` is a diagonal similarity of
-    N: both sides of associativity at ``(x, y, z)`` and ``v`` are the same
-    multiple ``s_v / (s_x s_y s_z)`` of those of N, so c is associative
-    exactly when N is.  Associativity runs on N in float64, in one pass,
-    exact while ``2 n max|N|^2 <= 2**53``; the other checks run once on the
-    exact numerators of c (:func:`entry_defects`).  Returns the defects
-    (all 0) and the triples checked, or None if the view has no N-form, N
-    is too large, or some defect is not 0.
+    The checks are those of :func:`hypharm.core.verify_axioms`, in its
+    report order: :func:`entry_defects` on the exact numerators of c, then
+    associativity on N, in one float64 pass while every sum it forms is
+    exact (``2 n max|N|**2 <= 2**53``), else on N's residues modulo
+    :func:`crt_primes` for that height.  Returns None when associativity
+    fails and its size is not known here: the residues show only that a
+    defect is not 0, and a defect of N is one of c, divided by ``s**2``,
+    only when the scales are uniform.
     """
-    if V.N is None:
-        return None
-    top = int(np.abs(V.N).max(initial=0))
-    if 2 * V.n * top * top > EXACT_FLOAT:
-        return None
-    nums, den = V.numerators()
-    # sums of n numerators stay exact in int64 below 2**63 / (n + 1)
-    kind = np.int64 if (V.n + 1) * max(max(map(abs, nums), default=0), den) < 2**63 else object
-    worst = entry_defects(V, V.entries(np.array(nums, dtype=kind)), den)
-    if any(worst.values()):
-        return None
-    worst["associativity"], checked = _associativity(V, V.dense(V.N.astype(float)), None)
-    return None if worst["associativity"] else (worst, checked)
-
-
-def axiom_defects_vanish(V: TableView) -> tuple[dict, int] | None:
-    """:func:`axiom_defects` of an exact table, by residues, if all of them are 0.
-
-    For tables beyond :meth:`TableView.exact`'s bound.  With numerators
-    ``N`` over ``D``, the differences the checks form are integers of
-    absolute value at most ``2 n max|N|^2`` (associativity) or
-    ``D + n max|N|`` (row sums, identity masses and entry against entry);
-    they are 0 exactly when they are 0 modulo each of :func:`crt_primes`
-    for that height.  Returns the defects (all 0) and the triples checked,
-    or None if some defect is not 0.
-    """
-    nums, den = V.numerators()
-    top = max(map(abs, nums), default=0)
-    primes = crt_primes(V.n, max(2 * V.n * top * top, den + V.n * top))
-    signs = V.entries(np.fromiter(((v > 0) - (v < 0) for v in nums), float, len(nums)))
-    for p in _batches(V, primes):
-        worst, checked = axiom_defects(V, V.entries(residues(nums, p)),
-                                       residues([den], p), p, signs)
-        if any(worst.values()):
+    num, den = V.numerators
+    worst = {k: Fraction(int(w), den) for k, w in entry_defects(V, num, den).items()}
+    top = max_abs(V.N)
+    height = 2 * V.n * top * top
+    if height <= EXACT_FLOAT:
+        w, checked = _associativity(V, V.dense(V.N.astype(float)), None)
+        if w and not V.uniform:
             return None
+        s, t = (int(a[0]) for a in V._scale)  # the scale s / t of a uniform view
+        worst["associativity"] = Fraction(int(w) * t * t, s * s)
+        return worst, checked
+    for p in _batches(V, crt_primes(V.n, height)):
+        w, checked = _associativity(V, V.dense(residues(V.N, p)), p)
+        if w:
+            return None
+    worst["associativity"] = Fraction(0)
     return worst, checked
-
-
-def haar_defect_vanishes(V: TableView, lam: list[int]) -> bool:
-    """True if :func:`haar_defect` of an exact table is 0, by residues.
-
-    ``lam`` are the Haar weights' numerators over a common denominator.  A
-    difference is at most ``2 max|lam| max|N|`` in absolute value.
-    """
-    nums, _ = V.numerators()
-    height = 2 * max(map(abs, lam)) * max(map(abs, nums), default=0)
-    return not any(haar_defect(V, V.entries(residues(nums, p)), residues(lam, p), p)
-                   for p in _batches(V, crt_primes(V.n, height)))

@@ -235,7 +235,7 @@ def _assert_same_table(H, oracle):
     for name in ("px", "py", "starts", "x", "y", "z", "inv"):
         assert np.array_equal(getattr(V, name), getattr(W, name)), (H.name, name)
     assert V.c.tobytes() == W.c.tobytes(), H.name
-    assert V.numerators() == W.numerators(), H.name
+    assert V.same_entries(W), H.name
     assert list(H.rows) == list(oracle.rows), H.name
     assert [[(type(z), z, type(v), v) for z, v in row] for row in H.rows.values()] == [
         [(type(z), z, type(v), v) for z, v in row] for row in oracle.rows.values()], H.name
@@ -393,10 +393,7 @@ def test_product_matches_row_pair_loop():
         for name in ("px", "py", "starts", "x", "y", "z", "inv"):
             assert np.array_equal(getattr(V, name), getattr(W, name)), (K.name, name)
         assert V.c.tobytes() == W.c.tobytes(), K.name
-        nums, den = V.numerators()
-        want, want_den = W.numerators()
-        assert [Fraction(v, den) for v in V.entries(np.array(nums, dtype=object))] == [
-            Fraction(v, want_den) for v in W.entries(np.array(want, dtype=object))], K.name
+        assert V.same_entries(W), K.name
         assert K.rows == oracle.rows, K.name
 
 
@@ -532,7 +529,7 @@ def test_su2_fusion_matches_fraction_loop(q):
         loop = HypergroupTable("loop", R, range(R), oracle, truncated=True)
         assert V.c.tobytes() == loop.view.c.tobytes(), R
         if H.exact:
-            assert V.numerators() == loop.view.numerators(), R
+            assert V.same_entries(loop.view), R
 
 
 @pytest.mark.parametrize("build, status", [
@@ -565,6 +562,29 @@ def test_voit_deform_values_match_loop(build):
     assert D.c.tobytes() == np.array(want).tobytes()
     for name in ("px", "py", "starts", "x", "y", "z", "inv", "has_row"):
         assert np.array_equal(getattr(D, name), getattr(V, name)), name
+
+
+@pytest.mark.parametrize("q", [1, 1.0, Fraction(1, 2), Fraction(2, 3), Fraction(3, 7), 0.7],
+                         ids=str)
+def test_q_integers_are_q_integer(q):
+    R = 60
+    want = [q_integer(k, q) for k in range(R + 2)]
+    if isinstance(q, Fraction) and q != 1:
+        # the defining expression in Fractions
+        assert want == [(q**k - q**-k) / (q - q**-1) for k in range(R + 2)]
+    got = builders.q_integers(q, R)
+    assert [(type(v), v) for v in got] == [(type(v), v) for v in want]
+    assert [str(v) for v in got] == [str(v) for v in want]
+
+
+def test_q_integers_overflow_names_q_and_radius():
+    assert builders.q_integers(0.001, 100)[-1] < float("inf")
+    with pytest.raises(ValueError, match=r"q = 0.001 is too small for radius 200"):
+        builders.q_integers(0.001, 200)
+    # [6726]_0.9 overflows in the quotient, without an OverflowError
+    assert builders.q_integer(6726, 0.9) == float("inf")
+    with pytest.raises(ValueError, match=r"q = 0.9 is too small for radius 6725"):
+        builders.q_integers(0.9, 6725)
 
 
 def test_q_integer_limits():

@@ -121,6 +121,19 @@ def test_quantum_bad_q_exit_two(q, capsys):
     assert "q must lie in (0, 1]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, q, radius", [
+    (["verify", "--family", "suq2_fusion", "--q", "0.001", "--radius", "200"], "0.001", 200),
+    (["quantum", "--q", "1e-300", "--radius", "8"], "1e-300", 8),
+    (["p2", "--family", "suq2_fusion", "--q", "1e-200", "--radius", "24"], "1e-200", 24),
+], ids=["verify", "quantum", "p2"])
+def test_overflowing_q_exit_two(argv, q, radius, capsys):
+    # a float q whose q-integers leave float64 at this radius is an input error
+    code, out = _run(argv)
+    assert code == 2
+    assert out == ""
+    assert f"q = {q} is too small for radius {radius}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("q", ["2.5", "5/2", "7/3"])
 def test_tree_radial_non_integer_q_exit_two(q, capsys):
     code, out = _run(["p2", "--family", "tree_radial", "--q", q, "--radius", "10"])

@@ -67,6 +67,18 @@ CASES = {
     "quantum_group_s4.report": [
         "quantum", "--group", "s4", "--format", "structured",
     ],
+    "verify_tree_q2_r16.report": [
+        "verify", "--family", "tree_radial", "--q", "2", "--radius", "16",
+        "--format", "structured",
+    ],
+    # beyond the float64 bound: associativity runs modulo primes
+    "verify_tree_q3_r40.report": [
+        "verify", "--family", "tree_radial", "--q", "3", "--radius", "40",
+        "--format", "structured",
+    ],
+    "verify_conj_s4.report": [
+        "verify", "--family", "conj", "--group", "s4", "--format", "structured",
+    ],
 }
 
 

@@ -1,9 +1,9 @@
 """The array paths on ``HypergroupTable.view`` against Python loops.
 
 ``core._verify_axioms_loop`` and ``core._haar_defect_loop`` check the
-axioms and the Haar identity by loops over the stored rows; they report the
-violations of exact tables whose numerators leave float64's exact range,
-and they are the oracle here.  ``_residual_loop`` below is the
+axioms and the Haar identity by loops over the stored rows; the first
+reports the associativity violations whose size the array checks do not
+know, and both are the oracle here.  ``_residual_loop`` below is the
 multiplicativity residual as a loop over the stored rows.
 """
 
@@ -112,8 +112,9 @@ def test_associativity_does_not_depend_on_the_slab(name, monkeypatch):
     # values and against blocks of a quarter of C
     H = _table(name)
     V = H.view
-    c = V.exact()[0] if H.exact and V.exact() is not None else V.c
-    C = V.dense(c)
+    if H.exact:  # the float64 pass on N
+        assert not _beyond_float64(V)
+    C = V.dense(V.N.astype(float) if H.exact else V.c)
     want = view._associativity(V, C, None)
     for floor in (4096, 1):
         monkeypatch.setattr(view, "SLAB_FLOOR", floor)
@@ -158,15 +159,33 @@ def _no_loops(monkeypatch):
     monkeypatch.setattr(core, "_haar_defect_loop", loop)
 
 
+def _beyond_float64(V):
+    """True if associativity on the view's N leaves float64's exact range."""
+    return 2 * V.n * view.max_abs(V.N) ** 2 > view.EXACT_FLOAT
+
+
+def _from_rows(H):
+    """``H`` built again from its Fraction rows: N over their common denominator D, every s = D."""
+    return HypergroupTable(H.name, H.size, H.involution, H.rows, identity=H.identity,
+                           haar=H.haar, commutative=H.commutative, truncated=H.truncated,
+                           radius=H.radius, generator=H.generator)
+
+
 def test_exact_bound_runs_modulo_primes(monkeypatch):
-    # suq2_fusion(q=1/2) has numerators far beyond sqrt(2**53 / (2 n))
-    H = builders.su2_fusion(8, q=Fraction(1, 2))
-    assert H.exact and H.view.exact() is None
-    assert builders.su2_fusion(8).view.exact() is not None
-    assert builders.tree_radial(2, 40).view.exact() is not None
+    # from its rows, suq2_fusion(8, q=1/2) has N far beyond sqrt(2**53 / (2 n));
+    # as a section its N is 1
+    H = _from_rows(builders.su2_fusion(8, q=Fraction(1, 2)))
+    assert H.exact and H.view.uniform and _beyond_float64(H.view)
+    assert not _beyond_float64(builders.su2_fusion(8, q=Fraction(1, 2)).view)
+    assert not _beyond_float64(builders.tree_radial(2, 40).view)
+    assert _beyond_float64(builders.tree_radial(2, 61).view)
     slow = _verify_axioms_loop(H)
     _no_loops(monkeypatch)
+    heights = []
+    crt_primes = view.crt_primes
+    monkeypatch.setattr(view, "crt_primes", lambda n, h: heights.append(h) or crt_primes(n, h))
     _assert_same_report(verify_axioms(H), slow, exact=True)
+    assert heights == [2 * H.size * view.max_abs(H.view.N) ** 2]
     assert _haar_defect(H) == 0
 
 
@@ -177,8 +196,11 @@ def test_exact_bound_runs_modulo_primes(monkeypatch):
     lambda: builders.tree_radial(2, 61),
 ], ids=["su2_r16", "suq2_r16", "d_q2/3_r16", "tree2_r61"])
 def test_valid_tables_over_the_bound_skip_the_loops(build, monkeypatch):
+    # the numerators of c are beyond float64's exact range; they run exactly
+    # as integers, and associativity on N
     H = build()
-    assert H.exact and H.view.exact() is None
+    num, _ = H.view.numerators
+    assert H.exact and 2 * H.size * view.max_abs(num) ** 2 > view.EXACT_FLOAT
     _no_loops(monkeypatch)
     rep = verify_axioms(H)
     assert rep.passed and all(chk.violation == 0 for chk in rep.checks.values())
@@ -198,7 +220,7 @@ def test_residues_find_a_tiny_defect(monkeypatch):
     H = HypergroupTable("nudged", base.size, base.involution,
                         {k: r.items() for k, r in rows.items()}, haar=base.haar,
                         truncated=True, radius=base.radius, generator=base.generator)
-    assert H.view.exact() is None
+    assert _beyond_float64(H.view)
     calls = []
     loop = core._verify_axioms_loop
     monkeypatch.setattr(core, "_verify_axioms_loop",
@@ -289,31 +311,31 @@ def _z3_entries():
 
 
 @pytest.mark.parametrize("change, message", [
-    (lambda x, y, z, v: (x + 3, y, z, v), r"row index \(3, 0\) out of range"),
-    (lambda x, y, z, v: (x, y, z - 1, v), r"support index -1 out of range in row \(0, 0\)"),
-    (lambda x, y, z, v: (x, y, z, (v[0], v[1] - 1)), "nonzero denominators"),
-    (lambda x, y, z, v: (np.r_[x, 0], np.r_[y, 0], np.r_[z, 0], (np.r_[v[0], 1], np.r_[v[1], 1])),
+    (lambda x, y, z, v, s: (x + 3, y, z, v, s), r"row index \(3, 0\) out of range"),
+    (lambda x, y, z, v, s: (x, y, z - 1, v, s), r"support index -1 out of range in row \(0, 0\)"),
+    (lambda x, y, z, v, s: (x, y, z, v, [1, 0, 1]), "3 nonzero scales"),
+    (lambda x, y, z, v, s: (np.r_[x, 0], np.r_[y, 0], np.r_[z, 0], np.r_[v, 1], s),
      r"row \(0, 0\) names support index 0 twice"),
     # (2, 1) names the product (1, 2) again, with another row
-    (lambda x, y, z, v: (np.r_[x, 2], np.r_[y, 1], np.r_[z, 1], (np.r_[v[0], 1], np.r_[v[1], 1])),
+    (lambda x, y, z, v, s: (np.r_[x, 2], np.r_[y, 1], np.r_[z, 1], np.r_[v, 1], s),
      r"conflicting data for row \(1, 2\)"),
+    (lambda x, y, z, v, s: (x, y, z, np.r_[v, 1], s), "7 values for 6 entries"),
     # rows of a 2-point table, which go through the same checks
     ({(0, 0): [(0, 1)], (0, 1): [(1, Fraction(1, 2)), (1, Fraction(1, 2))], (1, 1): [(0, 1)]},
      r"row \(0, 1\) names support index 1 twice"),
     ({(0, 0): [(0, 1), (5, 0)], (0, 1): [(1, 1)], (1, 1): [(0, 1)]},
      r"support index 5 out of range in row \(0, 0\)"),
-], ids=["row-index", "support-index", "zero-denominator", "repeated-entry", "conflicting-orders",
-        "rows-repeated-entry", "rows-zero-out-of-range"])
+], ids=["row-index", "support-index", "zero-scale", "repeated-entry", "conflicting-orders",
+        "value-count", "rows-repeated-entry", "rows-zero-out-of-range"])
 def test_entries_are_checked(change, message):
     if isinstance(change, dict):
         with pytest.raises(ValueError, match=message):
             HypergroupTable("z2", 2, [0, 1], change)
         return
     x, y, z = _z3_entries()
-    ones = np.ones(len(x), dtype=np.int64)
-    x, y, z, value = change(x, y, z, (ones, ones))
+    x, y, z, value, scale = change(x, y, z, np.ones(len(x), dtype=np.int64), [1] * 3)
     with pytest.raises(ValueError, match=message):
-        TableView(3, 0, [0, 2, 1], True, x, y, z, value)
+        TableView(3, 0, [0, 2, 1], True, x, y, z, value, scale=scale)
 
 
 def test_entries_of_float_tables_must_be_finite():
@@ -326,18 +348,19 @@ def test_entries_of_float_tables_must_be_finite():
 
 def test_entries_are_sorted_folded_and_stripped_of_zeros():
     x, y, z = _z3_entries()
-    num, den = np.ones(len(x), dtype=np.int64), np.ones(len(x), dtype=np.int64)
+    ones = np.ones(len(x), dtype=np.int64)
     # the same table given backwards, every product also in the other order
     # and a zero entry in row (1, 1): the view of the plain table
     swap = (x != y)
     X, Y = np.r_[x, y[swap], 1][::-1], np.r_[y, x[swap], 1][::-1]
     Z = np.r_[z, z[swap], 0][::-1]
-    N, D = np.r_[num, num[swap], 0][::-1], np.r_[den, den[swap], 5][::-1]
-    V = TableView(3, 0, [0, 2, 1], True, X, Y, Z, (-N, -D))  # 1 = -1 / -1
-    W = TableView(3, 0, [0, 2, 1], True, x, y, z, (num, den))
+    N = np.r_[ones, ones[swap], 0][::-1]
+    V = TableView(3, 0, [0, 2, 1], True, X, Y, Z, -N, scale=[-1] * 3)  # 1 = -1 (-1) / (-1)^2
+    W = TableView(3, 0, [0, 2, 1], True, x, y, z, ones, scale=[1] * 3)
     for name in ("px", "py", "starts", "x", "y", "z", "c", "has_row"):
         assert np.array_equal(getattr(V, name), getattr(W, name)), name
-    assert V.numerators() == ([1] * len(x), 1)
+    num, den = V.numerators
+    assert num.tolist() == [1] * len(V.z) and den == 1
     H = HypergroupTable("z3", 3, [0, 2, 1], None, view=W)
     assert H.rows == family(FamilySpec("cyclic", n=3)).rows
 
@@ -385,15 +408,14 @@ def test_rows_give_the_view_of_the_entries(name):
     assert V.c.tobytes() == W.c.tobytes()
     if H.exact:
         assert _entry_values(V) == _entry_values(W)
-        if "x" not in name:  # a product's numerators are over D1 D2, not the least one
-            assert V.numerators() == W.numerators()
+        assert V.same_entries(W)
     assert K.exact == H.exact and K.rows == H.rows
 
 
 def _entry_values(V):
     """The exact value of each entry of ``V``, from its numerators."""
-    N, D = V.numerators()
-    return [Fraction(a, D) for a in V.entries(np.array(N, dtype=object)).tolist()]
+    num, den = V.numerators
+    return [Fraction(a, den) for a in num.tolist()]
 
 
 def test_an_empty_row_stays_stored():
@@ -418,7 +440,7 @@ def test_axiom_defects_keep_nan():
     V = _table("conj_s3").view
     c = V.c.copy()
     c[np.flatnonzero(V.z == V.identity)[1]] = np.nan  # c^e_{x,x~} for some x != e
-    worst, _ = axiom_defects(V, c, 1.0)
+    worst, _ = axiom_defects(V, c)
     # each check that reads the entry fails: NaN, or the missing mass 1 of e
     for name in ("probability", "associativity", "involution"):
         assert np.isnan(worst[name]), name
@@ -461,20 +483,14 @@ def _n_form_tables():
 N_FORM = _n_form_tables()
 
 
-def _without_n_form(monkeypatch):
-    # the residues for every exact table, as for one without the N-form
-    monkeypatch.setattr(core, "form_defects_vanish", lambda V: None)
-    monkeypatch.setattr(TableView, "exact", lambda self: None)
-
-
 @pytest.mark.parametrize("name", sorted(N_FORM))
 def test_n_form_reports_like_the_residues(name, monkeypatch):
     H = N_FORM[name]()
     assert H.exact and H.view.N is not None
-    assert view.form_defects_vanish(H.view) is not None
+    assert view.exact_defects(H.view) is not None
     fast = verify_axioms(H)
     assert fast.passed
-    _without_n_form(monkeypatch)
+    monkeypatch.setattr(view, "EXACT_FLOAT", 0)  # associativity modulo primes
     assert fast == verify_axioms(H)
     if H.size <= 16:
         _assert_same_report(fast, _verify_axioms_loop(H), exact=True)
@@ -502,9 +518,10 @@ def test_mutated_n_form_falls_back_like_the_loop(name, scale, pick, value):
     assert _with_n(H, N, scale).view.same_entries(H.view)
     N[pick % len(N)] = value
     M = _with_n(H, N, scale)
-    assert view.form_defects_vanish(M.view) is None
     report = verify_axioms(M)
     assert not report.passed
+    # the scales are not uniform: the loop reports a failed associativity
+    assert (view.exact_defects(M.view) is None) == (report.checks["associativity"].violation > 0)
     _assert_same_report(report, _verify_axioms_loop(M), exact=True)
     assert _haar_defect(M) == _haar_defect_loop(M)
 
@@ -535,6 +552,39 @@ def test_associativity_slab_takes_only_checked_columns(monkeypatch):
     sizes = []
     defect = view._defect
     monkeypatch.setattr(view, "_defect", lambda d, p: sizes.append(d.size) or defect(d, p))
-    _, checked = view._associativity(V, V.dense(V.exact()[0]), None)
+    _, checked = view._associativity(V, V.dense(V.N.astype(float)), None)
     assert checked == _verify_axioms_loop(H).triples_checked
     assert sum(sizes) < H.size**4 // 2
+
+
+# -- every exact built-in holds N and scales ---------------------------------
+
+
+def _exact_builtins():
+    out = {f"z{n}": functools.partial(family, FamilySpec("cyclic", n=n)) for n in range(1, 17)}
+    for g in BENCH_GROUPS:
+        for fam in ("conj", "irr"):
+            out[f"{fam}_{g}"] = functools.partial(family, FamilySpec(fam, group=g))
+    for (f1, g1), (f2, g2) in itertools.combinations_with_replacement(PRODUCT_FACTORS, 2):
+        out[f"{f1}_{g1}x{f2}_{g2}"] = functools.partial(
+            lambda a, b: builders.product(family(a), family(b)),
+            FamilySpec(f1, group=g1), FamilySpec(f2, group=g2))
+    for q in (2, 3):
+        for r in (8, 16):
+            out[f"tree{q}_r{r}"] = functools.partial(builders.tree_radial, q, r)
+    out.update((k, v) for k, v in N_FORM.items() if "r40" not in k)
+    return out
+
+
+EXACT_BUILTINS = _exact_builtins()
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_BUILTINS))
+def test_exact_builtins_hold_n_and_scales(name):
+    H = EXACT_BUILTINS[name]()
+    V = H.view
+    assert H.exact and V.N is not None
+    assert V.same_entries(_from_rows(H).view)
+    want = [float(dict(H.row(x, y))[z]) for x, y, z in zip(V.x.tolist(), V.y.tolist(),
+                                                              V.z.tolist())]
+    assert V.c.tobytes() == np.array(want).tobytes()
