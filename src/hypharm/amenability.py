@@ -343,7 +343,6 @@ def bai_from_p2(
     H: HypergroupTable,
     F: tuple[int, ...],
     eps: float,
-    seed: int = DEFAULT_SEED,
 ) -> np.ndarray:
     """Positive definite u = xi ._lam xi~ with |u|_A <= 1 and u ~ 1 on F.
 
@@ -351,7 +350,7 @@ def bai_from_p2(
     """
     if not H.truncated:
         return np.ones(H.size)
-    p2 = check_p2(H, seed=seed)
+    p2 = check_p2(H)
     if p2.status == "fails":
         raise P2Failure(f"{H.name}: (P2) fails, no bounded approximate identity")
     max_r = (H.size - 1) // 3
@@ -404,7 +403,7 @@ class AmenabilityReport:
 
 def amenability_report(H: HypergroupTable, seed: int = DEFAULT_SEED) -> AmenabilityReport:
     """Run the full finite-table amenability pipeline and collect the numbers."""
-    p2 = check_p2(H, seed=seed)
+    p2 = check_p2(H)
     diag = indicator_diagonal(H, seed=seed)
     approx = approximate_diagonal(diag, seed=seed)
     wa = weak_amenability_witness(H, seed=seed, ct=diag.characters)

@@ -27,7 +27,7 @@ import numpy as np
 from .core import DEFAULT_SEED, HypergroupTable, NNTail
 from .view import TableView, int_array
 from .errors import NonIntegerDimension
-from .groups import FiniteGroup, cyclic, from_cayley_table
+from .groups import FiniteGroup, cyclic
 
 PRODUCT_SIZE_CAP = 10_000
 
@@ -50,13 +50,14 @@ def q_integer(k: int, q):
 def q_integers(q, radius: int) -> list:
     """[k]_q for k = 0, ..., radius + 1: the labels of a section of this radius and its tail.
 
-    Raises ValueError, naming q and the radius, when a float q's
-    q-integers overflow float64.
+    Raises ValueError, naming q and the radius, when they overflow float64,
+    in which the tail bounds and the quantum dimensions are taken.
     """
     try:
         out = [q_integer(k, q) for k in range(radius + 2)]
-        ok = not isinstance(q, float) or all(map(math.isfinite, out))
-    except OverflowError:  # a float q's q**-k
+        # [k]_q increases with k
+        ok = math.isfinite(float(out[-1]))
+    except OverflowError:  # a float q's q**-k, or a Fraction beyond float64
         ok = False
     if not ok:
         raise ValueError(f"q = {q} is too small for radius {radius}: "
@@ -87,14 +88,9 @@ def group_hypergroup(G: FiniteGroup) -> HypergroupTable:
     ones = np.ones(len(x), dtype=np.int64)
     return HypergroupTable(
         f"{G.name}_group",
-        n,
-        G.inverse,
-        None,
-        view=TableView(n, G.identity, G.inverse, G.abelian, x, y,
-                       np.array(G.cayley, dtype=np.int64)[x, y], ones, scale=[1] * n),
-        identity=G.identity,
+        TableView(n, G.identity, G.inverse, G.abelian, x, y,
+                  np.array(G.cayley, dtype=np.int64)[x, y], ones, scale=[1] * n),
         haar=[Fraction(1)] * n,
-        commutative=G.abelian,
         elements=tuple(f"g{i}" for i in range(n)),
     )
 
@@ -126,10 +122,7 @@ def conjugacy_hypergroup(G: FiniteGroup) -> HypergroupTable:
     inv_class = [int(cls[G.inverse[cl[0]]]) for cl in classes]
     return HypergroupTable(
         f"Conj({G.name})",
-        k,
-        inv_class,
-        None,
-        view=TableView(k, 0, inv_class, True, i, j, t, counts[i, j, t] // sizes[t], scale=sizes),
+        TableView(k, 0, inv_class, True, i, j, t, counts[i, j, t] // sizes[t], scale=sizes),
         haar=[Fraction(int(s)) for s in sizes],
         elements=tuple(f"C{i}" for i in range(k)),
     )
@@ -238,10 +231,7 @@ def irr_hypergroup(G: FiniteGroup) -> HypergroupTable:
     a, b, g = _commutative_entries(N)
     return HypergroupTable(
         f"Irr({G.name})",
-        n,
-        data.conjugate,
-        None,
-        view=TableView(n, 0, data.conjugate, True, a, b, g, N[a, b, g], scale=dims),
+        TableView(n, 0, data.conjugate, True, a, b, g, N[a, b, g], scale=dims),
         haar=[Fraction(d * d) for d in data.dims],
         elements=tuple(f"pi{a}d{d}" for a, d in enumerate(data.dims)),
     )
@@ -250,9 +240,7 @@ def irr_hypergroup(G: FiniteGroup) -> HypergroupTable:
 # -- products -------------------------------------------------------------
 
 
-def product(
-    H1: HypergroupTable, H2: HypergroupTable, max_size: int = PRODUCT_SIZE_CAP
-) -> HypergroupTable:
+def product(H1: HypergroupTable, H2: HypergroupTable) -> HypergroupTable:
     """Product table: c^{(z,w)}_{(x,u),(y,v)} = c^z_{x,y} c^w_{u,v}.
 
     Pairs are indexed row-major, (x, u) -> x * |H2| + u.  Haar weights
@@ -262,20 +250,12 @@ def product(
     """
     if H1.truncated or H2.truncated:
         raise ValueError("product of truncated tables is not supported")
-    n1, n2 = H1.size, H2.size
-    if n1 * n2 > max_size:
-        raise ValueError(f"product size {n1 * n2} exceeds cap {max_size}")
-    V = TableView.product(H1.view, H2.view)
-    haar = [a * b for a in H1.haar for b in H2.haar]
+    if H1.size * H2.size > PRODUCT_SIZE_CAP:
+        raise ValueError(f"product size {H1.size * H2.size} exceeds cap {PRODUCT_SIZE_CAP}")
     return HypergroupTable(
         f"{H1.name}x{H2.name}",
-        n1 * n2,
-        V.inv.tolist(),
-        None,
-        view=V,
-        identity=V.identity,
-        haar=haar,
-        commutative=V.commutative,
+        TableView.product(H1.view, H2.view),
+        haar=[a * b for a in H1.haar for b in H2.haar],
         elements=tuple(
             f"{a}|{b}" for a in H1.elements for b in H2.elements
         ),
@@ -334,10 +314,7 @@ def su2_fusion(radius: int, q=1) -> HypergroupTable:
     name = f"suq2_fusion_q{q}_R{R}" if q != 1 else f"su2_fusion_R{R}"
     return HypergroupTable(
         name,
-        R,
-        list(range(R)),
-        None,
-        view=view,
+        view,
         haar=haar,
         truncated=True,
         radius=R,
@@ -384,11 +361,8 @@ def tree_radial(q: int, radius: int) -> HypergroupTable:
     haar = [Fraction(v) for v in lam]
     return HypergroupTable(
         f"tree_radial_q{q}_R{R}",
-        R + 1,
-        list(range(R + 1)),
-        None,
-        view=TableView(R + 1, 0, range(R + 1), True, m[pair], n[pair], z,
-                       int_array(table)[at], scale=haar),
+        TableView(R + 1, 0, range(R + 1), True, m[pair], n[pair], z,
+                  int_array(table)[at], scale=haar),
         haar=haar,
         truncated=True,
         radius=R,
@@ -405,10 +379,10 @@ def tree_radial(q: int, radius: int) -> HypergroupTable:
 class FamilySpec:
     """Recipe for a built-in table.
 
-    name in {cyclic, group_from_cayley, conj, irr, su2_fusion, suq2_fusion,
-    tree_radial, chebyshev}; ``n`` for cyclic, ``q`` for the deformed
-    families, ``radius`` for the truncated ones, ``group`` (a FiniteGroup or
-    built-in name) for conj/irr, ``cayley`` for group_from_cayley.
+    name in {cyclic, conj, irr, su2_fusion, suq2_fusion, tree_radial,
+    chebyshev}; ``n`` for cyclic, ``q`` for the deformed families,
+    ``radius`` for the truncated ones, ``group`` (a FiniteGroup or built-in
+    name) for conj/irr.
     """
 
     name: str
@@ -416,7 +390,6 @@ class FamilySpec:
     q: object | None = None
     radius: int | None = None
     group: object | None = None
-    cayley: object | None = None
 
 
 def _resolve_group(spec: FamilySpec) -> FiniteGroup:
@@ -436,10 +409,6 @@ def family(spec: FamilySpec) -> HypergroupTable:
         if not spec.n or spec.n < 1:
             raise ValueError("cyclic needs n >= 1")
         return group_hypergroup(cyclic(spec.n))
-    if name == "group_from_cayley":
-        if spec.cayley is None:
-            raise ValueError("group_from_cayley needs a table")
-        return group_hypergroup(from_cayley_table(spec.cayley))
     if name == "conj":
         return conjugacy_hypergroup(_resolve_group(spec))
     if name == "irr":

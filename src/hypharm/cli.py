@@ -60,8 +60,9 @@ def _build_table(args, suffix: str = "") -> core.HypergroupTable:
     return builders.family(spec)
 
 
-def _emit(args, doc: ReportDoc, text_lines: list[str]) -> None:
-    out = doc.render() if args.format == "structured" else "\n".join(text_lines) + "\n"
+def _emit(args, doc: ReportDoc, text) -> None:
+    """Write the report in the requested format; ``text()`` gives the text lines."""
+    out = doc.render() if args.format == "structured" else "\n".join(text()) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(out)
@@ -86,7 +87,7 @@ def cmd_verify(args) -> int:
         haar_ok = False
         doc.add("haar.error", str(exc))
     doc.add("pass", rep.passed and haar_ok)
-    _emit(args, doc, rep.lines() + [f"haar: {'ok' if haar_ok else 'FAIL'}"])
+    _emit(args, doc, lambda: rep.lines() + [f"haar: {'ok' if haar_ok else 'FAIL'}"])
     return 0 if (rep.passed and haar_ok) else 1
 
 
@@ -104,7 +105,7 @@ def cmd_characters(args) -> int:
         doc.add(f"char.{i}.plancherel", float(ct.plancherel[i]))
         doc.add(f"char.{i}.positive", ct.positive[i])
     doc.add("pass", True)
-    _emit(args, doc, ct.lines())
+    _emit(args, doc, ct.lines)
     return 0
 
 
@@ -148,7 +149,7 @@ def cmd_norms(args) -> int:
     glist = tuple(groups.get_group(g) for g in args.groups.split(",")) if args.groups else None
     doc = ReportDoc("norms", args.seed, args.tol)
     doc.add("table", H.name)
-    text = []
+    reps = []
     ok = True
     ct = None if H.truncated else spectral.characters(H, seed=args.seed)
     products = {}
@@ -157,7 +158,7 @@ def cmd_norms(args) -> int:
             H, u, ct=ct, groups=glist, with_mcb=args.mcb and not H.truncated,
             seed=args.seed, products=products,
         )
-        text.extend(rep.lines())
+        reps.append(rep)
         if rep.finite:
             a, b, ma = rep.norm_A, rep.norm_Blambda, rep.norm_MA
             doc.add(f"u{k}.norm_a", a)
@@ -183,7 +184,7 @@ def cmd_norms(args) -> int:
                 doc.add(f"u{k}.{nm}.lower", iv.lower)
                 doc.add(f"u{k}.{nm}.upper", iv.upper)
     doc.add("pass", ok)
-    _emit(args, doc, text)
+    _emit(args, doc, lambda: [line for rep in reps for line in rep.lines()])
     return 0 if ok else 1
 
 
@@ -196,15 +197,15 @@ def cmd_amenability(args) -> int:
         wa = am.weak_amenability_witness(H, radii=radii, seed=args.seed)
         doc.add("weak_amenability.bound", wa.constant_bound)
         doc.add("weak_amenability.residuals_decreasing", wa.residuals_decreasing)
-        text = [f"weak amenability of {H.name}: bound {wa.constant_bound!r}"]
         for e in wa.entries:
             doc.add(f"radius{e.radius}.ma_bound", e.ma_bound)
             for name, r in sorted(e.residuals.items()):
                 doc.add(f"radius{e.radius}.residual.{name}", r)
-            text.append(f"  radius {e.radius}: bound {e.ma_bound!r} residuals {e.residuals}")
         ok = wa.constant_bound <= 1 + 1e-6 and wa.residuals_decreasing
         doc.add("pass", ok)
-        _emit(args, doc, text)
+        _emit(args, doc, lambda: [f"weak amenability of {H.name}: bound {wa.constant_bound!r}"]
+              + [f"  radius {e.radius}: bound {e.ma_bound!r} residuals {e.residuals}"
+                 for e in wa.entries])
         return 0 if ok else 1
     rep = am.amenability_report(H, seed=args.seed)
     doc.add("p2", rep.p2_status)
@@ -221,7 +222,7 @@ def cmd_amenability(args) -> int:
         and rep.submultiplicative_slack >= -args.tol
     )
     doc.add("pass", ok)
-    _emit(args, doc, rep.lines())
+    _emit(args, doc, rep.lines)
     return 0 if ok else 1
 
 
@@ -229,7 +230,7 @@ def cmd_deform(args) -> int:
     H = _build_table(args)
     chi = spectral.chi0(H, tol=args.tol, seed=args.seed)
     pair = spectral.voit_deform(H, chi, tol=args.tol, seed=args.seed)
-    p2_def = spectral.check_p2(pair.deformed, seed=args.seed)
+    p2_def = spectral.check_p2(pair.deformed)
     lam_err = max(
         abs(float(pair.haar_deformed[x]) - float(chi[x]) ** 2 * float(H.haar[x]))
         for x in range(H.size)
@@ -249,14 +250,13 @@ def cmd_deform(args) -> int:
         and pair.dual_map_residual <= 1e-8
     )
     doc.add("pass", ok)
-    text = [
+    _emit(args, doc, lambda: [
         f"Voit deformation of {H.name}",
         f"  chi0 at generator: {float(chi[H.generator])!r}",
         f"  deformed axioms max violation: {pair.axiom_violation!r}",
         f"  dual map residual: {pair.dual_map_residual!r}",
         f"  lam' = chi0^2 lam max error: {lam_err!r}",
-    ] + p2_def.lines()
-    _emit(args, doc, text)
+    ] + p2_def.lines())
     return 0 if ok else 1
 
 
@@ -274,7 +274,7 @@ def cmd_product(args) -> int:
         doc.add(f"axiom.{name}.pass", chk.passed)
     doc.add("haar", list(K.haar))
     doc.add("pass", rep.passed)
-    _emit(args, doc, rep.lines())
+    _emit(args, doc, rep.lines)
     return 0 if rep.passed else 1
 
 
@@ -300,33 +300,39 @@ def cmd_quantum(args) -> int:
     doc.add("hypergroup_n", Hn.name)
     doc.add("hypergroup_d", Hd.name)
     doc.add("d_table.axioms_pass", rep_d.passed)
-    text = [
-        f"fusion ring {ring.name}: kac={kac}",
-        f"  (Irr,n) = {Hn.name}; (Irr,d) = {Hd.name}",
-        f"  (Irr,d) axioms pass: {rep_d.passed}",
-    ]
     if kac:
         same = Hn.view.same_entries(Hd.view)
         doc.add("n_equals_d", same)
-        text.append(f"  Kac: tables coincide = {same}")
         ok = rep_d.passed and same
     else:
-        p2n = spectral.check_p2(Hn, seed=args.seed)
+        p2n = spectral.check_p2(Hn)
         doc.add("p2.n_table", p2n.status)
-        text.extend(p2n.lines())
         ok = rep_d.passed
+    row = None
     if ring.size >= 3 and (1, 1) in ring.mult:
         row = dict(Hd.row(1, 1))
         doc.add("d22.row", [float(row.get(0, 0)), float(row.get(2, 0))])
-        text.append(f"  delta2.delta2 on (1,3): {float(row.get(0, 0))!r}, {float(row.get(2, 0))!r}")
     doc.add("pass", ok)
+
+    def text():
+        out = [
+            f"fusion ring {ring.name}: kac={kac}",
+            f"  (Irr,n) = {Hn.name}; (Irr,d) = {Hd.name}",
+            f"  (Irr,d) axioms pass: {rep_d.passed}",
+        ]
+        out += [f"  Kac: tables coincide = {same}"] if kac else p2n.lines()
+        if row is not None:
+            out.append(f"  delta2.delta2 on (1,3): {float(row.get(0, 0))!r}, "
+                       f"{float(row.get(2, 0))!r}")
+        return out
+
     _emit(args, doc, text)
     return 0 if ok else 1
 
 
 def cmd_p2(args) -> int:
     H = _build_table(args)
-    rep = spectral.check_p2(H, seed=args.seed)
+    rep = spectral.check_p2(H)
     doc = ReportDoc("p2", args.seed, args.tol)
     doc.add("table", H.name)
     doc.add("status", rep.status)
@@ -338,7 +344,7 @@ def cmd_p2(args) -> int:
         doc.add(f"section.{r}.lower", b)
     doc.add("certificate", rep.certificate)
     doc.add("pass", True)
-    _emit(args, doc, rep.lines())
+    _emit(args, doc, rep.lines)
     return 0
 
 
@@ -369,8 +375,14 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name)
         common(p)
-        _add_table_args(p)
         p.set_defaults(fn=fn)
+        if name == "quantum":
+            p.add_argument("--group", help="finite group: the fusion ring of Irr(G)")
+            p.add_argument("--q", help="deformation parameter of the SU_q(2) ring")
+            p.add_argument("--radius", type=int, help="truncation radius of the SU_q(2) ring")
+            p.add_argument("--fusion-file", help="fusion ring file to load")
+        else:
+            _add_table_args(p)
         if name == "norms":
             p.add_argument("--u-file", help="function file: lines 'index re [im]'")
             p.add_argument("--random", type=int, default=5)
@@ -380,8 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--radii", default="5,10,20")
         if name == "product":
             _add_table_args(p, suffix="2")
-        if name == "quantum":
-            p.add_argument("--fusion-file")
     return parser
 
 

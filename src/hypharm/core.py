@@ -138,45 +138,37 @@ class HypergroupTable:
     identity first.  Truncated tables record a ball radius; any access to a
     missing row raises :class:`TruncationOverflow` rather than clipping.
 
-    A table holds its :class:`TableView` from construction: the builders
-    give it one (``rows`` None), and rows given instead are turned into
-    entries for the view's constructor, which checks them.  The table
-    reads single rows from the view as they are asked for, and builds the
-    whole ``rows`` dict only when ``rows`` itself is read.  A view given
-    must have the table's size, identity, involution and commutativity.
+    A table holds its :class:`TableView` from construction and takes its
+    size, identity, involution, commutativity and exactness from it; the
+    view's constructor checks them.  The builders give a table its view;
+    :meth:`from_rows` builds one from rows.  The arguments after the view
+    are what a view does not hold: Haar weights (a section does not store
+    x.x~ for every x), the truncation radius and tail, the generator and
+    the element labels.  The table reads single rows from the view as they
+    are asked for, and builds the whole ``rows`` dict only when ``rows``
+    itself is read.
     """
 
     def __init__(
         self,
         name: str,
-        size: int,
-        involution: Sequence[int],
-        rows: Mapping[tuple[int, int], Iterable[tuple[int, Value]]] | None,
+        view: TableView,
         *,
-        view: TableView | None = None,
-        identity: int = 0,
         haar: Sequence[Value] | None = None,
-        commutative: bool = True,
         truncated: bool = False,
         radius: int | None = None,
         tail: NNTail | None = None,
         generator: int | None = None,
         elements: Sequence[str] | None = None,
     ):
-        if size <= 0:
-            raise ValueError("size must be positive")
-        if not 0 <= identity < size:
-            raise ValueError("identity index out of range")
-        inv = tuple(int(i) for i in involution)
-        if sorted(inv) != list(range(size)):
-            raise ValueError("involution is not a permutation")
-        if any(inv[inv[i]] != i for i in range(size)):
-            raise ValueError("involution is not involutive")
+        size = view.n
         self.name = name
+        self.view = view
         self.size = size
-        self.identity = identity
-        self.involution = inv
-        self.commutative = commutative
+        self.identity = view.identity
+        self.involution = tuple(view.inv.tolist())
+        self.commutative = view.commutative
+        self.exact = view.rational
         self.truncated = truncated
         self.radius = radius
         self.tail = tail
@@ -192,22 +184,30 @@ class HypergroupTable:
             self._haar = tuple(haar)
             if len(self._haar) != size:
                 raise ValueError("wrong number of Haar weights")
-        if (rows is None) == (view is None):
-            raise ValueError("give a table its rows or its view")
-        if view is None:
-            view = TableView(size, identity, inv, commutative, *_entries(rows, size))
-        else:
-            for what, got, want in (("size", view.n, size), ("identity", view.identity, identity),
-                                    ("involution", tuple(view.inv.tolist()), inv),
-                                    ("commutativity", view.commutative, commutative)):
-                if got != want:
-                    raise ValueError(f"the view's {what} {got} is not the table's {want}")
         if not (truncated or view.has_row.all()):
             missing = tuple(np.argwhere(~view.has_row)[0].tolist())
             raise ValueError(f"finite table is missing rows, e.g. {missing}")
-        self.view, self.exact = view, view.rational
         self._rows = None
         self._read = {}  # the rows read so far
+
+    @classmethod
+    def from_rows(
+        cls,
+        name: str,
+        size: int,
+        involution: Sequence[int],
+        rows: Mapping[tuple[int, int], Iterable[tuple[int, Value]]],
+        *,
+        identity: int = 0,
+        commutative: bool = True,
+        **meta,
+    ) -> "HypergroupTable":
+        """The table of ``rows``, turned into entries (:func:`_entries`) for its view.
+
+        ``meta`` are the keyword arguments of the constructor.
+        """
+        view = TableView(size, identity, involution, commutative, *_entries(rows, size))
+        return cls(name, view, **meta)
 
     @property
     def rows(self) -> dict[tuple[int, int], tuple[tuple[int, Value], ...]]:
@@ -251,8 +251,15 @@ class HypergroupTable:
 
     @cached_property
     def lam(self) -> np.ndarray:
-        """The Haar weights in float64, read-only."""
-        lam = np.array([float(v) for v in self.haar])
+        """The Haar weights in float64, read-only.
+
+        Raises ValueError, naming the table, when an exact weight is beyond
+        float64's range.
+        """
+        try:
+            lam = np.array([float(v) for v in self.haar])
+        except OverflowError:
+            raise ValueError(f"{self.name}: Haar weights beyond the range of float64") from None
         lam.flags.writeable = False
         return lam
 
@@ -274,13 +281,8 @@ class HypergroupTable:
     def relabeled(self, name: str) -> "HypergroupTable":
         return HypergroupTable(
             name,
-            self.size,
-            self.involution,
-            None,
-            view=self.view,
-            identity=self.identity,
+            self.view,
             haar=self._haar,
-            commutative=self.commutative,
             truncated=self.truncated,
             radius=self.radius,
             tail=self.tail,
@@ -792,7 +794,7 @@ def load_table(path: str) -> HypergroupTable:
             row[z] = _finite(toks[3])
     tail = f.values("tail", (_real, _real, _real, int, _flag), default=None)
     with f.at(f.end):
-        return HypergroupTable(
+        return HypergroupTable.from_rows(
             f.value("name", default="table"),
             size,
             f.values("involution", index, count=size),

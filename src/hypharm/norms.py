@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .builders import group_hypergroup, product
-from .core import DEFAULT_SEED, DEFAULT_TOL, HypergroupTable, convolve
+from .core import DEFAULT_SEED, HypergroupTable, convolve
 from .errors import SingularCharacterBasis
 from .groups import FiniteGroup, dihedral4, symmetric, cyclic
 from .spectral import (
@@ -362,7 +362,6 @@ def compute_norm_report(
     ct: CharacterTable | None = None,
     groups: tuple[FiniteGroup, ...] | None = None,
     with_mcb: bool = False,
-    tol: float = DEFAULT_TOL,
     seed: int = DEFAULT_SEED,
     products: dict | None = None,
 ) -> NormReport:

@@ -222,11 +222,7 @@ def _ring_table(FR: FusionRing, dims, kind: str) -> HypergroupTable:
         tail = su2_tail(FR.size, FR.q if kind == "d" else 1)
     return HypergroupTable(
         f"({FR.name},{kind})",
-        FR.size,
-        FR.conjugate,
-        None,
-        view=view,
-        identity=FR.trivial,
+        view,
         haar=[d * d for d in dims],
         truncated=truncated,
         radius=FR.size if truncated else None,
@@ -413,6 +409,15 @@ def save_fusion_ring(FR: FusionRing, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _in_float64(d):
+    """The dimension ``d``, after checking that float64, in which rings are validated, holds it."""
+    try:
+        float(d)
+    except OverflowError:
+        raise ValueError("dimension beyond the range of float64") from None
+    return d
+
+
 def load_fusion_ring(path: str) -> FusionRing:
     """Parse and validate a fusion-ring file (reciprocity checked on load)."""
     f = LineFile(path, "fusionring v1", body="mult")
@@ -433,13 +438,14 @@ def load_fusion_ring(path: str) -> FusionRing:
             if g in row:
                 raise FileFormatError(f"duplicate multiplicity {' '.join(toks[:3])}", line=ln)
             row[g] = int(toks[3])
-    ndims = tuple(f.values("ndims", int, count=k))
+    ndims = tuple(f.values("ndims", lambda tok: _in_float64(int(tok)), count=k))
     q = f.value("qparam", lambda tok: check_q(_finite(tok)), None)
     if q is None:
-        ddims = tuple(f.values("ddims", _finite, count=k, default=map(Fraction, ndims)))
+        ddims = tuple(f.values("ddims", lambda tok: _in_float64(_finite(tok)), count=k,
+                               default=map(Fraction, ndims)))
     else:
         with f.at(f.header["qparam"][0]):
-            ddims = tuple(q_integer(n, q) for n in ndims)
+            ddims = tuple(_in_float64(q_integer(n, q)) for n in ndims)
     index = int_in(0, k)
     ring = FusionRing(
         f.value("name", default="ring"),

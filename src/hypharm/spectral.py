@@ -432,7 +432,7 @@ def _schur_bound(H: HypergroupTable) -> tuple[float, float]:
     return bound, r
 
 
-def check_p2(H: HypergroupTable, tol: float = 1e-6, seed: int = DEFAULT_SEED) -> P2Report:
+def check_p2(H: HypergroupTable, tol: float = 1e-6) -> P2Report:
     """Decide whether the constant character lies in supp(Plancherel)."""
     if not H.truncated:
         lam_sum = float(sum(float(v) for v in H.haar))
@@ -541,7 +541,7 @@ def chi0(
                 f"{H.name}: constant character fails to dominate by {excess:.2e}"
             )
         return np.ones(H.size)
-    p2 = check_p2(H, seed=seed)
+    p2 = check_p2(H)
     if p2.status != "fails":
         cand = np.ones(H.size)
         top = p2.lower_bound
@@ -610,19 +610,14 @@ def voit_deform(
     V = H.view
     c = chi[V.z] * V.c / (chi[V.x] * chi[V.y])
     given = V.x <= V.y if H.commutative else slice(None)
-    view = TableView(H.size, H.identity, H.involution, H.commutative,
+    view = TableView(H.size, H.identity, V.inv, H.commutative,
                      V.x[given], V.y[given], V.z[given], c[given])
     haar_def = tuple(chi[x] ** 2 * float(H.haar[x]) for x in range(H.size))
     tail = _deformed_tail(H, chi) if (H.truncated and H.tail is not None) else None
     deformed = HypergroupTable(
         f"{H.name}_voit",
-        H.size,
-        H.involution,
-        None,
-        view=view,
-        identity=H.identity,
+        view,
         haar=haar_def,
-        commutative=H.commutative,
         truncated=H.truncated,
         radius=H.radius,
         tail=tail,

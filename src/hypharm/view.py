@@ -143,7 +143,9 @@ class TableView:
     * ``px, py`` -- the stored products, ``starts`` their CSR offsets into
       the entries and ``pair`` the product of each entry;
     * ``has_row`` -- the ``n x n`` mask of stored products;
-    * ``inv`` -- the involution;
+    * ``n``, ``identity``, ``inv`` and ``commutative`` -- the size, the
+      identity, the involution and whether the product commutes, which a
+      :class:`~hypharm.core.HypergroupTable` takes from its view;
     * ``rational`` -- whether the coefficients are exact;
     * ``N`` -- of an exact table, the integers N of
       ``c^z_{x,y} = N^z_{x,y} s_z / (s_x s_y)`` per entry (int64, or Python
@@ -172,11 +174,22 @@ class TableView:
         both orders with the same row.  Entries already sorted by
         ``(x, y, z)`` are taken as they are.  Zero coefficients are dropped;
         their product stays stored, so that a product given only zeros is a
-        stored row without entries.  Raises ValueError for an index out of
-        range, a count of values that is not the count of entries, a support
-        index named twice in one row, two orders of one product with
-        different rows, a non-finite float or a zero scale.
+        stored row without entries.  Raises ValueError for a size below 1, an
+        identity out of range, an involution that is not a permutation or
+        not involutive, an index out of range, a count of values that is not
+        the count of entries, a support index named twice in one row, two
+        orders of one product with different rows, a non-finite float or a
+        zero scale.
         """
+        if n <= 0:
+            raise ValueError("size must be positive")
+        if not 0 <= identity < n:
+            raise ValueError("identity index out of range")
+        inv = np.asarray(involution, dtype=np.int64)
+        if not np.array_equal(np.sort(inv), np.arange(n)):
+            raise ValueError("involution is not a permutation")
+        if (inv[inv] != np.arange(n)).any():
+            raise ValueError("involution is not involutive")
         x, y, z = (np.asarray(a, dtype=np.int64).ravel() for a in (x, y, z))
 
         def key(i):
@@ -248,7 +261,7 @@ class TableView:
         starts = np.concatenate(([0], np.cumsum(counts)))
         # entry i of product p is stored entry first[p] + i - starts[p]
         self._source = np.arange(starts[-1]) + np.repeat(first - starts[:-1], counts)
-        self._index(n, identity, involution, commutative, scale is not None, px, py, starts,
+        self._index(n, identity, inv, commutative, scale is not None, px, py, starts,
                     self.entries(z))
         if scale is None:
             self.c = _frozen(self.entries(vals))

@@ -148,7 +148,7 @@ def group_rows_loop(G):
         for x in range(G.order)
         for y in range(G.order)
     }
-    return HypergroupTable(
+    return HypergroupTable.from_rows(
         f"{G.name}_group", G.order, G.inverse, rows, identity=G.identity,
         haar=[Fraction(1)] * G.order, commutative=G.abelian,
         elements=tuple(f"g{i}" for i in range(G.order)))
@@ -165,7 +165,7 @@ def conjugacy_rows_loop(G):
     k = len(classes)
     rows = {(i, j): [(t, p) for t, p in enumerate(probs) if p]
             for (i, j), probs in brute_force_class_products(G).items() if i <= j}
-    return HypergroupTable(
+    return HypergroupTable.from_rows(
         f"Conj({G.name})", k, tuple(cls_of[G.inverse[cl[0]]] for cl in classes), rows,
         haar=[Fraction(len(cl)) for cl in classes], elements=tuple(f"C{i}" for i in range(k)))
 
@@ -212,9 +212,9 @@ def irr_rows_loop(G):
     rows = {(a, b): [(g, Fraction(dims[g] * mult[a][b][g], dims[a] * dims[b]))
                      for g in range(n) if mult[a][b][g]]
             for a in range(n) for b in range(a, n)}
-    return HypergroupTable(f"Irr({G.name})", n, conjugate, rows,
-                           haar=[Fraction(d * d) for d in dims],
-                           elements=tuple(f"pi{a}d{d}" for a, d in enumerate(dims)))
+    return HypergroupTable.from_rows(f"Irr({G.name})", n, conjugate, rows,
+                                     haar=[Fraction(d * d) for d in dims],
+                                     elements=tuple(f"pi{a}d{d}" for a, d in enumerate(dims)))
 
 
 def _groups_and_a_loaded_one(tmp_path):
@@ -363,9 +363,9 @@ def product_rows_loop(H1, H2):
                     ]
     involution = [pair(H1.involution[x], H2.involution[u])
                   for x in range(H1.size) for u in range(n2)]
-    return HypergroupTable(f"{H1.name}x{H2.name}", H1.size * n2, involution, rows,
-                           identity=pair(H1.identity, H2.identity),
-                           commutative=H1.commutative and H2.commutative)
+    return HypergroupTable.from_rows(f"{H1.name}x{H2.name}", H1.size * n2, involution, rows,
+                                     identity=pair(H1.identity, H2.identity),
+                                     commutative=H1.commutative and H2.commutative)
 
 
 # the product factors of the benchmark's amenability_products workload
@@ -399,9 +399,10 @@ def test_product_matches_row_pair_loop():
 
 def test_product_of_float_tables_multiplies_floats():
     H = builders.irr_hypergroup(groups.symmetric(4))
-    F = HypergroupTable("float", H.size, H.involution,
-                        {k: [(z, float(c)) for z, c in row] for k, row in H.rows.items()},
-                        haar=[float(v) for v in H.haar])
+    F = HypergroupTable.from_rows("float", H.size, H.involution,
+                                  {k: [(z, float(c)) for z, c in row]
+                                   for k, row in H.rows.items()},
+                                  haar=[float(v) for v in H.haar])
     for H1, H2 in ((F, H), (H, F), (F, F)):
         K, oracle = product(H1, H2), product_rows_loop(H1, H2)
         assert not K.exact
@@ -412,8 +413,9 @@ def test_product_of_float_tables_multiplies_floats():
 def test_product_with_numerators_beyond_float64():
     # {e, a} with a.a = (1/q) e + (1 - 1/q) a; q^2 > 2**63 leaves int64 too
     q = 3**41
-    H = HypergroupTable("big", 2, [0, 1], {(0, 0): [(0, Fraction(1))], (0, 1): [(1, Fraction(1))],
-                                          (1, 1): [(0, Fraction(1, q)), (1, Fraction(q - 1, q))]})
+    H = HypergroupTable.from_rows("big", 2, [0, 1], {
+        (0, 0): [(0, Fraction(1))], (0, 1): [(1, Fraction(1))],
+        (1, 1): [(0, Fraction(1, q)), (1, Fraction(q - 1, q))]})
     for H1, H2 in ((H, H), (H, builders.conjugacy_hypergroup(groups.symmetric(3)))):
         K, oracle = product(H1, H2), product_rows_loop(H1, H2)
         assert K.view.c.tobytes() == oracle.view.c.tobytes()
@@ -526,7 +528,7 @@ def test_su2_fusion_matches_fraction_loop(q):
         want = np.array([float(dict(oracle[(min(x, y), max(x, y))])[z])
                          for x, y, z in zip(V.x.tolist(), V.y.tolist(), V.z.tolist())])
         assert V.c.tobytes() == want.tobytes(), R
-        loop = HypergroupTable("loop", R, range(R), oracle, truncated=True)
+        loop = HypergroupTable.from_rows("loop", R, range(R), oracle, truncated=True)
         assert V.c.tobytes() == loop.view.c.tobytes(), R
         if H.exact:
             assert V.same_entries(loop.view), R

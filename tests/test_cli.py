@@ -121,17 +121,45 @@ def test_quantum_bad_q_exit_two(q, capsys):
     assert "q must lie in (0, 1]" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv, q, radius", [
-    (["verify", "--family", "suq2_fusion", "--q", "0.001", "--radius", "200"], "0.001", 200),
-    (["quantum", "--q", "1e-300", "--radius", "8"], "1e-300", 8),
-    (["p2", "--family", "suq2_fusion", "--q", "1e-200", "--radius", "24"], "1e-200", 24),
-], ids=["verify", "quantum", "p2"])
-def test_overflowing_q_exit_two(argv, q, radius, capsys):
-    # a float q whose q-integers leave float64 at this radius is an input error
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--family", "suq2_fusion", "--q", "0.001", "--radius", "200"],
+     "q = 0.001 is too small for radius 200"),
+    (["quantum", "--q", "1e-300", "--radius", "8"], "q = 1e-300 is too small for radius 8"),
+    (["p2", "--family", "suq2_fusion", "--q", "1e-200", "--radius", "24"],
+     "q = 1e-200 is too small for radius 24"),
+    (["verify", "--family", "suq2_fusion", "--q", "1/1000", "--radius", "103"],
+     "q = 1/1000 is too small for radius 103"),
+    (["quantum", "--q", "1/1000", "--radius", "120"], "q = 1/1000 is too small for radius 120"),
+    (["p2", "--family", "suq2_fusion", "--q", "1/1000", "--radius", "53"],
+     "suq2_fusion_q1/1000_R53: Haar weights beyond the range of float64"),
+    (["amenability", "--family", "suq2_fusion", "--q", "1/1000", "--radius", "60",
+      "--radii", "2,4,7"], "suq2_fusion_q1/1000_R60: Haar weights beyond the range of float64"),
+], ids=["verify", "quantum", "p2", "verify-rational", "quantum-rational", "p2-rational",
+        "amenability-rational"])
+def test_overflowing_q_exit_two(argv, message, capsys):
+    # q-integers or Haar weights that leave float64 at this radius are an input error
     code, out = _run(argv)
     assert code == 2
     assert out == ""
-    assert f"q = {q} is too small for radius {radius}" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["deform", "--family", "suq2_fusion", "--q", "1/1000", "--radius", "30"],
+    ["quantum", "--q", "1/1000", "--radius", "60"],
+], ids=["deform", "quantum"])
+def test_rational_q_sections_within_float64_pass(argv):
+    # q-integers far beyond those of q = 1/2 that float64 still holds
+    code, _ = _run(argv)
+    assert code == 0
+
+
+@pytest.mark.parametrize("option", [["--family", "conj"], ["--n", "7"], ["--file", "x.hyp"]],
+                         ids=["family", "n", "file"])
+def test_quantum_rejects_table_options(option, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["quantum", "--group", "s3"] + option)
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("q", ["2.5", "5/2", "7/3"])
@@ -298,10 +326,21 @@ def _z2(size="size 2", tail="", value="1", extra=""):
          "a a a 1\na b b 1\nb b a 1\nend\n", 4),
         ("--fusion-file",
          "fusionring v1\nlabels a\nndims 1\nconj 0\nqparam nan\nmult\na a a 1\nend\n", 5),
+        # the quantum dimension [2000]_q is beyond float64, in which rings are checked
+        ("--fusion-file",
+         "fusionring v1\nlabels a b\nndims 1 2000\nconj 0 1\nqparam 1/2\nmult\n"
+         "a a a 1\na b b 1\nend\n", 5),
+        ("--fusion-file",
+         f"fusionring v1\nlabels a b\nndims 1 1\nddims 1 1{'0' * 400}\nconj 0 1\nmult\n"
+         "a a a 1\na b b 1\nend\n", 4),
+        ("--fusion-file",
+         f"fusionring v1\nlabels a b\nndims 1 1{'0' * 400}\nconj 0 1\nmult\n"
+         "a a a 1\na b b 1\nend\n", 3),
     ],
     ids=["size-no-value", "zero-denominator", "duplicate-triple", "short-tail",
          "short-cayley-row", "ndims-no-value", "qparam-above-one", "haar-nan",
-         "nan-coefficient", "infinite-coefficient", "tail-nan", "ddims-nan", "qparam-nan"],
+         "nan-coefficient", "infinite-coefficient", "tail-nan", "ddims-nan", "qparam-nan",
+         "qparam-dimension-overflow", "ddims-overflow", "ndims-overflow"],
 )
 def test_malformed_file_exits_two_with_line(tmp_path, capsys, option, text, line):
     p = tmp_path / "input.txt"

@@ -211,7 +211,7 @@ def test_verify_axioms_detects_bad_row():
         (0, 1): [(1, Fraction(1))],
         (1, 1): [(0, Fraction(9, 10))],
     }
-    H = HypergroupTable("bad", 2, [0, 1], rows, haar=[1, 1])
+    H = HypergroupTable.from_rows("bad", 2, [0, 1], rows, haar=[1, 1])
     rep = verify_axioms(H)
     assert not rep.checks["probability"].passed
     assert rep.checks["probability"].violation == pytest.approx(0.1)
@@ -256,7 +256,7 @@ def test_haar_zero_diagonal():
         (0, 1): [(1, 1.0)],
         (1, 1): [(1, 1.0)],  # support law broken: no mass at e
     }
-    H = HypergroupTable("nozero", 2, [0, 1], rows)
+    H = HypergroupTable.from_rows("nozero", 2, [0, 1], rows)
     with pytest.raises(ZeroDiagonal):
         _ = H.haar
 

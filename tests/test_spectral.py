@@ -184,7 +184,7 @@ def test_degenerate_spectrum_on_broken_table():
         (1, 2): [(0, 0.5), (1, 0.25), (2, 0.25)],
         (2, 2): [(0, 0.5), (1, 0.25), (2, 0.25)],
     }
-    H = HypergroupTable("broken", 3, [0, 1, 2], rows, haar=[1.0, 2.0, 2.0])
+    H = HypergroupTable.from_rows("broken", 3, [0, 1, 2], rows, haar=[1.0, 2.0, 2.0])
     with pytest.raises(DegenerateSpectrum):
         characters(H)
 
@@ -198,7 +198,7 @@ def test_degenerate_spectrum_on_broken_table():
 def test_characters_need_finite_input_and_positive_haar(square, haar, error):
     rows = {(0, 0): [(0, 1.0)], (0, 1): [(1, 1.0)], (1, 1): square}
     with pytest.raises(error, match="must be"):
-        characters(HypergroupTable("bad", 2, [0, 1], rows, haar=haar))
+        characters(HypergroupTable.from_rows("bad", 2, [0, 1], rows, haar=haar))
 
 
 # -- product characters ---------------------------------------------------------
@@ -352,7 +352,7 @@ def test_schur_bound_not_above_grid_minimum(R):
 
 def test_p2_without_tail_is_inconclusive():
     T = builders.tree_radial(2, 20)
-    stripped = HypergroupTable(
+    stripped = HypergroupTable.from_rows(
         "naked", T.size, T.involution, dict(T.rows), haar=T.haar,
         truncated=True, radius=T.radius, tail=None, generator=1,
     )
@@ -397,8 +397,9 @@ def test_voit_deform_finite_identity(finite_tables):
 def test_voit_deform_finite_float_table(group):
     # a float table takes the finite branch that checks every dominated character
     H = builders.conjugacy_hypergroup(group)
-    F = HypergroupTable(f"{H.name}_float", H.size, H.involution,
-                        {k: [(z, float(c)) for z, c in row] for k, row in H.rows.items()})
+    F = HypergroupTable.from_rows(f"{H.name}_float", H.size, H.involution,
+                                  {k: [(z, float(c)) for z, c in row]
+                                   for k, row in H.rows.items()})
     assert not F.exact
     pair = voit_deform(F, np.ones(F.size))
     assert pair.dual_map_residual < 1e-12
@@ -508,7 +509,7 @@ def test_solve_character_on_an_array_equals_single_values(name):
 def test_solve_character_reports_a_missing_row():
     T = builders.tree_radial(2, 10)
     rows = {k: v for k, v in T.rows.items() if k != (1, 4)}
-    H = HypergroupTable("holed", T.size, T.involution, rows, haar=T.haar,
-                        truncated=True, radius=T.radius, generator=1)
+    H = HypergroupTable.from_rows("holed", T.size, T.involution, rows, haar=T.haar,
+                                  truncated=True, radius=T.radius, generator=1)
     with pytest.raises(DominationFailure, match="generator row at 4 missing"):
         solve_character(H, np.array([0.5, 0.9]))

@@ -166,9 +166,10 @@ def _beyond_float64(V):
 
 def _from_rows(H):
     """``H`` built again from its Fraction rows: N over their common denominator D, every s = D."""
-    return HypergroupTable(H.name, H.size, H.involution, H.rows, identity=H.identity,
-                           haar=H.haar, commutative=H.commutative, truncated=H.truncated,
-                           radius=H.radius, generator=H.generator)
+    return HypergroupTable.from_rows(H.name, H.size, H.involution, H.rows, identity=H.identity,
+                                     haar=H.haar, commutative=H.commutative,
+                                     truncated=H.truncated, radius=H.radius,
+                                     generator=H.generator)
 
 
 def test_exact_bound_runs_modulo_primes(monkeypatch):
@@ -217,9 +218,9 @@ def test_residues_find_a_tiny_defect(monkeypatch):
     a, b = sorted(row)[:2]
     row[a] += Fraction(1, 10**30)
     row[b] -= Fraction(1, 10**30)
-    H = HypergroupTable("nudged", base.size, base.involution,
-                        {k: r.items() for k, r in rows.items()}, haar=base.haar,
-                        truncated=True, radius=base.radius, generator=base.generator)
+    H = HypergroupTable.from_rows("nudged", base.size, base.involution,
+                                  {k: r.items() for k, r in rows.items()}, haar=base.haar,
+                                  truncated=True, radius=base.radius, generator=base.generator)
     assert _beyond_float64(H.view)
     calls = []
     loop = core._verify_axioms_loop
@@ -256,7 +257,7 @@ def test_mutated_table_flags_like_loop(name, pick, drop, num, den):
         del rows[key][z]
     else:
         rows[key][z] = Fraction(num, den)
-    H = HypergroupTable(
+    H = HypergroupTable.from_rows(
         "mutated", base.size, base.involution, {k: r.items() for k, r in rows.items()},
         identity=base.identity, haar=base.haar, commutative=base.commutative,
         truncated=base.truncated, radius=base.radius, generator=base.generator,
@@ -286,8 +287,9 @@ def test_verify_axioms_memory_is_cubic():
 
     def build_and_verify():
         # a copy built from the rows, so that building its view counts
-        verify_axioms(HypergroupTable(D.name, D.size, D.involution, rows, haar=D.haar,
-                                      truncated=True, radius=D.radius, generator=D.generator))
+        verify_axioms(HypergroupTable.from_rows(D.name, D.size, D.involution, rows,
+                                                haar=D.haar, truncated=True, radius=D.radius,
+                                                generator=D.generator))
 
     n = D.size
     # no n**4 array and no second float n**3 tensor, view included
@@ -325,17 +327,26 @@ def _z3_entries():
      r"row \(0, 1\) names support index 1 twice"),
     ({(0, 0): [(0, 1), (5, 0)], (0, 1): [(1, 1)], (1, 1): [(0, 1)]},
      r"support index 5 out of range in row \(0, 0\)"),
+    # the size, identity and involution of the Z3 entries
+    ((0, 0, []), "size must be positive"),
+    ((3, 3, [0, 2, 1]), "identity index out of range"),
+    ((3, 0, [0, 2, 2]), "involution is not a permutation"),
+    ((3, 0, [1, 2, 0]), "involution is not involutive"),
 ], ids=["row-index", "support-index", "zero-scale", "repeated-entry", "conflicting-orders",
-        "value-count", "rows-repeated-entry", "rows-zero-out-of-range"])
+        "value-count", "rows-repeated-entry", "rows-zero-out-of-range", "size", "identity",
+        "permutation", "involutive"])
 def test_entries_are_checked(change, message):
     if isinstance(change, dict):
         with pytest.raises(ValueError, match=message):
-            HypergroupTable("z2", 2, [0, 1], change)
+            HypergroupTable.from_rows("z2", 2, [0, 1], change)
         return
+    head = (3, 0, [0, 2, 1])
+    if isinstance(change, tuple):
+        head, change = change, lambda *entries: entries
     x, y, z = _z3_entries()
     x, y, z, value, scale = change(x, y, z, np.ones(len(x), dtype=np.int64), [1] * 3)
     with pytest.raises(ValueError, match=message):
-        TableView(3, 0, [0, 2, 1], True, x, y, z, value, scale=scale)
+        TableView(*head, True, x, y, z, value, scale=scale)
 
 
 def test_entries_of_float_tables_must_be_finite():
@@ -361,7 +372,7 @@ def test_entries_are_sorted_folded_and_stripped_of_zeros():
         assert np.array_equal(getattr(V, name), getattr(W, name)), name
     num, den = V.numerators
     assert num.tolist() == [1] * len(V.z) and den == 1
-    H = HypergroupTable("z3", 3, [0, 2, 1], None, view=W)
+    H = HypergroupTable("z3", W)
     assert H.rows == family(FamilySpec("cyclic", n=3)).rows
 
 
@@ -369,7 +380,7 @@ def test_a_product_of_zeros_stays_a_stored_row():
     V = TableView(2, 0, [0, 1], True, [0, 0, 1], [0, 1, 1], [0, 1, 0],
                   np.array([1.0, 1.0, 0.0]))
     assert V.has_row.all() and len(V.z) == 3  # (0, 1) mirrored; (1, 1) has no entries
-    H = HypergroupTable("empty row", 2, [0, 1], None, view=V)
+    H = HypergroupTable("empty row", V)
     assert H.row(1, 1) == ()
     assert verify_axioms(H).checks["probability"].violation == 1.0
 
@@ -377,32 +388,25 @@ def test_a_product_of_zeros_stays_a_stored_row():
 def test_finite_table_given_a_view_needs_every_row():
     V = TableView(2, 0, [0, 1], True, [0, 0], [0, 1], [0, 1], np.ones(2))
     with pytest.raises(ValueError, match="missing rows"):
-        HypergroupTable("z2 without 1.1", 2, [0, 1], None, view=V)
-    H = HypergroupTable("section", 2, [0, 1], None, view=V, truncated=True)
+        HypergroupTable("z2 without 1.1", V)
+    H = HypergroupTable("section", V, truncated=True)
     assert H.has_row(0, 1) and not H.has_row(1, 1) and not H.has_row(2, 0)
     with pytest.raises(core.TruncationOverflow):
         H.row(1, 1)
 
 
-@pytest.mark.parametrize("size, involution, kwargs, message", [
-    (3, [0, 2, 1], {}, "involution"),
-    (3, [0, 1, 2], {"identity": 1}, "identity"),
-    (3, [0, 1, 2], {"commutative": False}, "commutativity"),
-    (2, [0, 1], {}, "size"),
-], ids=["involution", "identity", "commutative", "size"])
-def test_a_table_must_agree_with_its_view(size, involution, kwargs, message):
-    V = builders.conjugacy_hypergroup(groups.symmetric(3)).view
-    with pytest.raises(ValueError, match=f"the view's {message}"):
-        HypergroupTable("m", size, involution, None, view=V, **kwargs)
-
-
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 def test_rows_give_the_view_of_the_entries(name):
     H = _table(name)
-    K = HypergroupTable(H.name, H.size, H.involution, H.rows, identity=H.identity,
-                        haar=H.haar, commutative=H.commutative, truncated=H.truncated,
-                        radius=H.radius)
+    K = HypergroupTable.from_rows(H.name, H.size, H.involution, H.rows, identity=H.identity,
+                                  haar=H.haar, commutative=H.commutative,
+                                  truncated=H.truncated, radius=H.radius)
     V, W = H.view, K.view
+    for T in (H, K):  # the facts a table takes from its view
+        assert (T.size, T.identity, T.involution, T.commutative, T.exact) == (
+            T.view.n, T.view.identity, tuple(T.view.inv.tolist()), T.view.commutative,
+            T.view.rational)
+        assert type(T.involution) is tuple and all(type(i) is int for i in T.involution)
     for attr in ("px", "py", "starts", "x", "y", "z", "has_row", "inv"):
         assert np.array_equal(getattr(V, attr), getattr(W, attr)), attr
     assert V.c.tobytes() == W.c.tobytes()
@@ -420,9 +424,9 @@ def _entry_values(V):
 
 def test_an_empty_row_stays_stored():
     rows = {(0, 0): [(0, 1)], (0, 1): [(1, 1)], (1, 1): []}
-    H = HypergroupTable("z2 with an empty row", 2, [0, 1], rows)
+    H = HypergroupTable.from_rows("z2 with an empty row", 2, [0, 1], rows)
     assert verify_axioms(H).checks["probability"].violation == 1.0
-    H = HypergroupTable("section", 2, [0, 1], rows, truncated=True)
+    H = HypergroupTable.from_rows("section", 2, [0, 1], rows, truncated=True)
     assert H.has_row(1, 1) and H.row(1, 1) == ()
 
 
@@ -452,10 +456,10 @@ def test_axiom_defects_keep_nan():
     {(0, 0): [(0, 1.0)], (0, 1): [(1, 1.0)], (1, 1): [(0, 1.0)]},
 ], ids=["exact", "float"])
 def test_haar_weights_reject_nan(rows):
-    H = HypergroupTable("z2", 2, [0, 1], rows, haar=[1, float("nan")])
+    H = HypergroupTable.from_rows("z2", 2, [0, 1], rows, haar=[1, float("nan")])
     with pytest.raises(core.ZeroDiagonal, match="violated by nan"):
         haar_weights(H)
-    H = HypergroupTable("z2", 2, [0, 1], rows, haar=[float("nan"), 1])
+    H = HypergroupTable.from_rows("z2", 2, [0, 1], rows, haar=[float("nan"), 1])
     with pytest.raises(core.ZeroDiagonal, match="lam"):
         haar_weights(H)
 
@@ -500,10 +504,10 @@ def _with_n(H, N, scale):
     V = H.view
     once = V.x <= V.y
     return HypergroupTable(
-        "mutated", H.size, H.involution, None, haar=H.haar, truncated=H.truncated,
-        radius=H.radius, generator=H.generator,
-        view=TableView(H.size, H.identity, H.involution, True,
-                       V.x[once], V.y[once], V.z[once], N, scale=scale))
+        "mutated",
+        TableView(H.size, H.identity, H.involution, True,
+                  V.x[once], V.y[once], V.z[once], N, scale=scale),
+        haar=H.haar, truncated=H.truncated, radius=H.radius, generator=H.generator)
 
 
 @pytest.mark.parametrize("name, scale", [
