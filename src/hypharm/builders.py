@@ -90,7 +90,6 @@ def group_hypergroup(G: FiniteGroup) -> HypergroupTable:
         f"{G.name}_group",
         TableView(n, G.identity, G.inverse, G.abelian, x, y,
                   np.array(G.cayley, dtype=np.int64)[x, y], ones, scale=[1] * n),
-        haar=[Fraction(1)] * n,
         elements=tuple(f"g{i}" for i in range(n)),
     )
 
@@ -123,7 +122,6 @@ def conjugacy_hypergroup(G: FiniteGroup) -> HypergroupTable:
     return HypergroupTable(
         f"Conj({G.name})",
         TableView(k, 0, inv_class, True, i, j, t, counts[i, j, t] // sizes[t], scale=sizes),
-        haar=[Fraction(int(s)) for s in sizes],
         elements=tuple(f"C{i}" for i in range(k)),
     )
 
@@ -232,7 +230,6 @@ def irr_hypergroup(G: FiniteGroup) -> HypergroupTable:
     return HypergroupTable(
         f"Irr({G.name})",
         TableView(n, 0, data.conjugate, True, a, b, g, N[a, b, g], scale=dims),
-        haar=[Fraction(d * d) for d in data.dims],
         elements=tuple(f"pi{a}d{d}" for a, d in enumerate(data.dims)),
     )
 
@@ -244,9 +241,9 @@ def product(H1: HypergroupTable, H2: HypergroupTable) -> HypergroupTable:
     """Product table: c^{(z,w)}_{(x,u),(y,v)} = c^z_{x,y} c^w_{u,v}.
 
     Pairs are indexed row-major, (x, u) -> x * |H2| + u.  Haar weights
-    multiply and the involution acts componentwise.  The table is built
-    from the factors' views (:meth:`TableView.product`); its Fraction rows
-    exist only once something reads them.
+    multiply (the view's N and s do) and the involution acts componentwise.
+    The table is built from the factors' views (:meth:`TableView.product`);
+    its Fraction rows exist only once something reads them.
     """
     if H1.truncated or H2.truncated:
         raise ValueError("product of truncated tables is not supported")
@@ -255,7 +252,6 @@ def product(H1: HypergroupTable, H2: HypergroupTable) -> HypergroupTable:
     return HypergroupTable(
         f"{H1.name}x{H2.name}",
         TableView.product(H1.view, H2.view),
-        haar=[a * b for a in H1.haar for b in H2.haar],
         elements=tuple(
             f"{a}|{b}" for a in H1.elements for b in H2.elements
         ),
@@ -288,7 +284,9 @@ def su2_fusion(radius: int, q=1) -> HypergroupTable:
     |a-b|+1, |a-b|+3, ..., a+b-1 with mass [c]_q / ([a]_q [b]_q).  The
     entries are built as arrays (:class:`TableView`): for a rational q in
     the N-form, N = 1 on the support and s = [a]_q, for a float q as the
-    same expression in floats.
+    same expression in floats.  The Haar weights are lam(a) = [a]_q^2; a
+    float q whose weights overflow float64 raises ValueError, as
+    :attr:`HypergroupTable.lam` does for a rational q.
     """
     if radius < 2:
         raise ValueError("fusion section needs radius >= 2")
@@ -312,6 +310,8 @@ def su2_fusion(radius: int, q=1) -> HypergroupTable:
                          scale=qi[1:R + 1])
     haar = [qi[a] * qi[a] for a in range(1, R + 1)]
     name = f"suq2_fusion_q{q}_R{R}" if q != 1 else f"su2_fusion_R{R}"
+    if isinstance(q, float) and math.isinf(haar[-1]):  # [a]_q increases with a
+        raise ValueError(f"{name}: Haar weights beyond the range of float64")
     return HypergroupTable(
         name,
         view,

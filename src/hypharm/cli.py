@@ -231,10 +231,7 @@ def cmd_deform(args) -> int:
     chi = spectral.chi0(H, tol=args.tol, seed=args.seed)
     pair = spectral.voit_deform(H, chi, tol=args.tol, seed=args.seed)
     p2_def = spectral.check_p2(pair.deformed)
-    lam_err = max(
-        abs(float(pair.haar_deformed[x]) - float(chi[x]) ** 2 * float(H.haar[x]))
-        for x in range(H.size)
-    )
+    lam_err = float(np.abs(pair.deformed.lam - chi**2 * H.lam).max())
     doc = ReportDoc("deform", args.seed, args.tol)
     doc.add("table", H.name)
     doc.add("chi0.values", [float(v) for v in chi])

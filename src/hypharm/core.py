@@ -142,11 +142,13 @@ class HypergroupTable:
     size, identity, involution, commutativity and exactness from it; the
     view's constructor checks them.  The builders give a table its view;
     :meth:`from_rows` builds one from rows.  The arguments after the view
-    are what a view does not hold: Haar weights (a section does not store
-    x.x~ for every x), the truncation radius and tail, the generator and
-    the element labels.  The table reads single rows from the view as they
-    are asked for, and builds the whole ``rows`` dict only when ``rows``
-    itself is read.
+    are what a view does not hold: the truncation radius and tail, the
+    generator, the element labels, and the Haar weights of a section (it
+    does not store every x.x~) or of a fusion ring; other tables read
+    theirs from the view (:attr:`haar`).  The Fraction rows serve the exact
+    calculus, the loop oracles and the file writer: the table reads them
+    from the view as they are asked for, and builds the whole ``rows`` dict
+    only when ``rows`` itself is read.
     """
 
     def __init__(
@@ -236,17 +238,28 @@ class HypergroupTable:
             rows[key] = self.view.row(*key)
         return rows[key]
 
-    def coeff(self, x: int, y: int, z: int):
-        for w, v in self.row(x, y):
-            if w == z:
-                return v
-        return Fraction(0) if self.exact else 0.0
-
     @property
     def haar(self) -> tuple:
-        """Haar weights lam(x) = 1 / c^e_{x,x~}, lam(e) = 1."""
+        """Haar weights lam(x) = 1 / c^e_{x,x~}, lam(e) = 1.
+
+        Unless given at construction, they are read from the view: of an
+        N-form ``lam(x) = s_x s_x~ / (N^e_{x,x~} s_e)`` as Fractions, of a
+        float table ``1 / c^e_{x,x~}``.  Raises :class:`TruncationOverflow`
+        for the first x whose product x.x~ is not stored, and
+        :class:`ZeroDiagonal` for the first whose product has no mass at e.
+        """
         if self._haar is None:
-            self._haar = tuple(self._haar_from_rows())
+            V, inv = self.view, self.involution
+            mine = (V.z == self.identity) & (V.y == V.inv[V.x])  # the entries c^e_{x,x~}
+            at = np.full(self.size, -1)
+            at[V.x[mine]] = np.flatnonzero(mine)
+            if (bad := np.flatnonzero(at < 0)).size:
+                x = int(bad[0])
+                if not V.has_row[x, inv[x]]:
+                    raise TruncationOverflow(
+                        f"{self.name}: product {x}.{inv[x]} leaves the stored section")
+                raise ZeroDiagonal(f"{self.name}: c^e_{{{x},{inv[x]}}} = 0")
+            self._haar = tuple(1 / c for c in V.coefficients(at))
         return self._haar
 
     @cached_property
@@ -263,16 +276,20 @@ class HypergroupTable:
         lam.flags.writeable = False
         return lam
 
-    def _haar_from_rows(self):
-        out = []
-        for x in range(self.size):
-            c = self.coeff(x, self.involution[x], self.identity)
-            if c == 0:
-                raise ZeroDiagonal(
-                    f"{self.name}: c^e_{{{x},{self.involution[x]}}} = 0"
-                )
-            out.append(1 / c if not _is_exact(c) else Fraction(1, 1) / c)
-        return out
+    @cached_property
+    def generator_rows(self) -> tuple[np.ndarray, ...]:
+        """The stored rows g.y of the generator g, read once from the view.
+
+        Returns the y of every stored row, ascending, and the rows' entries
+        as read-only arrays ``(y, z, c)``, sorted by (y, z), with ``c`` in
+        float64.
+        """
+        V, g = self.view, self.generator
+        lo, hi = np.searchsorted(V.x, [g, g + 1])
+        first, last = np.searchsorted(V.px, [g, g + 1])
+        c = V.floats(slice(lo, hi))
+        c.flags.writeable = False
+        return V.py[first:last], V.y[lo:hi], V.z[lo:hi], c
 
     def __repr__(self):
         kind = "truncated" if self.truncated else "finite"

@@ -6,8 +6,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 
+import numpy as np
+
 from .core import LineFile, int_in
 from .errors import FileFormatError, NoIdentity, NotAssociative, NotLatinSquare
+
+# Values in one block of the associativity check (2 MB of int64 per side).
+ASSOCIATIVITY_BLOCK = 2**18
 
 
 @dataclass(frozen=True)
@@ -27,17 +32,12 @@ class FiniteGroup:
     def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
         """Classes ordered identity first, then by smallest member index."""
         n = self.order
-        seen = [False] * n
-        classes = []
-        for g in range(n):
-            if seen[g]:
-                continue
-            orbit = sorted(
-                {self.mul(self.mul(h, g), self.inverse[h]) for h in range(n)}
-            )
-            for x in orbit:
-                seen[x] = True
-            classes.append(tuple(orbit))
+        T = np.array(self.cayley, dtype=np.int64).reshape(n, n)
+        # column g of T[T, inv] holds h g h^-1 for every h: the class of g,
+        # named by its least member, the one g with least[g] = g
+        least = T[T, np.array(self.inverse)[:, None]].min(axis=0)
+        classes = [tuple(np.flatnonzero(least == k).tolist())
+                   for k in np.flatnonzero(least == np.arange(n)).tolist()]
         classes.sort(key=lambda cl: (self.identity not in cl, cl[0]))
         return tuple(classes)
 
@@ -54,39 +54,37 @@ def from_cayley_table(table, name: str = "group") -> FiniteGroup:
     """Validate a square index table and wrap it as a group.
 
     Raises :class:`NotLatinSquare`, :class:`NoIdentity` or
-    :class:`NotAssociative` naming the failed axiom.
+    :class:`NotAssociative` naming the failed axiom, and for associativity
+    the first failing triple (a, b, c) in lexicographic order.
     """
     tab = tuple(tuple(int(v) for v in row) for row in table)
     n = len(tab)
     if any(len(row) != n for row in tab):
         raise NotLatinSquare(f"{name}: table is not square")
-    rng = set(range(n))
-    for i, row in enumerate(tab):
-        if set(row) != rng:
-            raise NotLatinSquare(f"{name}: row {i} is not a permutation")
-    for j in range(n):
-        if {tab[i][j] for i in range(n)} != rng:
-            raise NotLatinSquare(f"{name}: column {j} is not a permutation")
-    identity = None
-    for e in range(n):
-        if all(tab[e][x] == x and tab[x][e] == x for x in range(n)):
-            identity = e
-            break
-    if identity is None:
+    # -1 stands for every value out of range, even beyond int64: no permutation holds it
+    T = np.array([[v if 0 <= v < n else -1 for v in row] for row in tab],
+                 dtype=np.int64).reshape(n, n)
+    ids = np.arange(n)
+    for line, lines in (("row", T), ("column", T.T)):
+        if (bad := np.flatnonzero((np.sort(lines, axis=1) != ids).any(axis=1))).size:
+            raise NotLatinSquare(f"{name}: {line} {bad[0]} is not a permutation")
+    units = np.flatnonzero((T == ids).all(axis=1) & (T == ids[:, None]).all(axis=0))
+    if not units.size:
         raise NoIdentity(f"{name}: no two-sided identity")
-    for a in range(n):
-        for b in range(n):
-            ab = tab[a][b]
-            for c in range(n):
-                if tab[ab][c] != tab[a][tab[b][c]]:
-                    raise NotAssociative(f"{name}: ({a}.{b}).{c} != {a}.({b}.{c})")
-    inverse = [0] * n
-    for a in range(n):
-        inverse[a] = tab[a].index(identity)
-        if tab[inverse[a]][a] != identity:
-            raise NotAssociative(f"{name}: one-sided inverse at {a}")
-    abelian = all(tab[a][b] == tab[b][a] for a in range(n) for b in range(n))
-    return FiniteGroup(name, n, tab, identity, tuple(inverse), abelian)
+    identity = int(units[0])
+    # (a.b).c against a.(b.c) for the a of one block at a time
+    step = max(1, ASSOCIATIVITY_BLOCK // max(1, n * n))
+    for lo in range(0, n, step):
+        rows = T[lo:lo + step]
+        left, right = T[rows], np.take(rows, T, axis=1)
+        if not np.array_equal(left, right):
+            a, b, c = np.argwhere(left != right)[0].tolist()
+            a += lo
+            raise NotAssociative(f"{name}: ({a}.{b}).{c} != {a}.({b}.{c})")
+    inverse = (T == identity).argmax(axis=1)
+    if (bad := np.flatnonzero(T[inverse, ids] != identity)).size:
+        raise NotAssociative(f"{name}: one-sided inverse at {bad[0]}")
+    return FiniteGroup(name, n, tab, identity, tuple(inverse.tolist()), bool((T == T.T).all()))
 
 
 def _from_permutations(perms, name: str) -> FiniteGroup:

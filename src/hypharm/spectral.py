@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -332,23 +331,10 @@ class P2Report:
         return out
 
 
-def _generator_rows(H: HypergroupTable) -> tuple[np.ndarray, ...]:
-    """The stored rows g.y of the generator g, read from the view.
-
-    Returns the y of every stored row, ascending, and the rows' entries as
-    arrays ``(y, z, c)``, sorted by (y, z), with ``c`` in float64.
-    """
-    V = H.view
-    g = H.generator
-    lo, hi = np.searchsorted(V.x, [g, g + 1])
-    first, last = np.searchsorted(V.px, [g, g + 1])
-    return V.py[first:last], V.y[lo:hi], V.z[lo:hi], V.floats(slice(lo, hi))
-
-
 def section_operator(H: HypergroupTable, radius: int) -> np.ndarray:
     """Symmetrized compression W = D^{1/2} A_g D^{-1/2} to ball(radius)."""
     n = radius + 1
-    _, y, z, c = _generator_rows(H)
+    _, y, z, c = H.generator_rows
     inside = (y < n) & (z < n)
     y, z, lam = y[inside], z[inside], H.lam
     W = np.zeros((n, n))
@@ -374,16 +360,25 @@ def _schur_bound(H: HypergroupTable) -> tuple[float, float]:
 
     Returns (bound, argmin r).  Valid as an upper bound on the generator
     spectrum of the infinite table: stored rows are checked from the data,
-    rows beyond the section from the declared tail sups.  The bound is the
-    exact (rational) Schur sum at the returned r, rounded up to a double.
+    rows beyond the section from the declared tail sups.
 
     Every stored row gives sum_k |c_k| r^k with integer k, and the tail
     gives alpha/r + d + beta r; each is convex on r > 0, also as a function
     of log r, so their max is convex and a golden-section search on log r
     finds its global minimum without a backstop.
+
+    The bound is the largest row sum at r in float64, rounded outward.  A
+    row has at most m = len(exps) nonnegative terms |c_k| r^k, each rounded
+    at most four times by u = 2**-53 (|c_k|, r**k within one ulp, the
+    product), and any order of summation adds m - 1 roundings, so its float
+    sum s~ is within gamma_{m+3} <= (m + 4) u of the exact sum s, relatively
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002,
+    sec. 3.1): s <= s~ (1 + 2 (m + 4) u), a factor that is a double, and one
+    step up covers the product's rounding.  The exact rational sums are the
+    test oracle.
     """
     tail: NNTail = H.tail
-    stored, y, z, c = _generator_rows(H)
+    stored, y, z, c = H.generator_rows
     last_stored = int(stored[-1]) if len(stored) else -1
     if tail.start > last_stored + 1:
         raise ValueError(
@@ -415,27 +410,14 @@ def _schur_bound(H: HypergroupTable) -> tuple[float, float]:
             t2 = lo + inv_phi * (hi - lo)
             f2 = worst(t2)
     r = math.exp(t1 if f1 <= f2 else t2)
-    # the exact maximum lies among the rows whose float sum is close to the
-    # largest: the float sum of a row of at most m = len(exps) nonnegative
-    # terms is within (m + 4) 2**-53 of its exact value, relatively, and
-    # the slack max(1e-12, m 2**-50) covers two such errors
-    approx = coeffs @ np.array([r**k for k in exps.tolist()])
-    close = approx >= approx.max() * (1.0 - max(1e-12, len(exps) * 2.0**-50))
-    g, rq = H.generator, Fraction(r)
-    rows = [(y, H.view.row(g, y)) for y in stored[close[:-1]].tolist()]
-    if close[-1]:
-        rows.append((0, ((-1, tail.alpha_sup), (0, tail.diag_sup), (1, tail.beta_sup))))
-    exact = max(sum(Fraction(abs(v)) * rq ** (w - y) for w, v in row) for y, row in rows)
-    bound = float(exact)
-    if Fraction(bound) < exact:
-        bound = math.nextafter(bound, math.inf)
-    return bound, r
+    top = float((coeffs @ np.array([r**k for k in exps.tolist()])).max())
+    return math.nextafter(top * (1.0 + (len(exps) + 4) * 2.0**-52), math.inf), r
 
 
 def check_p2(H: HypergroupTable, tol: float = 1e-6) -> P2Report:
     """Decide whether the constant character lies in supp(Plancherel)."""
     if not H.truncated:
-        lam_sum = float(sum(float(v) for v in H.haar))
+        lam_sum = sum(H.lam.tolist())
         return P2Report(
             H.name,
             "holds",
@@ -495,7 +477,7 @@ def solve_character(H: HypergroupTable, value_at_generator) -> np.ndarray:
     """
     s = np.asarray(value_at_generator, dtype=float)
     n = H.size
-    stored, y, z, c = _generator_rows(H)
+    stored, y, z, c = H.generator_rows
     has = np.zeros(n, dtype=bool)
     has[stored] = True
     # the entries of row m are ends[m]:ends[m + 1], their largest z last
@@ -612,7 +594,7 @@ def voit_deform(
     given = V.x <= V.y if H.commutative else slice(None)
     view = TableView(H.size, H.identity, V.inv, H.commutative,
                      V.x[given], V.y[given], V.z[given], c[given])
-    haar_def = tuple(chi[x] ** 2 * float(H.haar[x]) for x in range(H.size))
+    haar_def = tuple((chi**2 * H.lam).tolist())
     tail = _deformed_tail(H, chi) if (H.truncated and H.tail is not None) else None
     deformed = HypergroupTable(
         f"{H.name}_voit",
@@ -650,7 +632,7 @@ def _deformed_tail(H: HypergroupTable, chi: np.ndarray) -> NNTail | None:
     s = chi[H.generator]
     t = H.tail
     limit = math.sqrt(t.alpha_sup * t.beta_sup) / s
-    stored, y, z, c = _generator_rows(H)
+    stored, y, z, c = H.generator_rows
     G = np.zeros((H.size, H.size))
     G[y, z] = c
     # the rows from max(1, t.start) up to the first that is missing or has

@@ -152,8 +152,9 @@ class TableView:
       ints beyond int64), else None; ``uniform`` -- whether every point has
       the same scale ``s``, so that ``c = N / s``;
     * :meth:`dense` -- the coefficients as an ``n x n x n`` array;
-    * :meth:`row` and :meth:`rows` -- the coefficients as table rows, exact
-      ones as Fractions;
+    * :meth:`coefficients`, :meth:`row` and :meth:`rows` -- the
+      coefficients of some entries, or as table rows, exact ones as
+      Fractions;
     * :attr:`numerators` -- an exact table's coefficients as integers over
       one common denominator (on first use).
 
@@ -414,7 +415,7 @@ class TableView:
         """Values given per stored coefficient, rearranged to the view's entries."""
         return a if self._source is None else a[..., self._source]
 
-    def _coefficients(self, i: np.ndarray) -> list:
+    def coefficients(self, i: np.ndarray) -> list:
         """The coefficients of the entries ``i``: Fractions if rational, else floats."""
         if not self.rational:
             return self.c[i].tolist()
@@ -431,13 +432,13 @@ class TableView:
         """The row ``((z, c), ...)`` of the stored product ``x . y``."""
         p = int(np.searchsorted(self._products, x * self.n + y))
         i = np.arange(self.starts[p], self.starts[p + 1])
-        return tuple(zip(self.z[i].tolist(), self._coefficients(i)))
+        return tuple(zip(self.z[i].tolist(), self.coefficients(i)))
 
     def rows(self) -> dict:
         """All rows ``(x, y) -> ((z, c), ...)``; commutative tables keep ``x <= y``."""
         keep = self.px <= self.py if self.commutative else np.ones(len(self.px), dtype=bool)
         i = np.flatnonzero(keep[self.pair])
-        z, vals = self.z[i].tolist(), self._coefficients(i)
+        z, vals = self.z[i].tolist(), self.coefficients(i)
         out, lo = {}, 0
         for x, y, k in zip(self.px[keep].tolist(), self.py[keep].tolist(),
                            np.diff(self.starts)[keep].tolist()):

@@ -53,6 +53,122 @@ def test_not_associative():
         groups.from_cayley_table(table)
 
 
+def _from_cayley_table_loop(table, name="group"):
+    """:func:`groups.from_cayley_table` by Python loops: the oracle of its array checks."""
+    tab = tuple(tuple(int(v) for v in row) for row in table)
+    n = len(tab)
+    if any(len(row) != n for row in tab):
+        raise NotLatinSquare(f"{name}: table is not square")
+    rng = set(range(n))
+    for i, row in enumerate(tab):
+        if set(row) != rng:
+            raise NotLatinSquare(f"{name}: row {i} is not a permutation")
+    for j in range(n):
+        if {tab[i][j] for i in range(n)} != rng:
+            raise NotLatinSquare(f"{name}: column {j} is not a permutation")
+    identity = None
+    for e in range(n):
+        if all(tab[e][x] == x and tab[x][e] == x for x in range(n)):
+            identity = e
+            break
+    if identity is None:
+        raise NoIdentity(f"{name}: no two-sided identity")
+    for a in range(n):
+        for b in range(n):
+            ab = tab[a][b]
+            for c in range(n):
+                if tab[ab][c] != tab[a][tab[b][c]]:
+                    raise NotAssociative(f"{name}: ({a}.{b}).{c} != {a}.({b}.{c})")
+    inverse = [0] * n
+    for a in range(n):
+        inverse[a] = tab[a].index(identity)
+        if tab[inverse[a]][a] != identity:
+            raise NotAssociative(f"{name}: one-sided inverse at {a}")
+    abelian = all(tab[a][b] == tab[b][a] for a in range(n) for b in range(n))
+    return groups.FiniteGroup(name, n, tab, identity, tuple(inverse), abelian)
+
+
+def _conjugacy_classes_loop(G):
+    n = G.order
+    seen = [False] * n
+    classes = []
+    for g in range(n):
+        if seen[g]:
+            continue
+        orbit = sorted({G.mul(G.mul(h, g), G.inverse[h]) for h in range(n)})
+        for x in orbit:
+            seen[x] = True
+        classes.append(tuple(orbit))
+    classes.sort(key=lambda cl: (G.identity not in cl, cl[0]))
+    return tuple(classes)
+
+
+def _loop(n, r, c):
+    """Z_n (n even) with its intercalate at rows r, r + n/2 and columns c, c + n/2 switched.
+
+    A Latin square with identity 0 for 0 < r, c < n/2: Z_4's is the Klein
+    group, the larger ones are not associative.
+    """
+    T = (np.arange(n)[:, None] + np.arange(n)) % n
+    rows, cols = np.ix_([r, r + n // 2], [c, c + n // 2])
+    T[rows, cols] = T[rows, cols][::-1]
+    return T
+
+
+def _relabeled(T, seed):
+    """The table T with its points renamed by a seeded permutation p: p(x).p(y) = p(x.y)."""
+    p = np.random.default_rng(seed).permutation(len(T))
+    out = np.empty_like(T)
+    out[np.ix_(p, p)] = p[T]
+    return out
+
+
+MALFORMED_TABLES = {
+    "empty": [],
+    "not-square": [[0, 1], [1]],
+    "row": [[0, 0], [1, 0]],
+    "column": [[0, 1], [0, 1]],
+    "out-of-range": [[0, 2], [2, 0]],
+    "negative": [[0, -1], [-1, 0]],
+    "beyond-int64": [[0, 2**70], [2**70, 0]],
+    "no-identity": [[0, 2, 1], [2, 1, 0], [1, 0, 2]],
+    "quasigroup": [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1],
+                   [4, 3, 1, 2, 0]],
+}
+MALFORMED_TABLES.update({f"loop-{n}-{r}-{c}": _loop(n, r, c).tolist()
+                         for n, r, c in ((4, 1, 1), (6, 1, 2), (8, 3, 2), (12, 5, 4))})
+MALFORMED_TABLES.update({f"relabeled-{k}-{seed}": _relabeled(T, seed).tolist() for seed in (1, 2)
+                         for k, T in (("loop", _loop(8, 3, 2)),
+                                      ("s4", np.array(groups.symmetric(4).cayley)))})
+
+
+def _outcome(check, table):
+    try:
+        return check(table, "T")
+    except (NotLatinSquare, NoIdentity, NotAssociative) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_TABLES))
+def test_from_cayley_table_fails_like_loop(name, monkeypatch):
+    # the same exception class and message, or the same group, as the loops;
+    # a loop reports its first failing triple, also checked one a at a time
+    table = MALFORMED_TABLES[name]
+    want = _outcome(_from_cayley_table_loop, table)
+    assert _outcome(groups.from_cayley_table, table) == want
+    monkeypatch.setattr(groups, "ASSOCIATIVITY_BLOCK", 1)
+    assert _outcome(groups.from_cayley_table, table) == want
+
+
+def test_groups_match_loops():
+    builtin = [groups.get_group(g) for g in ("s3", "s4", "a4", "d4", "q8", "klein")]
+    for G in builtin + [groups.cyclic(n) for n in range(1, 65)]:
+        want = _from_cayley_table_loop(G.cayley, G.name)
+        assert groups.from_cayley_table(G.cayley, G.name) == want == G
+        assert isinstance(G.cayley[0], tuple)
+        assert G.conjugacy_classes() == _conjugacy_classes_loop(G), G.name
+
+
 def test_group_catalogue_orders(builtin_groups):
     expected = {"z2": 2, "z4": 4, "s3": 6, "d4": 8, "q8": 8, "a4": 12}
     for name, G in builtin_groups.items():

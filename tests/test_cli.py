@@ -134,8 +134,14 @@ def test_quantum_bad_q_exit_two(q, capsys):
      "suq2_fusion_q1/1000_R53: Haar weights beyond the range of float64"),
     (["amenability", "--family", "suq2_fusion", "--q", "1/1000", "--radius", "60",
       "--radii", "2,4,7"], "suq2_fusion_q1/1000_R60: Haar weights beyond the range of float64"),
+    (["p2", "--family", "suq2_fusion", "--q", "0.001", "--radius", "53"],
+     "suq2_fusion_q0.001_R53: Haar weights beyond the range of float64"),
+    (["deform", "--family", "suq2_fusion", "--q", "0.001", "--radius", "53"],
+     "suq2_fusion_q0.001_R53: Haar weights beyond the range of float64"),
+    (["amenability", "--family", "suq2_fusion", "--q", "0.001", "--radius", "60",
+      "--radii", "2,4,7"], "suq2_fusion_q0.001_R60: Haar weights beyond the range of float64"),
 ], ids=["verify", "quantum", "p2", "verify-rational", "quantum-rational", "p2-rational",
-        "amenability-rational"])
+        "amenability-rational", "p2-float-haar", "deform-float-haar", "amenability-float-haar"])
 def test_overflowing_q_exit_two(argv, message, capsys):
     # q-integers or Haar weights that leave float64 at this radius are an input error
     code, out = _run(argv)
@@ -147,9 +153,14 @@ def test_overflowing_q_exit_two(argv, message, capsys):
 @pytest.mark.parametrize("argv", [
     ["deform", "--family", "suq2_fusion", "--q", "1/1000", "--radius", "30"],
     ["quantum", "--q", "1/1000", "--radius", "60"],
-], ids=["deform", "quantum"])
+    ["p2", "--family", "suq2_fusion", "--q", "0.001", "--radius", "52"],
+    ["deform", "--family", "suq2_fusion", "--q", "0.001", "--radius", "52"],
+    ["amenability", "--family", "suq2_fusion", "--q", "0.001", "--radius", "52",
+     "--radii", "2,4,7"],
+], ids=["deform", "quantum", "p2-float-52", "deform-float-52", "amenability-float-52"])
 def test_rational_q_sections_within_float64_pass(argv):
-    # q-integers far beyond those of q = 1/2 that float64 still holds
+    # q-integers far beyond those of q = 1/2 that float64 still holds; at
+    # q = 0.001 the largest Haar weight [52]_q^2 is about 1e306
     code, _ = _run(argv)
     assert code == 0
 

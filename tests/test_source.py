@@ -35,3 +35,31 @@ def _unread_parameters():
 def test_every_parameter_is_read():
     # a parameter no function body reads is an option that does no work
     assert _unread_parameters() == UNREAD_ALLOWED
+
+
+# Modules whose float paths read the view and the table's arrays, never the
+# Fraction rows: those are for the exact calculus, the oracles and the file writer.
+FLOAT_MODULES = ("spectral.py", "norms.py", "amenability.py")
+
+
+def _row_reads(path):
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute) and node.attr == "rows":
+            found.append((node.lineno, ".rows"))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in ("row", "coeff")):
+            found.append((node.lineno, f".{node.func.attr}("))
+    return found
+
+
+def _fraction_imports(path):
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+            if (isinstance(node, ast.ImportFrom) and node.module == "fractions")
+            or (isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names))]
+
+
+def test_float_paths_read_no_fraction_rows():
+    assert _fraction_imports(SOURCE / "spectral.py") == []
+    for name in FLOAT_MODULES:
+        assert _row_reads(SOURCE / name) == [], name

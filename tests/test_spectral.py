@@ -315,22 +315,53 @@ def _schur_rows(H):
     return rows
 
 
-@pytest.mark.parametrize(
-    "spec, closed_form",
-    [
-        (FamilySpec("tree_radial", q=2, radius=40), 2 * math.sqrt(2) / 3),
-        (FamilySpec("tree_radial", q=3, radius=40), math.sqrt(3) / 2),
-        (FamilySpec("suq2_fusion", q=Fraction(1, 2), radius=40), 0.8),
-    ],
-    ids=["tree_q2", "tree_q3", "suq2_half"],
-)
-def test_schur_bound_is_exact_upper_bound(spec, closed_form):
-    H = family(spec)
+SCHUR_SECTIONS = {
+    "tree_q2": FamilySpec("tree_radial", q=2),
+    "tree_q3": FamilySpec("tree_radial", q=3),
+    "su2": FamilySpec("su2_fusion"),
+    "suq2_half": FamilySpec("suq2_fusion", q=Fraction(1, 2)),
+    "suq2_two_thirds": FamilySpec("suq2_fusion", q=Fraction(2, 3)),
+}
+
+
+def _section(name, radius):
+    spec = SCHUR_SECTIONS[name]
+    return family(FamilySpec(spec.name, q=spec.q, radius=radius))
+
+
+def _deformed_section(name, radius):
+    H = _section(name, radius)
+    return voit_deform(H, chi0(H)).deformed
+
+
+def _schur_cases():
+    cases = [
+        pytest.param(_section, "tree_q2", 40, 2 * math.sqrt(2) / 3, id="tree_q2"),
+        pytest.param(_section, "tree_q3", 40, math.sqrt(3) / 2, id="tree_q3"),
+        pytest.param(_section, "suq2_half", 40, 0.8, id="suq2_half"),
+    ]
+    cases += [pytest.param(_section, name, r, None, id=f"{name}_R{r}")
+              for name in SCHUR_SECTIONS for r in (24, 36, 48, 60)]
+    # the deformed sections that keep tail bounds: those of the trees
+    cases += [pytest.param(_deformed_section, name, r, None, id=f"{name}_R{r}_voit")
+              for name in ("tree_q2", "tree_q3") for r in (12, 20, 28)]
+    return cases
+
+
+@pytest.mark.parametrize("build, name, radius, closed_form", _schur_cases())
+def test_schur_bound_is_exact_upper_bound(build, name, radius, closed_form):
+    H = build(name, radius)
     bound, r = _schur_bound(H)
+    rows = _schur_rows(H)
+    m = len({k for row in rows for k, _ in row})
     rq = Fraction(r)
-    exact = max(sum(Fraction(c) * rq**k for k, c in row) for row in _schur_rows(H))
-    assert Fraction(bound) >= exact
-    assert abs(bound - closed_form) < 1e-9
+    exact = max(sum(Fraction(c) * rq**k for k, c in row) for row in rows)
+    # at least the exact sum at r, and at most that sum rounded outward: a
+    # float sum within (m + 4) 2**-53 of it, times 1 + 2 (m + 4) 2**-53, one
+    # step up
+    assert exact <= Fraction(bound) <= exact * (1 + Fraction(m + 4, 2**51))
+    if closed_form is not None:
+        assert abs(bound - closed_form) < 1e-9
 
 
 @pytest.mark.parametrize("R", [24, 40, 60])

@@ -451,6 +451,41 @@ def test_axiom_defects_keep_nan():
     assert worst["support"] == 1.0
 
 
+def _builder_haar(name):
+    """The Haar weights of a finite table of BUILDERS as its builder once listed them."""
+    if "x" in name:  # a product
+        left, right = name.split("x")
+        return tuple(a * b for a in _builder_haar(left) for b in _builder_haar(right))
+    fam, _, g = name.partition("_")
+    if fam == "conj":
+        return tuple(Fraction(len(cl)) for cl in groups.get_group(g).conjugacy_classes())
+    if fam == "irr":
+        G = groups.get_group(g)
+        return tuple(Fraction(d * d) for d in builders.group_character_data(G).dims)
+    return (Fraction(1),) * int(name[1:])  # Z_n
+
+
+@pytest.mark.parametrize("name", sorted(k for k in BUILDERS if not k.startswith(tuple(SECTIONS))))
+def test_haar_weights_come_from_the_view(name):
+    # exactly the weights the builders listed, also for the table built from rows
+    H = _table(name)
+    copy = HypergroupTable.from_rows(name, H.size, H.involution, H.rows)
+    for K in (H, copy):
+        assert K.haar == _builder_haar(name)
+        assert all(type(v) is Fraction for v in K.haar)
+
+
+def test_haar_weights_from_the_view_name_the_first_bad_point():
+    T = _table("su2_r8")  # labels 1..8 store a.a up to a = 4
+    copy = HypergroupTable.from_rows(T.name, T.size, T.involution, T.rows,
+                                     truncated=True, radius=T.radius)
+    with pytest.raises(core.TruncationOverflow, match=r"R8: product 4\.4 leaves the stored section"):
+        copy.haar
+    rows = {(0, 0): [(0, Fraction(1))], (0, 1): [(1, Fraction(1))], (1, 1): [(1, Fraction(1))]}
+    with pytest.raises(core.ZeroDiagonal, match=r"nozero: c\^e_\{1,1\} = 0"):
+        HypergroupTable.from_rows("nozero", 2, [0, 1], rows).haar
+
+
 @pytest.mark.parametrize("rows", [
     {(0, 0): [(0, Fraction(1))], (0, 1): [(1, Fraction(1))], (1, 1): [(0, Fraction(1))]},
     {(0, 0): [(0, 1.0)], (0, 1): [(1, 1.0)], (1, 1): [(0, 1.0)]},
