@@ -545,9 +545,13 @@ def verify_axioms(H: HypergroupTable, tol: float = DEFAULT_TOL) -> AxiomReport:
     (:func:`hypharm.view.exact_defects`): the checks on single entries run
     once on the exact integer numerators of c, and associativity on N, in
     float64 while every sum is exact and modulo primes beyond that.  A
-    nonzero associativity defect of N gives c's when the scales are uniform
-    (rows given as Fractions); any other, and any the residues show, is
-    reported by the Fraction loop.
+    product of two exact factors (:meth:`hypharm.view.TableView.product`)
+    runs the single-entry checks on itself and takes associativity from the
+    factors, ``N = N1 (x) N2``, with ``n1**3 n2**3`` triples checked; a
+    failing factor sends it to the full check on N.  A nonzero
+    associativity defect of N gives c's when the scales are uniform (rows
+    given as Fractions); any other, and any the residues show, is reported
+    by the Fraction loop.
     """
     V = H.view
     if not H.exact:

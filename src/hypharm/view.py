@@ -28,7 +28,11 @@ exact (:func:`exact_defects`):
   same multiple ``s_v / (s_x s_y s_z)`` of those of N, so c is associative
   exactly when N is.  It takes one float64 pass while
   ``2 n max|N|^2 <= 2**53``, and beyond that bound one pass on N's residues
-  per batch of :func:`crt_primes`.
+  per batch of :func:`crt_primes`;
+* a product built by :meth:`TableView.product` takes associativity from
+  its two factors: ``N = N1 (x) N2``, so both sides of its law are tensor
+  products of the factors' sides.  A factor that fails sends it to the
+  full check.
 
 A nonzero associativity defect of N is c's, divided by ``s**2``, only
 when s is uniform; otherwise, and when the residues show one, the Fraction
@@ -156,7 +160,9 @@ class TableView:
       coefficients of some entries, or as table rows, exact ones as
       Fractions;
     * :attr:`numerators` -- an exact table's coefficients as integers over
-      one common denominator (on first use).
+      one common denominator (on first use);
+    * ``factors`` -- the two factor views of a view built by
+      :meth:`product`, else None.
 
     The view is built from its entries, given as arrays by a builder or
     gathered from the rows a table is given, or by :meth:`product` from the
@@ -282,6 +288,7 @@ class TableView:
         self.has_row = _frozen(has_row)
         self.inv = _frozen(np.array(involution, dtype=np.int32))
         self.N = None
+        self.factors = None
 
     def _keep_form(self, N, x, y, z, num, den):
         """Keep the integers N of the stored coefficients at ``x, y, z`` and the scales ``num / den``.
@@ -311,7 +318,9 @@ class TableView:
         give ``N = N1 N2`` and ``s = s1 s2``, and ``c`` is the quotient of
         its exact value, rounded once, as ``float`` rounds the Fraction;
         ``c1 c2`` in float64 could be 1 ulp off it.  A float factor makes
-        the product a float table with ``c = c1 c2``.
+        the product a float table with ``c = c1 c2``.  The product keeps
+        ``(V1, V2)`` as its ``factors``, from which :func:`exact_defects` and
+        :func:`hypharm.spectral.product_characters` check it.
         """
         if not (V1.has_row.all() and V2.has_row.all()):
             raise ValueError("a product needs finite tables")
@@ -345,6 +354,7 @@ class TableView:
             (a1, b1), (a2, b2) = ([s.tolist() for s in W._scale] for W in (V1, V2))
             V._keep_form(N1 * N2, V.x, V.y, V.z, [a * b for a in a1 for b in a2],
                          [a * b for a in b1 for b in b2])
+        V.factors = (V1, V2)
         return V
 
     def _fractions(self, j) -> tuple:
@@ -425,13 +435,17 @@ class TableView:
         return list(map(Fraction, num.tolist(), den.tolist() if np.ndim(den) else repeat(den)))
 
     @cached_property
-    def _products(self) -> np.ndarray:
-        return self.px.astype(np.int64) * self.n + self.py
+    def keys(self) -> np.ndarray:
+        """The key ``(x n + y) n + z`` of each entry, ascending, then ``n**3`` past them all."""
+        n = np.int64(self.n)
+        keys = np.append((self.x * n + self.y) * n + self.z, n**3)
+        assert (np.diff(keys) > 0).all(), "entries out of (x, y, z) order"
+        return _frozen(keys)
 
     def row(self, x: int, y: int) -> tuple:
         """The row ``((z, c), ...)`` of the stored product ``x . y``."""
-        p = int(np.searchsorted(self._products, x * self.n + y))
-        i = np.arange(self.starts[p], self.starts[p + 1])
+        first = (x * self.n + y) * self.n
+        i = np.arange(*np.searchsorted(self.keys, [first, first + self.n]))
         return tuple(zip(self.z[i].tolist(), self.coefficients(i)))
 
     def rows(self) -> dict:
@@ -470,13 +484,19 @@ def _worst(a, b):
 def _gather(V: TableView, c: np.ndarray):
     """The function ``(x, y, z) -> c^z_{x,y}`` of the values ``c``, 0 off the entries.
 
-    It reads a dense ``n x n x n`` map of entry indices, so that it works
-    for any dtype of ``c``, Python ints included.
+    It finds each entry by a binary search of the entries' sorted keys
+    ``(x n + y) n + z`` (:attr:`TableView.keys`), in memory linear in the
+    entries, and works for any dtype of ``c``, Python ints included.
     """
-    index = np.full((V.n,) * 3, len(V.z), dtype=np.int32)
-    index[V.x, V.y, V.z] = np.arange(len(V.z), dtype=np.int32)
+    keys, n = V.keys, V.n
     padded = np.concatenate((c, np.zeros(1, dtype=c.dtype)))
-    return lambda x, y, z: padded[index[x, y, z]]
+
+    def at(x, y, z):
+        q = (np.asarray(x, dtype=np.int64) * n + y) * n + z
+        i = np.searchsorted(keys, q)
+        return padded[np.where(keys[i] == q, i, len(c))]
+
+    return at
 
 
 def axiom_defects(V: TableView, c: np.ndarray) -> tuple[dict, int]:
@@ -541,50 +561,55 @@ def _associativity(V: TableView, C: np.ndarray, p: np.ndarray | None) -> tuple[f
     """Largest |((x.y).z - x.(y.z))_v| over the triples inside the section.
 
     A triple (x, y, z) is checked when every row both sides use is stored:
-    x.y, y.z, w.z for w in supp(x.y) and x.w for w in supp(y.z).  For each
-    x, the slabs ``L = C[x] @ C.reshape(n, n*n)`` and ``R = C.reshape(n*n, n)
-    @ C[x]`` hold both sides for all (y, z, v); they are taken in blocks of
-    y so that they stay below a quarter of ``C`` each, or of one of its
-    ``n x n x n`` layers when ``C`` has a leading axis (one per prime
-    ``p``), or below :data:`SLAB_FLOOR` values if that is more.  A block
-    takes only the span of z that holds its checked triples.  Returns the
-    worst violation and the number of triples checked.
+    x.y, y.z, w.z for w in supp(x.y) and x.w for w in supp(y.z).  The
+    slabs ``L = C[x] @ C.reshape(n, n*n)`` and ``R = C.reshape(n*n, n) @
+    C[x]`` hold both sides for all (y, z, v).  Each slab holds at most a
+    quarter of ``C``, or of one of its ``n x n x n`` layers when ``C`` has a
+    leading axis (one per prime ``p``), or :data:`SLAB_FLOOR` values if that
+    is more: a block of whole x when ``n**3`` fits, else blocks of y for one
+    x.  The mask of checked triples is built per block of x, in bools, and
+    a block takes only the span of y and z that holds its checked triples.
+    Returns the worst violation and the number of triples checked.
     """
     n, lead = V.n, C.shape[:-3]
-    left_of = C.reshape(lead + (n, n * n))
+    left_of = C.reshape(lead + (1, n, n * n))
     missing = ~V.has_row
     gaps = missing.astype(float) if missing.any() else None
     if gaps is not None:
         stored = np.zeros((n, n, n), dtype=bool)
         stored[V.x, V.y, V.z] = True
-    block = max(1, max(n**3 // 4, SLAB_FLOOR) // (n * n * math.prod(lead)))
+    rows = max(1, max(n**3 // 4, SLAB_FLOOR) // (n * n * math.prod(lead)))  # (x, y) per slab
+    step, span = max(1, rows // n), min(rows, n)  # x per block, y per slab
     worst, checked = 0.0, 0
-    for x in range(n):
-        ys = np.flatnonzero(V.has_row[x])
+    for x0 in range(0, n, step):
+        xs = slice(x0, min(x0 + step, n))
+        ok = V.has_row[xs, :, None] & V.has_row  # x.y and y.z stored
+        if gaps is not None:
+            ok &= stored[xs].astype(float) @ gaps == 0
+            # the products y.z whose support holds a w with x.w missing
+            k = ok.shape[0]
+            bad = np.bincount((np.arange(k)[:, None] * len(V.px) + V.pair).ravel(),
+                              weights=gaps[xs][:, V.z].ravel(), minlength=k * len(V.px))
+            b, q = np.divmod(np.flatnonzero(bad), len(V.px))
+            ok[b, V.px[q], V.py[q]] = False
+        checked += int(ok.sum())
+        ys = np.flatnonzero(ok.any(axis=(0, 2)))
         if not ys.size:
             continue
-        ok = np.zeros((n, n), dtype=bool)
-        ok[ys] = True
-        if gaps is not None:
-            ok &= V.has_row
-            ok &= stored[x].astype(float) @ gaps == 0
-            bad = np.bincount(V.pair, weights=gaps[x, V.z], minlength=len(V.px)) > 0
-            ok[V.px[bad], V.py[bad]] = False
-        checked += int(ok.sum())
-        for lo in range(ys[0], ys[-1] + 1, block):
-            hi = min(lo + block, ys[-1] + 1)
+        for lo in range(ys[0], ys[-1] + 1, span):
+            hi = min(lo + span, ys[-1] + 1)
             z0, z1 = 0, n
             if gaps is not None:  # a section: only some (y, z) are checked
-                zs = np.flatnonzero(ok[lo:hi].any(axis=0))
+                zs = np.flatnonzero(ok[:, lo:hi].any(axis=(0, 1)))
                 if not zs.size:
                     continue
                 # the columns (z, v) of z0 <= z < z1 are one strided block of C
                 z0, z1 = zs[0], zs[-1] + 1
-            diff = C[..., x, lo:hi, :] @ left_of[..., z0 * n:z1 * n]
-            diff -= (C[..., lo:hi, z0:z1, :].reshape(lead + (-1, n))
-                     @ C[..., x, :, :]).reshape(diff.shape)
-            diff = _defect(diff, p).reshape(lead + (hi - lo, z1 - z0, n))
-            worst = _worst(worst, diff.max(axis=-1)[..., ok[lo:hi, z0:z1]].max())
+            diff = C[..., xs, lo:hi, :] @ left_of[..., z0 * n:z1 * n]
+            diff -= (C[..., lo:hi, z0:z1, :].reshape(lead + (1, -1, n))
+                     @ C[..., xs, :, :]).reshape(diff.shape)
+            diff = _defect(diff, p).reshape(diff.shape[:-1] + (z1 - z0, n)).max(axis=-1)
+            worst = _worst(worst, (diff if gaps is None else diff[..., ok[:, lo:hi, z0:z1]]).max())
     return worst, checked
 
 
@@ -609,27 +634,48 @@ def exact_defects(V: TableView) -> tuple[dict, int] | None:
 
     The checks are those of :func:`hypharm.core.verify_axioms`, in its
     report order: :func:`entry_defects` on the exact numerators of c, then
-    associativity on N, in one float64 pass while every sum it forms is
-    exact (``2 n max|N|**2 <= 2**53``), else on N's residues modulo
-    :func:`crt_primes` for that height.  Returns None when associativity
-    fails and its size is not known here: the residues show only that a
-    defect is not 0, and a defect of N is one of c, divided by ``s**2``,
-    only when the scales are uniform.
+    associativity (:func:`_exact_associativity`).  Returns None when
+    associativity fails and its size is not known here.
     """
     num, den = V.numerators
     worst = {k: Fraction(int(w), den) for k, w in entry_defects(V, num, den).items()}
+    w, checked = _exact_associativity(V)
+    if w is None:
+        return None
+    worst["associativity"] = w
+    return worst, checked
+
+
+def _exact_associativity(V: TableView) -> tuple[Fraction | None, int]:
+    """The worst associativity violation of an exact view, and the triples checked.
+
+    A product of two exact factors (``V.factors``) is associative when
+    both factors are: ``N = N1 (x) N2``, so each side of its associativity
+    law is the tensor product of the factors' sides, and it checks
+    ``checked1 * checked2`` triples.  A factor that fails sends the product
+    to the full check below.
+
+    The full check runs on N, in one float64 pass while every sum it forms
+    is exact (``2 n max|N|**2 <= 2**53``), else on N's residues modulo
+    :func:`crt_primes` for that height.  The violation is None when it is
+    not 0 and its size is not known here: the residues show only that a
+    defect is not 0, and a defect of N is one of c, divided by ``s**2``,
+    only when the scales are uniform.
+    """
+    if V.factors is not None:  # an exact product has exact factors
+        found = [_exact_associativity(W) for W in V.factors]
+        if all(w == 0 for w, _ in found):
+            return Fraction(0), found[0][1] * found[1][1]
     top = max_abs(V.N)
     height = 2 * V.n * top * top
     if height <= EXACT_FLOAT:
         w, checked = _associativity(V, V.dense(V.N.astype(float)), None)
         if w and not V.uniform:
-            return None
+            return None, checked
         s, t = (int(a[0]) for a in V._scale)  # the scale s / t of a uniform view
-        worst["associativity"] = Fraction(int(w) * t * t, s * s)
-        return worst, checked
+        return Fraction(int(w) * t * t, s * s), checked
     for p in _batches(V, crt_primes(V.n, height)):
         w, checked = _associativity(V, V.dense(residues(V.N, p)), p)
         if w:
-            return None
-    worst["associativity"] = Fraction(0)
-    return worst, checked
+            return None, checked
+    return Fraction(0), checked

@@ -246,6 +246,14 @@ def test_product_subcommand():
     assert "pass" in out
 
 
+def test_product_of_400_points_passes():
+    # checked from its factors: its full check is a dense pass with a 512 MB cube
+    code, out = _run(["product", "--family", "cyclic", "--n", "20",
+                      "--family2", "cyclic", "--n2", "20", "--format", "structured"])
+    assert code == 0
+    assert "\nsize 400\n" in out and "\npass true\n" in out
+
+
 def test_quantum_subcommand():
     code, out = _run(
         ["quantum", "--q", "1/2", "--radius", "12", "--format", "structured"]

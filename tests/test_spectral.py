@@ -20,7 +20,7 @@ from hypharm import (
 )
 from hypharm.builders import FamilySpec, family
 from hypharm.core import HypergroupTable
-from hypharm.spectral import _schur_bound, section_operator
+from hypharm.spectral import _multiplicativity_residual, _schur_bound, section_operator
 from hypharm.errors import DegenerateSpectrum, DominationFailure
 
 # S3 character table over classes (e, transpositions, 3-cycles)
@@ -252,6 +252,36 @@ def test_perturbed_factor_character_is_rejected():
     twice.chars[2] = ct.chars[1]
     with pytest.raises(DegenerateSpectrum, match="Parseval check failed"):
         product_characters(K, ct, twice)
+
+
+# the 21 products of test_view's six factors, and the H x H of Z12, Z16 and Z20
+PRODUCT_FACTORS = [FamilySpec(f, group=g) for f, g in (
+    ("conj", "s3"), ("irr", "s3"), ("conj", "klein"), ("irr", "a4"), ("irr", "d4"), ("conj", "q8"))]
+FACTOR_PAIRS = [(a, b) for i, a in enumerate(PRODUCT_FACTORS) for b in PRODUCT_FACTORS[i:]]
+FACTOR_PAIRS += [(s, s) for s in AMENABILITY_SPECS]
+FACTOR_PAIRS += [(FamilySpec("cyclic", n=n),) * 2 for n in (12, 16, 20)]
+
+
+@pytest.mark.parametrize("specs", FACTOR_PAIRS,
+                         ids=lambda p: "x".join(f"{s.name}-{s.group or s.n}" for s in p))
+def test_product_residual_bounds_the_full_residual(specs):
+    H1, H2 = (family(s) for s in specs)
+    K = builders.product(H1, H2)
+    ct1, ct2 = characters(H1), characters(H2)
+    got = product_characters(K, ct1, ct2)
+    full = _multiplicativity_residual(K, np.kron(ct1.chars, ct2.chars))
+    assert full <= got.residual < 1e-9
+    # the bound is the factor bound, within rounding of it
+    r1, r2 = (_multiplicativity_residual(H, ct.chars) for H, ct in ((H1, ct1), (H2, ct2)))
+    assert got.residual < r2 + 2 * r1 + 1e-13
+
+
+def test_product_characters_need_the_factors():
+    H = builders.conjugacy_hypergroup(groups.symmetric(3))
+    K = builders.product(H, H)
+    copy = HypergroupTable.from_rows(K.name, K.size, K.involution, K.rows)
+    with pytest.raises(ValueError, match="built as a product"):
+        product_characters(copy, characters(H), characters(H))
 
 
 def test_product_characters_need_a_matching_size():

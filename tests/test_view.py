@@ -249,21 +249,25 @@ MUTABLE = ("conj_s3", "irr_s4", "conj_d4", "z4", "conj_s3xirr_d4", "tree2_r8", "
     den=st.integers(1, 6),
 )
 def test_mutated_table_flags_like_loop(name, pick, drop, num, den):
-    base = _table(name)
+    H = _mutated(_table(name), pick, None if drop else Fraction(num, den))
+    _assert_same_report(verify_axioms(H), _verify_axioms_loop(H), exact=True)
+    assert _haar_defect(H) == _haar_defect_loop(H)
+
+
+def _mutated(base, pick, value):
+    """``base`` from its rows with entry ``pick`` set to ``value``, or dropped if None."""
     rows = {k: dict(v) for k, v in base.rows.items()}
     entries = [(k, z) for k, row in rows.items() for z in row]
     key, z = entries[pick % len(entries)]
-    if drop:
+    if value is None:
         del rows[key][z]
     else:
-        rows[key][z] = Fraction(num, den)
-    H = HypergroupTable.from_rows(
+        rows[key][z] = value
+    return HypergroupTable.from_rows(
         "mutated", base.size, base.involution, {k: r.items() for k, r in rows.items()},
         identity=base.identity, haar=base.haar, commutative=base.commutative,
         truncated=base.truncated, radius=base.radius, generator=base.generator,
     )
-    _assert_same_report(verify_axioms(H), _verify_axioms_loop(H), exact=True)
-    assert _haar_defect(H) == _haar_defect_loop(H)
 
 
 # -- memory ----------------------------------------------------------------
@@ -294,6 +298,14 @@ def test_verify_axioms_memory_is_cubic():
     n = D.size
     # no n**4 array and no second float n**3 tensor, view included
     assert _peak_bytes(build_and_verify) < 3 * 8 * n**3
+
+
+def test_product_check_memory_is_below_the_cube():
+    # Z20 x Z20 has 400 points: its dense map of entry indices alone took
+    # 4 n**3 bytes, its dense associativity pass 8 n**3 per array
+    Z20 = family(FamilySpec("cyclic", n=20))
+    n = Z20.size**2
+    assert _peak_bytes(lambda: verify_axioms(builders.product(Z20, Z20))) < n**3
 
 
 def test_characters_memory_is_below_dense_matrices():
@@ -627,3 +639,55 @@ def test_exact_builtins_hold_n_and_scales(name):
     want = [float(dict(H.row(x, y))[z]) for x, y, z in zip(V.x.tolist(), V.y.tolist(),
                                                               V.z.tolist())]
     assert V.c.tobytes() == np.array(want).tobytes()
+
+
+# -- products: associativity from the factors ---------------------------------
+
+
+def _products():
+    out = {k: v for k, v in EXACT_BUILTINS.items() if "x" in k}
+    # the H x H of the benchmark's amenability jobs
+    for g in ("s3", "s4", "a4", "d4", "q8", "klein", "z5"):
+        for fam in ("conj", "irr"):
+            spec = FamilySpec(fam, group=g)
+            out[f"{fam}_{g}^2"] = lambda spec=spec: builders.product(family(spec), family(spec))
+    for n in (3, 4, 5, 6):
+        spec = FamilySpec("cyclic", n=n)
+        out[f"z{n}^2"] = lambda spec=spec: builders.product(family(spec), family(spec))
+    return out
+
+
+PRODUCTS = _products()
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCTS))
+def test_product_checks_its_factors_like_the_full_check(name, monkeypatch):
+    K = PRODUCTS[name]()
+    full = _from_rows(K)  # the same table without factors
+    assert K.view.factors is not None and full.view.factors is None
+    sizes = []  # of the views whose associativity is checked densely
+    dense = view._associativity
+    monkeypatch.setattr(view, "_associativity",
+                        lambda V, C, p: sizes.append(V.n) or dense(V, C, p))
+    slow = verify_axioms(full)
+    assert sizes == [K.size]
+    sizes.clear()
+    fast = verify_axioms(K)
+    assert fast.passed and K.size not in sizes and len(sizes) >= 2
+    _assert_same_report(fast, slow, exact=True)
+
+
+@pytest.mark.parametrize("name, pick, value, other", [
+    ("conj_s3", 1, Fraction(1, 2), "z4"),
+    ("conj_s3", 4, None, "conj_klein"),
+    ("z4", 2, Fraction(-1, 3), "irr_s3"),
+    ("irr_s4", 7, Fraction(2), "z3"),
+])
+def test_product_with_a_failing_factor_runs_the_full_check(name, pick, value, other):
+    bad = _mutated(_table(name), pick, value)
+    assert not verify_axioms(bad).checks["associativity"].passed
+    for K in (builders.product(bad, _table(other)), builders.product(_table(other), bad)):
+        report = verify_axioms(K)
+        assert not report.checks["associativity"].passed
+        _assert_same_report(report, verify_axioms(_from_rows(K)), exact=True)
+        assert report.triples_checked == K.size**3
