@@ -278,8 +278,10 @@ def weak_amenability_witness(
     pulled back to H, with xi_a the Perron vectors of growing ball sections.
     The multiplier bound comes from |e_a|_{MA(H)} = |e_a|_{MA(H0)} <=
     |e_a|_{A(H0)} <= |xi_a|_2^2 = 1, cross-checked against interval
-    computations on both sides.  ``ct``, the character table of a finite
-    H, is computed when not given.
+    computations on both sides.  Raises ArithmeticError when the
+    deformation's axiom violation or dual-map residual exceeds its bound
+    (:meth:`~hypharm.spectral.DeformedPair.defect`).  ``ct``, the
+    character table of a finite H, is computed when not given.
     """
     if not H.truncated:
         if ct is None:
@@ -307,6 +309,8 @@ def weak_amenability_witness(
         )
     chi = chi0(H, seed=seed)
     pair = voit_deform(H, chi, seed=seed)
+    if (defect := pair.defect()) is not None:
+        raise ArithmeticError(defect)
     H0 = pair.deformed
     tests = {f"delta{x}": np.eye(H.size)[x] for x in range(3)}
     entries = []

@@ -77,11 +77,15 @@ def check_q(q):
 # -- group-derived tables -------------------------------------------------
 
 
+@functools.cache
 def group_hypergroup(G: FiniteGroup) -> HypergroupTable:
     """A group is a hypergroup with point products c^z_{x,y} = delta_{z,xy}.
 
     Built as entry arrays ``(x, y, xy)`` with N = 1 and s = 1
-    (:class:`TableView`), ``x <= y`` when the group is abelian.
+    (:class:`TableView`), ``x <= y`` when the group is abelian.  Built
+    once per group and process, as are :func:`conjugacy_hypergroup` and
+    :func:`irr_hypergroup`: callers share the table and must not change
+    it (its view is read-only).
     """
     n = G.order
     x, y = np.triu_indices(n) if G.abelian else np.indices((n, n)).reshape(2, -1)
@@ -101,13 +105,15 @@ def _commutative_entries(T: np.ndarray) -> tuple[np.ndarray, ...]:
     return x[upper], y[upper], z[upper]
 
 
+@functools.cache
 def conjugacy_hypergroup(G: FiniteGroup) -> HypergroupTable:
     """Conj(G) with c^{Ck}_{Ci,Cj} = #{(a, b) in Ci x Cj : ab in Ck} / (|Ci| |Cj|).
 
     The counts come from one pass over the Cayley table.  The table is
     built from them as entry arrays in the N-form (:class:`TableView`): the
     count is |Ck| N with N the class-sum constant, and s is the class size.
-    Its Fraction rows exist only once something reads them.
+    Its Fraction rows exist only once something reads them.  Built once per
+    group and process.
     """
     classes = G.conjugacy_classes()
     k = len(classes)
@@ -144,7 +150,8 @@ class GroupCharacterData:
 
     @functools.cached_property
     def irr(self) -> tuple:
-        """Irr(G) and its :class:`~hypharm.spectral.CharacterTable`, built on first use.
+        """Irr(G), the table :func:`irr_hypergroup` shares, and its
+        :class:`~hypharm.spectral.CharacterTable`, computed on first use.
 
         The characters are those of the default seed, as are ``chars``.
         """
@@ -212,13 +219,14 @@ def _character_data(
     )
 
 
+@functools.cache
 def irr_hypergroup(G: FiniteGroup) -> HypergroupTable:
     """Irr(G) with alpha.beta = sum_gamma (d_gamma / d_alpha d_beta) N^gamma gamma.
 
     Exact, from the integer dimensions and multiplicities of
     :func:`group_character_data`, as entry arrays in the N-form
     (:class:`TableView`; N the multiplicities, s the dimensions); Haar
-    weight lam(pi) = d_pi^2.
+    weight lam(pi) = d_pi^2.  Built once per group and process.
     """
     data = group_character_data(G)
     n = len(data.dims)

@@ -597,6 +597,12 @@ def chi0(
     return cand
 
 
+# The largest axiom violation of a deformation H0 and the largest
+# multiplicativity residual of its dual map that a sound deformation has.
+DEFORM_AXIOM_BOUND = 1e-10
+DEFORM_DUAL_MAP_BOUND = 1e-8
+
+
 @dataclass
 class DeformedPair:
     """Original table, dominant character and the Voit deformation H0.
@@ -612,6 +618,20 @@ class DeformedPair:
     haar_deformed: tuple
     axiom_violation: float
     dual_map_residual: float
+
+    def defect(self) -> str | None:
+        """Which evidence of the deformation exceeds its bound, or None if none does.
+
+        The bounds are :data:`DEFORM_AXIOM_BOUND` and
+        :data:`DEFORM_DUAL_MAP_BOUND`; NaN exceeds them.
+        """
+        for name, value, bound in (
+            ("axiom violation", self.axiom_violation, DEFORM_AXIOM_BOUND),
+            ("dual map residual", self.dual_map_residual, DEFORM_DUAL_MAP_BOUND),
+        ):
+            if not value <= bound:
+                return f"{self.deformed.name}: {name} {value:.2e} exceeds {bound:g}"
+        return None
 
 
 def voit_deform(

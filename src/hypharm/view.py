@@ -294,7 +294,9 @@ class TableView:
         """Keep the integers N of the stored coefficients at ``x, y, z`` and the scales ``num / den``.
 
         The products that :meth:`_fractions` forms of them are taken in
-        int64 while they stay below 2**53, else in Python ints.
+        int64 while they stay below 2**53, else in Python ints.  A view
+        without ``_source`` (a product) lists the stored coefficients as its
+        entries, so ``N`` is both, one array when its dtype serves.
         """
         top = max_abs(N)
         self.uniform = all(a * den[0] == b * num[0] for a, b in zip(num, den))
@@ -304,7 +306,7 @@ class TableView:
             big = max(map(abs, num + den)) ** 3 * top > EXACT_FLOAT
         kind = object if big else np.int64
         self._scale = (np.array(num, dtype=kind), np.array(den, dtype=kind))
-        self._form = (N.astype(kind), x, y, z)
+        self._form = (N.astype(kind, copy=self._source is not None), x, y, z)
         self.N = _frozen(self.entries(N))
 
     @classmethod
@@ -433,6 +435,16 @@ class TableView:
             i = self._source[i]
         num, den = self._fractions(i)
         return list(map(Fraction, num.tolist(), den.tolist() if np.ndim(den) else repeat(den)))
+
+    def haar_ratios(self, at: np.ndarray) -> tuple[list, list]:
+        """The Haar weights ``s_x s_x~ / (N^e_{x,x~} s_e)`` of an exact view, as Python ints.
+
+        ``at`` holds the entry ``c^e_{x,x~}`` of each x.  Returns the
+        numerators and denominators, not reduced, of ``1 / c^e_{x,x~}``: the
+        denominators and numerators of :meth:`_fractions`.
+        """
+        num, den = self._fractions(at if self._source is None else self._source[at])
+        return np.broadcast_to(den, num.shape).tolist(), num.tolist()
 
     @cached_property
     def keys(self) -> np.ndarray:

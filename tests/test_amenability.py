@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 from fractions import Fraction
 
@@ -194,6 +195,31 @@ def test_weak_amenability_su2():
     wa = weak_amenability_witness(S, radii=(5, 10, 20))
     assert wa.constant_bound <= 1 + 1e-6
     assert wa.residuals_decreasing
+
+
+def _bad_deformation(monkeypatch, **evidence):
+    """Make :func:`voit_deform` report ``evidence`` in place of its own."""
+    deform = amenability.voit_deform
+    monkeypatch.setattr(amenability, "voit_deform",
+                        lambda *a, **k: dataclasses.replace(deform(*a, **k), **evidence))
+
+
+@pytest.mark.parametrize("evidence, message", [
+    ({"axiom_violation": 2e-10}, r"tree_radial_q2_R24_voit: axiom violation 2\.00e-10 exceeds 1e-10"),
+    ({"axiom_violation": float("nan")}, "axiom violation nan exceeds 1e-10"),
+    ({"dual_map_residual": 2e-8}, r"dual map residual 2\.00e-08 exceeds 1e-08"),
+], ids=["axioms", "nan", "dual-map"])
+def test_weak_amenability_reads_the_deformation(monkeypatch, evidence, message):
+    T = builders.tree_radial(2, 24)
+    _bad_deformation(monkeypatch, **evidence)
+    with pytest.raises(ArithmeticError, match=message):
+        weak_amenability_witness(T, radii=(2, 4, 7))
+
+
+def test_weak_amenability_accepts_evidence_at_its_bounds(monkeypatch):
+    T = builders.tree_radial(2, 24)
+    _bad_deformation(monkeypatch, axiom_violation=1e-10, dual_map_residual=1e-8)
+    assert weak_amenability_witness(T, radii=(2, 4, 7)).constant_bound <= 1 + 1e-6
 
 
 def test_weak_amenability_needs_room():

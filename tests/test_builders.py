@@ -361,7 +361,7 @@ def test_group_hypergroup_matches_fraction_loop(tmp_path):
     cases = list(_groups_and_a_loaded_one(tmp_path).values())
     cases += [groups.cyclic(n) for n in (*range(1, 17), 96)]
     for G in cases:
-        H = builders.group_hypergroup(G)
+        H = builders.group_hypergroup.__wrapped__(G)  # a fresh build, not the shared table
         assert H._rows is None, G.name
         _assert_same_table(H, group_rows_loop(G))
 
@@ -399,11 +399,30 @@ def test_irr_hypergroup_builds_from_the_cached_integers():
     G = groups.symmetric(4)
     builders.irr_hypergroup(G)
     before = builders.group_character_data.cache_info()
-    H = builders.irr_hypergroup(G)
+    H = builders.irr_hypergroup.__wrapped__(G)  # a fresh build, not the shared table
     after = builders.group_character_data.cache_info()
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
     # Fraction rows only once something reads them
     assert verify_axioms(H).passed and H._rows is None
+
+
+def test_finite_tables_are_built_once_per_group(tmp_path):
+    for G in _groups_and_a_loaded_one(tmp_path).values():
+        for build in (builders.conjugacy_hypergroup, builders.irr_hypergroup,
+                      builders.group_hypergroup):
+            H = build(G)
+            assert build(G) is H, (build.__name__, G.name)
+            # shared, so read-only: the view's arrays and the float weights
+            V = H.view
+            for name in ("x", "y", "z", "c", "N", "px", "py", "starts", "pair",
+                         "has_row", "inv", "keys"):
+                assert not getattr(V, name).flags.writeable, (H.name, name)
+            assert not H.lam.flags.writeable
+        assert builders.group_character_data(G).irr[0] is builders.irr_hypergroup(G)
+    # an equal group, loaded again, shares the table
+    path = tmp_path / "s3.cayley"
+    assert (builders.irr_hypergroup(groups.load_group(str(path), "S3file"))
+            is builders.irr_hypergroup(groups.load_group(str(path), "S3file")))
 
 
 def test_irr_row_sums_are_checked(monkeypatch):
@@ -415,7 +434,7 @@ def test_irr_row_sums_are_checked(monkeypatch):
     broken = dataclasses.replace(data, mult=tuple(tuple(map(tuple, r)) for r in mult))
     monkeypatch.setattr(builders, "group_character_data", lambda _: broken)
     with pytest.raises(NonIntegerDimension, match="does not sum to 1"):
-        builders.irr_hypergroup(G)
+        builders.irr_hypergroup.__wrapped__(G)  # a fresh build, not the shared table
 
 
 # -- products ----------------------------------------------------------------

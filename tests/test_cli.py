@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import gc
 import io
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import hypharm
-from hypharm import builders, groups, save_table
+from hypharm import builders, groups, save_table, spectral
 from hypharm.cli import run
 
 
@@ -227,6 +228,21 @@ def test_norms_structured_includes_witness():
     )
     assert code == 0
     assert "u0.witness.xi" in out and "u0.witness.product_error" in out
+
+
+@pytest.mark.parametrize("evidence, code", [
+    ({"axiom_violation": 1e-10, "dual_map_residual": 1e-8}, 0),
+    ({"axiom_violation": 2e-10}, 1),
+    ({"dual_map_residual": 2e-8}, 1),
+], ids=["at-bounds", "axioms", "dual-map"])
+def test_deform_and_amenability_share_the_deformation_bounds(monkeypatch, evidence, code):
+    deform = spectral.voit_deform
+    bad = lambda *a, **k: dataclasses.replace(deform(*a, **k), **evidence)  # noqa: E731
+    monkeypatch.setattr(spectral, "voit_deform", bad)
+    monkeypatch.setattr(hypharm.amenability, "voit_deform", bad)
+    table = ["--family", "tree_radial", "--q", "2", "--radius", "24"]
+    assert _run(["deform"] + table)[0] == code
+    assert _run(["amenability"] + table + ["--radii", "2,4,7"])[0] == code
 
 
 def test_deform_tree():

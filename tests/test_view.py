@@ -308,6 +308,22 @@ def test_product_check_memory_is_below_the_cube():
     assert _peak_bytes(lambda: verify_axioms(builders.product(Z20, Z20))) < n**3
 
 
+def test_exact_product_holds_n_once():
+    # a product's stored coefficients are its entries, so one array of N serves both
+    V = family(FamilySpec("cyclic", n=20)).view
+    K = TableView.product(V, V)
+    assert K._form[0] is K.N
+
+    def build(k):
+        kept = [TableView.product(V, V) for _ in range(k)]  # noqa: F841 (held to the end)
+
+    # what each product keeps, without the temporaries of one build: x, y, z
+    # and pair in int32, N in int64, starts, px, py and has_row (one product
+    # per entry here) make 41 bytes per entry; N held twice made 49
+    per_product = (_peak_bytes(build, 4) - _peak_bytes(build, 1)) / 3
+    assert per_product < 45 * len(K.z)
+
+
 def test_characters_memory_is_below_dense_matrices():
     H = family(FamilySpec("cyclic", n=96))
     n = H.size
@@ -485,6 +501,66 @@ def test_haar_weights_come_from_the_view(name):
     for K in (H, copy):
         assert K.haar == _builder_haar(name)
         assert all(type(v) is Fraction for v in K.haar)
+
+
+def _haar_oracle(H):
+    """1 / c^e_{x,x~} from the view's Fraction coefficients, as the table once took them."""
+    V = H.view
+    mine = (V.z == H.identity) & (V.y == V.inv[V.x])
+    at = np.full(H.size, -1)
+    at[V.x[mine]] = np.flatnonzero(mine)
+    assert (at >= 0).all()
+    return tuple(1 / c for c in V.coefficients(at))
+
+
+def _rows_copy(H):
+    """``H`` built again from its Fraction rows, without its Haar weights."""
+    return HypergroupTable.from_rows(H.name, H.size, H.involution, H.rows)
+
+
+def _haar_parity_tables(tmp_path):
+    path = tmp_path / "s3.cayley"
+    groups.save_group(groups.symmetric(3), str(path))
+    gs = [groups.get_group(g) for g in GROUPS] + [groups.load_group(str(path), "S3file")]
+    for G in gs:
+        # fresh builds, so that lam is read from N and s, not from a shared table's haar
+        for build in (builders.conjugacy_hypergroup, builders.irr_hypergroup,
+                      builders.group_hypergroup):
+            yield lambda build=build, G=G: build.__wrapped__(G)
+    for a, b in itertools.combinations_with_replacement(PRODUCT_FACTORS, 2):
+        def build(a=a, b=b):
+            return builders.product(family(FamilySpec(a[0], group=a[1])),
+                                    family(FamilySpec(b[0], group=b[1])))
+        yield build
+        # its rows as Fractions: one scale, their common denominator, for every point
+        yield lambda build=build: _rows_copy(build())
+    for g in GROUPS:  # the group fusion rings, given their weights, again without them
+        for kind in ("n", "d"):
+            yield lambda g=g, kind=kind: HypergroupTable(g, N_FORM[f"{g}_{kind}"]().view)
+
+
+def test_haar_weights_from_n_and_s_equal_the_oracle(tmp_path):
+    count = 0
+    for build in _haar_parity_tables(tmp_path):
+        H = build()
+        oracle = _haar_oracle(H)
+        lam = H.lam  # before haar: from N and s directly
+        assert lam.tobytes() == np.array([float(v) for v in oracle]).tobytes(), H.name
+        assert H.haar == oracle and all(type(v) is Fraction for v in H.haar), H.name
+        again = build()
+        assert again.haar == oracle and again.lam.tobytes() == lam.tobytes(), H.name
+        count += 1
+    assert count == 27 + 2 * 21 + 16
+
+
+def test_lam_from_n_and_s_overflows_like_the_fractions():
+    tiny = Fraction(1, 10**400)
+    rows = {(0, 0): [(0, Fraction(1))], (0, 1): [(1, Fraction(1))],
+            (1, 1): [(0, tiny), (1, 1 - tiny)]}
+    H = HypergroupTable.from_rows("tiny", 2, [0, 1], rows)
+    with pytest.raises(ValueError, match="tiny: Haar weights beyond the range of float64"):
+        H.lam
+    assert H.haar == (1, 10**400)
 
 
 def test_haar_weights_from_the_view_name_the_first_bad_point():
