@@ -33,7 +33,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from operator import truediv
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -239,25 +238,6 @@ class HypergroupTable:
             rows[key] = self.view.row(*key)
         return rows[key]
 
-    def _diagonal(self) -> np.ndarray:
-        """The entry ``c^e_{x,x~}`` of the view for each x.
-
-        Raises :class:`TruncationOverflow` for the first x whose product
-        x.x~ is not stored, and :class:`ZeroDiagonal` for the first whose
-        product has no mass at e.
-        """
-        V, inv = self.view, self.involution
-        mine = (V.z == self.identity) & (V.y == V.inv[V.x])  # the entries c^e_{x,x~}
-        at = np.full(self.size, -1)
-        at[V.x[mine]] = np.flatnonzero(mine)
-        if (bad := np.flatnonzero(at < 0)).size:
-            x = int(bad[0])
-            if not V.has_row[x, inv[x]]:
-                raise TruncationOverflow(
-                    f"{self.name}: product {x}.{inv[x]} leaves the stored section")
-            raise ZeroDiagonal(f"{self.name}: c^e_{{{x},{inv[x]}}} = 0")
-        return at
-
     @property
     def haar(self) -> tuple:
         """Haar weights lam(x) = 1 / c^e_{x,x~}, lam(e) = 1.
@@ -265,11 +245,21 @@ class HypergroupTable:
         Unless given at construction, they are read from the view: of an
         N-form ``lam(x) = s_x s_x~ / (N^e_{x,x~} s_e)`` as Fractions
         (:meth:`TableView.haar_ratios`), of a float table ``1 / c^e_{x,x~}``.
-        Raises :class:`TruncationOverflow` or :class:`ZeroDiagonal` for the
-        first x without a weight (:meth:`_diagonal`).
+        Raises :class:`TruncationOverflow` for the first x whose product
+        x.x~ is not stored, and :class:`ZeroDiagonal` for the first whose
+        product has no mass at e.
         """
         if self._haar is None:
-            V, at = self.view, self._diagonal()
+            V, inv = self.view, self.involution
+            mine = (V.z == self.identity) & (V.y == V.inv[V.x])  # the entries c^e_{x,x~}
+            at = np.full(self.size, -1)
+            at[V.x[mine]] = np.flatnonzero(mine)
+            if (bad := np.flatnonzero(at < 0)).size:
+                x = int(bad[0])
+                if not V.has_row[x, inv[x]]:
+                    raise TruncationOverflow(
+                        f"{self.name}: product {x}.{inv[x]} leaves the stored section")
+                raise ZeroDiagonal(f"{self.name}: c^e_{{{x},{inv[x]}}} = 0")
             self._haar = (tuple(map(Fraction, *V.haar_ratios(at))) if V.rational
                           else tuple(1 / c for c in V.c[at].tolist()))
         return self._haar
@@ -278,16 +268,11 @@ class HypergroupTable:
     def lam(self) -> np.ndarray:
         """The Haar weights in float64, read-only.
 
-        The weights of an N-form are each one quotient of Python ints,
-        rounded once, as ``float`` rounds the Fraction.  Raises ValueError,
-        naming the table, when an exact weight is beyond float64's range.
+        Raises ValueError, naming the table, when an exact weight is beyond
+        float64's range.
         """
         try:
-            if self._haar is None and self.view.rational:
-                num, den = self.view.haar_ratios(self._diagonal())
-                lam = np.fromiter(map(truediv, num, den), float, self.size)
-            else:
-                lam = np.array([float(v) for v in self.haar])
+            lam = np.array([float(v) for v in self.haar])
         except OverflowError:
             raise ValueError(f"{self.name}: Haar weights beyond the range of float64") from None
         lam.flags.writeable = False
