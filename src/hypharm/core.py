@@ -38,7 +38,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import FileFormatError, TruncationOverflow, ZeroDiagonal
-from .view import TableView, axiom_defects, exact_defects, haar_defect, int_array, max_abs
+from .view import (TableView, axiom_defects, exact_defects, exact_haar_defect, haar_defect,
+                   int_array)
 
 DEFAULT_TOL = 1e-9
 DEFAULT_SEED = 7
@@ -146,9 +147,10 @@ class HypergroupTable:
     generator, the element labels, and the Haar weights of a section (it
     does not store every x.x~) or of a fusion ring; other tables read
     theirs from the view (:attr:`haar`).  The Fraction rows serve the exact
-    calculus, the loop oracles and the file writer: the table reads them
-    from the view as they are asked for, and builds the whole ``rows`` dict
-    only when ``rows`` itself is read.
+    calculus (:class:`HFunction`) and the file writer; :func:`verify_axioms`
+    and :func:`haar_weights` never read them.  The table reads them from the
+    view as they are asked for, and builds the whole ``rows`` dict only when
+    ``rows`` itself is read.
     """
 
     def __init__(
@@ -434,104 +436,6 @@ class AxiomReport:
         return out
 
 
-def _iter_pairs(H: HypergroupTable):
-    for (x, y) in H.rows:
-        yield x, y
-        if H.commutative and x != y:
-            yield y, x
-
-
-def _verify_axioms_loop(H: HypergroupTable, tol: float = DEFAULT_TOL) -> AxiomReport:
-    """:func:`verify_axioms` by Python loops over the stored rows.
-
-    The exact path that reports a nonzero associativity defect whose size
-    the array checks do not know, and the reference the array paths are
-    tested against.
-    """
-    report = AxiomReport(H.name, "rational" if H.exact else "float", tol)
-    e = H.identity
-
-    viol = 0
-    for x, y in _iter_pairs(H):
-        row = H.row(x, y)
-        s = sum(v for _, v in row)
-        viol = max(viol, abs(s - 1), max((abs(min(v, 0)) for _, v in row), default=0))
-    report.checks["probability"] = AxiomCheck(float(viol) <= tol, float(viol))
-
-    viol = 0
-    if not H.commutative:
-        for (x, y) in list(H.rows):
-            if H.has_row(y, x):
-                a = dict(H.row(x, y))
-                b = dict(H.row(y, x))
-                for z in set(a) | set(b):
-                    viol = max(viol, abs(a.get(z, 0) - b.get(z, 0)))
-    report.checks["commutativity"] = AxiomCheck(float(viol) <= tol, float(viol))
-
-    viol = 0
-    for x in range(H.size):
-        if H.has_row(e, x):
-            d = dict(H.row(e, x))
-            viol = max(viol, abs(d.get(x, 0) - 1))
-            viol = max(viol, sum(abs(v) for z, v in d.items() if z != x))
-        if not H.commutative and H.has_row(x, e):
-            d = dict(H.row(x, e))
-            viol = max(viol, abs(d.get(x, 0) - 1))
-            viol = max(viol, sum(abs(v) for z, v in d.items() if z != x))
-    report.checks["identity"] = AxiomCheck(float(viol) <= tol, float(viol))
-
-    # involution anti-homomorphism: c^z_{x,y} = c^{z~}_{y~,x~}
-    viol = 0
-    for x, y in _iter_pairs(H):
-        xi, yi = H.involution[x], H.involution[y]
-        if not H.has_row(yi, xi):
-            continue
-        mirror = dict(H.row(yi, xi))
-        for z, v in H.row(x, y):
-            viol = max(viol, abs(v - mirror.get(H.involution[z], 0)))
-    report.checks["involution"] = AxiomCheck(float(viol) <= tol, float(viol))
-
-    # support law: e in supp(x.y) iff y = x~
-    viol = 0
-    for x, y in _iter_pairs(H):
-        ce = dict(H.row(x, y)).get(e, 0)
-        if y == H.involution[x]:
-            if ce <= 0:
-                viol = max(viol, 1.0)
-        else:
-            viol = max(viol, abs(ce))
-    report.checks["support"] = AxiomCheck(float(viol) <= tol, float(viol))
-
-    # associativity of the measure algebra on all triples inside the section
-    viol = 0
-    checked = skipped = 0
-    for x in range(H.size):
-        for y in range(H.size):
-            if not H.has_row(x, y):
-                skipped += H.size
-                continue
-            for z in range(H.size):
-                try:
-                    left: dict[int, Value] = {}
-                    for w, c in H.row(x, y):
-                        for v, c2 in H.row(w, z):
-                            left[v] = left.get(v, 0) + c * c2
-                    right: dict[int, Value] = {}
-                    for w, c in H.row(y, z):
-                        for v, c2 in H.row(x, w):
-                            right[v] = right.get(v, 0) + c * c2
-                except TruncationOverflow:
-                    skipped += 1
-                    continue
-                checked += 1
-                for v in set(left) | set(right):
-                    viol = max(viol, abs(left.get(v, 0) - right.get(v, 0)))
-    report.checks["associativity"] = AxiomCheck(float(viol) <= tol, float(viol))
-    report.triples_checked = checked
-    report.triples_skipped = skipped
-    return report
-
-
 def verify_axioms(H: HypergroupTable, tol: float = DEFAULT_TOL) -> AxiomReport:
     """Check the hypergroup axioms on every stored row and triple.
 
@@ -543,23 +447,20 @@ def verify_axioms(H: HypergroupTable, tol: float = DEFAULT_TOL) -> AxiomReport:
     The checks run on the table's :class:`TableView`.  Float tables run in
     float64.  An exact table's view holds integers N with
     ``c^z_{x,y} = N^z_{x,y} s_z / (s_x s_y)`` (see :mod:`hypharm.view`),
-    and its checks take one exact path
-    (:func:`hypharm.view.exact_defects`): the checks on single entries run
-    once on the exact integer numerators of c, and associativity on N, in
-    float64 while every sum is exact and modulo primes beyond that.  A
-    product of two exact factors (:meth:`hypharm.view.TableView.product`)
-    runs the single-entry checks on itself and takes associativity from the
-    factors, ``N = N1 (x) N2``, with ``n1**3 n2**3`` triples checked; a
-    failing factor sends it to the full check on N.  A nonzero
-    associativity defect of N gives c's when the scales are uniform (rows
-    given as Fractions); any other, and any the residues show, is reported
-    by the Fraction loop.
+    and its checks take one exact path that reads no Fraction row
+    (:func:`hypharm.view.exact_defects`): the checks on single entries are
+    identities in integers on N times reduced per-point rationals, and
+    associativity runs on N, in float64 while every sum is exact and
+    modulo primes beyond that.  A product of two exact factors
+    (:meth:`hypharm.view.TableView.product`) runs the single-entry checks
+    on itself and takes associativity from the factors,
+    ``N = N1 (x) N2``, with ``n1**3 n2**3`` triples checked; a failing
+    factor sends it to the full check on N.  Whatever fails is sized
+    exactly: the failing entries in Fractions, the flagged triples in
+    integers from N.
     """
     V = H.view
-    if not H.exact:
-        found = axiom_defects(V, V.c)
-    elif (found := exact_defects(V)) is None:
-        return _verify_axioms_loop(H, tol)
+    found = exact_defects(V) if H.exact else axiom_defects(V, V.c)
     report = AxiomReport(H.name, "rational" if H.exact else "float", tol)
     worst, checked = found
     for name, w in worst.items():
@@ -570,36 +471,16 @@ def verify_axioms(H: HypergroupTable, tol: float = DEFAULT_TOL) -> AxiomReport:
     return report
 
 
-def _haar_defect_loop(H: HypergroupTable):
-    """Largest |lam(y) c^z_{x,y} - lam(z) c^y_{x~,z}|, by Python loops."""
-    lam = H.haar
-    worst = 0
-    for x, y in _iter_pairs(H):
-        xi = H.involution[x]
-        for z, c in H.row(x, y):
-            if not H.has_row(xi, z):
-                continue
-            mirror = dict(H.row(xi, z)).get(y, 0)
-            worst = max(worst, abs(lam[y] * c - lam[z] * mirror))
-    return worst
-
-
 def _haar_defect(H: HypergroupTable):
-    """:func:`_haar_defect_loop` on the table's :class:`TableView`.
+    """Largest |lam(y) c^z_{x,y} - lam(z) c^y_{x~,z}| over the stored triples.
 
-    An exact table with exact weights runs once on integers: the exact
-    numerators of c over their common denominator and those of the weights
-    over theirs.  Float tables or weights run in floats.
+    Exact on N and per-point rationals (:func:`hypharm.view.exact_haar_defect`)
+    for an exact table with exact weights; else in floats.
     """
     V = H.view
-    if not (H.exact and all(_is_exact(v) for v in H.haar)):
-        return float(haar_defect(V, V.c, H.lam))
-    lam_den = math.lcm(*{v.denominator for v in H.haar})
-    lam = int_array([v.numerator * (lam_den // v.denominator) for v in H.haar])
-    num, den = V.numerators
-    if 2 * max_abs(lam) * max_abs(num) >= 2**63:  # the differences leave int64
-        num, lam = num.astype(object), lam.astype(object)
-    return Fraction(int(haar_defect(V, num, lam)), lam_den * den)
+    if H.exact and all(_is_exact(v) for v in H.haar):
+        return exact_haar_defect(V, H.haar)
+    return float(haar_defect(V, V.c, H.lam))
 
 
 def haar_weights(H: HypergroupTable, tol: float = DEFAULT_TOL) -> tuple:

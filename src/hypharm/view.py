@@ -19,11 +19,14 @@ product N1 N2 and s1 s2.  Rows given as Fractions are their numerators N
 over the common denominator D, with every s = D, so that c = N / D.
 
 A float table's checks run on its coefficients.  An exact table's are
-exact (:func:`exact_defects`):
+exact and read no Fraction row (:func:`exact_defects`,
+:func:`exact_haar_defect`):
 
-* the checks on single entries, and the Haar identity, run once on the
-  exact integer numerators of c over one common denominator
-  (:meth:`TableView.numerators`);
+* each check on single entries, and the Haar identity, is an identity in
+  integers between N at one or two entries times reduced per-point
+  rationals: ``s_e`` (identity), ``rho = s / s o inv`` (involution),
+  ``mu = lam / s**2`` and ``rho`` (Haar); a row's probability is
+  ``sum_z N s_z = s_x s_y`` over the least common denominator of s;
 * associativity runs on N.  Both sides at ``(x, y, z)`` and ``v`` are the
   same multiple ``s_v / (s_x s_y s_z)`` of those of N, so c is associative
   exactly when N is.  It takes one float64 pass while
@@ -34,10 +37,8 @@ exact (:func:`exact_defects`):
   products of the factors' sides.  A factor that fails sends it to the
   full check.
 
-A nonzero associativity defect of N is c's, divided by ``s**2``, only
-when s is uniform; otherwise, and when the residues show one, the Fraction
-loop of :mod:`hypharm.core` reports it.  That loop is also the oracle the
-array paths are tested against.
+Only what fails is sized: entries and rows in Fractions, flagged triples
+in integers from N.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ import functools
 import math
 from functools import cached_property
 from fractions import Fraction
-from itertools import repeat
 from operator import truediv
 
 import numpy as np
@@ -59,6 +59,7 @@ RESIDUE_BATCH = 2**16
 # Values in one associativity slab (128 KB of float64) at least: a table
 # with n**3 <= 2**14 (n <= 25) takes all y in one slab per x.
 SLAB_FLOOR = 2**14
+ZERO = Fraction(0)
 
 
 @functools.cache
@@ -153,14 +154,12 @@ class TableView:
     * ``rational`` -- whether the coefficients are exact;
     * ``N`` -- of an exact table, the integers N of
       ``c^z_{x,y} = N^z_{x,y} s_z / (s_x s_y)`` per entry (int64, or Python
-      ints beyond int64), else None; ``uniform`` -- whether every point has
-      the same scale ``s``, so that ``c = N / s``;
+      ints beyond int64), else None; :attr:`scales` -- the scales s as
+      Fractions;
     * :meth:`dense` -- the coefficients as an ``n x n x n`` array;
     * :meth:`coefficients`, :meth:`row` and :meth:`rows` -- the
       coefficients of some entries, or as table rows, exact ones as
       Fractions;
-    * :attr:`numerators` -- an exact table's coefficients as integers over
-      one common denominator (on first use);
     * ``factors`` -- the two factor views of a view built by
       :meth:`product`, else None.
 
@@ -269,20 +268,20 @@ class TableView:
         # entry i of product p is stored entry first[p] + i - starts[p]
         self._source = np.arange(starts[-1]) + np.repeat(first - starts[:-1], counts)
         self._index(n, identity, inv, commutative, scale is not None, px, py, starts,
-                    self.entries(z))
+                    np.repeat(np.arange(len(px), dtype=np.int32), counts), self.entries(z))
         if scale is None:
             self.c = _frozen(self.entries(vals))
         else:
             self._keep_form(vals, x, y, z, num, den)
 
-    def _index(self, n, identity, involution, commutative, rational, px, py, starts, z):
-        """Set the entry arrays from the sorted products and their entries."""
+    def _index(self, n, identity, involution, commutative, rational, px, py, starts, pair, z):
+        """Set the entry arrays from the sorted products, and ``pair`` and ``z`` of each entry."""
         self.n, self.identity, self.commutative, self.rational = n, identity, commutative, rational
-        self.px, self.py = _frozen(px.astype(np.int32)), _frozen(py.astype(np.int32))
+        self.px, self.py = (_frozen(a.astype(np.int32, copy=False)) for a in (px, py))
         self.starts = _frozen(starts)
-        self.pair = _frozen(np.repeat(np.arange(len(px), dtype=np.int32), np.diff(starts)))
-        self.x, self.y = _frozen(self.px[self.pair]), _frozen(self.py[self.pair])
-        self.z = _frozen(z.astype(np.int32))
+        self.pair = _frozen(pair)
+        self.x, self.y = _frozen(self.px[pair]), _frozen(self.py[pair])
+        self.z = _frozen(z.astype(np.int32, copy=False))
         has_row = np.zeros((n, n), dtype=bool)
         has_row[self.px, self.py] = True
         self.has_row = _frozen(has_row)
@@ -294,19 +293,15 @@ class TableView:
         """Keep the integers N of the stored coefficients at ``x, y, z`` and the scales ``num / den``.
 
         The products that :meth:`_fractions` forms of them are taken in
-        int64 while they stay below 2**53, else in Python ints.  A view
-        without ``_source`` (a product) lists the stored coefficients as its
-        entries, so ``N`` is both, one array when its dtype serves.
+        int64 while they stay below 2**53, else in Python ints; ``x, y, z``
+        are kept in int32.  A view without ``_source`` (a product) lists the
+        stored coefficients as its entries, so ``N`` and ``x, y, z`` are
+        both, one array each when its dtype serves.
         """
-        top = max_abs(N)
-        self.uniform = all(a * den[0] == b * num[0] for a, b in zip(num, den))
-        if self.uniform:  # c = N / s
-            big = max(top * abs(den[0]), abs(num[0])) > EXACT_FLOAT
-        else:
-            big = max(map(abs, num + den)) ** 3 * top > EXACT_FLOAT
-        kind = object if big else np.int64
+        kind = object if max(map(abs, num + den)) ** 3 * max_abs(N) > EXACT_FLOAT else np.int64
         self._scale = (np.array(num, dtype=kind), np.array(den, dtype=kind))
-        self._form = (N.astype(kind, copy=self._source is not None), x, y, z)
+        self._form = (N.astype(kind, copy=self._source is not None),
+                      *(a.astype(np.int32, copy=False) for a in (x, y, z)))
         self.N = _frozen(self.entries(N))
 
     @classmethod
@@ -329,42 +324,53 @@ class TableView:
         n1, n2 = V1.n, V2.n
         # the products (x, u).(y, v) in sorted order, as the factor products
         # p1 = (x, y) and p2 = (u, v); complete views list them in that order
-        grid = np.arange(n1 * n2)
+        grid = np.arange(n1 * n2, dtype=np.int32)
         p1 = ((grid // n2)[:, None] * n1 + grid // n2).ravel()
         p2 = ((grid % n2)[:, None] * n2 + grid % n2).ravel()
-        k1, k2 = np.diff(V1.starts)[p1], np.diff(V2.starts)[p2]
-        starts = np.concatenate(([0], np.cumsum(k1 * k2)))
-        # the entry t of product p pairs entry i of p1's row with entry j of p2's
-        pair = np.repeat(np.arange(len(p1)), k1 * k2)
-        local, k2 = np.arange(starts[-1]) - starts[pair], k2[pair]
-        i = V1.starts[p1][pair] + local // k2
-        j = V2.starts[p2][pair] + local % k2
+        k2 = np.diff(V2.starts)[p2]
+        counts = np.diff(V1.starts)[p1] * k2
+        starts = np.concatenate(([0], np.cumsum(counts)))
+        pair = np.repeat(np.arange(len(p1), dtype=np.int32), counts)
+        del counts
+        # the entry t of product p pairs entry i = V1.starts[p1] + t' // k2 of
+        # p1's row with entry j = V2.starts[p2] + t' % k2 of p2's, where
+        # t' = t - starts[p] counts from the start of its row
+        kind = np.int32 if starts[-1] < 2**31 else np.int64
+        i = np.arange(starts[-1], dtype=kind)
+        i -= starts[:-1].astype(kind)[pair]
+        i, j = np.divmod(i, k2.astype(kind)[pair])
+        i += V1.starts[:-1].astype(kind)[p1][pair]
+        j += V2.starts[:-1].astype(kind)[p2][pair]
+        del p1, p2, k2
+        z = V1.z[i] * n2 + V2.z[j]
+        rational = V1.rational and V2.rational
+        if rational:  # N1 N2, else c1 c2
+            vals = V1.N[i]
+            if max_abs(V1.N) * max_abs(V2.N) >= 2**63:
+                vals = vals.astype(object)
+            vals *= V2.N[j]
+        else:
+            vals = V1.c[i] * V2.c[j]
+        del i, j
         V = cls.__new__(cls)
         V._source = None
-        rational = V1.rational and V2.rational
-        if not rational:
-            V.c = _frozen(V1.c[i] * V2.c[j])
         inv = V1.inv[:, None] * n2 + V2.inv
         V._index(n1 * n2, V1.identity * n2 + V2.identity, inv.ravel(),
                  V1.commutative and V2.commutative, rational,
-                 grid.repeat(n1 * n2), np.tile(grid, n1 * n2), starts,
-                 V1.z[i] * n2 + V2.z[j])
+                 grid.repeat(n1 * n2), np.tile(grid, n1 * n2), starts, pair, z)
         if rational:
-            N1, N2 = V1.N[i], V2.N[j]
-            if max_abs(V1.N) * max_abs(V2.N) >= 2**63:
-                N1 = N1.astype(object)
             (a1, b1), (a2, b2) = ([s.tolist() for s in W._scale] for W in (V1, V2))
-            V._keep_form(N1 * N2, V.x, V.y, V.z, [a * b for a in a1 for b in a2],
+            V._keep_form(vals, V.x, V.y, V.z, [a * b for a in a1 for b in a2],
                          [a * b for a in b1 for b in b2])
+        else:
+            V.c = _frozen(vals)
         V.factors = (V1, V2)
         return V
 
     def _fractions(self, j) -> tuple:
-        """``(num, den)`` of the stored coefficients ``j``; of a uniform view one ``den`` for all."""
+        """``(num, den)`` of the stored coefficients ``j``, as integer arrays."""
         N, x, y, z = (a[j] for a in self._form)
         num, den = self._scale
-        if self.uniform:
-            return N * int(den[0]), int(num[0])
         return N * num[z] * den[x] * den[y], den[z] * num[x] * num[y]
 
     def _quotients(self, j=slice(None)) -> np.ndarray:
@@ -372,8 +378,7 @@ class TableView:
         num, den = self._fractions(j)
         if num.dtype == object:  # int64 numerators come with denominators below 2**53
             # Python's int / int rounds correctly at any size
-            den = den.tolist() if np.ndim(den) else repeat(den)
-            return np.fromiter(map(truediv, num.tolist(), den), float, len(num))
+            return np.fromiter(map(truediv, num.tolist(), den.tolist()), float, len(num))
         return num / den
 
     @cached_property
@@ -396,32 +401,9 @@ class TableView:
 
         ``c`` holds one value per entry in its last axis; leading axes carry over.
         """
-        C = np.zeros(c.shape[:-1] + (self.n,) * 3)
+        C = np.zeros(c.shape[:-1] + (self.n,) * 3, dtype=c.dtype)
         C[..., self.x, self.y, self.z] = c
         return C
-
-    @cached_property
-    def numerators(self) -> tuple[np.ndarray, int]:
-        """An exact view's coefficients as integers per entry over one denominator ``D > 0``.
-
-        ``D`` is the numerator of a uniform view's scale (for rows given as
-        Fractions their common denominator), else the least common
-        denominator.  The integers are int64 while a sum of ``n + 1`` of
-        them, or of them and ``D``, stays in int64, else Python ints.
-        """
-        num, den = self._fractions(slice(None))
-        if np.ndim(den) == 0:
-            num, den = (num, den) if den > 0 else (-num, -den)
-        else:
-            num, den = np.where(den < 0, -num, num), np.abs(den)
-            g = np.gcd(num, den)
-            num, den = num // g, den // g
-            D = math.lcm(*set(den.tolist()))
-            if max(max_abs(num), 1) * D >= 2**63:
-                num, den = num.astype(object), den.astype(object)
-            num, den = num * (D // den), D
-        kind = np.int64 if (self.n + 1) * max(max_abs(num), den) < 2**63 else object
-        return _frozen(self.entries(num.astype(kind))), den
 
     def entries(self, a: np.ndarray) -> np.ndarray:
         """Values given per stored coefficient, rearranged to the view's entries."""
@@ -434,7 +416,7 @@ class TableView:
         if self._source is not None:
             i = self._source[i]
         num, den = self._fractions(i)
-        return list(map(Fraction, num.tolist(), den.tolist() if np.ndim(den) else repeat(den)))
+        return list(map(Fraction, num.tolist(), den.tolist()))
 
     def haar_ratios(self, at: np.ndarray) -> tuple[list, list]:
         """The Haar weights ``s_x s_x~ / (N^e_{x,x~} s_e)`` of an exact view, as Python ints.
@@ -444,7 +426,12 @@ class TableView:
         denominators and numerators of :meth:`_fractions`.
         """
         num, den = self._fractions(at if self._source is None else self._source[at])
-        return np.broadcast_to(den, num.shape).tolist(), num.tolist()
+        return den.tolist(), num.tolist()
+
+    @cached_property
+    def scales(self) -> tuple:
+        """An exact view's scales s, one Fraction per point."""
+        return tuple(map(Fraction, *(a.tolist() for a in self._scale)))
 
     @cached_property
     def keys(self) -> np.ndarray:
@@ -475,8 +462,8 @@ class TableView:
     def same_entries(self, other: "TableView") -> bool:
         """True if both views store the same products and entries with equal coefficients.
 
-        Two exact views compare their numerators, each over the other's
-        denominator; otherwise the rows are compared.
+        Two exact views compare the fractions of each entry (:meth:`_fractions`)
+        by cross-multiplication; otherwise the rows are compared.
         """
         if (self.n, self.commutative) != (other.n, other.commutative) or not all(
                 np.array_equal(getattr(self, k), getattr(other, k))
@@ -484,7 +471,8 @@ class TableView:
             return False
         if not (self.rational and other.rational):
             return self.rows() == other.rows()
-        (n1, d1), (n2, d2) = self.numerators, other.numerators
+        (n1, d1), (n2, d2) = (V._fractions(slice(None) if V._source is None else V._source)
+                              for V in (self, other))
         return np.array_equal(n1.astype(object) * d2, n2.astype(object) * d1)
 
 
@@ -515,28 +503,15 @@ def axiom_defects(V: TableView, c: np.ndarray) -> tuple[dict, int]:
     """The worst violation of each axiom of a float table, and the associativity triples checked.
 
     The checks are those of :func:`hypharm.core.verify_axioms`, in its
-    report order: those of :func:`entry_defects`, then associativity on the
+    report order: the checks on single entries, then associativity on the
     dense array of the coefficients ``c``.
-    """
-    out = entry_defects(V, c, 1.0)
-    out["associativity"], checked = _associativity(V, V.dense(c), None)
-    return out, checked
-
-
-def entry_defects(V: TableView, c: np.ndarray, one) -> dict:
-    """The worst violation of each axiom but associativity, from the entries alone.
-
-    ``c`` holds the entries' coefficients in units of ``1 / one``: floats
-    with ``one = 1``, or an exact table's numerators over their denominator
-    ``one`` (int64, or Python ints, whose sums are exact at any size).  The
-    violations come in the same units.
     """
     e, inv, has_row = V.identity, V.inv, V.has_row
     at = _gather(V, c)
     out = {}
-    sums = np.zeros(len(V.px), dtype=c.dtype)
+    sums = np.zeros(len(V.px))
     np.add.at(sums, V.pair, c)
-    out["probability"] = _worst(np.abs(sums - one).max(initial=0), -c.min(initial=0))
+    out["probability"] = _worst(np.abs(sums - 1).max(initial=0), -c.min(initial=0))
 
     out["commutativity"] = 0.0
     if not V.commutative:
@@ -545,12 +520,12 @@ def entry_defects(V: TableView, c: np.ndarray, one) -> dict:
 
     # rows e.x and x.e: mass 1 at x and none elsewhere
     ys = V.py[V.px == e]
-    worst = np.abs(at(e, ys, ys) - one).max(initial=0)
+    worst = np.abs(at(e, ys, ys) - 1).max(initial=0)
     xs = V.px[V.py == e]
-    worst = _worst(worst, np.abs(at(xs, e, xs) - one).max(initial=0))
+    worst = _worst(worst, np.abs(at(xs, e, xs) - 1).max(initial=0))
     for side, other in ((V.x, V.y), (V.y, V.x)):
         off = (side == e) & (V.z != other)
-        mass = np.zeros(V.n, dtype=c.dtype)
+        mass = np.zeros(V.n)
         np.add.at(mass, other[off], np.abs(c[off]))
         worst = _worst(worst, mass.max())
     out["identity"] = worst
@@ -560,16 +535,17 @@ def entry_defects(V: TableView, c: np.ndarray, one) -> dict:
     out["involution"] = np.abs(c - at(inv[V.y], inv[V.x], inv[V.z]))[mirrored].max(initial=0)
 
     # support law: e in supp(x.y) iff y = x~; a missing e counts as 1
-    ce = np.zeros(len(V.px), dtype=c.dtype)
+    ce = np.zeros(len(V.px))
     to_e = V.z == e
     ce[V.pair[to_e]] = c[to_e]
     to_inverse = V.py == inv[V.px]
     out["support"] = _worst(np.abs(ce[~to_inverse]).max(initial=0),
-                            0.0 if (ce[to_inverse] > 0).all() else one)
-    return out
+                            0.0 if (ce[to_inverse] > 0).all() else 1.0)
+    out["associativity"], checked, _ = _associativity(V, V.dense(c), None)
+    return out, checked
 
 
-def _associativity(V: TableView, C: np.ndarray, p: np.ndarray | None) -> tuple[float, int]:
+def _associativity(V: TableView, C: np.ndarray, p: np.ndarray | None) -> tuple:
     """Largest |((x.y).z - x.(y.z))_v| over the triples inside the section.
 
     A triple (x, y, z) is checked when every row both sides use is stored:
@@ -581,7 +557,9 @@ def _associativity(V: TableView, C: np.ndarray, p: np.ndarray | None) -> tuple[f
     is more: a block of whole x when ``n**3`` fits, else blocks of y for one
     x.  The mask of checked triples is built per block of x, in bools, and
     a block takes only the span of y and z that holds its checked triples.
-    Returns the worst violation and the number of triples checked.
+    Returns the worst violation, the number of triples checked and, of an
+    exact view (``C`` holds N or its residues), the rows ``(x, y, z)`` of
+    the checked triples whose defect is not 0 (modulo some prime ``p``).
     """
     n, lead = V.n, C.shape[:-3]
     left_of = C.reshape(lead + (1, n, n * n))
@@ -592,7 +570,7 @@ def _associativity(V: TableView, C: np.ndarray, p: np.ndarray | None) -> tuple[f
         stored[V.x, V.y, V.z] = True
     rows = max(1, max(n**3 // 4, SLAB_FLOOR) // (n * n * math.prod(lead)))  # (x, y) per slab
     step, span = max(1, rows // n), min(rows, n)  # x per block, y per slab
-    worst, checked = 0.0, 0
+    worst, checked, flagged = 0.0, 0, [np.empty((0, 3), dtype=np.int64)]
     for x0 in range(0, n, step):
         xs = slice(x0, min(x0 + step, n))
         ok = V.has_row[xs, :, None] & V.has_row  # x.y and y.z stored
@@ -621,15 +599,18 @@ def _associativity(V: TableView, C: np.ndarray, p: np.ndarray | None) -> tuple[f
             diff -= (C[..., lo:hi, z0:z1, :].reshape(lead + (1, -1, n))
                      @ C[..., xs, :, :]).reshape(diff.shape)
             diff = _defect(diff, p).reshape(diff.shape[:-1] + (z1 - z0, n)).max(axis=-1)
-            worst = _worst(worst, (diff if gaps is None else diff[..., ok[:, lo:hi, z0:z1]]).max())
-    return worst, checked
+            if gaps is not None:
+                diff[..., ~ok[:, lo:hi, z0:z1]] = 0
+            top = diff.max()
+            worst = _worst(worst, top)
+            if top and V.rational:
+                hit = diff.reshape((-1,) + diff.shape[-3:]).max(axis=0)
+                flagged.append(np.argwhere(hit > 0) + (x0, lo, z0))
+    return worst, checked, np.concatenate(flagged)
 
 
 def haar_defect(V: TableView, c: np.ndarray, lam: np.ndarray):
-    """Largest |lam(y) c^z_{x,y} - lam(z) c^y_{x~,z}| over the stored triples.
-
-    ``c`` and ``lam`` are floats, or integers (int64, or Python ints).
-    """
+    """Largest |lam(y) c^z_{x,y} - lam(z) c^y_{x~,z}| over the stored triples, in floats."""
     xi = V.inv[V.x]
     d = lam[V.y] * c - lam[V.z] * _gather(V, c)(xi, V.z, V.y)
     return np.abs(d)[V.has_row[xi, V.z]].max(initial=0)
@@ -641,53 +622,178 @@ def _batches(V: TableView, primes: np.ndarray):
     return (primes[i:i + step] for i in range(0, len(primes), step))
 
 
-def exact_defects(V: TableView) -> tuple[dict, int] | None:
+# -- exact checks on N and per-point rationals -------------------------------
+
+
+def _reduced(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rationals ``num / den`` of two integer arrays, reduced."""
+    g = np.gcd(num, den)
+    return num // g, den // g
+
+
+def _rho(V: TableView) -> tuple[np.ndarray, np.ndarray]:
+    """``rho = s / s o inv`` per point, reduced (an int64 view's scales are below ``2**18``)."""
+    a, b = V._scale
+    return _reduced(a * b[V.inv], b * a[V.inv])
+
+
+def _times(N: np.ndarray, *factors) -> np.ndarray:
+    """``N`` times ``f[i]`` for each per-point array ``f`` and points ``i`` of ``factors``, exactly.
+
+    A factor that is 1 at every point is skipped.  The product is taken in
+    int64 while it fits, else in Python ints.
+    """
+    factors = [(f, i) for f, i in factors if (f != 1).any()]
+    if factors and max_abs(N) * math.prod(max_abs(f) for f, _ in factors) >= 2**63:
+        N = N.astype(object)
+        factors = [(f.astype(object), i) for f, i in factors]
+    for f, i in factors:
+        N = N * f[i]
+    return N
+
+
+def _values(V: TableView, i, N, x, y, z) -> list:
+    """``N s_z / (s_x s_y)`` at ``i`` of the integers ``N`` and points ``x, y, z``, as Fractions."""
+    if not len(i):
+        return []
+    s = V.scales
+    return [k * s[c] / (s[a] * s[b]) for k, a, b, c in zip(*(v[i].tolist() for v in (N, x, y, z)))]
+
+
+def _largest(values) -> Fraction:
+    return max(map(abs, values), default=ZERO)
+
+
+def exact_defects(V: TableView) -> tuple[dict, int]:
     """The worst violation of each axiom of an exact table, as Fractions, and the triples checked.
 
-    The checks are those of :func:`hypharm.core.verify_axioms`, in its
-    report order: :func:`entry_defects` on the exact numerators of c, then
-    associativity (:func:`_exact_associativity`).  Returns None when
-    associativity fails and its size is not known here.
+    The checks of :func:`axiom_defects` are identities in integers on N and
+    the scales ``s = a / b`` (see the module), sized in Fractions where they
+    fail; associativity (:func:`_exact_associativity`) comes last, as in the
+    report of :func:`hypharm.core.verify_axioms`.
     """
-    num, den = V.numerators
-    worst = {k: Fraction(int(w), den) for k, w in entry_defects(V, num, den).items()}
-    w, checked = _exact_associativity(V)
-    if w is None:
-        return None
-    worst["associativity"] = w
-    return worst, checked
+    e, inv, has_row, N = V.identity, V.inv, V.has_row, V.N
+    x, y, z = V.x, V.y, V.z
+    a, b = (v.tolist() for v in V._scale)  # b > 0
+    at = _gather(V, N)
+    out = {}
+
+    # sum_z N s_z = s_x s_y, with s = S / L: L sum_z N S_z = S_x S_y; and c >= 0
+    L = math.lcm(*b)
+    S = int_array([u * (L // w) for u, w in zip(a, b)])
+    width = int(np.diff(V.starts).max(initial=0))
+    big = max(L * width * max_abs(N) * max_abs(S), max_abs(S) ** 2) >= 2**63
+    S = S.astype(object) if big else S
+    sums = np.zeros(len(V.px), dtype=S.dtype)
+    np.add.at(sums, V.pair, (N.astype(object) if big else N) * S[z])
+    want = S[V.px] * S[V.py]
+    d = L * sums - want
+    i = np.flatnonzero(d)
+    worst = max(map(Fraction, np.abs(d[i]).tolist(), np.abs(want[i]).tolist()),
+                default=ZERO)
+    sign = V._scale[0] < 0
+    negative = (N < 0) ^ sign[x] ^ sign[y] ^ sign[z] if sign.any() else N < 0  # c < 0
+    out["probability"] = max(worst, _largest(_values(V, np.flatnonzero(negative), N, x, y, z)))
+
+    out["commutativity"] = ZERO
+    if not V.commutative:  # c at (x, y, z) and at (y, x, z) share s_z / (s_x s_y)
+        d = N - at(y, x, z)
+        out["commutativity"] = _largest(_values(V, np.flatnonzero(has_row[y, x] & (d != 0)),
+                                                d, x, y, z))
+
+    # rows e.x and x.e: c^x_{e,x} = c^x_{x,e} = N / s_e is 1, and no mass elsewhere
+    ys, xs = V.py[V.px == e], V.px[V.py == e]
+    diag = np.concatenate((at(e, ys, ys), at(xs, e, xs))).tolist()
+    worst = _largest([Fraction(k * b[e] - a[e], a[e]) for k in diag if k * b[e] != a[e]])
+    for side, other in ((x, y), (y, x)):
+        i = np.flatnonzero((side == e) & (z != other))
+        if len(i):
+            mass = np.zeros(V.n, dtype=object)
+            np.add.at(mass, other[i], list(map(abs, _values(V, i, N, x, y, z))))
+            worst = max(worst, mass.max())
+    out["identity"] = worst
+
+    # involution anti-homomorphism: c^z_{x,y} = c^{z~}_{y~,x~}, that is
+    # N rho_z / (rho_x rho_y) = N at (y~, x~, z~)
+    p, q = _rho(V)
+    xi, yi, zi = inv[y], inv[x], inv[z]
+    mirror = at(xi, yi, zi)
+    i = np.flatnonzero(has_row[xi, yi] & (_times(N, (p, z), (q, x), (q, y))
+                                          != _times(mirror, (q, z), (p, x), (p, y))))
+    out["involution"] = _largest(u - w for u, w in zip(_values(V, i, N, x, y, z),
+                                                       _values(V, i, mirror, xi, yi, zi)))
+
+    # support law: e in supp(x.y) iff y = x~; a missing or negative c^e_{x,x~} counts as 1
+    to_e = z == e
+    worst = _largest(_values(V, np.flatnonzero(to_e & (y != inv[x])), N, x, y, z))
+    positive = np.zeros(len(V.px), dtype=bool)
+    positive[V.pair[to_e & ~negative]] = True
+    out["support"] = worst if positive[V.py == inv[V.px]].all() else max(worst, Fraction(1))
+    out["associativity"], checked = _exact_associativity(V)
+    return out, checked
 
 
-def _exact_associativity(V: TableView) -> tuple[Fraction | None, int]:
+def exact_haar_defect(V: TableView, lam) -> Fraction:
+    """Largest |lam(y) c^z_{x,y} - lam(z) c^y_{x~,z}| over the stored triples, exactly.
+
+    For the exact weights ``lam``, ``mu = lam / s**2`` and ``rho``,
+    ``lam(y) c^z_{x,y} - lam(z) c^y_{x~,z}`` is
+    ``(s_y s_z / s_x) (mu_y N^z_{x,y} - mu_z rho_x N^y_{x~,z})``: an identity
+    in integers on N, sized in Fractions where it fails.
+    """
+    N, x, y, z = V.N, V.x, V.y, V.z
+    a, b = V._scale
+    m, k = _reduced(_times(int_array(w.numerator for w in lam), (b, ...), (b, ...)),
+                    _times(int_array(w.denominator for w in lam), (a, ...), (a, ...)))
+    p, q = _rho(V)
+    xi = V.inv[x]
+    mirror = _gather(V, N)(xi, z, y)
+    i = np.flatnonzero(V.has_row[xi, z] & (_times(N, (m, y), (k, z), (q, x))
+                                           != _times(mirror, (m, z), (k, y), (p, x))))
+    return _largest(lam[v] * c - lam[w] * d for v, w, c, d in zip(
+        y[i].tolist(), z[i].tolist(), _values(V, i, N, x, y, z), _values(V, i, mirror, xi, z, y)))
+
+
+def _exact_associativity(V: TableView) -> tuple[Fraction, int]:
     """The worst associativity violation of an exact view, and the triples checked.
 
-    A product of two exact factors (``V.factors``) is associative when
-    both factors are: ``N = N1 (x) N2``, so each side of its associativity
-    law is the tensor product of the factors' sides, and it checks
-    ``checked1 * checked2`` triples.  A factor that fails sends the product
-    to the full check below.
-
-    The full check runs on N, in one float64 pass while every sum it forms
-    is exact (``2 n max|N|**2 <= 2**53``), else on N's residues modulo
-    :func:`crt_primes` for that height.  The violation is None when it is
-    not 0 and its size is not known here: the residues show only that a
-    defect is not 0, and a defect of N is one of c, divided by ``s**2``,
-    only when the scales are uniform.
+    A product (``V.factors``) whose factors pass takes their verdict:
+    ``N = N1 (x) N2``, so each side of its law is the tensor product of the
+    factors' sides, and it checks ``checked1 * checked2`` triples.  Any
+    other view is checked on N, in one float64 pass while every sum is
+    exact (``2 n max|N|**2 <= 2**53``), else on N's residues modulo
+    :func:`crt_primes`; :func:`_triple_defect` sizes the triples it flags.
     """
     if V.factors is not None:  # an exact product has exact factors
         found = [_exact_associativity(W) for W in V.factors]
         if all(w == 0 for w, _ in found):
-            return Fraction(0), found[0][1] * found[1][1]
-    top = max_abs(V.N)
-    height = 2 * V.n * top * top
+            return ZERO, found[0][1] * found[1][1]
+    height = 2 * V.n * max_abs(V.N) ** 2
     if height <= EXACT_FLOAT:
-        w, checked = _associativity(V, V.dense(V.N.astype(float)), None)
-        if w and not V.uniform:
-            return None, checked
-        s, t = (int(a[0]) for a in V._scale)  # the scale s / t of a uniform view
-        return Fraction(int(w) * t * t, s * s), checked
-    for p in _batches(V, crt_primes(V.n, height)):
-        w, checked = _associativity(V, V.dense(residues(V.N, p)), p)
-        if w:
-            return None, checked
-    return Fraction(0), checked
+        _, checked, flagged = _associativity(V, V.dense(V.N.astype(float)), None)
+    else:
+        passes = [_associativity(V, V.dense(residues(V.N, p)), p)
+                  for p in _batches(V, crt_primes(V.n, height))]
+        checked = passes[0][1]
+        flagged = np.unique(np.concatenate([f for _, _, f in passes]), axis=0)
+    return _triple_defect(V, flagged), checked
+
+
+def _triple_defect(V: TableView, triples: np.ndarray) -> Fraction:
+    """The largest |((x.y).z - x.(y.z))_v| of c over the checked ``triples``, exactly.
+
+    Both sides of N's law are taken on the dense N, in int64 while
+    ``2 n max|N|**2`` fits, else in Python ints, for about 2**22 products
+    at a time; c's defect is N's times ``s_v / (s_x s_y s_z)``.
+    """
+    worst, n = ZERO, V.n
+    if not len(triples):
+        return worst
+    s = V.scales
+    C = V.dense(V.N.astype(object) if 2 * n * max_abs(V.N) ** 2 >= 2**63 else V.N)
+    for part in np.array_split(triples, -(-len(triples) * n * n // 2**22)):
+        x, y, z = part.T.tolist()
+        D = C[x, y][:, None] @ C[:, z].swapaxes(0, 1) - C[y, z][:, None] @ C[x]
+        for (t, _, v), d in zip(np.argwhere(D).tolist(), D[D != 0].tolist()):
+            worst = max(worst, abs(d * s[v] / (s[x[t]] * s[y[t]] * s[z[t]])))
+    return worst

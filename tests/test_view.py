@@ -1,14 +1,14 @@
 """The array paths on ``HypergroupTable.view`` against Python loops.
 
-``core._verify_axioms_loop`` and ``core._haar_defect_loop`` check the
-axioms and the Haar identity by loops over the stored rows; the first
-reports the associativity violations whose size the array checks do not
-know, and both are the oracle here.  ``_residual_loop`` below is the
+``_verify_axioms_loop`` and ``_haar_defect_loop`` below check the axioms
+and the Haar identity by loops over the stored rows, in Fractions for an
+exact table; they are the oracle here.  ``_residual_loop`` is the
 multiplicativity residual as a loop over the stored rows.
 """
 
 import functools
 import itertools
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -21,10 +21,12 @@ from hypharm import (builders, characters, chi0, core, groups, haar_weights, qua
                      voit_deform)
 from hypharm.builders import FamilySpec, family
 from hypharm.core import (
+    DEFAULT_TOL,
+    AxiomCheck,
+    AxiomReport,
     HypergroupTable,
+    TruncationOverflow,
     _haar_defect,
-    _haar_defect_loop,
-    _verify_axioms_loop,
     verify_axioms,
 )
 from hypharm.spectral import _multiplicativity_residual
@@ -70,6 +72,116 @@ def _deformed(name, radius):
 
 
 BUILDERS = _builders()
+
+
+# -- the loop oracles ---------------------------------------------------------
+
+
+def _iter_pairs(H: HypergroupTable):
+    """Every stored product (x, y), commutative ones in both orders."""
+    for (x, y) in H.rows:
+        yield x, y
+        if H.commutative and x != y:
+            yield y, x
+
+
+def _verify_axioms_loop(H: HypergroupTable, tol: float = DEFAULT_TOL) -> AxiomReport:
+    """``verify_axioms`` by Python loops over the stored Fraction or float rows."""
+    report = AxiomReport(H.name, "rational" if H.exact else "float", tol)
+    e = H.identity
+
+    viol = 0
+    for x, y in _iter_pairs(H):
+        row = H.row(x, y)
+        s = sum(v for _, v in row)
+        viol = max(viol, abs(s - 1), max((abs(min(v, 0)) for _, v in row), default=0))
+    report.checks["probability"] = AxiomCheck(float(viol) <= tol, float(viol))
+
+    viol = 0
+    if not H.commutative:
+        for (x, y) in list(H.rows):
+            if H.has_row(y, x):
+                a = dict(H.row(x, y))
+                b = dict(H.row(y, x))
+                for z in set(a) | set(b):
+                    viol = max(viol, abs(a.get(z, 0) - b.get(z, 0)))
+    report.checks["commutativity"] = AxiomCheck(float(viol) <= tol, float(viol))
+
+    viol = 0
+    for x in range(H.size):
+        if H.has_row(e, x):
+            d = dict(H.row(e, x))
+            viol = max(viol, abs(d.get(x, 0) - 1))
+            viol = max(viol, sum(abs(v) for z, v in d.items() if z != x))
+        if not H.commutative and H.has_row(x, e):
+            d = dict(H.row(x, e))
+            viol = max(viol, abs(d.get(x, 0) - 1))
+            viol = max(viol, sum(abs(v) for z, v in d.items() if z != x))
+    report.checks["identity"] = AxiomCheck(float(viol) <= tol, float(viol))
+
+    # involution anti-homomorphism: c^z_{x,y} = c^{z~}_{y~,x~}
+    viol = 0
+    for x, y in _iter_pairs(H):
+        xi, yi = H.involution[x], H.involution[y]
+        if not H.has_row(yi, xi):
+            continue
+        mirror = dict(H.row(yi, xi))
+        for z, v in H.row(x, y):
+            viol = max(viol, abs(v - mirror.get(H.involution[z], 0)))
+    report.checks["involution"] = AxiomCheck(float(viol) <= tol, float(viol))
+
+    # support law: e in supp(x.y) iff y = x~
+    viol = 0
+    for x, y in _iter_pairs(H):
+        ce = dict(H.row(x, y)).get(e, 0)
+        if y == H.involution[x]:
+            if ce <= 0:
+                viol = max(viol, 1.0)
+        else:
+            viol = max(viol, abs(ce))
+    report.checks["support"] = AxiomCheck(float(viol) <= tol, float(viol))
+
+    # associativity of the measure algebra on all triples inside the section
+    viol = 0
+    checked = skipped = 0
+    for x in range(H.size):
+        for y in range(H.size):
+            if not H.has_row(x, y):
+                skipped += H.size
+                continue
+            for z in range(H.size):
+                try:
+                    left: dict[int, Value] = {}
+                    for w, c in H.row(x, y):
+                        for v, c2 in H.row(w, z):
+                            left[v] = left.get(v, 0) + c * c2
+                    right: dict[int, Value] = {}
+                    for w, c in H.row(y, z):
+                        for v, c2 in H.row(x, w):
+                            right[v] = right.get(v, 0) + c * c2
+                except TruncationOverflow:
+                    skipped += 1
+                    continue
+                checked += 1
+                for v in set(left) | set(right):
+                    viol = max(viol, abs(left.get(v, 0) - right.get(v, 0)))
+    report.checks["associativity"] = AxiomCheck(float(viol) <= tol, float(viol))
+    report.triples_checked = checked
+    report.triples_skipped = skipped
+    return report
+
+def _haar_defect_loop(H: HypergroupTable):
+    """Largest |lam(y) c^z_{x,y} - lam(z) c^y_{x~,z}|, by Python loops."""
+    lam = H.haar
+    worst = 0
+    for x, y in _iter_pairs(H):
+        xi = H.involution[x]
+        for z, c in H.row(x, y):
+            if not H.has_row(xi, z):
+                continue
+            mirror = dict(H.row(xi, z)).get(y, 0)
+            worst = max(worst, abs(lam[y] * c - lam[z] * mirror))
+    return worst
 
 
 @functools.cache
@@ -151,12 +263,22 @@ def test_section_residual_matches_loop(name):
             _residual_loop(H, chi), rel=1e-14)
 
 
-def _no_loops(monkeypatch):
-    def loop(H, *args, **kwargs):
-        raise AssertionError(f"{H.name} reached a Fraction loop")
+def _checked_without_rows(H, tol=DEFAULT_TOL):
+    """``verify_axioms`` and the Haar defect of ``H``, asserting that no Fraction row was read."""
+    assert H._read == {} and H._rows is None
+    report, haar = verify_axioms(H, tol), _haar_defect(H)
+    assert H._read == {} and H._rows is None, f"{H.name} read a Fraction row"
+    return report, haar
 
-    monkeypatch.setattr(core, "_verify_axioms_loop", loop)
-    monkeypatch.setattr(core, "_haar_defect_loop", loop)
+
+def _sizes_nothing(monkeypatch):
+    """Make the exact checks fail when they size an entry or a triple: a valid table flags none."""
+    for name in ("_values", "_triple_defect"):
+        def sized(V, flagged, *args, size=getattr(view, name)):
+            assert not len(flagged), f"{len(flagged)} entries or triples flagged"
+            return size(V, flagged, *args)
+
+        monkeypatch.setattr(view, name, sized)
 
 
 def _beyond_float64(V):
@@ -176,18 +298,17 @@ def test_exact_bound_runs_modulo_primes(monkeypatch):
     # from its rows, suq2_fusion(8, q=1/2) has N far beyond sqrt(2**53 / (2 n));
     # as a section its N is 1
     H = _from_rows(builders.su2_fusion(8, q=Fraction(1, 2)))
-    assert H.exact and H.view.uniform and _beyond_float64(H.view)
+    assert H.exact and len(set(H.view.scales)) == 1 and _beyond_float64(H.view)
     assert not _beyond_float64(builders.su2_fusion(8, q=Fraction(1, 2)).view)
     assert not _beyond_float64(builders.tree_radial(2, 40).view)
     assert _beyond_float64(builders.tree_radial(2, 61).view)
-    slow = _verify_axioms_loop(H)
-    _no_loops(monkeypatch)
     heights = []
     crt_primes = view.crt_primes
     monkeypatch.setattr(view, "crt_primes", lambda n, h: heights.append(h) or crt_primes(n, h))
-    _assert_same_report(verify_axioms(H), slow, exact=True)
+    fast, haar = _checked_without_rows(H)
     assert heights == [2 * H.size * view.max_abs(H.view.N) ** 2]
-    assert _haar_defect(H) == 0
+    _assert_same_report(fast, _verify_axioms_loop(H), exact=True)
+    assert haar == 0
 
 
 @pytest.mark.parametrize("build", [
@@ -197,19 +318,19 @@ def test_exact_bound_runs_modulo_primes(monkeypatch):
     lambda: builders.tree_radial(2, 61),
 ], ids=["su2_r16", "suq2_r16", "d_q2/3_r16", "tree2_r61"])
 def test_valid_tables_over_the_bound_skip_the_loops(build, monkeypatch):
-    # the numerators of c are beyond float64's exact range; they run exactly
-    # as integers, and associativity on N
+    # the numerators of c over one denominator (N of the table from its rows)
+    # are beyond float64's exact range; the checks run on N and the scales
+    assert _beyond_float64(_from_rows(build()).view)
     H = build()
-    num, _ = H.view.numerators
-    assert H.exact and 2 * H.size * view.max_abs(num) ** 2 > view.EXACT_FLOAT
-    _no_loops(monkeypatch)
-    rep = verify_axioms(H)
+    _sizes_nothing(monkeypatch)
+    rep, haar = _checked_without_rows(H)
+    assert haar == 0
     assert rep.passed and all(chk.violation == 0 for chk in rep.checks.values())
     assert rep.triples_checked + rep.triples_skipped == H.size**3
     assert haar_weights(H) == H.haar
 
 
-def test_residues_find_a_tiny_defect(monkeypatch):
+def test_residues_find_a_tiny_defect():
     # a mass of 10**-30 moved between two points of one row: exact row sums,
     # broken associativity far below every float tolerance
     base = _table("suq2_r16")
@@ -222,15 +343,10 @@ def test_residues_find_a_tiny_defect(monkeypatch):
                                   {k: r.items() for k, r in rows.items()}, haar=base.haar,
                                   truncated=True, radius=base.radius, generator=base.generator)
     assert _beyond_float64(H.view)
-    calls = []
-    loop = core._verify_axioms_loop
-    monkeypatch.setattr(core, "_verify_axioms_loop",
-                        lambda *args: calls.append(args) or loop(*args))
-    fast = verify_axioms(H)
-    assert len(calls) == 1
-    _assert_same_report(fast, loop(H), exact=True)
+    fast, haar = _checked_without_rows(H)
+    _assert_same_report(fast, _verify_axioms_loop(H), exact=True)
     assert 0 < fast.checks["associativity"].violation < 1e-25
-    assert _haar_defect(H) == _haar_defect_loop(H) > 0
+    assert haar == _haar_defect_loop(H) > 0
 
 
 # -- mutated exact tables: the violation path ------------------------------
@@ -250,8 +366,9 @@ MUTABLE = ("conj_s3", "irr_s4", "conj_d4", "z4", "conj_s3xirr_d4", "tree2_r8", "
 )
 def test_mutated_table_flags_like_loop(name, pick, drop, num, den):
     H = _mutated(_table(name), pick, None if drop else Fraction(num, den))
-    _assert_same_report(verify_axioms(H), _verify_axioms_loop(H), exact=True)
-    assert _haar_defect(H) == _haar_defect_loop(H)
+    fast, haar = _checked_without_rows(H)
+    _assert_same_report(fast, _verify_axioms_loop(H), exact=True)
+    assert haar == _haar_defect_loop(H)
 
 
 def _mutated(base, pick, value):
@@ -322,6 +439,31 @@ def test_exact_product_holds_n_once():
     # per entry here) make 41 bytes per entry; N held twice made 49
     per_product = (_peak_bytes(build, 4) - _peak_bytes(build, 1)) / 3
     assert per_product < 45 * len(K.z)
+
+
+def test_product_build_peak_is_near_what_it_keeps():
+    # Z40 x Z40 has 2.56 million entries and keeps 41 bytes per entry (see
+    # above); its int64 per-entry temporaries and a second copy of ``pair``
+    # made a peak of 129 bytes per entry
+    V = family(FamilySpec("cyclic", n=40)).view
+    entries = (V.n * V.n) ** 2
+    assert _peak_bytes(TableView.product, V, V) < 56 * entries
+
+
+def _view_bytes(V):
+    """The bytes of the arrays a view holds from construction, each array counted once."""
+    arrays = [getattr(V, k) for k in ("_source", "px", "py", "starts", "pair", "x", "y", "z",
+                                      "has_row", "inv", "N")]
+    arrays += [*V._form, *V._scale]
+    return sum({id(a): a.nbytes for a in arrays}.values())
+
+
+def test_view_keeps_its_form_indices_in_int32():
+    V = family(FamilySpec("cyclic", n=96)).view
+    assert V._source is not None and all(a.dtype == np.int32 for a in V._form[1:])
+    # Z96 stores 4,656 coefficients for its 9,216 entries; x, y, z of the
+    # stored coefficients in int64 took 55,872 bytes more
+    assert _view_bytes(V) == 546_632
 
 
 def test_characters_memory_is_below_dense_matrices():
@@ -398,8 +540,7 @@ def test_entries_are_sorted_folded_and_stripped_of_zeros():
     W = TableView(3, 0, [0, 2, 1], True, x, y, z, ones, scale=[1] * 3)
     for name in ("px", "py", "starts", "x", "y", "z", "c", "has_row"):
         assert np.array_equal(getattr(V, name), getattr(W, name)), name
-    num, den = V.numerators
-    assert num.tolist() == [1] * len(V.z) and den == 1
+    assert _entry_values(V) == [1] * len(V.z)
     H = HypergroupTable("z3", W)
     assert H.rows == family(FamilySpec("cyclic", n=3)).rows
 
@@ -445,9 +586,8 @@ def test_rows_give_the_view_of_the_entries(name):
 
 
 def _entry_values(V):
-    """The exact value of each entry of ``V``, from its numerators."""
-    num, den = V.numerators
-    return [Fraction(a, den) for a in num.tolist()]
+    """The exact value of each entry of ``V``, as Fractions."""
+    return V.coefficients(np.arange(len(V.z)))
 
 
 def test_an_empty_row_stays_stored():
@@ -614,9 +754,9 @@ N_FORM = _n_form_tables()
 def test_n_form_reports_like_the_residues(name, monkeypatch):
     H = N_FORM[name]()
     assert H.exact and H.view.N is not None
-    assert view.exact_defects(H.view) is not None
-    fast = verify_axioms(H)
-    assert fast.passed
+    _sizes_nothing(monkeypatch)
+    fast, haar = _checked_without_rows(H)
+    assert fast.passed and haar == 0
     monkeypatch.setattr(view, "EXACT_FLOAT", 0)  # associativity modulo primes
     assert fast == verify_axioms(H)
     if H.size <= 16:
@@ -645,12 +785,130 @@ def test_mutated_n_form_falls_back_like_the_loop(name, scale, pick, value):
     assert _with_n(H, N, scale).view.same_entries(H.view)
     N[pick % len(N)] = value
     M = _with_n(H, N, scale)
-    report = verify_axioms(M)
+    report, haar = _checked_without_rows(M)
     assert not report.passed
-    # the scales are not uniform: the loop reports a failed associativity
-    assert (view.exact_defects(M.view) is None) == (report.checks["associativity"].violation > 0)
+    # the scales are not uniform: a failed associativity is sized from N and s
     _assert_same_report(report, _verify_axioms_loop(M), exact=True)
-    assert _haar_defect(M) == _haar_defect_loop(M)
+    assert haar == _haar_defect_loop(M)
+
+
+@pytest.mark.parametrize("pick, value", [(5, 2**30), (17, -3 * 2**28), (40, 2**31 + 7),
+                                         (2, 2**27)])
+def test_mutated_suq2_n_form_beyond_the_bound_is_sized_from_n(pick, value):
+    # non-uniform scales [a]_q with q = 1/1000, and an N beyond the float64
+    # bound: associativity runs modulo primes, and its defect is sized from N
+    H = builders.su2_fusion(12, q=Fraction(1, 1000))
+    N = H.view.N[H.view.x <= H.view.y].copy()
+    N[pick] = value
+    M = _with_n(H, N, builders.q_integers(Fraction(1, 1000), 12)[1:13])
+    assert len(set(M.view.scales)) == 12 and _beyond_float64(M.view)
+    report, haar = _checked_without_rows(M)
+    assert not report.checks["associativity"].passed
+    _assert_same_report(report, _verify_axioms_loop(M), exact=True)
+    assert haar == _haar_defect_loop(M)
+
+
+def _gauged_cyclic(n, t):
+    """Z_n in the N-form with s_x = t**x, so that rho = s / s o inv is not 1.
+
+    ``N^{x+y}_{x,y} = t**(x + y - (x + y) % n)`` keeps every c = 1; for a
+    negative t, N and s take both signs.
+    """
+    x, y = (a.ravel() for a in np.meshgrid(range(n), range(n), indexing="ij"))
+    z = (x + y) % n
+    view = TableView(n, 0, -np.arange(n) % n, True, x, y, z, [t ** int(k) for k in x + y - z],
+                     scale=[t**k for k in range(n)])
+    return HypergroupTable(f"Z{n} gauged by {t}", view)
+
+
+GAUGED = {"z5_t2": lambda: _gauged_cyclic(5, 2), "z5_t-2": lambda: _gauged_cyclic(5, -2),
+          "z4_t3": lambda: _gauged_cyclic(4, 3),
+          # not commutative, with s = 1
+          "s3_group": lambda: builders.group_hypergroup.__wrapped__(groups.symmetric(3))}
+
+
+@pytest.mark.parametrize("name", sorted(GAUGED))
+def test_gauged_n_form_is_the_plain_table(name, monkeypatch):
+    H = GAUGED[name]()
+    if H.commutative:  # S3's commutativity fails, and is sized
+        assert H.view.same_entries(family(FamilySpec("cyclic", n=H.size)).view)
+        _sizes_nothing(monkeypatch)
+    report, haar = _checked_without_rows(H)
+    assert report.passed and haar == 0 and H.haar == (1,) * H.size
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(GAUGED)), pick=st.integers(min_value=0),
+       value=st.sampled_from([0, -1, 2, 5, 2**30, -(2**31) - 3]))
+def test_mutated_gauged_n_form_flags_like_loop(name, pick, value):
+    # rho and mu = lam / s**2 are not 1, N and s take both signs, and a value
+    # of 2**30 or more sends associativity to the residues and Python ints
+    H = GAUGED[name]()
+    V = H.view
+    keep = V.x <= V.y if V.commutative else np.ones(len(V.x), dtype=bool)
+    N = V.N[keep].copy()
+    N[pick % len(N)] = value
+    M = HypergroupTable("mutated", TableView(V.n, V.identity, V.inv, V.commutative, V.x[keep],
+                                             V.y[keep], V.z[keep], N, scale=V.scales),
+                        haar=H.haar)
+    report, haar = _checked_without_rows(M)
+    _assert_same_report(report, _verify_axioms_loop(M), exact=True)
+    assert haar == _haar_defect_loop(M)
+
+
+def _z3_n_form(scale):
+    x, y, z = _z3_entries()
+    return HypergroupTable("z3", TableView(3, 0, [0, 2, 1], True, x, y, z,
+                                           np.ones(len(x), dtype=np.int64), scale=scale))
+
+
+@pytest.mark.parametrize("build", [
+    # two stray entries in the row e.1: its identity violation is their sum
+    lambda: HypergroupTable.from_rows("z3", 3, [0, 2, 1], {
+        (0, 0): [(0, 1)], (0, 1): [(1, 1), (0, Fraction(1, 3)), (2, Fraction(1, 3))],
+        (0, 2): [(2, 1)], (1, 1): [(2, 1)], (1, 2): [(0, 1)], (2, 2): [(1, 1)]}),
+    # c^x_{e,x} = N / s_e = 2 and 3 / 2: s_e is not an integer
+    lambda: _z3_n_form([Fraction(1, 2), 1, 1]),
+    lambda: _z3_n_form([Fraction(2, 3), Fraction(5, 7), 3]),
+], ids=["stray-mass", "half-identity", "rational-scales"])
+def test_exact_checks_size_what_fails_like_the_loop(build):
+    H = build()
+    report, haar = _checked_without_rows(H)
+    assert not report.passed
+    _assert_same_report(report, _verify_axioms_loop(H), exact=True)
+    assert haar == _haar_defect_loop(H)
+
+
+@pytest.mark.parametrize("H", [_z3_n_form([Fraction(2, 3), Fraction(5, 7), 3]),
+                               _gauged_cyclic(5, -2)], ids=["rational-scales", "z5_t-2"])
+def test_rho_is_reduced_s_over_s_of_the_involution(H):
+    V, s = H.view, H.view.scales
+    p, q = (v.tolist() for v in view._rho(V))
+    assert [Fraction(a, b) for a, b in zip(p, q)] == [s[x] / s[i]
+                                                     for x, i in enumerate(H.involution)]
+    assert all(math.gcd(a, b) == 1 for a, b in zip(p, q))
+
+
+def test_a_triple_flagged_modulo_one_prime_is_sized(monkeypatch):
+    # one prime per residue pass, and only the first pass reports the triples
+    # it flags, as when a defect is 0 modulo every other prime: they are
+    # sized all the same
+    H = builders.su2_fusion(12, q=Fraction(1, 1000))
+    N = H.view.N[H.view.x <= H.view.y].copy()
+    N[5] = 2**30
+    M = _with_n(H, N, builders.q_integers(Fraction(1, 1000), 12)[1:13])
+    monkeypatch.setattr(view, "RESIDUE_BATCH", 1)
+    dense, passes = view._associativity, []
+
+    def first_only(V, C, p):
+        worst, checked, flagged = dense(V, C, p)
+        passes.append(p)
+        return worst, checked, flagged if len(passes) == 1 else flagged[:0]
+
+    monkeypatch.setattr(view, "_associativity", first_only)
+    report = verify_axioms(M)
+    assert len(passes) > 1 and report.checks["associativity"].violation > 0
+    _assert_same_report(report, _verify_axioms_loop(M), exact=True)
 
 
 def test_n_form_scales_must_be_nonzero():
@@ -679,7 +937,8 @@ def test_associativity_slab_takes_only_checked_columns(monkeypatch):
     sizes = []
     defect = view._defect
     monkeypatch.setattr(view, "_defect", lambda d, p: sizes.append(d.size) or defect(d, p))
-    _, checked = view._associativity(V, V.dense(V.N.astype(float)), None)
+    _, checked, flagged = view._associativity(V, V.dense(V.N.astype(float)), None)
+    assert flagged.shape == (0, 3)
     assert checked == _verify_axioms_loop(H).triples_checked
     assert sum(sizes) < H.size**4 // 2
 
