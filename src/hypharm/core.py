@@ -514,7 +514,7 @@ def haar_weights(H: HypergroupTable, tol: float = DEFAULT_TOL) -> tuple:
 #     involution <i0> <i1> ... <i(n-1)>
 #     commutative <0|1>
 #     truncated <0|1>
-#     radius <R>                  (truncated tables only)
+#     radius <R>                  (truncated tables only, 2 <= R <= n)
 #     tail <alpha> <diag> <beta> <start> <exact 0|1>   (optional)
 #     generator <index>           (optional)
 #     elements <label0> ... <label(n-1)>   (optional)
@@ -697,6 +697,9 @@ def load_table(path: str) -> HypergroupTable:
                 raise FileFormatError(f"duplicate triple {x} {y} {z}", line=ln)
             row[z] = _finite(toks[3])
     tail = f.values("tail", (_real, _real, _real, int, _flag), default=None)
+    truncated = f.value("truncated", _flag, False)
+    # a section's bounds compress it to balls of up to its radius, at least 2
+    radius = f.value("radius", int_in(2, size + 1)) if truncated else f.value("radius", int, None)
     with f.at(f.end):
         return HypergroupTable.from_rows(
             f.value("name", default="table"),
@@ -706,8 +709,8 @@ def load_table(path: str) -> HypergroupTable:
             identity=f.value("identity", index, 0),
             haar=f.values("haar", _finite, count=size, default=None),
             commutative=f.value("commutative", _flag, True),
-            truncated=f.value("truncated", _flag, False),
-            radius=f.value("radius", int, None),
+            truncated=truncated,
+            radius=radius,
             tail=NNTail(*tail) if tail else None,
             generator=f.value("generator", index, None),
             elements=f.values("elements", count=size, default=None),

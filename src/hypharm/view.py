@@ -139,23 +139,24 @@ def int_array(values) -> np.ndarray:
 class TableView:
     """Read-only array form of a table, shared by every numeric path.
 
-    Every stored coefficient is one entry ``c^z_{x,y}``; commutative tables
-    list each product in both orders.  Entries are sorted by ``(x, y, z)``:
+    Every per-value array holds one value per entry ``c^z_{x,y}``, and a
+    commutative table lists each product in both orders.  Entries are
+    sorted by ``(x, y, z)``:
 
     * ``x, y, z, c`` -- the entries, indices in int32, ``c`` in float64
       (for an exact table each ``c`` is the correctly rounded quotient of
       its exact value, computed on first use);
     * ``px, py`` -- the stored products, ``starts`` their CSR offsets into
-      the entries and ``pair`` the product of each entry;
+      the entries (int32 below 2**31 entries) and ``pair`` the product of
+      each entry;
     * ``has_row`` -- the ``n x n`` mask of stored products;
     * ``n``, ``identity``, ``inv`` and ``commutative`` -- the size, the
       identity, the involution and whether the product commutes, which a
       :class:`~hypharm.core.HypergroupTable` takes from its view;
-    * ``rational`` -- whether the coefficients are exact;
     * ``N`` -- of an exact table, the integers N of
       ``c^z_{x,y} = N^z_{x,y} s_z / (s_x s_y)`` per entry (int64, or Python
-      ints beyond int64), else None; :attr:`scales` -- the scales s as
-      Fractions;
+      ints beyond int64), else None; :attr:`rational` -- whether it is
+      held; :attr:`scales` -- the scales s as Fractions;
     * :meth:`dense` -- the coefficients as an ``n x n x n`` array;
     * :meth:`coefficients`, :meth:`row` and :meth:`rows` -- the
       coefficients of some entries, or as table rows, exact ones as
@@ -252,10 +253,9 @@ class TableView:
             counts = np.add.reduceat(nonzero.astype(np.int64), first) if len(first) else first
             z, vals = z[nonzero], vals[nonzero]
         px, py = x[first], y[first]
-        x, y = np.repeat(px, counts), np.repeat(py, counts)  # of each stored coefficient
 
         # a commutative table's products are stored once; their mirrored
-        # products reuse the stored entries
+        # products take the same values
         first = np.cumsum(counts) - counts
         if commutative:
             off = px != py
@@ -265,20 +265,20 @@ class TableView:
         s = np.argsort(px * n + py, kind="stable")
         px, py, first, counts = px[s], py[s], first[s], counts[s]
         starts = np.concatenate(([0], np.cumsum(counts)))
-        # entry i of product p is stored entry first[p] + i - starts[p]
-        self._source = np.arange(starts[-1]) + np.repeat(first - starts[:-1], counts)
-        self._index(n, identity, inv, commutative, scale is not None, px, py, starts,
-                    np.repeat(np.arange(len(px), dtype=np.int32), counts), self.entries(z))
+        # entry i of product p takes given value first[p] + i - starts[p]
+        source = np.arange(starts[-1]) + np.repeat(first - starts[:-1], counts)
+        self._index(n, identity, inv, commutative, px, py, starts,
+                    np.repeat(np.arange(len(px), dtype=np.int32), counts), z[source])
         if scale is None:
-            self.c = _frozen(self.entries(vals))
+            self.c = _frozen(vals[source])
         else:
-            self._keep_form(vals, x, y, z, num, den)
+            self._keep_form(vals[source], num, den)
 
-    def _index(self, n, identity, involution, commutative, rational, px, py, starts, pair, z):
+    def _index(self, n, identity, involution, commutative, px, py, starts, pair, z):
         """Set the entry arrays from the sorted products, and ``pair`` and ``z`` of each entry."""
-        self.n, self.identity, self.commutative, self.rational = n, identity, commutative, rational
+        self.n, self.identity, self.commutative = n, identity, commutative
         self.px, self.py = (_frozen(a.astype(np.int32, copy=False)) for a in (px, py))
-        self.starts = _frozen(starts)
+        self.starts = _frozen(starts.astype(np.int32, copy=False) if starts[-1] < 2**31 else starts)
         self.pair = _frozen(pair)
         self.x, self.y = _frozen(self.px[pair]), _frozen(self.py[pair])
         self.z = _frozen(z.astype(np.int32, copy=False))
@@ -289,20 +289,20 @@ class TableView:
         self.N = None
         self.factors = None
 
-    def _keep_form(self, N, x, y, z, num, den):
-        """Keep the integers N of the stored coefficients at ``x, y, z`` and the scales ``num / den``.
+    def _keep_form(self, N, num, den):
+        """Keep the integers N of the entries and the scales ``num / den``.
 
         The products that :meth:`_fractions` forms of them are taken in
-        int64 while they stay below 2**53, else in Python ints; ``x, y, z``
-        are kept in int32.  A view without ``_source`` (a product) lists the
-        stored coefficients as its entries, so ``N`` and ``x, y, z`` are
-        both, one array each when its dtype serves.
+        int64 while they stay below 2**53, else in Python ints.
         """
         kind = object if max(map(abs, num + den)) ** 3 * max_abs(N) > EXACT_FLOAT else np.int64
         self._scale = (np.array(num, dtype=kind), np.array(den, dtype=kind))
-        self._form = (N.astype(kind, copy=self._source is not None),
-                      *(a.astype(np.int32, copy=False) for a in (x, y, z)))
-        self.N = _frozen(self.entries(N))
+        self.N = _frozen(N)
+
+    @property
+    def rational(self) -> bool:
+        """Whether the coefficients are exact, held as N and the scales."""
+        return self.N is not None
 
     @classmethod
     def product(cls, V1: "TableView", V2: "TableView") -> "TableView":
@@ -329,15 +329,16 @@ class TableView:
         p2 = ((grid % n2)[:, None] * n2 + grid % n2).ravel()
         k2 = np.diff(V2.starts)[p2]
         counts = np.diff(V1.starts)[p1] * k2
-        starts = np.concatenate(([0], np.cumsum(counts)))
+        starts = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
         pair = np.repeat(np.arange(len(p1), dtype=np.int32), counts)
         del counts
         # the entry t of product p pairs entry i = V1.starts[p1] + t' // k2 of
         # p1's row with entry j = V2.starts[p2] + t' % k2 of p2's, where
         # t' = t - starts[p] counts from the start of its row
         kind = np.int32 if starts[-1] < 2**31 else np.int64
+        starts = starts.astype(kind)
         i = np.arange(starts[-1], dtype=kind)
-        i -= starts[:-1].astype(kind)[pair]
+        i -= starts[:-1][pair]
         i, j = np.divmod(i, k2.astype(kind)[pair])
         i += V1.starts[:-1].astype(kind)[p1][pair]
         j += V2.starts[:-1].astype(kind)[p2][pair]
@@ -353,28 +354,26 @@ class TableView:
             vals = V1.c[i] * V2.c[j]
         del i, j
         V = cls.__new__(cls)
-        V._source = None
         inv = V1.inv[:, None] * n2 + V2.inv
         V._index(n1 * n2, V1.identity * n2 + V2.identity, inv.ravel(),
-                 V1.commutative and V2.commutative, rational,
+                 V1.commutative and V2.commutative,
                  grid.repeat(n1 * n2), np.tile(grid, n1 * n2), starts, pair, z)
         if rational:
             (a1, b1), (a2, b2) = ([s.tolist() for s in W._scale] for W in (V1, V2))
-            V._keep_form(vals, V.x, V.y, V.z, [a * b for a in a1 for b in a2],
-                         [a * b for a in b1 for b in b2])
+            V._keep_form(vals, [a * b for a in a1 for b in a2], [a * b for a in b1 for b in b2])
         else:
             V.c = _frozen(vals)
         V.factors = (V1, V2)
         return V
 
     def _fractions(self, j) -> tuple:
-        """``(num, den)`` of the stored coefficients ``j``, as integer arrays."""
-        N, x, y, z = (a[j] for a in self._form)
+        """``(num, den)`` of the entries ``j``, exact integers symmetric in ``x`` and ``y``."""
         num, den = self._scale
+        N, x, y, z = self.N[j].astype(num.dtype, copy=False), self.x[j], self.y[j], self.z[j]
         return N * num[z] * den[x] * den[y], den[z] * num[x] * num[y]
 
     def _quotients(self, j=slice(None)) -> np.ndarray:
-        """``num / den`` of the stored coefficients ``j`` in float64, each rounded once."""
+        """``num / den`` of the entries ``j`` in float64, each rounded once."""
         num, den = self._fractions(j)
         if num.dtype == object:  # int64 numerators come with denominators below 2**53
             # Python's int / int rounds correctly at any size
@@ -384,7 +383,7 @@ class TableView:
     @cached_property
     def c(self) -> np.ndarray:
         """A rational view's coefficients in float64, each rounded once from ``num / den``."""
-        return _frozen(self.entries(self._quotients()))
+        return _frozen(self._quotients())
 
     def floats(self, i) -> np.ndarray:
         """``c`` at the entries ``i``; of a rational view, computed for those entries alone.
@@ -394,7 +393,7 @@ class TableView:
         """
         if not self.rational or "c" in vars(self):
             return self.c[i]
-        return self._quotients(i if self._source is None else self._source[i])
+        return self._quotients(i)
 
     def dense(self, c: np.ndarray) -> np.ndarray:
         """The array ``C[..., x, y, z]`` of the values ``c``, 0 off the entries.
@@ -405,16 +404,10 @@ class TableView:
         C[..., self.x, self.y, self.z] = c
         return C
 
-    def entries(self, a: np.ndarray) -> np.ndarray:
-        """Values given per stored coefficient, rearranged to the view's entries."""
-        return a if self._source is None else a[..., self._source]
-
     def coefficients(self, i: np.ndarray) -> list:
         """The coefficients of the entries ``i``: Fractions if rational, else floats."""
         if not self.rational:
             return self.c[i].tolist()
-        if self._source is not None:
-            i = self._source[i]
         num, den = self._fractions(i)
         return list(map(Fraction, num.tolist(), den.tolist()))
 
@@ -425,7 +418,7 @@ class TableView:
         numerators and denominators, not reduced, of ``1 / c^e_{x,x~}``: the
         denominators and numerators of :meth:`_fractions`.
         """
-        num, den = self._fractions(at if self._source is None else self._source[at])
+        num, den = self._fractions(at)
         return den.tolist(), num.tolist()
 
     @cached_property
@@ -471,8 +464,7 @@ class TableView:
             return False
         if not (self.rational and other.rational):
             return self.rows() == other.rows()
-        (n1, d1), (n2, d2) = (V._fractions(slice(None) if V._source is None else V._source)
-                              for V in (self, other))
+        (n1, d1), (n2, d2) = (V._fractions(slice(None)) for V in (self, other))
         return np.array_equal(n1.astype(object) * d2, n2.astype(object) * d1)
 
 

@@ -5,13 +5,14 @@ import io
 import os
 import subprocess
 import sys
+import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
 import hypharm
-from hypharm import builders, groups, save_table, spectral
+from hypharm import builders, core, groups, save_table, spectral
 from hypharm.cli import run
 
 
@@ -339,6 +340,16 @@ def _z2(size="size 2", tail="", value="1", extra=""):
     return _Z2.format(size=size, tail=tail, value=value, extra=extra)
 
 
+def _tree6(radius):
+    """The file of ``tree_radial(2, 6)`` (7 points), with ``radius`` for its line ``radius 6``."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "tree.hyp"
+        save_table(builders.tree_radial(2, 6), str(path))
+        text = path.read_text()
+    assert text.splitlines()[7] == "radius 6"
+    return text.replace("radius 6\n", radius)
+
+
 @pytest.mark.parametrize(
     "option, text, line",
     [
@@ -371,19 +382,57 @@ def _z2(size="size 2", tail="", value="1", extra=""):
         ("--fusion-file",
          f"fusionring v1\nlabels a b\nndims 1 1{'0' * 400}\nconj 0 1\nmult\n"
          "a a a 1\na b b 1\nend\n", 3),
+        # a section needs a radius in 2..size: its bounds compress it to balls
+        ("--file", _tree6(""), 12),
+        ("--file", _tree6("radius 0\n"), 8),
+        ("--file", _tree6("radius -3\n"), 8),
+        ("--file", _tree6("radius 1\n"), 8),
+        ("--file", _tree6("radius 8\n"), 8),
+        ("--file", _tree6("radius 40\n"), 8),
     ],
     ids=["size-no-value", "zero-denominator", "duplicate-triple", "short-tail",
          "short-cayley-row", "ndims-no-value", "qparam-above-one", "haar-nan",
          "nan-coefficient", "infinite-coefficient", "tail-nan", "ddims-nan", "qparam-nan",
-         "qparam-dimension-overflow", "ddims-overflow", "ndims-overflow"],
+         "qparam-dimension-overflow", "ddims-overflow", "ndims-overflow",
+         "section-no-radius", "section-radius-0", "section-radius-negative",
+         "section-radius-1", "section-radius-above-size", "section-radius-40"],
 )
 def test_malformed_file_exits_two_with_line(tmp_path, capsys, option, text, line):
     p = tmp_path / "input.txt"
     p.write_text(text)
     command = "quantum" if option == "--fusion-file" else "verify"
-    code, _ = _run([command, option, str(p)])
-    assert code == 2
-    assert f"line {line}:" in capsys.readouterr().err
+    # p2 and deform read a section's radius
+    for command in [command] + (["p2", "deform"] if "truncated 1" in text else []):
+        code, _ = _run([command, option, str(p)])
+        assert code == 2
+        assert f"line {line}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("radius", [2, 7])
+def test_section_radius_up_to_its_size_loads(tmp_path, radius):
+    p = tmp_path / "tree.hyp"
+    p.write_text(_tree6(f"radius {radius}\n"))
+    for command in ("verify", "p2", "deform"):
+        assert _run([command, "--file", str(p)])[0] == 0
+
+
+@pytest.mark.parametrize("command", [["verify"], ["p2"], ["deform"],
+                                     ["amenability", "--radii", "2,4,7"]],
+                         ids=["verify", "p2", "deform", "amenability"])
+@pytest.mark.parametrize("name, q", [("tree_radial", "2"), ("su2_fusion", None),
+                                     ("suq2_fusion", "1/2")], ids=["tree", "su2", "suq2"])
+def test_saved_section_reports_like_its_family(tmp_path, command, name, q):
+    # a loaded table is the common-denominator N-form of its rows, s = D at
+    # every point, which no builder makes
+    p = tmp_path / "section.hyp"
+    spec = builders.FamilySpec(name, q=q and core.parse_number(q), radius=24)
+    save_table(builders.family(spec), str(p))
+    family = ["--family", name, "--radius", "24"] + (["--q", q] if q else [])
+    tail = command[1:] + ["--format", "structured", "--seed", "3"]
+    _, built = _run(command[:1] + family + tail)
+    _, loaded = _run(command[:1] + ["--file", str(p)] + tail)
+    assert built.startswith("hypharm-report v1\n")
+    assert loaded == built
 
 
 def test_well_formed_z2_file_passes(tmp_path):

@@ -426,44 +426,48 @@ def test_product_check_memory_is_below_the_cube():
 
 
 def test_exact_product_holds_n_once():
-    # a product's stored coefficients are its entries, so one array of N serves both
     V = family(FamilySpec("cyclic", n=20)).view
     K = TableView.product(V, V)
-    assert K._form[0] is K.N
 
     def build(k):
         kept = [TableView.product(V, V) for _ in range(k)]  # noqa: F841 (held to the end)
 
-    # what each product keeps, without the temporaries of one build: x, y, z
-    # and pair in int32, N in int64, starts, px, py and has_row (one product
-    # per entry here) make 41 bytes per entry; N held twice made 49
+    # what each product keeps, without the temporaries of one build: x, y, z,
+    # pair, starts, px and py in int32, N in int64 and has_row (one product
+    # per entry here) make 37 bytes per entry; N held twice made 49, and
+    # starts in int64 41
     per_product = (_peak_bytes(build, 4) - _peak_bytes(build, 1)) / 3
     assert per_product < 45 * len(K.z)
 
 
 def test_product_build_peak_is_near_what_it_keeps():
-    # Z40 x Z40 has 2.56 million entries and keeps 41 bytes per entry (see
-    # above); its int64 per-entry temporaries and a second copy of ``pair``
-    # made a peak of 129 bytes per entry
+    # Z40 x Z40 has 2.56 million entries and keeps 37 bytes per entry (see
+    # above) at a peak of 45; its int64 per-entry temporaries and a second
+    # copy of ``pair`` made a peak of 129 bytes per entry
     V = family(FamilySpec("cyclic", n=40)).view
     entries = (V.n * V.n) ** 2
     assert _peak_bytes(TableView.product, V, V) < 56 * entries
 
 
 def _view_bytes(V):
-    """The bytes of the arrays a view holds from construction, each array counted once."""
-    arrays = [getattr(V, k) for k in ("_source", "px", "py", "starts", "pair", "x", "y", "z",
-                                      "has_row", "inv", "N")]
-    arrays += [*V._form, *V._scale]
-    return sum({id(a): a.nbytes for a in arrays}.values())
+    """The bytes of every array a view holds, in its attributes or their tuples.
+
+    ``c`` and ``keys``, cached on first use, are left out.
+    """
+    held = [v for k, v in vars(V).items() if k not in ("c", "keys")]
+    held += [a for v in held if isinstance(v, tuple) for a in v]
+    return sum(a.nbytes for a in held if isinstance(a, np.ndarray))
 
 
-def test_view_keeps_its_form_indices_in_int32():
+def test_view_holds_one_array_per_value():
     V = family(FamilySpec("cyclic", n=96)).view
-    assert V._source is not None and all(a.dtype == np.int32 for a in V._form[1:])
-    # Z96 stores 4,656 coefficients for its 9,216 entries; x, y, z of the
-    # stored coefficients in int64 took 55,872 bytes more
-    assert _view_bytes(V) == 546_632
+    V.c  # noqa: B018 (cached, and not counted)
+    # Z96 has 9,216 entries: x, y, z, pair, px and py in int32, N in int64,
+    # starts in int32 and has_row make 37 bytes per entry, with inv and the
+    # scales 342,916 bytes; a second copy of N, x, y and z for the 4,656
+    # products given once and an int64 map from the entries to them took
+    # 166,848 bytes more, and starts in int64 36,868 more
+    assert _view_bytes(V) == 342_916
 
 
 def test_characters_memory_is_below_dense_matrices():
