@@ -64,6 +64,7 @@ from .norms import (
     a_norm_interval,
     compute_norm_report,
     ma_norm_interval,
+    ma_norm_intervals,
     norm_A,
     norm_Blambda,
     norm_MA,

@@ -28,9 +28,8 @@ from .core import DEFAULT_SEED, DEFAULT_TOL, HypergroupTable, convolve
 from .errors import P2Failure, TruncationOverflow, UnboundedValueSet, ZeroValue
 from .norms import (
     Interval,
-    a_norm_interval,
     l2_norm,
-    ma_norm_interval,
+    ma_norm_intervals,
     norm_A,
     norm_Blambda,
     norm_MA,
@@ -318,15 +317,16 @@ def weak_amenability_witness(
         xi = _perron_vector(H0, r)
         e_alpha = convolve(H0, xi, xi[H0.view.inv])
         norm_sq = l2_norm(H0, xi) ** 2
-        iv_H = ma_norm_interval(H, e_alpha)
-        iv_H0 = ma_norm_interval(H0, e_alpha)
+        # the bounds on each table in one array pass
+        (iv_H,), upper = ma_norm_intervals(H, [e_alpha],
+                                           more=[u * e_alpha - u for u in tests.values()])
+        (iv_H0,), _ = ma_norm_intervals(H0, [e_alpha])
         bound = norm_sq
         if iv_H.lower > bound + tol or iv_H0.lower > bound + tol:
             raise ArithmeticError(
                 f"{H.name}: interval lower bound exceeds the witness bound"
             )
-        residuals = {name: a_norm_interval(H, u * e_alpha - u).upper
-                     for name, u in tests.items()}
+        residuals = dict(zip(tests, upper))
         entries.append(WitnessEntry(r, e_alpha, bound, iv_H, iv_H0, residuals))
     decreasing = all(
         entries[i + 1].residuals[name] < entries[i].residuals[name] + 1e-15

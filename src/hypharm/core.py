@@ -136,8 +136,9 @@ class HypergroupTable:
     Rows are stored sparsely as ``(x, y) -> ((z, c^z_{x,y}), ...)``; for
     commutative tables only ``x <= y`` is stored and the rest is filled by
     commutativity.  Element ordering is fixed at construction with the
-    identity first.  Truncated tables record a ball radius; any access to a
-    missing row raises :class:`TruncationOverflow` rather than clipping.
+    identity first.  Truncated tables record a ball radius R, with
+    ``2 <= R <= size`` (else ValueError); any access to a missing row raises
+    :class:`TruncationOverflow` rather than clipping.
 
     A table holds its :class:`TableView` from construction and takes its
     size, identity, involution, commutativity and exactness from it; the
@@ -188,6 +189,10 @@ class HypergroupTable:
             self._haar = tuple(haar)
             if len(self._haar) != size:
                 raise ValueError("wrong number of Haar weights")
+        # a section's bounds compress it to balls of up to its radius, at least 2
+        if truncated and not (radius is not None and 2 <= radius <= size):
+            raise ValueError(f"a section of {size} points needs a radius R with "
+                             f"2 <= R <= {size}, got {radius}")
         if not (truncated or view.has_row.all()):
             missing = tuple(np.argwhere(~view.has_row)[0].tolist())
             raise ValueError(f"finite table is missing rows, e.g. {missing}")
@@ -554,7 +559,7 @@ def save_table(H: HypergroupTable, path: str) -> None:
     lines.append("involution " + " ".join(str(i) for i in H.involution))
     lines.append(f"commutative {int(H.commutative)}")
     lines.append(f"truncated {int(H.truncated)}")
-    if H.truncated and H.radius is not None:
+    if H.truncated:
         lines.append(f"radius {H.radius}")
     if H.tail is not None:
         t = H.tail

@@ -655,12 +655,9 @@ def voit_deform(
         return pair
 
     # c'^z_{x,y} = chi(z) c^z_{x,y} / (chi(x) chi(y)) on the entries of the
-    # view; a commutative table gives its products once, x <= y
+    # view, whose index arrays the deformed view shares
     V = H.view
-    c = chi[V.z] * V.c / (chi[V.x] * chi[V.y])
-    given = V.x <= V.y if H.commutative else slice(None)
-    view = TableView(H.size, H.identity, V.inv, H.commutative,
-                     V.x[given], V.y[given], V.z[given], c[given])
+    view = V.reweighted(chi[V.z] * V.c / (chi[V.x] * chi[V.y]))
     haar_def = tuple((chi**2 * H.lam).tolist())
     tail = _deformed_tail(H, chi) if (H.truncated and H.tail is not None) else None
     deformed = HypergroupTable(

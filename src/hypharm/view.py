@@ -59,7 +59,15 @@ RESIDUE_BATCH = 2**16
 # Values in one associativity slab (128 KB of float64) at least: a table
 # with n**3 <= 2**14 (n <= 25) takes all y in one slab per x.
 SLAB_FLOOR = 2**14
+# Values per block of x of a section's checked-triple mask (256 KB of
+# float64): each x of a block takes one weight per entry, and one mask
+# value per (y, z).
+MASK_VALUES = 2**15
 ZERO = Fraction(0)
+# The attributes of a view that :meth:`TableView.reweighted` shares: those
+# that :meth:`TableView._index` sets, and the cached keys.
+_INDEX = ("n", "identity", "commutative", "px", "py", "starts", "pair", "x", "y", "z",
+          "has_row", "inv", "keys")
 
 
 @functools.cache
@@ -288,6 +296,23 @@ class TableView:
         self.inv = _frozen(np.array(involution, dtype=np.int32))
         self.N = None
         self.factors = None
+
+    def reweighted(self, c: np.ndarray) -> "TableView":
+        """The float view of these entries with the coefficients ``c``, one per entry.
+
+        It shares this view's frozen index arrays, so its products, entries
+        and stored rows are these.  Raises ValueError, as the constructor
+        does, for a value that is not finite.
+        """
+        bad = np.flatnonzero(~np.isfinite(c))
+        if bad.size:
+            i = bad[0]
+            raise ValueError(f"structure constants must be finite, got {c[i]} in row "
+                             f"{(int(self.x[i]), int(self.y[i]))}")
+        V = TableView.__new__(TableView)
+        V.__dict__.update({k: v for k, v in vars(self).items() if k in _INDEX})
+        V.N, V.factors, V.c = None, None, _frozen(c)
+        return V
 
     def _keep_form(self, N, num, den):
         """Keep the integers N of the entries and the scales ``num / den``.
@@ -547,57 +572,91 @@ def _associativity(V: TableView, C: np.ndarray, p: np.ndarray | None) -> tuple:
     quarter of ``C``, or of one of its ``n x n x n`` layers when ``C`` has a
     leading axis (one per prime ``p``), or :data:`SLAB_FLOOR` values if that
     is more: a block of whole x when ``n**3`` fits, else blocks of y for one
-    x.  The mask of checked triples is built per block of x, in bools, and
-    a block takes only the span of y and z that holds its checked triples.
-    Returns the worst violation, the number of triples checked and, of an
-    exact view (``C`` holds N or its residues), the rows ``(x, y, z)`` of
-    the checked triples whose defect is not 0 (modulo some prime ``p``).
+    x.  A table with every row stored checks every triple.  A section
+    (:func:`_section_associativity`) checks only some, and takes its slabs
+    and defects only where they lie.  Returns the worst violation, the
+    number of triples checked and, of an exact view (``C`` holds N or its
+    residues), the rows ``(x, y, z)`` of the checked triples whose defect is
+    not 0 (modulo some prime ``p``).
     """
     n, lead = V.n, C.shape[:-3]
-    left_of = C.reshape(lead + (1, n, n * n))
-    missing = ~V.has_row
-    gaps = missing.astype(float) if missing.any() else None
-    if gaps is not None:
-        stored = np.zeros((n, n, n), dtype=bool)
-        stored[V.x, V.y, V.z] = True
     rows = max(1, max(n**3 // 4, SLAB_FLOOR) // (n * n * math.prod(lead)))  # (x, y) per slab
     step, span = max(1, rows // n), min(rows, n)  # x per block, y per slab
-    worst, checked, flagged = 0.0, 0, [np.empty((0, 3), dtype=np.int64)]
+    if not V.has_row.all():
+        return _section_associativity(V, C, p, step, span)
+    left_of = C.reshape(lead + (1, n, n * n))
+    worst, flagged = 0.0, [np.empty((0, 3), dtype=np.int64)]
     for x0 in range(0, n, step):
         xs = slice(x0, min(x0 + step, n))
-        ok = V.has_row[xs, :, None] & V.has_row  # x.y and y.z stored
-        if gaps is not None:
-            ok &= stored[xs].astype(float) @ gaps == 0
-            # the products y.z whose support holds a w with x.w missing
-            k = ok.shape[0]
-            bad = np.bincount((np.arange(k)[:, None] * len(V.px) + V.pair).ravel(),
-                              weights=gaps[xs][:, V.z].ravel(), minlength=k * len(V.px))
-            b, q = np.divmod(np.flatnonzero(bad), len(V.px))
-            ok[b, V.px[q], V.py[q]] = False
-        checked += int(ok.sum())
-        ys = np.flatnonzero(ok.any(axis=(0, 2)))
-        if not ys.size:
-            continue
-        for lo in range(ys[0], ys[-1] + 1, span):
-            hi = min(lo + span, ys[-1] + 1)
-            z0, z1 = 0, n
-            if gaps is not None:  # a section: only some (y, z) are checked
-                zs = np.flatnonzero(ok[:, lo:hi].any(axis=(0, 1)))
-                if not zs.size:
-                    continue
-                # the columns (z, v) of z0 <= z < z1 are one strided block of C
-                z0, z1 = zs[0], zs[-1] + 1
-            diff = C[..., xs, lo:hi, :] @ left_of[..., z0 * n:z1 * n]
-            diff -= (C[..., lo:hi, z0:z1, :].reshape(lead + (1, -1, n))
+        for lo in range(0, n, span):
+            hi = min(lo + span, n)
+            diff = C[..., xs, lo:hi, :] @ left_of
+            diff -= (C[..., lo:hi, :, :].reshape(lead + (1, -1, n))
                      @ C[..., xs, :, :]).reshape(diff.shape)
-            diff = _defect(diff, p).reshape(diff.shape[:-1] + (z1 - z0, n)).max(axis=-1)
-            if gaps is not None:
-                diff[..., ~ok[:, lo:hi, z0:z1]] = 0
+            diff = _defect(diff, p).reshape(diff.shape[:-1] + (n, n)).max(axis=-1)
             top = diff.max()
             worst = _worst(worst, top)
             if top and V.rational:
                 hit = diff.reshape((-1,) + diff.shape[-3:]).max(axis=0)
-                flagged.append(np.argwhere(hit > 0) + (x0, lo, z0))
+                flagged.append(np.argwhere(hit > 0) + (x0, lo, 0))
+    return worst, n**3, np.concatenate(flagged)
+
+
+def _section_associativity(V: TableView, C: np.ndarray, p, step: int, span: int) -> tuple:
+    """:func:`_associativity` on a view with missing rows, in its blocks of ``step`` x.
+
+    The mask of checked triples is built for :data:`MASK_VALUES` values of
+    x at a time (at least one x, and a multiple of ``step``), in bools.  A
+    block of ``step`` x takes only the span of y, in slabs of ``span`` y,
+    and the span of z that hold its checked triples.  Each slab is formed
+    one side at a time, and only its checked rows (x, y, z) are kept, so
+    the defect is taken at those rows alone.
+    """
+    n, lead = V.n, C.shape[:-3]
+    left_of = C.reshape(lead + (1, n, n * n))
+    gaps = (~V.has_row).astype(float)
+    stored = np.zeros((n, n, n), dtype=bool)
+    stored[V.x, V.y, V.z] = True
+    block = min(n, step * max(1, MASK_VALUES // (step * max(n * n, len(V.z)))))
+    # the product of each entry, for each x of a block (no copy for one x)
+    at = (np.arange(block)[:, None] * len(V.px) + V.pair).ravel() if block > 1 else V.pair
+    worst, checked, flagged = 0.0, 0, [np.empty((0, 3), dtype=np.int64)]
+    for b0 in range(0, n, block):
+        bs = slice(b0, min(b0 + block, n))
+        ok = V.has_row[bs, :, None] & V.has_row  # x.y and y.z stored
+        ok &= stored[bs].astype(float) @ gaps == 0
+        # the products y.z whose support holds a w with x.w missing
+        k = ok.shape[0]
+        bad = np.bincount(at[:k * len(V.z)], weights=gaps[bs].take(V.z, axis=1).ravel(),
+                          minlength=k * len(V.px))
+        b, q = np.divmod(np.flatnonzero(bad), len(V.px))
+        ok[b, V.px[q], V.py[q]] = False
+        checked += int(ok.sum())
+        for x0 in range(b0, bs.stop, step):
+            xs = slice(x0, min(x0 + step, n))
+            mask = ok[x0 - b0:xs.stop - b0]
+            ys = np.flatnonzero(mask.any(axis=(0, 2)))
+            if not ys.size:
+                continue
+            for lo in range(ys[0], ys[-1] + 1, span):
+                hi = min(lo + span, ys[-1] + 1)
+                zs = np.flatnonzero(mask[:, lo:hi].any(axis=(0, 1)))
+                if not zs.size:
+                    continue
+                # the columns (z, v) of z0 <= z < z1 are one strided block of C
+                z0, z1 = zs[0], zs[-1] + 1
+                sel = mask[:, lo:hi, z0:z1]
+                i = np.flatnonzero(sel)
+                d = (C[..., xs, lo:hi, :] @ left_of[..., z0 * n:z1 * n]).reshape(
+                    lead + (-1, n)).take(i, axis=-2)
+                d -= (C[..., lo:hi, z0:z1, :].reshape(lead + (1, -1, n))
+                      @ C[..., xs, :, :]).reshape(lead + (-1, n)).take(i, axis=-2)
+                d = _defect(d, p)
+                top = d.max()
+                worst = _worst(worst, top)
+                if top and V.rational:
+                    hit = d.max(axis=-1).reshape(-1, len(i)).max(axis=0)
+                    flagged.append(np.argwhere(sel)[hit > 0] + (x0, lo, z0))
     return worst, checked, np.concatenate(flagged)
 
 

@@ -663,7 +663,7 @@ def test_su2_fusion_matches_fraction_loop(q):
         want = np.array([float(dict(oracle[(min(x, y), max(x, y))])[z])
                          for x, y, z in zip(V.x.tolist(), V.y.tolist(), V.z.tolist())])
         assert V.c.tobytes() == want.tobytes(), R
-        loop = HypergroupTable.from_rows("loop", R, range(R), oracle, truncated=True)
+        loop = HypergroupTable.from_rows("loop", R, range(R), oracle, truncated=True, radius=R)
         assert V.c.tobytes() == loop.view.c.tobytes(), R
         if H.exact:
             assert V.same_entries(loop.view), R

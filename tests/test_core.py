@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hypharm import (
     HFunction,
     builders,
+    chi0,
     convolve,
     convolve_functions,
     convolve_point,
@@ -18,6 +19,7 @@ from hypharm import (
     save_table,
     translate,
     verify_axioms,
+    voit_deform,
 )
 from hypharm.errors import (
     FileFormatError,
@@ -30,6 +32,8 @@ from hypharm.errors import (
 )
 from hypharm.quantum import (
     group_fusion_ring,
+    hypergroup_d,
+    hypergroup_n,
     load_fusion_ring,
     save_fusion_ring,
     su2_fusion_ring,
@@ -276,6 +280,30 @@ def test_truncation_overflow():
                         for x in range(T.size)], rtol=0, atol=1e-15)
     with pytest.raises(IndexError):
         convolve_point(T, 0, 99)
+
+
+@pytest.mark.parametrize("radius", [None, 1, 8])
+def test_section_needs_a_radius_up_to_its_size(radius):
+    # the rule load_table applies to a file: 2 <= R <= size
+    T = builders.tree_radial(2, 6)
+    with pytest.raises(ValueError, match=f"2 <= R <= 7, got {radius}"):
+        HypergroupTable.from_rows("tree", T.size, T.involution, T.rows, haar=T.haar,
+                                  truncated=True, radius=radius)
+    for ok in (2, 7):
+        assert HypergroupTable.from_rows("tree", T.size, T.involution, T.rows, haar=T.haar,
+                                         truncated=True, radius=ok).radius == ok
+
+
+def test_every_section_builder_keeps_a_radius_within_its_size(tmp_path):
+    tables = [builders.tree_radial(2, 2), builders.su2_fusion(2), builders.su2_fusion(12, 0.5)]
+    tables += [voit_deform(T, chi0(T)).deformed for T in tables[:2]]
+    ring = su2_fusion_ring(8, Fraction(1, 2))
+    tables += [hypergroup_n(ring), hypergroup_d(ring)]
+    for T in tables:
+        assert T.truncated and 2 <= T.radius <= T.size
+        p = tmp_path / "section.hyp"
+        save_table(T, str(p))
+        assert f"radius {T.radius}\n" in p.read_text() and load_table(str(p)).radius == T.radius
 
 
 def test_table_file_roundtrip_rational(tmp_path, conj_s3):

@@ -76,6 +76,16 @@ CASES = {
         "verify", "--family", "tree_radial", "--q", "3", "--radius", "40",
         "--format", "structured",
     ],
+    # the slowest sections shapes: the Voit deformation of a tree section,
+    # and the truncated witness on a suq2 section
+    "deform_tree_q3_r28.report": [
+        "deform", "--family", "tree_radial", "--q", "3", "--radius", "28",
+        "--format", "structured",
+    ],
+    "amenability_suq2_q12_r24.report": [
+        "amenability", "--family", "suq2_fusion", "--q", "1/2", "--radius", "24",
+        "--radii", "2,4,7", "--format", "structured",
+    ],
     "verify_conj_s4.report": [
         "verify", "--family", "conj", "--group", "s4", "--format", "structured",
     ],

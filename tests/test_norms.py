@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -14,15 +16,21 @@ from hypharm import (
     voit_deform,
 )
 from hypharm.builders import FamilySpec, family, product, group_hypergroup
+from hypharm.amenability import weak_amenability_witness
 from hypharm.norms import (
+    Interval,
+    _phase,
     a_norm_interval,
     compute_norm_report,
     group_a_norm,
     ma_norm_interval,
+    ma_norm_intervals,
     multiplication_matrix,
+    l2_norm,
     product_a_norm,
 )
 from hypharm import convolve_functions, involute
+from hypharm.spectral import _as_dense
 
 
 @pytest.fixture(scope="module")
@@ -302,3 +310,90 @@ def test_mcb_products_are_built_once_per_group(monkeypatch):
         assert rep.norm_Mcb == pytest.approx(rep.norm_MA, abs=1e-8)
     # Z2 is the one abelian default group: one product table and one diagonalization
     assert len(built) == 1 and len(products) == 1
+
+
+# -- the batched intervals against the per-function loop -----------------------
+
+
+def _a_norm_interval_loop(H, u):
+    """``a_norm_interval`` of one function, one candidate dual at a time."""
+    ud = _as_dense(H, u)
+    lam = H.lam
+    cands = []
+    phase = np.conj(_phase(ud)) * (np.abs(ud) > 0)
+    if np.any(np.abs(phase) > 0):
+        cands.append(phase)
+    for x in np.nonzero(np.abs(ud) > 0)[0][:8]:
+        d = np.zeros(H.size, dtype=complex)
+        d[x] = 1.0
+        cands.append(d)
+    lower = 0.0
+    for f in cands:
+        pair = abs(complex(np.sum(lam * ud * f)))
+        denom = float(np.sum(lam * np.abs(f)))
+        if denom > 0:
+            lower = max(lower, pair / denom)
+    return Interval(lower, l2_norm(H, ud))
+
+
+def _ma_norm_interval_loop(H, u):
+    """``ma_norm_interval`` of one function against delta_e and delta_generator."""
+    ud = _as_dense(H, u)
+    upper = min(l2_norm(H, ud), float(np.sum(np.abs(ud) * np.sqrt(H.lam))))
+    lower = 0.0
+    for v in np.eye(H.size)[[H.identity, H.generator]]:
+        vd = _as_dense(H, v)
+        num = _a_norm_interval_loop(H, ud * vd).lower
+        den = _a_norm_interval_loop(H, vd).upper
+        if den > 0:
+            lower = max(lower, num / den)
+    return Interval(lower, upper)
+
+
+def _same_bits(got, want):
+    return all(type(g) is float and np.float64(g).tobytes() == np.float64(w).tobytes()
+               for g, w in zip((got.lower, got.upper), (want.lower, want.upper)))
+
+
+@pytest.mark.parametrize("spec", [FamilySpec("tree_radial", q=2), FamilySpec("tree_radial", q=3),
+                                  FamilySpec("su2_fusion"),
+                                  FamilySpec("suq2_fusion", q=Fraction(1, 2))],
+                         ids=lambda spec: f"{spec.name}_{spec.q}")
+@pytest.mark.parametrize("radius, radii", [(24, (2, 4, 7)), (30, (3, 6, 9))])
+def test_batched_intervals_equal_the_loop_bit_for_bit(spec, radius, radii):
+    # the witness's functions on H and on its deformation H0, two random
+    # complex functions as ``norms --random`` draws them, and a function whose
+    # largest value sits at the ninth point of its support, which no delta
+    # candidate takes
+    H = family(FamilySpec(spec.name, q=spec.q, radius=radius))
+    H0 = voit_deform(H, chi0(H)).deformed
+    deltas = np.eye(H.size)[:3]
+    rng = np.random.default_rng(radius)
+    randoms = [rng.standard_normal(H.size) + 1j * rng.standard_normal(H.size) for _ in range(2)]
+    randoms.append(np.r_[np.ones(8), 1e3, np.zeros(H.size - 9)])
+    for entry in weak_amenability_witness(H, radii).entries:
+        e = entry.e_alpha
+        residuals = [u * e - u for u in deltas]
+        (iv,), upper = ma_norm_intervals(H, [e], more=residuals)
+        assert _same_bits(iv, _ma_norm_interval_loop(H, e))
+        assert _same_bits(iv, entry.ma_interval_H)
+        assert upper == [_a_norm_interval_loop(H, r).upper for r in residuals]
+        assert upper == list(entry.residuals.values())
+        (iv0,), _ = ma_norm_intervals(H0, [e])
+        assert _same_bits(iv0, _ma_norm_interval_loop(H0, e))
+        for T in (H, H0):
+            for u in [e, e * deltas[0], e * deltas[1]] + residuals + randoms:
+                assert _same_bits(a_norm_interval(T, u), _a_norm_interval_loop(T, u))
+                assert _same_bits(ma_norm_interval(T, u), _ma_norm_interval_loop(T, u))
+
+
+def test_batched_intervals_of_functions_that_are_not_finite():
+    # a value that is not finite pairs every delta to NaN, which no bound takes
+    T = builders.tree_radial(2, 12)
+    for bad in (np.nan, np.inf, complex(1, np.inf)):
+        u = np.zeros(T.size, dtype=complex)
+        u[:4] = [1.0, -2.0, bad, 0.5j]
+        with np.errstate(all="ignore"):
+            got, want = a_norm_interval(T, u), _a_norm_interval_loop(T, u)
+        assert np.float64(got.lower).tobytes() == np.float64(want.lower).tobytes()
+        assert np.float64(got.upper).tobytes() == np.float64(want.upper).tobytes()

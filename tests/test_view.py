@@ -3,7 +3,9 @@
 ``_verify_axioms_loop`` and ``_haar_defect_loop`` below check the axioms
 and the Haar identity by loops over the stored rows, in Fractions for an
 exact table; they are the oracle here.  ``_residual_loop`` is the
-multiplicativity residual as a loop over the stored rows.
+multiplicativity residual as a loop over the stored rows, and
+``_associativity_per_x`` the dense associativity pass with its mask built
+for one x at a time and its defects taken over whole slabs.
 """
 
 import functools
@@ -169,6 +171,59 @@ def _verify_axioms_loop(H: HypergroupTable, tol: float = DEFAULT_TOL) -> AxiomRe
     report.triples_checked = checked
     report.triples_skipped = skipped
     return report
+
+def _associativity_per_x(V: TableView, C: np.ndarray, p: np.ndarray | None) -> tuple:
+    """``view._associativity`` with the mask of checked triples built per block of x.
+
+    A block is the x of one slab; a section's block takes the span of y and
+    z that holds its checked triples, and its defects are taken over the
+    whole slab, then masked to the checked triples.
+    """
+    n, lead = V.n, C.shape[:-3]
+    left_of = C.reshape(lead + (1, n, n * n))
+    missing = ~V.has_row
+    gaps = missing.astype(float) if missing.any() else None
+    if gaps is not None:
+        stored = np.zeros((n, n, n), dtype=bool)
+        stored[V.x, V.y, V.z] = True
+    rows = max(1, max(n**3 // 4, view.SLAB_FLOOR) // (n * n * math.prod(lead)))
+    step, span = max(1, rows // n), min(rows, n)
+    worst, checked, flagged = 0.0, 0, [np.empty((0, 3), dtype=np.int64)]
+    for x0 in range(0, n, step):
+        xs = slice(x0, min(x0 + step, n))
+        ok = V.has_row[xs, :, None] & V.has_row
+        if gaps is not None:
+            ok &= stored[xs].astype(float) @ gaps == 0
+            k = ok.shape[0]
+            bad = np.bincount((np.arange(k)[:, None] * len(V.px) + V.pair).ravel(),
+                              weights=gaps[xs][:, V.z].ravel(), minlength=k * len(V.px))
+            b, q = np.divmod(np.flatnonzero(bad), len(V.px))
+            ok[b, V.px[q], V.py[q]] = False
+        checked += int(ok.sum())
+        ys = np.flatnonzero(ok.any(axis=(0, 2)))
+        if not ys.size:
+            continue
+        for lo in range(ys[0], ys[-1] + 1, span):
+            hi = min(lo + span, ys[-1] + 1)
+            z0, z1 = 0, n
+            if gaps is not None:
+                zs = np.flatnonzero(ok[:, lo:hi].any(axis=(0, 1)))
+                if not zs.size:
+                    continue
+                z0, z1 = zs[0], zs[-1] + 1
+            diff = C[..., xs, lo:hi, :] @ left_of[..., z0 * n:z1 * n]
+            diff -= (C[..., lo:hi, z0:z1, :].reshape(lead + (1, -1, n))
+                     @ C[..., xs, :, :]).reshape(diff.shape)
+            diff = view._defect(diff, p).reshape(diff.shape[:-1] + (z1 - z0, n)).max(axis=-1)
+            if gaps is not None:
+                diff[..., ~ok[:, lo:hi, z0:z1]] = 0
+            top = diff.max()
+            worst = view._worst(worst, top)
+            if top and V.rational:
+                hit = diff.reshape((-1,) + diff.shape[-3:]).max(axis=0)
+                flagged.append(np.argwhere(hit > 0) + (x0, lo, z0))
+    return worst, checked, np.concatenate(flagged)
+
 
 def _haar_defect_loop(H: HypergroupTable):
     """Largest |lam(y) c^z_{x,y} - lam(z) c^y_{x~,z}|, by Python loops."""
@@ -531,6 +586,35 @@ def test_entries_of_float_tables_must_be_finite():
         TableView(3, 0, [0, 2, 1], True, x, y, z, c)
 
 
+@pytest.mark.parametrize("name", ["tree2_r16", "tree3_r16", "su2_r16", "suq2_r12"])
+def test_deformed_view_shares_the_index_arrays_of_its_base(name):
+    H = _table(name)
+    D = voit_deform(H, chi0(H)).deformed
+    V, W = H.view, D.view
+    for attr in view._INDEX:
+        if attr in vars(V):
+            assert getattr(W, attr) is getattr(V, attr), attr
+    assert not W.rational and W.factors is None and not W.c.flags.writeable
+    # the view the constructor builds of the deformed entries, x <= y
+    once = V.x <= V.y
+    built = TableView(V.n, V.identity, V.inv, True, V.x[once], V.y[once], V.z[once], W.c[once])
+    for attr in ("px", "py", "starts", "pair", "x", "y", "z", "has_row", "inv"):
+        assert np.array_equal(getattr(W, attr), getattr(built, attr)), attr
+    assert W.c.tobytes() == built.c.tobytes()
+
+
+def test_reweighted_values_must_be_finite_like_the_entries():
+    x, y, z = _z3_entries()
+    V = TableView(3, 0, [0, 2, 1], True, x, y, z, np.ones(len(x)))
+    c = np.ones(len(V.z))
+    c[[5, 7]] = np.inf  # the entries of 1.2 and of its mirror 2.1
+    once = V.x <= V.y
+    for build in (lambda: V.reweighted(c),
+                  lambda: TableView(3, 0, V.inv, True, V.x[once], V.y[once], V.z[once], c[once])):
+        with pytest.raises(ValueError, match=r"must be finite, got inf in row \(1, 2\)$"):
+            build()
+
+
 def test_entries_are_sorted_folded_and_stripped_of_zeros():
     x, y, z = _z3_entries()
     ones = np.ones(len(x), dtype=np.int64)
@@ -562,7 +646,7 @@ def test_finite_table_given_a_view_needs_every_row():
     V = TableView(2, 0, [0, 1], True, [0, 0], [0, 1], [0, 1], np.ones(2))
     with pytest.raises(ValueError, match="missing rows"):
         HypergroupTable("z2 without 1.1", V)
-    H = HypergroupTable("section", V, truncated=True)
+    H = HypergroupTable("section", V, truncated=True, radius=2)
     assert H.has_row(0, 1) and not H.has_row(1, 1) and not H.has_row(2, 0)
     with pytest.raises(core.TruncationOverflow):
         H.row(1, 1)
@@ -598,7 +682,7 @@ def test_an_empty_row_stays_stored():
     rows = {(0, 0): [(0, 1)], (0, 1): [(1, 1)], (1, 1): []}
     H = HypergroupTable.from_rows("z2 with an empty row", 2, [0, 1], rows)
     assert verify_axioms(H).checks["probability"].violation == 1.0
-    H = HypergroupTable.from_rows("section", 2, [0, 1], rows, truncated=True)
+    H = HypergroupTable.from_rows("section", 2, [0, 1], rows, truncated=True, radius=2)
     assert H.has_row(1, 1) and H.row(1, 1) == ()
 
 
@@ -945,6 +1029,102 @@ def test_associativity_slab_takes_only_checked_columns(monkeypatch):
     assert flagged.shape == (0, 3)
     assert checked == _verify_axioms_loop(H).triples_checked
     assert sum(sizes) < H.size**4 // 2
+
+
+# -- the section pass against the per-x oracle ---------------------------------
+
+
+def _associativity_tables():
+    """The builders' tables, the Voit-deformed sections of tree_radial q = 2,
+    su2 and suq2 q = 1/2 at R = 8..30, and three whose passes run modulo
+    primes: a broken su2(14), su2(12, q = 1/1000) with an N beyond the
+    float64 bound, and tree_radial(3, 40)."""
+    out = dict(BUILDERS)
+    for name in ("tree2", "su2", "suq2"):
+        for r in (8, 12, 16, 20, 24, 28, 30):
+            out.setdefault(f"{name}_r{r}_voit", functools.partial(_deformed, name, r))
+
+    def broken(R, q, pick, value):
+        H = builders.su2_fusion(R, q=q)
+        N = H.view.N[H.view.x <= H.view.y].copy()
+        N[pick] = value
+        return _with_n(H, N, builders.q_integers(q, R)[1:R + 1])
+
+    out["su2_r14_broken"] = functools.partial(broken, 14, 1, 7, 2)
+    out["suq2_q1/1000_r12_big"] = functools.partial(broken, 12, Fraction(1, 1000), 5, 2**30)
+    out["tree3_r40"] = functools.partial(builders.tree_radial, 3, 40)
+    return out
+
+
+ASSOCIATIVITY = _associativity_tables()
+
+
+def _passes(V):
+    """The dense passes of ``V``: on its floats, or on N in float64 when that
+    is exact and on N's residues modulo the primes for a height of at least
+    2**60, so that an exact view takes more than one residue pass."""
+    if not V.rational:
+        yield V.dense(V.c), None
+        return
+    if not _beyond_float64(V):
+        yield V.dense(V.N.astype(float)), None
+    height = max(2 * V.n * view.max_abs(V.N) ** 2, 2**60)
+    for p in view._batches(V, view.crt_primes(V.n, height)):
+        yield V.dense(view.residues(V.N, p)), p
+
+
+def _assert_same_pass(got, want):
+    """The same worst violation (bitwise), checked count and set of flagged triples."""
+    assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+    assert got[1] == want[1]
+    assert set(map(tuple, got[2].tolist())) == set(map(tuple, want[2].tolist()))
+
+
+@functools.cache
+def _associativity_table(name):
+    return _table(name) if name in BUILDERS else ASSOCIATIVITY[name]()
+
+
+def test_the_oracle_covers_sections_residues_and_failures():
+    assert len(ASSOCIATIVITY) == 69
+    assert sum(not _associativity_table(k).view.has_row.all() for k in ASSOCIATIVITY) == 36
+    V = _associativity_table("su2_r14_broken").view
+    assert all(len(view._associativity(V, C, p)[2]) for C, p in _passes(V))
+
+
+@pytest.mark.parametrize("name", sorted(ASSOCIATIVITY))
+def test_associativity_equals_the_per_x_oracle(name, monkeypatch):
+    # the mask built for one x at a time, for the default block and for the
+    # whole table at once
+    V = _associativity_table(name).view
+    for C, p in _passes(V):
+        want = _associativity_per_x(V, C, p)
+        for values in (1, view.MASK_VALUES, 2**40):
+            monkeypatch.setattr(view, "MASK_VALUES", values)
+            _assert_same_pass(view._associativity(V, C, p), want)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    name=st.sampled_from(MUTABLE),
+    pick=st.integers(min_value=0),
+    drop=st.booleans(),
+    num=st.integers(-3, 3),
+    den=st.integers(1, 6),
+)
+def test_mutated_table_passes_like_the_per_x_oracle(name, pick, drop, num, den):
+    V = _mutated(_table(name), pick, None if drop else Fraction(num, den)).view
+    for C, p in _passes(V):
+        _assert_same_pass(view._associativity(V, C, p), _associativity_per_x(V, C, p))
+
+
+def test_section_pass_peaks_no_higher_than_the_oracle():
+    # one slab at a time, and the checked rows of it: no more memory than the
+    # per-x masks and whole-slab defects, at su2_fusion(140)
+    V = builders.su2_fusion(140).view
+    C = V.dense(V.N.astype(float))
+    assert _peak_bytes(view._associativity, V, C, None) <= _peak_bytes(
+        _associativity_per_x, V, C, None)
 
 
 # -- every exact built-in holds N and scales ---------------------------------
