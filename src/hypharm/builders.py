@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import DEFAULT_SEED, HypergroupTable, NNTail
+from .core import HypergroupTable, NNTail
 from .view import TableView, int_array
 from .errors import NonIntegerDimension
 from .groups import FiniteGroup, cyclic
@@ -163,34 +163,24 @@ class GroupCharacterData:
 
 @functools.cache
 def group_character_data(G: FiniteGroup) -> GroupCharacterData:
-    """Character table of G, computed once per group and process.
-
-    The integers (dimensions, multiplicities, conjugates, class sizes) do
-    not depend on the seed of the diagonalization: the rounding guard of
-    :func:`_character_data` fixes them.  The character values are those of
-    the default seed.
-    """
-    return _character_data(G)
-
-
-def _character_data(
-    G: FiniteGroup, seed: int = DEFAULT_SEED, tol: float = 1e-6
-) -> GroupCharacterData:
     """Character table of G via class-sum joint diagonalization of Conj(G).
 
-    Dimensions are recovered from d = sqrt(|G| / sum_C |C| |chi(C)/d|^2) and
-    rounded; a deviation beyond ``tol`` signals a spectral failure and raises
+    Computed once per group and process, at the default seed.  Dimensions
+    are recovered from d = sqrt(|G| / sum_C |C| |chi(C)/d|^2) and rounded;
+    a deviation beyond 1e-6 signals a spectral failure and raises
     :class:`NonIntegerDimension`.  Multiplicities are inner products of
-    characters, rounded under the same guard.
+    characters, rounded under the same guard, so the integers (dimensions,
+    multiplicities, conjugates, class sizes) do not depend on the seed; the
+    character values are those of the default seed.
     """
     from . import spectral  # deferred: spectral depends on core only
 
-    ct = spectral.characters(conjugacy_hypergroup(G), seed=seed)
+    ct = spectral.characters(conjugacy_hypergroup(G))
     sizes = np.array([len(cl) for cl in G.conjugacy_classes()])
     psi = np.array(ct.chars, dtype=complex)
 
     d = np.sqrt(G.order / (np.abs(psi) ** 2 @ sizes))
-    if (bad := np.flatnonzero(np.abs(d - np.round(d)) > tol)).size:
+    if (bad := np.flatnonzero(np.abs(d - np.round(d)) > 1e-6)).size:
         raise NonIntegerDimension(
             f"{G.name}: recovered dimension {d[bad[0]]} is not an integer"
         )
@@ -206,7 +196,7 @@ def _character_data(
     # N^g_{ab} = <chi_a chi_b, chi_g> = (1/|G|) sum_C |C| chi_a chi_b conj(chi_g)
     val = (chars[:, None, :] * chars[None, :, :] * sizes) @ chars.conj().T / G.order
     mult = np.round(val.real).astype(np.int64)
-    if (bad := np.argwhere(np.abs(val - mult) > tol)).size:
+    if (bad := np.argwhere(np.abs(val - mult) > 1e-6)).size:
         a, b, g = bad[0]
         raise NonIntegerDimension(
             f"{G.name}: multiplicity <chi_{a} chi_{b}, chi_{g}> = {val[a, b, g]}"

@@ -65,9 +65,15 @@ class FusionRing:
 
     @property
     def complete(self) -> bool:
-        return all(
-            (a, b) in self.mult for a in range(self.size) for b in range(self.size)
-        )
+        """Whether every product ``(a, b)`` has a row, given as ``(a, b)`` or ``(b, a)``."""
+        return bool(self._stored()[1].all())
+
+    def _stored(self) -> tuple[np.ndarray, np.ndarray]:
+        """The keys ``(a, b)`` of ``mult``, and the mask of products with a row in either order."""
+        keys = np.array(list(self.mult), dtype=np.int64).reshape(-1, 2)
+        has = np.zeros((self.size, self.size), dtype=bool)
+        has[keys[:, 0], keys[:, 1]] = has[keys[:, 1], keys[:, 0]] = True
+        return keys, has
 
     def N(self, a: int, b: int, g: int) -> int:
         row = self.mult.get((a, b))
@@ -99,15 +105,13 @@ class FusionRing:
         """
         a, b, g, N = self.entries()
         k, conj = self.size, np.array(self.conjugate, dtype=np.int64)
-        keys = np.array(list(self.mult), dtype=np.int64).reshape(-1, 2)
+        keys, has = self._stored()
         row = np.repeat(np.arange(len(keys)), [len(r) for r in self.mult.values()])
         # M[x, y, z] = N(x, y, z): row (x, y), else row (y, x)
         M = np.zeros((k, k, k), dtype=np.int64)
         M[b, a, g] = N
         M[keys[:, 0], keys[:, 1]] = 0
         M[a, b, g] = N
-        has = np.zeros((k, k), dtype=bool)
-        has[keys[:, 0], keys[:, 1]] = has[keys[:, 1], keys[:, 0]] = True
         bad = N < 0
         for x, y, z in ((conj[a], g, b), (g, conj[b], a)):
             bad |= has[x, y] & (M[x, y, z] != N)

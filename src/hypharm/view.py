@@ -59,15 +59,16 @@ RESIDUE_BATCH = 2**16
 # Values in one associativity slab (128 KB of float64) at least: a table
 # with n**3 <= 2**14 (n <= 25) takes all y in one slab per x.
 SLAB_FLOOR = 2**14
-# Values per block of x of a section's checked-triple mask (256 KB of
-# float64): each x of a block takes one weight per entry, and one mask
+# Values per block of x while a view's checked-triple plan is built (256 KB
+# of float64): each x of a block takes one weight per entry, and one mask
 # value per (y, z).
 MASK_VALUES = 2**15
 ZERO = Fraction(0)
 # The attributes of a view that :meth:`TableView.reweighted` shares: those
-# that :meth:`TableView._index` sets, and the cached keys.
+# that :meth:`TableView._index` sets, the cached keys and the checked-triple
+# plan, which depend on the index arrays alone.
 _INDEX = ("n", "identity", "commutative", "px", "py", "starts", "pair", "x", "y", "z",
-          "has_row", "inv", "keys")
+          "has_row", "inv", "keys", "plan")
 
 
 @functools.cache
@@ -158,6 +159,9 @@ class TableView:
       the entries (int32 below 2**31 entries) and ``pair`` the product of
       each entry;
     * ``has_row`` -- the ``n x n`` mask of stored products;
+    * :attr:`plan` -- the ``n x n x n`` mask of the triples that the
+      associativity check takes, those whose rows are all stored, or None
+      if every row is; built on first use;
     * ``n``, ``identity``, ``inv`` and ``commutative`` -- the size, the
       identity, the involution and whether the product commutes, which a
       :class:`~hypharm.core.HypergroupTable` takes from its view;
@@ -301,8 +305,9 @@ class TableView:
         """The float view of these entries with the coefficients ``c``, one per entry.
 
         It shares this view's frozen index arrays, so its products, entries
-        and stored rows are these.  Raises ValueError, as the constructor
-        does, for a value that is not finite.
+        and stored rows are these, and its :attr:`plan`, built here if it
+        was not.  Raises ValueError, as the constructor does, for a value
+        that is not finite.
         """
         bad = np.flatnonzero(~np.isfinite(c))
         if bad.size:
@@ -310,7 +315,7 @@ class TableView:
             raise ValueError(f"structure constants must be finite, got {c[i]} in row "
                              f"{(int(self.x[i]), int(self.y[i]))}")
         V = TableView.__new__(TableView)
-        V.__dict__.update({k: v for k, v in vars(self).items() if k in _INDEX})
+        V.__dict__.update({k: v for k, v in vars(self).items() if k in _INDEX}, plan=self.plan)
         V.N, V.factors, V.c = None, None, _frozen(c)
         return V
 
@@ -459,6 +464,11 @@ class TableView:
         assert (np.diff(keys) > 0).all(), "entries out of (x, y, z) order"
         return _frozen(keys)
 
+    @cached_property
+    def plan(self) -> np.ndarray | None:
+        """The mask of the triples associativity is checked at, or None for all (:func:`_plan`)."""
+        return _plan(self)
+
     def row(self, x: int, y: int) -> tuple:
         """The row ``((z, c), ...)`` of the stored product ``x . y``."""
         first = (x * self.n + y) * self.n
@@ -563,101 +573,93 @@ def axiom_defects(V: TableView, c: np.ndarray) -> tuple[dict, int]:
 
 
 def _associativity(V: TableView, C: np.ndarray, p: np.ndarray | None) -> tuple:
-    """Largest |((x.y).z - x.(y.z))_v| over the triples inside the section.
+    """Largest |((x.y).z - x.(y.z))_v| over the triples of the view's plan.
 
-    A triple (x, y, z) is checked when every row both sides use is stored:
-    x.y, y.z, w.z for w in supp(x.y) and x.w for w in supp(y.z).  The
-    slabs ``L = C[x] @ C.reshape(n, n*n)`` and ``R = C.reshape(n*n, n) @
-    C[x]`` hold both sides for all (y, z, v).  Each slab holds at most a
-    quarter of ``C``, or of one of its ``n x n x n`` layers when ``C`` has a
-    leading axis (one per prime ``p``), or :data:`SLAB_FLOOR` values if that
-    is more: a block of whole x when ``n**3`` fits, else blocks of y for one
-    x.  A table with every row stored checks every triple.  A section
-    (:func:`_section_associativity`) checks only some, and takes its slabs
-    and defects only where they lie.  Returns the worst violation, the
-    number of triples checked and, of an exact view (``C`` holds N or its
-    residues), the rows ``(x, y, z)`` of the checked triples whose defect is
-    not 0 (modulo some prime ``p``).
+    The checked triples (x, y, z) are those of :attr:`TableView.plan`, or
+    all of them without a plan.  The slabs ``L = C[x] @ C.reshape(n, n*n)``
+    and ``R = C.reshape(n*n, n) @ C[x]`` hold both sides for all (y, z, v).
+    Each slab holds at most a quarter of ``C``, or of one of its ``n x n x
+    n`` layers when ``C`` has a leading axis (one per prime ``p``), or
+    :data:`SLAB_FLOOR` values if that is more: a block of whole x when
+    ``n**3`` fits, else blocks of y for one x.  Without a plan the slabs are
+    whole.  With one, a block of x takes only the span of y, and a slab only
+    the span of z, that hold checked triples; each side of the slab is
+    formed in turn and cut to its checked rows (x, y, z), so the defect is
+    taken at those rows alone.  Returns the worst violation, the number of
+    triples checked and, of an exact view (``C`` holds N or its residues),
+    the rows ``(x, y, z)`` of the checked triples whose defect is not 0
+    (modulo some prime ``p``).
     """
-    n, lead = V.n, C.shape[:-3]
+    n, lead, plan = V.n, C.shape[:-3], V.plan
     rows = max(1, max(n**3 // 4, SLAB_FLOOR) // (n * n * math.prod(lead)))  # (x, y) per slab
     step, span = max(1, rows // n), min(rows, n)  # x per block, y per slab
-    if not V.has_row.all():
-        return _section_associativity(V, C, p, step, span)
     left_of = C.reshape(lead + (1, n, n * n))
     worst, flagged = 0.0, [np.empty((0, 3), dtype=np.int64)]
     for x0 in range(0, n, step):
         xs = slice(x0, min(x0 + step, n))
-        for lo in range(0, n, span):
-            hi = min(lo + span, n)
-            diff = C[..., xs, lo:hi, :] @ left_of
-            diff -= (C[..., lo:hi, :, :].reshape(lead + (1, -1, n))
-                     @ C[..., xs, :, :]).reshape(diff.shape)
-            diff = _defect(diff, p).reshape(diff.shape[:-1] + (n, n)).max(axis=-1)
-            top = diff.max()
+        ys = range(n) if plan is None else np.flatnonzero(plan[xs].any(axis=(0, 2)))
+        if not len(ys):
+            continue
+        for lo in range(ys[0], ys[-1] + 1, span):
+            hi = min(lo + span, ys[-1] + 1)
+            zs = range(n) if plan is None else np.flatnonzero(plan[xs, lo:hi].any(axis=(0, 1)))
+            if not len(zs):
+                continue
+            # the columns (z, v) of z0 <= z < z1 are one strided block of C
+            z0, z1 = zs[0], zs[-1] + 1
+            sel = None if plan is None else plan[xs, lo:hi, z0:z1]
+            i = None if sel is None else np.flatnonzero(sel)
+
+            def kept(side):  # the slab's rows (x, y, z) of n values v, or its checked ones
+                side = side.reshape(lead + (-1, n))
+                return side if i is None else side.take(i, axis=-2)
+
+            d = kept(C[..., xs, lo:hi, :] @ left_of[..., z0 * n:z1 * n])
+            d -= kept(C[..., lo:hi, z0:z1, :].reshape(lead + (1, -1, n)) @ C[..., xs, :, :])
+            d = _defect(d, p)
+            top = d.max()
             worst = _worst(worst, top)
             if top and V.rational:
-                hit = diff.reshape((-1,) + diff.shape[-3:]).max(axis=0)
-                flagged.append(np.argwhere(hit > 0) + (x0, lo, 0))
-    return worst, n**3, np.concatenate(flagged)
+                hit = d.max(axis=-1).reshape(-1, d.shape[-2]).max(axis=0) > 0
+                at = np.argwhere(sel)[hit] if sel is not None else np.argwhere(
+                    hit.reshape(-1, hi - lo, n))
+                flagged.append(at + (x0, lo, z0))
+    checked = n**3 if plan is None else int(np.count_nonzero(plan))
+    return worst, checked, np.concatenate(flagged)
 
 
-def _section_associativity(V: TableView, C: np.ndarray, p, step: int, span: int) -> tuple:
-    """:func:`_associativity` on a view with missing rows, in its blocks of ``step`` x.
+def _plan(V: TableView) -> np.ndarray | None:
+    """The ``n x n x n`` mask of the triples whose rows all lie inside the view.
 
-    The mask of checked triples is built for :data:`MASK_VALUES` values of
-    x at a time (at least one x, and a multiple of ``step``), in bools.  A
-    block of ``step`` x takes only the span of y, in slabs of ``span`` y,
-    and the span of z that hold its checked triples.  Each slab is formed
-    one side at a time, and only its checked rows (x, y, z) are kept, so
-    the defect is taken at those rows alone.
+    None if the view stores every row.  The rows of (x, y, z) are x.y, y.z,
+    w.z for w in supp(x.y) and x.w for w in supp(y.z).  The mask is built in
+    bools for :data:`MASK_VALUES` values of x at a time (at least one x),
+    from the entries of those x and the stored-row mask: one GEMM finds the
+    w of supp(x.y) with w.z missing, and one ``bincount`` the products y.z
+    whose support holds a w with x.w missing.
     """
-    n, lead = V.n, C.shape[:-3]
-    left_of = C.reshape(lead + (1, n, n * n))
+    if V.has_row.all():
+        return None
+    n = V.n
     gaps = (~V.has_row).astype(float)
-    stored = np.zeros((n, n, n), dtype=bool)
-    stored[V.x, V.y, V.z] = True
-    block = min(n, step * max(1, MASK_VALUES // (step * max(n * n, len(V.z)))))
+    plan = V.has_row[:, :, None] & V.has_row  # x.y and y.z stored
+    block = min(n, max(1, MASK_VALUES // max(n * n, len(V.z))))
     # the product of each entry, for each x of a block (no copy for one x)
     at = (np.arange(block)[:, None] * len(V.px) + V.pair).ravel() if block > 1 else V.pair
-    worst, checked, flagged = 0.0, 0, [np.empty((0, 3), dtype=np.int64)]
     for b0 in range(0, n, block):
         bs = slice(b0, min(b0 + block, n))
-        ok = V.has_row[bs, :, None] & V.has_row  # x.y and y.z stored
-        ok &= stored[bs].astype(float) @ gaps == 0
-        # the products y.z whose support holds a w with x.w missing
+        ok = plan[bs]
         k = ok.shape[0]
+        e = slice(*np.searchsorted(V.x, [b0, bs.stop]))  # the entries x.y of the block
+        stored = np.zeros((k, n, n))
+        stored[V.x[e] - b0, V.y[e], V.z[e]] = 1
+        ok &= stored @ gaps == 0
+        del stored  # freed before the weights of the bincount are formed
         bad = np.bincount(at[:k * len(V.z)], weights=gaps[bs].take(V.z, axis=1).ravel(),
                           minlength=k * len(V.px))
         b, q = np.divmod(np.flatnonzero(bad), len(V.px))
         ok[b, V.px[q], V.py[q]] = False
-        checked += int(ok.sum())
-        for x0 in range(b0, bs.stop, step):
-            xs = slice(x0, min(x0 + step, n))
-            mask = ok[x0 - b0:xs.stop - b0]
-            ys = np.flatnonzero(mask.any(axis=(0, 2)))
-            if not ys.size:
-                continue
-            for lo in range(ys[0], ys[-1] + 1, span):
-                hi = min(lo + span, ys[-1] + 1)
-                zs = np.flatnonzero(mask[:, lo:hi].any(axis=(0, 1)))
-                if not zs.size:
-                    continue
-                # the columns (z, v) of z0 <= z < z1 are one strided block of C
-                z0, z1 = zs[0], zs[-1] + 1
-                sel = mask[:, lo:hi, z0:z1]
-                i = np.flatnonzero(sel)
-                d = (C[..., xs, lo:hi, :] @ left_of[..., z0 * n:z1 * n]).reshape(
-                    lead + (-1, n)).take(i, axis=-2)
-                d -= (C[..., lo:hi, z0:z1, :].reshape(lead + (1, -1, n))
-                      @ C[..., xs, :, :]).reshape(lead + (-1, n)).take(i, axis=-2)
-                d = _defect(d, p)
-                top = d.max()
-                worst = _worst(worst, top)
-                if top and V.rational:
-                    hit = d.max(axis=-1).reshape(-1, len(i)).max(axis=0)
-                    flagged.append(np.argwhere(sel)[hit > 0] + (x0, lo, z0))
-    return worst, checked, np.concatenate(flagged)
+    return _frozen(plan)
 
 
 def haar_defect(V: TableView, c: np.ndarray, lam: np.ndarray):
@@ -813,7 +815,8 @@ def _exact_associativity(V: TableView) -> tuple[Fraction, int]:
     factors' sides, and it checks ``checked1 * checked2`` triples.  Any
     other view is checked on N, in one float64 pass while every sum is
     exact (``2 n max|N|**2 <= 2**53``), else on N's residues modulo
-    :func:`crt_primes`; :func:`_triple_defect` sizes the triples it flags.
+    :func:`crt_primes`, one pass per batch of primes, all on the view's one
+    :attr:`~TableView.plan`; :func:`_triple_defect` sizes the triples they flag.
     """
     if V.factors is not None:  # an exact product has exact factors
         found = [_exact_associativity(W) for W in V.factors]

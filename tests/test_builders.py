@@ -385,12 +385,17 @@ def test_character_data_matches_loops(tmp_path):
         assert data.chars == chars, G.name
 
 
-def test_character_integers_do_not_depend_on_the_seed():
+def test_character_integers_do_not_depend_on_the_seed(monkeypatch):
+    # the uncached computation, with the diagonalization of Conj(G) at other seeds
+    from hypharm import spectral
+
     for name in GROUP_NAMES:
         G = groups.get_group(name)
         data = builders.group_character_data(G)
         for seed in (1, 7, 12345, 2**31 - 1):
-            other = builders._character_data(G, seed=seed)
+            monkeypatch.setattr(spectral, "characters",
+                                lambda H, seed=seed: characters(H, seed=seed))
+            other = builders.group_character_data.__wrapped__(G)
             assert (other.class_sizes, other.dims, other.mult, other.conjugate) == (
                 data.class_sizes, data.dims, data.mult, data.conjugate), (name, seed)
 
@@ -874,10 +879,14 @@ def test_tree_radial_q3_matches_graph_oracle():
             assert dict(T.row(m, n)) == tree_sphere_oracle(3, m, n), (m, n)
 
 
-def test_dimension_recovery_fails_loudly():
-    # the integer-rounding guard raises rather than silently rounding
-    from hypharm.builders import _character_data
-    from hypharm.errors import NonIntegerDimension
+def test_dimension_recovery_fails_loudly(monkeypatch):
+    # the integer-rounding guard raises rather than silently rounding a
+    # dimension recovered 0.1% off its integer (the uncached computation)
+    from hypharm import spectral
 
-    with pytest.raises(NonIntegerDimension):
-        _character_data(groups.symmetric(3), tol=0.0)
+    G = groups.symmetric(3)
+    ct = spectral.characters(builders.conjugacy_hypergroup(G))
+    monkeypatch.setattr(spectral, "characters",
+                        lambda H: dataclasses.replace(ct, chars=ct.chars * 1.001))
+    with pytest.raises(NonIntegerDimension, match="is not an integer"):
+        builders.group_character_data.__wrapped__(G)

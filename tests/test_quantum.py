@@ -1,3 +1,4 @@
+import dataclasses
 import io
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -46,6 +47,29 @@ def test_hypergroup_n_equals_irr_table(builtin_groups):
         HI = builders.irr_hypergroup(G)
         assert Hn.rows == HI.rows, name
         assert Hn.haar == HI.haar, name
+
+
+def test_ring_with_each_product_in_one_order_is_complete(tmp_path):
+    # Irr(S3) given only its rows a <= b, built and through a file
+    G = groups.symmetric(3)
+    ring = group_fusion_ring(G)
+    half = dataclasses.replace(ring, mult={k: r for k, r in ring.mult.items() if k[0] <= k[1]})
+    half.validate()
+    path = tmp_path / "half.fus"
+    save_fusion_ring(half, str(path))
+    HI = builders.irr_hypergroup(G)
+    for FR in (half, load_fusion_ring(str(path))):
+        assert FR.complete
+        Hn = hypergroup_n(FR)
+        assert not Hn.truncated and Hn.radius is None
+        assert Hn.rows == HI.rows and Hn.haar == HI.haar
+        assert np.allclose(characters(Hn).plancherel, characters(HI).plancherel)
+    # one product given in neither order
+    mult = dict(half.mult)
+    del mult[(1, 2)]
+    short = dataclasses.replace(half, mult=mult)
+    assert not short.complete
+    assert hypergroup_n(short).truncated and hypergroup_n(short).radius == 3
 
 
 def test_frobenius_reciprocity_validated():

@@ -1094,13 +1094,14 @@ def test_the_oracle_covers_sections_residues_and_failures():
 
 @pytest.mark.parametrize("name", sorted(ASSOCIATIVITY))
 def test_associativity_equals_the_per_x_oracle(name, monkeypatch):
-    # the mask built for one x at a time, for the default block and for the
-    # whole table at once
+    # the plan built for one x at a time, for the default block and for the
+    # whole table at once; each budget builds it afresh
     V = _associativity_table(name).view
     for C, p in _passes(V):
         want = _associativity_per_x(V, C, p)
         for values in (1, view.MASK_VALUES, 2**40):
             monkeypatch.setattr(view, "MASK_VALUES", values)
+            vars(V).pop("plan", None)
             _assert_same_pass(view._associativity(V, C, p), want)
 
 
@@ -1125,6 +1126,51 @@ def test_section_pass_peaks_no_higher_than_the_oracle():
     C = V.dense(V.N.astype(float))
     assert _peak_bytes(view._associativity, V, C, None) <= _peak_bytes(
         _associativity_per_x, V, C, None)
+
+
+# -- the checked-triple plan, once per set of index arrays --------------------
+
+
+@pytest.mark.parametrize("radius, passes", [(40, 4), (60, 5)])
+def test_residue_passes_share_one_plan(radius, passes, monkeypatch):
+    # tree_radial q = 3 is beyond the float64 bound from R = 30: one residue
+    # pass per prime, every one on the plan built by the first
+    calls = {"plan": 0, "pass": 0}
+    build, check = view._plan, view._associativity
+
+    def counted(name, f):
+        def call(*args):
+            calls[name] += 1
+            return f(*args)
+        return call
+
+    monkeypatch.setattr(view, "_plan", counted("plan", build))
+    monkeypatch.setattr(view, "_associativity", counted("pass", check))
+    H = builders.tree_radial(3, radius)
+    report = verify_axioms(H)
+    assert calls == {"plan": 1, "pass": passes}
+    assert report.passed
+    assert report.triples_checked == np.count_nonzero(H.view.plan) < H.size**3
+
+
+@pytest.mark.parametrize("name", ["tree2_r16", "tree3_r16", "su2_r16", "suq2_r12"])
+def test_deformed_view_holds_the_plan_of_its_base(name):
+    # the deformation checks its view before the base is checked
+    H = BUILDERS[name]()
+    D = voit_deform(H, chi0(H)).deformed
+    verify_axioms(H)
+    assert D.view.plan is H.view.plan
+    assert H.view.plan is not None and not H.view.plan.flags.writeable
+
+
+@pytest.mark.parametrize("name", ["z6", "conj_s4", "irr_q8", "conj_s3xirr_d4"])
+def test_finite_views_hold_no_plan(name):
+    H = _table(name)
+    V = H.view
+    assert V.plan is None
+    C = V.dense(V.N.astype(float) if V.rational else V.c)
+    assert view._associativity(V, C, None)[1] == H.size**3
+    assert verify_axioms(H).triples_checked == H.size**3
 
 
 # -- every exact built-in holds N and scales ---------------------------------
