@@ -54,7 +54,6 @@ from .spectral import (
     fourier,
     inverse_fourier,
     plancherel,
-    product_characters,
     solve_character,
     voit_deform,
 )
@@ -63,6 +62,7 @@ from .norms import (
     NormReport,
     a_norm_interval,
     compute_norm_report,
+    diagonal_norms,
     ma_norm_interval,
     ma_norm_intervals,
     norm_A,

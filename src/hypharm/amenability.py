@@ -23,15 +23,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .builders import product
+from .builders import check_product_size
 from .core import DEFAULT_SEED, DEFAULT_TOL, HypergroupTable, convolve
 from .errors import P2Failure, TruncationOverflow, UnboundedValueSet, ZeroValue
 from .norms import (
     Interval,
+    diagonal_norms,
     l2_norm,
     ma_norm_intervals,
     norm_A,
-    norm_Blambda,
     norm_MA,
 )
 from .spectral import (
@@ -39,7 +39,6 @@ from .spectral import (
     characters,
     check_p2,
     chi0,
-    product_characters,
     section_operator,
     voit_deform,
 )
@@ -133,18 +132,14 @@ def _round_value(v) -> complex:
 
 @dataclass
 class DiagonalIndicator:
-    """1_Delta with the tables and character tables it was built from.
+    """1_Delta with the table H and the character table of H it was built from.
 
-    ``table`` is H and ``product_table`` is H x H; ``characters`` and
-    ``product_characters`` are their character tables, each computed once.
     ``phi`` and ``one_delta`` are functions supported on the diagonal of
     H x H, held as their n diagonal values (exact on exact tables).
     """
 
     table: HypergroupTable
-    product_table: HypergroupTable
     characters: CharacterTable
-    product_characters: CharacterTable
     phi: tuple
     one_delta: tuple
     ma_norm: float
@@ -159,20 +154,20 @@ def indicator_diagonal(H: HypergroupTable, seed: int = DEFAULT_SEED) -> Diagonal
 
     Requires a finite table (automatic (P2)) with a finite Haar value set;
     checks pointwise that the construction reproduces the diagonal
-    indicator exactly.  H x H and both character tables are built here once;
-    only H is diagonalized, the characters of H x H are products of its own.
+    indicator exactly.  Only H is diagonalized, and H x H is never built.
 
     psi, phi, phi^{-1} and 1_Delta are supported on the diagonal and are
-    computed as their n diagonal values; only the norms on H x H see them
-    as functions on H x H.
+    computed as their n diagonal values; their norms on H x H come from the
+    characters of H (:func:`~hypharm.norms.diagonal_norms`).  A table whose
+    H x H would exceed the product size cap raises ValueError, as
+    :func:`~hypharm.builders.product` does.
     """
     if H.truncated:
         raise TruncationOverflow("indicator_diagonal needs a finite table")
-    K = product(H, H)
+    check_product_size(H.size, H.size)
     ct = characters(H, seed=seed)
-    ctk = product_characters(K, ct, ct, seed=seed)
     psi = diagonal_psi(H)
-    psi_norm = norm_Blambda(K, ctk, on_diagonal(H, psi))
+    psi_norm = diagonal_norms(H, ct, psi)[1]
     phi = psi  # m(psi): psi's values on the diagonal
     inv = invert_multiplier(H, ct, phi, seed=seed)
     # (phi^{-1} (x) 1) psi vanishes off the diagonal with psi
@@ -180,10 +175,10 @@ def indicator_diagonal(H: HypergroupTable, seed: int = DEFAULT_SEED) -> Diagonal
     err = max(abs(complex(v) - 1) for v in one_delta)
     if err > 1e-12:
         raise ArithmeticError(f"{H.name}: 1_Delta is not 1 on the diagonal, by {err:.2e}")
-    ma = norm_MA(K, ctk, on_diagonal(H, one_delta))
+    ma = diagonal_norms(H, ct, one_delta)[2]
     slack = inv.ma_norm * psi_norm - ma
     return DiagonalIndicator(
-        H, K, ct, ctk, phi, one_delta, ma, psi_norm, inv.ma_norm, float(err), float(slack)
+        H, ct, phi, one_delta, ma, psi_norm, inv.ma_norm, float(err), float(slack)
     )
 
 
@@ -204,15 +199,14 @@ def approximate_diagonal(
     identically (the proof's algebraic cancellation) and is asserted to be
     exactly zero; |u m(m) - u| is reported per test function.
     """
-    H, K = diag.table, diag.product_table
+    H = diag.table
     rng = np.random.default_rng(seed)
     # the point masses and one random function, one per row
     tests = np.vstack([np.eye(H.size),
                        rng.standard_normal(H.size) + 1j * rng.standard_normal(H.size)])
-    m = on_diagonal(H, diag.one_delta)
-    bound = norm_A(K, diag.product_characters, m, with_witness=False)[0]
+    bound = diagonal_norms(H, diag.characters, diag.one_delta)[0]
     # u.m - m.u on H x H, (u.m)(x, y) = u(x) m(x, y) and (m.u)(x, y) = m(x, y) u(y)
-    M = m.reshape(H.size, H.size)
+    M = on_diagonal(H, diag.one_delta).reshape(H.size, H.size)
     commutator = float(np.abs(tests[:, :, None] * M - M * tests[:, None, :]).max())
     if commutator != 0.0:
         raise ArithmeticError(

@@ -235,6 +235,12 @@ def irr_hypergroup(G: FiniteGroup) -> HypergroupTable:
 # -- products -------------------------------------------------------------
 
 
+def check_product_size(n1: int, n2: int) -> None:
+    """Raise ValueError if a product of n1 and n2 points exceeds PRODUCT_SIZE_CAP."""
+    if n1 * n2 > PRODUCT_SIZE_CAP:
+        raise ValueError(f"product size {n1 * n2} exceeds cap {PRODUCT_SIZE_CAP}")
+
+
 def product(H1: HypergroupTable, H2: HypergroupTable) -> HypergroupTable:
     """Product table: c^{(z,w)}_{(x,u),(y,v)} = c^z_{x,y} c^w_{u,v}.
 
@@ -245,8 +251,7 @@ def product(H1: HypergroupTable, H2: HypergroupTable) -> HypergroupTable:
     """
     if H1.truncated or H2.truncated:
         raise ValueError("product of truncated tables is not supported")
-    if H1.size * H2.size > PRODUCT_SIZE_CAP:
-        raise ValueError(f"product size {H1.size * H2.size} exceeds cap {PRODUCT_SIZE_CAP}")
+    check_product_size(H1.size, H2.size)
     return HypergroupTable(
         f"{H1.name}x{H2.name}",
         TableView.product(H1.view, H2.view),

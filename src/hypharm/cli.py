@@ -43,9 +43,10 @@ def _build_table(args, suffix: str = "") -> core.HypergroupTable:
     get = lambda name: getattr(args, name + suffix)
     if get("file"):
         path = get("file")
+        # the format is named by the first significant line, as LineFile reads it
         with open(path) as fh:
-            first = fh.readline()
-        if first.startswith("cayley"):
+            first = next((t for t in map(str.split, fh) if t and not t[0].startswith("#")), [])
+        if first[:1] == ["cayley"]:
             return builders.group_hypergroup(groups.load_group(path))
         return core.load_table(path)
     if not get("family"):

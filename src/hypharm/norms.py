@@ -139,6 +139,45 @@ def norm_MA(H: HypergroupTable, ct: CharacterTable, u) -> float:
     return float(np.max(np.sum(np.abs(m), axis=0)))
 
 
+def diagonal_norms(H: HypergroupTable, ct: CharacterTable, d) -> tuple[float, float, float]:
+    """|u|_A, |u|_{B_lambda} and |u|_{MA} on H x H of u(x, x) = d(x), 0 off the diagonal.
+
+    The characters of H x H are chi_i (x) chi_j with Plancherel weights
+    w_i w_j (Bloom and Heyer 1995, 1.5), and (x, y) has Haar weight
+    lam(x) lam(y), so with a = lam^2 d the transform of u is the n x n
+    matrix F = conj(X) diag(a) conj(X)^T of the character rows X of H, and
+    H x H is never built:
+
+    * |u|_A = sum_ij w_i w_j |F_ij|;
+    * |u|_{B_lambda} is the pairing of :func:`norm_Blambda` with its dual
+      witness f = conj(X^T (w P w) X), P the phase of F, after the same
+      check that f^ lies in the unit ball; only the diagonal of f pairs
+      with u;
+    * |u|_{MA} is the largest column l1-sum of the multiplication matrix
+      m[(k, l), (i, j)] = w_k w_l sum_x a(x) conj(chi_k chi_l)(x) (chi_i chi_j)(x).
+      It is symmetric in i, j and in k, l, so its columns are taken for
+      i <= j and its rows for k <= l, those with k < l counted twice.
+    """
+    if ct.size != H.size:
+        raise SingularCharacterBasis(
+            f"{H.name}: {ct.size} characters for {H.size} elements"
+        )
+    X, w, lam = ct.chars, ct.plancherel, H.lam
+    a = lam * lam * _as_dense(H, d)
+    F = (X.conj() * a) @ X.conj().T
+    norm_a = float(w @ np.abs(F) @ w)
+    f = (X.T @ (w[:, None] * _phase(F) * w) @ X).conj()
+    sup = float(np.max(np.abs(X.conj() @ (lam[:, None] * f * lam) @ X.conj().T)))
+    if sup > 1.0 + 1e-8:
+        raise ArithmeticError(f"{H.name} x {H.name}: dual witness leaves the C*_lam ball")
+    norm_b = abs(complex(np.sum(a * np.diagonal(f))))
+    i, j = np.triu_indices(H.size)
+    Y = X[i] * X[j]
+    row_weights = np.where(i < j, 2.0, 1.0) * w[i] * w[j]
+    norm_ma = float(np.max(row_weights @ np.abs(Y.conj() @ (a * Y).T)))
+    return norm_a, norm_b, norm_ma
+
+
 # -- products with finite groups -------------------------------------------
 
 
@@ -164,26 +203,30 @@ def product_a_norm(
     )
 
 
+# Random rank-one coefficient functions of G that product_ma_norm tries
+# besides the point mass.
+MCB_SAMPLES = 3
+
+
 def product_ma_norm(
     H: HypergroupTable,
     ct: CharacterTable,
     G: FiniteGroup,
     u,
-    samples: int = 3,
     seed: int = DEFAULT_SEED,
 ) -> float:
     """|u x 1_G|_{MA(H x G)} via extreme inputs chi (x) coefficient functions.
 
     The extreme points of the A(H x G) unit ball are single-character blocks
     carrying rank-one coefficient functions of G; the sup over the point-mass
-    coefficient is attained, the sampled random ones double-check that
+    coefficient is attained, the MCB_SAMPLES random ones double-check that
     multiplication by u x 1 does not mix the G-side.
     """
     ud = _as_dense(H, u)
     rng = np.random.default_rng(seed)
     n = G.order
     phis = [np.eye(n)[G.identity].astype(complex)]
-    for _ in range(samples):
+    for _ in range(MCB_SAMPLES):
         xi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         eta = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         xi /= np.linalg.norm(xi)
@@ -295,7 +338,7 @@ def a_norm_interval(H: HypergroupTable, u) -> Interval:
     )
 
 
-def ma_norm_intervals(H: HypergroupTable, U, tests=None, more=()) -> tuple[list, list]:
+def ma_norm_intervals(H: HypergroupTable, U, more=()) -> tuple[list, list]:
     """:func:`ma_norm_interval` of each function in ``U``, and the A-norm upper bounds of ``more``.
 
     Returns the list of intervals and the list of the upper bounds of
@@ -304,9 +347,8 @@ def ma_norm_intervals(H: HypergroupTable, U, tests=None, more=()) -> tuple[list,
     as one function at a time.
     """
     U = np.array([_as_dense(H, u) for u in U])
-    if tests is None:
-        tests = np.eye(H.size)[[H.identity, H.generator]]
-    V = np.array([_as_dense(H, v) for v in tests]).reshape(-1, H.size)
+    # the test functions: delta_e and delta at the generator
+    V = np.eye(H.size, dtype=complex)[[H.identity, H.generator]]
     k, m = len(U), len(V)
     # the rows: each u, each u v, each v, then ``more``
     lower, upper = _a_bounds(H, np.concatenate(
@@ -327,14 +369,15 @@ def ma_norm_intervals(H: HypergroupTable, U, tests=None, more=()) -> tuple[list,
     return out, upper[k + k * m + m:]
 
 
-def ma_norm_interval(H: HypergroupTable, u, tests: list[np.ndarray] | None = None) -> Interval:
+def ma_norm_interval(H: HypergroupTable, u) -> Interval:
     """Certified enclosure for the multiplier norm on a truncated table.
 
     Upper bound: |u|_{MA} <= |u|_{B_lambda} <= min(l2 bound,
     sum_x |u(x)| sqrt(lam(x))).  Lower bound: ratios
-    |u v|_{A,lower} / |v|_{A,upper} over test functions v.
+    |u v|_{A,lower} / |v|_{A,upper} over the test functions v = delta_e
+    and delta at the generator.
     """
-    return ma_norm_intervals(H, [u], tests)[0][0]
+    return ma_norm_intervals(H, [u])[0][0]
 
 
 # -- report assembly ---------------------------------------------------------

@@ -33,7 +33,6 @@ from .core import (
     verify_axioms,
 )
 from .errors import DegenerateSpectrum, DominationFailure
-from .view import TableView
 
 _GAP_THRESHOLD = 1e-8
 # Draws whose smallest eigenvalue gap is below this share of the scale get a
@@ -53,9 +52,7 @@ class CharacterTable:
     Rows of ``chars`` are characters evaluated on the elements (column j =
     element j); ``plancherel[i] = 1 / sum_x lam(x) |chi_i(x)|^2``.  For
     finite tables every character lies in the support of the Plancherel
-    measure.  ``residual`` is their multiplicativity residual, or for the
-    characters of a product (:func:`product_characters`) a bound on it from
-    the factors.
+    measure.  ``residual`` is their multiplicativity residual.
     """
 
     table: str
@@ -87,11 +84,7 @@ def _multiplicativity_residual(H: HypergroupTable, chi: np.ndarray) -> float:
     ``chi`` is one function or a 2-D array of them, one per row, taken in
     blocks of rows that gather at most RESIDUAL_BATCH values at once.
     """
-    return _residual(H.view, np.atleast_2d(chi))
-
-
-def _residual(V: TableView, chis: np.ndarray) -> float:
-    """:func:`_multiplicativity_residual` of the rows ``chis`` on the view ``V``."""
+    V, chis = H.view, np.atleast_2d(chi)
     filled = V.starts[:-1] < V.starts[1:]
     cols = slice(None) if filled.all() else filled
     step = max(1, RESIDUAL_BATCH // max(1, len(V.z)))
@@ -172,85 +165,15 @@ def characters(
     raise DegenerateSpectrum(f"{H.name}: joint diagonalization failed ({last_error})")
 
 
-def product_characters(
-    K: HypergroupTable,
-    ct1: CharacterTable,
-    ct2: CharacterTable,
-    tol: float = DEFAULT_TOL,
-    seed: int = DEFAULT_SEED,
-) -> CharacterTable:
-    """The characters of ``K = product(H1, H2)`` from those of H1 and H2.
-
-    The characters of a product are the tensor products chi1 (x) chi2
-    (Bloom and Heyer 1995, 1.5), on point ``(x, u) = x |H2| + u``: the rows
-    of ``kron(ct1.chars, ct2.chars)``, with no diagonalization of K.  Their
-    multiplicativity residual is bounded from the factors
-    (:func:`_product_residual`), on the factor views K was built from; they
-    are ordered and weighted, and their hermitian symmetry, Parseval and
-    orthogonality are checked, on K, as :func:`characters` does its own.
-    So factor tables that do not belong to K raise
-    :class:`DegenerateSpectrum`.  Raises ValueError for a K that is not a
-    product of two tables (``K.view.factors``), or whose factors the
-    characters do not fit.
-    """
-    if K.truncated or not K.commutative:
-        raise ValueError("product_characters() needs a finite commutative table")
-    if K.view.factors is None:
-        raise ValueError(f"{K.name}: product_characters() needs a table built as a product")
-    V1, V2 = K.view.factors
-    if (ct1.chars.shape[1], ct2.chars.shape[1]) != (V1.n, V2.n):
-        raise ValueError(f"{K.name}: characters of {ct1.table} and {ct2.table} do not fit "
-                         f"its factors of {V1.n} and {V2.n} points")
-    ct = _character_table(K, np.kron(ct1.chars, ct2.chars),
-                          _product_residual(V1, ct1.chars, V2, ct2.chars), tol, seed)
-    if not isinstance(ct, CharacterTable):
-        raise DegenerateSpectrum(f"{K.name}: product characters fail their checks ({ct})")
-    return ct
-
-
-def _product_residual(V1: TableView, chars1: np.ndarray, V2: TableView,
-                      chars2: np.ndarray) -> float:
-    """A bound on the multiplicativity residual of ``kron(chars1, chars2)`` on ``V1 x V2``.
-
-    With ``a_i = chi_i(x) chi_i(y)`` and ``b_i = sum_z c^z chi_i(z)`` on
-    factor i, the residual of chi1 (x) chi2 at a product of the product
-    table is ``a1 a2 - b1 b2 = a1 (a2 - b2) + b2 (a1 - b1)``.  With
-    ``|chi_i| <= m_i`` and factor residuals ``r_i``, ``|a1| <= m1**2`` and
-    ``|b2| <= m2**2 + r2``, so it is at most ``m1**2 r2 + (m2**2 + r2) r1``.
-    Each r_i is computed here, on the factor's view.
-
-    Rounding is added on top.  A residual of rows with at most k entries
-    and absolute row sums at most S is evaluated in float64 within
-    ``(k + 8) u m (m + S)`` of its exact value (``u = 2**-53``; the sum of
-    k products and a complex product, Higham 2002, ch. 3), which widens
-    each r_i.  The product's coefficients and character values are rounded
-    once more than the products of the factors' (``6 u m (m + S)`` for
-    ``m = m1 m2``, ``S = S1 S2``), and its own residual is evaluated with k1 k2
-    entries per row.
-    """
-    u = 2.0**-53
-    parts = []
-    for V, chars in ((V1, chars1), (V2, chars2)):
-        m = float(np.abs(chars).max(initial=0.0))
-        k = int(np.diff(V.starts).max(initial=0))
-        S = float(np.bincount(V.pair, np.abs(V.c), len(V.px)).max(initial=0.0))
-        r = _residual(V, chars)
-        parts.append((m, k, S, r + (k + 8) * u * m * (m + S)))
-    (m1, k1, S1, r1), (m2, k2, S2, r2) = parts
-    m, S = m1 * m2, S1 * S2
-    return m1 * m1 * r2 + (m2 * m2 + r2) * r1 + (k1 * k2 + 14) * u * m * (m + S)
-
-
 def _character_table(
     H: HypergroupTable, chars: np.ndarray, residual: float, tol: float, seed: int
 ) -> CharacterTable | str:
     """The checked :class:`CharacterTable` of the rows ``chars``, or what is wrong.
 
-    ``residual`` is the multiplicativity residual of ``chars``, or a bound
-    on it.  A residual or hermitian defect above the tolerance is returned
-    as a message; a Parseval or orthogonality failure raises
-    :class:`DegenerateSpectrum`.  Equal or nearly equal rows fail Parseval
-    or orthogonality.
+    ``residual`` is the multiplicativity residual of ``chars``.  A residual
+    or hermitian defect above the tolerance is returned as a message; a
+    Parseval or orthogonality failure raises :class:`DegenerateSpectrum`.
+    Equal or nearly equal rows fail Parseval or orthogonality.
     """
     n = H.size
     herm = float(np.abs(chars[:, H.view.inv] - chars.conj()).max())
@@ -389,13 +312,11 @@ def section_operator(H: HypergroupTable, radius: int) -> np.ndarray:
     return 0.5 * (W + W.T)
 
 
-def _section_lower_bounds(H: HypergroupTable, radii=None):
-    R = H.radius
-    max_r = R - 1
-    if radii is None:
-        radii = sorted({max(2, max_r // 4), max(2, max_r // 2), max_r})
+def _section_lower_bounds(H: HypergroupTable):
+    """The top eigenvalue of the ball compression at a quarter, half and all of the section."""
+    max_r = H.radius - 1
     out = []
-    for r in radii:
+    for r in sorted({max(2, max_r // 4), max(2, max_r // 2), max_r}):
         r = min(r, max_r)
         W = section_operator(H, r)
         out.append((r, float(np.linalg.eigvalsh(W)[-1])))
@@ -547,20 +468,23 @@ def solve_character(H: HypergroupTable, value_at_generator) -> np.ndarray:
     return chi
 
 
+# Characters, evenly spaced over the spectrum, that chi0 must dominate.
+CHI0_SAMPLES = 17
+
+
 def chi0(
     H: HypergroupTable,
     tol: float = DEFAULT_TOL,
     seed: int = DEFAULT_SEED,
-    samples: int = 17,
 ) -> np.ndarray:
     """The positive character dominating supp(Plancherel).
 
     Finite tables: the constant 1, after checking |chi(x)| <= 1 for every
     character row.  Truncated (P2)-failing families: the recurrence solution
     at the certified top of the spectrum, verified positive, multiplicative
-    and dominating over sampled characters; raises
-    :class:`DominationFailure` when the verification fails (truncation too
-    small).
+    and dominating over CHI0_SAMPLES characters on a grid of the spectrum;
+    raises :class:`DominationFailure` when the verification fails
+    (truncation too small).
     """
     if not H.truncated:
         ct = characters(H, tol=tol, seed=seed)
@@ -587,7 +511,7 @@ def chi0(
         raise DominationFailure(
             f"{H.name}: candidate chi0 multiplicativity residual {resid:.2e}"
         )
-    grid = np.linspace(-top, top, samples)
+    grid = np.linspace(-top, top, CHI0_SAMPLES)
     escapes = (np.abs(solve_character(H, grid)) > cand * (1.0 + 1e-7) + 1e-12).any(axis=1)
     if escapes.any():
         raise DominationFailure(

@@ -346,8 +346,8 @@ class TableView:
         its exact value, rounded once, as ``float`` rounds the Fraction;
         ``c1 c2`` in float64 could be 1 ulp off it.  A float factor makes
         the product a float table with ``c = c1 c2``.  The product keeps
-        ``(V1, V2)`` as its ``factors``, from which :func:`exact_defects` and
-        :func:`hypharm.spectral.product_characters` check it.
+        ``(V1, V2)`` as its ``factors``, from which :func:`exact_defects`
+        checks it.
         """
         if not (V1.has_row.all() and V2.has_row.all()):
             raise ValueError("a product needs finite tables")

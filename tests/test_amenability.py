@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 import warnings
 from fractions import Fraction
 
@@ -14,7 +15,6 @@ from hypharm import (
     groups,
     indicator_diagonal,
     invert_multiplier,
-    product_characters,
     restrict_to_diagonal,
     weak_amenability_witness,
 )
@@ -109,9 +109,11 @@ def test_indicator_diagonal_is_exact(finite_tables):
 def test_indicator_diagonal_carries_its_tables(conj_s3):
     diag = indicator_diagonal(conj_s3)
     assert diag.table is conj_s3
-    assert diag.product_table.size == conj_s3.size ** 2
+    # the character table of H, and no table of H x H
     assert diag.characters.size == conj_s3.size
-    assert diag.product_characters.size == diag.product_table.size
+    assert np.array_equal(diag.characters.chars, characters(conj_s3).chars)
+    names = {f.name for f in dataclasses.fields(diag)}
+    assert not names & {"product_table", "product_characters"}
     assert diag.phi == diagonal_psi(conj_s3) == (1, Fraction(1, 3), Fraction(1, 2))
 
 
@@ -126,10 +128,11 @@ def test_approximate_diagonal(conj_s3):
     ad = approximate_diagonal(diag)
     assert ad.commutator_norm == 0.0
     assert all(r < 1e-9 for r in ad.identity_residuals)
-    # with e = 1 the bound is |1_Delta|_A(HxH), here on a fresh character table
-    ctk = characters(diag.product_table)
+    # with e = 1 the bound is |1_Delta|_A(HxH), here on an H x H built and
+    # diagonalized on its own
+    K = builders.product(conj_s3, conj_s3)
     one_delta = on_diagonal(conj_s3, diag.one_delta)
-    want = norm_A(diag.product_table, ctk, one_delta, with_witness=False)[0]
+    want = norm_A(K, characters(K), one_delta, with_witness=False)[0]
     assert ad.bound == pytest.approx(want, rel=1e-9)
 
 
@@ -141,28 +144,28 @@ def test_approximate_diagonal_cyclic_bound_one():
 
 
 def test_amenability_report_computes_each_table_once(conj_s3, monkeypatch):
-    calls = {"characters": [], "product_characters": [], "product": 0}
+    calls = {"characters": [], "product": 0}
+    originals = {"characters": characters, "product": builders.product}
 
     def counting_characters(H, *args, **kwargs):
         calls["characters"].append(H.size)
-        return characters(H, *args, **kwargs)
-
-    def counting_product_characters(K, *args, **kwargs):
-        calls["product_characters"].append(K.size)
-        return product_characters(K, *args, **kwargs)
+        return originals["characters"](H, *args, **kwargs)
 
     def counting_product(*args, **kwargs):
         calls["product"] += 1
-        return builders.product(*args, **kwargs)
+        return originals["product"](*args, **kwargs)
 
-    monkeypatch.setattr(amenability, "characters", counting_characters)
-    monkeypatch.setattr(amenability, "product_characters", counting_product_characters)
-    monkeypatch.setattr(amenability, "product", counting_product)
+    # in every hypharm module that holds either function by name
+    for module in [m for name, m in sys.modules.items() if name.startswith("hypharm")]:
+        for name, counting in (("characters", counting_characters),
+                               ("product", counting_product)):
+            if getattr(module, name, None) is originals[name]:
+                monkeypatch.setattr(module, name, counting)
     rep = amenability_report(conj_s3)
-    # only H is diagonalized; the characters of H x H come from its own
+    # only H is diagonalized, and H x H is never built: its norms come from
+    # the characters of H
     assert calls["characters"] == [3]
-    assert calls["product_characters"] == [9]
-    assert calls["product"] == 1
+    assert calls["product"] == 0
     assert rep.commutator_norm == 0.0
 
 

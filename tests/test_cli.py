@@ -321,6 +321,23 @@ def test_group_file_input(tmp_path):
     assert code == 0
 
 
+def test_commented_group_file_reports_like_the_plain_one(tmp_path):
+    # the format is named by the first significant line, not the first line
+    plain = tmp_path / "z3.cayley"
+    groups.save_group(groups.cyclic(3), str(plain))
+    commented = tmp_path / "z3-commented.cayley"
+    commented.write_text("# Z3 with a comment\n\n" + plain.read_text())
+    want = _run(["verify", "--file", str(plain), "--format", "structured"])
+    assert want[0] == 0
+    assert _run(["verify", "--file", str(commented), "--format", "structured"]) == want
+
+
+def test_amenability_refuses_a_product_above_the_cap(capsys):
+    code, out = _run(["amenability", "--family", "cyclic", "--n", "101"])
+    assert (code, out) == (2, "")
+    assert "product size 10201 exceeds cap 10000" in capsys.readouterr().err
+
+
 def test_table_file_input(tmp_path):
     H = builders.conjugacy_hypergroup(groups.alternating(4))
     p = tmp_path / "a4.hyp"

@@ -8,6 +8,8 @@ from hypharm import (
     builders,
     characters,
     chi0,
+    diagonal_norms,
+    diagonal_psi,
     groups,
     norm_A,
     norm_Blambda,
@@ -16,7 +18,8 @@ from hypharm import (
     voit_deform,
 )
 from hypharm.builders import FamilySpec, family, product, group_hypergroup
-from hypharm.amenability import weak_amenability_witness
+from hypharm.amenability import on_diagonal, weak_amenability_witness
+from hypharm.errors import SingularCharacterBasis
 from hypharm.norms import (
     Interval,
     _phase,
@@ -135,6 +138,34 @@ def test_norm_B_finite_flagged(conj_s3):
     rep = compute_norm_report(H, u, ct=ct)
     assert rep.norm_B == rep.norm_Blambda == norm_Blambda(H, ct, u)
     assert any("C*(H)=C*_lam(H) convention" in fl for fl in rep.flags)
+
+
+# -- norms on H x H of functions on its diagonal --------------------------------
+
+
+def test_diagonal_norms_match_the_product_table(finite_tables):
+    # the oracle: H x H built and diagonalized, its norms taken as on any table
+    tables = dict(finite_tables)
+    tables.update({f"z{n}": family(FamilySpec("cyclic", n=n)) for n in range(2, 7)})
+    tables["conj_s3 x irr_d4"] = product(builders.conjugacy_hypergroup(groups.symmetric(3)),
+                                         builders.irr_hypergroup(groups.dihedral4()))
+    rng = np.random.default_rng(2016)
+    for name, H in tables.items():
+        ct = characters(H)
+        K = product(H, H)
+        ctk = characters(K)
+        noise = rng.standard_normal(H.size) + 1j * rng.standard_normal(H.size)
+        for d in (diagonal_psi(H), np.ones(H.size), noise):
+            u = on_diagonal(H, d)
+            want = (norm_A(K, ctk, u)[0], norm_Blambda(K, ctk, u), norm_MA(K, ctk, u))
+            assert diagonal_norms(H, ct, d) == pytest.approx(want, rel=1e-9), name
+
+
+def test_diagonal_norms_need_the_characters_of_h(conj_s3):
+    H, _ = conj_s3
+    z2 = characters(family(FamilySpec("cyclic", n=2)))
+    with pytest.raises(SingularCharacterBasis):
+        diagonal_norms(H, z2, np.ones(H.size))
 
 
 # -- the Mcb supremum ---------------------------------------------------------

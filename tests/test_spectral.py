@@ -1,4 +1,3 @@
-import copy
 import math
 from fractions import Fraction
 
@@ -13,7 +12,6 @@ from hypharm import (
     fourier,
     groups,
     inverse_fourier,
-    product_characters,
     solve_character,
     verify_axioms,
     voit_deform,
@@ -201,57 +199,46 @@ def test_characters_need_finite_input_and_positive_haar(square, haar, error):
         characters(HypergroupTable.from_rows("bad", 2, [0, 1], rows, haar=haar))
 
 
-# -- product characters ---------------------------------------------------------
+# -- characters of a product ------------------------------------------------
 
 
-# the tables of the benchmark's amenability jobs, whose H x H get product characters
+# the tables of the benchmark's amenability jobs, whose norms on H x H come
+# from the products of H's own characters
 AMENABILITY_SPECS = [FamilySpec(f, group=g) for g in ("s3", "s4", "a4", "d4", "q8", "klein", "z5")
                      for f in ("conj", "irr")] + [FamilySpec("cyclic", n=n) for n in (3, 4, 5, 6)]
 
 
+def _check_kron_characters(K, ct1, ct2, want):
+    """The rows of ``kron(ct1.chars, ct2.chars)`` are the characters ``want`` of K, with weights w1 w2."""
+    got = np.kron(ct1.chars, ct2.chars)
+    order = [int(np.abs(got - row).max(axis=1).argmin()) for row in want.chars]
+    assert sorted(order) == list(range(K.size))
+    assert np.abs(got[order] - want.chars).max() < 1e-9
+    assert np.abs(np.kron(ct1.plancherel, ct2.plancherel)[order] - want.plancherel).max() < 1e-9
+    assert order[want.trivial_index] == ct1.trivial_index * ct2.size + ct2.trivial_index
+    assert tuple(np.kron(ct1.positive, ct2.positive).astype(bool)[order]) == want.positive
+    assert _multiplicativity_residual(K, got) < 1e-9
+
+
 @pytest.mark.parametrize("spec", AMENABILITY_SPECS, ids=lambda s: f"{s.name}-{s.group or s.n}")
 def test_product_characters_match_diagonalization(spec):
+    # the characters of H x H are chi_i (x) chi_j (Bloom and Heyer 1995, 1.5),
+    # the identity on which norms.diagonal_norms rests
     H = family(spec)
     K = builders.product(H, H)
     for seed in (7, 12345):
         ct = characters(H, seed=seed)
-        got, want = product_characters(K, ct, ct, seed=seed), characters(K, seed=seed)
-        assert got.size == want.size == K.size
-        assert (got.trivial_index, got.positive) == (want.trivial_index, want.positive)
-        assert np.abs(got.chars - want.chars).max() < 1e-9
-        assert np.abs(got.plancherel - want.plancherel).max() < 1e-9
-        assert got.residual < 1e-9
+        _check_kron_characters(K, ct, ct, characters(K, seed=seed))
 
 
 def test_product_characters_of_distinct_factors():
     H1 = builders.irr_hypergroup(groups.dihedral4())
     H2 = builders.conjugacy_hypergroup(groups.quaternion8())
     K = builders.product(H1, H2)
-    got = product_characters(K, characters(H1), characters(H2))
-    assert np.abs(got.chars - characters(K).chars).max() < 1e-9
-    with pytest.raises(DegenerateSpectrum):  # the factors in the wrong order
-        product_characters(K, characters(H2), characters(H1))
-
-
-def test_perturbed_factor_character_is_rejected():
-    H = builders.conjugacy_hypergroup(groups.symmetric(4))
-    K = builders.product(H, H)
-    ct = characters(H)
-    bad = copy.copy(ct)
-    bad.chars = ct.chars.copy()
-    bad.chars[2, 3] += 1e-6
-    # the multiplicativity residual on K, not the hermitian check, rejects it
-    verdict = r"residual 1\.\d\de-06, hermitian defect 0\.00e\+00"
-    with pytest.raises(DegenerateSpectrum, match=verdict):
-        product_characters(K, ct, bad)
-    with pytest.raises(DegenerateSpectrum, match=verdict):
-        product_characters(K, bad, ct)
-    # each row a character, but one of them twice: Parseval rejects it
-    twice = copy.copy(ct)
-    twice.chars = ct.chars.copy()
-    twice.chars[2] = ct.chars[1]
-    with pytest.raises(DegenerateSpectrum, match="Parseval check failed"):
-        product_characters(K, ct, twice)
+    ct1, ct2 = characters(H1), characters(H2)
+    _check_kron_characters(K, ct1, ct2, characters(K))
+    # the factors in the wrong order are not characters of K
+    assert _multiplicativity_residual(K, np.kron(ct2.chars, ct1.chars)) > 1e-3
 
 
 # the 21 products of test_view's six factors, and the H x H of Z12, Z16 and Z20
@@ -265,31 +252,17 @@ FACTOR_PAIRS += [(FamilySpec("cyclic", n=n),) * 2 for n in (12, 16, 20)]
 @pytest.mark.parametrize("specs", FACTOR_PAIRS,
                          ids=lambda p: "x".join(f"{s.name}-{s.group or s.n}" for s in p))
 def test_product_residual_bounds_the_full_residual(specs):
+    # at a product of K, a1 a2 - b1 b2 = a1 (a2 - b2) + b2 (a1 - b1) with
+    # a_i = chi_i(x) chi_i(y) and b_i = sum_z c^z chi_i(z), so with |chi_i| <= 1
+    # the residual of chi1 (x) chi2 on K is at most r2 + (1 + r2) r1 for the
+    # factor residuals r_i, up to rounding
     H1, H2 = (family(s) for s in specs)
     K = builders.product(H1, H2)
     ct1, ct2 = characters(H1), characters(H2)
-    got = product_characters(K, ct1, ct2)
     full = _multiplicativity_residual(K, np.kron(ct1.chars, ct2.chars))
-    assert full <= got.residual < 1e-9
-    # the bound is the factor bound, within rounding of it
     r1, r2 = (_multiplicativity_residual(H, ct.chars) for H, ct in ((H1, ct1), (H2, ct2)))
-    assert got.residual < r2 + 2 * r1 + 1e-13
-
-
-def test_product_characters_need_the_factors():
-    H = builders.conjugacy_hypergroup(groups.symmetric(3))
-    K = builders.product(H, H)
-    copy = HypergroupTable.from_rows(K.name, K.size, K.involution, K.rows)
-    with pytest.raises(ValueError, match="built as a product"):
-        product_characters(copy, characters(H), characters(H))
-
-
-def test_product_characters_need_a_matching_size():
-    H = builders.conjugacy_hypergroup(groups.symmetric(3))
-    K = builders.product(H, H)
-    Z2 = characters(family(FamilySpec("cyclic", n=2)))
-    with pytest.raises(ValueError):
-        product_characters(K, characters(H), Z2)
+    assert full < r2 + 2 * r1 + 1e-13
+    assert full < 1e-9
 
 
 # -- (P2) --------------------------------------------------------------------
