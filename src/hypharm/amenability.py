@@ -306,22 +306,22 @@ def weak_amenability_witness(
         raise ArithmeticError(defect)
     H0 = pair.deformed
     tests = {f"delta{x}": np.eye(H.size)[x] for x in range(3)}
+    xis = [_perron_vector(H0, r) for r in radii]
+    nets = [convolve(H0, xi, xi[H0.view.inv]) for xi in xis]
+    # the bounds of every radius on each table in one array pass
+    ivs_H, upper = ma_norm_intervals(H, nets, more=[u * e - u for e in nets
+                                                    for u in tests.values()])
+    ivs_H0, _ = ma_norm_intervals(H0, nets)
+    m = len(tests)
     entries = []
-    for r in radii:
-        xi = _perron_vector(H0, r)
-        e_alpha = convolve(H0, xi, xi[H0.view.inv])
-        norm_sq = l2_norm(H0, xi) ** 2
-        # the bounds on each table in one array pass
-        (iv_H,), upper = ma_norm_intervals(H, [e_alpha],
-                                           more=[u * e_alpha - u for u in tests.values()])
-        (iv_H0,), _ = ma_norm_intervals(H0, [e_alpha])
-        bound = norm_sq
-        if iv_H.lower > bound + tol or iv_H0.lower > bound + tol:
+    for i, r in enumerate(radii):
+        bound = l2_norm(H0, xis[i]) ** 2
+        if ivs_H[i].lower > bound + tol or ivs_H0[i].lower > bound + tol:
             raise ArithmeticError(
                 f"{H.name}: interval lower bound exceeds the witness bound"
             )
-        residuals = dict(zip(tests, upper))
-        entries.append(WitnessEntry(r, e_alpha, bound, iv_H, iv_H0, residuals))
+        residuals = dict(zip(tests, upper[i * m:(i + 1) * m]))
+        entries.append(WitnessEntry(r, nets[i], bound, ivs_H[i], ivs_H0[i], residuals))
     decreasing = all(
         entries[i + 1].residuals[name] < entries[i].residuals[name] + 1e-15
         for name in tests

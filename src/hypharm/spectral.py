@@ -313,11 +313,13 @@ def section_operator(H: HypergroupTable, radius: int) -> np.ndarray:
 
 
 def _section_lower_bounds(H: HypergroupTable):
-    """The top eigenvalue of the ball compression at a quarter, half and all of the section."""
+    """The top eigenvalue of the ball compression at a quarter, half and all of the section.
+
+    Each radius is at least 2 and at most R - 1, and each is taken once.
+    """
     max_r = H.radius - 1
     out = []
-    for r in sorted({max(2, max_r // 4), max(2, max_r // 2), max_r}):
-        r = min(r, max_r)
+    for r in sorted({min(max(2, r), max_r) for r in (max_r // 4, max_r // 2, max_r)}):
         W = section_operator(H, r)
         out.append((r, float(np.linalg.eigvalsh(W)[-1])))
     return tuple(out)
@@ -382,7 +384,11 @@ def _schur_bound(H: HypergroupTable) -> tuple[float, float]:
     return math.nextafter(top * (1.0 + (len(exps) + 4) * 2.0**-52), math.inf), r
 
 
-def check_p2(H: HypergroupTable, tol: float = 1e-6) -> P2Report:
+# The band around 1 within which a certified Schur bound leaves (P2) open.
+P2_TOL = 1e-6
+
+
+def check_p2(H: HypergroupTable, tol: float = P2_TOL) -> P2Report:
     """Decide whether the constant character lies in supp(Plancherel)."""
     if not H.truncated:
         lam_sum = sum(H.lam.tolist())
@@ -484,7 +490,10 @@ def chi0(
     at the certified top of the spectrum, verified positive, multiplicative
     and dominating over CHI0_SAMPLES characters on a grid of the spectrum;
     raises :class:`DominationFailure` when the verification fails
-    (truncation too small).
+    (truncation too small).  Other truncated tables: the constant 1 up to
+    the largest section lower bound.  The (P2) status is that of
+    :func:`check_p2`, from one Schur bound; the section bounds are taken
+    only when they are read.
     """
     if not H.truncated:
         ct = characters(H, tol=tol, seed=seed)
@@ -494,18 +503,18 @@ def chi0(
                 f"{H.name}: constant character fails to dominate by {excess:.2e}"
             )
         return np.ones(H.size)
-    p2 = check_p2(H)
-    if p2.status != "fails":
-        cand = np.ones(H.size)
-        top = p2.lower_bound
-    else:
-        top = p2.cert_bound
+    bound = None if H.tail is None else _schur_bound(H)[0]
+    if bound is not None and bound < 1.0 - P2_TOL:  # (P2) fails
+        top = bound
         cand = solve_character(H, top)
         if np.min(cand) <= 0:
             raise DominationFailure(
                 f"{H.name}: recurrence solution at {top!r} is not positive; "
                 "increase the truncation radius"
             )
+    else:
+        cand = np.ones(H.size)
+        top = max(b for _, b in _section_lower_bounds(H))
     resid = _multiplicativity_residual(H, cand.astype(complex))
     if resid > max(tol, 1e-9):
         raise DominationFailure(

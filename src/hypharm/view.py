@@ -59,9 +59,8 @@ RESIDUE_BATCH = 2**16
 # Values in one associativity slab (128 KB of float64) at least: a table
 # with n**3 <= 2**14 (n <= 25) takes all y in one slab per x.
 SLAB_FLOOR = 2**14
-# Values per block of x while a view's checked-triple plan is built (256 KB
-# of float64): each x of a block takes one weight per entry, and one mask
-# value per (y, z).
+# Values of the support matrix per block of products while a view's
+# checked-triple plan is built (256 KB of float64): n per product.
 MASK_VALUES = 2**15
 ZERO = Fraction(0)
 # The attributes of a view that :meth:`TableView.reweighted` shares: those
@@ -322,12 +321,45 @@ class TableView:
     def _keep_form(self, N, num, den):
         """Keep the integers N of the entries and the scales ``num / den``.
 
-        The products that :meth:`_fractions` forms of them are taken in
-        int64 while they stay below 2**53, else in Python ints.
+        The scales are held in int64 while every product that
+        :meth:`_fractions` forms of them stays below 2**53, else as Python
+        ints, and then :meth:`_small` names the entries whose quotients
+        still divide in float64.
         """
         kind = object if max(map(abs, num + den)) ** 3 * max_abs(N) > EXACT_FLOAT else np.int64
         self._scale = (np.array(num, dtype=kind), np.array(den, dtype=kind))
         self.N = _frozen(N)
+
+    def _small(self) -> tuple:
+        """Of Python-int scales: the entries whose quotient divides in float64, and how.
+
+        Write each scale ``s = a / b`` with ``a = o_a 2**t_a`` and
+        ``b = o_b 2**t_b``, o odd.  An entry's fraction (:meth:`_fractions`)
+        is ``(A / B) 2**k`` with ``A = N o_a(z) o_b(x) o_b(y)``,
+        ``B = o_b(z) o_a(x) o_a(y)`` and ``k = t(z) - t(x) - t(y)`` for
+        ``t = t_a - t_b``.  A product of integers is below 2 to the sum of
+        their bit lengths, so an entry whose factors of A, and of B, have
+        bit lengths that sum to at most 53 has A and B below 2**53, exact in
+        int64 and in float64: ``A / B`` is their quotient rounded once, and
+        times ``2**k`` it stays so while it is a normal float.  Returns the
+        mask of those entries, k per entry and ``(o_a, o_b)`` per point in
+        int64 (0 beyond 53 bits, which no such entry reads).
+        """
+        odd, bits, twos = [], [], []
+        for s in (v.tolist() for v in self._scale):
+            t = [(v & -v).bit_length() - 1 for v in s]
+            o = [v >> k for v, k in zip(s, t)]
+            odd.append(np.array([v if abs(v) < 2**53 else 0 for v in o], dtype=np.int64))
+            bits.append(np.array([abs(v).bit_length() for v in o]))
+            twos.append(np.array(t))
+        (a, b), t = bits, twos[0] - twos[1]
+        if self.N.dtype == object:
+            n_bits = np.array([abs(v).bit_length() for v in self.N.tolist()], dtype=int)
+        else:  # |N| < 2**53 is exact in float64; beyond, its exponent exceeds 53 too
+            n_bits = np.frexp(np.abs(self.N.astype(float)))[1]
+        x, y, z = self.x, self.y, self.z
+        small = (n_bits + a[z] + b[x] + b[y] <= 53) & (b[z] + a[x] + a[y] <= 53)
+        return small, t[z] - t[x] - t[y], tuple(odd)
 
     @property
     def rational(self) -> bool:
@@ -402,18 +434,29 @@ class TableView:
         N, x, y, z = self.N[j].astype(num.dtype, copy=False), self.x[j], self.y[j], self.z[j]
         return N * num[z] * den[x] * den[y], den[z] * num[x] * num[y]
 
-    def _quotients(self, j=slice(None)) -> np.ndarray:
-        """``num / den`` of the entries ``j`` in float64, each rounded once."""
-        num, den = self._fractions(j)
-        if num.dtype == object:  # int64 numerators come with denominators below 2**53
-            # Python's int / int rounds correctly at any size
-            return np.fromiter(map(truediv, num.tolist(), den.tolist()), float, len(num))
-        return num / den
-
     @cached_property
     def c(self) -> np.ndarray:
-        """A rational view's coefficients in float64, each rounded once from ``num / den``."""
-        return _frozen(self._quotients())
+        """A rational view's coefficients in float64, each rounded once from ``num / den``.
+
+        Of Python-int scales, the small entries (:meth:`_small`) divide in
+        float64; the others, and any whose quotient is not a normal float,
+        as Python ints (:func:`_divided`).
+        """
+        if self._scale[0].dtype != object:  # every product is below 2**53
+            return _frozen(_divided(*self._fractions(slice(None))))
+        small, k, (a, b) = self._small()
+        fast = np.flatnonzero(small)
+        x, y, z = self.x[fast], self.y[fast], self.z[fast]
+        with np.errstate(over="ignore", under="ignore"):  # those are not normal
+            q = np.ldexp(self.N[fast].astype(np.int64) * a[z] * b[x] * b[y]
+                         / (b[z] * a[x] * a[y]), k[fast].astype(np.int32))
+        normal = (np.abs(q) >= 2.0**-1021) & (np.abs(q) < 2.0**1023)
+        out = np.empty(len(self.z))
+        slow = np.ones(len(self.z), dtype=bool)
+        out[fast[normal]], slow[fast[normal]] = q[normal], False
+        if slow.any():
+            out[slow] = _divided(*self._fractions(slow))
+        return _frozen(out)
 
     def floats(self, i) -> np.ndarray:
         """``c`` at the entries ``i``; of a rational view, computed for those entries alone.
@@ -423,7 +466,7 @@ class TableView:
         """
         if not self.rational or "c" in vars(self):
             return self.c[i]
-        return self._quotients(i)
+        return _divided(*self._fractions(i))
 
     def dense(self, c: np.ndarray) -> np.ndarray:
         """The array ``C[..., x, y, z]`` of the values ``c``, 0 off the entries.
@@ -501,6 +544,16 @@ class TableView:
             return self.rows() == other.rows()
         (n1, d1), (n2, d2) = (V._fractions(slice(None)) for V in (self, other))
         return np.array_equal(n1.astype(object) * d2, n2.astype(object) * d1)
+
+
+def _divided(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """``num / den`` of two integer arrays, rounded once: int64 ones are below 2**53.
+
+    Python's int / int rounds correctly at any size.
+    """
+    if num.dtype != object:
+        return num / den
+    return np.fromiter(map(truediv, num.tolist(), den.tolist()), float, len(num))
 
 
 def _worst(a, b):
@@ -632,33 +685,29 @@ def _plan(V: TableView) -> np.ndarray | None:
     """The ``n x n x n`` mask of the triples whose rows all lie inside the view.
 
     None if the view stores every row.  The rows of (x, y, z) are x.y, y.z,
-    w.z for w in supp(x.y) and x.w for w in supp(y.z).  The mask is built in
-    bools for :data:`MASK_VALUES` values of x at a time (at least one x),
-    from the entries of those x and the stored-row mask: one GEMM finds the
-    w of supp(x.y) with w.z missing, and one ``bincount`` the products y.z
-    whose support holds a w with x.w missing.
+    w.z for w in supp(x.y) and x.w for w in supp(y.z).  With S the support
+    matrix of the stored products, ``S[p, w] = 1`` for w in supp p, and G
+    that of the missing rows, ``G[u, v] = 1`` where u.v is not stored,
+    ``(S G)[p, z]`` counts the w of supp(p) with w.z missing, which rules
+    out (x, y, z) for p = x.y, and ``(S G^T)[p, x]`` those with x.w
+    missing, which rules it out for p = y.z.  Both GEMMs are exact counts,
+    taken for the products of :data:`MASK_VALUES` values of S at a time
+    (at least one product).
     """
     if V.has_row.all():
         return None
-    n = V.n
+    n, count = V.n, len(V.px)
     gaps = (~V.has_row).astype(float)
     plan = V.has_row[:, :, None] & V.has_row  # x.y and y.z stored
-    block = min(n, max(1, MASK_VALUES // max(n * n, len(V.z))))
-    # the product of each entry, for each x of a block (no copy for one x)
-    at = (np.arange(block)[:, None] * len(V.px) + V.pair).ravel() if block > 1 else V.pair
-    for b0 in range(0, n, block):
-        bs = slice(b0, min(b0 + block, n))
-        ok = plan[bs]
-        k = ok.shape[0]
-        e = slice(*np.searchsorted(V.x, [b0, bs.stop]))  # the entries x.y of the block
-        stored = np.zeros((k, n, n))
-        stored[V.x[e] - b0, V.y[e], V.z[e]] = 1
-        ok &= stored @ gaps == 0
-        del stored  # freed before the weights of the bincount are formed
-        bad = np.bincount(at[:k * len(V.z)], weights=gaps[bs].take(V.z, axis=1).ravel(),
-                          minlength=k * len(V.px))
-        b, q = np.divmod(np.flatnonzero(bad), len(V.px))
-        ok[b, V.px[q], V.py[q]] = False
+    block = max(1, MASK_VALUES // n)
+    for p0 in range(0, count, block):
+        p1 = min(p0 + block, count)
+        e = slice(V.starts[p0], V.starts[p1])  # the entries of products p0..p1
+        S = np.zeros((p1 - p0, n))
+        S[V.pair[e] - p0, V.z[e]] = 1
+        x, y = V.px[p0:p1], V.py[p0:p1]
+        plan[x, y] &= S @ gaps == 0
+        plan[:, x, y] &= (S @ gaps.T == 0).T
     return _frozen(plan)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import sys
 import warnings
 from fractions import Fraction
@@ -11,11 +12,14 @@ from hypharm import (
     bai_from_p2,
     builders,
     characters,
+    chi0,
+    convolve,
     diagonal_psi,
     groups,
     indicator_diagonal,
     invert_multiplier,
     restrict_to_diagonal,
+    voit_deform,
     weak_amenability_witness,
 )
 from hypharm.amenability import (
@@ -25,7 +29,7 @@ from hypharm.amenability import (
     pair_index,
 )
 from hypharm.errors import P2Failure, TruncationOverflow, UnboundedValueSet, ZeroValue
-from hypharm.norms import norm_A
+from hypharm.norms import l2_norm, ma_norm_intervals, norm_A
 
 
 @pytest.fixture(scope="module")
@@ -198,6 +202,38 @@ def test_weak_amenability_su2():
     wa = weak_amenability_witness(S, radii=(5, 10, 20))
     assert wa.constant_bound <= 1 + 1e-6
     assert wa.residuals_decreasing
+
+
+def _witness_per_radius(H, radii):
+    """The entries of :func:`weak_amenability_witness`, two interval passes per radius."""
+    H0 = voit_deform(H, chi0(H)).deformed
+    tests = {f"delta{x}": np.eye(H.size)[x] for x in range(3)}
+    out = []
+    for r in radii:
+        xi = amenability._perron_vector(H0, r)
+        e_alpha = convolve(H0, xi, xi[H0.view.inv])
+        (iv_H,), upper = ma_norm_intervals(H, [e_alpha],
+                                           more=[u * e_alpha - u for u in tests.values()])
+        (iv_H0,), _ = ma_norm_intervals(H0, [e_alpha])
+        out.append(amenability.WitnessEntry(r, e_alpha, l2_norm(H0, xi) ** 2, iv_H, iv_H0,
+                                            dict(zip(tests, upper))))
+    return out
+
+
+@pytest.mark.parametrize("R, radii", [(24, (2, 4, 7)), (30, (3, 6, 9))])
+@pytest.mark.parametrize("build", [functools.partial(builders.tree_radial, 2),
+                                   functools.partial(builders.tree_radial, 3),
+                                   builders.su2_fusion,
+                                   functools.partial(builders.su2_fusion, q=Fraction(1, 2))],
+                         ids=["tree2", "tree3", "su2", "suq2"])
+def test_weak_amenability_takes_every_radius_in_one_pass(build, R, radii):
+    # bit for bit the witness of one pair of interval passes per radius
+    got = weak_amenability_witness(build(R), radii=radii).entries
+    want = _witness_per_radius(build(R), radii)
+    for e, w in zip(got, want, strict=True):
+        assert repr((e.radius, e.ma_bound, e.ma_interval_H, e.ma_interval_H0, e.residuals)) == (
+            repr((w.radius, w.ma_bound, w.ma_interval_H, w.ma_interval_H0, w.residuals)))
+        assert e.e_alpha.tobytes() == w.e_alpha.tobytes()
 
 
 def _bad_deformation(monkeypatch, **evidence):

@@ -13,6 +13,7 @@ from hypharm import (
     groups,
     inverse_fourier,
     solve_character,
+    spectral,
     verify_axioms,
     voit_deform,
 )
@@ -404,6 +405,44 @@ def test_chi0_finite_is_constant(finite_tables):
 
 def test_chi0_su2_is_constant():
     assert np.array_equal(chi0(builders.su2_fusion(30)), np.ones(30))
+
+
+@pytest.mark.parametrize("R, radii", [(2, [1]), (3, [2]), (4, [2, 3]), (5, [2, 4])])
+def test_section_radii_are_clamped_then_taken_once(R, radii):
+    # a quarter, half and all of the R - 1 radii, each at least 2 and at most R - 1
+    rep = check_p2(builders.tree_radial(2, R))
+    assert [r for r, _ in rep.section_bounds] == radii
+    lines = [line for line in rep.lines() if "section radius" in line]
+    assert len(lines) == len(radii)
+
+
+def _chi0_from_the_report(H):
+    """chi0 of a (P2)-failing section as it was found: from all of check_p2."""
+    return solve_character(H, check_p2(H).cert_bound)
+
+
+@pytest.mark.parametrize("H", [builders.tree_radial(2, 28), builders.tree_radial(3, 30),
+                               builders.su2_fusion(28, q=Fraction(1, 2)),
+                               builders.su2_fusion(24, q=Fraction(1, 2))],
+                         ids=lambda H: H.name)
+def test_chi0_of_a_failing_section_takes_no_section_bounds(H, monkeypatch):
+    want = _chi0_from_the_report(H)
+
+    def unread(H):
+        raise AssertionError("section bounds taken but not read")
+
+    monkeypatch.setattr(spectral, "_section_lower_bounds", unread)
+    assert chi0(H).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("R", [12, 24, 30])
+def test_chi0_of_su2_takes_one_schur_bound(R, monkeypatch):
+    calls = []
+    bound = spectral._schur_bound
+    monkeypatch.setattr(spectral, "_schur_bound", lambda H: calls.append(1) or bound(H))
+    H = builders.su2_fusion(R)
+    assert np.array_equal(chi0(H), np.ones(H.size))
+    assert len(calls) == 1
 
 
 def test_chi0_tree_closed_form():

@@ -1153,6 +1153,79 @@ def test_residue_passes_share_one_plan(radius, passes, monkeypatch):
     assert report.triples_checked == np.count_nonzero(H.view.plan) < H.size**3
 
 
+def _plan_per_x_block(V: TableView) -> np.ndarray | None:
+    """``view._plan`` built for a block of x at a time, from each x's entries.
+
+    One GEMM of the block's entries against the missing-row mask finds the
+    w of supp(x.y) with w.z missing, and one ``bincount`` the products y.z
+    whose support holds a w with x.w missing.
+    """
+    if V.has_row.all():
+        return None
+    n = V.n
+    gaps = (~V.has_row).astype(float)
+    plan = V.has_row[:, :, None] & V.has_row
+    block = min(n, max(1, view.MASK_VALUES // max(n * n, len(V.z))))
+    at = (np.arange(block)[:, None] * len(V.px) + V.pair).ravel() if block > 1 else V.pair
+    for b0 in range(0, n, block):
+        bs = slice(b0, min(b0 + block, n))
+        ok = plan[bs]
+        k = ok.shape[0]
+        e = slice(*np.searchsorted(V.x, [b0, bs.stop]))
+        stored = np.zeros((k, n, n))
+        stored[V.x[e] - b0, V.y[e], V.z[e]] = 1
+        ok &= stored @ gaps == 0
+        bad = np.bincount(at[:k * len(V.z)], weights=gaps[bs].take(V.z, axis=1).ravel(),
+                          minlength=k * len(V.px))
+        b, q = np.divmod(np.flatnonzero(bad), len(V.px))
+        ok[b, V.px[q], V.py[q]] = False
+    return plan
+
+
+def _assert_plan_like_the_oracle(V):
+    want = _plan_per_x_block(V)
+    got = view._plan(V)
+    assert (got is None) == (want is None)
+    assert got is None or (np.array_equal(got, want) and not got.flags.writeable)
+
+
+SECTION_BUILDERS = {
+    "tree2": functools.partial(builders.tree_radial, 2),
+    "tree3": functools.partial(builders.tree_radial, 3),
+    "su2": builders.su2_fusion,
+    "suq2": lambda R: builders.su2_fusion(R, q=Fraction(1, 2)),
+    "suq2_2/3": lambda R: builders.su2_fusion(R, q=Fraction(2, 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SECTION_BUILDERS))
+def test_plan_from_supports_equals_the_per_x_oracle(name, monkeypatch):
+    # for the default block of products, one product per block and all at once
+    for R in range(2, 41):
+        V = SECTION_BUILDERS[name](R).view
+        for values in (view.MASK_VALUES, 1, 2**40) if R in (2, 17, 40) else (view.MASK_VALUES,):
+            monkeypatch.setattr(view, "MASK_VALUES", values)
+            _assert_plan_like_the_oracle(V)
+
+
+@pytest.mark.parametrize("name", sorted(k for k in ASSOCIATIVITY if k.endswith("_voit")))
+def test_plan_of_deformed_views_equals_the_per_x_oracle(name):
+    _assert_plan_like_the_oracle(_associativity_table(name).view)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    name=st.sampled_from(MUTABLE),
+    pick=st.integers(min_value=0),
+    drop=st.booleans(),
+    num=st.integers(-3, 3),
+    den=st.integers(1, 6),
+)
+def test_plan_of_mutated_tables_equals_the_per_x_oracle(name, pick, drop, num, den):
+    _assert_plan_like_the_oracle(_mutated(_table(name), pick, None if drop else
+                                          Fraction(num, den)).view)
+
+
 @pytest.mark.parametrize("name", ["tree2_r16", "tree3_r16", "su2_r16", "suq2_r12"])
 def test_deformed_view_holds_the_plan_of_its_base(name):
     # the deformation checks its view before the base is checked
@@ -1204,6 +1277,81 @@ def test_exact_builtins_hold_n_and_scales(name):
     want = [float(dict(H.row(x, y))[z]) for x, y, z in zip(V.x.tolist(), V.y.tolist(),
                                                               V.z.tolist())]
     assert V.c.tobytes() == np.array(want).tobytes()
+
+
+# -- the quotients c in int64 where the entries' bit lengths allow -----------
+
+
+def _python_fractions(V):
+    """``(num, den)`` of every entry of an exact view, as Python ints: the big-integer path."""
+    a, b = (s.tolist() for s in V._scale)
+    x, y, z, N = V.x.tolist(), V.y.tolist(), V.z.tolist(), V.N.tolist()
+    return ([k * a[w] * b[u] * b[v] for k, u, v, w in zip(N, x, y, z)],
+            [b[w] * a[u] * a[v] for u, v, w in zip(x, y, z)])
+
+
+def _assert_quotients_like_fractions(V):
+    """c is float() of each entry's Fraction, and the Haar ratios are the Python ints."""
+    num, den = _python_fractions(V)
+    assert V.c.tobytes() == np.array([float(Fraction(u, w)) for u, w in zip(num, den)]).tobytes()
+    assert V.haar_ratios(np.arange(len(V.z))) == (den, num)
+
+
+# the builder, the radii to check and the last radius whose entries all
+# divide in float64 (the powers of two of tree q = 2 and suq2 q = 1/2 are
+# taken apart)
+QUOTIENT_FAMILIES = {
+    "tree2": (functools.partial(builders.tree_radial, 2), [*range(2, 61), 98, 99], 98),
+    "tree3": (functools.partial(builders.tree_radial, 3), range(2, 41), 32),
+    "suq2": (functools.partial(builders.su2_fusion, q=Fraction(1, 2)), range(2, 31), 25),
+    "suq2_q2/3": (functools.partial(builders.su2_fusion, q=Fraction(2, 3)), [102], 11),
+    "suq2_q1/1000": (functools.partial(builders.su2_fusion, q=Fraction(1, 1000)), [102], 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUOTIENT_FAMILIES))
+def test_quotients_equal_the_fractions(name):
+    build, radii, last = QUOTIENT_FAMILIES[name]
+    for R in radii:
+        V = build(R).view
+        _assert_quotients_like_fractions(V)
+        # the float64 path covers every entry up to the last radius, and no further
+        assert (V._scale[0].dtype != object or V._small()[0].all()) == (R <= last), R
+
+
+def _odd(k):
+    """Odd integers of exactly ``k`` bits."""
+    return st.integers(2 ** (k - 2), 2 ** (k - 1) - 1).map(lambda m: 2 * m + 1)
+
+
+def _three_points(a, b, N, z):
+    """All nine products of three points, with scales ``a / b`` and ``N`` at support ``z``."""
+    x, y = np.divmod(np.arange(9), 3)
+    return TableView(3, 0, [0, 1, 2], False, x, y, z, N, scale=list(map(Fraction, a, b)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data(), widths=st.lists(st.integers(10, 22), min_size=6, max_size=6),
+       twos=st.lists(st.integers(0, 60), min_size=6, max_size=6),
+       N=st.lists(st.integers(1, 7), min_size=9, max_size=9),
+       z=st.lists(st.integers(0, 2), min_size=9, max_size=9))
+def test_quotients_straddle_the_float64_bound(data, widths, twos, N, z):
+    # scales a / b whose odd parts have 10 to 22 bits, times up to 2**60, so
+    # that the bit lengths of the odd parts of N a_z b_x b_y and b_z a_x a_y
+    # lie around 53: the entries below it divide in float64, the others as
+    # Python ints, and all of them round like Fractions
+    a, b = ([data.draw(_odd(k)) << t for k, t in zip(widths[i::2], twos[i::2])] for i in (0, 1))
+    _assert_quotients_like_fractions(_three_points(a, b, N, np.array(z)))
+
+
+@pytest.mark.parametrize("t", [500, 1000, 1019, 1020, 1021, 1022, 1023, 1024])
+def test_quotients_beyond_the_normal_floats_round_like_fractions(t):
+    # scales 3, 5 2**t and 7: c = s_z / (s_x s_y) runs from about 2**-2t,
+    # subnormal or 0, to 5/9 2**t, which is at least 2**1023 for t = 1024
+    for z in (0, 1):
+        V = _three_points([3, 5 << t, 7], [1, 1, 1], [1] * 9, np.full(9, z))
+        assert V._small()[0].all()
+        _assert_quotients_like_fractions(V)
 
 
 # -- products: associativity from the factors ---------------------------------
