@@ -7,23 +7,24 @@ canonical constructions from a finite group G are the conjugacy-class
 hypergroup Conj(G) and the representation-ring hypergroup Irr(G).
 """
 
-from hypharm import (
-    builders,
-    convolve_functions,
-    convolve_point,
-    groups,
-    haar_weights,
-    verify_axioms,
-    HFunction,
-)
+import numpy as np
+
+from hypharm import builders, convolve, groups, haar_weights, verify_axioms
+
+
+def measure(H, row):
+    """A row ((z, c), ...) of the table as the measure sum_z c delta_z."""
+    return " + ".join(f"{c} delta_{H.elements[z]}" for z, c in row)
+
 
 # Conj(S3): three classes (identity, transpositions, 3-cycles)
 G = groups.symmetric(3)
 H = builders.conjugacy_hypergroup(G)
 print("elements:", H.elements)
 
-# the class of transpositions squares to (1/3) identity + (2/3) 3-cycles
-print("C1 . C1 =", convolve_point(H, 1, 1))
+# H.row(x, y) is the product x . y as exact pairs (z, c^z_{x,y}): the class
+# of transpositions squares to (1/3) identity + (2/3) 3-cycles
+print("C1 . C1 =", measure(H, H.row(1, 1)))
 
 # Haar weights are the class sizes
 print("haar:", haar_weights(H))
@@ -32,10 +33,12 @@ print("haar:", haar_weights(H))
 print()
 print("\n".join(verify_axioms(H).lines()))
 
-# weighted convolution of indicator functions matches the group algebra:
+# convolve takes functions as arrays of length |H|; the weighted
+# convolution of indicator functions matches the group algebra:
 # 1_{C1} ._lam 1_{C1} has mass 3 at the identity and 3 on the 3-cycles
 print()
-print("1_C1 conv 1_C1 =", convolve_functions(H, HFunction.delta(1), HFunction.delta(1)))
+one_C1 = np.eye(H.size)[1]
+print("1_C1 conv 1_C1 =", convolve(H, one_C1, one_C1).tolist())
 
 # Irr(Q8): four 1-dimensional representations and one 2-dimensional one,
 # so the Haar weights d^2 are (1, 1, 1, 1, 4)
@@ -49,5 +52,5 @@ print("Irr(Q8) haar:", haar_weights(HQ))
 T = builders.tree_radial(2, 12)
 print()
 print(T)
-print("delta_1 . delta_4 =", convolve_point(T, 1, 4))
+print("delta_1 . delta_4 =", measure(T, T.row(1, 4)))
 print("haar grows like 3 * 2^(n-1):", [str(v) for v in T.haar[:6]])

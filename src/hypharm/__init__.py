@@ -6,18 +6,12 @@ from .core import (
     DEFAULT_SEED,
     DEFAULT_TOL,
     AxiomReport,
-    HFunction,
     HypergroupTable,
     NNTail,
     convolve,
-    convolve_functions,
-    convolve_point,
     haar_weights,
-    involute,
-    l1_norm,
     load_table,
     save_table,
-    translate,
     verify_axioms,
 )
 from .builders import (

@@ -114,7 +114,7 @@ def invert_multiplier(
 
     n_values = value_count(H.size)
     if H.truncated:
-        if value_count(H.size) > value_count(max(2, H.size // 2)):
+        if n_values > value_count(max(2, H.size // 2)):
             warnings.warn(
                 f"{H.name}: multiplier value set grows with the radius "
                 f"({n_values} values in the section)",

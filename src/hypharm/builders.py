@@ -11,8 +11,7 @@ The example classes realized here:
   quantum case);
 * ``tree_radial(q)`` — radial walk on the (q+1)-regular tree, from the
   closed-form radial product; the canonical family failing (P2) at desk
-  scale;
-* ``chebyshev`` — alias of ``su2_fusion`` (the tables coincide).
+  scale.
 """
 
 from __future__ import annotations
@@ -382,10 +381,9 @@ def tree_radial(q: int, radius: int) -> HypergroupTable:
 class FamilySpec:
     """Recipe for a built-in table.
 
-    name in {cyclic, conj, irr, su2_fusion, suq2_fusion, tree_radial,
-    chebyshev}; ``n`` for cyclic, ``q`` for the deformed families,
-    ``radius`` for the truncated ones, ``group`` (a FiniteGroup or built-in
-    name) for conj/irr.
+    name in {cyclic, conj, irr, su2_fusion, suq2_fusion, tree_radial};
+    ``n`` for cyclic, ``q`` for the deformed families, ``radius`` for the
+    truncated ones, ``group`` (a FiniteGroup or built-in name) for conj/irr.
     """
 
     name: str
@@ -416,9 +414,9 @@ def family(spec: FamilySpec) -> HypergroupTable:
         return conjugacy_hypergroup(_resolve_group(spec))
     if name == "irr":
         return irr_hypergroup(_resolve_group(spec))
-    if name in ("su2_fusion", "chebyshev"):
+    if name == "su2_fusion":
         if spec.radius is None:
-            raise ValueError(f"{name} needs a truncation radius")
+            raise ValueError("su2_fusion needs a truncation radius")
         return su2_fusion(spec.radius)
     if name == "suq2_fusion":
         if spec.radius is None or spec.q is None:

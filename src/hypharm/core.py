@@ -1,24 +1,21 @@
-"""Discrete hypergroup tables and their convolution calculus.
+"""Discrete hypergroup tables and their weighted convolution.
 
 A discrete hypergroup is a set with an identity ``e``, an involution
 ``x -> x~`` and a product that sends each pair of points to a probability
 measure: ``x . y = sum_z c^z_{x,y} delta_z``.  This module stores finite
 tables (or finite sections of infinite ones) of the structure constants
-``c^z_{x,y}``, computes Haar weights ``lam(x) = 1 / c^e_{x,x~}``, and
-implements the weighted convolution
+``c^z_{x,y}``, computes Haar weights ``lam(x) = 1 / c^e_{x,x~}``, verifies
+the axioms, reads and writes the hypergroup file format, and implements
+the weighted convolution
 
     (f ._lam g)(x) = sum_y lam(y) f(y) g(y~ . x)
-                   = (1/lam(x)) sum_{y,z} lam(y) lam(z) f(y) g(z) c^x_{y,z},
+                   = (1/lam(x)) sum_{y,z} lam(y) lam(z) f(y) g(z) c^x_{y,z}.
 
-left translation, involution and axiom verification.
-
-A function on a table is a length-``n`` numpy array wherever it is
-computed with numerically: :func:`convolve` is the convolution of two such
-arrays, on the table's :class:`~hypharm.view.TableView`.  :class:`HFunction`
-(finitely supported, values exact when they are Fractions) with
-:func:`convolve_point`, :func:`convolve_functions`, :func:`translate`,
-:func:`involute` and :func:`l1_norm` is the exact calculus, and the
-reference that :func:`convolve` is tested against.
+A function on a table is a length-``n`` numpy array: :func:`convolve` is
+the convolution of two such arrays, one ``bincount`` over the entries of
+the table's :class:`~hypharm.view.TableView`, and the library's only one.
+The tests check it against an exact calculus that convolves Fraction
+rows one product at a time.
 
 Two arithmetic modes are supported.  Tables derived from group Cayley
 tables carry exact :class:`fractions.Fraction` entries and all checks are
@@ -83,8 +80,14 @@ class NNTail:
     ``diag_sup`` and ``beta_sup``.  ``exact`` marks families whose tail
     coefficients are exactly constant and equal to the bounds.  These bounds
     feed the Schur-test certificates used by the (P2) checker; they describe
-    the infinite table beyond the stored ball and are supplied by builders,
-    never inferred from the section.
+    the infinite table beyond the stored ball.  The builders of
+    ``tree_radial``, ``su2_fusion`` and ``suq2_fusion`` and the su2-type
+    fusion rings give them in closed form, and a table file may state
+    them.  The Voit deformation of a section infers its tail from the
+    section's last rows (:func:`hypharm.spectral._deformed_tail`): it checks
+    that up to 8 of them are monotone and assumes they stay so beyond the
+    radius, so a deformed table's bounds, and the Schur bounds drawn from
+    them, are not certificates.
     """
 
     alpha_sup: float
@@ -94,49 +97,13 @@ class NNTail:
     exact: bool = False
 
 
-class HFunction:
-    """Finitely supported function on hypergroup element indices.
-
-    The values are kept as given, so Fraction values stay exact under
-    :func:`convolve_functions` and :func:`translate`.
-    """
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: Mapping[int, Value] | Iterable[tuple[int, Value]] = ()):
-        vals = dict(values.items() if isinstance(values, Mapping) else values)
-        self.values = {i: v for i, v in vals.items() if v != 0}
-
-    @classmethod
-    def delta(cls, x: int) -> "HFunction":
-        return cls({x: 1})
-
-    def __getitem__(self, i: int):
-        return self.values.get(i, 0)
-
-    def __iter__(self):
-        return iter(sorted(self.values.items()))
-
-    def __len__(self):
-        return len(self.values)
-
-    def __eq__(self, other):
-        if not isinstance(other, HFunction):
-            return NotImplemented
-        return self.values == other.values
-
-    def __repr__(self):
-        items = ", ".join(f"{i}: {v}" for i, v in self)
-        return f"HFunction({{{items}}})"
-
-
 class HypergroupTable:
     """Structure constants of a finite (or truncated) discrete hypergroup.
 
-    Rows are stored sparsely as ``(x, y) -> ((z, c^z_{x,y}), ...)``; for
-    commutative tables only ``x <= y`` is stored and the rest is filled by
-    commutativity.  Element ordering is fixed at construction with the
-    identity first.  Truncated tables record a ball radius R, with
+    A row is the sparse product ``(x, y) -> ((z, c^z_{x,y}), ...)``; for
+    commutative tables :attr:`rows` keeps only ``x <= y`` and the rest
+    follows by commutativity.  Element ordering is fixed at construction
+    with the identity first.  Truncated tables record a ball radius R, with
     ``2 <= R <= size`` (else ValueError); any access to a missing row raises
     :class:`TruncationOverflow` rather than clipping.
 
@@ -147,10 +114,11 @@ class HypergroupTable:
     are what a view does not hold: the truncation radius and tail, the
     generator, the element labels, and the Haar weights of a section (it
     does not store every x.x~) or of a fusion ring; other tables read
-    theirs from the view (:attr:`haar`).  The Fraction rows serve the exact
-    calculus (:class:`HFunction`) and the file writer; :func:`verify_axioms`
-    and :func:`haar_weights` never read them.  The table reads them from the
-    view as they are asked for, and builds the whole ``rows`` dict only when
+    theirs from the view (:attr:`haar`).  The Fraction rows serve
+    :meth:`row`, which the quantum maps read one product at a time, and
+    the file writer; :func:`verify_axioms`, :func:`haar_weights` and
+    :func:`convolve` never read them.  The table reads them from the view
+    as they are asked for, and builds the whole ``rows`` dict only when
     ``rows`` itself is read.
     """
 
@@ -317,58 +285,11 @@ class HypergroupTable:
         )
 
 
-# -- convolution calculus ----------------------------------------------
-
-
-def convolve_point(H: HypergroupTable, x: int, y: int) -> HFunction:
-    """Probability vector z -> c^z_{x,y} of the point product x . y."""
-    return HFunction(H.row(x, y))
-
-
-def convolve_functions(H: HypergroupTable, f: HFunction, g: HFunction) -> HFunction:
-    """Weighted convolution f ._lam g.
-
-    Computed through the adjoint identity lam(y) c^z_{x,y} = lam(z) c^y_{x~,z}
-    so that only rows (y, z) with y in supp f, z in supp g are touched:
-
-        (f ._lam g)(x) = (1/lam(x)) sum_{y,z} lam(y) lam(z) f(y) g(z) c^x_{y,z}.
-    """
-    lam = H.haar
-    acc: dict[int, Value] = {}
-    for y, fy in f.values.items():
-        wy = lam[y] * fy
-        for z, gz in g.values.items():
-            w = wy * lam[z] * gz
-            for (xz, c) in H.row(y, z):
-                acc[xz] = acc.get(xz, 0) + w * c
-    return HFunction({x: v / lam[x] for x, v in acc.items()})
-
-
-def translate(H: HypergroupTable, x: int, f: HFunction) -> HFunction:
-    """Left translation L_x f(y) = f(x~ . y) = sum_z c^z_{x~,y} f(z)."""
-    lam = H.haar
-    acc: dict[int, Value] = {}
-    for z, fz in f.values.items():
-        w = lam[z] * fz
-        for (y, c) in H.row(x, z):
-            acc[y] = acc.get(y, 0) + w * c / lam[y]
-    return HFunction(acc)
-
-
-def involute(H: HypergroupTable, f: HFunction) -> HFunction:
-    """f~(x) = conj(f(x~)); the modular function is 1 (commutative case)."""
-    out = {}
-    for i, v in f.values.items():
-        out[H.involution[i]] = v.conjugate() if isinstance(v, complex) else v
-    return HFunction(out)
-
-
-def l1_norm(H: HypergroupTable, f: HFunction) -> float:
-    return float(sum(H.haar[i] * abs(v) for i, v in f.values.items()))
+# -- convolution --------------------------------------------------------
 
 
 def convolve(H: HypergroupTable, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """:func:`convolve_functions` on length-``n`` arrays, in float64.
+    """The weighted convolution of two length-``n`` arrays, in float64.
 
         (f ._lam g)(x) = (1/lam(x)) sum_{y,z} lam(y) lam(z) f(y) g(z) c^x_{y,z}
 

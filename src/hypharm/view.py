@@ -534,14 +534,18 @@ class TableView:
         """True if both views store the same products and entries with equal coefficients.
 
         Two exact views compare the fractions of each entry (:meth:`_fractions`)
-        by cross-multiplication; otherwise the rows are compared.
+        by cross-multiplication, two float views their ``c``.  An exact and a
+        float view compare each entry's Fraction with its float, exactly, so
+        ``1/3`` in float64 is not ``1/3``.
         """
         if (self.n, self.commutative) != (other.n, other.commutative) or not all(
                 np.array_equal(getattr(self, k), getattr(other, k))
                 for k in ("px", "py", "starts", "z")):
             return False
+        if not (self.rational or other.rational):
+            return np.array_equal(self.c, other.c)
         if not (self.rational and other.rational):
-            return self.rows() == other.rows()
+            return self.coefficients(slice(None)) == other.coefficients(slice(None))
         (n1, d1), (n2, d2) = (V._fractions(slice(None)) for V in (self, other))
         return np.array_equal(n1.astype(object) * d2, n2.astype(object) * d1)
 

@@ -796,12 +796,6 @@ def test_tree_radial_closed_form_matches_recurrence(q):
         assert T.rows == oracle, R
 
 
-def test_chebyshev_alias():
-    A = family(FamilySpec("chebyshev", radius=8))
-    B = family(FamilySpec("su2_fusion", radius=8))
-    assert A.rows == B.rows
-
-
 def test_family_validation():
     with pytest.raises(ValueError):
         family(FamilySpec("tree_radial", q=1, radius=10))
@@ -809,6 +803,8 @@ def test_family_validation():
         family(FamilySpec("suq2_fusion", q=Fraction(3, 2), radius=10))
     with pytest.raises(ValueError):
         family(FamilySpec("nosuch"))
+    with pytest.raises(ValueError, match="unknown family 'chebyshev'"):
+        family(FamilySpec("chebyshev", radius=8))
     with pytest.raises(ValueError):
         family(FamilySpec("cyclic"))
 

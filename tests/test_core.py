@@ -5,19 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypharm import (
-    HFunction,
     builders,
     chi0,
     convolve,
-    convolve_functions,
-    convolve_point,
     groups,
     haar_weights,
-    involute,
-    l1_norm,
     load_table,
     save_table,
-    translate,
     verify_axioms,
     voit_deform,
 )
@@ -40,6 +34,8 @@ from hypharm.quantum import (
 )
 from hypharm.core import HypergroupTable
 
+from calculus import (HFunction, convolve_functions, convolve_point, involute, l1_norm,
+                      translate)
 from conftest import brute_force_class_products
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from hypharm import (
-    HFunction,
     builders,
     characters,
     chi0,
@@ -32,8 +31,9 @@ from hypharm.norms import (
     l2_norm,
     product_a_norm,
 )
-from hypharm import convolve_functions, involute
 from hypharm.spectral import _as_dense
+
+from calculus import HFunction, convolve_functions, involute
 
 
 @pytest.fixture(scope="module")

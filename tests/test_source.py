@@ -37,8 +37,31 @@ def test_every_parameter_is_read():
     assert _unread_parameters() == UNREAD_ALLOWED
 
 
+def _unread_imports():
+    out = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name == "__init__.py":  # its imports are the package's names
+            continue
+        tree = ast.parse(path.read_text())
+        bound = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound |= {a.asname or a.name.partition(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound |= {a.asname or a.name for a in node.names}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        out |= {(path.name, name) for name in bound - read}
+    return out
+
+
+def test_every_import_is_read():
+    # a name imported and never read is left behind by code that moved away
+    assert _unread_imports() == set()
+
+
 # Modules whose float paths read the view and the table's arrays, never the
-# Fraction rows: those are for the exact calculus, the oracles and the file writer.
+# Fraction rows: those are for row-at-a-time readers, the oracles and the file writer.
 FLOAT_MODULES = ("spectral.py", "norms.py", "amenability.py")
 
 

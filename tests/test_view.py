@@ -1015,6 +1015,14 @@ def test_same_entries_compares_exactly():
     floats = TableView(8, 0, range(8), True, V.x, V.y, V.z, V.c)
     assert floats.same_entries(TableView(8, 0, range(8), True, V.x, V.y, V.z, V.c))
     assert not floats.same_entries(V)
+    # two float views one ulp apart in one coefficient are not the same
+    c = V.c.copy()
+    c[3] = np.nextafter(c[3], 2.0)
+    assert not floats.same_entries(floats.reweighted(c))
+    # a group table's coefficients are 1, exact in float64 too
+    Z = builders.group_hypergroup(groups.cyclic(6)).view
+    copy = TableView(6, 0, Z.inv, True, Z.x, Z.y, Z.z, Z.c)
+    assert Z.rational and copy.same_entries(Z) and Z.same_entries(copy)
 
 
 def test_associativity_slab_takes_only_checked_columns(monkeypatch):
