@@ -11,7 +11,7 @@ into a deformed hypergroup H0 that always satisfies (P2).
 
 import math
 
-from hypharm import builders, check_p2, chi0, verify_axioms, voit_deform
+from hypharm import builders, check_p2, verify_axioms, voit_deform
 
 # SU(2) fusion rules: (P2) holds (section bounds straddle 1)
 S = builders.su2_fusion(40)
@@ -24,15 +24,14 @@ rep = check_p2(T)
 print("\n".join(rep.lines()))
 print("exact top of spectrum: 2 sqrt(2)/3 =", 2 * math.sqrt(2) / 3)
 
-# chi_0 solves the generator recurrence at the certified spectral top;
-# for q = 2 the closed form is 2^(-n/2) (1 + n/3)
-c = chi0(T)
-print()
-print("chi0 on the first levels:", [round(float(v), 6) for v in c[:6]])
-
-# deform: x o y = (chi0 / chi0(x.y)) x.y with Haar lam' = chi0^2 lam
-pair = voit_deform(T, c)
+# deform: x o y = (chi0 / chi0(x.y)) x.y with Haar lam' = chi0^2 lam, by
+# the dominant positive character chi_0, which solves the generator
+# recurrence at the certified spectral top; for q = 2 the closed form is
+# 2^(-n/2) (1 + n/3)
+pair = voit_deform(T)
 H0 = pair.deformed
+print()
+print("chi0 on the first levels:", [round(float(v), 6) for v in pair.chi0[:6]])
 print()
 print("deformed table:", H0.name)
 print("axiom violation:", pair.axiom_violation)

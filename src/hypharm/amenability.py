@@ -38,7 +38,6 @@ from .spectral import (
     CharacterTable,
     characters,
     check_p2,
-    chi0,
     section_operator,
     voit_deform,
 )
@@ -135,13 +134,15 @@ class DiagonalIndicator:
     """1_Delta with the table H and the character table of H it was built from.
 
     ``phi`` and ``one_delta`` are functions supported on the diagonal of
-    H x H, held as their n diagonal values (exact on exact tables).
+    H x H, held as their n diagonal values (exact on exact tables);
+    ``a_norm`` and ``ma_norm`` are 1_Delta's A and MA norms on H x H.
     """
 
     table: HypergroupTable
     characters: CharacterTable
     phi: tuple
     one_delta: tuple
+    a_norm: float
     ma_norm: float
     psi_norm: float
     phi_inverse_ma_norm: float
@@ -175,10 +176,10 @@ def indicator_diagonal(H: HypergroupTable, seed: int = DEFAULT_SEED) -> Diagonal
     err = max(abs(complex(v) - 1) for v in one_delta)
     if err > 1e-12:
         raise ArithmeticError(f"{H.name}: 1_Delta is not 1 on the diagonal, by {err:.2e}")
-    ma = diagonal_norms(H, ct, one_delta)[2]
+    a, _, ma = diagonal_norms(H, ct, one_delta)
     slack = inv.ma_norm * psi_norm - ma
     return DiagonalIndicator(
-        H, ct, phi, one_delta, ma, psi_norm, inv.ma_norm, float(err), float(slack)
+        H, ct, phi, one_delta, a, ma, psi_norm, inv.ma_norm, float(err), float(slack)
     )
 
 
@@ -204,7 +205,6 @@ def approximate_diagonal(
     # the point masses and one random function, one per row
     tests = np.vstack([np.eye(H.size),
                        rng.standard_normal(H.size) + 1j * rng.standard_normal(H.size)])
-    bound = diagonal_norms(H, diag.characters, diag.one_delta)[0]
     # u.m - m.u on H x H, (u.m)(x, y) = u(x) m(x, y) and (m.u)(x, y) = m(x, y) u(y)
     M = on_diagonal(H, diag.one_delta).reshape(H.size, H.size)
     commutator = float(np.abs(tests[:, :, None] * M - M * tests[:, None, :]).max())
@@ -215,7 +215,7 @@ def approximate_diagonal(
     # u m(m) - u, with m(m) the diagonal values of m
     resid = tests * np.diagonal(M) - tests
     residuals = tuple(norm_A(H, diag.characters, r, with_witness=False)[0] for r in resid)
-    return ApproximateDiagonal(bound, commutator, residuals)
+    return ApproximateDiagonal(diag.a_norm, commutator, residuals)
 
 
 # -- weak amenability --------------------------------------------------------
@@ -272,8 +272,9 @@ def weak_amenability_witness(
     The multiplier bound comes from |e_a|_{MA(H)} = |e_a|_{MA(H0)} <=
     |e_a|_{A(H0)} <= |xi_a|_2^2 = 1, cross-checked against interval
     computations on both sides.  Raises ArithmeticError when the
-    deformation's axiom violation or dual-map residual exceeds its bound
-    (:meth:`~hypharm.spectral.DeformedPair.defect`).  ``ct``, the
+    deformation's axiom violation, Haar defect or dual-map residual exceeds
+    its bound (:meth:`~hypharm.spectral.DeformedPair.defect`): the bound
+    |xi_a|_2^2 rests on lam' being a Haar measure of H0.  ``ct``, the
     character table of a finite H, is computed when not given.
     """
     if not H.truncated:
@@ -300,8 +301,7 @@ def weak_amenability_witness(
             f"{H.name}: need section radius >= {3 * max(radii)} to convolve "
             f"(P2) vectors of radius {max(radii)}"
         )
-    chi = chi0(H, seed=seed)
-    pair = voit_deform(H, chi, seed=seed)
+    pair = voit_deform(H, seed=seed)
     if (defect := pair.defect()) is not None:
         raise ArithmeticError(defect)
     H0 = pair.deformed

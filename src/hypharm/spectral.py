@@ -33,6 +33,7 @@ from .core import (
     verify_axioms,
 )
 from .errors import DegenerateSpectrum, DominationFailure
+from .view import haar_defect
 
 _GAP_THRESHOLD = 1e-8
 # Draws whose smallest eigenvalue gap is below this share of the scale get a
@@ -530,9 +531,11 @@ def chi0(
     return cand
 
 
-# The largest axiom violation of a deformation H0 and the largest
-# multiplicativity residual of its dual map that a sound deformation has.
+# The largest axiom violation and Haar invariance defect of a deformation H0,
+# and the largest multiplicativity residual of its dual map, that a sound
+# deformation has.
 DEFORM_AXIOM_BOUND = 1e-10
+DEFORM_HAAR_BOUND = 1e-10
 DEFORM_DUAL_MAP_BOUND = 1e-8
 
 
@@ -541,25 +544,28 @@ class DeformedPair:
     """Original table, dominant character and the Voit deformation H0.
 
     The deformed convolution is c'^z_{x,y} = chi0(z) c^z_{x,y} /
-    (chi0(x) chi0(y)) with Haar lam' = chi0^2 lam; characters of H0 are
-    exactly chi/chi0 for the dominated characters chi of H.
+    (chi0(x) chi0(y)) with Haar lam' = chi0^2 lam (``deformed.haar``);
+    characters of H0 are exactly chi/chi0 for the dominated characters chi
+    of H.  ``haar_defect`` is the largest defect of lam'(y) c'^z_{x,y} =
+    lam'(z) c'^y_{x~,z} on the stored triples of H0.
     """
 
     base: HypergroupTable
     chi0: np.ndarray
     deformed: HypergroupTable
-    haar_deformed: tuple
     axiom_violation: float
+    haar_defect: float
     dual_map_residual: float
 
     def defect(self) -> str | None:
         """Which evidence of the deformation exceeds its bound, or None if none does.
 
-        The bounds are :data:`DEFORM_AXIOM_BOUND` and
-        :data:`DEFORM_DUAL_MAP_BOUND`; NaN exceeds them.
+        The bounds are :data:`DEFORM_AXIOM_BOUND`, :data:`DEFORM_HAAR_BOUND`
+        and :data:`DEFORM_DUAL_MAP_BOUND`; NaN exceeds them.
         """
         for name, value, bound in (
             ("axiom violation", self.axiom_violation, DEFORM_AXIOM_BOUND),
+            ("Haar defect", self.haar_defect, DEFORM_HAAR_BOUND),
             ("dual map residual", self.dual_map_residual, DEFORM_DUAL_MAP_BOUND),
         ):
             if not value <= bound:
@@ -568,35 +574,25 @@ class DeformedPair:
 
 
 def voit_deform(
-    H: HypergroupTable, chi0_values, tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED
+    H: HypergroupTable, tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED
 ) -> DeformedPair:
-    """Build H0 from a verified positive multiplicative character."""
-    chi = np.asarray(chi0_values, dtype=float)
-    if chi.shape != (H.size,):
-        raise ValueError("chi0 length does not match the table")
-    if np.min(chi) <= 0:
-        raise DominationFailure(f"{H.name}: chi0 must be strictly positive")
-    resid = _multiplicativity_residual(H, chi.astype(complex))
-    if resid > max(tol, 1e-9):
-        raise DominationFailure(
-            f"{H.name}: chi0 multiplicativity residual {resid:.2e}"
-        )
+    """Build H0 by ``chi0(H, tol=tol, seed=seed)``, the one check of its character.
 
-    if not H.truncated and np.max(np.abs(chi - 1.0)) == 0.0 and H.exact:
-        deformed = H.relabeled(f"{H.name}_voit")
-        pair = DeformedPair(H, chi, deformed, deformed.haar, 0.0, 0.0)
-        return pair
+    An exact finite table, whose chi0 is exactly 1, is its own deformation.
+    """
+    chi = chi0(H, tol=tol, seed=seed)
+    if not H.truncated and H.exact:
+        return DeformedPair(H, chi, H.relabeled(f"{H.name}_voit"), 0.0, 0.0, 0.0)
 
     # c'^z_{x,y} = chi(z) c^z_{x,y} / (chi(x) chi(y)) on the entries of the
     # view, whose index arrays the deformed view shares
     V = H.view
     view = V.reweighted(chi[V.z] * V.c / (chi[V.x] * chi[V.y]))
-    haar_def = tuple((chi**2 * H.lam).tolist())
     tail = _deformed_tail(H, chi) if (H.truncated and H.tail is not None) else None
     deformed = HypergroupTable(
         f"{H.name}_voit",
         view,
-        haar=haar_def,
+        haar=tuple((chi**2 * H.lam).tolist()),
         truncated=H.truncated,
         radius=H.radius,
         tail=tail,
@@ -605,6 +601,7 @@ def voit_deform(
     )
     report = verify_axioms(deformed, tol=max(tol, 1e-10))
     worst = max(chk.violation for chk in report.checks.values())
+    haar = float(haar_defect(view, view.c, deformed.lam))
 
     # dual map: chi_c / chi0 must be multiplicative for H0
     if H.truncated:
@@ -615,7 +612,7 @@ def voit_deform(
         chars = characters(H, tol=tol, seed=seed).chars
         dominated = (np.abs(chars) <= chi + 1e-9).all(axis=1)
         dual_resid = _multiplicativity_residual(deformed, chars[dominated] / chi)
-    return DeformedPair(H, chi, deformed, haar_def, float(worst), float(dual_resid))
+    return DeformedPair(H, chi, deformed, float(worst), haar, float(dual_resid))
 
 
 def _deformed_tail(H: HypergroupTable, chi: np.ndarray) -> NNTail | None:

@@ -16,7 +16,6 @@ from hypharm import (
     builders,
     characters,
     check_p2,
-    chi0,
     groups,
     norm_A,
     norm_Blambda,
@@ -134,14 +133,14 @@ def test_criterion_4_p2_classification():
 def test_criterion_5_voit_pipeline():
     with criterion(5, "Voit deformation and weak amenability"):
         T = builders.tree_radial(2, 40)
-        c = chi0(T)
-        pair = voit_deform(T, c)
+        pair = voit_deform(T)
+        c = pair.chi0
         assert verify_axioms(pair.deformed, tol=1e-10).passed
-        assert pair.axiom_violation <= 1e-10
+        assert pair.defect() is None
         assert check_p2(pair.deformed).status == "holds"
         for n in range(T.size):
             assert (
-                abs(pair.haar_deformed[n] - c[n] ** 2 * float(T.haar[n])) <= 1e-10
+                abs(pair.deformed.lam[n] - c[n] ** 2 * float(T.haar[n])) <= 1e-10
             )
         wa = weak_amenability_witness(builders.tree_radial(2, 61), radii=(5, 10, 20))
         assert wa.constant_bound <= 1 + 1e-6

@@ -12,7 +12,6 @@ from hypharm import (
     bai_from_p2,
     builders,
     characters,
-    chi0,
     convolve,
     diagonal_psi,
     groups,
@@ -29,7 +28,7 @@ from hypharm.amenability import (
     pair_index,
 )
 from hypharm.errors import P2Failure, TruncationOverflow, UnboundedValueSet, ZeroValue
-from hypharm.norms import l2_norm, ma_norm_intervals, norm_A
+from hypharm.norms import diagonal_norms, l2_norm, ma_norm_intervals, norm_A
 
 
 @pytest.fixture(scope="module")
@@ -147,29 +146,26 @@ def test_approximate_diagonal_cyclic_bound_one():
         assert ad.bound == pytest.approx(1.0, abs=1e-9), n
 
 
-def test_amenability_report_computes_each_table_once(conj_s3, monkeypatch):
-    calls = {"characters": [], "product": 0}
-    originals = {"characters": characters, "product": builders.product}
+def test_amenability_report_computes_each_table_once(monkeypatch):
+    originals = {"characters": characters, "product": builders.product,
+                 "diagonal_norms": diagonal_norms}
+    calls = {name: [] for name in originals}
 
-    def counting_characters(H, *args, **kwargs):
-        calls["characters"].append(H.size)
-        return originals["characters"](H, *args, **kwargs)
+    def counting(name):
+        def call(H, *args, **kwargs):
+            calls[name].append(H.size)
+            return originals[name](H, *args, **kwargs)
+        return call
 
-    def counting_product(*args, **kwargs):
-        calls["product"] += 1
-        return originals["product"](*args, **kwargs)
-
-    # in every hypharm module that holds either function by name
+    # in every hypharm module that holds one of the functions by name
     for module in [m for name, m in sys.modules.items() if name.startswith("hypharm")]:
-        for name, counting in (("characters", counting_characters),
-                               ("product", counting_product)):
+        for name in originals:
             if getattr(module, name, None) is originals[name]:
-                monkeypatch.setattr(module, name, counting)
-    rep = amenability_report(conj_s3)
+                monkeypatch.setattr(module, name, counting(name))
+    rep = amenability_report(builders.conjugacy_hypergroup(groups.symmetric(4)))
     # only H is diagonalized, and H x H is never built: its norms come from
-    # the characters of H
-    assert calls["characters"] == [3]
-    assert calls["product"] == 0
+    # the characters of H, once for psi and once for 1_Delta
+    assert calls == {"characters": [5], "product": [], "diagonal_norms": [5, 5]}
     assert rep.commutator_norm == 0.0
 
 
@@ -206,7 +202,7 @@ def test_weak_amenability_su2():
 
 def _witness_per_radius(H, radii):
     """The entries of :func:`weak_amenability_witness`, two interval passes per radius."""
-    H0 = voit_deform(H, chi0(H)).deformed
+    H0 = voit_deform(H).deformed
     tests = {f"delta{x}": np.eye(H.size)[x] for x in range(3)}
     out = []
     for r in radii:
@@ -246,8 +242,9 @@ def _bad_deformation(monkeypatch, **evidence):
 @pytest.mark.parametrize("evidence, message", [
     ({"axiom_violation": 2e-10}, r"tree_radial_q2_R24_voit: axiom violation 2\.00e-10 exceeds 1e-10"),
     ({"axiom_violation": float("nan")}, "axiom violation nan exceeds 1e-10"),
+    ({"haar_defect": 2e-10}, r"Haar defect 2\.00e-10 exceeds 1e-10"),
     ({"dual_map_residual": 2e-8}, r"dual map residual 2\.00e-08 exceeds 1e-08"),
-], ids=["axioms", "nan", "dual-map"])
+], ids=["axioms", "nan", "haar", "dual-map"])
 def test_weak_amenability_reads_the_deformation(monkeypatch, evidence, message):
     T = builders.tree_radial(2, 24)
     _bad_deformation(monkeypatch, **evidence)
@@ -257,7 +254,8 @@ def test_weak_amenability_reads_the_deformation(monkeypatch, evidence, message):
 
 def test_weak_amenability_accepts_evidence_at_its_bounds(monkeypatch):
     T = builders.tree_radial(2, 24)
-    _bad_deformation(monkeypatch, axiom_violation=1e-10, dual_map_residual=1e-8)
+    _bad_deformation(monkeypatch, axiom_violation=1e-10, haar_defect=1e-10,
+                     dual_map_residual=1e-8)
     assert weak_amenability_witness(T, radii=(2, 4, 7)).constant_bound <= 1 + 1e-6
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hypharm import builders, characters, check_p2, chi0, groups, verify_axioms, voit_deform
+from hypharm import builders, characters, check_p2, groups, verify_axioms, voit_deform
 from hypharm.builders import FamilySpec, family, product, q_integer
 from hypharm.core import DEFAULT_SEED, HypergroupTable
 from hypharm.errors import NoIdentity, NonIntegerDimension, NotAssociative, NotLatinSquare
@@ -696,8 +696,8 @@ def test_check_p2_reads_single_rows(build, status):
 ], ids=["su2", "suq2", "suq2-float", "tree2", "tree3"])
 def test_voit_deform_values_match_loop(build):
     H = build()
-    chi = chi0(H)
-    D = voit_deform(H, chi).deformed.view
+    pair = voit_deform(H)
+    chi, D = pair.chi0, pair.deformed.view
     V = H.view
     want = [chi[z] * float(dict(H.row(x, y))[z]) / (chi[x] * chi[y])
             for x, y, z in zip(V.x.tolist(), V.y.tolist(), V.z.tolist())]

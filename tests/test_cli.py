@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ import pytest
 import hypharm
 from hypharm import builders, core, groups, save_table, spectral
 from hypharm.cli import run
+from hypharm.errors import DominationFailure
 
 
 def _run(argv):
@@ -232,10 +234,11 @@ def test_norms_structured_includes_witness():
 
 
 @pytest.mark.parametrize("evidence, code", [
-    ({"axiom_violation": 1e-10, "dual_map_residual": 1e-8}, 0),
+    ({"axiom_violation": 1e-10, "haar_defect": 1e-10, "dual_map_residual": 1e-8}, 0),
     ({"axiom_violation": 2e-10}, 1),
+    ({"haar_defect": 2e-10}, 1),
     ({"dual_map_residual": 2e-8}, 1),
-], ids=["at-bounds", "axioms", "dual-map"])
+], ids=["at-bounds", "axioms", "haar", "dual-map"])
 def test_deform_and_amenability_share_the_deformation_bounds(monkeypatch, evidence, code):
     deform = spectral.voit_deform
     bad = lambda *a, **k: dataclasses.replace(deform(*a, **k), **evidence)  # noqa: E731
@@ -244,6 +247,39 @@ def test_deform_and_amenability_share_the_deformation_bounds(monkeypatch, eviden
     table = ["--family", "tree_radial", "--q", "2", "--radius", "24"]
     assert _run(["deform"] + table)[0] == code
     assert _run(["amenability"] + table + ["--radii", "2,4,7"])[0] == code
+
+
+@pytest.mark.parametrize("argv", [
+    ["deform", "--family", "tree_radial", "--q", "2", "--radius", "28"],
+    ["amenability", "--family", "tree_radial", "--q", "2", "--radius", "24", "--radii", "2,4,7"],
+], ids=["deform", "amenability"])
+def test_deformation_checks_multiplicativity_once_per_table(monkeypatch, argv):
+    # chi0 on H, inside voit_deform, and the dual map on H0
+    calls = []
+    residual = spectral._multiplicativity_residual
+    monkeypatch.setattr(spectral, "_multiplicativity_residual",
+                        lambda H, chi: calls.append(H.name) or residual(H, chi))
+    assert _run(argv)[0] == 0
+    table = f"tree_radial_q2_R{argv[argv.index('--radius') + 1]}"
+    assert calls == [table, f"{table}_voit"]
+
+
+def test_deform_needs_chi0_multiplicative_on_every_product(tmp_path, capsys):
+    # the mass of 2.2 at 4 scaled by 9/10: the generator rows, and with them
+    # the recurrence, are unchanged, so only chi0's check on every stored
+    # product sees the broken row
+    T = builders.tree_radial(2, 10)
+    rows = dict(T.rows)
+    rows[2, 2] = [(z, c * Fraction(9, 10) if z == 4 else c) for z, c in rows[2, 2]]
+    bad = core.HypergroupTable.from_rows("tree_bad", T.size, T.involution, rows, haar=T.haar,
+                                         truncated=True, radius=T.radius, tail=T.tail)
+    message = "tree_bad: candidate chi0 multiplicativity residual 3.89e-02"
+    with pytest.raises(DominationFailure, match=message):
+        spectral.chi0(bad)
+    p = tmp_path / "tree_bad.hyp"
+    save_table(bad, str(p))
+    assert run(["deform", "--file", str(p)]) == 1
+    assert capsys.readouterr().err == f"check failed: {message}\n"
 
 
 def test_deform_tree():

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from hypharm import (
     builders,
-    chi0,
     convolve,
     groups,
     haar_weights,
@@ -292,7 +291,7 @@ def test_section_needs_a_radius_up_to_its_size(radius):
 
 def test_every_section_builder_keeps_a_radius_within_its_size(tmp_path):
     tables = [builders.tree_radial(2, 2), builders.su2_fusion(2), builders.su2_fusion(12, 0.5)]
-    tables += [voit_deform(T, chi0(T)).deformed for T in tables[:2]]
+    tables += [voit_deform(T).deformed for T in tables[:2]]
     ring = su2_fusion_ring(8, Fraction(1, 2))
     tables += [hypergroup_n(ring), hypergroup_d(ring)]
     for T in tables:
@@ -316,11 +315,7 @@ def test_table_file_roundtrip_rational(tmp_path, conj_s3):
 
 
 def test_table_file_roundtrip_truncated_float(tmp_path):
-    T = builders.tree_radial(2, 10)
-    chi = np.array([2 ** (-n / 2) * (1 + n / 3) for n in range(11)])
-    from hypharm import voit_deform
-
-    D = voit_deform(T, chi).deformed
+    D = voit_deform(builders.tree_radial(2, 10)).deformed
     p = tmp_path / "deformed.hyp"
     save_table(D, str(p))
     back = load_table(str(p))

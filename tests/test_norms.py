@@ -6,7 +6,6 @@ import pytest
 from hypharm import (
     builders,
     characters,
-    chi0,
     diagonal_norms,
     diagonal_psi,
     groups,
@@ -254,8 +253,8 @@ def test_voit_isometry_intervals():
     # |u|_A(H) interval contains the |u/chi0|_A(H0) interval, and the
     # l2 upper bounds coincide exactly (the Voit map is an l2 isometry)
     T = builders.tree_radial(2, 40)
-    c = chi0(T)
-    H0 = voit_deform(T, c).deformed
+    pair = voit_deform(T)
+    H0, c = pair.deformed, pair.chi0
     rng = np.random.default_rng(12)
     for _ in range(10):
         ud = np.zeros(41)
@@ -275,8 +274,7 @@ def test_voit_isometry_intervals():
 def test_ma_invariance_intervals_overlap():
     # |phi|_MA(H) = |phi|_MA(H0): certified intervals must overlap
     T = builders.tree_radial(2, 40)
-    c = chi0(T)
-    H0 = voit_deform(T, c).deformed
+    H0 = voit_deform(T).deformed
     rng = np.random.default_rng(14)
     for _ in range(5):
         u = np.zeros(41)
@@ -397,7 +395,7 @@ def test_batched_intervals_equal_the_loop_bit_for_bit(spec, radius, radii):
     # largest value sits at the ninth point of its support, which no delta
     # candidate takes
     H = family(FamilySpec(spec.name, q=spec.q, radius=radius))
-    H0 = voit_deform(H, chi0(H)).deformed
+    H0 = voit_deform(H).deformed
     deltas = np.eye(H.size)[:3]
     rng = np.random.default_rng(radius)
     randoms = [rng.standard_normal(H.size) + 1j * rng.standard_normal(H.size) for _ in range(2)]

@@ -335,7 +335,7 @@ def _section(name, radius):
 
 def _deformed_section(name, radius):
     H = _section(name, radius)
-    return voit_deform(H, chi0(H)).deformed
+    return voit_deform(H).deformed
 
 
 def _schur_cases():
@@ -460,9 +460,9 @@ def test_chi0_tree_closed_form():
 
 def test_voit_deform_finite_identity(finite_tables):
     H = finite_tables["conj_s3"]
-    pair = voit_deform(H, np.ones(3))
+    pair = voit_deform(H)
     assert pair.deformed.rows == H.rows
-    assert pair.axiom_violation == 0.0
+    assert pair.axiom_violation == pair.haar_defect == 0.0
 
 
 @pytest.mark.parametrize("group", [groups.symmetric(3), groups.symmetric(4)],
@@ -474,33 +474,29 @@ def test_voit_deform_finite_float_table(group):
                                   {k: [(z, float(c)) for z, c in row]
                                    for k, row in H.rows.items()})
     assert not F.exact
-    pair = voit_deform(F, np.ones(F.size))
+    pair = voit_deform(F)
     assert pair.dual_map_residual < 1e-12
     assert pair.axiom_violation < 1e-12
+    assert pair.haar_defect < 1e-12
 
 
 def test_voit_deform_tree():
     T = builders.tree_radial(2, 40)
-    c = chi0(T)
-    pair = voit_deform(T, c)
+    pair = voit_deform(T)
+    c = pair.chi0
     assert pair.axiom_violation < 1e-10
     assert dict(pair.deformed.row(1, 1))[0] == pytest.approx(3 / 8, abs=1e-12)
     lam = T.haar
     for n in range(41):
-        assert pair.haar_deformed[n] == pytest.approx(
+        assert pair.deformed.lam[n] == pytest.approx(
             c[n] ** 2 * float(lam[n]), abs=1e-10
         )
+    assert 0 < pair.haar_defect <= 1e-12
     rep = check_p2(pair.deformed)
     assert rep.status == "holds"
     assert verify_axioms(pair.deformed, tol=1e-10).passed
     # deformed characters are chi/chi0 for dominated chi (dual map residual)
     assert pair.dual_map_residual < 1e-8
-
-
-def test_voit_deform_rejects_bad_chi():
-    T = builders.tree_radial(2, 10)
-    with pytest.raises(DominationFailure):
-        voit_deform(T, np.full(11, 0.9))  # not multiplicative
 
 
 def test_chi0_and_deform_on_quantum_d_table():
@@ -511,9 +507,8 @@ def test_chi0_and_deform_on_quantum_d_table():
     rep = check_p2(Hd)
     assert rep.status == "fails"
     assert rep.cert_bound == pytest.approx(2 / 2.5, abs=1e-2)
-    c = chi0(Hd)
-    assert np.min(c) > 0
-    pair = voit_deform(Hd, c)
+    pair = voit_deform(Hd)
+    assert np.min(pair.chi0) > 0
     assert pair.axiom_violation < 1e-10
     assert check_p2(pair.deformed).status in ("holds", "inconclusive")
 
@@ -549,7 +544,7 @@ def _solve_character_loop(H, s):
 
 
 def _voit(H):
-    return voit_deform(H, chi0(H)).deformed
+    return voit_deform(H).deformed
 
 
 SECTION_BUILDS = {

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypharm import (builders, characters, chi0, core, groups, haar_weights, quantum, view,
+from hypharm import (builders, characters, core, groups, haar_weights, quantum, view,
                      voit_deform)
 from hypharm.builders import FamilySpec, family
 from hypharm.core import (
@@ -70,7 +70,7 @@ def _builders():
 def _deformed(name, radius):
     spec = SECTIONS[name]
     H = family(FamilySpec(spec.name, q=spec.q, radius=radius))
-    return voit_deform(H, chi0(H)).deformed
+    return voit_deform(H).deformed
 
 
 BUILDERS = _builders()
@@ -458,7 +458,7 @@ def _peak_bytes(fn, *args):
 
 def test_verify_axioms_memory_is_cubic():
     H = builders.tree_radial(2, 40)
-    D = voit_deform(H, chi0(H)).deformed
+    D = voit_deform(H).deformed
     rows = D.rows
 
     def build_and_verify():
@@ -589,7 +589,7 @@ def test_entries_of_float_tables_must_be_finite():
 @pytest.mark.parametrize("name", ["tree2_r16", "tree3_r16", "su2_r16", "suq2_r12"])
 def test_deformed_view_shares_the_index_arrays_of_its_base(name):
     H = _table(name)
-    D = voit_deform(H, chi0(H)).deformed
+    D = voit_deform(H).deformed
     V, W = H.view, D.view
     for attr in view._INDEX:
         if attr in vars(V):
@@ -1238,7 +1238,7 @@ def test_plan_of_mutated_tables_equals_the_per_x_oracle(name, pick, drop, num, d
 def test_deformed_view_holds_the_plan_of_its_base(name):
     # the deformation checks its view before the base is checked
     H = BUILDERS[name]()
-    D = voit_deform(H, chi0(H)).deformed
+    D = voit_deform(H).deformed
     verify_axioms(H)
     assert D.view.plan is H.view.plan
     assert H.view.plan is not None and not H.view.plan.flags.writeable
