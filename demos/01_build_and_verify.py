@@ -31,7 +31,11 @@ print("haar:", haar_weights(H))
 
 # all axioms hold exactly in rational arithmetic
 print()
-print("\n".join(verify_axioms(H).lines()))
+rep = verify_axioms(H)
+print(f"axioms of {rep.table} ({rep.mode} mode):")
+for name, chk in rep.checks.items():
+    print(f"  {name:<14} {'pass' if chk.passed else 'FAIL'}  max violation {chk.violation}")
+print("hypergroup axioms pass:", rep.passed)
 
 # convolve takes functions as arrays of length |H|; the weighted
 # convolution of indicator functions matches the group algebra:

@@ -11,9 +11,18 @@ import numpy as np
 
 from hypharm import builders, characters, fourier, groups, inverse_fourier
 
+
+def show(ct):
+    """The rows of a real character table, with their Plancherel weights."""
+    print(f"character table of {ct.table} ({ct.size} characters)")
+    for i in range(ct.size):
+        values = (np.round(ct.chars[i].real, 6) + 0.0).tolist()  # + 0.0 drops -0.0
+        print(f"  chi{i}  w={float(ct.plancherel[i]):.6g}  {values}")
+
+
 H = builders.conjugacy_hypergroup(groups.symmetric(3))
 ct = characters(H)
-print("\n".join(ct.lines()))
+show(ct)
 
 # the rows are the normalized group characters chi_pi(C) / d_pi, and the
 # Plancherel weight of chi_pi is d_pi^2 / |G|
@@ -39,4 +48,4 @@ print(
 HI = builders.irr_hypergroup(groups.symmetric(3))
 cti = characters(HI)
 print()
-print("\n".join(cti.lines()))
+show(cti)

@@ -13,15 +13,24 @@ import math
 
 from hypharm import builders, check_p2, verify_axioms, voit_deform
 
+
+def show(rep):
+    print(f"(P2) for {rep.table}: {rep.status}")
+    print(f"  spectral interval [{rep.lower_bound}, {rep.upper_bound}]")
+    if rep.cert_bound is not None:
+        print(f"  certified Schur bound {rep.cert_bound}")
+    for r, b in rep.section_bounds:
+        print(f"  section radius {r}: lower bound {b}")
+
+
 # SU(2) fusion rules: (P2) holds (section bounds straddle 1)
 S = builders.su2_fusion(40)
-print("\n".join(check_p2(S).lines()))
+show(check_p2(S))
 
 # the tree fails (P2), certified by a weighted Schur test
 print()
 T = builders.tree_radial(2, 40)
-rep = check_p2(T)
-print("\n".join(rep.lines()))
+show(check_p2(T))
 print("exact top of spectrum: 2 sqrt(2)/3 =", 2 * math.sqrt(2) / 3)
 
 # deform: x o y = (chi0 / chi0(x.y)) x.y with Haar lam' = chi0^2 lam, by
@@ -39,7 +48,7 @@ print("c'(0; 1,1) =", dict(H0.row(1, 1))[0], "(= 3/8)")
 
 # the deformation restores (P2)
 print()
-print("\n".join(check_p2(H0).lines()))
+show(check_p2(H0))
 
 # and its characters are exactly chi/chi0 for the dominated characters
 print("dual map residual:", pair.dual_map_residual)

@@ -12,17 +12,22 @@ constant 1, witnessed by positive definite nets from the Voit deformation.
 from hypharm import builders, groups, weak_amenability_witness
 from hypharm.amenability import amenability_report
 
-# the full pipeline on Irr(Q8): psi, phi = 1/lam, its inverse, 1_Delta
-H = builders.irr_hypergroup(groups.quaternion8())
-print("\n".join(amenability_report(H).lines()))
-
-print()
-H2 = builders.conjugacy_hypergroup(groups.symmetric(3))
-print("\n".join(amenability_report(H2).lines()))
+# the full pipeline: psi, phi = 1/lam, its inverse, 1_Delta, an approximate
+# diagonal and the weak-amenability constant
+for H in (builders.irr_hypergroup(groups.quaternion8()),
+          builders.conjugacy_hypergroup(groups.symmetric(3))):
+    rep = amenability_report(H)
+    print(f"amenability of {rep.table}: (P2) {rep.p2_status}")
+    print(f"  |psi|_Blambda(HxH) = {rep.psi_norm}")
+    print(f"  phi = 1/lam        = {[float(v) for v in rep.phi_values]}")
+    print(f"  |phi^-1|_MA        = {rep.phi_inverse_ma_norm}")
+    print(f"  |1_Delta|_MA(HxH)  = {rep.one_delta_ma_norm}")
+    print(f"  commutator norm    = {rep.commutator_norm}")
+    print(f"  weak amenability   = {rep.weak_amenability_bound}")
+    print()
 
 # weak amenability on the tree: Perron vectors of growing balls of the
 # deformation give contractive multipliers with decreasing residuals
-print()
 T = builders.tree_radial(2, 61)
 wa = weak_amenability_witness(T, radii=(5, 10, 20))
 print(f"weak amenability of {wa.table}: constant bound {wa.constant_bound}")

@@ -349,18 +349,6 @@ class AxiomReport:
     def commutative(self) -> bool:
         return self.checks["commutativity"].passed
 
-    def lines(self) -> list[str]:
-        out = [f"axiom report for {self.table} ({self.mode} mode, tol={self.tol:g})"]
-        for name, chk in self.checks.items():
-            status = "pass" if chk.passed else "FAIL"
-            out.append(f"  {name:<14} {status}  max violation {chk.violation:.3g}")
-        out.append(
-            f"  associativity triples checked={self.triples_checked}"
-            f" skipped={self.triples_skipped}"
-        )
-        out.append(f"  hypergroup axioms: {'pass' if self.passed else 'FAIL'}")
-        return out
-
 
 def verify_axioms(H: HypergroupTable, tol: float = DEFAULT_TOL) -> AxiomReport:
     """Check the hypergroup axioms on every stored row and triple.

@@ -24,7 +24,7 @@ factorizations inside the section).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -385,7 +385,7 @@ def ma_norm_interval(H: HypergroupTable, u) -> Interval:
 
 @dataclass
 class NormReport:
-    """All norms of one function with witnesses and convention flags.
+    """All norms of one function, with the factorization witness of its A norm.
 
     On finite (P2) tables the A, B_lambda and MA norms agree; the invariant
     |u|_A >= |u|_{B_lambda} >= |u|_{MA} is checked up to tolerance.
@@ -396,32 +396,8 @@ class NormReport:
     norm_A: float | Interval
     norm_Blambda: float | Interval
     norm_MA: float | Interval
-    norm_B: float | None = None
     norm_Mcb: float | None = None
-    mcb_per_group: dict[str, float] = field(default_factory=dict)
     witness: FactorizationWitness | None = None
-    flags: tuple[str, ...] = ()
-
-    def lines(self) -> list[str]:
-        out = [f"norm report on {self.table}"]
-
-        def fmt(v):
-            if isinstance(v, Interval):
-                return f"[{v.lower!r}, {v.upper!r}]"
-            return repr(v)
-
-        out.append(f"  |u|_A        = {fmt(self.norm_A)}")
-        out.append(f"  |u|_Blambda  = {fmt(self.norm_Blambda)}")
-        out.append(f"  |u|_MA       = {fmt(self.norm_MA)}")
-        if self.norm_B is not None:
-            out.append(f"  |u|_B        = {self.norm_B!r}  (convention C*=C*_lam)")
-        if self.norm_Mcb is not None:
-            out.append(f"  |u|_Mcb~     = {self.norm_Mcb!r}")
-            for g, v in sorted(self.mcb_per_group.items()):
-                out.append(f"    with {g}: {v!r}")
-        for fl in self.flags:
-            out.append(f"  flag: {fl}")
-        return out
 
 
 def compute_norm_report(
@@ -441,14 +417,7 @@ def compute_norm_report(
         # because B_lambda <= A, the lower one because its dual pairings
         # bound B_lambda directly.
         a = a_norm_interval(H, u)
-        return NormReport(
-            H.name,
-            False,
-            a,
-            a,
-            ma_norm_interval(H, u),
-            flags=("truncated section: certified intervals, no point values",),
-        )
+        return NormReport(H.name, False, a, a, ma_norm_interval(H, u))
     if ct is None:
         ct = characters(H, seed=seed)
     a, wit = norm_A(H, ct, u)
@@ -460,18 +429,6 @@ def compute_norm_report(
             f"{H.name}: norm ordering violated (A={a}, B_lam={b}, MA={ma})"
         )
     mcb = None
-    per = {}
     if with_mcb:
-        mcb, per = norm_Mcb_approx(H, ct, u, groups=groups, seed=seed, products=products)
-    return NormReport(
-        H.name,
-        True,
-        a,
-        b,
-        ma,
-        norm_B=b,
-        norm_Mcb=mcb,
-        mcb_per_group=per,
-        witness=wit,
-        flags=("finite table: B = B_lambda by the C*(H)=C*_lam(H) convention",),
-    )
+        mcb, _ = norm_Mcb_approx(H, ct, u, groups=groups, seed=seed, products=products)
+    return NormReport(H.name, True, a, b, ma, norm_Mcb=mcb, witness=wit)

@@ -1,4 +1,10 @@
-"""Stable structured report format.
+"""The one report of each command, in two renderings.
+
+A command fills a :class:`ReportDoc` with ``key value`` entries in
+emission order.  ``--format structured`` writes :meth:`ReportDoc.render`,
+the versioned grammar below; ``--format text`` (the default) writes
+:meth:`ReportDoc.text`, the same entries one ``key: value`` line each,
+without the header and ``end``.
 
 Grammar (version 1)::
 
@@ -49,7 +55,8 @@ def format_value(v) -> str:
 
 
 class ReportDoc:
-    """Ordered key/value document following the v1 grammar."""
+    """Ordered key/value entries: :meth:`render` gives the v1 grammar,
+    :meth:`text` the same entries as ``key: value`` lines."""
 
     def __init__(self, command: str, seed: int, tolerance: float):
         self.command = command
@@ -70,3 +77,6 @@ class ReportDoc:
         lines.extend(f"{k} {v}" for k, v in self.entries)
         lines.append("end")
         return "\n".join(lines) + "\n"
+
+    def text(self) -> str:
+        return "".join(f"{k}: {v}\n" for k, v in self.entries)

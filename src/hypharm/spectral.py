@@ -65,19 +65,6 @@ class CharacterTable:
     residual: float
     positive: tuple[bool, ...] = field(default_factory=tuple)
 
-    def lines(self) -> list[str]:
-        out = [f"character table of {self.table} ({self.size} characters)"]
-        for i in range(self.size):
-            vals = " ".join(_fmt_complex(v) for v in self.chars[i])
-            out.append(f"  chi{i}  w={float(self.plancherel[i])!r}  [{vals}]")
-        return out
-
-
-def _fmt_complex(v: complex) -> str:
-    if abs(v.imag) < 1e-14:
-        return repr(float(v.real))
-    return repr(complex(v))
-
 
 def _multiplicativity_residual(H: HypergroupTable, chi: np.ndarray) -> float:
     """max over stored products of |chi(x) chi(y) - sum_z c^z_{x,y} chi(z)|.
@@ -289,18 +276,6 @@ class P2Report:
     section_bounds: tuple[tuple[int, float], ...] = ()
     certificate: str = ""
 
-    def lines(self) -> list[str]:
-        out = [f"(P2) report for {self.table}: {self.status}"]
-        out.append(
-            f"  spectral interval [{self.lower_bound!r}, {self.upper_bound!r}]"
-        )
-        if self.cert_bound is not None:
-            out.append(f"  certified Schur bound {self.cert_bound!r}")
-        for r, b in self.section_bounds:
-            out.append(f"  section radius {r}: lower bound {b!r}")
-        out.append(f"  certificate: {self.certificate}")
-        return out
-
 
 def section_operator(H: HypergroupTable, radius: int) -> np.ndarray:
     """Symmetrized compression W = D^{1/2} A_g D^{-1/2} to ball(radius)."""
@@ -496,6 +471,13 @@ def chi0(
     :func:`check_p2`, from one Schur bound; the section bounds are taken
     only when they are read.
     """
+    return _chi0(H, tol, seed)[0]
+
+
+def _chi0(
+    H: HypergroupTable, tol: float, seed: int
+) -> tuple[np.ndarray, CharacterTable | None]:
+    """:func:`chi0`, and the character table that checked it on a finite table."""
     if not H.truncated:
         ct = characters(H, tol=tol, seed=seed)
         excess = float(np.max(np.abs(ct.chars)) - 1.0)
@@ -503,7 +485,7 @@ def chi0(
             raise DominationFailure(
                 f"{H.name}: constant character fails to dominate by {excess:.2e}"
             )
-        return np.ones(H.size)
+        return np.ones(H.size), ct
     bound = None if H.tail is None else _schur_bound(H)[0]
     if bound is not None and bound < 1.0 - P2_TOL:  # (P2) fails
         top = bound
@@ -528,7 +510,7 @@ def chi0(
             f"{H.name}: sampled character at {grid[escapes.argmax()]!r} escapes the "
             "candidate chi0"
         )
-    return cand
+    return cand, None
 
 
 # The largest axiom violation and Haar invariance defect of a deformation H0,
@@ -579,8 +561,9 @@ def voit_deform(
     """Build H0 by ``chi0(H, tol=tol, seed=seed)``, the one check of its character.
 
     An exact finite table, whose chi0 is exactly 1, is its own deformation.
+    A finite table is diagonalized once, for chi0 and the dual map both.
     """
-    chi = chi0(H, tol=tol, seed=seed)
+    chi, ct = _chi0(H, tol, seed)
     if not H.truncated and H.exact:
         return DeformedPair(H, chi, H.relabeled(f"{H.name}_voit"), 0.0, 0.0, 0.0)
 
@@ -609,9 +592,8 @@ def voit_deform(
         samples = solve_character(H, np.linspace(-top, top, 7)) / chi
         dual_resid = _multiplicativity_residual(deformed, samples.astype(complex))
     else:
-        chars = characters(H, tol=tol, seed=seed).chars
-        dominated = (np.abs(chars) <= chi + 1e-9).all(axis=1)
-        dual_resid = _multiplicativity_residual(deformed, chars[dominated] / chi)
+        dominated = (np.abs(ct.chars) <= chi + 1e-9).all(axis=1)
+        dual_resid = _multiplicativity_residual(deformed, ct.chars[dominated] / chi)
     return DeformedPair(H, chi, deformed, float(worst), haar, float(dual_resid))
 
 

@@ -143,7 +143,7 @@ def test_criterion_5_voit_pipeline():
                 abs(pair.deformed.lam[n] - c[n] ** 2 * float(T.haar[n])) <= 1e-10
             )
         wa = weak_amenability_witness(builders.tree_radial(2, 61), radii=(5, 10, 20))
-        assert wa.constant_bound <= 1 + 1e-6
+        assert wa.passed
         for name in ("delta1", "delta2"):
             seq = [e.residuals[name] for e in wa.entries]
             assert all(seq[i + 1] < seq[i] for i in range(len(seq) - 1))

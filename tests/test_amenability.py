@@ -179,8 +179,7 @@ def test_weak_amenability_finite(finite_tables):
 def test_weak_amenability_tree():
     T = builders.tree_radial(2, 61)
     wa = weak_amenability_witness(T, radii=(5, 10, 20))
-    assert wa.constant_bound <= 1 + 1e-6
-    assert wa.residuals_decreasing
+    assert wa.passed
     res1 = [e.residuals["delta1"] for e in wa.entries]
     res2 = [e.residuals["delta2"] for e in wa.entries]
     assert res1 == sorted(res1, reverse=True) and res1[-1] < res1[0]
@@ -196,8 +195,7 @@ def test_weak_amenability_tree():
 def test_weak_amenability_su2():
     S = builders.su2_fusion(61)
     wa = weak_amenability_witness(S, radii=(5, 10, 20))
-    assert wa.constant_bound <= 1 + 1e-6
-    assert wa.residuals_decreasing
+    assert wa.passed
 
 
 def _witness_per_radius(H, radii):
@@ -256,7 +254,7 @@ def test_weak_amenability_accepts_evidence_at_its_bounds(monkeypatch):
     T = builders.tree_radial(2, 24)
     _bad_deformation(monkeypatch, axiom_violation=1e-10, haar_defect=1e-10,
                      dual_map_residual=1e-8)
-    assert weak_amenability_witness(T, radii=(2, 4, 7)).constant_bound <= 1 + 1e-6
+    assert weak_amenability_witness(T, radii=(2, 4, 7)).passed
 
 
 def test_weak_amenability_needs_room():
@@ -292,10 +290,32 @@ def test_amenability_report_assembly(finite_tables):
     for name in ("conj_s3", "irr_q8", "irr_d4", "conj_a4"):
         rep = amenability_report(finite_tables[name])
         assert rep.p2_status == "holds"
-        assert rep.commutator_norm == 0.0
         assert np.isfinite(rep.one_delta_ma_norm)
-        assert rep.weak_amenability_bound <= 1 + 1e-6
-        assert rep.submultiplicative_slack >= -1e-9
+        assert rep.passed(1e-9)
+
+
+@pytest.mark.parametrize("change, passed", [
+    ({}, True),
+    ({"weak_amenability_bound": 1 + amenability.WEAK_AMENABILITY_SLACK}, True),
+    ({"weak_amenability_bound": 1 + 2 * amenability.WEAK_AMENABILITY_SLACK}, False),
+    ({"commutator_norm": 1e-300}, False),
+    ({"submultiplicative_slack": -1e-9}, True),
+    ({"submultiplicative_slack": -2e-9}, False),
+])
+def test_amenability_report_verdict(conj_s3, change, passed):
+    rep = dataclasses.replace(amenability_report(conj_s3), **change)
+    assert rep.passed(1e-9) is passed
+
+
+@pytest.mark.parametrize("bound, decreasing, passed", [
+    (1.0, True, True),
+    (1 + amenability.WEAK_AMENABILITY_SLACK, True, True),
+    (1 + 2 * amenability.WEAK_AMENABILITY_SLACK, True, False),
+    (1.0, False, False),
+])
+def test_weak_amenability_verdict(bound, decreasing, passed):
+    wa = amenability.WeakAmenabilityWitness("t", bound, (), decreasing)
+    assert wa.passed is passed
 
 
 def test_weak_amenability_quantum_d_table():
@@ -303,5 +323,4 @@ def test_weak_amenability_quantum_d_table():
     # through the full chi0 + deformation pipeline
     Hd = builders.su2_fusion(40, q=Fraction(1, 2))
     wa = weak_amenability_witness(Hd, radii=(4, 8, 12))
-    assert wa.constant_bound <= 1 + 1e-6
-    assert wa.residuals_decreasing
+    assert wa.passed

@@ -28,7 +28,7 @@ def _run(argv):
 def test_verify_conj_s3_passes():
     code, out = _run(["verify", "--family", "conj", "--group", "s3"])
     assert code == 0
-    assert "hypergroup axioms: pass" in out
+    assert "\npass: true\n" in out
 
 
 def test_verify_bad_table_exits_one(tmp_path):
@@ -67,7 +67,7 @@ def test_norms_subcommand_passes():
         ["norms", "--family", "irr", "--group", "s3", "--random", "3", "--mcb"]
     )
     assert code == 0
-    assert "|u|_Mcb~" in out
+    assert "\nu0.norm_mcb: " in out
 
 
 def test_p2_tree_reports_fails_with_exit_zero():
@@ -89,7 +89,21 @@ def test_p2_jobs_flag_removed(capsys):
 def test_amenability_q8_exit_zero():
     code, out = _run(["amenability", "--family", "irr", "--group", "q8"])
     assert code == 0
-    assert "|1_Delta|" in out
+    assert "\none_delta.norm_ma: " in out
+
+
+@pytest.mark.parametrize("argv, target, change", [
+    (["--family", "irr", "--group", "q8"], "amenability_report",
+     {"commutator_norm": 1e-3}),
+    (["--family", "tree_radial", "--q", "2", "--radius", "24", "--radii", "2,4,7"],
+     "weak_amenability_witness", {"residuals_decreasing": False}),
+], ids=["finite", "section"])
+def test_amenability_exit_code_reads_the_verdict(monkeypatch, argv, target, change):
+    build = getattr(hypharm.amenability, target)
+    monkeypatch.setattr(hypharm.amenability, target,
+                        lambda *a, **k: dataclasses.replace(build(*a, **k), **change))
+    code, out = _run(["amenability"] + argv)
+    assert (code, out.splitlines()[-1]) == (1, "pass: false")
 
 
 def test_amenability_radius_too_small_exit_two(capsys):

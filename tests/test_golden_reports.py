@@ -3,7 +3,8 @@
 The comparison is schema-exact (same keys in the same order, same
 non-numeric values) and numerically tolerant (floats within 1e-9), so the
 goldens survive BLAS or library-version changes while still pinning the
-report grammar and every reported quantity.
+report grammar and every reported quantity.  The text format is the same
+entries as ``key: value`` lines, so each golden pins it too.
 """
 
 import io
@@ -92,13 +93,27 @@ CASES = {
 }
 
 
-def _tokenize(text):
-    lines = text.rstrip("\n").split("\n")
+def _body(structured):
+    """The lines of a structured report between its header and ``end``:
+    command, seed and tolerance, then the entries."""
+    lines = structured.rstrip("\n").split("\n")
     assert lines[0] == "hypharm-report v1"
     assert lines[-1] == "end"
-    for line in lines[1:-1]:
-        key, _, rest = line.partition(" ")
+    assert [line.split(" ")[0] for line in lines[1:4]] == ["command", "seed", "tolerance"]
+    return lines[1:-1]
+
+
+def _tokenize(lines, sep=" "):
+    for line in lines:
+        key, _, rest = line.partition(sep)
         yield key, rest.split(" ")
+
+
+def _run(argv):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert run(argv) == 0
+    return buf.getvalue()
 
 
 def _values_close(a, b, tol=1e-9):
@@ -109,15 +124,35 @@ def _values_close(a, b, tol=1e-9):
     return abs(fa - fb) <= tol * max(1.0, abs(fa))
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_report(name):
-    buf = io.StringIO()
-    with redirect_stdout(buf):
-        assert run(CASES[name]) == 0
-    got = list(_tokenize(buf.getvalue()))
-    want = list(_tokenize((GOLDEN / name).read_text()))
+def _assert_matches(got, want):
     assert [k for k, _ in got] == [k for k, _ in want]
     for (k, gv), (_, wv) in zip(got, want):
         assert len(gv) == len(wv), k
         for a, b in zip(gv, wv):
             assert _values_close(a, b), (k, a, b)
+
+
+def _golden(name):
+    return list(_tokenize(_body((GOLDEN / name).read_text())))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_report(name):
+    _assert_matches(list(_tokenize(_body(_run(CASES[name])))), _golden(name))
+
+
+def _text_argv(argv):
+    i = argv.index("--format")
+    return argv[:i] + argv[i + 2:]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_text_report_is_the_structured_body(name, tmp_path):
+    out = tmp_path / "report.txt"
+    text = _run(_text_argv(CASES[name]) + ["--out", str(out)])
+    assert out.read_text() == text
+    lines = text.split("\n")
+    assert lines.pop() == ""
+    entries = _body(_run(CASES[name]))[3:]
+    assert lines == [k + ": " + v for k, _, v in (line.partition(" ") for line in entries)]
+    _assert_matches(list(_tokenize(lines, sep=": ")), _golden(name)[3:])

@@ -131,12 +131,11 @@ def test_norm_submultiplicative(finite_tables):
             assert auv <= au * av + 1e-9, name
 
 
-def test_norm_B_finite_flagged(conj_s3):
+def test_norm_report_finite_blambda(conj_s3):
     H, ct = conj_s3
     u = np.array([0.3, -1.2, 0.9])
     rep = compute_norm_report(H, u, ct=ct)
-    assert rep.norm_B == rep.norm_Blambda == norm_Blambda(H, ct, u)
-    assert any("C*(H)=C*_lam(H) convention" in fl for fl in rep.flags)
+    assert rep.norm_Blambda == norm_Blambda(H, ct, u)
 
 
 # -- norms on H x H of functions on its diagonal --------------------------------

@@ -412,8 +412,6 @@ def test_section_radii_are_clamped_then_taken_once(R, radii):
     # a quarter, half and all of the R - 1 radii, each at least 2 and at most R - 1
     rep = check_p2(builders.tree_radial(2, R))
     assert [r for r, _ in rep.section_bounds] == radii
-    lines = [line for line in rep.lines() if "section radius" in line]
-    assert len(lines) == len(radii)
 
 
 def _chi0_from_the_report(H):
@@ -467,14 +465,23 @@ def test_voit_deform_finite_identity(finite_tables):
 
 @pytest.mark.parametrize("group", [groups.symmetric(3), groups.symmetric(4)],
                          ids=["s3", "s4"])
-def test_voit_deform_finite_float_table(group):
+def test_voit_deform_finite_float_table(group, monkeypatch):
     # a float table takes the finite branch that checks every dominated character
     H = builders.conjugacy_hypergroup(group)
     F = HypergroupTable.from_rows(f"{H.name}_float", H.size, H.involution,
                                   {k: [(z, float(c)) for z, c in row]
                                    for k, row in H.rows.items()})
     assert not F.exact
+    calls = []
+
+    def counting(H, *args, **kwargs):
+        calls.append(H.name)
+        return characters(H, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "characters", counting)
     pair = voit_deform(F)
+    # one diagonalization serves chi0's domination check and the dual map
+    assert calls == [F.name]
     assert pair.dual_map_residual < 1e-12
     assert pair.axiom_violation < 1e-12
     assert pair.haar_defect < 1e-12
