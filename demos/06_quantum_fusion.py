@@ -43,7 +43,7 @@ print("delta_2 . delta_2 =", float(row[0]), "delta_1 +", float(row[2]), "delta_3
 
 # at q = 1 the two tables coincide (Kac limit)
 ring1 = su2_fusion_ring(12, q=1)
-print("q=1 tables equal:", hypergroup_n(ring1).rows == hypergroup_d(ring1).rows)
+print("q=1 tables equal:", hypergroup_n(ring1).view.same_entries(hypergroup_d(ring1).view))
 
 # finite groups are Kac: the n-hypergroup is exactly Irr(G)
 G = groups.symmetric(3)

@@ -263,66 +263,93 @@ def product(H1: HypergroupTable, H2: HypergroupTable) -> HypergroupTable:
 # -- truncated families ----------------------------------------------------
 
 
-def su2_tail(radius: int, q, qi=None) -> NNTail:
+def su2_tail(radius: int, q) -> NNTail:
     """Tail bounds of the generator rows of ``su2_fusion(radius, q)`` beyond the section.
 
     The row of the generator (label 2) at label b has mass [b-1]/([2][b])
     below and [b+1]/([2][b]) above; the lower mass increases to
     q^2/(1+q^2) and the upper decreases, so the sups over labels b >= R are
-    the limit and the boundary value.  ``qi`` are :func:`q_integers` of q
-    and the radius, if the caller has them.
+    the limit and the boundary value.
     """
-    qi = q_integers(q, radius) if qi is None else qi
+    qi = q_integers(q, radius)
     qf = float(q)
     alpha_sup = qf * qf / (1.0 + qf * qf) if qf < 1 else 0.5
     beta_sup = float(qi[radius + 1]) / float(qi[2] * qi[radius])
     return NNTail(alpha_sup, 0.0, beta_sup, start=radius - 1, exact=False)
 
 
-def su2_fusion(radius: int, q=1) -> HypergroupTable:
-    """Fusion hypergroup of SU(2) (q = 1) or SU_q(2) quantum dimensions.
+def su2_entries(radius: int) -> tuple[np.ndarray, ...]:
+    """The SU(2) fusion multiplicities on the labels 1..radius, as arrays ``(a, b, c, N)``.
 
-    Labels are the dimensions 1..radius; delta_a . delta_b is supported on
-    |a-b|+1, |a-b|+3, ..., a+b-1 with mass [c]_q / ([a]_q [b]_q).  The
-    entries are built as arrays (:class:`TableView`): for a rational q in
-    the N-form, N = 1 on the support and s = [a]_q, for a float q as the
-    same expression in floats.  The Haar weights are lam(a) = [a]_q^2; a
-    float q whose weights overflow float64 raises ValueError, as
-    :attr:`HypergroupTable.lam` does for a rational q.
+    The stored products are a <= b with a + b - 1 <= radius; the product
+    of a and b has N = 1 on c = b - a + 1 + 2k, k = 0, ..., a - 1
+    (Clebsch-Gordan).  Labels are given as 0-based indices, entries sorted
+    by ``(a, b, c)``.  These are the multiplicities of SU_q(2) for every q.
     """
     if radius < 2:
         raise ValueError("fusion section needs radius >= 2")
-    q = check_q(q)
-    R = radius
-    # the stored products a <= b with a + b - 1 <= R, and their entries
-    # c = b - a + 1 + 2k, k = 0, ..., a - 1
-    A, B = np.meshgrid(np.arange(1, R + 1), np.arange(1, R + 1), indexing="ij")
-    stored = (A <= B) & (A + B <= R + 1)
+    # in 0-based labels: a <= b with a + b < radius, and c = b - a + 2k, k = 0, ..., a
+    A, B = np.meshgrid(np.arange(radius), np.arange(radius), indexing="ij")
+    stored = (A <= B) & (A + B < radius)
     a, b = A[stored], B[stored]
-    pair = np.repeat(np.arange(len(a)), a)
-    k = np.arange(len(pair)) - np.repeat(np.cumsum(a) - a, a)
-    c = (b - a + 1)[pair] + 2 * k
-    qi = q_integers(q, R)
-    entries = (a[pair] - 1, b[pair] - 1, c - 1)
-    if isinstance(q, float):
-        d = np.array(qi)
-        view = TableView(R, 0, range(R), True, *entries, d[c] / (d[a] * d[b])[pair])
+    n = a + 1  # entries per product
+    k = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+    return (np.repeat(a, n), np.repeat(b, n), np.repeat(b - a, n) + 2 * k,
+            np.ones(len(k), dtype=np.int64))
+
+
+def fusion_table(name: str, entries, dims, conjugate, labels, *, trivial: int = 0,
+                 complete: bool = False, q=None) -> HypergroupTable:
+    """The hypergroup of fusion multiplicities ``entries = (a, b, g, N)`` and dimensions ``dims``.
+
+        c^g_{a,b} = N^g_{ab} d_g / (d_a d_b),   lam(a) = d_a^2.
+
+    Exact, in the N-form with s = dims (:class:`TableView`), if every
+    dimension is an int or a Fraction, else in floats.  Float dimensions
+    whose Haar weights overflow float64 raise ValueError, as
+    :attr:`HypergroupTable.lam` does for exact ones.  A table that is not
+    ``complete`` is a section of radius its size; the section of an
+    SU_q(2) ring, given its ``q``, takes the tail bounds of :func:`su2_tail`.
+    """
+    n = len(dims)
+    a, b, g, N = entries
+    haar = [d * d for d in dims]
+    if all(isinstance(d, (int, Fraction)) for d in dims):
+        view = TableView(n, trivial, conjugate, True, a, b, g, N, scale=dims)
     else:
-        view = TableView(R, 0, range(R), True, *entries, np.ones(len(c), dtype=np.int64),
-                         scale=qi[1:R + 1])
-    haar = [qi[a] * qi[a] for a in range(1, R + 1)]
-    name = f"suq2_fusion_q{q}_R{R}" if q != 1 else f"su2_fusion_R{R}"
-    if isinstance(q, float) and math.isinf(haar[-1]):  # [a]_q increases with a
-        raise ValueError(f"{name}: Haar weights beyond the range of float64")
+        d = np.array([float(v) for v in dims])
+        if any(math.isinf(v * v) for v in d.tolist()):
+            raise ValueError(f"{name}: Haar weights beyond the range of float64")
+        view = TableView(n, trivial, conjugate, True, a, b, g, d[g] * N / (d[a] * d[b]))
     return HypergroupTable(
         name,
         view,
         haar=haar,
-        truncated=True,
-        radius=R,
-        tail=su2_tail(R, q, qi),
-        generator=1,
-        elements=tuple(str(a) for a in range(1, R + 1)),
+        truncated=not complete,
+        radius=None if complete else n,
+        tail=None if complete or q is None else su2_tail(n, q),
+        elements=labels,
+    )
+
+
+def su2_fusion(radius: int, q=1) -> HypergroupTable:
+    """Fusion hypergroup of SU(2) (q = 1) or SU_q(2) quantum dimensions.
+
+    Labels are the dimensions 1..radius; delta_a . delta_b is supported on
+    |a-b|+1, |a-b|+3, ..., a+b-1 with mass [c]_q / ([a]_q [b]_q): the
+    :func:`fusion_table` of :func:`su2_entries` with the dimensions
+    [a]_q, exact for a rational q and in floats for a float q.  The Haar
+    weights are lam(a) = [a]_q^2.
+    """
+    entries = su2_entries(radius)
+    q = check_q(q)
+    return fusion_table(
+        f"suq2_fusion_q{q}_R{radius}" if q != 1 else f"su2_fusion_R{radius}",
+        entries,
+        q_integers(q, radius)[1:radius + 1],
+        range(radius),
+        tuple(str(a) for a in range(1, radius + 1)),
+        q=q,
     )
 
 

@@ -21,6 +21,7 @@ measures with B(Irr(G)) through T*(mu)(pi) = (1/d_pi) <mu, chi_pi>.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,23 +30,26 @@ import numpy as np
 from .builders import (
     check_q,
     conjugacy_hypergroup,
+    fusion_table,
     group_character_data,
     q_integer,
     q_integers,
-    su2_tail,
+    su2_entries,
 )
 from .core import HypergroupTable, LineFile, _finite, convolve, int_in
-from .view import TableView
 from .errors import FileFormatError, ReciprocityError
 from .groups import FiniteGroup
 from .norms import norm_A, norm_Blambda
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FusionRing:
     """Irreducible labels with tensor multiplicities and the two dimensions.
 
-    ``mult[(a, b)]`` maps gamma -> N^gamma_{ab}; rows may be missing for
+    ``entries`` are the multiplicities N^g_{ab} as int64 arrays
+    ``(a, b, g, N)``, one element per entry, held sorted by ``(a, b, g)``;
+    callers must not change them.  A product ``(a, b)`` is stored if it has
+    an entry as ``(a, b)`` or as ``(b, a)``.  Rows may be missing for
     truncated rings (label sets cut at a radius), in which case only the
     stored rows are validated and the induced tables are truncated.
     """
@@ -54,10 +58,21 @@ class FusionRing:
     labels: tuple[str, ...]
     trivial: int
     conjugate: tuple[int, ...]
-    mult: dict[tuple[int, int], dict[int, int]]
+    entries: tuple[np.ndarray, ...]
     ndims: tuple[int, ...]
     ddims: tuple
     q: object | None = None  # deformation parameter for su2-type rings
+
+    def __post_init__(self):
+        a, b, g, N = (np.asarray(v, dtype=np.int64) for v in self.entries)
+        key = (a * self.size + b) * self.size + g
+        if (np.diff(key) <= 0).any():
+            order = np.argsort(key, kind="stable")
+            a, b, g, N, key = a[order], b[order], g[order], N[order], key[order]
+            if (twice := np.flatnonzero(np.diff(key) == 0)).size:
+                i = twice[0]
+                raise ValueError(f"multiplicity {a[i]} {b[i]} {g[i]} given twice")
+        object.__setattr__(self, "entries", (a, b, g, N))
 
     @property
     def size(self) -> int:
@@ -66,36 +81,40 @@ class FusionRing:
     @property
     def complete(self) -> bool:
         """Whether every product ``(a, b)`` has a row, given as ``(a, b)`` or ``(b, a)``."""
-        return bool(self._stored()[1].all())
+        return bool((self._rows[1] >= 0).all())
 
-    def _stored(self) -> tuple[np.ndarray, np.ndarray]:
-        """The keys ``(a, b)`` of ``mult``, and the mask of products with a row in either order."""
-        keys = np.array(list(self.mult), dtype=np.int64).reshape(-1, 2)
-        has = np.zeros((self.size, self.size), dtype=bool)
-        has[keys[:, 0], keys[:, 1]] = has[keys[:, 1], keys[:, 0]] = True
-        return keys, has
+    def has_row(self, a: int, b: int) -> bool:
+        """Whether the product ``(a, b)`` is stored, as ``(a, b)`` or ``(b, a)``."""
+        return 0 <= a < self.size and 0 <= b < self.size and bool(self._rows[1][a, b] >= 0)
+
+    @functools.cached_property
+    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The stored rows: where each starts in the entries, with their count
+        appended, and the ``size x size`` table of the row of each product
+        ``(a, b)``: row ``(a, b)``, else row ``(b, a)``, else -1."""
+        a, b, _, _ = self.entries
+        first = np.flatnonzero(np.diff(a * self.size + b, prepend=-1))
+        index = np.full((self.size, self.size), -1)
+        index[b[first], a[first]] = index[a[first], b[first]] = np.arange(len(first))
+        return np.append(first, len(a)), index
+
+    def _row(self, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+        """The support g and multiplicities N of the stored product ``(a, b)``."""
+        if not self.has_row(a, b):
+            raise KeyError(f"multiplicity row ({a},{b}) not stored")
+        bounds, index = self._rows
+        lo, hi = bounds[index[a, b]], bounds[index[a, b] + 1]
+        return self.entries[2][lo:hi], self.entries[3][lo:hi]
 
     def N(self, a: int, b: int, g: int) -> int:
-        row = self.mult.get((a, b))
-        if row is None:
-            row = self.mult.get((b, a))
-        if row is None:
-            raise KeyError(f"multiplicity row ({a},{b}) not stored")
-        return row.get(g, 0)
-
-    def entries(self) -> tuple[np.ndarray, ...]:
-        """The stored multiplicities as arrays ``(a, b, g, N)``, rows in ``mult`` order."""
-        counts = [len(row) for row in self.mult.values()]
-        keys = np.array(list(self.mult), dtype=np.int64).reshape(-1, 2)
-        a, b = np.repeat(keys, counts, axis=0).T
-        g = np.array([g for row in self.mult.values() for g in row], dtype=np.int64)
-        N = np.array([n for row in self.mult.values() for n in row.values()], dtype=np.int64)
-        return a, b, g, N
+        gs, ns = self._row(a, b)
+        i = np.searchsorted(gs, g)
+        return int(ns[i]) if i < len(gs) and gs[i] == g else 0
 
     def validate(self, tol: float = 1e-9) -> None:
         """Frobenius reciprocity, dimension homomorphisms, trivial row.
 
-        Every row is checked at once on the arrays of :meth:`entries`; a row
+        Every row is checked at once on the arrays of :attr:`entries`; a row
         they flag is checked again by :meth:`_check_row`, which raises the
         error.  Flagged are the rows with a negative multiplicity, a
         partner multiplicity that differs, a wrong trivial multiplicity, or
@@ -103,34 +122,38 @@ class FusionRing:
         1e-12 times the size of its terms, more than float64 rounding can
         move it, so that every row the exact check fails is among them.
         """
-        a, b, g, N = self.entries()
-        k, conj = self.size, np.array(self.conjugate, dtype=np.int64)
-        keys, has = self._stored()
-        row = np.repeat(np.arange(len(keys)), [len(r) for r in self.mult.values()])
-        # M[x, y, z] = N(x, y, z): row (x, y), else row (y, x)
-        M = np.zeros((k, k, k), dtype=np.int64)
-        M[b, a, g] = N
-        M[keys[:, 0], keys[:, 1]] = 0
-        M[a, b, g] = N
+        a, b, g, N = self.entries
+        if not len(N):
+            return
+        bounds, index = self._rows
+        first, k = bounds[:-1], self.size
+        ra, rb = a[first], b[first]
+        conj = np.array(self.conjugate, dtype=np.int64)
+        row = index.ravel()  # row[x k + y]: the stored row of the product (x, y), else -1
+        # at[r k + z]: N of row r at z
+        at = np.zeros(len(first) * k, dtype=np.int64)
+        at[np.repeat(np.arange(0, len(at), k), np.diff(bounds)) + g] = N
         bad = N < 0
         for x, y, z in ((conj[a], g, b), (g, conj[b], a)):
-            bad |= has[x, y] & (M[x, y, z] != N)
-        flagged = np.bincount(row[bad], minlength=len(keys)) > 0
-        ra, rb = keys.T
-        flagged |= M[ra, rb, self.trivial] != (rb == conj[ra])
+            r = row[x * k + y]
+            # r = -1 reads the last row; those entries are masked
+            bad |= (r >= 0) & (at[r * k + z] != N)
+        flagged = np.logical_or.reduceat(bad, first)
+        flagged |= at[np.arange(len(first)) * k + self.trivial] != (rb == conj[ra])
         for dims in (self.ndims, self.ddims):
             d = np.array([float(v) for v in dims])
-            lhs = np.bincount(row, weights=N * d[g], minlength=len(keys))
-            scale = np.bincount(row, weights=np.abs(N * d[g]), minlength=len(keys))
+            terms = N * d[g]
+            lhs = np.add.reduceat(terms, first)
+            scale = np.add.reduceat(np.abs(terms), first)
             rhs = d[ra] * d[rb]
             flagged |= np.abs(lhs - rhs) > tol * rhs - 1e-12 * (scale + np.abs(rhs))
         for i in np.flatnonzero(flagged).tolist():
-            self._check_row(*keys[i].tolist(), tol)
+            self._check_row(int(ra[i]), int(rb[i]), tol)
 
     def _check_row(self, a: int, b: int, tol: float) -> None:
         """The checks of :meth:`validate` on the row ``(a, b)``, with exact dimensions."""
-        row = self.mult[(a, b)]
-        for g, n in row.items():
+        row = list(zip(*(v.tolist() for v in self._row(a, b))))
+        for g, n in row:
             if n < 0:
                 raise ReciprocityError(f"negative multiplicity at ({a},{b},{g})")
             for (x, y, z) in (
@@ -146,7 +169,7 @@ class FusionRing:
                         f"N^{g}_{{{a},{b}}}={n} but partner ({x},{y},{z})={other}"
                     )
         for dims in (self.ndims, self.ddims):
-            lhs = sum(n * dims[g] for g, n in row.items())
+            lhs = sum(n * dims[g] for g, n in row)
             if abs(float(lhs - dims[a] * dims[b])) > tol * float(
                 dims[a] * dims[b]
             ):
@@ -154,25 +177,21 @@ class FusionRing:
                     f"dimension homomorphism fails on row ({a},{b})"
                 )
         expected = 1 if b == self.conjugate[a] else 0
-        if row.get(self.trivial, 0) != expected:
+        if self.N(a, b, self.trivial) != expected:
             raise ReciprocityError(f"trivial multiplicity wrong on ({a},{b})")
 
 
 def group_fusion_ring(G: FiniteGroup) -> FusionRing:
-    """Fusion ring of Irr(G) for a finite group (Kac: d = n)."""
+    """Fusion ring of Irr(G) for a finite group (Kac: d = n), every product stored."""
     data = group_character_data(G)
-    k = len(data.dims)
-    mult = {
-        (a, b): {g: data.mult[a][b][g] for g in range(k) if data.mult[a][b][g]}
-        for a in range(k)
-        for b in range(k)
-    }
+    mult = np.array(data.mult, dtype=np.int64)
+    a, b, g = np.nonzero(mult)
     ring = FusionRing(
         f"Irr({G.name})",
         tuple(f"pi{a}d{d}" for a, d in enumerate(data.dims)),
         0,
         data.conjugate,
-        mult,
+        (a, b, g, mult[a, b, g]),
         data.dims,
         tuple(Fraction(d) for d in data.dims),
     )
@@ -181,23 +200,16 @@ def group_fusion_ring(G: FiniteGroup) -> FusionRing:
 
 
 def su2_fusion_ring(radius: int, q=1) -> FusionRing:
-    """Truncated fusion ring of SU_q(2): labels 1..radius, CG multiplicities."""
-    if radius < 2:
-        raise ValueError("fusion ring needs radius >= 2")
+    """Truncated fusion ring of SU_q(2): labels 1..radius, the multiplicities of
+    :func:`~hypharm.builders.su2_entries`, quantum dimensions [a]_q."""
+    entries = su2_entries(radius)
     q = check_q(q)
-    mult = {}
-    for a in range(1, radius + 1):
-        for b in range(a, radius + 1):
-            if a + b - 1 > radius:
-                continue
-            row = {c - 1: 1 for c in range(b - a + 1, a + b, 2)}
-            mult[(a - 1, b - 1)] = row
     ring = FusionRing(
         f"Irr(SUq2)_q{q}_R{radius}",
         tuple(str(a) for a in range(1, radius + 1)),
         0,
         tuple(range(radius)),
-        mult,
+        entries,
         tuple(range(1, radius + 1)),
         tuple(q_integers(q, radius)[1:radius + 1]),
         q=q,
@@ -206,63 +218,45 @@ def su2_fusion_ring(radius: int, q=1) -> FusionRing:
     return ring
 
 
-def _ring_table(FR: FusionRing, dims, kind: str) -> HypergroupTable:
-    """The table of ``FR`` with c^g_{a,b} = N^g_{ab} d_g / (d_a d_b) for the dimensions ``dims``.
-
-    Exact, in the N-form with s = dims (:class:`TableView`), if every
-    dimension is an integer or a Fraction, else in floats.
-    """
-    a, b, g, N = FR.entries()
-    if all(isinstance(d, (int, Fraction)) for d in dims):
-        view = TableView(FR.size, FR.trivial, FR.conjugate, True, a, b, g, N, scale=dims)
-    else:
-        d = np.array([float(v) for v in dims])
-        view = TableView(FR.size, FR.trivial, FR.conjugate, True, a, b, g,
-                         d[g] * N / (d[a] * d[b]))
-    truncated = not FR.complete
-    tail = None
-    if truncated and FR.q is not None:
-        # su2-type ring: the closed-form tail bounds of the family
-        tail = su2_tail(FR.size, FR.q if kind == "d" else 1)
-    return HypergroupTable(
-        f"({FR.name},{kind})",
-        view,
-        haar=[d * d for d in dims],
-        truncated=truncated,
-        radius=FR.size if truncated else None,
-        tail=tail,
-        generator=1 if FR.size > 1 else 0,
-        elements=FR.labels,
-    )
+def _ring_table(FR: FusionRing, dims, kind: str, q) -> HypergroupTable:
+    """The :func:`~hypharm.builders.fusion_table` of ``FR`` with the dimensions ``dims``;
+    an su2-type ring's section takes the tail of SU_q(2) at ``q``."""
+    return fusion_table(f"({FR.name},{kind})", FR.entries, dims, FR.conjugate, FR.labels,
+                        trivial=FR.trivial, complete=FR.complete,
+                        q=None if FR.q is None else q)
 
 
 def hypergroup_n(FR: FusionRing) -> HypergroupTable:
     """The hypergroup (Irr, n) built from the classical dimensions of a validated ring."""
-    return _ring_table(FR, FR.ndims, "n")
+    return _ring_table(FR, FR.ndims, "n", 1)
 
 
 def hypergroup_d(FR: FusionRing) -> HypergroupTable:
-    """The hypergroup (Irr, d) built from the quantum dimensions of a validated ring."""
-    return _ring_table(FR, FR.ddims, "d")
+    """The hypergroup (Irr, d) built from the quantum dimensions of a validated ring.
+
+    For :func:`su2_fusion_ring` it is the table of
+    :func:`~hypharm.builders.su2_fusion` at the same q and radius, under
+    the ring's name and labels.
+    """
+    return _ring_table(FR, FR.ddims, "d", FR.q)
 
 
-def is_kac(FR: FusionRing, tol: float = 1e-9) -> bool:
-    """Kac type iff the two dimension functions agree: max |n - d| < tol."""
-    return max(abs(float(n - d)) for n, d in zip(FR.ndims, FR.ddims)) < tol
+def is_kac(FR: FusionRing) -> bool:
+    """Kac type iff the two dimension functions agree: n == d exactly, label by label."""
+    return all(n == d for n, d in zip(FR.ndims, FR.ddims))
 
 
 def quantum_character_decomposition(FR: FusionRing, a: int, b: int) -> dict[int, int]:
     """chi_q^a chi_q^b = sum_g N^g_{ab} chi_q^g as a multiset {g: N}.
 
     Consistency with the support of the (Irr, d) table row is checked.
+    Raises KeyError for a product the ring does not store.
     """
-    row = FR.mult.get((a, b)) or FR.mult.get((b, a))
-    if row is None:
-        raise KeyError(f"decomposition ({a},{b}) leaves the stored ring")
+    gs, ns = FR._row(a, b)
     table_row = dict(hypergroup_d(FR).row(a, b))
-    if set(table_row) != {g for g, n in row.items() if n}:
+    if set(table_row) != set(gs[ns != 0].tolist()):
         raise ReciprocityError(f"row support mismatch at ({a},{b})")
-    return dict(row)
+    return dict(zip(gs.tolist(), ns.tolist()))
 
 
 # -- central functions on finite groups --------------------------------------
@@ -405,9 +399,8 @@ def save_fusion_ring(FR: FusionRing, path: str) -> None:
     else:
         lines.append("ddims " + " ".join(str(d) for d in FR.ddims))
     lines.append("mult")
-    for (a, b) in sorted(FR.mult):
-        for g, n in sorted(FR.mult[(a, b)].items()):
-            lines.append(f"{FR.labels[a]} {FR.labels[b]} {FR.labels[g]} {n}")
+    for a, b, g, n in zip(*(v.tolist() for v in FR.entries)):
+        lines.append(f"{FR.labels[a]} {FR.labels[b]} {FR.labels[g]} {n}")
     lines.append("end")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -430,18 +423,17 @@ def load_fusion_ring(path: str) -> FusionRing:
         raise FileFormatError("labels must be distinct and nonempty", line=f.header["labels"][0])
     k = len(labels)
     label_index = {l: i for i, l in enumerate(labels)}
-    mult: dict[tuple[int, int], dict[int, int]] = {}
+    mult: dict[tuple[int, int, int], int] = {}  # (a, b, g) -> N, in file order
     for ln, toks in f.body:
         with f.at(ln):
             if len(toks) != 4:
                 raise ValueError("mult line needs 'alpha beta gamma N'")
             if not set(toks[:3]) <= label_index.keys():
                 raise ValueError(f"unknown label in {' '.join(toks[:3])}")
-            a, b, g = (label_index[t] for t in toks[:3])
-            row = mult.setdefault((a, b), {})
-            if g in row:
+            key = tuple(label_index[t] for t in toks[:3])
+            if key in mult:
                 raise FileFormatError(f"duplicate multiplicity {' '.join(toks[:3])}", line=ln)
-            row[g] = int(toks[3])
+            mult[key] = int(toks[3])
     ndims = tuple(f.values("ndims", lambda tok: _in_float64(int(tok)), count=k))
     q = f.value("qparam", lambda tok: check_q(_finite(tok)), None)
     if q is None:
@@ -456,7 +448,8 @@ def load_fusion_ring(path: str) -> FusionRing:
         labels,
         f.value("trivial", index, 0),
         tuple(f.values("conj", index, count=k)),
-        mult,
+        (*np.array(list(mult), dtype=np.int64).reshape(-1, 3).T,
+         np.array(list(mult.values()), dtype=np.int64)),
         ndims,
         ddims,
         q=q,

@@ -218,9 +218,8 @@ class TableView:
                 raise ValueError(message(bad[0]))
 
         fail((x < 0) | (x >= n) | (y < 0) | (y >= n), lambda i: f"row index {key(i)} out of range")
-        flip = np.zeros(len(x), dtype=bool)
-        if commutative:
-            flip = x > y
+        flip = x > y if commutative else np.zeros(len(x), dtype=bool)
+        if flip.any():
             x, y = np.where(flip, y, x), np.where(flip, x, y)
         fail((z < 0) | (z >= n), lambda i: f"support index {z[i]} out of range in row {key(i)}")
         if scale is None:
@@ -291,7 +290,8 @@ class TableView:
         self.px, self.py = (_frozen(a.astype(np.int32, copy=False)) for a in (px, py))
         self.starts = _frozen(starts.astype(np.int32, copy=False) if starts[-1] < 2**31 else starts)
         self.pair = _frozen(pair)
-        self.x, self.y = _frozen(self.px[pair]), _frozen(self.py[pair])
+        # take: indexing by the int32 pair would first copy it to intp
+        self.x, self.y = _frozen(self.px.take(pair)), _frozen(self.py.take(pair))
         self.z = _frozen(z.astype(np.int32, copy=False))
         has_row = np.zeros((n, n), dtype=bool)
         has_row[self.px, self.py] = True

@@ -291,7 +291,7 @@ def test_amenability_report_assembly(finite_tables):
         rep = amenability_report(finite_tables[name])
         assert rep.p2_status == "holds"
         assert np.isfinite(rep.one_delta_ma_norm)
-        assert rep.passed(1e-9)
+        assert rep.passed
 
 
 @pytest.mark.parametrize("change, passed", [
@@ -299,12 +299,10 @@ def test_amenability_report_assembly(finite_tables):
     ({"weak_amenability_bound": 1 + amenability.WEAK_AMENABILITY_SLACK}, True),
     ({"weak_amenability_bound": 1 + 2 * amenability.WEAK_AMENABILITY_SLACK}, False),
     ({"commutator_norm": 1e-300}, False),
-    ({"submultiplicative_slack": -1e-9}, True),
-    ({"submultiplicative_slack": -2e-9}, False),
 ])
 def test_amenability_report_verdict(conj_s3, change, passed):
     rep = dataclasses.replace(amenability_report(conj_s3), **change)
-    assert rep.passed(1e-9) is passed
+    assert rep.passed is passed
 
 
 @pytest.mark.parametrize("bound, decreasing, passed", [

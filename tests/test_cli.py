@@ -106,6 +106,29 @@ def test_amenability_exit_code_reads_the_verdict(monkeypatch, argv, target, chan
     assert (code, out.splitlines()[-1]) == (1, "pass: false")
 
 
+@pytest.mark.parametrize("slack, tol, code", [
+    (-1e-9, "1e-9", 0),
+    (-2e-9, "1e-9", 1),
+    (-1e-8, "1e-3", 0),
+    (-1e-8, "1e-12", 1),
+], ids=["within", "beyond", "loose-tol", "tight-tol"])
+def test_amenability_tol_bounds_the_submultiplicative_slack(monkeypatch, capsys, slack, tol,
+                                                            code):
+    # |1_Delta| <= |phi^-1| |psi| up to --tol: within it the report passes,
+    # beyond it the check fails
+    diag = hypharm.amenability.indicator_diagonal
+    monkeypatch.setattr(hypharm.amenability, "indicator_diagonal", lambda *a, **k: (
+        dataclasses.replace(diag(*a, **k), submultiplicative_slack=slack)))
+    got, out = _run(["amenability", "--family", "conj", "--group", "s3", "--tol", tol])
+    assert got == code
+    if code:
+        assert out == ""
+        assert capsys.readouterr().err == (
+            f"check failed: Conj(S3): |1_Delta| exceeds |phi^-1| |psi| by {-slack:.2e}\n")
+    else:
+        assert out.splitlines()[-1] == "pass: true"
+
+
 def test_amenability_radius_too_small_exit_two(capsys):
     code, _ = _run(
         ["amenability", "--family", "tree_radial", "--q", "2", "--radius", "40"]
@@ -158,8 +181,13 @@ def test_quantum_bad_q_exit_two(q, capsys):
      "suq2_fusion_q0.001_R53: Haar weights beyond the range of float64"),
     (["amenability", "--family", "suq2_fusion", "--q", "0.001", "--radius", "60",
       "--radii", "2,4,7"], "suq2_fusion_q0.001_R60: Haar weights beyond the range of float64"),
+    (["verify", "--family", "suq2_fusion", "--q", "0.01", "--radius", "80"],
+     "suq2_fusion_q0.01_R80: Haar weights beyond the range of float64"),
+    (["quantum", "--q", "0.01", "--radius", "80"],
+     "(Irr(SUq2)_q0.01_R80,d): Haar weights beyond the range of float64"),
 ], ids=["verify", "quantum", "p2", "verify-rational", "quantum-rational", "p2-rational",
-        "amenability-rational", "p2-float-haar", "deform-float-haar", "amenability-float-haar"])
+        "amenability-rational", "p2-float-haar", "deform-float-haar", "amenability-float-haar",
+        "verify-float-haar", "quantum-float-haar"])
 def test_overflowing_q_exit_two(argv, message, capsys):
     # q-integers or Haar weights that leave float64 at this radius are an input error
     code, out = _run(argv)
@@ -181,6 +209,40 @@ def test_rational_q_sections_within_float64_pass(argv):
     # q = 0.001 the largest Haar weight [52]_q^2 is about 1e306
     code, _ = _run(argv)
     assert code == 0
+
+
+def test_quantum_ring_file_haar_beyond_float64_exit_two(tmp_path, capsys):
+    # finite quantum dimensions whose squares, the Haar weights, leave float64
+    path = tmp_path / "big.fus"
+    path.write_text("fusionring v1\nname big\nlabels e x\ntrivial 0\nconj 0 1\nndims 1 1\n"
+                    "ddims 1 1e200\nmult\ne e e 1\ne x x 1\nend\n")
+    code, out = _run(["quantum", "--fusion-file", str(path)])
+    assert (code, out) == (2, "")
+    assert "(big,d): Haar weights beyond the range of float64" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--family", "suq2_fusion", "--q", "0.01", "--radius", "78"],
+    ["quantum", "--q", "0.01", "--radius", "78"],
+], ids=["verify", "quantum"])
+def test_float_haar_within_float64_builds(argv):
+    # [78]_q^2 at q = 0.01 is about 1e306
+    code, out = _run(argv)
+    assert code != 2 and out.splitlines()[-1].startswith("pass: ")
+
+
+@pytest.mark.parametrize("argv, kac", [
+    (["--q", "999999/1000000", "--radius", "8"], "false"),
+    (["--q", "0.999999", "--radius", "8"], "false"),
+    (["--q", "1", "--radius", "8"], "true"),
+    (["--q", "1.0", "--radius", "8"], "true"),
+] + [(["--group", g], "true") for g in ("z2", "z4", "s3", "d4", "q8", "a4", "s4")],
+    ids=["q999999/1000000", "q0.999999", "q1", "q1.0", "z2", "z4", "s3", "d4", "q8", "a4", "s4"])
+def test_quantum_kac_is_n_equal_to_d(argv, kac):
+    # Kac type means n == d exactly: a q near 1 is not Kac, and its ring passes
+    code, out = _run(["quantum"] + argv)
+    assert code == 0
+    assert f"\nkac: {kac}\n" in out and out.splitlines()[-1] == "pass: true"
 
 
 @pytest.mark.parametrize("option", [["--family", "conj"], ["--n", "7"], ["--file", "x.hyp"]],
@@ -429,6 +491,8 @@ def _tree6(radius):
          "fusionring v1\nlabels a\nndims\nconj 0\nmult\na a a 1\nend\n", 3),
         ("--fusion-file",
          "fusionring v1\nlabels a\nndims 1\nconj 0\nqparam 2\nmult\na a a 1\nend\n", 5),
+        ("--fusion-file",
+         "fusionring v1\nlabels a\nndims 1\nconj 0\nmult\na a a 1\na a a 1\nend\n", 7),
         # a NaN compares false to every tolerance, so it must not get in
         ("--file", _z2(tail="haar 1 nan\n"), 8),
         ("--file", _z2(value="nan"), 11),
@@ -458,7 +522,8 @@ def _tree6(radius):
         ("--file", _tree6("radius 40\n"), 8),
     ],
     ids=["size-no-value", "zero-denominator", "duplicate-triple", "short-tail",
-         "short-cayley-row", "ndims-no-value", "qparam-above-one", "haar-nan",
+         "short-cayley-row", "ndims-no-value", "qparam-above-one", "ring-duplicate-triple",
+         "haar-nan",
          "nan-coefficient", "infinite-coefficient", "tail-nan", "ddims-nan", "qparam-nan",
          "qparam-dimension-overflow", "ddims-overflow", "ndims-overflow",
          "section-no-radius", "section-radius-0", "section-radius-negative",

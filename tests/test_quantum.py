@@ -49,11 +49,33 @@ def test_hypergroup_n_equals_irr_table(builtin_groups):
         assert Hn.haar == HI.haar, name
 
 
+def _with_N(entries, triple, n):
+    """The arrays ``entries`` with N set to ``n`` at ``triple``, added if it has no entry."""
+    a, b, g, N = entries
+    at = np.flatnonzero((a == triple[0]) & (b == triple[1]) & (g == triple[2]))
+    if at.size:
+        N = N.copy()
+        N[at] = n
+        return a, b, g, N
+    return tuple(np.append(v, x) for v, x in zip(entries, (*triple, n)))
+
+
+def _without_row(entries, a, b):
+    """The arrays ``entries`` without the row ``(a, b)``."""
+    keep = (entries[0] != a) | (entries[1] != b)
+    return tuple(v[keep] for v in entries)
+
+
+def _same_entries(R, S):
+    return all(np.array_equal(u, v) for u, v in zip(R.entries, S.entries))
+
+
 def test_ring_with_each_product_in_one_order_is_complete(tmp_path):
     # Irr(S3) given only its rows a <= b, built and through a file
     G = groups.symmetric(3)
     ring = group_fusion_ring(G)
-    half = dataclasses.replace(ring, mult={k: r for k, r in ring.mult.items() if k[0] <= k[1]})
+    a, b, _, _ = ring.entries
+    half = dataclasses.replace(ring, entries=tuple(v[a <= b] for v in ring.entries))
     half.validate()
     path = tmp_path / "half.fus"
     save_fusion_ring(half, str(path))
@@ -65,9 +87,7 @@ def test_ring_with_each_product_in_one_order_is_complete(tmp_path):
         assert Hn.rows == HI.rows and Hn.haar == HI.haar
         assert np.allclose(characters(Hn).plancherel, characters(HI).plancherel)
     # one product given in neither order
-    mult = dict(half.mult)
-    del mult[(1, 2)]
-    short = dataclasses.replace(half, mult=mult)
+    short = dataclasses.replace(half, entries=_without_row(half.entries, 1, 2))
     assert not short.complete
     assert hypergroup_n(short).truncated and hypergroup_n(short).radius == 3
 
@@ -75,15 +95,12 @@ def test_ring_with_each_product_in_one_order_is_complete(tmp_path):
 def test_frobenius_reciprocity_validated():
     ring = group_fusion_ring(groups.quaternion8())
     ring.validate()
-    bad_mult = {k: dict(v) for k, v in ring.mult.items()}
     two_dim = next(i for i, l in enumerate(ring.labels) if l.endswith("d2"))
-    bad_mult[(two_dim, two_dim)][two_dim] = (
-        bad_mult[(two_dim, two_dim)].get(two_dim, 0) + 1
-    )
+    bad_entries = _with_N(ring.entries, (two_dim,) * 3, ring.N(two_dim, two_dim, two_dim) + 1)
     from hypharm.quantum import FusionRing
 
     bad = FusionRing(
-        "bad", ring.labels, ring.trivial, ring.conjugate, bad_mult,
+        "bad", ring.labels, ring.trivial, ring.conjugate, bad_entries,
         ring.ndims, ring.ddims,
     )
     with pytest.raises(ReciprocityError):
@@ -278,7 +295,7 @@ def test_fusion_ring_roundtrip(tmp_path):
     p = tmp_path / "ring.fus"
     save_fusion_ring(ring, str(p))
     back = load_fusion_ring(str(p))
-    assert back.mult == ring.mult
+    assert _same_entries(back, ring)
     assert back.ddims == ring.ddims
     assert back.q == ring.q
 
@@ -288,7 +305,7 @@ def test_fusion_ring_group_roundtrip(tmp_path):
     p = tmp_path / "s3.fus"
     save_fusion_ring(ring, str(p))
     back = load_fusion_ring(str(p))
-    assert back.mult == ring.mult and back.ndims == ring.ndims
+    assert _same_entries(back, ring) and back.ndims == ring.ndims
 
 
 def test_fusion_file_reciprocity_rejected(tmp_path):
@@ -337,37 +354,37 @@ def test_group_runs_compute_the_character_data_once():
 
 def _validate_loop(ring, tol=1e-9):
     """Every row checked in turn: the order in which validate() must raise."""
-    for a, b in ring.mult:
-        ring._check_row(a, b, tol)
+    a, b, _, _ = ring.entries
+    for row in dict.fromkeys(zip(a.tolist(), b.tolist())):
+        ring._check_row(*row, tol)
 
 
 def _mutations():
     from hypharm.quantum import FusionRing
 
     def ring_with(base, change, **fields):
-        mult = {k: dict(v) for k, v in base.mult.items()}
-        change(mult)
         kw = dict(name="m", labels=base.labels, trivial=base.trivial,
-                  conjugate=base.conjugate, mult=mult, ndims=base.ndims,
+                  conjugate=base.conjugate, entries=change(base.entries), ndims=base.ndims,
                   ddims=base.ddims, q=base.q)
         kw.update(fields)
         return FusionRing(**kw)
 
     q8, su = group_fusion_ring(groups.quaternion8()), su2_fusion_ring(8, q=Fraction(2, 3))
     return {
-        "bump": ring_with(q8, lambda m: m[(4, 4)].update({4: m[(4, 4)].get(4, 0) + 1})),
-        "negative": ring_with(su, lambda m: m[(0, 0)].update({0: -1})),
-        "negative_late": ring_with(su, lambda m: m[(1, 2)].update({1: -1})),
-        "partner": ring_with(su, lambda m: m[(2, 3)].update({2: 2})),
-        "trivial": ring_with(q8, lambda m: m[(1, 1)].pop(0)),
-        "ddims": ring_with(su, lambda m: None,
+        "bump": ring_with(q8, lambda e: _with_N(e, (4, 4, 4), q8.N(4, 4, 4) + 1)),
+        "negative": ring_with(su, lambda e: _with_N(e, (0, 0, 0), -1)),
+        "negative_late": ring_with(su, lambda e: _with_N(e, (1, 2, 1), -1)),
+        "partner": ring_with(su, lambda e: _with_N(e, (2, 3, 2), 2)),
+        # row (1, 1) stored with no mass at the trivial label
+        "trivial": ring_with(q8, lambda e: _with_N(e, (1, 1, 0), 0)),
+        "ddims": ring_with(su, lambda e: e,
                            ddims=su.ddims[:3] + (su.ddims[3] * (1 + Fraction(1, 10**6)),)
                            + su.ddims[4:]),
-        "tiny_ddims": ring_with(su, lambda m: None,
+        "tiny_ddims": ring_with(su, lambda e: e,
                                 ddims=su.ddims[:3] + (su.ddims[3] * (1 + Fraction(1, 10**12)),)
                                 + su.ddims[4:]),
         "float_ddims": su2_fusion_ring(8, q=0.7),
-        "missing_row": ring_with(su, lambda m: m.pop((0, 1))),
+        "missing_row": ring_with(su, lambda e: _without_row(e, 0, 1)),
     }
 
 
