@@ -24,6 +24,12 @@ timeout 30 hypharm verify --family suq2_fusion --q 1/1000 --radius 102
 # triples only; it must exit 0 within 90 seconds
 timeout 90 hypharm verify --family su2_fusion --radius 200
 
+# The float H0 of a large section deforms. The Voit deformation of
+# su2_fusion at n = 120 is a commutative float table: its associativity
+# pass takes each identity once, and its dual-map residual each sum once;
+# it must exit 0 within 30 seconds
+timeout 30 hypharm deform --family su2_fusion --radius 120
+
 # Exact residue passes finish. tree_radial q = 3 at R = 60 is beyond the
 # float64 bound: five residue passes on one plan of checked triples; it must
 # exit 0 within 30 seconds

@@ -35,7 +35,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import FileFormatError, TruncationOverflow, ZeroDiagonal
-from .view import (TableView, axiom_defects, exact_defects, exact_haar_defect, haar_defect,
+from .view import (TableView, axiom_defects, exact_defects, exact_haar_defect, haar_sides,
                    int_array)
 
 DEFAULT_TOL = 1e-9
@@ -389,12 +389,16 @@ def _haar_defect(H: HypergroupTable):
     """Largest |lam(y) c^z_{x,y} - lam(z) c^y_{x~,z}| over the stored triples.
 
     Exact on N and per-point rationals (:func:`hypharm.view.exact_haar_defect`)
-    for an exact table with exact weights; else in floats.
+    for an exact table with exact weights; else in floats, each triple's
+    defect divided by the larger of 1 and its two terms' absolute values.
     """
     V = H.view
     if H.exact and all(_is_exact(v) for v in H.haar):
         return exact_haar_defect(V, H.haar)
-    return float(haar_defect(V, V.c, H.lam))
+    left, right = haar_sides(V, V.c, H.lam)
+    d = np.abs(left - right)
+    d /= np.maximum(1, np.maximum(np.abs(left), np.abs(right)))
+    return float(d.max(initial=0))
 
 
 def haar_weights(H: HypergroupTable, tol: float = DEFAULT_TOL) -> tuple:
@@ -403,7 +407,9 @@ def haar_weights(H: HypergroupTable, tol: float = DEFAULT_TOL) -> tuple:
     Verifies lam(e) = 1 and the adjoint identity
     lam(y) c^z_{x,y} = lam(z) c^y_{x~,z} on every stored triple of the
     section (the identity making the regular representation a
-    *-representation on l2(lam)).
+    *-representation on l2(lam)): exactly, or in floats within ``tol``
+    times the larger of 1 and the two sides' absolute values, since float
+    weights may reach 1e306.
     """
     lam = H.haar
     # a verdict of NaN compares false: pass only on evidence, worst <= tol

@@ -424,6 +424,7 @@ def load_fusion_ring(path: str) -> FusionRing:
     k = len(labels)
     label_index = {l: i for i, l in enumerate(labels)}
     mult: dict[tuple[int, int, int], int] = {}  # (a, b, g) -> N, in file order
+    in_int64 = int_in(-2**63, 2**63)  # the entry arrays hold N in int64
     for ln, toks in f.body:
         with f.at(ln):
             if len(toks) != 4:
@@ -433,7 +434,7 @@ def load_fusion_ring(path: str) -> FusionRing:
             key = tuple(label_index[t] for t in toks[:3])
             if key in mult:
                 raise FileFormatError(f"duplicate multiplicity {' '.join(toks[:3])}", line=ln)
-            mult[key] = int(toks[3])
+            mult[key] = in_int64(toks[3])
     ndims = tuple(f.values("ndims", lambda tok: _in_float64(int(tok)), count=k))
     q = f.value("qparam", lambda tok: check_q(_finite(tok)), None)
     if q is None:

@@ -31,7 +31,10 @@ exact and read no Fraction row (:func:`exact_defects`,
   same multiple ``s_v / (s_x s_y s_z)`` of those of N, so c is associative
   exactly when N is.  It takes one float64 pass while
   ``2 n max|N|^2 <= 2**53``, and beyond that bound one pass on N's residues
-  per batch of :func:`crt_primes`;
+  per batch of :func:`crt_primes`.  On a commutative view the law at
+  ``(z, y, x)`` is the one at ``(x, y, z)``: its defect is minus the other,
+  exactly on N and its residues, and in floats a sum of the same products,
+  so every pass takes each such pair once;
 * a product built by :meth:`TableView.product` takes associativity from
   its two factors: ``N = N1 (x) N2``, so both sides of its law are tensor
   products of the factors' sides.  A factor that fails sends it to the
@@ -507,6 +510,21 @@ class TableView:
         assert (np.diff(keys) > 0).all(), "entries out of (x, y, z) order"
         return _frozen(keys)
 
+    def products_once(self) -> tuple:
+        """Each stored product once: of a commutative view those with ``px <= py``, else all.
+
+        Returns their ``(px, py)``, the indices of their entries (a slice if
+        they are all) and the products' CSR offsets into those.  It is built
+        per call, O(entries): a cached table would hold it as long as it
+        lives.
+        """
+        if not self.commutative:
+            return self.px, self.py, slice(None), self.starts
+        keep = self.px <= self.py
+        starts = np.zeros(np.count_nonzero(keep) + 1, dtype=self.starts.dtype)
+        np.cumsum(np.diff(self.starts)[keep], out=starts[1:])
+        return self.px[keep], self.py[keep], np.flatnonzero(keep.take(self.pair)), starts
+
     @cached_property
     def plan(self) -> np.ndarray | None:
         """The mask of the triples associativity is checked at, or None for all (:func:`_plan`)."""
@@ -520,15 +538,10 @@ class TableView:
 
     def rows(self) -> dict:
         """All rows ``(x, y) -> ((z, c), ...)``; commutative tables keep ``x <= y``."""
-        keep = self.px <= self.py if self.commutative else np.ones(len(self.px), dtype=bool)
-        i = np.flatnonzero(keep[self.pair])
-        z, vals = self.z[i].tolist(), self.coefficients(i)
-        out, lo = {}, 0
-        for x, y, k in zip(self.px[keep].tolist(), self.py[keep].tolist(),
-                           np.diff(self.starts)[keep].tolist()):
-            out[(x, y)] = tuple(zip(z[lo:lo + k], vals[lo:lo + k]))
-            lo += k
-        return out
+        px, py, entries, starts = self.products_once()
+        z, vals, starts = self.z[entries].tolist(), self.coefficients(entries), starts.tolist()
+        return {(x, y): tuple(zip(z[lo:hi], vals[lo:hi]))
+                for x, y, lo, hi in zip(px.tolist(), py.tolist(), starts, starts[1:])}
 
     def same_entries(self, other: "TableView") -> bool:
         """True if both views store the same products and entries with equal coefficients.
@@ -633,19 +646,26 @@ def _associativity(V: TableView, C: np.ndarray, p: np.ndarray | None) -> tuple:
     """Largest |((x.y).z - x.(y.z))_v| over the triples of the view's plan.
 
     The checked triples (x, y, z) are those of :attr:`TableView.plan`, or
-    all of them without a plan.  The slabs ``L = C[x] @ C.reshape(n, n*n)``
-    and ``R = C.reshape(n*n, n) @ C[x]`` hold both sides for all (y, z, v).
-    Each slab holds at most a quarter of ``C``, or of one of its ``n x n x
-    n`` layers when ``C`` has a leading axis (one per prime ``p``), or
+    all of them without a plan.  On a commutative view
+    ``(z.y).x = x.(y.z)`` and ``z.(y.x) = (x.y).z``: the defect at
+    (z, y, x) is minus that at (x, y, z) (in floats, a sum of the same
+    products), and the plan holds both or neither, so each block of x takes
+    only the z at or above its first x, and the triples flagged are those
+    checked in that order.  The slabs
+    ``L = C[x] @ C.reshape(n, n*n)`` and ``R = C.reshape(n*n, n) @ C[x]``
+    hold both sides for all (y, z, v).  Each slab holds at most a quarter
+    of ``C``, or of one of its ``n x n x n`` layers when ``C`` has a
+    leading axis (one per prime ``p``), or
     :data:`SLAB_FLOOR` values if that is more: a block of whole x when
     ``n**3`` fits, else blocks of y for one x.  Without a plan the slabs are
     whole.  With one, a block of x takes only the span of y, and a slab only
     the span of z, that hold checked triples; each side of the slab is
     formed in turn and cut to its checked rows (x, y, z), so the defect is
     taken at those rows alone.  Returns the worst violation, the number of
-    triples checked and, of an exact view (``C`` holds N or its residues),
-    the rows ``(x, y, z)`` of the checked triples whose defect is not 0
-    (modulo some prime ``p``).
+    triples the plan covers (both orders of an identity taken once) and,
+    of an exact view (``C`` holds N or its residues), the rows
+    ``(x, y, z)`` of the triples taken whose defect is not 0 (modulo some
+    prime ``p``).
     """
     n, lead, plan = V.n, C.shape[:-3], V.plan
     rows = max(1, max(n**3 // 4, SLAB_FLOOR) // (n * n * math.prod(lead)))  # (x, y) per slab
@@ -654,12 +674,14 @@ def _associativity(V: TableView, C: np.ndarray, p: np.ndarray | None) -> tuple:
     worst, flagged = 0.0, [np.empty((0, 3), dtype=np.int64)]
     for x0 in range(0, n, step):
         xs = slice(x0, min(x0 + step, n))
-        ys = range(n) if plan is None else np.flatnonzero(plan[xs].any(axis=(0, 2)))
+        first = x0 if V.commutative else 0  # the least z checked in this block
+        ys = range(n) if plan is None else np.flatnonzero(plan[xs, :, first:].any(axis=(0, 2)))
         if not len(ys):
             continue
         for lo in range(ys[0], ys[-1] + 1, span):
             hi = min(lo + span, ys[-1] + 1)
-            zs = range(n) if plan is None else np.flatnonzero(plan[xs, lo:hi].any(axis=(0, 1)))
+            zs = range(first, n) if plan is None else first + np.flatnonzero(
+                plan[xs, lo:hi, first:].any(axis=(0, 1)))
             if not len(zs):
                 continue
             # the columns (z, v) of z0 <= z < z1 are one strided block of C
@@ -679,7 +701,7 @@ def _associativity(V: TableView, C: np.ndarray, p: np.ndarray | None) -> tuple:
             if top and V.rational:
                 hit = d.max(axis=-1).reshape(-1, d.shape[-2]).max(axis=0) > 0
                 at = np.argwhere(sel)[hit] if sel is not None else np.argwhere(
-                    hit.reshape(-1, hi - lo, n))
+                    hit.reshape(-1, hi - lo, z1 - z0))
                 flagged.append(at + (x0, lo, z0))
     checked = n**3 if plan is None else int(np.count_nonzero(plan))
     return worst, checked, np.concatenate(flagged)
@@ -715,11 +737,20 @@ def _plan(V: TableView) -> np.ndarray | None:
     return _frozen(plan)
 
 
+def haar_sides(V: TableView, c: np.ndarray, lam: np.ndarray) -> tuple:
+    """``lam(y) c^z_{x,y}`` and ``lam(z) c^y_{x~,z}`` at the stored triples, in floats.
+
+    The stored triples are the entries (x, y, z) whose row x~.z is stored.
+    """
+    xi = V.inv[V.x]
+    kept = V.has_row[xi, V.z]
+    return (lam[V.y] * c)[kept], (lam[V.z] * _gather(V, c)(xi, V.z, V.y))[kept]
+
+
 def haar_defect(V: TableView, c: np.ndarray, lam: np.ndarray):
     """Largest |lam(y) c^z_{x,y} - lam(z) c^y_{x~,z}| over the stored triples, in floats."""
-    xi = V.inv[V.x]
-    d = lam[V.y] * c - lam[V.z] * _gather(V, c)(xi, V.z, V.y)
-    return np.abs(d)[V.has_row[xi, V.z]].max(initial=0)
+    left, right = haar_sides(V, c, lam)
+    return np.abs(left - right).max(initial=0)
 
 
 def _batches(V: TableView, primes: np.ndarray):
@@ -891,7 +922,9 @@ def _triple_defect(V: TableView, triples: np.ndarray) -> Fraction:
 
     Both sides of N's law are taken on the dense N, in int64 while
     ``2 n max|N|**2`` fits, else in Python ints, for about 2**22 products
-    at a time; c's defect is N's times ``s_v / (s_x s_y s_z)``.
+    at a time; c's defect is N's times ``s_v / (s_x s_y s_z)``.  Of a
+    commutative view the passes flag one of (x, y, z) and (z, y, x), whose
+    defects are opposite with the same factor, so the worst is that of both.
     """
     worst, n = ZERO, V.n
     if not len(triples):

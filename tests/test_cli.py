@@ -231,6 +231,26 @@ def test_float_haar_within_float64_builds(argv):
     assert code != 2 and out.splitlines()[-1].startswith("pass: ")
 
 
+def test_float_haar_identity_is_checked_relative_to_its_terms(tmp_path):
+    # the weights reach 1e306: a defect of 1e284 is in the last bits of its two terms
+    code, out = _run(["verify", "--family", "suq2_fusion", "--q", "0.01", "--radius", "78"])
+    assert code == 0 and out.endswith("\npass: true\n")
+    # one float weight off by 1e-6 relative is off by 1e-6 next to its terms
+    path = tmp_path / "suq2.hyp"
+    save_table(builders.su2_fusion(12, q=0.01), str(path))
+    assert _run(["verify", "--file", str(path)])[0] == 0
+    lines = path.read_text().splitlines()
+    at = next(i for i, l in enumerate(lines) if l.startswith("haar "))
+    weights = lines[at].split()
+    weights[5] = repr(float(weights[5]) * (1 + 1e-6))
+    lines[at] = " ".join(weights)
+    path.write_text("\n".join(lines) + "\n")
+    code, out = _run(["verify", "--file", str(path)])
+    assert code == 1
+    assert "Haar invariance identity violated by 1e-06" in out
+    assert out.endswith("\npass: false\n")
+
+
 @pytest.mark.parametrize("argv, kac", [
     (["--q", "999999/1000000", "--radius", "8"], "false"),
     (["--q", "0.999999", "--radius", "8"], "false"),
@@ -493,6 +513,10 @@ def _tree6(radius):
          "fusionring v1\nlabels a\nndims 1\nconj 0\nqparam 2\nmult\na a a 1\nend\n", 5),
         ("--fusion-file",
          "fusionring v1\nlabels a\nndims 1\nconj 0\nmult\na a a 1\na a a 1\nend\n", 7),
+        # the ring's entry arrays hold the multiplicities in int64
+        ("--fusion-file",
+         "fusionring v1\nlabels e\nndims 1\nconj 0\nmult\ne e e 99999999999999999999999\nend\n",
+         6),
         # a NaN compares false to every tolerance, so it must not get in
         ("--file", _z2(tail="haar 1 nan\n"), 8),
         ("--file", _z2(value="nan"), 11),
@@ -523,6 +547,7 @@ def _tree6(radius):
     ],
     ids=["size-no-value", "zero-denominator", "duplicate-triple", "short-tail",
          "short-cayley-row", "ndims-no-value", "qparam-above-one", "ring-duplicate-triple",
+         "ring-multiplicity-beyond-int64",
          "haar-nan",
          "nan-coefficient", "infinite-coefficient", "tail-nan", "ddims-nan", "qparam-nan",
          "qparam-dimension-overflow", "ddims-overflow", "ndims-overflow",

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypharm import (builders, characters, core, groups, haar_weights, quantum, view,
+from hypharm import (builders, characters, core, groups, haar_weights, quantum, spectral, view,
                      voit_deform)
 from hypharm.builders import FamilySpec, family
 from hypharm.core import (
@@ -226,16 +226,22 @@ def _associativity_per_x(V: TableView, C: np.ndarray, p: np.ndarray | None) -> t
 
 
 def _haar_defect_loop(H: HypergroupTable):
-    """Largest |lam(y) c^z_{x,y} - lam(z) c^y_{x~,z}|, by Python loops."""
+    """Largest |lam(y) c^z_{x,y} - lam(z) c^y_{x~,z}|, by Python loops.
+
+    Of a float table or float weights, each defect is divided by the larger
+    of 1 and its two terms' absolute values.
+    """
     lam = H.haar
+    exact = H.exact and all(isinstance(v, (Fraction, int)) for v in lam)
     worst = 0
     for x, y in _iter_pairs(H):
         xi = H.involution[x]
         for z, c in H.row(x, y):
             if not H.has_row(xi, z):
                 continue
-            mirror = dict(H.row(xi, z)).get(y, 0)
-            worst = max(worst, abs(lam[y] * c - lam[z] * mirror))
+            left, right = lam[y] * c, lam[z] * dict(H.row(xi, z)).get(y, 0)
+            d = abs(left - right)
+            worst = max(worst, d if exact else d / max(1, abs(left), abs(right)))
     return worst
 
 
@@ -299,6 +305,56 @@ def _residual_loop(H, chi):
         s = sum(float(c) * chi[z] for z, c in entries)
         worst = max(worst, abs(chi[x] * chi[y] - s))
     return worst
+
+
+def _residual_both_orders(H, chi):
+    """The multiplicativity residual over every stored product, each order of a
+    commutative one included, in blocks of ``spectral.RESIDUAL_BATCH`` values."""
+    V, chis = H.view, np.atleast_2d(chi)
+    filled = V.starts[:-1] < V.starts[1:]
+    cols = slice(None) if filled.all() else filled
+    step = max(1, spectral.RESIDUAL_BATCH // max(1, len(V.z)))
+    worst = 0.0
+    for lo in range(0, len(chis), step):
+        block = chis[lo:lo + step]
+        d = block[:, V.px] * block[:, V.py]
+        if filled.any():
+            d[:, cols] -= np.add.reduceat(V.c * block[:, V.z], V.starts[:-1][filled], axis=1)
+        worst = max(worst, float(np.abs(d).max(initial=0.0)))
+    return worst
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_residual_of_each_product_once_equals_both_orders(name):
+    # a commutative table's sums are taken once, against both orders of
+    # chi(x) chi(y); the characters are compared apart from random functions,
+    # whose O(1) residuals would hide a moved bit of theirs, and one by one
+    H = _table(name)
+    rng = np.random.default_rng(5)
+    chis = rng.standard_normal((4, H.size)) + 1j * rng.standard_normal((4, H.size))
+    sets = [chis] if H.truncated else [chis, characters(H).chars]
+    for block in sets + list(sets[-1]):
+        got = _multiplicativity_residual(H, block)
+        assert np.float64(got).tobytes() == np.float64(_residual_both_orders(H, block)).tobytes()
+    for chi in chis[:2]:
+        assert _multiplicativity_residual(H, chi) == pytest.approx(
+            _residual_loop(H, chi), rel=1e-14, abs=1e-14)
+
+
+def test_residual_peaks_no_higher_than_both_orders():
+    # the index of each product once included, built inside the call
+    H = family(FamilySpec("cyclic", n=96))
+    chis = characters(H).chars
+    got = _peak_bytes(_multiplicativity_residual, H, chis)
+    assert got <= _peak_bytes(_residual_both_orders, H, chis)
+
+
+def test_products_once_index_the_products_with_x_at_most_y():
+    V = _table("suq2_r12").view
+    px, py, entries, starts = V.products_once()
+    assert (px <= py).all() and (V.pair[entries] == np.repeat(
+        np.flatnonzero(V.px <= V.py), np.diff(starts))).all()
+    assert len(px) == np.count_nonzero(V.px <= V.py) == len(starts) - 1
 
 
 @pytest.mark.parametrize("name", sorted(k for k in BUILDERS if "_r" not in k))
@@ -515,13 +571,17 @@ def _view_bytes(V):
 
 
 def test_view_holds_one_array_per_value():
-    V = family(FamilySpec("cyclic", n=96)).view
+    H = family(FamilySpec("cyclic", n=96))
+    V = H.view
     V.c  # noqa: B018 (cached, and not counted)
     # Z96 has 9,216 entries: x, y, z, pair, px and py in int32, N in int64,
     # starts in int32 and has_row make 37 bytes per entry, with inv and the
     # scales 342,916 bytes; a second copy of N, x, y and z for the 4,656
     # products given once and an int64 map from the entries to them took
     # 166,848 bytes more, and starts in int64 36,868 more
+    assert _view_bytes(V) == 342_916
+    # the index of each product once is built per residual, and not held
+    _multiplicativity_residual(H, characters(H).chars)
     assert _view_bytes(V) == 342_916
 
 
@@ -1081,11 +1141,18 @@ def _passes(V):
         yield V.dense(view.residues(V.N, p)), p
 
 
-def _assert_same_pass(got, want):
-    """The same worst violation (bitwise), checked count and set of flagged triples."""
+def _assert_same_pass(V, got, want):
+    """The same worst violation (bitwise), checked count and set of flagged triples.
+
+    A commutative view checks the identity at (z, y, x) once with that at
+    (x, y, z), so of it the two sets are compared closed under that mirror.
+    """
     assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
     assert got[1] == want[1]
-    assert set(map(tuple, got[2].tolist())) == set(map(tuple, want[2].tolist()))
+    flagged = [set(map(tuple, f.tolist())) for f in (got[2], want[2])]
+    if V.commutative:
+        flagged = [f | {(z, y, x) for x, y, z in f} for f in flagged]
+    assert flagged[0] == flagged[1]
 
 
 @functools.cache
@@ -1110,7 +1177,7 @@ def test_associativity_equals_the_per_x_oracle(name, monkeypatch):
         for values in (1, view.MASK_VALUES, 2**40):
             monkeypatch.setattr(view, "MASK_VALUES", values)
             vars(V).pop("plan", None)
-            _assert_same_pass(view._associativity(V, C, p), want)
+            _assert_same_pass(V, view._associativity(V, C, p), want)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -1124,7 +1191,70 @@ def test_associativity_equals_the_per_x_oracle(name, monkeypatch):
 def test_mutated_table_passes_like_the_per_x_oracle(name, pick, drop, num, den):
     V = _mutated(_table(name), pick, None if drop else Fraction(num, den)).view
     for C, p in _passes(V):
-        _assert_same_pass(view._associativity(V, C, p), _associativity_per_x(V, C, p))
+        _assert_same_pass(V, view._associativity(V, C, p), _associativity_per_x(V, C, p))
+
+
+def _float_copy(H):
+    """``H`` built again from its rows with every coefficient a float."""
+    rows = {k: [(z, float(c)) for z, c in r] for k, r in H.rows.items()}
+    return HypergroupTable.from_rows(f"{H.name}_float", H.size, H.involution, rows,
+                                     identity=H.identity, commutative=H.commutative)
+
+
+def _noncommutative_tables():
+    """Group tables, whose passes take every order: S3, S4 (one x per block) and products."""
+    s3, s4 = (builders.group_hypergroup(groups.get_group(g)) for g in ("s3", "s4"))
+    return {
+        "group_s3": lambda: s3,
+        "group_s4": lambda: s4,
+        "group_s4_float": lambda: _float_copy(s4),
+        "group_s3xirr_s3": lambda: builders.product(s3, _table("irr_s3")),
+        "conj_d4xgroup_s3": lambda: builders.product(_table("conj_d4"), s3),
+    }
+
+
+NONCOMMUTATIVE = _noncommutative_tables()
+
+
+@pytest.mark.parametrize("name", sorted(NONCOMMUTATIVE))
+def test_noncommutative_pass_equals_the_per_x_oracle(name):
+    # the same flagged triples, not closed under (x, y, z) <-> (z, y, x)
+    V = NONCOMMUTATIVE[name]().view
+    assert not V.commutative
+    for C, p in _passes(V):
+        _assert_same_pass(V, view._associativity(V, C, p), _associativity_per_x(V, C, p))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    name=st.sampled_from(("group_s3", "group_s3xirr_s3")),
+    pick=st.integers(min_value=0),
+    drop=st.booleans(),
+    num=st.integers(-3, 3),
+    den=st.integers(1, 6),
+)
+def test_mutated_noncommutative_table_passes_like_the_per_x_oracle(name, pick, drop, num, den):
+    H = _mutated(NONCOMMUTATIVE[name](), pick, None if drop else Fraction(num, den))
+    for C, p in _passes(H.view):
+        _assert_same_pass(H.view, view._associativity(H.view, C, p),
+                          _associativity_per_x(H.view, C, p))
+    _assert_same_report(verify_axioms(H), _verify_axioms_loop(H), exact=True)
+
+
+@pytest.mark.parametrize("name, commutative", [("z30", True), ("group_s4", False)])
+def test_commutative_pass_takes_each_identity_once(name, commutative, monkeypatch):
+    # one x per block: the slabs of x hold z >= x alone, half the n**4 values
+    # (x, y, z, v) and n**3 more, on a commutative table
+    V = (family(FamilySpec("cyclic", n=30)) if name == "z30" else NONCOMMUTATIVE[name]()).view
+    n = V.n
+    assert V.commutative == commutative
+    assert max(n**3 // 4, view.SLAB_FLOOR) // (n * n) < 2 * n  # one x per block
+    sizes = []
+    defect = view._defect
+    monkeypatch.setattr(view, "_defect", lambda d, p: sizes.append(d.size) or defect(d, p))
+    _, checked, flagged = view._associativity(V, V.dense(V.N.astype(float)), None)
+    assert (checked, len(flagged)) == (n**3, 0)
+    assert sum(sizes) == ((n**4 + n**3) // 2 if commutative else n**4)
 
 
 def test_section_pass_peaks_no_higher_than_the_oracle():
