@@ -42,8 +42,14 @@ timeout 30 hypharm verify --family tree_radial --q 3 --radius 60
 timeout 30 hypharm amenability --family suq2_fusion --q 1/2 --radius 60 --radii 5,10,20
 timeout 30 hypharm deform --family tree_radial --q 3 --radius 60
 
-# The array fusion ring finishes at R = 200. The SU_q(2) ring holds its
-# multiplicities as entry arrays and validates them in one vectorized pass;
-# at R = 200 (343,400 entries) the ring, its two tables, their checks and
-# (P2) of the n-table must exit 0 within 60 seconds
+# The fusion ring finishes at R = 200. The SU_q(2) ring holds its
+# multiplicities once, as one commutative view that it validates in one
+# vectorized pass, and its two tables are rescalings of that view on its
+# index arrays; at R = 200 (343,400 multiplicities) the ring, its two
+# tables, their checks and (P2) of the n-table must exit 0 within 60 seconds
 timeout 60 hypharm quantum --q 1/2 --radius 200
+
+# The Kac branch finishes at R = 200. At q = 1 the two tables of the ring
+# are the same N at the same scales on one index, and n_equals_d compares
+# them entry by entry; it must exit 0 within 60 seconds
+timeout 60 hypharm quantum --radius 200

@@ -212,10 +212,10 @@ def group_character_data(G: FiniteGroup) -> GroupCharacterData:
 def irr_hypergroup(G: FiniteGroup) -> HypergroupTable:
     """Irr(G) with alpha.beta = sum_gamma (d_gamma / d_alpha d_beta) N^gamma gamma.
 
-    Exact, from the integer dimensions and multiplicities of
-    :func:`group_character_data`, as entry arrays in the N-form
-    (:class:`TableView`; N the multiplicities, s the dimensions); Haar
-    weight lam(pi) = d_pi^2.  Built once per group and process.
+    Exact: the :func:`fusion_table` of the integer multiplicities and
+    dimensions of :func:`group_character_data`, whose rows must sum to
+    d_alpha d_beta; Haar weight lam(pi) = d_pi^2.  Built once per group and
+    process.
     """
     data = group_character_data(G)
     n = len(data.dims)
@@ -224,10 +224,11 @@ def irr_hypergroup(G: FiniteGroup) -> HypergroupTable:
         a, b = sorted(bad[0])
         raise NonIntegerDimension(f"{G.name}: fusion row ({a},{b}) does not sum to 1")
     a, b, g = _commutative_entries(N)
-    return HypergroupTable(
+    return fusion_table(
         f"Irr({G.name})",
-        TableView(n, 0, data.conjugate, True, a, b, g, N[a, b, g], scale=dims),
-        elements=tuple(f"pi{a}d{d}" for a, d in enumerate(data.dims)),
+        TableView(n, 0, data.conjugate, True, a, b, g, N[a, b, g], scale=[1] * n),
+        [Fraction(d) for d in data.dims],
+        [f"pi{a}d{d}" for a, d in enumerate(data.dims)],
     )
 
 
@@ -298,33 +299,29 @@ def su2_entries(radius: int) -> tuple[np.ndarray, ...]:
             np.ones(len(k), dtype=np.int64))
 
 
-def fusion_table(name: str, entries, dims, conjugate, labels, *, trivial: int = 0,
-                 complete: bool = False, q=None) -> HypergroupTable:
-    """The hypergroup of fusion multiplicities ``entries = (a, b, g, N)`` and dimensions ``dims``.
+def fusion_table(name: str, multiplicities: TableView, dims, labels, *, q=None) -> HypergroupTable:
+    """The hypergroup of fusion multiplicities N^g_{ab} and dimensions ``dims``.
 
         c^g_{a,b} = N^g_{ab} d_g / (d_a d_b),   lam(a) = d_a^2.
 
-    Exact, in the N-form with s = dims (:class:`TableView`), if every
-    dimension is an int or a Fraction, else in floats.  Float dimensions
-    whose Haar weights overflow float64 raise ValueError, as
-    :attr:`HypergroupTable.lam` does for exact ones.  A table that is not
-    ``complete`` is a section of radius its size; the section of an
-    SU_q(2) ring, given its ``q``, takes the tail bounds of :func:`su2_tail`.
+    ``multiplicities`` is the commutative N-form of N with unit scales
+    (the ring's :attr:`~hypharm.quantum.FusionRing.view`): the table is
+    its :meth:`~TableView.rescaled` view, on the same index arrays, exact
+    with s = dims if every dimension is an int or a Fraction, else in
+    floats.  Float dimensions whose Haar weights overflow float64 raise
+    ValueError, as :attr:`HypergroupTable.lam` does for exact ones.  A
+    table without every product is a section of radius its size; the
+    section of an SU_q(2) ring, given its ``q``, takes the tail bounds of
+    :func:`su2_tail`.
     """
-    n = len(dims)
-    a, b, g, N = entries
-    haar = [d * d for d in dims]
-    if all(isinstance(d, (int, Fraction)) for d in dims):
-        view = TableView(n, trivial, conjugate, True, a, b, g, N, scale=dims)
-    else:
-        d = np.array([float(v) for v in dims])
-        if any(math.isinf(v * v) for v in d.tolist()):
-            raise ValueError(f"{name}: Haar weights beyond the range of float64")
-        view = TableView(n, trivial, conjugate, True, a, b, g, d[g] * N / (d[a] * d[b]))
+    if not all(isinstance(d, (int, Fraction)) for d in dims) and any(
+            math.isinf(v * v) for v in map(float, dims)):
+        raise ValueError(f"{name}: Haar weights beyond the range of float64")
+    n, complete = multiplicities.n, bool(multiplicities.has_row.all())
     return HypergroupTable(
         name,
-        view,
-        haar=haar,
+        multiplicities.rescaled(dims),
+        haar=[d * d for d in dims],
         truncated=not complete,
         radius=None if complete else n,
         tail=None if complete or q is None else su2_tail(n, q),
@@ -345,9 +342,8 @@ def su2_fusion(radius: int, q=1) -> HypergroupTable:
     q = check_q(q)
     return fusion_table(
         f"suq2_fusion_q{q}_R{radius}" if q != 1 else f"su2_fusion_R{radius}",
-        entries,
+        TableView(radius, 0, range(radius), True, *entries, scale=[1] * radius),
         q_integers(q, radius)[1:radius + 1],
-        range(radius),
         tuple(str(a) for a in range(1, radius + 1)),
         q=q,
     )

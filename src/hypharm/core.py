@@ -115,11 +115,11 @@ class HypergroupTable:
     generator, the element labels, and the Haar weights of a section (it
     does not store every x.x~) or of a fusion ring; other tables read
     theirs from the view (:attr:`haar`).  The Fraction rows serve
-    :meth:`row`, which the quantum maps read one product at a time, and
-    the file writer; :func:`verify_axioms`, :func:`haar_weights` and
-    :func:`convolve` never read them.  The table reads them from the view
-    as they are asked for, and builds the whole ``rows`` dict only when
-    ``rows`` itself is read.
+    :meth:`row`, read by the ``quantum`` command for one product of the
+    d-table (``d22.row``), and the file writer; no other module, and neither
+    :func:`verify_axioms`, :func:`haar_weights` nor :func:`convolve`,
+    reads them.  The table reads them from the view as they are asked
+    for, and builds the whole ``rows`` dict only when ``rows`` is read.
     """
 
     def __init__(
@@ -435,7 +435,7 @@ def haar_weights(H: HypergroupTable, tol: float = DEFAULT_TOL) -> tuple:
 #     commutative <0|1>
 #     truncated <0|1>
 #     radius <R>                  (truncated tables only, 2 <= R <= n)
-#     tail <alpha> <diag> <beta> <start> <exact 0|1>   (optional)
+#     tail <alpha> <diag> <beta> <start> <exact 0|1>   (optional; bounds >= 0, start <= n)
 #     generator <index>           (optional)
 #     elements <label0> ... <label(n-1)>   (optional)
 #     haar <w0> ... <w(n-1)>      (optional)
@@ -598,8 +598,11 @@ def _finite(tok: str):
     return v
 
 
-def _real(tok: str) -> float:
-    return float(_finite(tok))
+def _sup(tok: str) -> float:
+    """A tail bound, a sup of absolute values: a finite number >= 0."""
+    if not (v := float(_finite(tok))) >= 0:
+        raise ValueError(f"tail bound {tok} is negative")
+    return v
 
 
 def load_table(path: str) -> HypergroupTable:
@@ -616,7 +619,7 @@ def load_table(path: str) -> HypergroupTable:
             if z in row:
                 raise FileFormatError(f"duplicate triple {x} {y} {z}", line=ln)
             row[z] = _finite(toks[3])
-    tail = f.values("tail", (_real, _real, _real, int, _flag), default=None)
+    tail = f.values("tail", (_sup, _sup, _sup, int_in(0, size + 1), _flag), default=None)
     truncated = f.value("truncated", _flag, False)
     # a section's bounds compress it to balls of up to its radius, at least 2
     radius = f.value("radius", int_in(2, size + 1)) if truncated else f.value("radius", int, None)

@@ -8,7 +8,9 @@ function induces a discrete hypergroup
     alpha . beta = sum_gamma (dim_gamma / (dim_alpha dim_beta))
                    N^gamma_{alpha beta} gamma,
 
-with Haar weight dim^2; the two tables coincide iff the ring is Kac.
+with Haar weight dim^2; the two tables coincide iff the ring is Kac.  A ring
+holds N once, as a commutative N-form view with unit scales, and both tables
+are rescalings of that view by their dimensions, on its index arrays.
 
 For a finite group G the hat map
 
@@ -28,6 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .builders import (
+    _commutative_entries,
     check_q,
     conjugacy_hypergroup,
     fusion_table,
@@ -40,6 +43,7 @@ from .core import HypergroupTable, LineFile, _finite, convolve, int_in
 from .errors import FileFormatError, ReciprocityError
 from .groups import FiniteGroup
 from .norms import norm_A, norm_Blambda
+from .view import TableView, max_abs
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,11 +51,12 @@ class FusionRing:
     """Irreducible labels with tensor multiplicities and the two dimensions.
 
     ``entries`` are the multiplicities N^g_{ab} as int64 arrays
-    ``(a, b, g, N)``, one element per entry, held sorted by ``(a, b, g)``;
-    callers must not change them.  A product ``(a, b)`` is stored if it has
-    an entry as ``(a, b)`` or as ``(b, a)``.  Rows may be missing for
-    truncated rings (label sets cut at a radius), in which case only the
-    stored rows are validated and the induced tables are truncated.
+    ``(a, b, g, N)``, one element per entry, in any order; a product
+    ``(a, b)`` is given as ``(a, b)``, as ``(b, a)`` or as both with the
+    same row.  The ring reads them through :attr:`view`, built once, and
+    callers must not change them.  Rows may be missing for truncated rings
+    (label sets cut at a radius), in which case only the stored rows are
+    validated and the induced tables are truncated.
     """
 
     name: str
@@ -63,108 +68,78 @@ class FusionRing:
     ddims: tuple
     q: object | None = None  # deformation parameter for su2-type rings
 
-    def __post_init__(self):
-        a, b, g, N = (np.asarray(v, dtype=np.int64) for v in self.entries)
-        key = (a * self.size + b) * self.size + g
-        if (np.diff(key) <= 0).any():
-            order = np.argsort(key, kind="stable")
-            a, b, g, N, key = a[order], b[order], g[order], N[order], key[order]
-            if (twice := np.flatnonzero(np.diff(key) == 0)).size:
-                i = twice[0]
-                raise ValueError(f"multiplicity {a[i]} {b[i]} {g[i]} given twice")
-        object.__setattr__(self, "entries", (a, b, g, N))
-
     @property
     def size(self) -> int:
         return len(self.labels)
 
+    @functools.cached_property
+    def view(self) -> TableView:
+        """The multiplicities as a commutative N-form with unit scales, c^g_{a,b} = N^g_{ab}:
+        the index of every table of the ring (:func:`~hypharm.builders.fusion_table`)."""
+        a, b, g, N = self.entries
+        return TableView(self.size, self.trivial, self.conjugate, True, a, b, g, N,
+                         scale=[1] * self.size)
+
     @property
     def complete(self) -> bool:
         """Whether every product ``(a, b)`` has a row, given as ``(a, b)`` or ``(b, a)``."""
-        return bool((self._rows[1] >= 0).all())
+        return bool(self.view.has_row.all())
 
     def has_row(self, a: int, b: int) -> bool:
         """Whether the product ``(a, b)`` is stored, as ``(a, b)`` or ``(b, a)``."""
-        return 0 <= a < self.size and 0 <= b < self.size and bool(self._rows[1][a, b] >= 0)
-
-    @functools.cached_property
-    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """The stored rows: where each starts in the entries, with their count
-        appended, and the ``size x size`` table of the row of each product
-        ``(a, b)``: row ``(a, b)``, else row ``(b, a)``, else -1."""
-        a, b, _, _ = self.entries
-        first = np.flatnonzero(np.diff(a * self.size + b, prepend=-1))
-        index = np.full((self.size, self.size), -1)
-        index[b[first], a[first]] = index[a[first], b[first]] = np.arange(len(first))
-        return np.append(first, len(a)), index
-
-    def _row(self, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-        """The support g and multiplicities N of the stored product ``(a, b)``."""
-        if not self.has_row(a, b):
-            raise KeyError(f"multiplicity row ({a},{b}) not stored")
-        bounds, index = self._rows
-        lo, hi = bounds[index[a, b]], bounds[index[a, b] + 1]
-        return self.entries[2][lo:hi], self.entries[3][lo:hi]
+        return 0 <= a < self.size and 0 <= b < self.size and bool(self.view.has_row[a, b])
 
     def N(self, a: int, b: int, g: int) -> int:
-        gs, ns = self._row(a, b)
-        i = np.searchsorted(gs, g)
-        return int(ns[i]) if i < len(gs) and gs[i] == g else 0
+        return quantum_character_decomposition(self, a, b).get(g, 0)
 
     def validate(self, tol: float = 1e-9) -> None:
         """Frobenius reciprocity, dimension homomorphisms, trivial row.
 
-        Every row is checked at once on the arrays of :attr:`entries`; a row
-        they flag is checked again by :meth:`_check_row`, which raises the
-        error.  Flagged are the rows with a negative multiplicity, a
-        partner multiplicity that differs, a wrong trivial multiplicity, or
-        a dimension sum whose float64 defect exceeds the tolerance less
-        1e-12 times the size of its terms, more than float64 rounding can
-        move it, so that every row the exact check fails is among them.
+        Every product is checked at once on the entries of :attr:`view`, each
+        unordered product once (:meth:`TableView.products_once`; the identities
+        on ``(b, a)`` are those on ``(a, b)``), and those flagged are checked
+        again in ``(a, b)`` order by :meth:`_check_row`, which raises the error.
+        Flagged are the products with a negative multiplicity, a partner
+        multiplicity that differs, a wrong trivial multiplicity, no entries, or
+        a dimension sum whose float64 defect exceeds the tolerance less 1e-12
+        times the size of its terms, more than float64 rounding can move it,
+        so that every product the exact check fails is among them.
         """
-        a, b, g, N = self.entries
-        if not len(N):
-            return
-        bounds, index = self._rows
-        first, k = bounds[:-1], self.size
-        ra, rb = a[first], b[first]
-        conj = np.array(self.conjugate, dtype=np.int64)
-        row = index.ravel()  # row[x k + y]: the stored row of the product (x, y), else -1
-        # at[r k + z]: N of row r at z
-        at = np.zeros(len(first) * k, dtype=np.int64)
-        at[np.repeat(np.arange(0, len(at), k), np.diff(bounds)) + g] = N
+        V, k = self.view, self.size
+        px, py, once, starts = V.products_once()
+        rows = len(px)
+        r = np.repeat(np.arange(rows), np.diff(starts))  # the product of each entry
+        a, b, g, N, conj = px[r], py[r], V.z[once], V.N[once], V.inv
+        row = np.full(k * k, -1)  # row[x k + y]: the product (x, y) or (y, x), else -1
+        row[px * k + py] = row[py * k + px] = np.arange(rows)
+        at = np.zeros(rows * k, dtype=np.min_scalar_type(-max_abs(N) - 1))  # at[p k + z]: N
+        at[r * k + g] = N
         bad = N < 0
         for x, y, z in ((conj[a], g, b), (g, conj[b], a)):
-            r = row[x * k + y]
-            # r = -1 reads the last row; those entries are masked
-            bad |= (r >= 0) & (at[r * k + z] != N)
-        flagged = np.logical_or.reduceat(bad, first)
-        flagged |= at[np.arange(len(first)) * k + self.trivial] != (rb == conj[ra])
+            p = row[x * k + y]
+            # p = -1 reads the last product; those entries are masked
+            bad |= (p >= 0) & (at[p * k + z] != N)
+        flagged = np.bincount(r[bad], minlength=rows) > 0
+        flagged |= at[np.arange(rows) * k + self.trivial] != (py == conj[px])
+        flagged |= np.diff(starts) == 0  # a product without entries is checked row by row
         for dims in (self.ndims, self.ddims):
             d = np.array([float(v) for v in dims])
-            terms = N * d[g]
-            lhs = np.add.reduceat(terms, first)
-            scale = np.add.reduceat(np.abs(terms), first)
-            rhs = d[ra] * d[rb]
+            terms = np.append(N * d[g], 0)  # the 0 is read for a last product without entries
+            lhs = np.add.reduceat(terms, starts[:-1])
+            scale = np.add.reduceat(np.abs(terms), starts[:-1])
+            rhs = d[px] * d[py]
             flagged |= np.abs(lhs - rhs) > tol * rhs - 1e-12 * (scale + np.abs(rhs))
         for i in np.flatnonzero(flagged).tolist():
-            self._check_row(int(ra[i]), int(rb[i]), tol)
+            self._check_row(int(px[i]), int(py[i]), tol)
 
     def _check_row(self, a: int, b: int, tol: float) -> None:
         """The checks of :meth:`validate` on the row ``(a, b)``, with exact dimensions."""
-        row = list(zip(*(v.tolist() for v in self._row(a, b))))
+        row = list(quantum_character_decomposition(self, a, b).items())
         for g, n in row:
             if n < 0:
                 raise ReciprocityError(f"negative multiplicity at ({a},{b},{g})")
-            for (x, y, z) in (
-                (self.conjugate[a], g, b),
-                (g, self.conjugate[b], a),
-            ):
-                try:
-                    other = self.N(x, y, z)
-                except KeyError:
-                    continue
-                if other != n:
+            for x, y, z in ((self.conjugate[a], g, b), (g, self.conjugate[b], a)):
+                if self.has_row(x, y) and (other := self.N(x, y, z)) != n:
                     raise ReciprocityError(
                         f"N^{g}_{{{a},{b}}}={n} but partner ({x},{y},{z})={other}"
                     )
@@ -176,16 +151,15 @@ class FusionRing:
                 raise ReciprocityError(
                     f"dimension homomorphism fails on row ({a},{b})"
                 )
-        expected = 1 if b == self.conjugate[a] else 0
-        if self.N(a, b, self.trivial) != expected:
+        if dict(row).get(self.trivial, 0) != (b == self.conjugate[a]):
             raise ReciprocityError(f"trivial multiplicity wrong on ({a},{b})")
 
 
 def group_fusion_ring(G: FiniteGroup) -> FusionRing:
-    """Fusion ring of Irr(G) for a finite group (Kac: d = n), every product stored."""
+    """Fusion ring of Irr(G) for a finite group (Kac: d = n), each product given as a <= b."""
     data = group_character_data(G)
     mult = np.array(data.mult, dtype=np.int64)
-    a, b, g = np.nonzero(mult)
+    a, b, g = _commutative_entries(mult)
     ring = FusionRing(
         f"Irr({G.name})",
         tuple(f"pi{a}d{d}" for a, d in enumerate(data.dims)),
@@ -218,17 +192,10 @@ def su2_fusion_ring(radius: int, q=1) -> FusionRing:
     return ring
 
 
-def _ring_table(FR: FusionRing, dims, kind: str, q) -> HypergroupTable:
-    """The :func:`~hypharm.builders.fusion_table` of ``FR`` with the dimensions ``dims``;
-    an su2-type ring's section takes the tail of SU_q(2) at ``q``."""
-    return fusion_table(f"({FR.name},{kind})", FR.entries, dims, FR.conjugate, FR.labels,
-                        trivial=FR.trivial, complete=FR.complete,
-                        q=None if FR.q is None else q)
-
-
 def hypergroup_n(FR: FusionRing) -> HypergroupTable:
     """The hypergroup (Irr, n) built from the classical dimensions of a validated ring."""
-    return _ring_table(FR, FR.ndims, "n", 1)
+    return fusion_table(f"({FR.name},n)", FR.view, FR.ndims, FR.labels,
+                        q=None if FR.q is None else 1)
 
 
 def hypergroup_d(FR: FusionRing) -> HypergroupTable:
@@ -238,7 +205,7 @@ def hypergroup_d(FR: FusionRing) -> HypergroupTable:
     :func:`~hypharm.builders.su2_fusion` at the same q and radius, under
     the ring's name and labels.
     """
-    return _ring_table(FR, FR.ddims, "d", FR.q)
+    return fusion_table(f"({FR.name},d)", FR.view, FR.ddims, FR.labels, q=FR.q)
 
 
 def is_kac(FR: FusionRing) -> bool:
@@ -247,16 +214,14 @@ def is_kac(FR: FusionRing) -> bool:
 
 
 def quantum_character_decomposition(FR: FusionRing, a: int, b: int) -> dict[int, int]:
-    """chi_q^a chi_q^b = sum_g N^g_{ab} chi_q^g as a multiset {g: N}.
+    """chi_q^a chi_q^b = sum_g N^g_{ab} chi_q^g as a multiset {g: N}, N != 0.
 
-    Consistency with the support of the (Irr, d) table row is checked.
+    Read from the ring's view, whose index the (Irr, d) table shares.
     Raises KeyError for a product the ring does not store.
     """
-    gs, ns = FR._row(a, b)
-    table_row = dict(hypergroup_d(FR).row(a, b))
-    if set(table_row) != set(gs[ns != 0].tolist()):
-        raise ReciprocityError(f"row support mismatch at ({a},{b})")
-    return dict(zip(gs.tolist(), ns.tolist()))
+    if not FR.has_row(a, b):
+        raise KeyError(f"multiplicity row ({a},{b}) not stored")
+    return {g: int(n) for g, n in FR.view.row(a, b)}
 
 
 # -- central functions on finite groups --------------------------------------
@@ -399,20 +364,24 @@ def save_fusion_ring(FR: FusionRing, path: str) -> None:
     else:
         lines.append("ddims " + " ".join(str(d) for d in FR.ddims))
     lines.append("mult")
-    for a, b, g, n in zip(*(v.tolist() for v in FR.entries)):
+    V = FR.view
+    _, _, once, _ = V.products_once()
+    for a, b, g, n in zip(*(v[once].tolist() for v in (V.x, V.y, V.z, V.N))):
         lines.append(f"{FR.labels[a]} {FR.labels[b]} {FR.labels[g]} {n}")
     lines.append("end")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def _in_float64(d):
-    """The dimension ``d``, after checking that float64, in which rings are validated, holds it."""
+def _dimension(d):
+    """The dimension ``d``, after checking that it is positive and that float64, in which
+    rings are validated, holds it."""
     try:
-        float(d)
+        if float(d) > 0:
+            return d
     except OverflowError:
         raise ValueError("dimension beyond the range of float64") from None
-    return d
+    raise ValueError(f"dimension {d} is not positive")
 
 
 def load_fusion_ring(path: str) -> FusionRing:
@@ -435,25 +404,29 @@ def load_fusion_ring(path: str) -> FusionRing:
             if key in mult:
                 raise FileFormatError(f"duplicate multiplicity {' '.join(toks[:3])}", line=ln)
             mult[key] = in_int64(toks[3])
-    ndims = tuple(f.values("ndims", lambda tok: _in_float64(int(tok)), count=k))
+    ndims = tuple(f.values("ndims", lambda tok: _dimension(int(tok)), count=k))
     q = f.value("qparam", lambda tok: check_q(_finite(tok)), None)
     if q is None:
-        ddims = tuple(f.values("ddims", lambda tok: _in_float64(_finite(tok)), count=k,
+        ddims = tuple(f.values("ddims", lambda tok: _dimension(_finite(tok)), count=k,
                                default=map(Fraction, ndims)))
     else:
         with f.at(f.header["qparam"][0]):
-            ddims = tuple(_in_float64(q_integer(n, q)) for n in ndims)
+            ddims = tuple(_dimension(q_integer(n, q)) for n in ndims)
     index = int_in(0, k)
+    conjugate = tuple(f.values("conj", index, count=k))
+    if any(conjugate[c] != i for i, c in enumerate(conjugate)):
+        raise FileFormatError("conj is not an involutive permutation", line=f.header["conj"][0])
     ring = FusionRing(
         f.value("name", default="ring"),
         labels,
         f.value("trivial", index, 0),
-        tuple(f.values("conj", index, count=k)),
+        conjugate,
         (*np.array(list(mult), dtype=np.int64).reshape(-1, 3).T,
          np.array(list(mult.values()), dtype=np.int64)),
         ndims,
         ddims,
         q=q,
     )
-    ring.validate()
+    with f.at(f.header_end):  # the view rejects two orders of a product with different rows
+        ring.validate()
     return ring

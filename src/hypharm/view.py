@@ -66,11 +66,11 @@ SLAB_FLOOR = 2**14
 # checked-triple plan is built (256 KB of float64): n per product.
 MASK_VALUES = 2**15
 ZERO = Fraction(0)
-# The attributes of a view that :meth:`TableView.reweighted` shares: those
+# The attributes of a view that :meth:`TableView._on_index` shares: those
 # that :meth:`TableView._index` sets, the cached keys and the checked-triple
 # plan, which depend on the index arrays alone.
-_INDEX = ("n", "identity", "commutative", "px", "py", "starts", "pair", "x", "y", "z",
-          "has_row", "inv", "keys", "plan")
+_INDEX = frozenset(("n", "identity", "commutative", "px", "py", "starts", "pair", "x", "y", "z",
+                    "has_row", "inv", "keys", "plan"))
 
 
 @functools.cache
@@ -229,8 +229,6 @@ class TableView:
             vals = np.asarray(value, dtype=float).ravel()
         else:
             num, den = [int(v.numerator) for v in scale], [int(v.denominator) for v in scale]
-            if len(num) != n or not all(num):
-                raise ValueError(f"an N-form needs {n} nonzero scales")
             vals = int_array(value).ravel()
         if len(vals) != len(x):
             raise ValueError(f"{len(vals)} values for {len(x)} entries")
@@ -259,8 +257,9 @@ class TableView:
             keep = ~(flip & both)
             x, y, z, nonzero, product, vals = (a[keep] for a in (x, y, z, nonzero, product, vals))
 
-        # the stored products, and their entries without the zeros
-        first = np.flatnonzero(np.concatenate(([True], product[1:] != product[:-1])))
+        # the stored products (none if there are no entries), and their
+        # entries without the zeros
+        first = np.flatnonzero(np.concatenate((product[:1] >= 0, product[1:] != product[:-1])))
         counts = np.diff(np.append(first, len(product)))
         if not nonzero.all():
             counts = np.add.reduceat(nonzero.astype(np.int64), first) if len(first) else first
@@ -303,22 +302,39 @@ class TableView:
         self.N = None
         self.factors = None
 
-    def reweighted(self, c: np.ndarray) -> "TableView":
-        """The float view of these entries with the coefficients ``c``, one per entry.
-
-        It shares this view's frozen index arrays, so its products, entries
-        and stored rows are these, and its :attr:`plan`, built here if it
-        was not.  Raises ValueError, as the constructor does, for a value
-        that is not finite.
-        """
-        bad = np.flatnonzero(~np.isfinite(c))
-        if bad.size:
+    def _on_index(self, c=None) -> "TableView":
+        """A view on these frozen index arrays, and on their keys and plan if built, with
+        the float coefficients ``c`` or none yet.  Raises ValueError, as the
+        constructor does, for a value that is not finite."""
+        if c is not None and (bad := np.flatnonzero(~np.isfinite(c))).size:
             i = bad[0]
             raise ValueError(f"structure constants must be finite, got {c[i]} in row "
                              f"{(int(self.x[i]), int(self.y[i]))}")
         V = TableView.__new__(TableView)
-        V.__dict__.update({k: v for k, v in vars(self).items() if k in _INDEX}, plan=self.plan)
-        V.N, V.factors, V.c = None, None, _frozen(c)
+        V.__dict__.update({k: v for k, v in vars(self).items() if k in _INDEX})
+        V.N, V.factors = None, None
+        if c is not None:
+            V.c = _frozen(c)
+        return V
+
+    def reweighted(self, c: np.ndarray) -> "TableView":
+        """The float view of these entries with the coefficients ``c``, one per entry, on
+        this view's index arrays (:meth:`_on_index`) and its :attr:`plan`, built here if it
+        was not."""
+        V = self._on_index(c)
+        V.plan = self.plan
+        return V
+
+    def rescaled(self, scale) -> "TableView":
+        """The integers N of this N-form at the scales ``scale``, on its index arrays
+        (:meth:`_on_index`): an N-form if every scale is an int or a Fraction, else the float
+        coefficients ``s_z N / (s_x s_y)``.  Raises ValueError as the constructor does."""
+        if not all(isinstance(v, (int, Fraction)) for v in scale):
+            s = np.array([float(v) for v in scale])
+            return self._on_index(s[self.z] * self.N / (s[self.x] * s[self.y]))
+        num, den = [int(v.numerator) for v in scale], [int(v.denominator) for v in scale]
+        V = self._on_index()
+        V._keep_form(self.N, num, den)
         return V
 
     def _keep_form(self, N, num, den):
@@ -327,8 +343,10 @@ class TableView:
         The scales are held in int64 while every product that
         :meth:`_fractions` forms of them stays below 2**53, else as Python
         ints, and then :meth:`_small` names the entries whose quotients
-        still divide in float64.
+        still divide in float64.  Raises ValueError unless there is one nonzero scale per point.
         """
+        if len(num) != self.n or not all(num):
+            raise ValueError(f"an N-form needs {self.n} nonzero scales")
         kind = object if max(map(abs, num + den)) ** 3 * max_abs(N) > EXACT_FLOAT else np.int64
         self._scale = (np.array(num, dtype=kind), np.array(den, dtype=kind))
         self.N = _frozen(N)

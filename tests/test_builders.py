@@ -9,6 +9,7 @@ import pytest
 from hypharm import builders, characters, check_p2, groups, verify_axioms, voit_deform
 from hypharm.builders import FamilySpec, family, product, q_integer
 from hypharm.core import DEFAULT_SEED, HypergroupTable
+from hypharm.view import TableView
 from hypharm.errors import NoIdentity, NonIntegerDimension, NotAssociative, NotLatinSquare
 
 from conftest import brute_force_class_products
@@ -428,6 +429,37 @@ def test_finite_tables_are_built_once_per_group(tmp_path):
     path = tmp_path / "s3.cayley"
     assert (builders.irr_hypergroup(groups.load_group(str(path), "S3file"))
             is builders.irr_hypergroup(groups.load_group(str(path), "S3file")))
+
+
+def _irr_own_view(G):
+    """Irr(G) with a view of its own: the N-form of the multiplicities at the dimensions,
+    built from the entries with a <= b, as the table was built before the fusion tables
+    shared the index of their multiplicities."""
+    data = builders.group_character_data(G)
+    n = len(data.dims)
+    N = np.array(data.mult, dtype=np.int64)
+    a, b, g = np.nonzero(N)
+    upper = a <= b
+    a, b, g = a[upper], b[upper], g[upper]
+    return HypergroupTable(
+        f"Irr({G.name})",
+        TableView(n, 0, data.conjugate, True, a, b, g, N[a, b, g],
+                  scale=np.array(data.dims, dtype=np.int64)),
+        elements=tuple(f"pi{a}d{d}" for a, d in enumerate(data.dims)),
+    )
+
+
+@pytest.mark.parametrize("name", ["s3", "s4", "a4", "d4", "q8", "klein", "z5", "z6"])
+def test_irr_hypergroup_is_the_table_of_its_own_view(name):
+    G = groups.get_group(name)
+    H, K = builders.irr_hypergroup.__wrapped__(G), _irr_own_view(G)
+    V, W = H.view, K.view
+    assert V.same_entries(W) and V.scales == W.scales
+    for attr in ("px", "py", "starts", "x", "y", "z", "N", "inv"):
+        assert np.array_equal(getattr(V, attr), getattr(W, attr)), attr
+    assert V.c.tobytes() == W.c.tobytes()
+    assert (H.name, H.haar, H.elements) == (K.name, K.haar, K.elements)
+    assert not H.truncated and H.radius is None and H.tail is None
 
 
 def test_irr_row_sums_are_checked(monkeypatch):

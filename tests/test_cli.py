@@ -499,6 +499,25 @@ def _tree6(radius):
     return text.replace("radius 6\n", radius)
 
 
+def _su2_6(tail):
+    """The file of ``su2_fusion(6)``, with ``tail`` for its line 9, ``tail 0.5 0.0 0.58.. 5 0``."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "su2.hyp"
+        save_table(builders.su2_fusion(6), str(path))
+        lines = path.read_text().splitlines(keepends=True)
+    assert lines[8].startswith("tail 0.5 0.0 0.58")
+    lines[8] = tail
+    return "".join(lines)
+
+
+_RING2 = "fusionring v1\nlabels a b\n{ndims}\n{conj}\n{ddims}mult\na a a 1\na b b 1\n{rows}end\n"
+
+
+def _ring2(ndims="ndims 1 1", conj="conj 0 1", ddims="", rows="b b a 1\n"):
+    """A two-label ring file (the group Z2): ``ndims`` on line 3, ``conj`` on line 4."""
+    return _RING2.format(ndims=ndims, conj=conj, ddims=ddims, rows=rows)
+
+
 @pytest.mark.parametrize(
     "option, text, line",
     [
@@ -544,6 +563,22 @@ def _tree6(radius):
         ("--file", _tree6("radius 1\n"), 8),
         ("--file", _tree6("radius 8\n"), 8),
         ("--file", _tree6("radius 40\n"), 8),
+        # a sup of absolute values is a number >= 0, and the tail starts in 0..size
+        ("--file", _su2_6("tail -1 0 1 1 0\n"), 9),
+        ("--file", _su2_6("tail 0.5 -0.1 0.5 5 0\n"), 9),
+        ("--file", _su2_6("tail 0.5 0 -0.5 5 0\n"), 9),
+        ("--file", _su2_6("tail 0.5 0 0.5 -1 0\n"), 9),
+        ("--file", _su2_6("tail 0.5 0 0.5 7 0\n"), 9),
+        # the conjugation is an involutive permutation, the dimensions positive
+        ("--fusion-file", _ring2(conj="conj 1 1"), 4),
+        ("--fusion-file",
+         "fusionring v1\nlabels a b c\nndims 1 1 1\nconj 1 2 0\nmult\na a a 1\nend\n", 4),
+        ("--fusion-file", _ring2(ndims="ndims 0 1"), 3),
+        ("--fusion-file", _ring2(ndims="ndims 1 -1"), 3),
+        ("--fusion-file", _ring2(ddims="ddims 1 0\n"), 5),
+        ("--fusion-file", _ring2(ddims="ddims 1 -2.5\n"), 5),
+        # the product (a, b) given again as (b, a) with another row
+        ("--fusion-file", _ring2(rows="b a a 1\nb b a 1\n"), 5),
     ],
     ids=["size-no-value", "zero-denominator", "duplicate-triple", "short-tail",
          "short-cayley-row", "ndims-no-value", "qparam-above-one", "ring-duplicate-triple",
@@ -552,7 +587,12 @@ def _tree6(radius):
          "nan-coefficient", "infinite-coefficient", "tail-nan", "ddims-nan", "qparam-nan",
          "qparam-dimension-overflow", "ddims-overflow", "ndims-overflow",
          "section-no-radius", "section-radius-0", "section-radius-negative",
-         "section-radius-1", "section-radius-above-size", "section-radius-40"],
+         "section-radius-1", "section-radius-above-size", "section-radius-40",
+         "tail-alpha-negative", "tail-diag-negative", "tail-beta-negative",
+         "tail-start-negative", "tail-start-above-size",
+         "ring-conj-not-a-permutation", "ring-conj-not-involutive", "ring-ndims-zero",
+         "ring-ndims-negative", "ring-ddims-zero", "ring-ddims-negative",
+         "ring-product-orders-differ"],
 )
 def test_malformed_file_exits_two_with_line(tmp_path, capsys, option, text, line):
     p = tmp_path / "input.txt"

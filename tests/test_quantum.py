@@ -330,6 +330,19 @@ def test_fusion_file_reciprocity_rejected(tmp_path):
         load_fusion_ring(str(p))
 
 
+def test_ring_with_no_products_validates_and_has_no_table(tmp_path):
+    # a file with an empty mult block: a ring of no stored product, whose
+    # table would be a section of radius 1
+    p = tmp_path / "empty.fus"
+    p.write_text("fusionring v1\nlabels a\nndims 1\nconj 0\nmult\nend\n")
+    ring = load_fusion_ring(str(p))
+    assert not ring.complete and not ring.has_row(0, 0)
+    with pytest.raises(ValueError, match="needs a radius"):
+        hypergroup_n(ring)
+    code = run(["quantum", "--fusion-file", str(p)])
+    assert code == 2
+
+
 def test_fusion_file_parse_error_has_line(tmp_path):
     p = tmp_path / "bad2.fus"
     p.write_text("fusionring v1\nlabels a\nndims 1\nconj 0\nmult\na a a x\nend\n")
@@ -399,6 +412,69 @@ def test_validate_raises_what_the_row_loop_raises(name):
         assert str(got.value) == str(exc)
     else:
         ring.validate()
+
+
+@pytest.mark.parametrize("make", [lambda: su2_fusion_ring(12, q=1),
+                                  lambda: su2_fusion_ring(12, q=Fraction(1, 2)),
+                                  lambda: su2_fusion_ring(12, q=0.7),
+                                  lambda: group_fusion_ring(groups.quaternion8())],
+                         ids=["su2", "suq2", "suq2-float", "irr-q8"])
+def test_ring_tables_hold_the_index_of_the_ring(make):
+    ring = make()
+    R = ring.view
+    for H in (hypergroup_n(ring), hypergroup_d(ring)):
+        V = H.view
+        for name in ("px", "py", "starts", "pair", "x", "y", "z", "has_row", "inv"):
+            assert getattr(V, name) is getattr(R, name), (H.name, name)
+        assert V.N is R.N or not V.rational
+        # no table builds a checked-triple plan before something checks it
+        assert "plan" not in vars(V) and "plan" not in vars(R)
+
+
+def test_ring_view_is_its_multiplicities():
+    ring = su2_fusion_ring(6, q=Fraction(1, 2))
+    V = ring.view
+    assert ring.view is V and V.rational and set(V.scales) == {1}
+    assert V.commutative and tuple(V.inv.tolist()) == ring.conjugate
+    # each product given once as a <= b, stored in both orders
+    a, b, g, N = ring.entries
+    assert len(V.z) == 2 * len(N) - np.count_nonzero(a == b)
+    assert all(ring.N(y, x, z) == n == ring.N(x, y, z)
+               for x, y, z, n in zip(a.tolist(), b.tolist(), g.tolist(), N.tolist()))
+    with pytest.raises(KeyError):
+        ring.N(3, 4, 0)  # 4 . 5 leaves the section of radius 6
+
+
+def test_ring_view_rejects_what_no_commutative_ring_holds():
+    from hypharm.quantum import FusionRing
+
+    base = group_fusion_ring(groups.symmetric(3))
+    a, b, g, N = base.entries
+    sigma = next(i for i, l in enumerate(base.labels) if l.endswith("d2"))
+    cases = {
+        # the product (0, sigma) given again as (sigma, 0), with another row
+        r"conflicting data for row \(0, \d\)": (
+            (np.r_[a, sigma], np.r_[b, 0], np.r_[g, 0], np.r_[N, 1]), base.conjugate),
+        "names support index": ((np.r_[a, a[:1]], np.r_[b, b[:1]], np.r_[g, g[:1]],
+                                 np.r_[N, N[:1]]), base.conjugate),
+        "not involutive": (base.entries, (1, 2, 0)),
+    }
+    for message, (entries, conjugate) in cases.items():
+        ring = dataclasses.replace(base, entries=entries, conjugate=conjugate)
+        with pytest.raises(ValueError, match=message):
+            ring.validate()
+
+
+def test_decomposition_builds_no_table(monkeypatch):
+    rings = (su2_fusion_ring(10, q=Fraction(1, 2)), group_fusion_ring(groups.symmetric(3)))
+    fail = lambda *a, **k: pytest.fail("built a table")
+    monkeypatch.setattr("hypharm.quantum.hypergroup_d", fail)
+    monkeypatch.setattr("hypharm.quantum.fusion_table", fail)
+    assert quantum_character_decomposition(rings[0], 1, 1) == {0: 1, 2: 1}
+    sigma = next(i for i, l in enumerate(rings[1].labels) if l.endswith("d2"))
+    assert quantum_character_decomposition(rings[1], sigma, sigma) == {0: 1, 1: 1, 2: 1}
+    with pytest.raises(KeyError):
+        quantum_character_decomposition(rings[0], 9, 9)
 
 
 def test_kac_tables_compare_their_entries():

@@ -675,6 +675,48 @@ def test_reweighted_values_must_be_finite_like_the_entries():
             build()
 
 
+@pytest.mark.parametrize("scale", [[1, 2, 3], [Fraction(1, 2), 5, Fraction(-7, 3)],
+                                   [1.0, 2.5, 0.1], [1, 2.5, Fraction(1, 3)], [3**40, 1, 2]],
+                         ids=["ints", "fractions", "floats", "mixed", "big"])
+def test_rescaled_view_is_the_view_at_those_scales(scale):
+    x, y, z = _z3_entries()
+    N = np.arange(1, len(x) + 1, dtype=np.int64)
+    V = TableView(3, 0, [0, 2, 1], True, x, y, z, N, scale=[1] * 3)
+    W = V.rescaled(scale)
+    if all(isinstance(s, (int, Fraction)) for s in scale):
+        built = TableView(3, 0, [0, 2, 1], True, x, y, z, N, scale=scale)
+        assert W.rational and W.scales == built.scales and W.N is V.N
+        assert W._scale[0].dtype == built._scale[0].dtype
+    else:
+        s = np.array([float(v) for v in scale])
+        built = TableView(3, 0, [0, 2, 1], True, x, y, z, s[z] * N / (s[x] * s[y]))
+        assert not W.rational
+    assert W.same_entries(built) and W.c.tobytes() == built.c.tobytes()
+    for attr in ("px", "py", "starts", "pair", "x", "y", "z", "has_row", "inv"):
+        assert getattr(W, attr) is getattr(V, attr), attr
+    assert W.factors is None and "plan" not in vars(V) and "plan" not in vars(W)
+
+
+def test_rescaled_view_shares_a_built_plan_and_builds_none():
+    V = builders.su2_fusion(8).view
+    assert "plan" not in vars(V.rescaled([1] * 8)) and "plan" not in vars(V)
+    plan = V.plan
+    assert V.rescaled([2] * 8).plan is plan and V.rescaled([2.0] * 8).plan is plan
+
+
+@pytest.mark.parametrize("scale, message", [
+    ([1, 2], "3 nonzero scales"),
+    ([1, 0, 1], "3 nonzero scales"),
+    ([1.0, 0.0, 1.0], r"must be finite, got (inf|nan) in row"),
+    ([1.0, 1e200, 1e-200], r"must be finite, got inf in row"),
+])
+def test_rescaled_view_rejects_what_the_constructor_rejects(scale, message):
+    x, y, z = _z3_entries()
+    V = TableView(3, 0, [0, 2, 1], True, x, y, z, np.ones(len(x), dtype=np.int64), scale=[1] * 3)
+    with pytest.raises(ValueError, match=message), np.errstate(all="ignore"):
+        V.rescaled(scale)
+
+
 def test_entries_are_sorted_folded_and_stripped_of_zeros():
     x, y, z = _z3_entries()
     ones = np.ones(len(x), dtype=np.int64)
@@ -700,6 +742,13 @@ def test_a_product_of_zeros_stays_a_stored_row():
     H = HypergroupTable("empty row", V)
     assert H.row(1, 1) == ()
     assert verify_axioms(H).checks["probability"].violation == 1.0
+
+
+def test_a_view_of_no_entries_stores_no_product():
+    for value, scale in ((np.ones(0), None), (np.ones(0, dtype=np.int64), [1, 1])):
+        V = TableView(2, 0, [0, 1], True, [], [], [], value, scale=scale)
+        assert not V.has_row.any() and len(V.px) == len(V.z) == 0
+        assert V.starts.tolist() == [0]
 
 
 def test_finite_table_given_a_view_needs_every_row():
