@@ -36,8 +36,8 @@ from .norms import (
 )
 from .spectral import (
     CharacterTable,
+    _p2_status,
     characters,
-    check_p2,
     section_operator,
     voit_deform,
 )
@@ -354,8 +354,7 @@ def bai_from_p2(
     """
     if not H.truncated:
         return np.ones(H.size)
-    p2 = check_p2(H)
-    if p2.status == "fails":
+    if _p2_status(H)[0] == "fails":
         raise P2Failure(f"{H.name}: (P2) fails, no bounded approximate identity")
     max_r = (H.size - 1) // 3
     if max(F) >= H.size:
@@ -407,7 +406,7 @@ def amenability_report(H: HypergroupTable, seed: int = DEFAULT_SEED,
     Raises ArithmeticError when |1_Delta| exceeds |phi^-1| |psi| by more
     than ``tol``.
     """
-    p2 = check_p2(H)
+    p2_status = _p2_status(H)[0]
     diag = indicator_diagonal(H, seed=seed)
     approx = approximate_diagonal(diag, seed=seed)
     wa = weak_amenability_witness(H, seed=seed, ct=diag.characters)
@@ -418,7 +417,7 @@ def amenability_report(H: HypergroupTable, seed: int = DEFAULT_SEED,
         )
     return AmenabilityReport(
         H.name,
-        p2.status,
+        p2_status,
         diag.psi_norm,
         diag.phi,
         diag.phi_inverse_ma_norm,

@@ -270,12 +270,13 @@ def su2_tail(radius: int, q) -> NNTail:
     The row of the generator (label 2) at label b has mass [b-1]/([2][b])
     below and [b+1]/([2][b]) above; the lower mass increases to
     q^2/(1+q^2) and the upper decreases, so the sups over labels b >= R are
-    the limit and the boundary value.
+    the limit and the boundary value.  Of the q-integers it reads three,
+    which the callers' :func:`q_integers` have checked against overflow.
     """
-    qi = q_integers(q, radius)
+    two, last, beyond = (q_integer(k, q) for k in (2, radius, radius + 1))
     qf = float(q)
     alpha_sup = qf * qf / (1.0 + qf * qf) if qf < 1 else 0.5
-    beta_sup = float(qi[radius + 1]) / float(qi[2] * qi[radius])
+    beta_sup = float(beyond) / float(two * last)
     return NNTail(alpha_sup, 0.0, beta_sup, start=radius - 1, exact=False)
 
 

@@ -300,11 +300,12 @@ def _a_bounds(H: HypergroupTable, U: np.ndarray) -> tuple[list, list]:
     candidates f, the conjugate phase of u on its support and delta_x at
     the first 8 points of the support; a delta's pairing is
     ``|lam_x u_x| / lam_x`` in closed form.  The l2 norm and the phase
-    pairing are one ``np.sum`` per row, as for a single function.
+    pairing sum each row as ``np.sum`` does a single function: along the
+    last axis of a C-ordered array, each row pairwise, bit for bit.
     """
     lam = H.lam
     A = np.abs(U)
-    upper = [float(np.sqrt(np.sum(row))) for row in lam * A**2]
+    upper = np.sqrt(np.sum(lam * A**2, axis=1)).tolist()
     live = A > 0
     phase = np.conj(_phase(U)) * live
     size = np.abs(phase)
@@ -315,10 +316,10 @@ def _a_bounds(H: HypergroupTable, U: np.ndarray) -> tuple[list, list]:
                       where=live & (np.cumsum(live, axis=1) <= 8) & (lam > 0)
                       & np.isfinite(LU).all(axis=1, keepdims=True))
     lower = np.fmax.reduce(delta, axis=1, initial=0.0).tolist()
+    denoms, sums = np.sum(weights, axis=1).tolist(), np.sum(pairs, axis=1).tolist()
     for i in np.flatnonzero((size > 0).any(axis=1)).tolist():
-        denom = float(np.sum(weights[i]))
-        if denom > 0:
-            lower[i] = max(lower[i], abs(complex(np.sum(pairs[i]))) / denom)
+        if denoms[i] > 0:
+            lower[i] = max(lower[i], abs(sums[i]) / denoms[i])
     return lower, upper
 
 

@@ -429,4 +429,7 @@ def load_fusion_ring(path: str) -> FusionRing:
     )
     with f.at(f.header_end):  # the view rejects two orders of a product with different rows
         ring.validate()
+        # a ring without every product gives sections of radius its size
+        if k < 2 and not ring.complete:
+            raise ValueError("a ring without every product needs at least 2 labels")
     return ring

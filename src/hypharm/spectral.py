@@ -66,7 +66,8 @@ class CharacterTable:
     positive: tuple[bool, ...] = field(default_factory=tuple)
 
 
-def _multiplicativity_residual(H: HypergroupTable, chi: np.ndarray) -> float:
+def _multiplicativity_residual(H: HypergroupTable, chi: np.ndarray,
+                               once: tuple | None = None) -> float:
     """max over stored products of |chi(x) chi(y) - sum_z c^z_{x,y} chi(z)|.
 
     ``chi`` is one function or a 2-D array of them, one per row, taken in
@@ -77,9 +78,11 @@ def _multiplicativity_residual(H: HypergroupTable, chi: np.ndarray) -> float:
     two orders may round apart (at 6 of the 64 values chi(x) chi(y) of
     Conj(A4)'s four characters), and over x <= y alone their residual
     would read 0x1.007f5d3e7e813p-48 instead of 0x1.0086273538121p-48.
+    ``once`` is that index if the caller holds it, as a table and its Voit
+    deformation share it.
     """
     V, chis = H.view, np.atleast_2d(chi)
-    px, py, entries, starts = V.products_once()
+    px, py, entries, starts = once or V.products_once()
     z = V.z[entries]
     filled = starts[:-1] < starts[1:]
     cols = slice(None) if filled.all() else filled
@@ -348,16 +351,16 @@ def _schur_bound(H: HypergroupTable) -> tuple[float, float]:
             f"{H.name}: tail bounds start at {tail.start} but generator rows "
             f"are stored only through {last_stored}"
         )
-    # one row of coefficients |c| per stored row, by the exponent z - y,
-    # and a last row for the tail
-    exps = np.array(sorted(set((z - y).tolist()) | {-1, 0, 1}))
+    # one row of coefficients |c| per stored row, by the exponent z - y
+    # (in float64, so that no step casts it), and a last row for the tail
+    exps = np.array(sorted(set((z - y).tolist()) | {-1, 0, 1}), dtype=float)
     coeffs = np.zeros((len(stored) + 1, len(exps)))
     coeffs[np.searchsorted(stored, y), np.searchsorted(exps, z - y)] = np.abs(c)
     coeffs[-1, np.searchsorted(exps, [-1, 0, 1])] = (
         tail.alpha_sup, tail.diag_sup, tail.beta_sup)
 
-    def worst(t: float) -> float:
-        return float((coeffs @ np.exp(t * exps)).max())
+    def worst(t: float) -> float:  # NaN if a row sum is NaN
+        return float(coeffs.dot(np.exp(t * exps)).max())
 
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     lo, hi = math.log(1e-3), math.log(1.5)
@@ -381,8 +384,30 @@ def _schur_bound(H: HypergroupTable) -> tuple[float, float]:
 P2_TOL = 1e-6
 
 
+def _p2_status(H: HypergroupTable, tol: float = P2_TOL) -> tuple[str, tuple[float, float] | None]:
+    """The one (P2) status rule, and the Schur bound ``(bound, r)`` it rests on, if any.
+
+    A finite table holds.  A section without tail metadata is
+    inconclusive; one with it takes one :func:`_schur_bound`, and fails
+    below ``1 - tol``, is inconclusive within ``tol`` of 1 and holds above
+    ``1 + tol``.  No section lower bound is taken.
+    """
+    if not H.truncated:
+        return "holds", None
+    if H.tail is None:
+        return "inconclusive", None
+    schur = _schur_bound(H)
+    if schur[0] < 1.0 - tol:
+        return "fails", schur
+    return ("inconclusive" if schur[0] <= 1.0 + tol else "holds"), schur
+
+
 def check_p2(H: HypergroupTable, tol: float = P2_TOL) -> P2Report:
-    """Decide whether the constant character lies in supp(Plancherel)."""
+    """Decide whether the constant character lies in supp(Plancherel).
+
+    The status is that of the one (P2) status rule, :func:`_p2_status`;
+    the report adds the section lower bounds and the certificate.
+    """
     if not H.truncated:
         lam_sum = sum(H.lam.tolist())
         return P2Report(
@@ -400,10 +425,11 @@ def check_p2(H: HypergroupTable, tol: float = P2_TOL) -> P2Report:
         )
     sections = _section_lower_bounds(H)
     lower = max(b for _, b in sections)
-    if H.tail is None:
+    status, schur = _p2_status(H, tol)
+    if schur is None:
         return P2Report(
             H.name,
-            "inconclusive",
+            status,
             lower,
             1.0,
             None,
@@ -411,24 +437,19 @@ def check_p2(H: HypergroupTable, tol: float = P2_TOL) -> P2Report:
             sections,
             "truncated table without tail metadata: only section lower bounds",
         )
-    bound, r_opt = _schur_bound(H)
-    upper = min(bound, 1.0)
-    if bound < 1.0 - tol:
-        status = "fails"
-        cert = (
+    bound, r_opt = schur
+    cert = {
+        "fails": (
             f"Schur test with geometric weights r={r_opt!r} certifies the "
             f"generator spectrum <= {bound!r} < 1"
-        )
-    elif bound <= 1.0 + tol:
-        status = "inconclusive"
-        cert = f"certified bound {bound!r} lies within {tol:g} of 1"
-    else:
-        status = "holds"
-        cert = (
+        ),
+        "inconclusive": f"certified bound {bound!r} lies within {tol:g} of 1",
+        "holds": (
             f"no Schur certificate below 1 exists (best {bound!r}); section "
             "lower bounds increase toward 1"
-        )
-    return P2Report(H.name, status, lower, upper, bound, tol, sections, cert)
+        ),
+    }[status]
+    return P2Report(H.name, status, lower, min(bound, 1.0), bound, tol, sections, cert)
 
 
 # -- dominant positive character and the Voit deformation ------------------
@@ -484,17 +505,22 @@ def chi0(
     and dominating over CHI0_SAMPLES characters on a grid of the spectrum;
     raises :class:`DominationFailure` when the verification fails
     (truncation too small).  Other truncated tables: the constant 1 up to
-    the largest section lower bound.  The (P2) status is that of
-    :func:`check_p2`, from one Schur bound; the section bounds are taken
-    only when they are read.
+    the largest section lower bound.  The (P2) status is the one status
+    rule's, :func:`_p2_status`, from one Schur bound; the section bounds
+    are taken only when they are read.  The candidate and the grid are
+    rows of one :func:`solve_character` call.
     """
     return _chi0(H, tol, seed)[0]
 
 
 def _chi0(
-    H: HypergroupTable, tol: float, seed: int
+    H: HypergroupTable, tol: float, seed: int, once: tuple | None = None
 ) -> tuple[np.ndarray, CharacterTable | None]:
-    """:func:`chi0`, and the character table that checked it on a finite table."""
+    """:func:`chi0`, and the character table that checked it on a finite table.
+
+    ``once`` is the view's :meth:`~hypharm.view.TableView.products_once`,
+    if the caller holds it.
+    """
     if not H.truncated:
         ct = characters(H, tol=tol, seed=seed)
         excess = float(np.max(np.abs(ct.chars)) - 1.0)
@@ -503,10 +529,15 @@ def _chi0(
                 f"{H.name}: constant character fails to dominate by {excess:.2e}"
             )
         return np.ones(H.size), ct
-    bound = None if H.tail is None else _schur_bound(H)[0]
-    if bound is not None and bound < 1.0 - P2_TOL:  # (P2) fails
-        top = bound
-        cand = solve_character(H, top)
+    status, schur = _p2_status(H)
+    top = schur[0] if status == "fails" else max(b for _, b in _section_lower_bounds(H))
+    grid = np.linspace(-top, top, CHI0_SAMPLES)
+    samples = None
+    if status == "fails":
+        # the candidate and the grid from one recurrence, whose rows are
+        # those of separate calls
+        rows = solve_character(H, np.append(top, grid))
+        cand, samples = rows[0], rows[1:]
         if np.min(cand) <= 0:
             raise DominationFailure(
                 f"{H.name}: recurrence solution at {top!r} is not positive; "
@@ -514,14 +545,14 @@ def _chi0(
             )
     else:
         cand = np.ones(H.size)
-        top = max(b for _, b in _section_lower_bounds(H))
-    resid = _multiplicativity_residual(H, cand.astype(complex))
+    resid = _multiplicativity_residual(H, cand.astype(complex), once)
     if resid > max(tol, 1e-9):
         raise DominationFailure(
             f"{H.name}: candidate chi0 multiplicativity residual {resid:.2e}"
         )
-    grid = np.linspace(-top, top, CHI0_SAMPLES)
-    escapes = (np.abs(solve_character(H, grid)) > cand * (1.0 + 1e-7) + 1e-12).any(axis=1)
+    if samples is None:
+        samples = solve_character(H, grid)
+    escapes = (np.abs(samples) > cand * (1.0 + 1e-7) + 1e-12).any(axis=1)
     if escapes.any():
         raise DominationFailure(
             f"{H.name}: sampled character at {grid[escapes.argmax()]!r} escapes the "
@@ -579,8 +610,14 @@ def voit_deform(
 
     An exact finite table, whose chi0 is exactly 1, is its own deformation.
     A finite table is diagonalized once, for chi0 and the dual map both.
+    The (P2) status that decides a section's chi0 is the one status rule's,
+    :func:`_p2_status`.  H0 shares the index arrays of H, so the index of
+    its products taken once (:meth:`~hypharm.view.TableView.products_once`)
+    is built once, for the multiplicativity residuals of chi0 on H and of
+    the dual map on H0.
     """
-    chi, ct = _chi0(H, tol, seed)
+    once = H.view.products_once() if H.truncated else None
+    chi, ct = _chi0(H, tol, seed, once)
     if not H.truncated and H.exact:
         return DeformedPair(H, chi, H.relabeled(f"{H.name}_voit"), 0.0, 0.0, 0.0)
 
@@ -607,7 +644,7 @@ def voit_deform(
     if H.truncated:
         top = chi[H.generator]
         samples = solve_character(H, np.linspace(-top, top, 7)) / chi
-        dual_resid = _multiplicativity_residual(deformed, samples.astype(complex))
+        dual_resid = _multiplicativity_residual(deformed, samples.astype(complex), once)
     else:
         dominated = (np.abs(ct.chars) <= chi + 1e-9).all(axis=1)
         dual_resid = _multiplicativity_residual(deformed, ct.chars[dominated] / chi)

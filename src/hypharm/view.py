@@ -59,9 +59,9 @@ EXACT_FLOAT = 2**53
 # Values in the dense residue arrays of one pass (512 KB of float64), unless
 # one prime's array alone is larger.
 RESIDUE_BATCH = 2**16
-# Values in one associativity slab (128 KB of float64) at least: a table
-# with n**3 <= 2**14 (n <= 25) takes all y in one slab per x.
-SLAB_FLOOR = 2**14
+# Values in one associativity slab (256 KB of float64) at least: a table
+# with n**3 <= 2**15 (n <= 32) takes all y in one slab per x.
+SLAB_FLOOR = 2**15
 # Values of the support matrix per block of products while a view's
 # checked-triple plan is built (256 KB of float64): n per product.
 MASK_VALUES = 2**15
@@ -565,20 +565,28 @@ class TableView:
         """True if both views store the same products and entries with equal coefficients.
 
         Two exact views compare the fractions of each entry (:meth:`_fractions`)
-        by cross-multiplication, two float views their ``c``.  An exact and a
-        float view compare each entry's Fraction with its float, exactly, so
-        ``1/3`` in float64 is not ``1/3``.
+        by cross-multiplication, unless their N and their scales are equal,
+        which suffices; two float views their ``c``.  An exact and a float view
+        compare each entry's Fraction with its float, exactly, so ``1/3`` in
+        float64 is not ``1/3``.  Index arrays that both views hold, as the
+        tables of one ring do, are not compared element by element.
         """
         if (self.n, self.commutative) != (other.n, other.commutative) or not all(
-                np.array_equal(getattr(self, k), getattr(other, k))
-                for k in ("px", "py", "starts", "z")):
+                _same(getattr(self, k), getattr(other, k)) for k in ("px", "py", "starts", "z")):
             return False
         if not (self.rational or other.rational):
             return np.array_equal(self.c, other.c)
         if not (self.rational and other.rational):
             return self.coefficients(slice(None)) == other.coefficients(slice(None))
+        if _same(self.N, other.N) and all(map(_same, self._scale, other._scale)):
+            return True
         (n1, d1), (n2, d2) = (V._fractions(slice(None)) for V in (self, other))
         return np.array_equal(n1.astype(object) * d2, n2.astype(object) * d1)
+
+
+def _same(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two arrays are equal, without comparing an array with itself."""
+    return a is b or np.array_equal(a, b)
 
 
 def _divided(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -624,8 +632,8 @@ def axiom_defects(V: TableView, c: np.ndarray) -> tuple[dict, int]:
     e, inv, has_row = V.identity, V.inv, V.has_row
     at = _gather(V, c)
     out = {}
-    sums = np.zeros(len(V.px))
-    np.add.at(sums, V.pair, c)
+    # bincount adds in entry order, as np.add.at does
+    sums = np.bincount(V.pair, weights=c, minlength=len(V.px))
     out["probability"] = _worst(np.abs(sums - 1).max(initial=0), -c.min(initial=0))
 
     out["commutativity"] = 0.0
@@ -640,8 +648,7 @@ def axiom_defects(V: TableView, c: np.ndarray) -> tuple[dict, int]:
     worst = _worst(worst, np.abs(at(xs, e, xs) - 1).max(initial=0))
     for side, other in ((V.x, V.y), (V.y, V.x)):
         off = (side == e) & (V.z != other)
-        mass = np.zeros(V.n)
-        np.add.at(mass, other[off], np.abs(c[off]))
+        mass = np.bincount(other[off], weights=np.abs(c[off]), minlength=V.n)
         worst = _worst(worst, mass.max())
     out["identity"] = worst
 

@@ -354,10 +354,56 @@ def test_deformation_checks_multiplicativity_once_per_table(monkeypatch, argv):
     calls = []
     residual = spectral._multiplicativity_residual
     monkeypatch.setattr(spectral, "_multiplicativity_residual",
-                        lambda H, chi: calls.append(H.name) or residual(H, chi))
+                        lambda H, chi, *once: calls.append(H.name) or residual(H, chi, *once))
     assert _run(argv)[0] == 0
     table = f"tree_radial_q2_R{argv[argv.index('--radius') + 1]}"
     assert calls == [table, f"{table}_voit"]
+
+
+_DEFORM_FAMILIES = {
+    "tree_q2": (["--family", "tree_radial", "--q", "2"], lambda R: builders.tree_radial(2, R)),
+    "tree_q3": (["--family", "tree_radial", "--q", "3"], lambda R: builders.tree_radial(3, R)),
+    "su2": (["--family", "su2_fusion"], builders.su2_fusion),
+    "suq2_half": (["--family", "suq2_fusion", "--q", "1/2"],
+                  lambda R: builders.su2_fusion(R, Fraction(1, 2))),
+}
+
+
+def _deformed_p2(out):
+    return next(l for l in out.splitlines() if l.startswith("deformed.p2: "))[13:]
+
+
+@pytest.mark.parametrize("family, radius", [(f, R) for f in _DEFORM_FAMILIES
+                                            for R in (12, 24, 28, 30, 48, 60)])
+def test_deformed_p2_is_the_status_of_check_p2(family, radius):
+    # deform reads the status alone, from one Schur bound and no section bound
+    argv, build = _DEFORM_FAMILIES[family]
+    code, out = _run(["deform"] + argv + ["--radius", str(radius)])
+    assert code == 0
+    want = spectral.check_p2(spectral.voit_deform(build(radius)).deformed).status
+    assert _deformed_p2(out) == want
+
+
+def _float_tree(R):
+    """``tree_radial(2, R)`` with its coefficients and Haar weights written as floats."""
+    T = builders.tree_radial(2, R)
+    return core.HypergroupTable.from_rows(
+        "tree_float", T.size, T.involution,
+        {k: [(z, float(c)) for z, c in row] for k, row in T.rows.items()},
+        haar=[float(v) for v in T.haar], truncated=True, radius=R, tail=T.tail,
+        generator=T.generator)
+
+
+@pytest.mark.parametrize("table", [lambda: _float_tree(24), lambda: builders.su2_fusion(24, q=0.5)],
+                         ids=["tree-float", "suq2-float-q"])
+def test_deformed_p2_of_a_float_file_is_the_status_of_check_p2(tmp_path, table):
+    p = tmp_path / "float.hyp"
+    save_table(table(), str(p))
+    H = hypharm.load_table(str(p))
+    assert not H.exact
+    code, out = _run(["deform", "--file", str(p)])
+    assert code == 0
+    assert _deformed_p2(out) == spectral.check_p2(spectral.voit_deform(H).deformed).status
 
 
 def test_deform_needs_chi0_multiplicative_on_every_product(tmp_path, capsys):
@@ -532,6 +578,8 @@ def _ring2(ndims="ndims 1 1", conj="conj 0 1", ddims="", rows="b b a 1\n"):
          "fusionring v1\nlabels a\nndims 1\nconj 0\nqparam 2\nmult\na a a 1\nend\n", 5),
         ("--fusion-file",
          "fusionring v1\nlabels a\nndims 1\nconj 0\nmult\na a a 1\na a a 1\nend\n", 7),
+        # a ring without every product is a section of radius its size, at least 2
+        ("--fusion-file", "fusionring v1\nlabels a\nndims 1\nconj 0\nmult\nend\n", 5),
         # the ring's entry arrays hold the multiplicities in int64
         ("--fusion-file",
          "fusionring v1\nlabels e\nndims 1\nconj 0\nmult\ne e e 99999999999999999999999\nend\n",
@@ -582,6 +630,7 @@ def _ring2(ndims="ndims 1 1", conj="conj 0 1", ddims="", rows="b b a 1\n"):
     ],
     ids=["size-no-value", "zero-denominator", "duplicate-triple", "short-tail",
          "short-cayley-row", "ndims-no-value", "qparam-above-one", "ring-duplicate-triple",
+         "ring-one-label-empty-mult",
          "ring-multiplicity-beyond-int64",
          "haar-nan",
          "nan-coefficient", "infinite-coefficient", "tail-nan", "ddims-nan", "qparam-nan",

@@ -12,6 +12,7 @@ from hypharm.errors import FileFormatError, ReciprocityError
 from hypharm.quantum import (
     CentralFunction,
     CentralMeasure,
+    FusionRing,
     central_convolve,
     convolve_central_measures,
     group_fusion_ring,
@@ -330,17 +331,22 @@ def test_fusion_file_reciprocity_rejected(tmp_path):
         load_fusion_ring(str(p))
 
 
-def test_ring_with_no_products_validates_and_has_no_table(tmp_path):
-    # a file with an empty mult block: a ring of no stored product, whose
-    # table would be a section of radius 1
-    p = tmp_path / "empty.fus"
-    p.write_text("fusionring v1\nlabels a\nndims 1\nconj 0\nmult\nend\n")
-    ring = load_fusion_ring(str(p))
+def test_ring_with_no_products_validates_and_has_no_table(tmp_path, capsys):
+    # a ring of no stored product, whose table would be a section of radius 1
+    none = np.zeros(0, dtype=np.int64)
+    ring = FusionRing("empty", ("a",), 0, (0,), (none,) * 4, (1,), (Fraction(1),))
+    ring.validate()
     assert not ring.complete and not ring.has_row(0, 0)
     with pytest.raises(ValueError, match="needs a radius"):
         hypergroup_n(ring)
+    # its file, an empty mult block, is rejected at the mult line
+    p = tmp_path / "empty.fus"
+    p.write_text("fusionring v1\nlabels a\nndims 1\nconj 0\nmult\nend\n")
+    with pytest.raises(FileFormatError, match="line 5: .*at least 2 labels"):
+        load_fusion_ring(str(p))
     code = run(["quantum", "--fusion-file", str(p)])
     assert code == 2
+    assert "line 5:" in capsys.readouterr().err
 
 
 def test_fusion_file_parse_error_has_line(tmp_path):
@@ -478,10 +484,12 @@ def test_decomposition_builds_no_table(monkeypatch):
 
 
 def test_kac_tables_compare_their_entries():
-    ring = su2_fusion_ring(12, q=1)
-    assert hypergroup_n(ring).view.same_entries(hypergroup_d(ring).view)
-    ring = su2_fusion_ring(12, q=Fraction(1, 2))
-    assert not hypergroup_n(ring).view.same_entries(hypergroup_d(ring).view)
+    # the two tables of a ring hold its index and N, at the two dimensions as scales
+    for q, same in ((1, True), (Fraction(1, 2), False)):
+        ring = su2_fusion_ring(12, q=q)
+        n, d = hypergroup_n(ring).view, hypergroup_d(ring).view
+        assert n.z is d.z and n.N is d.N
+        assert n.same_entries(d) == d.same_entries(n) == same
 
 
 def test_hat_and_dual_maps_read_the_cached_irr_data(monkeypatch):

@@ -588,3 +588,75 @@ def test_solve_character_reports_a_missing_row():
                                   truncated=True, radius=T.radius, generator=1)
     with pytest.raises(DominationFailure, match="generator row at 4 missing"):
         solve_character(H, np.array([0.5, 0.9]))
+
+
+# -- one pass through a section's deformation -----------------------------------
+
+
+def _schur_bound_before(H):
+    """:func:`_schur_bound` with its former step, ``coeffs @ exp(t * exps)`` on integer
+    exponents: the oracle of its iterates."""
+    t = H.tail
+    stored, y, z, c = H.generator_rows
+    exps = np.array(sorted(set((z - y).tolist()) | {-1, 0, 1}))
+    coeffs = np.zeros((len(stored) + 1, len(exps)))
+    coeffs[np.searchsorted(stored, y), np.searchsorted(exps, z - y)] = np.abs(c)
+    coeffs[-1, np.searchsorted(exps, [-1, 0, 1])] = (t.alpha_sup, t.diag_sup, t.beta_sup)
+
+    def worst(t):
+        return float((coeffs @ np.exp(t * exps)).max())
+
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = math.log(1e-3), math.log(1.5)
+    t1, t2 = hi - inv_phi * (hi - lo), lo + inv_phi * (hi - lo)
+    f1, f2 = worst(t1), worst(t2)
+    while hi - lo > 1e-13:
+        if f1 <= f2:
+            hi, t2, f2 = t2, t1, f1
+            t1 = hi - inv_phi * (hi - lo)
+            f1 = worst(t1)
+        else:
+            lo, t1, f1 = t1, t2, f2
+            t2 = lo + inv_phi * (hi - lo)
+            f2 = worst(t2)
+    r = math.exp(t1 if f1 <= f2 else t2)
+    top = float((coeffs @ np.array([r**k for k in exps.tolist()])).max())
+    return math.nextafter(top * (1.0 + (len(exps) + 4) * 2.0**-52), math.inf), r
+
+
+ONE_PASS_RADII = (12, 24, 28, 30, 48, 60)
+# every section family, and the deformations that keep tail bounds: those of the trees
+ONE_PASS_TABLES = [pytest.param(_section, name, R, id=f"{name}_R{R}")
+                   for name in SCHUR_SECTIONS for R in ONE_PASS_RADII] + [
+    pytest.param(_deformed_section, name, R, id=f"{name}_R{R}_voit")
+    for name in ("tree_q2", "tree_q3") for R in ONE_PASS_RADII]
+
+
+@pytest.mark.parametrize("build, name, radius", ONE_PASS_TABLES)
+def test_schur_bound_keeps_its_iterates(build, name, radius):
+    H = build(name, radius)
+    assert H.tail is not None
+    assert _schur_bound(H) == _schur_bound_before(H)
+
+
+@pytest.mark.parametrize("build, name, radius", ONE_PASS_TABLES)
+def test_chi0_candidate_and_grid_are_the_rows_of_separate_calls(build, name, radius):
+    H = build(name, radius)
+    top = _schur_bound(H)[0]
+    values = np.append(top, np.linspace(-top, top, spectral.CHI0_SAMPLES))
+    rows = solve_character(H, values)
+    for v, row in zip(values, rows):
+        assert row.tobytes() == solve_character(H, v).tobytes()
+
+
+@pytest.mark.parametrize("build, name, radius", ONE_PASS_TABLES)
+def test_deformation_shares_its_products_index(build, name, radius):
+    # chi0 on H and the dual map on H0 read one index: H0 holds the arrays of H
+    H = build(name, radius)
+    pair = voit_deform(H)
+    once = H.view.products_once()
+    top = pair.chi0[H.generator]
+    samples = solve_character(H, np.linspace(-top, top, 7)) / pair.chi0
+    for T, chi in ((H, pair.chi0.astype(complex)), (pair.deformed, samples.astype(complex))):
+        assert _multiplicativity_residual(T, chi, once) == _multiplicativity_residual(T, chi)
+    assert pair.deformed.view.px is H.view.px and pair.deformed.view.pair is H.view.pair

@@ -1119,6 +1119,10 @@ def test_same_entries_compares_exactly():
     assert H.view.same_entries(builders.su2_fusion(8).view)
     assert not H.view.same_entries(builders.su2_fusion(8, Fraction(1, 2)).view)
     assert not H.view.same_entries(builders.su2_fusion(9).view)
+    # the same coefficients as other integers at other scales, 2 N at 2 s
+    twice = TableView(8, 0, range(8), True, H.view.x, H.view.y, H.view.z, 2 * H.view.N,
+                      scale=[2 * s for s in H.view.scales])
+    assert twice.same_entries(H.view) and H.view.same_entries(twice)
     # float coefficients compare as floats; 1/3 in float64 is not 1/3
     V = H.view
     floats = TableView(8, 0, range(8), True, V.x, V.y, V.z, V.c)
@@ -1297,6 +1301,8 @@ def test_commutative_pass_takes_each_identity_once(name, commutative, monkeypatc
     V = (family(FamilySpec("cyclic", n=30)) if name == "z30" else NONCOMMUTATIVE[name]()).view
     n = V.n
     assert V.commutative == commutative
+    # a floor at which both tables take one x per block (S4, n = 24, takes two above it)
+    monkeypatch.setattr(view, "SLAB_FLOOR", 2**14)
     assert max(n**3 // 4, view.SLAB_FLOOR) // (n * n) < 2 * n  # one x per block
     sizes = []
     defect = view._defect
