@@ -47,6 +47,7 @@ from .spectral import (
     chi0,
     fourier,
     inverse_fourier,
+    p2_status,
     plancherel,
     solve_character,
     voit_deform,

@@ -36,8 +36,8 @@ from .norms import (
 )
 from .spectral import (
     CharacterTable,
-    _p2_status,
     characters,
+    p2_status,
     section_operator,
     voit_deform,
 )
@@ -301,8 +301,8 @@ def weak_amenability_witness(
         entry = WitnessEntry(0, ones, 1.0, None, None, {"all": 0.0})
         return WeakAmenabilityWitness(H.name, 1.0, (entry,), True)
     radii = tuple(sorted((5, 10, 20) if radii is None else radii))
-    if not radii or radii[0] < 0:
-        raise ValueError(f"radii must be a non-empty list of radii >= 0, got {radii}")
+    if not radii or radii[0] < 0 or len(set(radii)) < len(radii):
+        raise ValueError(f"radii must be a non-empty list of distinct radii >= 0, got {radii}")
     if H.radius is None or H.radius < 3 * max(radii):
         raise TruncationOverflow(
             f"{H.name}: need section radius >= {3 * max(radii)} to convolve "
@@ -354,7 +354,7 @@ def bai_from_p2(
     """
     if not H.truncated:
         return np.ones(H.size)
-    if _p2_status(H)[0] == "fails":
+    if p2_status(H)[0] == "fails":
         raise P2Failure(f"{H.name}: (P2) fails, no bounded approximate identity")
     max_r = (H.size - 1) // 3
     if max(F) >= H.size:
@@ -406,7 +406,7 @@ def amenability_report(H: HypergroupTable, seed: int = DEFAULT_SEED,
     Raises ArithmeticError when |1_Delta| exceeds |phi^-1| |psi| by more
     than ``tol``.
     """
-    p2_status = _p2_status(H)[0]
+    status = p2_status(H)[0]
     diag = indicator_diagonal(H, seed=seed)
     approx = approximate_diagonal(diag, seed=seed)
     wa = weak_amenability_witness(H, seed=seed, ct=diag.characters)
@@ -417,7 +417,7 @@ def amenability_report(H: HypergroupTable, seed: int = DEFAULT_SEED,
         )
     return AmenabilityReport(
         H.name,
-        p2_status,
+        status,
         diag.psi_norm,
         diag.phi,
         diag.phi_inverse_ma_norm,

@@ -404,12 +404,12 @@ def _haar_defect(H: HypergroupTable):
 def haar_weights(H: HypergroupTable, tol: float = DEFAULT_TOL) -> tuple:
     """Haar weights, with left invariance checked rather than assumed.
 
-    Verifies lam(e) = 1 and the adjoint identity
+    Verifies lam(e) = 1, the adjoint identity
     lam(y) c^z_{x,y} = lam(z) c^y_{x~,z} on every stored triple of the
     section (the identity making the regular representation a
     *-representation on l2(lam)): exactly, or in floats within ``tol``
     times the larger of 1 and the two sides' absolute values, since float
-    weights may reach 1e306.
+    weights may reach 1e306; and then lam(x) > 0 for every x.
     """
     lam = H.haar
     # a verdict of NaN compares false: pass only on evidence, worst <= tol
@@ -420,6 +420,9 @@ def haar_weights(H: HypergroupTable, tol: float = DEFAULT_TOL) -> tuple:
         raise ZeroDiagonal(
             f"{H.name}: Haar invariance identity violated by {float(worst):.3g}"
         )
+    # no stored triple constrains a weight at the boundary of a section
+    if (x := next((x for x, w in enumerate(lam) if not w > 0), None)) is not None:
+        raise ZeroDiagonal(f"{H.name}: lam({x}) = {lam[x]} is not > 0")
     return lam
 
 
@@ -438,7 +441,7 @@ def haar_weights(H: HypergroupTable, tol: float = DEFAULT_TOL) -> tuple:
 #     tail <alpha> <diag> <beta> <start> <exact 0|1>   (optional; bounds >= 0, start <= n)
 #     generator <index>           (optional)
 #     elements <label0> ... <label(n-1)>   (optional)
-#     haar <w0> ... <w(n-1)>      (optional)
+#     haar <w0> ... <w(n-1)>      (optional; each > 0)
 #     triples
 #     <x> <y> <z> <value>
 #     ...
@@ -605,6 +608,13 @@ def _sup(tok: str) -> float:
     return v
 
 
+def _weight(tok: str):
+    """A Haar weight: a finite number > 0."""
+    if not (v := _finite(tok)) > 0:
+        raise ValueError(f"Haar weight {tok} is not > 0")
+    return v
+
+
 def load_table(path: str) -> HypergroupTable:
     f = LineFile(path, "hypergroup v1", body="triples")
     size = f.value("size", int_in(1))
@@ -630,7 +640,7 @@ def load_table(path: str) -> HypergroupTable:
             f.values("involution", index, count=size),
             {key: row.items() for key, row in rows.items()},
             identity=f.value("identity", index, 0),
-            haar=f.values("haar", _finite, count=size, default=None),
+            haar=f.values("haar", _weight, count=size, default=None),
             commutative=f.value("commutative", _flag, True),
             truncated=truncated,
             radius=radius,

@@ -400,6 +400,16 @@ class NormReport:
     norm_Mcb: float | None = None
     witness: FactorizationWitness | None = None
 
+    def passed(self, tol: float) -> bool:
+        """Whether the norms agree: |A - B_lambda|, |B_lambda - MA| and, if
+        computed, |Mcb - MA| each within ``tol * max(1, A)``.  A truncated
+        report, whose norms are certified enclosures, passes."""
+        if not self.finite:
+            return True
+        a, b, ma = self.norm_A, self.norm_Blambda, self.norm_MA
+        gaps = [a - b, b - ma] + ([] if self.norm_Mcb is None else [self.norm_Mcb - ma])
+        return all(abs(g) <= tol * max(1.0, a) for g in gaps)
+
 
 def compute_norm_report(
     H: HypergroupTable,

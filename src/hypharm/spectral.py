@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -384,7 +385,7 @@ def _schur_bound(H: HypergroupTable) -> tuple[float, float]:
 P2_TOL = 1e-6
 
 
-def _p2_status(H: HypergroupTable, tol: float = P2_TOL) -> tuple[str, tuple[float, float] | None]:
+def p2_status(H: HypergroupTable, tol: float = P2_TOL) -> tuple[str, tuple[float, float] | None]:
     """The one (P2) status rule, and the Schur bound ``(bound, r)`` it rests on, if any.
 
     A finite table holds.  A section without tail metadata is
@@ -405,7 +406,7 @@ def _p2_status(H: HypergroupTable, tol: float = P2_TOL) -> tuple[str, tuple[floa
 def check_p2(H: HypergroupTable, tol: float = P2_TOL) -> P2Report:
     """Decide whether the constant character lies in supp(Plancherel).
 
-    The status is that of the one (P2) status rule, :func:`_p2_status`;
+    The status is that of the one (P2) status rule, :func:`p2_status`;
     the report adds the section lower bounds and the certificate.
     """
     if not H.truncated:
@@ -425,7 +426,7 @@ def check_p2(H: HypergroupTable, tol: float = P2_TOL) -> P2Report:
         )
     sections = _section_lower_bounds(H)
     lower = max(b for _, b in sections)
-    status, schur = _p2_status(H, tol)
+    status, schur = p2_status(H, tol)
     if schur is None:
         return P2Report(
             H.name,
@@ -506,7 +507,7 @@ def chi0(
     raises :class:`DominationFailure` when the verification fails
     (truncation too small).  Other truncated tables: the constant 1 up to
     the largest section lower bound.  The (P2) status is the one status
-    rule's, :func:`_p2_status`, from one Schur bound; the section bounds
+    rule's, :func:`p2_status`, from one Schur bound; the section bounds
     are taken only when they are read.  The candidate and the grid are
     rows of one :func:`solve_character` call.
     """
@@ -529,7 +530,7 @@ def _chi0(
                 f"{H.name}: constant character fails to dominate by {excess:.2e}"
             )
         return np.ones(H.size), ct
-    status, schur = _p2_status(H)
+    status, schur = p2_status(H)
     top = schur[0] if status == "fails" else max(b for _, b in _section_lower_bounds(H))
     grid = np.linspace(-top, top, CHI0_SAMPLES)
     samples = None
@@ -602,6 +603,17 @@ class DeformedPair:
                 return f"{self.deformed.name}: {name} {value:.2e} exceeds {bound:g}"
         return None
 
+    @cached_property
+    def p2_status(self) -> str:
+        """The (P2) status of H0 by :func:`p2_status`, without section bounds."""
+        return p2_status(self.deformed)[0]
+
+    @property
+    def passed(self) -> bool:
+        """The deformation is sound (:meth:`defect` is None) and H0 is not
+        certified to fail (P2), which the deformation exists to restore."""
+        return self.defect() is None and self.p2_status in ("holds", "inconclusive")
+
 
 def voit_deform(
     H: HypergroupTable, tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED
@@ -611,7 +623,7 @@ def voit_deform(
     An exact finite table, whose chi0 is exactly 1, is its own deformation.
     A finite table is diagonalized once, for chi0 and the dual map both.
     The (P2) status that decides a section's chi0 is the one status rule's,
-    :func:`_p2_status`.  H0 shares the index arrays of H, so the index of
+    :func:`p2_status`.  H0 shares the index arrays of H, so the index of
     its products taken once (:meth:`~hypharm.view.TableView.products_once`)
     is built once, for the multiplicativity residuals of chi0 on H and of
     the dual map on H0.

@@ -21,6 +21,7 @@ from hypharm import (
     norm_Blambda,
     norm_MA,
     norm_Mcb_approx,
+    NormReport,
     verify_axioms,
     voit_deform,
     weak_amenability_witness,
@@ -91,9 +92,7 @@ def test_criterion_2_norm_equality_theorem():
                 a = norm_A(H, ct, u, with_witness=False)[0]
                 b = norm_Blambda(H, ct, u)
                 ma = norm_MA(H, ct, u)
-                scale = max(1.0, a)
-                assert abs(ma - b) < 1e-8 * scale
-                assert abs(b - a) < 1e-8 * scale
+                assert NormReport(H.name, True, a, b, ma).passed(1e-8)
 
 
 def test_criterion_3_mcb_supremum():

@@ -262,7 +262,7 @@ def test_weak_amenability_needs_room():
         weak_amenability_witness(builders.tree_radial(2, 30), radii=(5, 10, 20))
 
 
-@pytest.mark.parametrize("radii", [(), (-1,), (2, -3)])
+@pytest.mark.parametrize("radii", [(), (-1,), (2, -3), (3, 3)])
 def test_weak_amenability_rejects_bad_radii(radii):
     with pytest.raises(ValueError, match="radii"):
         weak_amenability_witness(builders.tree_radial(2, 24), radii=radii)

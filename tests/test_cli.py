@@ -136,7 +136,7 @@ def test_amenability_radius_too_small_exit_two(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("radii", ["-1", "2,-3"])
+@pytest.mark.parametrize("radii", ["-1", "2,-3", "3,3"])
 def test_amenability_negative_radius_exit_two(radii, capsys):
     code, _ = _run(
         ["amenability", "--family", "tree_radial", "--q", "2", "--radius", "24",
@@ -300,6 +300,22 @@ def test_bad_tolerance_exits_two(tol, capsys, monkeypatch):
     assert "input error: HYPHARM_TOL must be a finite number >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--family", "conj", "--group", "s3"],
+    ["characters", "--family", "conj", "--group", "s3"],
+    ["norms", "--family", "conj", "--group", "s3", "--random", "1"],
+    ["amenability", "--family", "conj", "--group", "s3"],
+    ["deform", "--family", "tree_radial", "--q", "2", "--radius", "12"],
+    ["product", "--family", "conj", "--group", "s3", "--family2", "conj", "--group2", "z2"],
+    ["quantum", "--group", "s3"],
+    ["p2", "--family", "tree_radial", "--q", "2", "--radius", "24"],
+], ids=lambda argv: argv[0])
+def test_negative_seed_exits_two(argv, capsys):
+    assert _run(argv + ["--seed", "0"])[0] == 0
+    assert _run(argv + ["--seed", "-1"]) == (2, "")
+    assert capsys.readouterr().err == "input error: --seed must be an integer >= 0, got -1\n"
+
+
 def test_tolerance_from_the_environment_unless_given(monkeypatch):
     argv = ["verify", "--family", "conj", "--group", "s3", "--format", "structured"]
     monkeypatch.setenv("HYPHARM_TOL", "1e-6")
@@ -318,6 +334,23 @@ def test_run_frees_its_parser():
     before = parsers()
     assert _run(["verify", "--family", "conj", "--group", "s3"])[0] == 0
     assert parsers() == before
+
+
+def test_norms_exit_code_reads_the_verdict(monkeypatch):
+    compute = hypharm.norms.compute_norm_report
+    monkeypatch.setattr(hypharm.norms, "compute_norm_report", lambda *a, **k: (
+        dataclasses.replace(compute(*a, **k), norm_Mcb=0.0)))
+    code, out = _run(["norms", "--family", "conj", "--group", "s3", "--random", "1", "--mcb"])
+    assert (code, out.splitlines()[-1]) == (1, "pass: false")
+
+
+def test_deform_exit_code_reads_the_deformed_p2(monkeypatch):
+    # H0 certified to fail (P2) is no restoration: here H itself stands in for H0
+    deform = spectral.voit_deform
+    monkeypatch.setattr(spectral, "voit_deform", lambda H, **k: (
+        dataclasses.replace(deform(H, **k), deformed=H)))
+    code, out = _run(["deform", "--family", "tree_radial", "--q", "2", "--radius", "24"])
+    assert (code, _deformed_p2(out), out.splitlines()[-1]) == (1, "fails", "pass: false")
 
 
 def test_norms_structured_includes_witness():
@@ -586,6 +619,9 @@ def _ring2(ndims="ndims 1 1", conj="conj 0 1", ddims="", rows="b b a 1\n"):
          6),
         # a NaN compares false to every tolerance, so it must not get in
         ("--file", _z2(tail="haar 1 nan\n"), 8),
+        # no stored triple constrains the weight of a section's boundary point
+        ("--file", _tree6("radius 6\n").replace(" 48 96\n", " 48 0\n"), 12),
+        ("--file", _tree6("radius 6\n").replace(" 48 96\n", " 48 -96\n"), 12),
         ("--file", _z2(value="nan"), 11),
         ("--file", _z2(value="-inf"), 11),
         ("--file", _z2(tail="tail 0.5 nan 0.5 1 0\n"), 8),
@@ -632,7 +668,7 @@ def _ring2(ndims="ndims 1 1", conj="conj 0 1", ddims="", rows="b b a 1\n"):
          "short-cayley-row", "ndims-no-value", "qparam-above-one", "ring-duplicate-triple",
          "ring-one-label-empty-mult",
          "ring-multiplicity-beyond-int64",
-         "haar-nan",
+         "haar-nan", "haar-boundary-zero", "haar-boundary-negative",
          "nan-coefficient", "infinite-coefficient", "tail-nan", "ddims-nan", "qparam-nan",
          "qparam-dimension-overflow", "ddims-overflow", "ndims-overflow",
          "section-no-radius", "section-radius-0", "section-radius-negative",

@@ -260,6 +260,17 @@ def test_haar_zero_diagonal():
         _ = H.haar
 
 
+@pytest.mark.parametrize("weight", [0, -384])
+def test_haar_weights_are_positive(weight):
+    # no stored triple of the section constrains the weight of its boundary point 8
+    T = builders.tree_radial(2, 8)
+    H = HypergroupTable.from_rows(T.name, T.size, T.involution, T.rows,
+                                  haar=T.haar[:-1] + (weight,), truncated=True,
+                                  radius=T.radius, tail=T.tail, generator=T.generator)
+    with pytest.raises(ZeroDiagonal, match=rf"lam\(8\) = {weight} is not > 0"):
+        haar_weights(H)
+
+
 def test_truncation_overflow():
     T = builders.tree_radial(2, 8)
     with pytest.raises(TruncationOverflow):

@@ -125,7 +125,9 @@ def _values_close(a, b, tol=1e-9):
 
 
 def _assert_matches(got, want):
-    assert [k for k, _ in got] == [k for k, _ in want]
+    keys = [k for k, _ in got]
+    assert len(set(keys)) == len(keys)
+    assert keys == [k for k, _ in want]
     for (k, gv), (_, wv) in zip(got, want):
         assert len(gv) == len(wv), k
         for a, b in zip(gv, wv):

@@ -20,6 +20,7 @@ from hypharm.amenability import on_diagonal, weak_amenability_witness
 from hypharm.errors import SingularCharacterBasis
 from hypharm.norms import (
     Interval,
+    NormReport,
     _phase,
     a_norm_interval,
     compute_norm_report,
@@ -113,9 +114,26 @@ def test_norm_equality_theorem_random(finite_tables):
             a, _ = norm_A(H, ct, u, with_witness=False)
             b = norm_Blambda(H, ct, u)
             ma = norm_MA(H, ct, u)
-            scale = max(1.0, a)
-            assert abs(a - b) < 1e-8 * scale, name
-            assert abs(b - ma) < 1e-8 * scale, name
+            assert NormReport(name, True, a, b, ma).passed(1e-8), name
+
+
+@pytest.mark.parametrize("norms, passed", [
+    ((2.0, 2.0 - 3e-9, 2.0 - 3e-9, None), True),
+    ((2.0, 2.0 - 5e-9, 2.0 - 5e-9, None), False),
+    ((2.0, 2.0, 2.0 - 5e-9, None), False),
+    ((2.0, 2.0, 2.0, 2.0 + 3e-9), True),
+    ((2.0, 2.0, 2.0, 2.0 + 5e-9), False),
+    ((0.5, 0.5, 0.5 - 3e-9, None), False),
+], ids=["within", "a-b", "b-ma", "mcb-within", "mcb-ma", "scale-at-least-one"])
+def test_norm_report_passes_when_its_norms_agree(norms, passed):
+    # each gap within tol * max(1, A), here 2e-9 * 2 = 4e-9 while A = 2
+    a, b, ma, mcb = norms
+    assert NormReport("t", True, a, b, ma, norm_Mcb=mcb).passed(2e-9) is passed
+
+
+def test_truncated_norm_report_passes():
+    iv = Interval(0.0, 5.0)
+    assert NormReport("t", False, iv, iv, Interval(0.0, 1.0)).passed(0.0)
 
 
 def test_norm_submultiplicative(finite_tables):

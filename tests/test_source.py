@@ -86,3 +86,45 @@ def test_float_paths_read_no_fraction_rows():
     assert _fraction_imports(SOURCE / "spectral.py") == []
     for name in FLOAT_MODULES:
         assert _row_reads(SOURCE / name) == [], name
+
+
+# (module, name): private names that a module reads from another hypharm
+# module, with the reason
+PRIVATE_READS_ALLOWED = {
+    # the finite-number token rule of the files core loads, for the function
+    # and fusion-ring files
+    ("cli.py", "core._finite"),
+    ("quantum.py", "core._finite"),
+    # the length check of a function on a table, for every norm
+    ("norms.py", "spectral._as_dense"),
+    # a fusion ring's entries are a commutative table's, taken once
+    ("quantum.py", "builders._commutative_entries"),
+}
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _private_reads():
+    out = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = {}  # local name -> hypharm module, from "from . import m [as a]"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module is None:
+                    modules |= {a.asname or a.name: a.name for a in node.names}
+                else:
+                    out |= {(path.name, f"{node.module}.{a.name}")
+                            for a in node.names if _private(a.name)}
+        out |= {(path.name, f"{modules[node.value.id]}.{node.attr}") for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and _private(node.attr)}
+    return out
+
+
+def test_modules_read_no_private_names_of_each_other():
+    # a rule read from outside its module belongs to its public interface,
+    # where callers and the benchmark's tracer see it
+    assert _private_reads() == PRIVATE_READS_ALLOWED

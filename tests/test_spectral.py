@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -517,7 +518,17 @@ def test_chi0_and_deform_on_quantum_d_table():
     pair = voit_deform(Hd)
     assert np.min(pair.chi0) > 0
     assert pair.axiom_violation < 1e-10
-    assert check_p2(pair.deformed).status in ("holds", "inconclusive")
+    assert pair.passed
+
+
+def test_deformed_pair_passes_on_a_sound_deformation_restoring_p2():
+    T = builders.tree_radial(2, 24)
+    pair = voit_deform(T)
+    assert pair.p2_status == check_p2(pair.deformed).status
+    assert pair.passed
+    assert not dataclasses.replace(pair, axiom_violation=1.0).passed
+    # T is certified to fail (P2): as H0 it restores nothing
+    assert not dataclasses.replace(pair, deformed=T).passed
 
 
 # -- generator rows from the view -----------------------------------------------

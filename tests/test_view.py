@@ -638,6 +638,20 @@ def test_entries_are_checked(change, message):
         TableView(*head, True, x, y, z, value, scale=scale)
 
 
+def test_products_given_in_both_orders_build_the_once_ordered_view():
+    # each product (y, x) repeats (x, y), the first also with a zero entry, which is dropped
+    V = builders.tree_radial(2, 28).view
+    head = (V.n, V.identity, V.inv, True)
+    once = V.x <= V.y
+    want = TableView(*head, V.x[once], V.y[once], V.z[once], V.N[once], scale=V.scales)
+    zero = ([1], [0], [5], [0])
+    got = TableView(*head, *(np.r_[a, extra] for a, extra in zip((V.x, V.y, V.z, V.N), zero)),
+                    scale=V.scales)
+    assert (V.x > V.y).any()
+    for name in ("x", "y", "z", "N", "px", "py", "starts", "pair", "has_row"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
 def test_entries_of_float_tables_must_be_finite():
     x, y, z = _z3_entries()
     c = np.ones(len(x))
