@@ -570,7 +570,7 @@ DEFORM_HAAR_BOUND = 1e-10
 DEFORM_DUAL_MAP_BOUND = 1e-8
 
 
-@dataclass
+@dataclass(frozen=True)
 class DeformedPair:
     """Original table, dominant character and the Voit deformation H0.
 
@@ -605,7 +605,8 @@ class DeformedPair:
 
     @cached_property
     def p2_status(self) -> str:
-        """The (P2) status of H0 by :func:`p2_status`, without section bounds."""
+        """The (P2) status of H0 by the module's rule :func:`p2_status`, without
+        section bounds; taken once, as the pair is frozen."""
         return p2_status(self.deformed)[0]
 
     @property

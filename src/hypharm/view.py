@@ -248,16 +248,12 @@ class TableView:
             # a product named in both orders: the two rows must agree; c is
             # symmetric in s_x s_y, so those of an N-form agree in N
             both = np.isin(product, product[flip]) & np.isin(product, product[~flip])
-            sides = [both & nonzero & (flip == f) for f in (False, True)]
-            ps = np.unique(product[both])
-            counts = [np.bincount(np.searchsorted(ps, product[side]), minlength=len(ps))
-                      for side in sides]
-            bad = counts[0] != counts[1]
-            # rows of one length align entry by entry, each sorted by z
-            one, other = (side & np.isin(product, ps[~bad]) for side in sides)
-            differ = (z[one] != z[other]) | (vals[one] != vals[other])
-            bad[np.searchsorted(ps, product[one][differ])] = True
-            fail(bad, lambda i: f"conflicting data for row {(int(ps[i]) // n, int(ps[i]) % n)}")
+            given: dict = {}
+            for i in np.flatnonzero(both & nonzero).tolist():
+                given.setdefault((int(product[i]), bool(flip[i])), []).append((z[i], vals[i]))
+            for p in np.unique(product[both]).tolist():
+                if given.get((p, False)) != given.get((p, True)):
+                    raise ValueError(f"conflicting data for row {(p // n, p % n)}")
             keep = ~(flip & both)
             x, y, z, nonzero, product, vals = (a[keep] for a in (x, y, z, nonzero, product, vals))
 

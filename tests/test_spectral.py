@@ -529,6 +529,10 @@ def test_deformed_pair_passes_on_a_sound_deformation_restoring_p2():
     assert not dataclasses.replace(pair, axiom_violation=1.0).passed
     # T is certified to fail (P2): as H0 it restores nothing
     assert not dataclasses.replace(pair, deformed=T).passed
+    # the status is cached, so the pair cannot take another H0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pair.deformed = T
+    assert pair.passed
 
 
 # -- generator rows from the view -----------------------------------------------
