@@ -221,7 +221,8 @@ def approximate_diagonal(
 # -- weak amenability --------------------------------------------------------
 
 # How far above 1 a weak-amenability constant may come out and still certify
-# the constant 1.
+# the constant 1; and how far |1|_MA, or an interval lower bound on a
+# witness's multiplier norm, may stray from the bound the witness certifies.
 WEAK_AMENABILITY_SLACK = 1e-6
 
 
@@ -269,7 +270,6 @@ def _perron_vector(H0: HypergroupTable, radius: int) -> np.ndarray:
 def weak_amenability_witness(
     H: HypergroupTable,
     radii: tuple[int, ...] | None = None,
-    tol: float = 1e-6,
     seed: int = DEFAULT_SEED,
     ct: CharacterTable | None = None,
 ) -> WeakAmenabilityWitness:
@@ -294,7 +294,7 @@ def weak_amenability_witness(
         # A(H), so its multiplier norm is exactly 1; the numeric column-sum
         # computation only cross-checks that within tolerance
         numeric = norm_MA(H, ct, ones)
-        if abs(numeric - 1.0) > tol:
+        if abs(numeric - 1.0) > WEAK_AMENABILITY_SLACK:
             raise ArithmeticError(
                 f"{H.name}: |1|_MA computed as {numeric}, should be 1"
             )
@@ -323,7 +323,8 @@ def weak_amenability_witness(
     entries = []
     for i, r in enumerate(radii):
         bound = l2_norm(H0, xis[i]) ** 2
-        if ivs_H[i].lower > bound + tol or ivs_H0[i].lower > bound + tol:
+        limit = bound + WEAK_AMENABILITY_SLACK
+        if ivs_H[i].lower > limit or ivs_H0[i].lower > limit:
             raise ArithmeticError(
                 f"{H.name}: interval lower bound exceeds the witness bound"
             )

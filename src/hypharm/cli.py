@@ -124,6 +124,8 @@ def _load_function(path: str, size: int) -> np.ndarray:
 
 
 def cmd_norms(args, doc: ReportDoc) -> bool:
+    if args.groups and not args.mcb:
+        raise UsageError("--groups needs --mcb")
     H = _build_table(args)
     if args.u_file:
         us = [_load_function(args.u_file, H.size)]
@@ -161,12 +163,18 @@ def cmd_norms(args, doc: ReportDoc) -> bool:
     return ok
 
 
+def _radii(tok: str | None) -> tuple[int, ...] | None:
+    """``--radii``, a comma-separated list of integers >= 0, or None if not given."""
+    if tok is not None and not all(t.strip().isdecimal() for t in tok.split(",")):
+        raise ValueError(f"--radii must be a comma-separated list of integers >= 0, got {tok!r}")
+    return None if tok is None else tuple(map(int, tok.split(",")))
+
+
 def cmd_amenability(args, doc: ReportDoc) -> bool:
     H = _build_table(args)
     doc.add("table", H.name)
     if H.truncated:
-        radii = tuple(int(t) for t in args.radii.split(","))
-        wa = am.weak_amenability_witness(H, radii=radii, seed=args.seed)
+        wa = am.weak_amenability_witness(H, radii=_radii(args.radii), seed=args.seed)
         doc.add("weak_amenability.bound", wa.constant_bound)
         doc.add("weak_amenability.residuals_decreasing", wa.residuals_decreasing)
         for e in wa.entries:
@@ -174,6 +182,8 @@ def cmd_amenability(args, doc: ReportDoc) -> bool:
             for name, r in sorted(e.residuals.items()):
                 doc.add(f"radius{e.radius}.residual.{name}", r)
         return wa.passed
+    if args.radii is not None:
+        raise UsageError("--radii needs a section; a finite table takes none")
     rep = am.amenability_report(H, seed=args.seed, tol=args.tol)
     doc.add("p2", rep.p2_status)
     doc.add("psi.norm_blambda", rep.psi_norm)
@@ -301,9 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--u-file", help="function file: lines 'index re [im]'")
             p.add_argument("--random", type=int, default=5)
             p.add_argument("--mcb", action="store_true")
-            p.add_argument("--groups", help="comma list for the Mcb supremum")
+            p.add_argument("--groups", help="comma list for the Mcb supremum (needs --mcb)")
         if name == "amenability":
-            p.add_argument("--radii", default="5,10,20")
+            p.add_argument("--radii", help="comma list of witness radii (sections only)")
         if name == "product":
             _add_table_args(p, suffix="2")
     return parser
@@ -343,7 +353,9 @@ def run(argv=None) -> int:
         return 0 if ok else 1
     except (core.FileFormatError, OSError, UsageError, KeyError,
             ValueError, TruncationOverflow) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
+        # str() of a KeyError is its message in quotes
+        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"input error: {msg}", file=sys.stderr)
         return 2
     except (HypharmError, ArithmeticError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)

@@ -39,7 +39,7 @@ from .builders import (
     q_integers,
     su2_entries,
 )
-from .core import HypergroupTable, LineFile, _finite, convolve, int_in
+from .core import DEFAULT_TOL, HypergroupTable, LineFile, _finite, convolve, int_in
 from .errors import FileFormatError, ReciprocityError
 from .groups import FiniteGroup
 from .norms import norm_A, norm_Blambda
@@ -92,21 +92,21 @@ class FusionRing:
     def N(self, a: int, b: int, g: int) -> int:
         return quantum_character_decomposition(self, a, b).get(g, 0)
 
-    def validate(self, tol: float = 1e-9) -> None:
+    def validate(self) -> None:
         """Frobenius reciprocity, dimension homomorphisms, trivial row.
 
         Every product is checked at once on the entries of :attr:`view`, each
-        unordered product once (:meth:`TableView.products_once`; the identities
+        unordered product once (:attr:`TableView.products_once`; the identities
         on ``(b, a)`` are those on ``(a, b)``), and those flagged are checked
         again in ``(a, b)`` order by :meth:`_check_row`, which raises the error.
         Flagged are the products with a negative multiplicity, a partner
         multiplicity that differs, a wrong trivial multiplicity, no entries, or
-        a dimension sum whose float64 defect exceeds the tolerance less 1e-12
+        a dimension sum whose float64 defect exceeds ``DEFAULT_TOL`` less 1e-12
         times the size of its terms, more than float64 rounding can move it,
         so that every product the exact check fails is among them.
         """
         V, k = self.view, self.size
-        px, py, once, starts = V.products_once()
+        px, py, once, starts = V.products_once
         rows = len(px)
         r = np.repeat(np.arange(rows), np.diff(starts))  # the product of each entry
         a, b, g, N, conj = px[r], py[r], V.z[once], V.N[once], V.inv
@@ -128,11 +128,11 @@ class FusionRing:
             lhs = np.add.reduceat(terms, starts[:-1])
             scale = np.add.reduceat(np.abs(terms), starts[:-1])
             rhs = d[px] * d[py]
-            flagged |= np.abs(lhs - rhs) > tol * rhs - 1e-12 * (scale + np.abs(rhs))
+            flagged |= np.abs(lhs - rhs) > DEFAULT_TOL * rhs - 1e-12 * (scale + np.abs(rhs))
         for i in np.flatnonzero(flagged).tolist():
-            self._check_row(int(px[i]), int(py[i]), tol)
+            self._check_row(int(px[i]), int(py[i]))
 
-    def _check_row(self, a: int, b: int, tol: float) -> None:
+    def _check_row(self, a: int, b: int) -> None:
         """The checks of :meth:`validate` on the row ``(a, b)``, with exact dimensions."""
         row = list(quantum_character_decomposition(self, a, b).items())
         for g, n in row:
@@ -145,9 +145,7 @@ class FusionRing:
                     )
         for dims in (self.ndims, self.ddims):
             lhs = sum(n * dims[g] for g, n in row)
-            if abs(float(lhs - dims[a] * dims[b])) > tol * float(
-                dims[a] * dims[b]
-            ):
+            if abs(float(lhs - dims[a] * dims[b])) > DEFAULT_TOL * float(dims[a] * dims[b]):
                 raise ReciprocityError(
                     f"dimension homomorphism fails on row ({a},{b})"
                 )
@@ -203,9 +201,12 @@ def hypergroup_d(FR: FusionRing) -> HypergroupTable:
 
     For :func:`su2_fusion_ring` it is the table of
     :func:`~hypharm.builders.su2_fusion` at the same q and radius, under
-    the ring's name and labels.
+    the ring's name and labels.  A Kac ring (:func:`is_kac`) is rescaled by
+    its classical dimensions, so that both its tables hold one N at the
+    same scales, whatever the type of its quantum dimensions.
     """
-    return fusion_table(f"({FR.name},d)", FR.view, FR.ddims, FR.labels, q=FR.q)
+    dims = FR.ndims if is_kac(FR) else FR.ddims
+    return fusion_table(f"({FR.name},d)", FR.view, dims, FR.labels, q=FR.q)
 
 
 def is_kac(FR: FusionRing) -> bool:
@@ -253,12 +254,7 @@ def central_convolve(G: FiniteGroup, f: CentralFunction, g: CentralFunction) -> 
     return CentralFunction(G.name, tuple(out.tolist()))
 
 
-def hat_map(
-    G: FiniteGroup,
-    f: CentralFunction,
-    verify: bool = True,
-    tol: float = 1e-9,
-) -> np.ndarray:
+def hat_map(G: FiniteGroup, f: CentralFunction, verify: bool = True) -> np.ndarray:
     """f^(alpha) = (1/n_alpha)(1/|G|) sum_g f(g) chi_{alpha-bar}(g) on Irr(G).
 
     With ``verify`` the ZL1 -> A(Irr(G), n) isometry is checked on f
@@ -273,7 +269,7 @@ def hat_map(
         table, ct = data.irr
         lhs = zl1_norm(G, f)
         rhs, _ = norm_A(table, ct, out, with_witness=False)
-        if abs(lhs - rhs) > tol * max(1.0, lhs):
+        if abs(lhs - rhs) > DEFAULT_TOL * max(1.0, lhs):
             raise ArithmeticError(
                 f"{G.name}: hat map is not isometric ({lhs} vs {rhs})"
             )
@@ -309,12 +305,7 @@ def convolve_central_measures(
     return CentralMeasure(G.name, tuple(out.tolist()))
 
 
-def zm_to_b(
-    G: FiniteGroup,
-    mu: CentralMeasure,
-    verify: bool = True,
-    tol: float = 1e-9,
-) -> np.ndarray:
+def zm_to_b(G: FiniteGroup, mu: CentralMeasure, verify: bool = True) -> np.ndarray:
     """T*(mu)(pi) = (1/d_pi) <mu, chi_pi>: central measures into B(Irr(G)).
 
     With ``verify``, multiplicativity under measure convolution and the
@@ -327,12 +318,12 @@ def zm_to_b(
         sq = convolve_central_measures(G, mu, mu)
         lhs = zm_to_b(G, sq, verify=False)
         worst = float(np.abs(lhs - out**2).max())
-        if worst > tol * max(1.0, float(np.abs(out).max()) ** 2):
+        if worst > DEFAULT_TOL * max(1.0, float(np.abs(out).max()) ** 2):
             raise ArithmeticError(f"{G.name}: T* is not multiplicative ({worst:.2e})")
         table, ct = data.irr
         bnorm = norm_Blambda(table, ct, out)
         tv = float(sum(abs(m) for m in mu.masses))
-        if abs(bnorm - tv) > tol * max(1.0, tv):
+        if abs(bnorm - tv) > DEFAULT_TOL * max(1.0, tv):
             raise ArithmeticError(
                 f"{G.name}: |T* mu|_Blambda = {bnorm} but TV = {tv}"
             )
@@ -365,7 +356,7 @@ def save_fusion_ring(FR: FusionRing, path: str) -> None:
         lines.append("ddims " + " ".join(str(d) for d in FR.ddims))
     lines.append("mult")
     V = FR.view
-    _, _, once, _ = V.products_once()
+    _, _, once, _ = V.products_once
     for a, b, g, n in zip(*(v[once].tolist() for v in (V.x, V.y, V.z, V.N))):
         lines.append(f"{FR.labels[a]} {FR.labels[b]} {FR.labels[g]} {n}")
     lines.append("end")

@@ -67,8 +67,7 @@ class CharacterTable:
     positive: tuple[bool, ...] = field(default_factory=tuple)
 
 
-def _multiplicativity_residual(H: HypergroupTable, chi: np.ndarray,
-                               once: tuple | None = None) -> float:
+def _multiplicativity_residual(H: HypergroupTable, chi: np.ndarray) -> float:
     """max over stored products of |chi(x) chi(y) - sum_z c^z_{x,y} chi(z)|.
 
     ``chi`` is one function or a 2-D array of them, one per row, taken in
@@ -79,11 +78,9 @@ def _multiplicativity_residual(H: HypergroupTable, chi: np.ndarray,
     two orders may round apart (at 6 of the 64 values chi(x) chi(y) of
     Conj(A4)'s four characters), and over x <= y alone their residual
     would read 0x1.007f5d3e7e813p-48 instead of 0x1.0086273538121p-48.
-    ``once`` is that index if the caller holds it, as a table and its Voit
-    deformation share it.
     """
     V, chis = H.view, np.atleast_2d(chi)
-    px, py, entries, starts = once or V.products_once()
+    px, py, entries, starts = V.products_once
     z = V.z[entries]
     filled = starts[:-1] < starts[1:]
     cols = slice(None) if filled.all() else filled
@@ -385,25 +382,25 @@ def _schur_bound(H: HypergroupTable) -> tuple[float, float]:
 P2_TOL = 1e-6
 
 
-def p2_status(H: HypergroupTable, tol: float = P2_TOL) -> tuple[str, tuple[float, float] | None]:
+def p2_status(H: HypergroupTable) -> tuple[str, tuple[float, float] | None]:
     """The one (P2) status rule, and the Schur bound ``(bound, r)`` it rests on, if any.
 
     A finite table holds.  A section without tail metadata is
     inconclusive; one with it takes one :func:`_schur_bound`, and fails
-    below ``1 - tol``, is inconclusive within ``tol`` of 1 and holds above
-    ``1 + tol``.  No section lower bound is taken.
+    below ``1 - P2_TOL``, is inconclusive within ``P2_TOL`` of 1 and holds
+    above ``1 + P2_TOL``.  No section lower bound is taken.
     """
     if not H.truncated:
         return "holds", None
     if H.tail is None:
         return "inconclusive", None
     schur = _schur_bound(H)
-    if schur[0] < 1.0 - tol:
+    if schur[0] < 1.0 - P2_TOL:
         return "fails", schur
-    return ("inconclusive" if schur[0] <= 1.0 + tol else "holds"), schur
+    return ("inconclusive" if schur[0] <= 1.0 + P2_TOL else "holds"), schur
 
 
-def check_p2(H: HypergroupTable, tol: float = P2_TOL) -> P2Report:
+def check_p2(H: HypergroupTable) -> P2Report:
     """Decide whether the constant character lies in supp(Plancherel).
 
     The status is that of the one (P2) status rule, :func:`p2_status`;
@@ -417,7 +414,7 @@ def check_p2(H: HypergroupTable, tol: float = P2_TOL) -> P2Report:
             1.0,
             1.0,
             None,
-            tol,
+            P2_TOL,
             certificate=(
                 "finite table: the l2-normalized constant vector is fixed by "
                 "every translation (Plancherel weight of the constant "
@@ -426,7 +423,7 @@ def check_p2(H: HypergroupTable, tol: float = P2_TOL) -> P2Report:
         )
     sections = _section_lower_bounds(H)
     lower = max(b for _, b in sections)
-    status, schur = p2_status(H, tol)
+    status, schur = p2_status(H)
     if schur is None:
         return P2Report(
             H.name,
@@ -434,7 +431,7 @@ def check_p2(H: HypergroupTable, tol: float = P2_TOL) -> P2Report:
             lower,
             1.0,
             None,
-            tol,
+            P2_TOL,
             sections,
             "truncated table without tail metadata: only section lower bounds",
         )
@@ -444,13 +441,13 @@ def check_p2(H: HypergroupTable, tol: float = P2_TOL) -> P2Report:
             f"Schur test with geometric weights r={r_opt!r} certifies the "
             f"generator spectrum <= {bound!r} < 1"
         ),
-        "inconclusive": f"certified bound {bound!r} lies within {tol:g} of 1",
+        "inconclusive": f"certified bound {bound!r} lies within {P2_TOL:g} of 1",
         "holds": (
             f"no Schur certificate below 1 exists (best {bound!r}); section "
             "lower bounds increase toward 1"
         ),
     }[status]
-    return P2Report(H.name, status, lower, min(bound, 1.0), bound, tol, sections, cert)
+    return P2Report(H.name, status, lower, min(bound, 1.0), bound, P2_TOL, sections, cert)
 
 
 # -- dominant positive character and the Voit deformation ------------------
@@ -493,11 +490,7 @@ def solve_character(H: HypergroupTable, value_at_generator) -> np.ndarray:
 CHI0_SAMPLES = 17
 
 
-def chi0(
-    H: HypergroupTable,
-    tol: float = DEFAULT_TOL,
-    seed: int = DEFAULT_SEED,
-) -> np.ndarray:
+def chi0(H: HypergroupTable) -> np.ndarray:
     """The positive character dominating supp(Plancherel).
 
     Finite tables: the constant 1, after checking |chi(x)| <= 1 for every
@@ -509,19 +502,15 @@ def chi0(
     the largest section lower bound.  The (P2) status is the one status
     rule's, :func:`p2_status`, from one Schur bound; the section bounds
     are taken only when they are read.  The candidate and the grid are
-    rows of one :func:`solve_character` call.
+    rows of one :func:`solve_character` call.  Finite tables are
+    diagonalized at ``DEFAULT_TOL`` and ``DEFAULT_SEED``.
     """
-    return _chi0(H, tol, seed)[0]
+    return _chi0(H, DEFAULT_TOL, DEFAULT_SEED)[0]
 
 
-def _chi0(
-    H: HypergroupTable, tol: float, seed: int, once: tuple | None = None
-) -> tuple[np.ndarray, CharacterTable | None]:
-    """:func:`chi0`, and the character table that checked it on a finite table.
-
-    ``once`` is the view's :meth:`~hypharm.view.TableView.products_once`,
-    if the caller holds it.
-    """
+def _chi0(H: HypergroupTable, tol: float, seed: int) -> tuple[np.ndarray, CharacterTable | None]:
+    """:func:`chi0` at ``tol`` and ``seed``, and the character table that checked it on a
+    finite table."""
     if not H.truncated:
         ct = characters(H, tol=tol, seed=seed)
         excess = float(np.max(np.abs(ct.chars)) - 1.0)
@@ -546,7 +535,7 @@ def _chi0(
             )
     else:
         cand = np.ones(H.size)
-    resid = _multiplicativity_residual(H, cand.astype(complex), once)
+    resid = _multiplicativity_residual(H, cand.astype(complex))
     if resid > max(tol, 1e-9):
         raise DominationFailure(
             f"{H.name}: candidate chi0 multiplicativity residual {resid:.2e}"
@@ -619,18 +608,17 @@ class DeformedPair:
 def voit_deform(
     H: HypergroupTable, tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED
 ) -> DeformedPair:
-    """Build H0 by ``chi0(H, tol=tol, seed=seed)``, the one check of its character.
+    """Build H0 by :func:`chi0` at ``tol`` and ``seed``, the one check of its character.
 
     An exact finite table, whose chi0 is exactly 1, is its own deformation.
     A finite table is diagonalized once, for chi0 and the dual map both.
     The (P2) status that decides a section's chi0 is the one status rule's,
-    :func:`p2_status`.  H0 shares the index arrays of H, so the index of
-    its products taken once (:meth:`~hypharm.view.TableView.products_once`)
-    is built once, for the multiplicativity residuals of chi0 on H and of
-    the dual map on H0.
+    :func:`p2_status`.  H0 shares the index arrays of H and, built by the
+    residual of chi0 on H, the index of its products taken once
+    (:attr:`~hypharm.view.TableView.products_once`), which the dual map's
+    residual on H0 reads.
     """
-    once = H.view.products_once() if H.truncated else None
-    chi, ct = _chi0(H, tol, seed, once)
+    chi, ct = _chi0(H, tol, seed)
     if not H.truncated and H.exact:
         return DeformedPair(H, chi, H.relabeled(f"{H.name}_voit"), 0.0, 0.0, 0.0)
 
@@ -657,7 +645,7 @@ def voit_deform(
     if H.truncated:
         top = chi[H.generator]
         samples = solve_character(H, np.linspace(-top, top, 7)) / chi
-        dual_resid = _multiplicativity_residual(deformed, samples.astype(complex), once)
+        dual_resid = _multiplicativity_residual(deformed, samples.astype(complex))
     else:
         dominated = (np.abs(ct.chars) <= chi + 1e-9).all(axis=1)
         dual_resid = _multiplicativity_residual(deformed, ct.chars[dominated] / chi)

@@ -67,10 +67,10 @@ SLAB_FLOOR = 2**15
 MASK_VALUES = 2**15
 ZERO = Fraction(0)
 # The attributes of a view that :meth:`TableView._on_index` shares: those
-# that :meth:`TableView._index` sets, the cached keys and the checked-triple
-# plan, which depend on the index arrays alone.
+# that :meth:`TableView._index` sets, the cached keys, checked-triple plan
+# and products-once index, which depend on the index arrays alone.
 _INDEX = frozenset(("n", "identity", "commutative", "px", "py", "starts", "pair", "x", "y", "z",
-                    "has_row", "inv", "keys", "plan"))
+                    "has_row", "inv", "keys", "plan", "products_once"))
 
 
 @functools.cache
@@ -164,6 +164,8 @@ class TableView:
     * :attr:`plan` -- the ``n x n x n`` mask of the triples that the
       associativity check takes, those whose rows are all stored, or None
       if every row is; built on first use;
+    * :attr:`products_once` -- each stored product once, with its entries;
+      built on first use;
     * ``n``, ``identity``, ``inv`` and ``commutative`` -- the size, the
       identity, the involution and whether the product commutes, which a
       :class:`~hypharm.core.HypergroupTable` takes from its view;
@@ -303,8 +305,8 @@ class TableView:
         self.factors = None
 
     def _on_index(self, c=None) -> "TableView":
-        """A view on these frozen index arrays, and on their keys and plan if built, with
-        the float coefficients ``c`` or none yet.  Raises ValueError, as the
+        """A view on these frozen index arrays, and on their keys, plan and products-once
+        index if built, with the float coefficients ``c`` or none yet.  Raises ValueError, as the
         constructor does, for a value that is not finite."""
         if c is not None and (bad := np.flatnonzero(~np.isfinite(c))).size:
             i = bad[0]
@@ -528,13 +530,13 @@ class TableView:
         assert (np.diff(keys) > 0).all(), "entries out of (x, y, z) order"
         return _frozen(keys)
 
+    @cached_property
     def products_once(self) -> tuple:
         """Each stored product once: of a commutative view those with ``px <= py``, else all.
 
-        Returns their ``(px, py)``, the indices of their entries (a slice if
-        they are all) and the products' CSR offsets into those.  It is built
-        per call, O(entries): a cached table would hold it as long as it
-        lives.
+        Holds their ``(px, py)``, the indices of their entries (a slice if
+        they are all) and the products' CSR offsets into those; built on
+        first use, O(entries), and shared by the views on these index arrays.
         """
         if not self.commutative:
             return self.px, self.py, slice(None), self.starts
@@ -556,7 +558,7 @@ class TableView:
 
     def rows(self) -> dict:
         """All rows ``(x, y) -> ((z, c), ...)``; commutative tables keep ``x <= y``."""
-        px, py, entries, starts = self.products_once()
+        px, py, entries, starts = self.products_once
         z, vals, starts = self.z[entries].tolist(), self.coefficients(entries), starts.tolist()
         return {(x, y): tuple(zip(z[lo:hi], vals[lo:hi]))
                 for x, y, lo, hi in zip(px.tolist(), py.tolist(), starts, starts[1:])}

@@ -146,6 +146,29 @@ def test_amenability_negative_radius_exit_two(radii, capsys):
     assert "radii" in capsys.readouterr().err
 
 
+AMENABILITY_R24 = ["amenability", "--family", "tree_radial", "--q", "2", "--radius", "24"]
+RADII = "--radii must be a comma-separated list of integers >= 0, got "
+
+
+@pytest.mark.parametrize("argv, message", [
+    (AMENABILITY_R24 + ["--radii", "x"], RADII + "'x'"),
+    (AMENABILITY_R24 + ["--radii", "3,,4"], RADII + "'3,,4'"),
+    (AMENABILITY_R24 + ["--radii", ""], RADII + "''"),
+    (["amenability", "--family", "conj", "--group", "s3", "--radii", "x"],
+     "--radii needs a section; a finite table takes none"),
+    (["norms", "--family", "conj", "--group", "s3", "--groups", "s3"], "--groups needs --mcb"),
+    (["norms", "--family", "conj", "--group", "z"], "unknown group 'z'"),
+    (["norms", "--family", "conj", "--group", "s3", "--mcb", "--groups", "foo"],
+     "unknown group 'foo'"),
+], ids=["radii-word", "radii-empty-item", "radii-empty", "radii-on-finite", "groups-without-mcb",
+        "unknown-group", "unknown-mcb-group"])
+def test_input_error_names_the_option(argv, message, capsys):
+    # an option the command would not read is rejected, and a KeyError's
+    # message is printed without the quotes of its str()
+    assert _run(argv) == (2, "")
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
 @pytest.mark.parametrize("count", ["0", "-1"])
 def test_norms_without_functions_exit_two(count, capsys):
     # with no function checked there is no evidence for a verdict
@@ -209,6 +232,21 @@ def test_rational_q_sections_within_float64_pass(argv):
     # q = 0.001 the largest Haar weight [52]_q^2 is about 1e306
     code, _ = _run(argv)
     assert code == 0
+
+
+def test_kac_ring_file_with_float_dimensions_passes(tmp_path):
+    # n == d exactly, so the (Irr, d) table is the (Irr, n) table, not a
+    # float table with the dimensions' quotients rounded
+    ring = hypharm.quantum.group_fusion_ring(groups.get_group("s4"))
+    path = tmp_path / "s4.fus"
+    hypharm.quantum.save_fusion_ring(ring, str(path))
+    exact = "ddims " + " ".join(map(str, ring.ndims))
+    text = path.read_text()
+    assert exact in text
+    path.write_text(text.replace(exact, "ddims " + " ".join(map(str, map(float, ring.ndims)))))
+    code, out = _run(["quantum", "--fusion-file", str(path)])
+    assert "\nkac: true\n" in out and "\nn_equals_d: true\n" in out
+    assert (code, out.splitlines()[-1]) == (0, "pass: true")
 
 
 def test_quantum_ring_file_haar_beyond_float64_exit_two(tmp_path, capsys):

@@ -371,11 +371,11 @@ def test_group_runs_compute_the_character_data_once():
 # -- validation on arrays ------------------------------------------------------
 
 
-def _validate_loop(ring, tol=1e-9):
+def _validate_loop(ring):
     """Every row checked in turn: the order in which validate() must raise."""
     a, b, _, _ = ring.entries
     for row in dict.fromkeys(zip(a.tolist(), b.tolist())):
-        ring._check_row(*row, tol)
+        ring._check_row(*row)
 
 
 def _mutations():

@@ -1,11 +1,14 @@
 """Checks on the package source itself."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import hypharm
 
 SOURCE = Path(hypharm.__file__).parent
+# The directories whose calls may set a parameter of the package.
+CALLERS = tuple(Path(__file__).resolve().parents[1] / d for d in ("src", "tests", "demos", "bench"))
 
 # (module, function, parameter): parameters kept although never read, with the reason
 UNREAD_ALLOWED = {
@@ -35,6 +38,65 @@ def _unread_parameters():
 def test_every_parameter_is_read():
     # a parameter no function body reads is an option that does no work
     assert _unread_parameters() == UNREAD_ALLOWED
+
+
+# (module, function, parameter): defaulted parameters that no call sets, with the reason
+UNSET_ALLOWED: set = set()
+
+
+def _defaulted_parameters():
+    """``(module, function, parameter) -> (position, method)`` of each defaulted parameter
+    of a function whose name the package defines once; keyword-only ones have no position."""
+    defs = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        methods = {fn for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for fn in cls.body}
+        defs += [(path.name, fn, fn in methods) for fn in ast.walk(tree)
+                 if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    defined = Counter(fn.name for _, fn, _ in defs)
+    out = {}
+    for module, fn, method in defs:
+        if defined[fn.name] > 1:  # a call names no module, so it could be either
+            continue
+        args = fn.args
+        pos = args.posonlyargs + args.args
+        out |= {(module, fn.name, a.arg): (j, method)
+                for j, a in enumerate(pos) if j >= len(pos) - len(args.defaults)}
+        out |= {(module, fn.name, a.arg): (None, method)
+                for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None}
+    return out
+
+
+def _calls():
+    """``(name, through an attribute, positional arguments, keywords)`` of every call."""
+    out = []
+    for path in sorted(p for d in CALLERS for p in d.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                attr = isinstance(node.func, ast.Attribute)
+                out.append((node.func.attr if attr else getattr(node.func, "id", None), attr,
+                            sum(not isinstance(a, ast.Starred) for a in node.args),
+                            {k.arg for k in node.keywords}))
+    return out
+
+
+def _sets(call, function, parameter, position, method):
+    """Whether ``call`` calls ``function`` and passes ``parameter``, by keyword or by position.
+
+    A method called through an attribute takes self from it, so its
+    positional arguments start at parameter 1.
+    """
+    name, attr, given, keywords = call
+    return name == function and (parameter in keywords or (
+        position is not None and given > position - (method and attr)))
+
+
+def test_every_defaulted_parameter_is_set_by_some_call():
+    # a default that no call overrides is a constant
+    calls = _calls()
+    unset = {(module, fn, p) for (module, fn, p), (j, method) in _defaulted_parameters().items()
+             if not any(_sets(call, fn, p, j, method) for call in calls)}
+    assert unset == UNSET_ALLOWED
 
 
 def _unread_imports():

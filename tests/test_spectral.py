@@ -669,9 +669,5 @@ def test_deformation_shares_its_products_index(build, name, radius):
     # chi0 on H and the dual map on H0 read one index: H0 holds the arrays of H
     H = build(name, radius)
     pair = voit_deform(H)
-    once = H.view.products_once()
-    top = pair.chi0[H.generator]
-    samples = solve_character(H, np.linspace(-top, top, 7)) / pair.chi0
-    for T, chi in ((H, pair.chi0.astype(complex)), (pair.deformed, samples.astype(complex))):
-        assert _multiplicativity_residual(T, chi, once) == _multiplicativity_residual(T, chi)
+    assert pair.deformed.view.products_once is H.view.products_once
     assert pair.deformed.view.px is H.view.px and pair.deformed.view.pair is H.view.pair

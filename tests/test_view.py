@@ -342,7 +342,8 @@ def test_residual_of_each_product_once_equals_both_orders(name):
 
 
 def test_residual_peaks_no_higher_than_both_orders():
-    # the index of each product once included, built inside the call
+    # the view holds its index of each product once, which characters(H)
+    # has built, so the peak is that of the sums alone
     H = family(FamilySpec("cyclic", n=96))
     chis = characters(H).chars
     got = _peak_bytes(_multiplicativity_residual, H, chis)
@@ -351,10 +352,27 @@ def test_residual_peaks_no_higher_than_both_orders():
 
 def test_products_once_index_the_products_with_x_at_most_y():
     V = _table("suq2_r12").view
-    px, py, entries, starts = V.products_once()
+    px, py, entries, starts = V.products_once
     assert (px <= py).all() and (V.pair[entries] == np.repeat(
         np.flatnonzero(V.px <= V.py), np.diff(starts))).all()
     assert len(px) == np.count_nonzero(V.px <= V.py) == len(starts) - 1
+
+
+@pytest.mark.parametrize("make", [
+    lambda: family(FamilySpec("tree_radial", q=2, radius=24)),
+    lambda: _float_copy(family(FamilySpec("conj", group="s4"))),
+], ids=["tree2_r24", "conj_s4_float"])
+def test_products_once_is_built_once_per_index(monkeypatch, make):
+    # the residual of chi0 on H builds the index, and the deformed view, on
+    # the index arrays of H, reads it for the dual map's residual
+    H = make()
+    build, built = vars(TableView)["products_once"].func, []
+    counted = functools.cached_property(lambda V: built.append(V) or build(V))
+    counted.__set_name__(TableView, "products_once")
+    monkeypatch.setattr(TableView, "products_once", counted)
+    H0 = voit_deform(H).deformed
+    assert H0.view.products_once is H.view.products_once
+    assert built == [H.view]
 
 
 @pytest.mark.parametrize("name", sorted(k for k in BUILDERS if "_r" not in k))
@@ -578,11 +596,12 @@ def test_view_holds_one_array_per_value():
     # starts in int32 and has_row make 37 bytes per entry, with inv and the
     # scales 342,916 bytes; a second copy of N, x, y and z for the 4,656
     # products given once and an int64 map from the entries to them took
-    # 166,848 bytes more, and starts in int64 36,868 more
-    assert _view_bytes(V) == 342_916
-    # the index of each product once is built per residual, and not held
+    # 166,848 bytes more, and starts in int64 36,868 more.  The index of
+    # each product once, built by the first residual and then held, adds
+    # px, py and starts in int32 and an intp index per entry for its 4,656
+    # products x <= y: 93,124 bytes
     _multiplicativity_residual(H, characters(H).chars)
-    assert _view_bytes(V) == 342_916
+    assert _view_bytes(V) == 342_916 + 93_124
 
 
 def test_characters_memory_is_below_dense_matrices():
