@@ -35,6 +35,14 @@ timeout 30 hypharm deform --family su2_fusion --radius 120
 # exit 0 within 30 seconds
 timeout 30 hypharm verify --family tree_radial --q 3 --radius 60
 
+# Many residue passes finish. su2_fusion q = 1/1000 at R = 30, saved and
+# read back, holds N over one common denominator, far beyond the float64
+# bound: 565 residue passes of one prime each on one plan; it must exit 0
+# within 30 seconds
+su2=$(mktemp --suffix=.hyp)
+python -c "import sys; from fractions import Fraction; from hypharm import builders, save_table; save_table(builders.su2_fusion(30, q=Fraction(1, 1000)), sys.argv[1])" "$su2"
+timeout 30 hypharm verify --file "$su2"
+
 # Truncated witness and deformation at R = 60 finish. The Voit deformation of
 # sections whose c divides partly in float64 and partly as Python ints, and
 # the witness's intervals of every radius in one pass; each must exit 0

@@ -127,6 +127,8 @@ def cmd_norms(args, doc: ReportDoc) -> bool:
     if args.groups and not args.mcb:
         raise UsageError("--groups needs --mcb")
     H = _build_table(args)
+    if args.mcb and H.truncated:
+        raise UsageError("--mcb needs a finite table; a section takes none")
     if args.u_file:
         us = [_load_function(args.u_file, H.size)]
     elif args.random < 1:
@@ -143,7 +145,7 @@ def cmd_norms(args, doc: ReportDoc) -> bool:
     products = {}
     for k, u in enumerate(us):
         rep = norms.compute_norm_report(
-            H, u, ct=ct, groups=glist, with_mcb=args.mcb and not H.truncated,
+            H, u, ct=ct, groups=glist, with_mcb=args.mcb,
             seed=args.seed, products=products,
         )
         for nm, v in (("norm_a", rep.norm_A), ("norm_blambda", rep.norm_Blambda),

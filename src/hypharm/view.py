@@ -31,7 +31,7 @@ exact and read no Fraction row (:func:`exact_defects`,
   same multiple ``s_v / (s_x s_y s_z)`` of those of N, so c is associative
   exactly when N is.  It takes one float64 pass while
   ``2 n max|N|^2 <= 2**53``, and beyond that bound one pass on N's residues
-  per batch of :func:`crt_primes`.  On a commutative view the law at
+  per prime of :func:`crt_primes`.  On a commutative view the law at
   ``(z, y, x)`` is the one at ``(x, y, z)``: its defect is minus the other,
   exactly on N and its residues, and in floats a sum of the same products,
   so every pass takes each such pair once;
@@ -56,9 +56,6 @@ import numpy as np
 
 # Integers up to 2**53 are exact in float64.
 EXACT_FLOAT = 2**53
-# Values in the dense residue arrays of one pass (512 KB of float64), unless
-# one prime's array alone is larger.
-RESIDUE_BATCH = 2**16
 # Values in one associativity slab (256 KB of float64) at least: a table
 # with n**3 <= 2**15 (n <= 32) takes all y in one slab per x.
 SLAB_FLOOR = 2**15
@@ -109,20 +106,14 @@ def crt_primes(n: int, height: int) -> np.ndarray:
         count *= 2
 
 
-def residues(values: np.ndarray, primes: np.ndarray) -> np.ndarray:
-    """The integers ``values`` modulo each prime, one row per prime, in float64."""
-    return np.stack([values % int(p) for p in primes]).astype(float)
-
-
-def _defect(d: np.ndarray, p: np.ndarray | None) -> np.ndarray:
-    """|d|, in place; given primes ``p`` (one per leading row), |d - p rint(d / p)|.
+def _defect(d: np.ndarray, p: float | None) -> np.ndarray:
+    """|d|, in place; given a prime ``p``, |d - p rint(d / p)|.
 
     For integers with ``|d| + p <= 2**53`` the second is an exact integer
     congruent to ``d`` modulo ``p``, so it is 0 exactly when ``d`` is 0
     modulo ``p``.
     """
     if p is not None:
-        p = p.reshape((-1,) + (1,) * (d.ndim - 1))
         q = np.rint(d / p)
         q *= p
         d -= q
@@ -492,12 +483,9 @@ class TableView:
         return _divided(*self._fractions(i))
 
     def dense(self, c: np.ndarray) -> np.ndarray:
-        """The array ``C[..., x, y, z]`` of the values ``c``, 0 off the entries.
-
-        ``c`` holds one value per entry in its last axis; leading axes carry over.
-        """
-        C = np.zeros(c.shape[:-1] + (self.n,) * 3, dtype=c.dtype)
-        C[..., self.x, self.y, self.z] = c
+        """The array ``C[x, y, z]`` of the values ``c``, one per entry, 0 off the entries."""
+        C = np.zeros((self.n,) * 3, dtype=c.dtype)
+        C[self.x, self.y, self.z] = c
         return C
 
     def coefficients(self, i: np.ndarray) -> list:
@@ -669,7 +657,7 @@ def axiom_defects(V: TableView, c: np.ndarray) -> tuple[dict, int]:
     return out, checked
 
 
-def _associativity(V: TableView, C: np.ndarray, p: np.ndarray | None) -> tuple:
+def _associativity(V: TableView, C: np.ndarray, p: float | None) -> tuple:
     """Largest |((x.y).z - x.(y.z))_v| over the triples of the view's plan.
 
     The checked triples (x, y, z) are those of :attr:`TableView.plan`, or
@@ -681,23 +669,21 @@ def _associativity(V: TableView, C: np.ndarray, p: np.ndarray | None) -> tuple:
     checked in that order.  The slabs
     ``L = C[x] @ C.reshape(n, n*n)`` and ``R = C.reshape(n*n, n) @ C[x]``
     hold both sides for all (y, z, v).  Each slab holds at most a quarter
-    of ``C``, or of one of its ``n x n x n`` layers when ``C`` has a
-    leading axis (one per prime ``p``), or
-    :data:`SLAB_FLOOR` values if that is more: a block of whole x when
-    ``n**3`` fits, else blocks of y for one x.  Without a plan the slabs are
-    whole.  With one, a block of x takes only the span of y, and a slab only
-    the span of z, that hold checked triples; each side of the slab is
-    formed in turn and cut to its checked rows (x, y, z), so the defect is
-    taken at those rows alone.  Returns the worst violation, the number of
+    of ``C``, or :data:`SLAB_FLOOR` values if that is more: a block of
+    whole x when ``n**3`` fits, else blocks of y for one x.  Without a plan
+    the slabs are whole.  With one, a block of x takes only the span of y,
+    and a slab only the span of z, that hold checked triples; each side of
+    the slab is formed in turn and cut to its checked rows (x, y, z), so
+    the defect is taken at those rows alone.  Returns the worst violation, the number of
     triples the plan covers (both orders of an identity taken once) and,
     of an exact view (``C`` holds N or its residues), the rows
-    ``(x, y, z)`` of the triples taken whose defect is not 0 (modulo some
+    ``(x, y, z)`` of the triples taken whose defect is not 0 (modulo the
     prime ``p``).
     """
-    n, lead, plan = V.n, C.shape[:-3], V.plan
-    rows = max(1, max(n**3 // 4, SLAB_FLOOR) // (n * n * math.prod(lead)))  # (x, y) per slab
+    n, plan = V.n, V.plan
+    rows = max(1, max(n**3 // 4, SLAB_FLOOR) // (n * n))  # (x, y) per slab
     step, span = max(1, rows // n), min(rows, n)  # x per block, y per slab
-    left_of = C.reshape(lead + (1, n, n * n))
+    left_of = C.reshape(1, n, n * n)
     worst, flagged = 0.0, [np.empty((0, 3), dtype=np.int64)]
     for x0 in range(0, n, step):
         xs = slice(x0, min(x0 + step, n))
@@ -717,16 +703,16 @@ def _associativity(V: TableView, C: np.ndarray, p: np.ndarray | None) -> tuple:
             i = None if sel is None else np.flatnonzero(sel)
 
             def kept(side):  # the slab's rows (x, y, z) of n values v, or its checked ones
-                side = side.reshape(lead + (-1, n))
-                return side if i is None else side.take(i, axis=-2)
+                side = side.reshape(-1, n)
+                return side if i is None else side.take(i, axis=0)
 
-            d = kept(C[..., xs, lo:hi, :] @ left_of[..., z0 * n:z1 * n])
-            d -= kept(C[..., lo:hi, z0:z1, :].reshape(lead + (1, -1, n)) @ C[..., xs, :, :])
+            d = kept(C[xs, lo:hi] @ left_of[:, :, z0 * n:z1 * n])
+            d -= kept(C[lo:hi, z0:z1].reshape(1, -1, n) @ C[xs])
             d = _defect(d, p)
             top = d.max()
             worst = _worst(worst, top)
             if top and V.rational:
-                hit = d.max(axis=-1).reshape(-1, d.shape[-2]).max(axis=0) > 0
+                hit = d.max(axis=-1) > 0
                 at = np.argwhere(sel)[hit] if sel is not None else np.argwhere(
                     hit.reshape(-1, hi - lo, z1 - z0))
                 flagged.append(at + (x0, lo, z0))
@@ -778,12 +764,6 @@ def haar_defect(V: TableView, c: np.ndarray, lam: np.ndarray):
     """Largest |lam(y) c^z_{x,y} - lam(z) c^y_{x~,z}| over the stored triples, in floats."""
     left, right = haar_sides(V, c, lam)
     return np.abs(left - right).max(initial=0)
-
-
-def _batches(V: TableView, primes: np.ndarray):
-    """``primes`` in groups whose dense residue arrays stay within RESIDUE_BATCH."""
-    step = max(1, RESIDUE_BATCH // V.n**3)
-    return (primes[i:i + step] for i in range(0, len(primes), step))
 
 
 # -- exact checks on N and per-point rationals -------------------------------
@@ -926,7 +906,7 @@ def _exact_associativity(V: TableView) -> tuple[Fraction, int]:
     factors' sides, and it checks ``checked1 * checked2`` triples.  Any
     other view is checked on N, in one float64 pass while every sum is
     exact (``2 n max|N|**2 <= 2**53``), else on N's residues modulo
-    :func:`crt_primes`, one pass per batch of primes, all on the view's one
+    :func:`crt_primes`, one pass per prime, all on the view's one
     :attr:`~TableView.plan`; :func:`_triple_defect` sizes the triples they flag.
     """
     if V.factors is not None:  # an exact product has exact factors
@@ -937,8 +917,8 @@ def _exact_associativity(V: TableView) -> tuple[Fraction, int]:
     if height <= EXACT_FLOAT:
         _, checked, flagged = _associativity(V, V.dense(V.N.astype(float)), None)
     else:
-        passes = [_associativity(V, V.dense(residues(V.N, p)), p)
-                  for p in _batches(V, crt_primes(V.n, height))]
+        passes = [_associativity(V, V.dense((V.N % int(p)).astype(float)), p)
+                  for p in crt_primes(V.n, height)]
         checked = passes[0][1]
         flagged = np.unique(np.concatenate([f for _, _, f in passes]), axis=0)
     return _triple_defect(V, flagged), checked

@@ -160,11 +160,35 @@ RADII = "--radii must be a comma-separated list of integers >= 0, got "
     (["norms", "--family", "conj", "--group", "z"], "unknown group 'z'"),
     (["norms", "--family", "conj", "--group", "s3", "--mcb", "--groups", "foo"],
      "unknown group 'foo'"),
+    (["norms", "--family", "tree_radial", "--q", "2", "--radius", "24", "--random", "1",
+      "--mcb", "--groups", "s3"], "--mcb needs a finite table; a section takes none"),
 ], ids=["radii-word", "radii-empty-item", "radii-empty", "radii-on-finite", "groups-without-mcb",
-        "unknown-group", "unknown-mcb-group"])
+        "unknown-group", "unknown-mcb-group", "mcb-on-section"])
 def test_input_error_names_the_option(argv, message, capsys):
     # an option the command would not read is rejected, and a KeyError's
     # message is printed without the quotes of its str()
+    assert _run(argv) == (2, "")
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["characters", "--family", "tree_radial", "--q", "2", "--radius", "8"],
+     "characters needs a finite table; use p2/deform on sections"),
+    (["quantum", "--q", "1/2"], "quantum needs --fusion-file, --group, or --q/--radius"),
+    (["p2", "--family", "su2_fusion"], "su2_fusion needs a truncation radius"),
+    (["p2", "--family", "suq2_fusion", "--radius", "8"],
+     "suq2_fusion needs q and a truncation radius"),
+    (["p2", "--family", "tree_radial", "--radius", "8"],
+     "tree_radial needs q and a truncation radius"),
+    (["p2", "--family", "tree_radial", "--q", "2", "--radius", "1"],
+     "tree_radial needs radius >= 2"),
+    (["p2", "--family", "su2_fusion", "--radius", "1"], "fusion section needs radius >= 2"),
+    (["verify", "--family", "conj"], "family 'conj' needs a group"),
+], ids=["characters-on-section", "quantum-without-ring", "su2-without-radius",
+        "suq2-without-q", "tree-without-q", "tree-radius-1", "fusion-radius-1",
+        "conj-without-group"])
+def test_usage_error_names_what_is_missing(argv, message, capsys):
+    # a command or family given too little to build its table exits 2
     assert _run(argv) == (2, "")
     assert capsys.readouterr().err == f"input error: {message}\n"
 
@@ -398,6 +422,16 @@ def test_norms_structured_includes_witness():
     )
     assert code == 0
     assert "u0.witness.xi" in out and "u0.witness.product_error" in out
+
+
+def test_norms_on_a_section_report_enclosures():
+    # a section's norms are certified intervals, and it takes no witness
+    code, out = _run(["norms", "--family", "tree_radial", "--q", "2", "--radius", "24",
+                      "--random", "1", "--format", "structured"])
+    assert code == 0
+    keys = [ln.split()[0] for ln in out.splitlines()]
+    assert "u0.norm_a.lower" in keys and "u0.norm_a.upper" in keys
+    assert not any(k.startswith("u0.witness") for k in keys)
 
 
 @pytest.mark.parametrize("evidence, code", [

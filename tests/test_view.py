@@ -76,6 +76,30 @@ def _deformed(name, radius):
 BUILDERS = _builders()
 
 
+def _float_copy(H):
+    """``H`` built again from its rows with every coefficient a float."""
+    rows = {k: [(z, float(c)) for z, c in r] for k, r in H.rows.items()}
+    return HypergroupTable.from_rows(f"{H.name}_float", H.size, H.involution, rows,
+                                     identity=H.identity, commutative=H.commutative)
+
+
+def _noncommutative_tables():
+    """Group tables, whose passes take every order: S3, S4 (one x per block), S4 in floats,
+    once as it is and once with one coefficient set to 7/2, and products."""
+    s3, s4 = (builders.group_hypergroup(groups.get_group(g)) for g in ("s3", "s4"))
+    return {
+        "group_s3": lambda: s3,
+        "group_s4": lambda: s4,
+        "group_s4_float": lambda: _float_copy(s4),
+        "group_s4_float_mutated": lambda: _float_copy(_mutated(s4, 5, Fraction(7, 2))),
+        "group_s3xirr_s3": lambda: builders.product(s3, _table("irr_s3")),
+        "conj_d4xgroup_s3": lambda: builders.product(_table("conj_d4"), s3),
+    }
+
+
+NONCOMMUTATIVE = _noncommutative_tables()
+
+
 # -- the loop oracles ---------------------------------------------------------
 
 
@@ -172,21 +196,21 @@ def _verify_axioms_loop(H: HypergroupTable, tol: float = DEFAULT_TOL) -> AxiomRe
     report.triples_skipped = skipped
     return report
 
-def _associativity_per_x(V: TableView, C: np.ndarray, p: np.ndarray | None) -> tuple:
+def _associativity_per_x(V: TableView, C: np.ndarray, p: float | None) -> tuple:
     """``view._associativity`` with the mask of checked triples built per block of x.
 
     A block is the x of one slab; a section's block takes the span of y and
     z that holds its checked triples, and its defects are taken over the
     whole slab, then masked to the checked triples.
     """
-    n, lead = V.n, C.shape[:-3]
-    left_of = C.reshape(lead + (1, n, n * n))
+    n = V.n
+    left_of = C.reshape(1, n, n * n)
     missing = ~V.has_row
     gaps = missing.astype(float) if missing.any() else None
     if gaps is not None:
         stored = np.zeros((n, n, n), dtype=bool)
         stored[V.x, V.y, V.z] = True
-    rows = max(1, max(n**3 // 4, view.SLAB_FLOOR) // (n * n * math.prod(lead)))
+    rows = max(1, max(n**3 // 4, view.SLAB_FLOOR) // (n * n))
     step, span = max(1, rows // n), min(rows, n)
     worst, checked, flagged = 0.0, 0, [np.empty((0, 3), dtype=np.int64)]
     for x0 in range(0, n, step):
@@ -211,17 +235,15 @@ def _associativity_per_x(V: TableView, C: np.ndarray, p: np.ndarray | None) -> t
                 if not zs.size:
                     continue
                 z0, z1 = zs[0], zs[-1] + 1
-            diff = C[..., xs, lo:hi, :] @ left_of[..., z0 * n:z1 * n]
-            diff -= (C[..., lo:hi, z0:z1, :].reshape(lead + (1, -1, n))
-                     @ C[..., xs, :, :]).reshape(diff.shape)
+            diff = C[xs, lo:hi] @ left_of[:, :, z0 * n:z1 * n]
+            diff -= (C[lo:hi, z0:z1].reshape(1, -1, n) @ C[xs]).reshape(diff.shape)
             diff = view._defect(diff, p).reshape(diff.shape[:-1] + (z1 - z0, n)).max(axis=-1)
             if gaps is not None:
-                diff[..., ~ok[:, lo:hi, z0:z1]] = 0
+                diff[~ok[:, lo:hi, z0:z1]] = 0
             top = diff.max()
             worst = view._worst(worst, top)
             if top and V.rational:
-                hit = diff.reshape((-1,) + diff.shape[-3:]).max(axis=0)
-                flagged.append(np.argwhere(hit > 0) + (x0, lo, z0))
+                flagged.append(np.argwhere(diff > 0) + (x0, lo, z0))
     return worst, checked, np.concatenate(flagged)
 
 
@@ -268,9 +290,9 @@ def test_parity_covers_the_listed_tables():
     assert sum("x" in k for k in BUILDERS) >= 4
 
 
-@pytest.mark.parametrize("name", sorted(BUILDERS))
+@pytest.mark.parametrize("name", sorted(BUILDERS) + sorted(NONCOMMUTATIVE))
 def test_verify_axioms_matches_loop(name):
-    H = _table(name)
+    H = _table(name) if name in BUILDERS else NONCOMMUTATIVE[name]()
     _assert_same_report(verify_axioms(H), _verify_axioms_loop(H), H.exact)
     fast, slow = _haar_defect(H), _haar_defect_loop(H)
     if H.exact:
@@ -1127,7 +1149,6 @@ def test_a_triple_flagged_modulo_one_prime_is_sized(monkeypatch):
     N = H.view.N[H.view.x <= H.view.y].copy()
     N[5] = 2**30
     M = _with_n(H, N, builders.q_integers(Fraction(1, 1000), 12)[1:13])
-    monkeypatch.setattr(view, "RESIDUE_BATCH", 1)
     dense, passes = view._associativity, []
 
     def first_only(V, C, p):
@@ -1223,8 +1244,8 @@ def _passes(V):
     if not _beyond_float64(V):
         yield V.dense(V.N.astype(float)), None
     height = max(2 * V.n * view.max_abs(V.N) ** 2, 2**60)
-    for p in view._batches(V, view.crt_primes(V.n, height)):
-        yield V.dense(view.residues(V.N, p)), p
+    for p in view.crt_primes(V.n, height):
+        yield V.dense((V.N % int(p)).astype(float)), p
 
 
 def _assert_same_pass(V, got, want):
@@ -1278,28 +1299,6 @@ def test_mutated_table_passes_like_the_per_x_oracle(name, pick, drop, num, den):
     V = _mutated(_table(name), pick, None if drop else Fraction(num, den)).view
     for C, p in _passes(V):
         _assert_same_pass(V, view._associativity(V, C, p), _associativity_per_x(V, C, p))
-
-
-def _float_copy(H):
-    """``H`` built again from its rows with every coefficient a float."""
-    rows = {k: [(z, float(c)) for z, c in r] for k, r in H.rows.items()}
-    return HypergroupTable.from_rows(f"{H.name}_float", H.size, H.involution, rows,
-                                     identity=H.identity, commutative=H.commutative)
-
-
-def _noncommutative_tables():
-    """Group tables, whose passes take every order: S3, S4 (one x per block) and products."""
-    s3, s4 = (builders.group_hypergroup(groups.get_group(g)) for g in ("s3", "s4"))
-    return {
-        "group_s3": lambda: s3,
-        "group_s4": lambda: s4,
-        "group_s4_float": lambda: _float_copy(s4),
-        "group_s3xirr_s3": lambda: builders.product(s3, _table("irr_s3")),
-        "conj_d4xgroup_s3": lambda: builders.product(_table("conj_d4"), s3),
-    }
-
-
-NONCOMMUTATIVE = _noncommutative_tables()
 
 
 @pytest.mark.parametrize("name", sorted(NONCOMMUTATIVE))
